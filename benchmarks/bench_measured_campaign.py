@@ -99,7 +99,7 @@ def isolated_cell_caches():
     real_cell = runner_module._run_cell
     real_serving = serving_runner_module._run_serving_cell
 
-    def isolated_cell(task, cache=None, framework=None, **kwargs):
+    def isolated_cell(task, cache=None, framework=None, serving_cache=None):
         return real_cell(task, cache, framework)
 
     def isolated_serving(task, serving_cache=None):

@@ -1,58 +1,52 @@
 """Persistent campaign checkpoints: restart a grid where it stopped.
 
-A campaign is embarrassingly resumable — every ``(platform, scenario)`` cell
-is an independent seeded search — so :class:`CampaignCheckpoint` persists
-each finished cell as one JSON line (next to the evaluation cache's JSONL,
-same append-only discipline) and :func:`repro.campaign.runner.run_campaign`
-skips restored cells on restart.  Restored results are pickle round-trips of
-the originals, so a resumed campaign renders a
-:func:`repro.core.report.campaign_summary` byte-identical to an
-uninterrupted run.
+A campaign is embarrassingly resumable — every cell is an independent seeded
+computation — so :class:`CampaignCheckpoint` persists each finished cell as
+one line of a :class:`~repro.jsonl_store.JsonlStore` file and
+:func:`repro.campaign.runner.run_cell_grid` skips restored cells on restart.
+Restored results are pickle round-trips of the originals, so a resumed
+campaign renders summaries byte-identical to an uninterrupted run.
 
-The file holds three record *kinds* side by side (older files, written
-before the field existed, are read as ``search``):
+The file holds three record *kinds* side by side, one per campaign runner:
 
-* ``search`` — one ``(platform, scenario)`` search cell carrying a
-  :class:`~repro.search.evolutionary.SearchResult`
-  (:meth:`CampaignCheckpoint.store` / :meth:`CampaignCheckpoint.load`);
-* ``serving`` — one ``(platform, family)`` serving cell of a
+* ``search`` — a ``(platform, scenario)`` cell of
+  :func:`repro.campaign.runner.run_campaign`, carrying a
+  :class:`~repro.search.evolutionary.SearchResult`;
+* ``serving`` — a ``(platform, family)`` cell of
   :func:`repro.campaign.serving_runner.run_serving_campaign`, carrying a
-  :class:`~repro.campaign.serving_runner.ServingCellResult`
-  (:meth:`CampaignCheckpoint.store_serving` /
-  :meth:`CampaignCheckpoint.load_serving`);
-* ``fleet`` — one ``(mix, family)`` fleet cell of a
+  :class:`~repro.campaign.serving_runner.ServingCellResult`;
+* ``fleet`` — a ``(mix, family)`` cell of
   :func:`repro.campaign.fleet_runner.run_fleet_campaign`, carrying a
-  :class:`~repro.campaign.fleet_runner.FleetCellResult`
-  (:meth:`CampaignCheckpoint.store_fleet` /
-  :meth:`CampaignCheckpoint.load_fleet`).  Fleet cells follow the serving
-  refresh discipline: a fingerprint mismatch (edited mix, re-searched
-  fronts, changed replay budget) drops the cell for re-running.
+  :class:`~repro.campaign.fleet_runner.FleetCellResult`.
+
+One loader and one writer serve all three kinds;
+:meth:`CampaignCheckpoint.load` / :meth:`~CampaignCheckpoint.store` and their
+``_serving`` / ``_fleet`` siblings are one-line entry points over them.
 
 Safety model
 ------------
-Every line carries the campaign ``seed`` and a per-cell *fingerprint* of
-everything else that shapes that cell's result (network and platform
-contents — not just their names — stage count, strategy, resolved budget,
-scenario constraints, evaluator settings, warm-start mode; for serving
-cells: the family definition, the replay budget and the Pareto front it
-deploys).  On load:
+Every line carries the campaign ``seed``, the cell's *fingerprint* — one
+digest over everything that shapes the cell's result — and a short digest of
+each fingerprint field.  A :class:`CellExpectation` sorts those fields into
+two groups.  On load:
 
 * a **seed mismatch raises** :class:`~repro.errors.ConfigurationError` —
   silently mixing results from a different seed would poison the whole grid;
-* a **search-cell fingerprint mismatch raises** too — the search budget or
-  evaluator settings changed, and re-using any part of the old grid would
-  mix incompatible searches;
-* a **serving-cell fingerprint mismatch is dropped and re-run** instead: a
-  family definition is *expected* to be tweaked between runs, and the right
-  response to a stale family (or a front re-searched under new settings) is
-  recomputing exactly the affected cells, never refusing the whole resume;
-* a cell for a **platform/scenario/family no longer in the grid** is ignored
-  (stale), and cells *added* to the grid simply are not in the file, so a
-  grown grid re-runs exactly the new cells;
-* a cell whose **warm-start donor chain changed** (platforms inserted before
-  it) is dropped and re-run — its seed population would differ;
+* a **strict field mismatch raises** too: a search cell's network or
+  platform contents, stage count, strategy, budget, scenario or evaluator
+  settings changed, and re-using any part of the old grid would mix
+  incompatible searches;
+* a **refreshable field mismatch re-runs the cell** instead: a search cell's
+  warm-start donors, surrogate settings or objective set, and every field of
+  a serving or fleet cell (a family, a mix or a deployed front is *expected*
+  to change between runs);
+* both mismatches log the names of the fields that changed;
+* a cell **no longer in the grid** is ignored (stale), and cells *added* to
+  the grid are simply not in the file, so a grown grid runs exactly the new
+  cells;
 * a **malformed line** (truncated by a mid-write crash, foreign writer) is
-  skipped and logged, never fatal.
+  skipped and logged, never fatal; a line of an **older format version** is
+  logged as such and never restored, so its cell re-runs.
 
 .. warning::
    The payload is a pickle, exactly like the evaluation cache's: only load
@@ -61,16 +55,17 @@ deploys).  On load:
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import logging
-import pickle
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonl_store import JsonlStore
 from ..search.evolutionary import SearchResult
 
 __all__ = [
@@ -83,7 +78,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: Format marker written into every persisted line; bump on layout changes.
-_CHECKPOINT_VERSION = 1
+#: Version 2 added the per-field digests; version-1 lines re-run their cells.
+_CHECKPOINT_VERSION = 2
 
 #: A search cell's identity within one campaign grid: (platform, scenario).
 CellKey = Tuple[str, str]
@@ -99,6 +95,26 @@ _KEY_FIELDS = {
     "search": ("platform", "scenario"),
     "serving": ("platform", "family"),
     "fleet": ("mix", "family"),
+}
+
+#: The human-readable metrics each kind's lines carry beside the payload.
+_SUMMARIES = {
+    "search": lambda result: {
+        "evaluations": result.num_evaluations,
+        "front": len(result.pareto),
+        "best_latency_ms": result.best.latency_ms,
+        "best_energy_mj": result.best.energy_mj,
+    },
+    "serving": lambda result: {
+        "members": len(result.members),
+        "p99_latency_ms": result.p99_latency_ms,
+        "served_p99_per_joule": result.served_p99_per_joule,
+    },
+    "fleet": lambda result: {
+        "members": len(result.members),
+        "p99_latency_ms": result.p99_latency_ms,
+        "total_joules": result.total_joules,
+    },
 }
 
 
@@ -120,41 +136,47 @@ def campaign_fingerprint(**fields: object) -> str:
 class CellExpectation:
     """What the current run demands of a checkpointed cell to accept it.
 
-    ``surrogate`` is the fingerprint tag of the cell's surrogate settings
-    (``""`` for a pure-oracle cell) and ``objectives`` the tag of the cell's
-    :class:`~repro.search.objectives.ObjectiveSet` (``""`` for the default
-    latency/energy/accuracy axes, so files written before the objective
-    layer existed keep restoring).  A measured campaign
-    (``measured_objectives=``) puts each cell's *bound* per-platform
-    fingerprint here — platform, workload family, traffic seed, replay
-    duration — so changing the measured recipe re-runs exactly the affected
-    cells while pre-measured checkpoints restore unchanged.  Both tags are
-    deliberately *not* folded into the base fingerprint: a base mismatch
-    means incompatible searches and raises, while a surrogate or objectives
-    mismatch only means the acceleration or the optimised axes changed — the
-    affected cells are silently re-run (counted in
-    :attr:`CheckpointStats.refreshed`), exactly like serving cells whose
-    family definition changed.
+    ``strict`` holds the fields that define *which search* a cell ran: a
+    stored cell that differs in one of them raises, because the run would
+    mix incompatible searches.  ``refreshable`` holds the fields whose change
+    only makes the stored result stale: such a cell is re-run and counted in
+    :attr:`CheckpointStats.refreshed`.  Values enter through their ``repr``,
+    so platforms and networks count by content, not by name.
     """
 
-    fingerprint: str
-    donors: Tuple[str, ...] = ()
-    surrogate: str = ""
-    objectives: str = ""
+    strict: Mapping[str, object] = field(default_factory=dict)
+    refreshable: Mapping[str, object] = field(default_factory=dict)
+
+    @cached_property
+    def field_digests(self) -> Dict[str, str]:
+        """A short digest of every field, as stored beside the fingerprint."""
+        return {
+            name: hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:12]
+            for name, value in {**self.strict, **self.refreshable}.items()
+        }
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The cell's digest over all of its fields."""
+        return campaign_fingerprint(**self.field_digests)
+
+    def changed_fields(self, stored: Mapping[str, str]) -> List[str]:
+        """Names of the fields whose ``stored`` digest differs from this run's."""
+        expected = self.field_digests
+        names = dict.fromkeys([*expected, *stored])
+        return [name for name in names if expected.get(name) != stored.get(name)]
 
 
 @dataclass
 class CheckpointStats:
-    """What one :meth:`CampaignCheckpoint.load` / ``load_serving`` pass found."""
+    """What one :class:`CampaignCheckpoint` load found."""
 
     restored: int = 0
     stale: int = 0
-    donor_mismatch: int = 0
     malformed: int = 0
-    #: Cells dropped for re-running rather than raising: serving cells whose
-    #: fingerprint (family definition, replay budget or deployed front) no
-    #: longer matches, and search cells whose surrogate settings or
-    #: objective set changed.
+    #: Lines of an older format version: never restored, their cells re-run.
+    older: int = 0
+    #: Cells re-run because a refreshable field of theirs changed.
     refreshed: int = 0
 
 
@@ -167,7 +189,7 @@ class CampaignCheckpoint:
         Directory holding the checkpoint file (created on first store).
     seed:
         The campaign's master seed; lines written under any other seed make
-        :meth:`load` raise instead of silently mixing results.
+        the loaders raise instead of silently mixing results.
     """
 
     FILENAME = "campaign_cells.jsonl"
@@ -182,299 +204,139 @@ class CampaignCheckpoint:
     def load(
         self, expected: Mapping[CellKey, CellExpectation]
     ) -> Dict[CellKey, SearchResult]:
-        """Restore every completed cell of the current grid.
-
-        ``expected`` maps each ``(platform, scenario)`` key of the *current*
-        grid to the fingerprint and warm-start donor chain the run would use
-        for it; keys not in the mapping are stale cells from an older grid
-        and are ignored.
-        """
-        restored: Dict[CellKey, SearchResult] = {}
-        self.stats = CheckpointStats()
-        mismatched = set()
-        stale_surrogate = set()
-        for record, fingerprint, key in self._iter_records("search"):
-            expectation = expected.get(key)
-            if expectation is None:
-                self.stats.stale += 1
-                continue
-            if fingerprint != expectation.fingerprint:
-                raise ConfigurationError(
-                    f"checkpoint {self.path} holds cell {key} written under a "
-                    f"different campaign configuration (fingerprint {fingerprint} "
-                    f"vs {expectation.fingerprint}): the search budget, scenario "
-                    f"constraints, stage count or evaluator settings changed; "
-                    f"use a fresh checkpoint_dir"
-                )
-            try:
-                donors = tuple(str(name) for name in record["donors"])
-            except (KeyError, TypeError):
-                self.stats.malformed += 1
-                continue
-            if donors != expectation.donors:
-                mismatched.add(key)
-                continue
-            if (
-                str(record.get("surrogate", "")) != expectation.surrogate
-                or str(record.get("objectives", "")) != expectation.objectives
-            ):
-                stale_surrogate.add(key)
-                continue
-            result = self._decode_payload(record, SearchResult)
-            if result is not None:
-                restored[key] = result
-        self.stats.restored = len(restored)
-        # A mismatched line may be superseded by a later line for the same
-        # cell (the file is append-only); only cells left unrestored re-run.
-        self.stats.donor_mismatch = len(mismatched - set(restored))
-        self.stats.refreshed = len(stale_surrogate - set(restored))
-        if self.stats.malformed:
-            logger.warning(
-                "campaign checkpoint %s: restored %d cells, skipped %d malformed "
-                "lines (expected after an interrupted write)",
-                self.path,
-                self.stats.restored,
-                self.stats.malformed,
-            )
-        if self.stats.donor_mismatch:
-            logger.info(
-                "campaign checkpoint %s: re-running %d cells whose warm-start "
-                "donor chain changed with the grid",
-                self.path,
-                self.stats.donor_mismatch,
-            )
-        if self.stats.refreshed:
-            logger.info(
-                "campaign checkpoint %s: re-running %d cells whose surrogate "
-                "settings or objective set changed",
-                self.path,
-                self.stats.refreshed,
-            )
-        return restored
+        """Restore every search cell the current grid still accepts."""
+        return self._load("search", expected, SearchResult)
 
     def load_serving(
         self, expected: Mapping[ServingCellKey, CellExpectation]
     ) -> Dict[ServingCellKey, object]:
-        """Restore every completed serving cell of the current sweep.
-
-        ``expected`` maps each ``(platform, family)`` key of the *current*
-        sweep to its fingerprint (family definition, replay budget, deployed
-        front).  A fingerprint mismatch drops the cell for re-running — a
-        stale family definition must never serve stale records — and is
-        counted in :attr:`CheckpointStats.refreshed`; unknown keys are
-        stale; a wrong seed raises, exactly as for search cells.
-        """
+        """Restore every serving cell the current sweep still accepts."""
         from .serving_runner import ServingCellResult  # local: runner imports us
 
-        return self._load_refreshable(
-            "serving",
-            expected,
-            ServingCellResult,
-            "family definition, replay budget or deployed front",
-        )
+        return self._load("serving", expected, ServingCellResult)
 
     def load_fleet(
         self, expected: Mapping[FleetCellKey, CellExpectation]
     ) -> Dict[FleetCellKey, object]:
-        """Restore every completed fleet cell of the current sweep.
-
-        ``expected`` maps each ``(mix, family)`` key of the *current* sweep
-        to its fingerprint (mix definition, family, replay budget and the
-        deployed fronts).  Same refresh discipline as serving cells: a
-        fingerprint mismatch drops the cell for re-running, unknown keys are
-        stale, a wrong seed raises.
-        """
+        """Restore every fleet cell the current sweep still accepts."""
         from .fleet_runner import FleetCellResult  # local: runner imports us
 
-        return self._load_refreshable(
-            "fleet",
-            expected,
-            FleetCellResult,
-            "mix definition, family, replay budget or deployed fronts",
-        )
+        return self._load("fleet", expected, FleetCellResult)
 
-    def _load_refreshable(
+    def _load(
         self,
         kind: str,
         expected: Mapping[Tuple[str, str], CellExpectation],
-        expected_type: type,
-        refresh_reason: str,
+        payload_type: type,
     ) -> Dict[Tuple[str, str], object]:
-        """Shared loader of the refresh-on-mismatch kinds (serving, fleet)."""
-        restored: Dict[Tuple[str, str], object] = {}
+        """The shared loader: restore the ``kind`` cells ``expected`` accepts.
+
+        ``expected`` maps each key of the current grid to its
+        :class:`CellExpectation`; keys missing from it are stale cells of an
+        older grid.  A foreign seed or a changed strict field raises before
+        any payload is touched.
+        """
         self.stats = CheckpointStats()
-        mismatched = set()
-        for record, fingerprint, key in self._iter_records(kind):
+        store = self._store(payload_type)
+        first_field, second_field = _KEY_FIELDS[kind]
+        restored: Dict[Tuple[str, str], object] = {}
+        changed: Dict[Tuple[str, str], List[str]] = {}
+        for record in store.records():
+            if record.get("kind") != kind:
+                continue
+            try:
+                key = (str(record[first_field]), str(record[second_field]))
+                seed = int(record["seed"])
+                fingerprint = str(record["fingerprint"])
+                stored_fields = dict(record["fields"])
+            except (KeyError, TypeError, ValueError):
+                store.skipped += 1
+                continue
+            if seed != self.seed:
+                raise ConfigurationError(
+                    f"checkpoint {self.path} holds cell {key} written under seed "
+                    f"{seed}, but this campaign runs under seed {self.seed}; "
+                    f"refusing to mix seeds — use a fresh checkpoint_dir or "
+                    f"re-run with the original seed"
+                )
             expectation = expected.get(key)
             if expectation is None:
                 self.stats.stale += 1
-                continue
-            if fingerprint != expectation.fingerprint:
-                mismatched.add(key)
-                continue
-            result = self._decode_payload(record, expected_type)
-            if result is not None:
-                restored[key] = result
+            elif fingerprint != expectation.fingerprint:
+                names = expectation.changed_fields(stored_fields)
+                strict = [name for name in names if name in expectation.strict]
+                if strict:
+                    message = (
+                        f"checkpoint {self.path} holds {kind} cell {key} written "
+                        f"under a different campaign configuration (fingerprint "
+                        f"{fingerprint} vs {expectation.fingerprint}; changed: "
+                        f"{', '.join(strict)}); use a fresh checkpoint_dir"
+                    )
+                    logger.warning("%s", message)
+                    raise ConfigurationError(message)
+                changed[key] = names
+            else:
+                result = store.decode(record)
+                if result is not None:
+                    restored[key] = result
         self.stats.restored = len(restored)
+        self.stats.malformed = store.skipped
+        self.stats.older = store.older
         # A stale line may be superseded by a later line written under the
-        # current fingerprint; only cells left unrestored actually re-run.
-        self.stats.refreshed = len(mismatched - set(restored))
-        if self.stats.malformed:
-            logger.warning(
-                "campaign checkpoint %s: restored %d %s cells, skipped %d "
-                "malformed lines (expected after an interrupted write)",
-                self.path,
-                self.stats.restored,
-                kind,
-                self.stats.malformed,
-            )
-        if self.stats.refreshed:
+        # current fingerprint (the file is append-only); only cells left
+        # unrestored actually re-run.
+        rerun = [names for key, names in changed.items() if key not in restored]
+        self.stats.refreshed = len(rerun)
+        if rerun:
+            counts = Counter(name for names in rerun for name in names)
             logger.info(
-                "campaign checkpoint %s: re-running %d %s cells whose %s changed",
+                "campaign checkpoint %s: re-running %d %s cells whose fields "
+                "changed: %s",
                 self.path,
-                self.stats.refreshed,
+                len(rerun),
                 kind,
-                refresh_reason,
+                ", ".join(f"{name} ({count})" for name, count in counts.items()),
             )
         return restored
 
-    def _iter_records(self, kind: str):
-        """Well-formed records of ``kind``: yields (record, fingerprint, key).
-
-        Shared parsing/safety layer of both loaders: blank and malformed
-        lines are skipped (and counted), records of other kinds are ignored,
-        and a foreign seed raises before any payload is touched.
-        """
-        first_field, second_field = _KEY_FIELDS[kind]
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as stream:
-            for line in stream:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if record.get("version") != _CHECKPOINT_VERSION:
-                        self.stats.malformed += 1
-                        continue
-                    if record.get("kind", "search") != kind:
-                        continue
-                    seed = int(record["seed"])
-                    fingerprint = str(record["fingerprint"])
-                    key = (str(record[first_field]), str(record[second_field]))
-                except (KeyError, TypeError, ValueError):
-                    self.stats.malformed += 1
-                    continue
-                self._check_seed(seed, key)
-                yield record, fingerprint, key
-
-    def _decode_payload(self, record: dict, expected_type: type):
-        """The record's unpickled payload, or ``None`` (counted) if broken."""
-        try:
-            result = pickle.loads(base64.b64decode(record["payload"]))
-        except Exception:  # noqa: BLE001 - truncated payloads are survivable
-            self.stats.malformed += 1
-            return None
-        if not isinstance(result, expected_type):
-            self.stats.malformed += 1
-            return None
-        return result
-
-    def _check_seed(self, seed: int, key: Tuple[str, str]) -> None:
-        if seed != self.seed:
-            raise ConfigurationError(
-                f"checkpoint {self.path} holds cell {key} written under seed "
-                f"{seed}, but this campaign runs under seed {self.seed}; "
-                f"refusing to mix seeds — use a fresh checkpoint_dir or "
-                f"re-run with the original seed"
-            )
-
     # -- persist -----------------------------------------------------------------
-    def store(
-        self,
-        key: CellKey,
-        expectation: CellExpectation,
-        result: SearchResult,
-    ) -> None:
-        """Append one finished search cell; flushed immediately so a later
-        crash costs at most the line being written."""
-        platform_name, scenario_name = key
-        self._append(
-            {
-                "version": _CHECKPOINT_VERSION,
-                "kind": "search",
-                "seed": self.seed,
-                "fingerprint": expectation.fingerprint,
-                "platform": platform_name,
-                "scenario": scenario_name,
-                "donors": list(expectation.donors),
-                "surrogate": expectation.surrogate,
-                "objectives": expectation.objectives,
-                "metrics": {
-                    "evaluations": result.num_evaluations,
-                    "front": len(result.pareto),
-                    "best_latency_ms": result.best.latency_ms,
-                    "best_energy_mj": result.best.energy_mj,
-                },
-                "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-            }
-        )
+    def store(self, key: CellKey, expectation: CellExpectation, result: SearchResult) -> None:
+        """Append one finished search cell."""
+        self._append("search", key, expectation, result)
 
     def store_serving(
-        self,
-        key: ServingCellKey,
-        expectation: CellExpectation,
-        result,
+        self, key: ServingCellKey, expectation: CellExpectation, result
     ) -> None:
-        """Append one finished serving cell (same discipline as :meth:`store`)."""
-        platform_name, family_name = key
-        self._append(
-            {
-                "version": _CHECKPOINT_VERSION,
-                "kind": "serving",
-                "seed": self.seed,
-                "fingerprint": expectation.fingerprint,
-                "platform": platform_name,
-                "family": family_name,
-                "metrics": {
-                    "members": len(result.members),
-                    "p99_latency_ms": result.p99_latency_ms,
-                    "served_p99_per_joule": result.served_p99_per_joule,
-                },
-                "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-            }
-        )
+        """Append one finished serving cell."""
+        self._append("serving", key, expectation, result)
 
-    def store_fleet(
+    def store_fleet(self, key: FleetCellKey, expectation: CellExpectation, result) -> None:
+        """Append one finished fleet cell."""
+        self._append("fleet", key, expectation, result)
+
+    def _append(
         self,
-        key: FleetCellKey,
+        kind: str,
+        key: Tuple[str, str],
         expectation: CellExpectation,
-        result,
+        result: object,
     ) -> None:
-        """Append one finished fleet cell (same discipline as :meth:`store`)."""
-        mix_name, family_name = key
-        self._append(
-            {
-                "version": _CHECKPOINT_VERSION,
-                "kind": "fleet",
-                "seed": self.seed,
-                "fingerprint": expectation.fingerprint,
-                "mix": mix_name,
-                "family": family_name,
-                "metrics": {
-                    "members": len(result.members),
-                    "p99_latency_ms": result.p99_latency_ms,
-                    "total_joules": result.total_joules,
-                },
-                "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-            }
-        )
+        """The shared writer: one line per finished cell, appended at once so
+        a later crash costs at most the line being written."""
+        first_field, second_field = _KEY_FIELDS[kind]
+        store = self._store(object)
+        fields = {
+            "kind": kind,
+            "seed": self.seed,
+            "fingerprint": expectation.fingerprint,
+            first_field: key[0],
+            second_field: key[1],
+            "fields": expectation.field_digests,
+            "metrics": _SUMMARIES[kind](result),
+        }
+        store.append([store.record(result, **fields)])
 
-    def _append(self, record: dict) -> None:
-        # ensure_ascii=False keeps non-ASCII platform/family names readable in
-        # the file; the explicit utf-8 handle makes that safe on any locale.
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record, ensure_ascii=False) + "\n")
-            stream.flush()
+    def _store(self, payload_type: type) -> JsonlStore:
+        return JsonlStore(
+            self.path, _CHECKPOINT_VERSION, payload_type, "campaign checkpoint", logger
+        )

@@ -34,36 +34,29 @@ affected cells.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..dynamics.accuracy import AccuracyModel
-from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
-from ..engine.cache import EvaluationCache
-from ..engine.surrogate import SurrogateSettings
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.evaluation import EvaluatedConfig
-from ..search.objectives import MeasuredObjectives, ObjectiveSet
 from ..search.pareto import select_energy_oriented, select_latency_oriented
 from ..serving.families import WorkloadFamily, member_traffic_seed, resolve_families
 from ..serving.fleet import AutoscalerPolicy, FleetInstance, get_router, simulate_fleet
 from ..serving.fleet_metrics import FleetMetrics, compute_fleet_metrics
 from ..serving.policies import Deployment
-from ..serving.result_cache import ServingResultCache
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
 from ..utils import check_positive
-from .checkpoint import (
-    CampaignCheckpoint,
-    CellExpectation,
-    FleetCellKey,
-    campaign_fingerprint,
+from .checkpoint import CellExpectation, FleetCellKey
+from .runner import (
+    CampaignResult,
+    CampaignScenario,
+    _search_campaign,
+    _SearchSettings,
+    run_cell_grid,
 )
-from .runner import CampaignResult, CampaignScenario, fan_out_cells, run_campaign
 from .serving_runner import _front_fingerprint
 
 __all__ = [
@@ -74,8 +67,6 @@ __all__ = [
     "select_front_point",
     "run_fleet_campaign",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Front-point selection modes a mix may ask for.
 _SELECTIONS = ("energy", "latency", "balanced")
@@ -110,10 +101,9 @@ class FleetMix:
         Optional load-shedding bound forwarded to
         :func:`repro.serving.fleet.simulate_fleet`: a request is dropped when
         every ready instance's estimated backlog exceeds it.  ``None`` (the
-        default) never sheds, reproducing the historical behaviour — and the
-        historical checkpoint fingerprints — byte-for-byte.  An undersized
-        mix with an aggressive bound can shed *every* request of a hot
-        member; such a cell aggregates to the degenerate
+        default) never sheds, reproducing the historical behaviour
+        byte-for-byte.  An undersized mix with an aggressive bound can shed
+        *every* request of a hot member; such a cell aggregates to the degenerate
         :class:`~repro.serving.fleet_metrics.FleetMetrics` (zero completed,
         infinite tails) and ranks last instead of crashing the campaign.
     """
@@ -403,7 +393,7 @@ class _FleetCellTask:
     p99_slo_ms: float
     deadline_ms: Optional[float]
     seed: int
-    shed_backlog_ms: Optional[float] = None
+    shed_backlog_ms: Optional[float]
 
 
 def _run_fleet_cell(task: _FleetCellTask) -> FleetCellResult:
@@ -426,7 +416,7 @@ def _run_fleet_cell(task: _FleetCellTask) -> FleetCellResult:
             autoscaler=task.autoscaler,
             seed=traffic_seed,
             deadline_ms=task.deadline_ms,
-            shed_backlog_ms=getattr(task, "shed_backlog_ms", None),
+            shed_backlog_ms=task.shed_backlog_ms,
         )
         outcomes.append(
             FleetMemberOutcome(
@@ -515,24 +505,7 @@ def run_fleet_campaign(
     p99_slo_ms: float = 100.0,
     deadline_ms: Optional[float] = None,
     scenario: Optional[CampaignScenario] = None,
-    strategy: str = "evolutionary",
-    backend: Optional[str] = None,
-    n_workers: Optional[int] = None,
-    cache: Union[EvaluationCache, str, Path, None] = None,
-    generations: int = 10,
-    population_size: int = 16,
-    num_stages: Optional[int] = None,
-    accuracy_model: Optional[AccuracyModel] = None,
-    reorder_channels: bool = True,
-    validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
-    seed: int = 0,
-    checkpoint_dir: Union[str, Path, None] = None,
-    cell_workers: Optional[int] = None,
-    warm_start: bool = False,
-    surrogate: Optional[SurrogateSettings] = None,
-    objectives: Optional[ObjectiveSet] = None,
-    measured_objectives: Optional[MeasuredObjectives] = None,
-    serving_cache: Union[ServingResultCache, str, Path, None] = None,
+    **search,
 ) -> FleetCampaignResult:
     """Search the mixes' platforms, then sweep fleet mixes over families.
 
@@ -559,33 +532,18 @@ def run_fleet_campaign(
         processes carry their own deadlines override it per request.
     scenario:
         Optional search scenario for the underlying platform campaign.
-    strategy, backend, n_workers, cache, generations, population_size,
-    num_stages, accuracy_model, reorder_channels, validation_samples, seed,
-    checkpoint_dir, cell_workers, warm_start, surrogate, objectives:
-        Forwarded to :func:`~repro.campaign.runner.run_campaign` for the
-        search over the union of the mixes' platforms.  ``objectives``
-        additionally enters every fleet-cell fingerprint, so a changed
-        :class:`~repro.search.objectives.ObjectiveSet` re-runs the affected
-        cells.  ``checkpoint_dir``
-        additionally persists every finished *fleet* cell (record kind
-        ``fleet``): an interrupted sweep resumes where it stopped, and a
-        cell whose mix definition, family, replay budget or deployed fronts
-        changed is re-run instead of restored.  ``cell_workers`` fans
-        independent fleet cells over a process pool with a deterministic
-        merge, so serial == cell-parallel == kill-and-resume byte for byte.
-    measured_objectives:
-        Optional :class:`~repro.search.objectives.MeasuredObjectives` factory
-        (mutually exclusive with ``objectives``): every platform's search
-        cell binds it at fan-out time, so the fronts the mixes deploy were
-        selected under *measured* serving behaviour.  The bound per-platform
-        descriptors of every platform a mix fields enter that mix's cell
-        fingerprints, so a changed recipe re-runs exactly the affected
-        cells.
-    serving_cache:
-        Shared :class:`~repro.serving.result_cache.ServingResultCache`
-        (instance or JSONL path) behind the measured searches; defaults to a
-        fresh in-memory cache when ``measured_objectives`` is given.
+    **search:
+        The search keywords of :func:`~repro.campaign.runner.run_campaign`
+        (documented on :class:`~repro.campaign.runner._SearchSettings`),
+        applied to the search over the union of the mixes' platforms.
+        ``checkpoint_dir`` also persists every finished fleet cell (record
+        kind ``fleet``): a cell whose mix, family, replay budget, objective
+        set or deployed fronts changed is re-run instead of restored.
+        ``cell_workers`` fans the fleet cells over a process pool with a
+        deterministic merge, so serial == cell-parallel == kill-and-resume
+        byte for byte.
     """
+    settings = _SearchSettings.from_keywords("run_fleet_campaign", search)
     mix_objs, mix_entries, platform_objs = _resolve_mixes(mixes)
     family_objs = resolve_families(families)
     if int(members_per_family) < 1:
@@ -596,44 +554,15 @@ def run_fleet_campaign(
     check_positive(duration_ms, "duration_ms")
     check_positive(p99_slo_ms, "p99_slo_ms")
 
-    shared_serving: Optional[ServingResultCache] = None
-    if isinstance(serving_cache, ServingResultCache):
-        shared_serving = serving_cache
-    elif serving_cache is not None:
-        shared_serving = ServingResultCache(path=serving_cache)
-    elif measured_objectives is not None:
-        shared_serving = ServingResultCache()
-
-    campaign = run_campaign(
-        network,
-        platform_objs,
-        scenarios=None if scenario is None else [scenario],
-        strategy=strategy,
-        backend=backend,
-        n_workers=n_workers,
-        cache=cache,
-        generations=generations,
-        population_size=population_size,
-        num_stages=num_stages,
-        accuracy_model=accuracy_model,
-        reorder_channels=reorder_channels,
-        validation_samples=validation_samples,
-        seed=seed,
-        checkpoint_dir=checkpoint_dir,
-        cell_workers=cell_workers,
-        warm_start=warm_start,
-        surrogate=surrogate,
-        objectives=objectives,
-        measured_objectives=measured_objectives,
-        serving_cache=shared_serving,
+    campaign = _search_campaign(
+        network, platform_objs, None if scenario is None else [scenario], settings
     )
-    scenario_name = campaign.scenario_names[0]
-    fronts = {
-        platform.name: campaign.front(platform.name, scenario_name)
-        for platform in platform_objs
-    }
+    fronts = {platform.name: campaign.front(platform.name) for platform in platform_objs}
     front_fingerprints = {
         name: _front_fingerprint(front) for name, front in fronts.items()
+    }
+    objectives_tags = {
+        platform.name: settings.objectives_tag(platform) for platform in platform_objs
     }
 
     # One distilled deployment per (platform, selection) actually used by a
@@ -649,80 +578,33 @@ def run_fleet_campaign(
                 )
 
     # The fleet-cell fingerprint covers everything that shapes the cell: the
-    # mix definition (counts by *content*, router, selection, autoscaler,
-    # boot latency), the family, the replay budget and SLO, and the exact
-    # fronts the mix deploys — so a re-searched front or an edited mix
-    # refreshes precisely the affected cells.
-    # Measured objective sets bind per platform; a mix's tag is the tuple of
-    # bound descriptors of the platforms it fields, so a changed recipe
-    # re-runs exactly the cells whose fronts it shaped.  Proxy sets keep the
-    # shared campaign-wide descriptor, byte-identical to older checkpoints.
-    measured_descriptors: Dict[str, str] = {}
-    if measured_objectives is not None:
-        measured_descriptors = {
-            platform.name: measured_objectives.bind(platform, seed=int(seed)).describe()
-            for platform in platform_objs
-        }
-
+    # mix definition and the boards it resolves to (by *content*), the
+    # family, the replay budget and SLO, and the objective sets and exact
+    # fronts of the platforms the mix fields — so a re-searched front or an
+    # edited mix refreshes precisely the affected cells.
     expectations: Dict[FleetCellKey, CellExpectation] = {}
     for family in family_objs:
         for mix in mix_objs:
-            # The mix tuple only grows a shedding entry when the bound is
-            # set, so fingerprints of never-shedding mixes — the only kind
-            # that existed before the field — are byte-identical to the
-            # checkpoints older runs wrote.
-            mix_fields = [
-                mix.name,
-                tuple((platform, count) for platform, count in mix_entries[mix.name]),
-                mix.selection,
-                mix.router,
-                mix.autoscaler,
-                mix.boot_ms,
-            ]
-            if mix.shed_backlog_ms is not None:
-                mix_fields.append(float(mix.shed_backlog_ms))
-            if measured_objectives is not None:
-                objectives_tag: object = tuple(
-                    measured_descriptors[platform.name]
-                    for platform, _ in mix_entries[mix.name]
-                )
-            else:
-                objectives_tag = "" if objectives is None else objectives.describe()
-            fingerprint = campaign_fingerprint(
-                network=network.name,
-                mix=tuple(mix_fields),
-                family=family,
-                members=members,
-                duration_ms=float(duration_ms),
-                p99_slo_ms=float(p99_slo_ms),
-                deadline_ms=deadline_ms,
-                fronts=tuple(
-                    front_fingerprints[platform.name]
-                    for platform, _ in mix_entries[mix.name]
-                ),
-                objectives=objectives_tag,
-            )
+            fielded = [platform.name for platform, _ in mix_entries[mix.name]]
             expectations[(mix.name, family.name)] = CellExpectation(
-                fingerprint=fingerprint
-            )
-
-    checkpoint: Optional[CampaignCheckpoint] = None
-    completed: Dict[FleetCellKey, FleetCellResult] = {}
-    if checkpoint_dir is not None:
-        checkpoint = CampaignCheckpoint(checkpoint_dir, seed=int(seed))
-        completed = checkpoint.load_fleet(expectations)
-        if completed:
-            logger.info(
-                "fleet campaign resume: %d of %d cells restored from %s",
-                len(completed),
-                len(expectations),
-                checkpoint.path,
+                refreshable=dict(
+                    network=network.name,
+                    mix=mix,
+                    platforms=tuple(mix_entries[mix.name]),
+                    family=family,
+                    members=members,
+                    duration_ms=float(duration_ms),
+                    p99_slo_ms=float(p99_slo_ms),
+                    deadline_ms=deadline_ms,
+                    fronts=tuple(front_fingerprints[name] for name in fielded),
+                    objectives=tuple(objectives_tags[name] for name in fielded),
+                )
             )
 
     mix_by_name = {mix.name: mix for mix in mix_objs}
     family_by_name = {family.name: family for family in family_objs}
 
-    def make_task(key: FleetCellKey) -> _FleetCellTask:
+    def make_task(key: FleetCellKey, _completed) -> _FleetCellTask:
         mix_name, family_name = key
         mix = mix_by_name[mix_name]
         return _FleetCellTask(
@@ -735,32 +617,27 @@ def run_fleet_campaign(
             duration_ms=float(duration_ms),
             p99_slo_ms=float(p99_slo_ms),
             deadline_ms=deadline_ms,
-            seed=int(seed),
+            seed=settings.seed,
             shed_backlog_ms=mix.shed_backlog_ms,
         )
 
-    def finish_cell(key: FleetCellKey, result: FleetCellResult) -> None:
-        completed[key] = result
-        if checkpoint is not None:
-            checkpoint.store_fleet(key, expectations[key], result)
-
-    pending = [key for key in expectations if key not in completed]
-    workers = 1 if cell_workers is None else int(cell_workers)
-    fan_out_cells(pending, make_task, _run_fleet_cell, finish_cell, workers)
-
-    cells = tuple(
-        completed[(mix.name, family.name)]
-        for family in family_objs
-        for mix in mix_objs
+    completed = run_cell_grid(
+        "fleet",
+        expectations,
+        make_task,
+        _run_fleet_cell,
+        seed=settings.seed,
+        checkpoint_dir=settings.checkpoint_dir,
+        workers=settings.workers,
     )
     return FleetCampaignResult(
         campaign=campaign,
         mixes=mix_objs,
         family_names=tuple(family.name for family in family_objs),
-        cells=cells,
+        cells=tuple(completed[key] for key in expectations),
         deployments=deployments,
         members_per_family=members,
         duration_ms=float(duration_ms),
         p99_slo_ms=float(p99_slo_ms),
-        seed=int(seed),
+        seed=settings.seed,
     )

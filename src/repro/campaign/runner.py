@@ -28,6 +28,13 @@ Production-grade grid running (beyond the paper):
   transfer), cutting generations-to-converge instead of only scoring
   portability post hoc.
 
+All three campaign runners (this one,
+:func:`~repro.campaign.serving_runner.run_serving_campaign` and
+:func:`~repro.campaign.fleet_runner.run_fleet_campaign`) share the two
+pieces defined here: :class:`_SearchSettings`, the search keywords they all
+accept, and :func:`run_cell_grid`, the one executor that restores, runs and
+checkpoints their cells.
+
 Optionally, every front is also re-ranked under one shared traffic scenario
 via :func:`repro.serving.bridge.rank_under_traffic`, so the campaign reports
 both isolated-sample and under-load winners per platform.
@@ -44,7 +51,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..dynamics.accuracy import AccuracyModel
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
@@ -55,18 +62,18 @@ from ..nn.graph import NetworkGraph
 from ..search.constraints import SearchConstraints
 from ..search.evaluation import EvaluatedConfig
 from ..search.evolutionary import SearchResult
-from ..search.objectives import MeasuredObjectives, ObjectiveSet, paper_objective
+from ..search.objectives import (
+    MeasuredObjectives,
+    ObjectiveSet,
+    as_objective_set,
+    paper_objective,
+)
 from ..search.space import MappingConfig
 from ..serving.result_cache import ServingCacheRecorder, ServingResultCache
 from ..serving.workload import ArrivalProcess
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
-from .checkpoint import (
-    CampaignCheckpoint,
-    CellExpectation,
-    CellKey,
-    campaign_fingerprint,
-)
+from .checkpoint import CampaignCheckpoint, CellExpectation, CellKey
 from .portability import count_surviving_on_front, translate_config, translate_front
 
 __all__ = [
@@ -76,12 +83,12 @@ __all__ = [
     "PortabilityEntry",
     "CampaignResult",
     "run_campaign",
-    "fan_out_cells",
+    "run_cell_grid",
 ]
 
 logger = logging.getLogger(__name__)
 
-#: Backend choices run_campaign accepts.  Instances are rejected: a backend
+#: Backend choices the campaigns accept.  Instances are rejected: a backend
 #: is bound to one evaluator spec, and the campaign needs one per platform.
 _BACKEND_NAMES = ("serial", "process")
 
@@ -137,18 +144,16 @@ class CampaignCell:
     def surrogate_report(self):
         """The cell's :class:`~repro.engine.surrogate.SurrogateReport`.
 
-        ``None`` for pure-oracle cells (``getattr`` keeps results pickled
-        before the field existed readable)."""
-        return getattr(self.result, "surrogate", None)
+        ``None`` for pure-oracle cells."""
+        return self.result.surrogate
 
     @property
     def measured_cache_stats(self):
         """The cell's :class:`~repro.serving.result_cache.MeasuredCellStats`.
 
         Deterministic serving-cache lookup/unique counts of a
-        measured-objective cell; ``None`` for proxy cells (``getattr`` keeps
-        results pickled before the field existed readable)."""
-        return getattr(self.result, "serving_cache_stats", None)
+        measured-objective cell; ``None`` for proxy cells."""
+        return self.result.serving_cache_stats
 
 
 @dataclass(frozen=True)
@@ -261,68 +266,6 @@ def _resolve_platforms(platforms: Sequence[Union[str, Platform]]) -> Tuple[Platf
     return resolved
 
 
-@dataclass(frozen=True)
-class CellOutcome:
-    """A cell result bundled with the serving-cache entries it simulated.
-
-    Cache-aware cell functions (measured search cells, cached serving
-    replays) return this instead of a bare result: ``cache_export`` carries
-    the ``(digest, metrics, family)`` tuples the cell's own cache handle
-    stored, so the parent process can merge a worker's simulations back into
-    the shared :class:`~repro.serving.result_cache.ServingResultCache` after
-    fan-out.  :func:`fan_out_cells` unwraps it transparently.
-    """
-
-    result: object
-    cache_export: Tuple = ()
-
-
-def fan_out_cells(
-    pending: Sequence,
-    make_task,
-    run_cell,
-    finish,
-    workers: int,
-    serving_cache: Optional[ServingResultCache] = None,
-) -> None:
-    """Run independent campaign cells serially or over a process pool.
-
-    The shared fan-out discipline of the serving and fleet sweeps: each
-    pending key is turned into a picklable task (``make_task``), executed by
-    a module-level function (``run_cell`` — so a process pool can dispatch
-    it), and handed to ``finish(key, result)`` as it completes.  Cells must
-    be mutually independent and ``run_cell`` deterministic from the task
-    contents alone; ``finish`` runs in the main process, so checkpoint files
-    stay single-writer and completion order never leaks into results.
-
-    ``serving_cache`` wires the shared serving-result cache through: the
-    serial path hands the live handle to ``run_cell(task, serving_cache)``
-    so cells reuse each other's simulations in-process, while pool workers
-    build their own handles (from the task's cache path, or fresh in-memory)
-    and ship their new entries back inside a :class:`CellOutcome`, which is
-    absorbed into ``serving_cache`` here before ``finish`` runs.
-    """
-
-    def _absorb_and_finish(key, value) -> None:
-        if isinstance(value, CellOutcome):
-            if serving_cache is not None and value.cache_export:
-                serving_cache.absorb(value.cache_export)
-            value = value.result
-        finish(key, value)
-
-    if workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = {executor.submit(run_cell, make_task(key)): key for key in pending}
-            for future in as_completed(futures):
-                _absorb_and_finish(futures[future], future.result())
-    else:
-        for key in pending:
-            if serving_cache is not None:
-                _absorb_and_finish(key, run_cell(make_task(key), serving_cache))
-            else:
-                _absorb_and_finish(key, run_cell(make_task(key)))
-
-
 def _resolve_scenarios(
     scenarios: Optional[Sequence[CampaignScenario]],
 ) -> Tuple[CampaignScenario, ...]:
@@ -335,6 +278,280 @@ def _resolve_scenarios(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"campaign scenarios must have distinct names, got {names}")
     return resolved
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """A cell result bundled with the serving-cache entries it simulated.
+
+    A pool worker's cell function returns this instead of a bare result:
+    ``cache_export`` carries the ``(digest, metrics, family)`` tuples its
+    read-only cache handle stored, so the parent process can merge them into
+    — and persist them through — the shared
+    :class:`~repro.serving.result_cache.ServingResultCache`.
+    :func:`run_cell_grid` unwraps it transparently.
+    """
+
+    result: object
+    cache_export: Tuple = ()
+
+
+def run_cell_grid(
+    kind: str,
+    expectations: Mapping[Tuple[str, str], CellExpectation],
+    make_task: Callable,
+    run_cell: Callable,
+    *,
+    seed: int,
+    checkpoint_dir: Union[str, Path, None] = None,
+    workers: int = 1,
+    waves: Optional[Sequence[Sequence[Tuple[str, str]]]] = None,
+    run_here: Optional[Callable] = None,
+    serving_cache: Optional[ServingResultCache] = None,
+) -> Dict[Tuple[str, str], object]:
+    """Run a campaign's cell grid; return every cell's result, restored or run.
+
+    The one executor under all three campaign runners.  Each key of
+    ``expectations`` is a cell; those restored from the ``kind`` records in
+    ``checkpoint_dir`` are skipped.  The rest run wave by wave — ``waves``
+    lists groups of independent keys in dependency order (warm-start donors
+    first), by default one wave of all cells — as picklable tasks
+    ``make_task(key, completed)``, run in-process by ``run_here(key, task)``
+    (default ``run_cell(task)``), or by the module-level ``run_cell(task)``
+    on one process pool when ``workers > 1`` and a wave has several pending
+    cells.  A :class:`CellOutcome`'s cache export is absorbed into
+    ``serving_cache``.  Cells are checkpointed here, so the file has one
+    writer and completion order never leaks into results.
+    """
+    checkpoint: Optional[CampaignCheckpoint] = None
+    completed: Dict[Tuple[str, str], object] = {}
+    if checkpoint_dir is not None:
+        checkpoint = CampaignCheckpoint(checkpoint_dir, seed=seed)
+        load, store = {
+            "search": (checkpoint.load, checkpoint.store),
+            "serving": (checkpoint.load_serving, checkpoint.store_serving),
+            "fleet": (checkpoint.load_fleet, checkpoint.store_fleet),
+        }[kind]
+        completed = load(expectations)
+        if completed:
+            logger.info(
+                "%s campaign resume: %d of %d cells restored from %s",
+                kind,
+                len(completed),
+                len(expectations),
+                checkpoint.path,
+            )
+    executor: Optional[ProcessPoolExecutor] = None
+    try:
+        for wave in [list(expectations)] if waves is None else waves:
+            pending = [key for key in wave if key not in completed]
+            if not pending:
+                continue
+            tasks = {key: make_task(key, completed) for key in pending}
+            if workers > 1 and len(pending) > 1:
+                if executor is None:
+                    executor = ProcessPoolExecutor(max_workers=workers)
+                futures = {executor.submit(run_cell, tasks[key]): key for key in pending}
+                finished = (
+                    (futures[future], future.result()) for future in as_completed(futures)
+                )
+            elif run_here is None:
+                finished = ((key, run_cell(tasks[key])) for key in pending)
+            else:
+                finished = ((key, run_here(key, tasks[key])) for key in pending)
+            for key, outcome in finished:
+                if isinstance(outcome, CellOutcome):
+                    if serving_cache is not None:
+                        serving_cache.absorb(outcome.cache_export)
+                    outcome = outcome.result
+                completed[key] = outcome
+                if checkpoint is not None:
+                    store(key, expectations[key], outcome)
+    finally:
+        if executor is not None:
+            executor.shutdown()
+    return completed
+
+
+@dataclass(frozen=True)
+class _SearchSettings:
+    """The search keywords all three campaign runners accept, validated once.
+
+    :func:`run_campaign`,
+    :func:`~repro.campaign.serving_runner.run_serving_campaign` and
+    :func:`~repro.campaign.fleet_runner.run_fleet_campaign` take these as
+    ``**search``; the defaults below are theirs.
+
+    strategy, backend, n_workers:
+        Forwarded to every cell's :meth:`MapAndConquer.search`.  ``backend``
+        must be a name (``"serial"`` / ``"process"``), not an instance — a
+        backend instance is bound to one platform's evaluator, and the
+        campaign needs a fresh one per cell.
+    cache:
+        The :class:`~repro.engine.cache.EvaluationCache` (object or JSONL
+        path) shared by the whole grid.
+    generations, population_size:
+        Search budget of every cell (scenarios may override it).
+    num_stages:
+        Stage count used on *every* platform; defaults to the smallest unit
+        count in the grid, so every searched mapping is translatable to
+        every other platform for the portability matrix.
+    accuracy_model, reorder_channels, validation_samples:
+        Platform-independent evaluator settings applied in every cell (the
+        cost model is always the analytical oracle: surrogates are
+        calibrated per platform and do not transfer).
+    seed:
+        Master seed of every cell's search, replays and checkpoint.
+    checkpoint_dir:
+        Optional directory for cell checkpoints
+        (:mod:`repro.campaign.checkpoint`): finished cells are skipped on
+        restart, and a resumed campaign is byte-identical to an
+        uninterrupted one.  A changed seed or search configuration raises
+        :class:`~repro.errors.ConfigurationError` rather than mixing; changed
+        warm-start donors, surrogate settings or objectives re-run the
+        affected cells.  Either way the changed field names are logged.
+    cell_workers:
+        Fan independent cells over a pool of this many worker processes
+        (``None``/1 keeps the sequential path); each cell still owns its
+        backend, and results are bit-for-bit identical to the sequential path.
+    warm_start:
+        Seed each platform's initial population with the translated Pareto
+        points of the platforms *before it in the list* (same scenario),
+        capped at half the population so exploration survives.  The first
+        platform always runs cold.  Cells then run in platform-order waves
+        so donors finish first — identically under ``cell_workers``.
+    surrogate:
+        Optional :class:`~repro.engine.surrogate.SurrogateSettings`: every
+        cell then runs surrogate-assisted (see :meth:`MapAndConquer.search`),
+        reported by :attr:`CampaignCell.surrogate_report`.  Cells never
+        harvest the shared cache — its content depends on cell scheduling,
+        and training on it would break the serial == cell-parallel byte
+        guarantee.
+    objectives:
+        Optional :class:`~repro.search.objectives.ObjectiveSet` every cell's
+        search optimises (e.g.
+        :func:`~repro.search.objectives.serving_objectives` to fold the M/D/1
+        expected wait into NSGA-II); ``None`` keeps the default
+        latency/energy/accuracy axes.  Unlike the scalar ``objective`` of
+        :func:`run_campaign`, the set *shapes* each cell's Pareto front.
+    measured_objectives:
+        Optional :class:`~repro.search.objectives.MeasuredObjectives`
+        factory, mutually exclusive with ``objectives`` (a ready set binds a
+        single platform): every cell searches under
+        :func:`~repro.search.objectives.measured_serving_objectives` bound to
+        *its own* platform and the campaign seed, with ``serving_cache``
+        deduplicating replays grid-wide.  Each cell's deterministic cache
+        statistics are exposed as :attr:`CampaignCell.measured_cache_stats`.
+    serving_cache:
+        The campaign-wide
+        :class:`~repro.serving.result_cache.ServingResultCache` (instance or
+        JSONL path) behind ``measured_objectives`` and the serving replays;
+        defaults to a fresh in-memory cache when measuring.  Serial cells
+        share the live handle.  Pool workers read a path-backed cache's file
+        but never write it: their new entries travel back with each cell's
+        result, and this process — the file's single writer — appends what
+        it absorbs, so every replay is persisted once.
+    """
+
+    strategy: str = "evolutionary"
+    backend: Optional[str] = None
+    n_workers: Optional[int] = None
+    cache: Union[EvaluationCache, str, Path, None] = None
+    generations: int = 10
+    population_size: int = 16
+    num_stages: Optional[int] = None
+    accuracy_model: Optional[AccuracyModel] = None
+    reorder_channels: bool = True
+    validation_samples: int = DEFAULT_VALIDATION_SAMPLES
+    seed: int = 0
+    checkpoint_dir: Union[str, Path, None] = None
+    cell_workers: Optional[int] = None
+    warm_start: bool = False
+    surrogate: Optional[SurrogateSettings] = None
+    objectives: Optional[ObjectiveSet] = None
+    measured_objectives: Optional[MeasuredObjectives] = None
+    serving_cache: Union[ServingResultCache, str, Path, None] = None
+
+    @classmethod
+    def from_keywords(cls, runner: str, search: Mapping[str, object]) -> "_SearchSettings":
+        """Settings from a runner's ``**search``; a typo raises before any search."""
+        known = {item.name for item in dataclasses.fields(cls)}
+        for name in search:
+            if name not in known:
+                raise TypeError(f"{runner}() got an unexpected keyword argument {name!r}")
+        return cls(**search)
+
+    def __post_init__(self) -> None:
+        if self.backend is not None and not isinstance(self.backend, str):
+            raise ConfigurationError(
+                "run_campaign needs a backend *name* ('serial' or 'process'); backend "
+                "instances are bound to a single platform's evaluator and cannot be shared"
+            )
+        if self.backend is not None and self.backend not in _BACKEND_NAMES:
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; expected one of {_BACKEND_NAMES}"
+            )
+        if self.cell_workers is not None and int(self.cell_workers) < 1:
+            raise ConfigurationError(f"cell_workers must be >= 1, got {self.cell_workers}")
+        if self.surrogate is not None and not isinstance(self.surrogate, SurrogateSettings):
+            raise ConfigurationError(
+                f"surrogate must be a SurrogateSettings or None, got "
+                f"{type(self.surrogate).__name__}"
+            )
+        if self.objectives is not None and not isinstance(self.objectives, ObjectiveSet):
+            raise ConfigurationError(
+                f"objectives must be an ObjectiveSet or None, got "
+                f"{type(self.objectives).__name__}"
+            )
+        measured = self.measured_objectives
+        if measured is not None and not isinstance(measured, MeasuredObjectives):
+            raise ConfigurationError(
+                f"measured_objectives must be a MeasuredObjectives factory or None, "
+                f"got {type(measured).__name__}"
+            )
+        if measured is not None and self.objectives is not None:
+            raise ConfigurationError(
+                "pass either objectives or measured_objectives, not both: a ready "
+                "ObjectiveSet binds a single platform, while the factory binds each "
+                "cell's platform at fan-out time"
+            )
+        resolved: Dict[str, object] = {"seed": int(self.seed)}
+        if not isinstance(self.cache, EvaluationCache):
+            resolved["cache"] = EvaluationCache(path=self.cache)
+        if self.surrogate is not None:
+            # Training rows come only from each cell's own seeded bootstrap
+            # and validations, never from the shared cache.
+            resolved["surrogate"] = dataclasses.replace(
+                self.surrogate, bootstrap_from_cache=False
+            )
+        if not isinstance(self.serving_cache, ServingResultCache) and (
+            self.serving_cache is not None or measured is not None
+        ):
+            resolved["serving_cache"] = ServingResultCache(path=self.serving_cache)
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def workers(self) -> int:
+        """Cell-level pool size (1: the sequential path)."""
+        return 1 if self.cell_workers is None else int(self.cell_workers)
+
+    @property
+    def serving_cache_path(self) -> Optional[str]:
+        """Where pool workers read the shared serving cache (``None``: in-memory)."""
+        cache = self.serving_cache
+        return None if cache is None or cache.path is None else str(cache.path)
+
+    def objectives_tag(self, platform: Platform) -> str:
+        """Identity of the objective set ``platform``'s search cells optimise.
+
+        A measured recipe binds per platform, so its tag covers the platform,
+        workload member, traffic seed and replay duration; otherwise every
+        platform shares the set's (or the default set's) descriptor.
+        """
+        if self.measured_objectives is not None:
+            return self.measured_objectives.bind(platform, seed=self.seed).describe()
+        return as_objective_set(self.objectives).describe()
 
 
 @dataclass(frozen=True)
@@ -360,11 +577,11 @@ class _CellTask:
     reorder_channels: bool
     validation_samples: int
     seed: int
-    warm_seeds: Tuple[MappingConfig, ...] = ()
-    surrogate: Optional[SurrogateSettings] = None
-    objectives: Optional[ObjectiveSet] = None
-    measured: Optional[MeasuredObjectives] = None
-    serving_cache_path: Optional[str] = None
+    warm_seeds: Tuple[MappingConfig, ...]
+    surrogate: Optional[SurrogateSettings]
+    objectives: Optional[ObjectiveSet]
+    measured: Optional[MeasuredObjectives]
+    serving_cache_path: Optional[str]
 
 
 def _build_cell_framework(task: _CellTask):
@@ -383,44 +600,31 @@ def _build_cell_framework(task: _CellTask):
     )
 
 
-def _cell_measured_objectives(
-    task: _CellTask, serving_cache: Optional[ServingResultCache] = None
-) -> Tuple[Optional[ObjectiveSet], Optional[ServingCacheRecorder]]:
-    """Bind the cell's measured-objective factory, if any, to its platform.
-
-    Returns the objective set the cell's search should optimise and the
-    per-cell :class:`~repro.serving.result_cache.ServingCacheRecorder` whose
-    lookup/unique counts become the cell's deterministic cache statistics.
-    Without a factory the task's plain ``objectives`` pass through untouched.
-    ``serving_cache`` is the live shared handle (serial path); workers leave
-    it ``None`` and a handle is built from the task's cache path instead
-    (fresh in-memory when the shared cache is not persistent).
-    """
-    if task.measured is None:
-        return task.objectives, None
-    if serving_cache is None:
-        serving_cache = ServingResultCache(path=task.serving_cache_path)
-    recorder = ServingCacheRecorder(serving_cache)
-    bound = task.measured.bind(task.platform, seed=task.seed, cache=recorder)
-    return bound, recorder
-
-
 def _run_cell(
     task: _CellTask,
     cache: Optional[EvaluationCache] = None,
     framework=None,
     serving_cache: Optional[ServingResultCache] = None,
-) -> SearchResult:
+) -> Union[SearchResult, CellOutcome]:
     """Run one cell's search.  Top-level so a process pool can dispatch it.
 
-    Workers call it with neither ``cache`` nor ``framework``: each rebuilds
-    the framework from the task and evaluates against a private cache, which
-    changes nothing observable — the evaluation pipeline is deterministic —
-    and keeps the shared JSONL cache single-writer.
+    The sequential path hands in the grid-wide evaluation cache, the cell's
+    framework and the live serving cache.  A pool worker passes only the
+    task: it rebuilds the framework from the task and evaluates against a
+    private cache, which changes nothing observable — the evaluation
+    pipeline is deterministic.  A measured worker cell replays through a
+    handle that reads the shared serving-cache file but never writes it, and
+    returns a :class:`CellOutcome` so the parent absorbs (and persists) the
+    replays it simulated.
     """
     if framework is None:
         framework = _build_cell_framework(task)
-    objectives, recorder = _cell_measured_objectives(task, serving_cache)
+    objectives, recorder, worker_cache = task.objectives, None, None
+    if task.measured is not None:
+        if serving_cache is None:
+            serving_cache = worker_cache = ServingResultCache.reader(task.serving_cache_path)
+        recorder = ServingCacheRecorder(serving_cache)
+        objectives = task.measured.bind(task.platform, seed=task.seed, cache=recorder)
     result = framework.search(
         generations=task.generations,
         population_size=task.population_size,
@@ -441,48 +645,21 @@ def _run_cell(
         result = dataclasses.replace(
             result, serving_cache_stats=recorder.cell_stats()
         )
+    if worker_cache is not None:
+        return CellOutcome(result=result, cache_export=worker_cache.export_session())
     return result
-
-
-def _run_cell_offloaded(task: _CellTask) -> CellOutcome:
-    """Worker entry point for measured cells: search + cache export.
-
-    The worker builds its own serving-cache handle (appending to the shared
-    JSONL when one is configured, fresh in-memory otherwise) and ships the
-    entries it simulated back to the parent, which absorbs them into the
-    shared cache so later waves and the serving replays can reuse them.
-    """
-    handle = ServingResultCache(path=task.serving_cache_path)
-    result = _run_cell(task, serving_cache=handle)
-    return CellOutcome(result=result, cache_export=handle.export_session())
 
 
 def run_campaign(
     network: NetworkGraph,
     platforms: Sequence[Union[str, Platform]],
     scenarios: Optional[Sequence[CampaignScenario]] = None,
-    strategy: str = "evolutionary",
-    backend: Optional[str] = None,
-    n_workers: Optional[int] = None,
-    cache: Union[EvaluationCache, str, Path, None] = None,
-    generations: int = 10,
-    population_size: int = 16,
-    num_stages: Optional[int] = None,
+    *,
     traffic: Optional[ArrivalProcess] = None,
     traffic_duration_ms: Optional[float] = None,
     traffic_metric: str = "p99_latency_ms",
     objective=paper_objective,
-    accuracy_model: Optional[AccuracyModel] = None,
-    reorder_channels: bool = True,
-    validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
-    seed: int = 0,
-    checkpoint_dir: Union[str, Path, None] = None,
-    cell_workers: Optional[int] = None,
-    warm_start: bool = False,
-    surrogate: Optional[SurrogateSettings] = None,
-    objectives: Optional[ObjectiveSet] = None,
-    measured_objectives: Optional[MeasuredObjectives] = None,
-    serving_cache: Union[ServingResultCache, str, Path, None] = None,
+    **search,
 ) -> CampaignResult:
     """Search ``network`` across a platform x scenario grid and compare.
 
@@ -497,106 +674,45 @@ def run_campaign(
     scenarios:
         Search scenarios (reuse caps, constraints, per-scenario budgets);
         ``None`` runs one unconstrained scenario.
-    strategy, backend, n_workers, cache:
-        Forwarded to every cell's :meth:`MapAndConquer.search`.  ``backend``
-        must be a name (``"serial"`` / ``"process"``), not an instance — a
-        backend instance is bound to one platform's evaluator, and the
-        campaign needs a fresh one per cell.  The cache (object or JSONL
-        path) is shared by the whole grid.
-    num_stages:
-        Stage count used on *every* platform; defaults to the smallest unit
-        count in the grid, so every searched mapping is translatable to
-        every other platform for the portability matrix.
     traffic, traffic_duration_ms, traffic_metric:
         Optional shared traffic scenario: every cell's front is additionally
         re-ranked under it via :func:`repro.serving.bridge.rank_under_traffic`.
     objective:
         Scalar objective used for the portability regret (default: Eq. 16).
-    accuracy_model, reorder_channels, validation_samples:
-        Platform-independent evaluator settings applied in every cell (the
-        cost model is always the analytical oracle: surrogates are
-        calibrated per platform and do not transfer).
-    seed:
-        Master seed for every cell's search (and the traffic replays).
-    checkpoint_dir:
-        Optional directory for cell checkpoints.  Finished cells are
-        persisted there and skipped on restart; resuming an interrupted
-        campaign yields output byte-identical to an uninterrupted run.  A
-        checkpoint written under a different seed or campaign configuration
-        raises :class:`~repro.errors.ConfigurationError` rather than mixing.
-    cell_workers:
-        Fan independent cells over a pool of this many worker processes
-        (``None``/1 keeps the sequential path).  Each cell still owns its
-        backend; combine with ``backend="process"``/``n_workers`` for nested
-        parallelism on big machines, but mind total process count.  Results
-        are bit-for-bit identical to the sequential path.
-    warm_start:
-        Seed each platform's initial population with the translated Pareto
-        points of the platforms *before it in the list* (same scenario),
-        capped at half the population so exploration survives.  The first
-        platform always runs cold.  Cells then run in platform-order waves
-        so donors finish first — identically under ``cell_workers``.
-    surrogate:
-        ``None`` (default) evaluates every candidate through the real
-        oracle, byte-for-byte as before.  A
-        :class:`~repro.engine.surrogate.SurrogateSettings` instance runs
-        every cell surrogate-assisted (per-platform GBDT models, periodic
-        oracle re-validation; see :meth:`MapAndConquer.search`).  Cache
-        harvesting is disabled per cell regardless of the settings — the
-        shared cache's content depends on cell scheduling, and training on
-        it would break the serial == cell-parallel byte guarantee.  Each
-        cell's :class:`~repro.engine.surrogate.SurrogateReport` is exposed
-        as :attr:`CampaignCell.surrogate_report` and summarised by
-        :func:`repro.core.report.surrogate_summary`.  Checkpoints record
-        the surrogate settings: resuming with different settings re-runs
-        exactly the affected cells (like stale serving families), never
-        mixing fronts searched under different acceleration.
-    objectives:
-        Optional :class:`~repro.search.objectives.ObjectiveSet` every cell's
-        search optimises (e.g. :func:`~repro.search.objectives.serving_objectives`
-        to fold the M/D/1 expected wait into NSGA-II).  ``None`` keeps the
-        default latency/energy/accuracy axes, byte-for-byte.  Unlike the
-        scalar ``objective``, the set *shapes* each cell's Pareto front, so
-        checkpoints record its fingerprint: resuming with a different set
-        re-runs exactly the affected cells, counted in
-        :attr:`~repro.campaign.checkpoint.CheckpointStats.refreshed`.
-    measured_objectives:
-        Optional :class:`~repro.search.objectives.MeasuredObjectives`
-        factory: every cell then searches under
-        :func:`~repro.search.objectives.measured_serving_objectives` bound
-        to *its own* platform (and the campaign seed) at fan-out time, with
-        the shared ``serving_cache`` deduplicating replays grid-wide.
-        Mutually exclusive with ``objectives`` (a ready set binds a single
-        platform).  Each cell's checkpoint records the *bound* set's
-        fingerprint, so changing the family, seed, member count or replay
-        duration re-runs exactly the affected cells
-        (:attr:`~repro.campaign.checkpoint.CheckpointStats.refreshed`);
-        checkpoints written before measuring restore unchanged when the
-        factory is absent.  Each cell's deterministic cache statistics are
-        exposed as :attr:`CampaignCell.measured_cache_stats` and summarised
-        by :func:`repro.core.report.campaign_summary`.
-    serving_cache:
-        The grid-wide :class:`~repro.serving.result_cache.ServingResultCache`
-        (instance or JSONL path) behind ``measured_objectives``; defaults to
-        a fresh in-memory cache when measuring.  Serial cells share the live
-        handle; pool workers append through their own handles and their new
-        entries are merged back after each wave, so replays the search
-        already measured are never simulated twice — including by the
-        serving-campaign replays running on top of this grid.
+        It is applied post hoc and never shapes a cell's search, so changing
+        it keeps checkpoints valid.
+    **search:
+        The search keywords shared by all three campaign runners (``seed``,
+        ``generations``, ``checkpoint_dir``, ``cell_workers``, ...), each
+        documented with its default on :class:`_SearchSettings`.  An unknown
+        keyword raises :class:`TypeError` before any search runs.
     """
+    return _search_campaign(
+        network,
+        platforms,
+        scenarios,
+        _SearchSettings.from_keywords("run_campaign", search),
+        traffic=traffic,
+        traffic_duration_ms=traffic_duration_ms,
+        traffic_metric=traffic_metric,
+        objective=objective,
+    )
+
+
+def _search_campaign(
+    network: NetworkGraph,
+    platforms: Sequence[Union[str, Platform]],
+    scenarios: Optional[Sequence[CampaignScenario]],
+    settings: _SearchSettings,
+    traffic: Optional[ArrivalProcess] = None,
+    traffic_duration_ms: Optional[float] = None,
+    traffic_metric: str = "p99_latency_ms",
+    objective=paper_objective,
+) -> CampaignResult:
+    """:func:`run_campaign` over already-validated search settings."""
+    s = settings
     platform_objs = _resolve_platforms(platforms)
     scenario_objs = _resolve_scenarios(scenarios)
-    if backend is not None and not isinstance(backend, str):
-        raise ConfigurationError(
-            "run_campaign needs a backend *name* ('serial' or 'process'); backend "
-            "instances are bound to a single platform's evaluator and cannot be shared"
-        )
-    if backend is not None and backend not in _BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; expected one of {_BACKEND_NAMES}"
-        )
-    if cell_workers is not None and int(cell_workers) < 1:
-        raise ConfigurationError(f"cell_workers must be >= 1, got {cell_workers}")
     # Fail on an unusable traffic request now, not after the first cell's
     # whole search has already been spent.
     if isinstance(traffic, ArrivalProcess) and traffic_duration_ms is None:
@@ -604,144 +720,68 @@ def run_campaign(
             "traffic_duration_ms is required when traffic is an ArrivalProcess"
         )
     min_units = min(platform.num_units for platform in platform_objs)
-    stages = min_units if num_stages is None else int(num_stages)
+    stages = min_units if s.num_stages is None else int(s.num_stages)
     if not 1 <= stages <= min_units:
         raise ConfigurationError(
             f"num_stages must lie in [1, {min_units}] (the smallest platform's unit "
             f"count) for mappings to transfer across the grid, got {stages}"
         )
-    if isinstance(cache, EvaluationCache):
-        shared_cache = cache
-    elif cache is not None:
-        shared_cache = EvaluationCache(path=cache)
-    else:
-        shared_cache = EvaluationCache()
-    workers = 1 if cell_workers is None else int(cell_workers)
     platform_by_name = {platform.name: platform for platform in platform_objs}
     scenario_by_name = {scenario.name: scenario for scenario in scenario_objs}
-    if surrogate is not None and not isinstance(surrogate, SurrogateSettings):
-        raise ConfigurationError(
-            f"surrogate must be a SurrogateSettings or None, got "
-            f"{type(surrogate).__name__}"
-        )
-    # Cells never harvest the ambient shared cache: its content depends on
-    # which cells ran before (and in-process vs worker), which would break
-    # the serial == cell-parallel byte guarantee.  Training rows come only
-    # from each cell's own seeded bootstrap and validations.
-    cell_surrogate = (
-        None
-        if surrogate is None
-        else dataclasses.replace(surrogate, bootstrap_from_cache=False)
-    )
-    surrogate_tag = (
-        "" if cell_surrogate is None else campaign_fingerprint(surrogate=cell_surrogate)
-    )
-    if objectives is not None and not isinstance(objectives, ObjectiveSet):
-        raise ConfigurationError(
-            f"objectives must be an ObjectiveSet or None, got {type(objectives).__name__}"
-        )
-    # The default set is tagged "" (not its fingerprint) so checkpoints
-    # written before the objective layer existed stay restorable.
-    objectives_tag = "" if objectives is None else objectives.fingerprint()
-    if measured_objectives is not None and not isinstance(
-        measured_objectives, MeasuredObjectives
-    ):
-        raise ConfigurationError(
-            f"measured_objectives must be a MeasuredObjectives factory or None, "
-            f"got {type(measured_objectives).__name__}"
-        )
-    if measured_objectives is not None and objectives is not None:
-        raise ConfigurationError(
-            "pass either objectives or measured_objectives, not both: a ready "
-            "ObjectiveSet binds a single platform, while the factory binds each "
-            "cell's platform at fan-out time"
-        )
-    if isinstance(serving_cache, ServingResultCache):
-        shared_serving = serving_cache
-    elif serving_cache is not None:
-        shared_serving = ServingResultCache(path=serving_cache)
-    elif measured_objectives is not None:
-        shared_serving = ServingResultCache()
-    else:
-        shared_serving = None
-    # Per-platform tags of the *bound* measured sets: the extractor's repr
-    # covers platform, workload member, traffic seed and duration, so any
-    # cache-relevant change re-runs exactly the affected cells on resume.
-    measured_tags: Dict[str, str] = {}
-    if measured_objectives is not None:
-        for platform in platform_objs:
-            measured_tags[platform.name] = measured_objectives.bind(
-                platform, seed=int(seed)
-            ).fingerprint()
+    objectives_tags = {platform.name: s.objectives_tag(platform) for platform in platform_objs}
 
     def cell_budget(scenario: CampaignScenario) -> Tuple[int, int]:
-        gens = scenario.generations if scenario.generations is not None else generations
+        gens = scenario.generations if scenario.generations is not None else s.generations
         pop = (
             scenario.population_size
             if scenario.population_size is not None
-            else population_size
+            else s.population_size
         )
         return gens, pop
 
     # What this run demands of every cell — used both to validate restored
-    # checkpoints and to label freshly finished ones.
+    # checkpoints and to label freshly finished ones.  Network and platform
+    # enter by *content* (their full reprs), not by name: a same-named
+    # network or board with different calibration must invalidate the cell,
+    # not silently restore the old one.  The scalar objective is deliberately
+    # absent — it is applied post hoc in the main process and never shapes a
+    # cell's search result.  Strict fields define which search ran; donors,
+    # surrogate settings and the objective set only make a stored front
+    # stale, so changing them re-runs the cell.
     expectations: Dict[CellKey, CellExpectation] = {}
     for scenario in scenario_objs:
+        gens, pop = cell_budget(scenario)
         for index, platform in enumerate(platform_objs):
-            gens, pop = cell_budget(scenario)
-            donors = tuple(p.name for p in platform_objs[:index]) if warm_start else ()
-            # Network and platform enter by *content* (their full reprs), not
-            # by name: a same-named network or board with different
-            # calibration must invalidate the cell, not silently restore the
-            # old one.  The scalar objective is deliberately absent — it is
-            # applied post hoc in the main process and never shapes a cell's
-            # search result, so changing it keeps checkpoints valid.  The
-            # ObjectiveSet is different: it shapes the front, so it rides in
-            # the expectation's refreshable objectives tag (below), like the
-            # surrogate settings.
-            fingerprint = campaign_fingerprint(
-                network=network,
-                platform=platform,
-                num_stages=stages,
-                strategy=strategy,
-                generations=gens,
-                population_size=pop,
-                scenario=(scenario.name, scenario.max_reuse_fraction, scenario.constraints),
-                accuracy_model=accuracy_model,
-                reorder_channels=reorder_channels,
-                validation_samples=validation_samples,
-                warm_start=bool(warm_start),
-            )
             expectations[(platform.name, scenario.name)] = CellExpectation(
-                fingerprint=fingerprint,
-                donors=donors,
-                surrogate=surrogate_tag,
-                objectives=measured_tags.get(platform.name, objectives_tag),
+                strict=dict(
+                    network=network,
+                    platform=platform,
+                    num_stages=stages,
+                    strategy=s.strategy,
+                    generations=gens,
+                    population_size=pop,
+                    scenario=(scenario.name, scenario.max_reuse_fraction, scenario.constraints),
+                    accuracy_model=s.accuracy_model,
+                    reorder_channels=s.reorder_channels,
+                    validation_samples=s.validation_samples,
+                    warm_start=bool(s.warm_start),
+                ),
+                refreshable=dict(
+                    donors=tuple(p.name for p in platform_objs[:index]) if s.warm_start else (),
+                    surrogate=s.surrogate,
+                    objectives=objectives_tags[platform.name],
+                ),
             )
 
-    checkpoint: Optional[CampaignCheckpoint] = None
-    completed: Dict[CellKey, SearchResult] = {}
-    if checkpoint_dir is not None:
-        checkpoint = CampaignCheckpoint(checkpoint_dir, seed=int(seed))
-        completed = checkpoint.load(expectations)
-        if completed:
-            logger.info(
-                "campaign resume: %d of %d cells restored from %s",
-                len(completed),
-                len(expectations),
-                checkpoint.path,
-            )
-    offloaded = set(completed)  # cells whose evaluations bypassed shared_cache
-
-    def make_task(key: CellKey, with_seeds: bool = True) -> _CellTask:
+    def make_task(key: CellKey, completed: Mapping, with_seeds: bool = True) -> _CellTask:
         platform_name, scenario_name = key
         platform = platform_by_name[platform_name]
         scenario = scenario_by_name[scenario_name]
         gens, pop = cell_budget(scenario)
         warm_seeds: Tuple[MappingConfig, ...] = ()
-        if warm_start and with_seeds:
+        if s.warm_start and with_seeds:
             collected: List[MappingConfig] = []
-            for donor_name in expectations[key].donors:
+            for donor_name in expectations[key].refreshable["donors"]:
                 donor_result = completed.get((donor_name, scenario_name))
                 if donor_result is None:  # pragma: no cover - wave order forbids this
                     raise RuntimeError(
@@ -762,113 +802,62 @@ def run_campaign(
             stages=stages,
             generations=gens,
             population_size=pop,
-            strategy=strategy,
-            backend=backend,
-            n_workers=n_workers,
-            accuracy_model=accuracy_model,
-            reorder_channels=reorder_channels,
-            validation_samples=validation_samples,
-            seed=int(seed),
+            strategy=s.strategy,
+            backend=s.backend,
+            n_workers=s.n_workers,
+            accuracy_model=s.accuracy_model,
+            reorder_channels=s.reorder_channels,
+            validation_samples=s.validation_samples,
+            seed=s.seed,
             warm_seeds=warm_seeds,
-            surrogate=cell_surrogate,
-            objectives=objectives,
-            measured=measured_objectives,
-            serving_cache_path=(
-                None
-                if shared_serving is None or shared_serving.path is None
-                else str(shared_serving.path)
-            ),
+            surrogate=s.surrogate,
+            objectives=s.objectives,
+            measured=s.measured_objectives,
+            serving_cache_path=s.serving_cache_path,
         )
 
-    def finish_cell(key: CellKey, result: SearchResult) -> None:
-        completed[key] = result
-        if checkpoint is not None:
-            checkpoint.store(key, expectations[key], result)
+    # Sequential cells share the grid-wide caches and keep their framework
+    # for the portability pass below.
+    frameworks = {}
+
+    def run_here(key: CellKey, task: _CellTask):
+        frameworks[key] = _build_cell_framework(task)
+        return _run_cell(task, s.cache, frameworks[key], serving_cache=s.serving_cache)
 
     # Warm starts order the grid into platform-index waves (donors first);
-    # without them every cell is independent and forms one wave.  Cells
-    # inside a wave are mutually independent, so the wave is the unit of
-    # fan-out — and the deterministic merge makes execution order invisible.
-    if warm_start:
-        waves: List[List[CellKey]] = [
+    # without them every cell is independent and forms one wave.
+    waves = None
+    if s.warm_start:
+        waves = [
             [(platform.name, scenario.name) for scenario in scenario_objs]
             for platform in platform_objs
         ]
-    else:
-        waves = [
-            [
-                (platform.name, scenario.name)
-                for scenario in scenario_objs
-                for platform in platform_objs
-            ]
-        ]
+    completed = run_cell_grid(
+        "search",
+        expectations,
+        make_task,
+        _run_cell,
+        seed=s.seed,
+        checkpoint_dir=s.checkpoint_dir,
+        workers=s.workers,
+        waves=waves,
+        run_here=run_here,
+        serving_cache=s.serving_cache,
+    )
 
-    executor: Optional[ProcessPoolExecutor] = None
-    frameworks = {}
-    try:
-        for wave in waves:
-            pending = [key for key in wave if key not in completed]
-            if not pending:
-                continue
-            tasks = {key: make_task(key) for key in pending}
-            if workers > 1 and len(pending) > 1:
-                if executor is None:
-                    executor = ProcessPoolExecutor(max_workers=workers)
-                # Measured cells return a CellOutcome so the worker's fresh
-                # simulations merge back into the shared serving cache —
-                # later waves then reuse them exactly like the serial path.
-                run = _run_cell if measured_objectives is None else _run_cell_offloaded
-                futures = {executor.submit(run, tasks[key]): key for key in pending}
-                for future in as_completed(futures):
-                    key = futures[future]
-                    outcome = future.result()
-                    if isinstance(outcome, CellOutcome):
-                        if shared_serving is not None and outcome.cache_export:
-                            shared_serving.absorb(outcome.cache_export)
-                        outcome = outcome.result
-                    finish_cell(key, outcome)
-                    offloaded.add(key)
-            else:
-                for key in pending:
-                    framework = _build_cell_framework(tasks[key])
-                    frameworks[key] = framework
-                    # The serving kwarg only appears when a shared cache
-                    # exists, so non-measured campaigns keep calling
-                    # _run_cell with its historical signature.
-                    extra = (
-                        {} if shared_serving is None
-                        else {"serving_cache": shared_serving}
-                    )
-                    finish_cell(
-                        key,
-                        _run_cell(tasks[key], shared_cache, framework, **extra),
-                    )
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-    # Main-process frameworks for the cells searched elsewhere (restored or
-    # worker-run): portability re-evaluation, traffic re-ranks, and digests
-    # for merging offloaded histories into the shared cache.  Seeds are not
-    # recomputed — the framework construction never reads them.
-    for scenario in scenario_objs:
-        for platform in platform_objs:
-            key = (platform.name, scenario.name)
-            if key not in frameworks:
-                frameworks[key] = _build_cell_framework(make_task(key, with_seeds=False))
-
-    # Restored and worker-run cells never touched shared_cache; merge their
-    # histories so the grid-wide (and persistent) cache stays complete.
-    for scenario in scenario_objs:
-        for platform in platform_objs:
-            key = (platform.name, scenario.name)
-            if key not in offloaded:
-                continue
-            evaluator = frameworks[key].evaluator
-            shared_cache.store_many(
-                (evaluator.content_digest(item.config), item)
-                for item in completed[key].history
-            )
+    # Restored and worker-run cells never touched the shared cache: build
+    # their main-process frameworks (portability re-evaluation, traffic
+    # re-ranks) and merge their histories so the grid-wide (and persistent)
+    # cache stays complete.  Seeds are not recomputed — the framework
+    # construction never reads them.
+    for key in expectations:
+        if key in frameworks:
+            continue
+        frameworks[key] = _build_cell_framework(make_task(key, completed, with_seeds=False))
+        evaluator = frameworks[key].evaluator
+        s.cache.store_many(
+            (evaluator.content_digest(item.config), item) for item in completed[key].history
+        )
 
     cells = []
     for scenario in scenario_objs:
@@ -883,7 +872,7 @@ def run_campaign(
                         traffic,
                         duration_ms=traffic_duration_ms,
                         metric=traffic_metric,
-                        seed=seed,
+                        seed=s.seed,
                     )
                 )
             cells.append(
@@ -942,5 +931,5 @@ def run_campaign(
         scenario_names=tuple(scenario.name for scenario in scenario_objs),
         cells=tuple(cells),
         portability=tuple(portability),
-        seed=int(seed),
+        seed=s.seed,
     )

@@ -239,10 +239,7 @@ def campaign_table(campaign) -> str:
     # The sim_cache column only appears when at least one cell searched
     # under measured serving objectives, so proxy-objective campaigns render
     # byte-identically to the pre-measured format.
-    show_cache = any(
-        getattr(cell, "measured_cache_stats", None) is not None
-        for cell in campaign.cells
-    )
+    show_cache = any(cell.measured_cache_stats is not None for cell in campaign.cells)
     rows = []
     for cell in campaign.cells:
         outbound = [
@@ -264,7 +261,7 @@ def campaign_table(campaign) -> str:
             "travels": f"{surviving}/{transferred}" if transferred else "-",
         }
         if show_cache:
-            stats = getattr(cell, "measured_cache_stats", None)
+            stats = cell.measured_cache_stats
             row["sim_cache"] = (
                 f"{stats.avoided}/{stats.lookups}" if stats is not None else "-"
             )
@@ -304,9 +301,9 @@ def _measured_cache_line(cells) -> Optional[str]:
     across serial, cell-parallel and checkpoint-resumed runs.
     """
     stats = [
-        item
-        for item in (getattr(cell, "measured_cache_stats", None) for cell in cells)
-        if item is not None
+        cell.measured_cache_stats
+        for cell in cells
+        if cell.measured_cache_stats is not None
     ]
     if not stats:
         return None
@@ -537,12 +534,11 @@ def traffic_ranking_summary(serving) -> str:
         lines.append(
             "  every family's served winner matches the isolated-energy best"
         )
-    policies = tuple(getattr(serving, "policies", ("static",)))
-    if policies != ("static",):
+    if serving.policies != ("static",):
         lines.append("")
         lines.append("policy adaptivity (served-p99-per-joule vs best static point):")
         lines.append(policy_adaptivity_table(serving))
-        for policy in policies:
+        for policy in serving.policies:
             if policy == "static":
                 continue
             wins = serving.adaptivity_wins(policy)

@@ -8,10 +8,11 @@ differently configured evaluators can safely share one cache, and re-running
 a search with the same seed costs nothing.
 
 When constructed with a ``path`` the cache appends one JSON line per stored
-result and reloads existing lines on startup, making evaluation results
-persistent across runs and shareable between processes.  Each line carries a
-human-readable metric summary next to an opaque pickled payload, so cache
-files double as a flat log of everything ever evaluated.
+result and reloads existing lines on startup (the first line per digest
+wins), making evaluation results persistent across runs and shareable
+between processes.  The file is a :class:`~repro.jsonl_store.JsonlStore`:
+each line carries a human-readable metric summary next to an opaque pickled
+payload, so cache files double as a flat log of everything ever evaluated.
 
 .. warning::
    The payload is a pickle: loading a cache file deserialises it with
@@ -22,15 +23,13 @@ files double as a flat log of everything ever evaluated.
 
 from __future__ import annotations
 
-import base64
-import json
 import logging
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonl_store import JsonlStore
 from ..search.evaluation import EvaluatedConfig
 
 __all__ = ["CacheStats", "EvaluationCache"]
@@ -43,11 +42,17 @@ _PERSIST_VERSION = 1
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters of one :class:`EvaluationCache`."""
+    """Hit/miss counters of one :class:`EvaluationCache`.
+
+    ``loaded`` counts the distinct entries read from the cache file and
+    ``duplicates`` the lines skipped there because their digest was already
+    loaded.
+    """
 
     hits: int = 0
     misses: int = 0
     loaded: int = 0
+    duplicates: int = 0
 
     @property
     def lookups(self) -> int:
@@ -86,8 +91,15 @@ class EvaluationCache:
         self._entries: Dict[str, EvaluatedConfig] = {}
         self.stats = CacheStats()
         self.path = Path(path) if path is not None else None
-        if self.path is not None and self.path.exists():
-            self._load()
+        self._store: Optional[JsonlStore] = None
+        if self.path is not None:
+            self._store = JsonlStore(
+                self.path, _PERSIST_VERSION, EvaluatedConfig, "evaluation cache", logger
+            )
+            for digest, _, value in self._store.unique():
+                self._entries[digest] = value
+            self.stats.loaded = len(self._entries)
+            self.stats.duplicates = self._store.duplicates
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -136,15 +148,7 @@ class EvaluationCache:
 
     def store(self, digest: str, value: EvaluatedConfig) -> None:
         """Insert a freshly evaluated result and persist it if configured."""
-        if not isinstance(value, EvaluatedConfig):
-            raise ConfigurationError(
-                f"cache values must be EvaluatedConfig, got {type(value).__name__}"
-            )
-        if digest in self._entries:
-            return
-        self._entries[digest] = value
-        if self.path is not None:
-            self._append(digest, value)
+        self.store_many([(digest, value)])
 
     def store_many(self, pairs: Iterable[Tuple[str, EvaluatedConfig]]) -> None:
         """Insert a batch of results, skipping digests already present.
@@ -162,72 +166,18 @@ class EvaluationCache:
                 continue
             self._entries[digest] = value
             fresh.append((digest, value))
-        if self.path is not None and fresh:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as stream:
-                for digest, value in fresh:
-                    stream.write(
-                        json.dumps(self._record(digest, value), ensure_ascii=False) + "\n"
-                    )
+        if self._store is not None and fresh:
+            self._store.append(self._record(digest, value) for digest, value in fresh)
 
-    # -- persistence -------------------------------------------------------------
-    @staticmethod
-    def _record(digest: str, value: EvaluatedConfig) -> Dict[str, object]:
-        return {
-            "version": _PERSIST_VERSION,
-            "key": digest,
-            "metrics": {
+    def _record(self, digest: str, value: EvaluatedConfig) -> Dict[str, object]:
+        return self._store.record(
+            value,
+            key=digest,
+            metrics={
                 "accuracy": value.accuracy,
                 "latency_ms": value.latency_ms,
                 "energy_mj": value.energy_mj,
                 "reuse_fraction": value.reuse_fraction,
             },
-            "mapping": value.config.describe(),
-            "payload": base64.b64encode(pickle.dumps(value)).decode("ascii"),
-        }
-
-    def _append(self, digest: str, value: EvaluatedConfig) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # ensure_ascii=False keeps non-ASCII platform/unit names readable in
-        # the log; the explicit utf-8 handle makes that safe on any locale.
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(json.dumps(self._record(digest, value), ensure_ascii=False) + "\n")
-
-    def _load(self) -> None:
-        """Reload persisted entries, surviving a mid-write crash.
-
-        A process killed while :meth:`_append` is flushing (e.g. a campaign
-        interrupted between checkpoints) leaves a truncated trailing line;
-        foreign tools may leave other malformed lines.  Neither aborts the
-        load — every malformed line is skipped and the recovery is logged so
-        silent data loss is visible in the run's logs.
-        """
-        skipped = 0
-        with self.path.open("r", encoding="utf-8") as stream:
-            for line in stream:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if record.get("version") != _PERSIST_VERSION:
-                        skipped += 1
-                        continue
-                    digest = record["key"]
-                    value = pickle.loads(base64.b64decode(record["payload"]))
-                    if not isinstance(value, EvaluatedConfig):
-                        skipped += 1
-                        continue
-                except Exception:  # noqa: BLE001 - tolerate truncated/foreign lines
-                    skipped += 1
-                    continue
-                self._entries[digest] = value
-                self.stats.loaded += 1
-        if skipped:
-            logger.warning(
-                "evaluation cache %s: recovered %d entries, skipped %d malformed "
-                "or foreign lines (expected after an interrupted write)",
-                self.path,
-                self.stats.loaded,
-                skipped,
-            )
+            mapping=value.config.describe(),
+        )

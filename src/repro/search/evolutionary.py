@@ -57,13 +57,10 @@ class SearchResult:
     ``surrogate`` carries the
     :class:`~repro.engine.surrogate.SurrogateReport` of a
     surrogate-assisted run and is ``None`` for a pure-oracle search (typed
-    loosely to avoid a circular import; results pickled before the field
-    existed read back as ``None`` via ``getattr``).  ``serving_cache_stats``
-    carries the
+    loosely to avoid a circular import).  ``serving_cache_stats`` carries the
     :class:`~repro.serving.result_cache.MeasuredCellStats` of a
     measured-objective campaign cell — deterministic lookup/unique-replay
-    counts — and is ``None`` everywhere else (same loose typing and
-    ``getattr`` compatibility for results pickled before the field existed).
+    counts — and is ``None`` everywhere else (same loose typing).
     """
 
     history: Tuple[EvaluatedConfig, ...]

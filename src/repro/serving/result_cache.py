@@ -16,12 +16,15 @@ searched configurations that distil to the same deployment share one entry;
 touching the family, seed or budget changes every key, so stale results can
 never be served.
 
-Persistence mirrors :class:`~repro.engine.cache.EvaluationCache`: one JSON
-line per stored result (human-readable metric summary + pickled
-:class:`~repro.serving.metrics.ServingMetrics` payload), ``ensure_ascii=False``
-so non-ASCII family names stay readable, eager reload on startup, and
-malformed/truncated lines are skipped with a logged recovery count instead of
-aborting the load.
+Persistence is the :class:`~repro.jsonl_store.JsonlStore` format shared with
+:class:`~repro.engine.cache.EvaluationCache`: one JSON line per stored result
+(human-readable metric summary + family label + pickled
+:class:`~repro.serving.metrics.ServingMetrics` payload), eager reload on
+startup where the first line per digest wins, and malformed/truncated lines
+skipped with a logged recovery count instead of aborting the load.  A file
+has a single writer: process-pool workers open it through
+:meth:`ServingResultCache.reader` handles, which never append, and ship their
+new entries home for the parent to :meth:`~ServingResultCache.absorb`.
 
 .. warning::
    The payload is a pickle: loading a cache file deserialises it with
@@ -31,11 +34,8 @@ aborting the load.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import logging
-import pickle
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 from ..engine.cache import CacheStats
 from ..errors import ConfigurationError
+from ..jsonl_store import JsonlStore, log_conflict
 from ..soc.platform import Platform
 from .metrics import ServingMetrics
 from .policies import Deployment
@@ -60,6 +61,9 @@ logger = logging.getLogger(__name__)
 
 #: Format marker written into every persisted line; bump on layout changes.
 _PERSIST_VERSION = 1
+
+#: How log messages name this cache.
+_LABEL = "serving result cache"
 
 
 def deployment_digest(deployment: Deployment) -> str:
@@ -127,9 +131,8 @@ class ServingResultCache:
     ----------
     path:
         Optional JSON-lines file.  Existing lines are loaded eagerly; every
-        :meth:`store` appends one line so independent runs (and process-pool
-        workers writing through their own handles) accumulate into a shared
-        result store.
+        :meth:`store`, and every new entry :meth:`absorb` merges, appends one
+        line, so independent runs accumulate into a shared result store.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
@@ -138,8 +141,36 @@ class ServingResultCache:
         self._session: list = []
         self.stats = CacheStats()
         self.path = Path(path) if path is not None else None
-        if self.path is not None and self.path.exists():
-            self._load()
+        self._store: Optional[JsonlStore] = None
+        if self.path is not None:
+            self._store = self._load(self.path)
+
+    @classmethod
+    def reader(cls, path: Optional[Union[str, Path]]) -> "ServingResultCache":
+        """An in-memory handle preloaded from ``path`` that never writes to it.
+
+        What a process-pool worker opens on a campaign's shared cache file: it
+        sees every replay persisted so far, and the simulations it adds travel
+        home through :meth:`export_session` for the parent process — the
+        file's single writer — to :meth:`absorb`.  ``path=None`` gives a fresh
+        in-memory cache.
+        """
+        cache = cls()
+        if path is not None:
+            cache._load(Path(path))
+        return cache
+
+    def _load(self, path: Path) -> JsonlStore:
+        """Load ``path``'s entries (first line per digest wins); return its store."""
+        store = JsonlStore(path, _PERSIST_VERSION, ServingMetrics, _LABEL, logger)
+        for digest, record, value in store.unique():
+            self._entries[digest] = value
+            family = str(record.get("family", ""))
+            if family:
+                self._families[digest] = family
+        self.stats.loaded = len(self._entries)
+        self.stats.duplicates = store.duplicates
+        return store
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -178,29 +209,34 @@ class ServingResultCache:
         persistence version — is logged as a warning instead of being dropped
         without a trace.
         """
-        if not isinstance(value, ServingMetrics):
-            raise ConfigurationError(
-                f"cache values must be ServingMetrics, got {type(value).__name__}"
-            )
-        existing = self._entries.get(digest)
-        if existing is not None:
-            stored, offered = self._metrics_summary(existing), self._metrics_summary(value)
-            if stored != offered:
-                logger.warning(
-                    "serving result cache: digest %s already stored with conflicting "
-                    "metrics (kept %s, dropped %s) — the existing entry may come from "
-                    "a stale cache file written by a different simulator build",
-                    digest[:16],
-                    stored,
-                    offered,
+        self._session.extend(self._insert([(digest, value, family)]))
+
+    def _insert(self, entries) -> list:
+        """Add the ``(digest, metrics, family)`` entries new to this handle.
+
+        Persists them in one batch when the handle has a file, and returns
+        them.  An entry whose digest is already held keeps the first one;
+        different numbers under that digest are logged as a conflict.
+        """
+        fresh = []
+        for digest, value, family in entries:
+            if not isinstance(value, ServingMetrics):
+                raise ConfigurationError(
+                    f"cache values must be ServingMetrics, got {type(value).__name__}"
                 )
-            return
-        self._entries[digest] = value
-        if family:
-            self._families[digest] = family
-        self._session.append((digest, value, family))
-        if self.path is not None:
-            self._append(digest, value, family)
+            existing = self._entries.get(digest)
+            if existing is not None:
+                stored, offered = self._metrics_summary(existing), self._metrics_summary(value)
+                if stored != offered:
+                    log_conflict(logger, _LABEL, digest, stored, offered)
+                continue
+            self._entries[digest] = value
+            if family:
+                self._families[digest] = family
+            fresh.append((digest, value, family))
+        if self._store is not None:
+            self._store.append(self._record(*entry) for entry in fresh)
+        return fresh
 
     # -- cross-process merge-back ------------------------------------------------
     def export_session(self) -> Tuple[Tuple[str, ServingMetrics, str], ...]:
@@ -215,26 +251,15 @@ class ServingResultCache:
         return tuple(self._session)
 
     def absorb(self, entries) -> int:
-        """Merge ``(digest, metrics, family)`` tuples into memory; return #added.
+        """Merge ``(digest, metrics, family)`` tuples; return how many were new.
 
-        Memory-only by design: a worker whose handle was path-backed already
-        appended its entries to the shared JSONL, so writing them again here
-        would duplicate lines.  Absorbed entries do not join this handle's
-        session export (they are not *this* process's simulations).
+        The new entries are appended to this handle's file when it has one:
+        workers read a campaign's shared file but never write it, so the
+        absorbing parent persists every replay exactly once.  Absorbed
+        entries do not join this handle's session export (they are not
+        *this* process's simulations).
         """
-        added = 0
-        for digest, value, family in entries:
-            if digest in self._entries:
-                continue
-            if not isinstance(value, ServingMetrics):
-                raise ConfigurationError(
-                    f"cache values must be ServingMetrics, got {type(value).__name__}"
-                )
-            self._entries[digest] = value
-            if family:
-                self._families[digest] = family
-            added += 1
-        return added
+        return len(self._insert(entries))
 
     # -- persistence -------------------------------------------------------------
     @staticmethod
@@ -247,66 +272,14 @@ class ServingResultCache:
             "throughput_rps": value.throughput_rps,
         }
 
-    @classmethod
-    def _record(cls, digest: str, value: ServingMetrics, family: str) -> Dict[str, object]:
-        return {
-            "version": _PERSIST_VERSION,
-            "key": digest,
-            "family": family,
-            "policy": value.policy,
-            "metrics": cls._metrics_summary(value),
-            "payload": base64.b64encode(pickle.dumps(value)).decode("ascii"),
-        }
-
-    def _append(self, digest: str, value: ServingMetrics, family: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # ensure_ascii=False keeps non-ASCII family names readable in the
-        # log; the explicit utf-8 handle makes that safe on any locale.
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(
-                json.dumps(self._record(digest, value, family), ensure_ascii=False) + "\n"
-            )
-
-    def _load(self) -> None:
-        """Reload persisted entries, surviving a mid-write crash.
-
-        A process killed while :meth:`_append` is flushing leaves a truncated
-        trailing line; foreign tools may leave other malformed lines.  Neither
-        aborts the load — every malformed line is skipped and the recovery is
-        logged so silent data loss stays visible in the run's logs.
-        """
-        skipped = 0
-        with self.path.open("r", encoding="utf-8") as stream:
-            for line in stream:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if record.get("version") != _PERSIST_VERSION:
-                        skipped += 1
-                        continue
-                    digest = record["key"]
-                    family = str(record.get("family", ""))
-                    value = pickle.loads(base64.b64decode(record["payload"]))
-                    if not isinstance(value, ServingMetrics):
-                        skipped += 1
-                        continue
-                except Exception:  # noqa: BLE001 - tolerate truncated/foreign lines
-                    skipped += 1
-                    continue
-                self._entries[digest] = value
-                if family:
-                    self._families[digest] = family
-                self.stats.loaded += 1
-        if skipped:
-            logger.warning(
-                "serving result cache %s: recovered %d entries, skipped %d malformed "
-                "or foreign lines (expected after an interrupted write)",
-                self.path,
-                self.stats.loaded,
-                skipped,
-            )
+    def _record(self, digest: str, value: ServingMetrics, family: str) -> Dict[str, object]:
+        return self._store.record(
+            value,
+            key=digest,
+            family=family,
+            policy=value.policy,
+            metrics=self._metrics_summary(value),
+        )
 
 
 @dataclass(frozen=True)

@@ -186,17 +186,20 @@ class TestCheckpointEdgeCases:
                 tiny_network, GRID, seed=SEED + 1, checkpoint_dir=tmp_path, **BUDGET
             )
 
-    def test_different_budget_raises_not_mixes(self, tiny_network, tmp_path):
+    def test_different_budget_raises_not_mixes(self, tiny_network, tmp_path, caplog):
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
-        with pytest.raises(ConfigurationError, match="fingerprint"):
-            run_campaign(
-                tiny_network,
-                GRID,
-                seed=SEED,
-                checkpoint_dir=tmp_path,
-                generations=BUDGET["generations"] + 1,
-                population_size=BUDGET["population_size"],
-            )
+        with caplog.at_level(logging.WARNING, logger="repro.campaign.checkpoint"):
+            with pytest.raises(ConfigurationError, match="fingerprint"):
+                run_campaign(
+                    tiny_network,
+                    GRID,
+                    seed=SEED,
+                    checkpoint_dir=tmp_path,
+                    generations=BUDGET["generations"] + 1,
+                    population_size=BUDGET["population_size"],
+                )
+        # The rejection names the strict field that changed, and only it.
+        assert "changed: generations)" in caplog.text
 
     def test_same_named_but_recalibrated_platform_raises(self, tiny_network, tmp_path):
         """Platform identity is content, not name: a same-named board with
@@ -230,7 +233,7 @@ class TestCheckpointEdgeCases:
 
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
 
-        def forbidden(task, cache=None, framework=None):
+        def forbidden(task, cache=None, framework=None, serving_cache=None):
             raise AssertionError("objective change should not re-search cells")
 
         monkeypatch.setattr(runner_module, "_run_cell", forbidden)
@@ -261,7 +264,7 @@ class TestCheckpointEdgeCases:
         (tmp_path / CampaignCheckpoint.FILENAME).write_text(
             "\n" + json.dumps({"version": 99}) + "\nnot json at all\n", encoding="utf-8"
         )
-        restored = checkpoint.load({("p", "s"): CellExpectation(fingerprint="x")})
+        restored = checkpoint.load({("p", "s"): CellExpectation()})
         assert restored == {}
         assert checkpoint.stats.malformed == 2
 
@@ -289,9 +292,9 @@ class TestWarmStart:
         seen = []
         original = runner_module._run_cell
 
-        def spying(task, cache=None, framework=None):
+        def spying(task, cache=None, framework=None, serving_cache=None):
             seen.append((task.platform.name, len(task.warm_seeds)))
-            return original(task, cache, framework)
+            return original(task, cache, framework, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", spying)
         run_campaign(tiny_network, GRID, seed=SEED, warm_start=True, **BUDGET)

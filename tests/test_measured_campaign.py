@@ -24,6 +24,7 @@ Covers the measured-serving campaign path end to end:
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import math
 
@@ -192,6 +193,38 @@ class TestSharedServingCache:
         assert campaign_summary(second) == campaign_summary(first)
         # Everything was already cached: the warm run stored nothing new.
         assert reloaded.export_session() == ()
+
+    def test_pool_workers_leave_one_line_per_digest(self, tmp_path):
+        """Single writer: two workers simulating the same replays (two
+        identical scenarios on one board) must not both append them; only
+        the parent persists what it absorbs."""
+        from repro.campaign import CampaignScenario
+        from repro.nn.models import resnet20
+
+        cache_path = tmp_path / "serving_cache.jsonl"
+
+        def run():
+            run_campaign(
+                resnet20(),
+                ["jetson-agx-xavier"],
+                scenarios=[CampaignScenario(name="a"), CampaignScenario(name="b")],
+                strategy="nsga2",
+                generations=3,
+                population_size=10,
+                seed=3,
+                cell_workers=2,
+                measured_objectives=MEASURED,
+                serving_cache=cache_path,
+            )
+
+        run()
+        lines = cache_path.read_text(encoding="utf-8").splitlines()
+        digests = {json.loads(line)["key"] for line in lines}
+        assert digests
+        assert len(lines) == len(digests)
+        # A warm re-run finds every replay in the file and appends nothing.
+        run()
+        assert cache_path.read_text(encoding="utf-8").splitlines() == lines
 
 
 class TestCheckpointRefresh:

@@ -398,7 +398,7 @@ class TestCampaignThreading:
             **BUDGET,
         )
 
-        def forbidden(task, cache=None, framework=None):
+        def forbidden(task, cache=None, framework=None, serving_cache=None):
             raise AssertionError(f"cell {task.platform.name} was re-searched")
 
         monkeypatch.setattr(runner_module, "_run_cell", forbidden)
@@ -419,9 +419,9 @@ class TestCampaignThreading:
         searched = []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None):
+        def counting(task, cache=None, framework=None, serving_cache=None):
             searched.append(task.platform.name)
-            return original(task, cache, framework)
+            return original(task, cache, framework, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         # A different objective set invalidates (refreshes) every cell ...

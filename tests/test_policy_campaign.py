@@ -3,12 +3,11 @@
 Covers the plumbing the golden file cannot attribute: the ``policies=``
 validation surface, the per-cell :class:`PolicyOutcome` semantics (static
 outcomes reuse the winner's metrics byte-for-byte; adaptive outcomes come
-from real re-simulations), the checkpoint interplay (default-tagged
-fingerprints keep pre-policy checkpoints restorable, a changed policy set
-re-runs exactly the affected cells), old-pickle compatibility of cells
-without the ``policy_outcomes`` field, :func:`build_policy`,
-:meth:`WorkloadFamily.peak_member`, ``measured_serving_objectives`` and
-``select_measured_serving``.
+from real re-simulations), the checkpoint interplay (an explicit static set
+restores the default's cells, a changed policy set re-runs exactly the
+affected cells), cells whose pickled payload lacks the ``policy_outcomes``
+field, :func:`build_policy`, :meth:`WorkloadFamily.peak_member`,
+``measured_serving_objectives`` and ``select_measured_serving``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import PolicyOutcome, run_serving_campaign
-from repro.campaign.serving_runner import MemberOutcome, ServingCellResult
 from repro.core.framework import MapAndConquer
 from repro.core.report import policy_adaptivity_table, traffic_ranking_summary
 from repro.errors import ConfigurationError, SearchError
@@ -174,18 +172,16 @@ class TestCheckpointInterplay:
         monkeypatch.setattr(
             serving_runner,
             "_run_serving_cell",
-            lambda task: calls.append(
-                (task.platform.name, tuple(getattr(task, "policies", ("static",))))
-            )
-            or original(task),
+            lambda task, *cache: calls.append((task.platform.name, task.policies))
+            or original(task, *cache),
         )
         return calls
 
     def test_explicit_static_matches_the_default_fingerprint(
         self, tiny_network, tmp_path, monkeypatch
     ):
-        """``policies=("static",)`` is the default-tagged case: it must
-        restore cells checkpointed by a pre-policy (default) run."""
+        """``policies=("static",)`` is the default: it must restore cells
+        checkpointed by a run that left the policy set unset."""
         _run(tiny_network, checkpoint_dir=tmp_path)
         calls = self._calls(monkeypatch)
         _run(tiny_network, checkpoint_dir=tmp_path, policies=("static",))
@@ -243,14 +239,16 @@ def _metrics_stub():
 class TestOldPickleCompatibility:
     def test_cells_without_the_field_read_as_policy_free(self):
         """Pickle restores ``__dict__`` directly, skipping dataclass
-        defaults — a pre-policy cell simply lacks ``policy_outcomes`` and
-        every reader must treat that as an empty sweep."""
+        defaults.  A cell payload that lacks ``policy_outcomes`` must read
+        as an empty sweep through the class default alone, with no
+        compatibility read in the readers."""
+        from repro.campaign.serving_runner import MemberOutcome, ServingCellResult
+
         member = MemberOutcome(
             label="m0", traffic_seed=1, winner="pareto-1", metrics=_metrics_stub()
         )
         # Build the instance the way pickle does: allocate and restore the
-        # old __dict__, never calling __init__ — the policy_outcomes field
-        # is simply absent, exactly as in a pre-policy checkpoint payload.
+        # __dict__, never calling __init__, so the field is simply absent.
         restored = object.__new__(ServingCellResult)
         restored.__dict__.update(
             platform_name="jetson-agx-xavier",

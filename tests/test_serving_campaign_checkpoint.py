@@ -7,9 +7,11 @@ The serving campaign persists two record kinds into one JSONL checkpoint
   identical to the uninterrupted run — including after a SIGKILL lands
   mid-sweep in a separate process;
 * a stale family definition (or a grown family list) re-runs exactly the
-  affected cells instead of reusing stale records;
-* legacy checkpoint lines written before the ``kind`` field existed are
-  still restored as search cells;
+  affected cells instead of reusing stale records, and logs the changed
+  field;
+* lines of the older checkpoint format, and search lines without the
+  ``kind`` field, are never restored: their cells re-run and the summary
+  matches a fresh run;
 * a serving checkpoint written under another seed refuses to load.
 """
 
@@ -70,7 +72,7 @@ class TestResume:
         monkeypatch.setattr(
             serving_runner,
             "_run_serving_cell",
-            lambda task: calls.append(task) or original(task),
+            lambda task, *cache: calls.append(task) or original(task, *cache),
         )
         resumed = _run(tiny_network, checkpoint_dir=tmp_path)
         assert calls == []  # every serving cell came from the checkpoint
@@ -104,8 +106,10 @@ class TestResume:
 
 class TestStaleFamilies:
     def test_stale_family_definition_reruns_only_its_cells(
-        self, tiny_network, tmp_path, monkeypatch
+        self, tiny_network, tmp_path, monkeypatch, caplog
     ):
+        import logging
+
         first = _run(tiny_network, checkpoint_dir=tmp_path)
 
         calls = []
@@ -115,16 +119,24 @@ class TestStaleFamilies:
         monkeypatch.setattr(
             serving_runner,
             "_run_serving_cell",
-            lambda task: calls.append((task.platform.name, task.family.name))
-            or original(task),
+            lambda task, *cache: calls.append((task.platform.name, task.family.name))
+            or original(task, *cache),
         )
-        changed = _run(
-            tiny_network, checkpoint_dir=tmp_path, families=_families(steady_rps=80.0)
-        )
+        with caplog.at_level(logging.INFO, logger="repro.campaign.checkpoint"):
+            changed = _run(
+                tiny_network,
+                checkpoint_dir=tmp_path,
+                families=_families(steady_rps=80.0),
+            )
         # Exactly the redefined family's cells were recomputed...
         assert sorted(calls) == [
             (platform, "steady-poisson") for platform in sorted(PLATFORMS)
         ]
+        # ...the log names the one field that changed...
+        assert (
+            f"re-running {len(PLATFORMS)} serving cells whose fields changed: "
+            f"family ({len(PLATFORMS)})" in caplog.text
+        )
         # ...with genuinely fresh records (different offered load), while the
         # untouched family's cells were restored bit for bit.
         for platform in PLATFORMS:
@@ -155,7 +167,7 @@ class TestStaleFamilies:
         monkeypatch.setattr(
             serving_runner,
             "_run_serving_cell",
-            lambda task: calls.append(task) or original(task),
+            lambda task, *cache: calls.append(task) or original(task, *cache),
         )
         with caplog.at_level(logging.INFO, logger="repro.campaign.checkpoint"):
             _run(tiny_network, checkpoint_dir=tmp_path, families=changed_families)
@@ -179,7 +191,7 @@ class TestStaleFamilies:
         monkeypatch.setattr(
             serving_runner,
             "_run_serving_cell",
-            lambda task: calls.append(task.family.name) or original(task),
+            lambda task, *cache: calls.append(task.family.name) or original(task, *cache),
         )
         grown = _run(
             tiny_network,
@@ -196,20 +208,17 @@ class TestStaleFamilies:
 
 class TestLegacyFormat:
     def test_search_lines_without_kind_field_still_restore(
-        self, tiny_network, tmp_path
+        self, tiny_network, tmp_path, monkeypatch
     ):
-        # PR 4 wrote search cells with no "kind" field; stripping it must not
-        # orphan the records.
+        """Search lines written before the ``kind`` field existed are no
+        longer read as search cells: their cells re-run, and the resumed
+        campaign still renders the same summary as the first run."""
+        import repro.campaign.runner as runner
         from repro.campaign import run_campaign
+        from repro.core.report import campaign_summary
 
-        first = run_campaign(
-            tiny_network,
-            PLATFORMS,
-            generations=2,
-            population_size=6,
-            seed=3,
-            checkpoint_dir=tmp_path,
-        )
+        options = dict(generations=2, population_size=6, seed=3)
+        first = run_campaign(tiny_network, PLATFORMS, checkpoint_dir=tmp_path, **options)
         path = tmp_path / CampaignCheckpoint.FILENAME
         stripped = []
         for line in path.read_text(encoding="utf-8").splitlines():
@@ -218,17 +227,63 @@ class TestLegacyFormat:
             stripped.append(json.dumps(record, ensure_ascii=False))
         path.write_text("\n".join(stripped) + "\n", encoding="utf-8")
 
-        from repro.core.report import campaign_summary
-
-        resumed = run_campaign(
-            tiny_network,
-            PLATFORMS,
-            generations=2,
-            population_size=6,
-            seed=3,
-            checkpoint_dir=tmp_path,
+        calls = []
+        original = runner._run_cell
+        monkeypatch.setattr(
+            runner,
+            "_run_cell",
+            lambda task, *args, **kwargs: calls.append(task.platform.name)
+            or original(task, *args, **kwargs),
         )
+        resumed = run_campaign(
+            tiny_network, PLATFORMS, checkpoint_dir=tmp_path, **options
+        )
+        assert sorted(calls) == sorted(PLATFORMS)
         assert campaign_summary(resumed) == campaign_summary(first)
+
+
+class TestOlderFormat:
+    def test_v1_checkpoint_reruns_every_cell(
+        self, tiny_network, tmp_path, monkeypatch, caplog
+    ):
+        """Version-1 lines (no per-field digests) are never restored: every
+        search and serving cell re-runs, the log calls them an older format
+        rather than damage, and the summary matches a fresh run."""
+        import logging
+
+        import repro.campaign.runner as runner
+        import repro.campaign.serving_runner as serving_runner
+
+        fresh = traffic_ranking_summary(_run(tiny_network, checkpoint_dir=tmp_path))
+        path = tmp_path / CampaignCheckpoint.FILENAME
+        v1_lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record["version"] = 1
+            del record["fields"]
+            v1_lines.append(json.dumps(record, ensure_ascii=False))
+        path.write_text("\n".join(v1_lines) + "\n", encoding="utf-8")
+
+        calls = []
+        search_cell, serving_cell = runner._run_cell, serving_runner._run_serving_cell
+        monkeypatch.setattr(
+            runner,
+            "_run_cell",
+            lambda task, *args, **kwargs: calls.append("search")
+            or search_cell(task, *args, **kwargs),
+        )
+        monkeypatch.setattr(
+            serving_runner,
+            "_run_serving_cell",
+            lambda task, *cache: calls.append("serving") or serving_cell(task, *cache),
+        )
+        with caplog.at_level(logging.INFO, logger="repro.campaign.checkpoint"):
+            resumed = _run(tiny_network, checkpoint_dir=tmp_path)
+        assert calls.count("search") == len(PLATFORMS)
+        assert calls.count("serving") == len(PLATFORMS) * len(_families())
+        assert traffic_ranking_summary(resumed) == fresh
+        assert "older format" in caplog.text
+        assert "malformed" not in caplog.text
 
 
 _CHILD_SCRIPT = textwrap.dedent(

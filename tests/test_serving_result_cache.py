@@ -10,9 +10,11 @@ shared file.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -211,6 +213,40 @@ class TestPersistence:
         assert recovered.peek("good") is not None
         assert "recovered 1 entries" in caplog.text
         assert "skipped 3 malformed" in caplog.text
+
+    def test_first_line_per_digest_wins_and_duplicates_are_counted(
+        self, tmp_path, caplog
+    ):
+        """A hand-written file holding three lines for one digest: the first
+        wins, ``loaded`` counts entries rather than lines, both later lines
+        count as duplicates, and only the conflicting one is logged."""
+
+        def line(p99: float) -> str:
+            metrics = _metrics(p99=p99)
+            return json.dumps(
+                {
+                    "version": 1,
+                    "key": "k",
+                    "family": "fam",
+                    "policy": metrics.policy,
+                    "metrics": {"p99_latency_ms": p99},
+                    "payload": base64.b64encode(pickle.dumps(metrics)).decode("ascii"),
+                }
+            )
+
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            "\n".join([line(10.0), line(10.0), line(99.0)]) + "\n", encoding="utf-8"
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.serving.result_cache"):
+            cache = ServingResultCache(path)
+
+        assert len(cache) == 1
+        assert cache.peek("k").p99_latency_ms == 10.0
+        assert cache.stats.loaded == 1
+        assert cache.stats.duplicates == 2
+        conflicts = [record for record in caplog.records if "conflicting" in record.message]
+        assert len(conflicts) == 1
 
     def test_clean_load_does_not_warn(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
