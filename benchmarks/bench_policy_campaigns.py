@@ -42,7 +42,6 @@ from perf_trajectory import emit, load
 
 from repro.campaign import run_serving_campaign
 from repro.core.framework import MapAndConquer
-from repro.engine.surrogate import spearman_rank_correlation
 from repro.nn.models import resnet20, visformer
 from repro.search.objectives import measured_serving_objectives, serving_objectives
 from repro.search.pareto import select_measured_serving, select_serving_oriented
@@ -53,7 +52,7 @@ from repro.serving.families import (
     member_traffic_seed,
 )
 from repro.soc.presets import get_platform
-from repro.utils import geometric_mean
+from repro.utils import geometric_mean, spearman_rank_correlation
 
 SMOKE = os.environ.get("REPRO_POLICY_SMOKE", "") == "1"
 

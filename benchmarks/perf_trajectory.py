@@ -12,7 +12,7 @@ Usage from a bench::
 
     from perf_trajectory import emit
 
-    emit("campaign_surrogate", {"oracle_call_reduction_x": 5.7, ...})
+    emit("fleet", {"simulated_requests_per_s": 35366.1, ...})
 
 Only JSON-serialisable, seed- or host-determined values belong here; wall
 clock timings are fine (they are what the trajectory tracks) but should be

@@ -24,11 +24,11 @@ package provides:
   grid, per-platform Pareto fronts and a portability matrix quantifying how
   platform-specific the searched mappings are (:mod:`repro.campaign`),
 * a first-class objective layer: named, pluggable
-  :class:`~repro.search.objectives.ObjectiveSet` objectives (direction +
-  surrogate transform per spec) threaded through the search, NSGA-II,
-  GBDT surrogates and campaign checkpoints — including serving-aware
-  search that optimises expected queueing delay at a workload family's
-  peak rate (:mod:`repro.search.objectives`),
+  :class:`~repro.search.objectives.ObjectiveSet` objectives (a direction
+  per spec) threaded through the search, NSGA-II and campaign
+  checkpoints — including serving-aware search that optimises expected
+  queueing delay at a workload family's peak rate
+  (:mod:`repro.search.objectives`),
 * serving campaigns: parameterised workload families (steady, bursty,
   diurnal, multi-tenant) swept over every platform's front, ranking the
   boards by served-p99-per-joule under real traffic instead of isolated
@@ -65,7 +65,6 @@ from .core.report import (
     format_table,
     policy_adaptivity_table,
     serving_campaign_table,
-    surrogate_summary,
     traffic_ranking_summary,
 )
 from .engine import (
@@ -76,7 +75,6 @@ from .engine import (
     RandomStrategy,
     SearchEngine,
     SerialBackend,
-    SurrogateSettings,
 )
 from .nn.models import build_model, resnet20, vgg19, visformer
 from .search.constraints import SearchConstraints
@@ -136,8 +134,6 @@ __all__ = [
     "run_campaign",
     "campaign_table",
     "campaign_summary",
-    "surrogate_summary",
-    "SurrogateSettings",
     "ServingCampaignResult",
     "run_serving_campaign",
     "serving_campaign_table",

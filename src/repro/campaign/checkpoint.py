@@ -37,9 +37,12 @@ two groups.  On load:
   settings changed, and re-using any part of the old grid would mix
   incompatible searches;
 * a **refreshable field mismatch re-runs the cell** instead: a search cell's
-  warm-start donors, surrogate settings or objective set, and every field of
-  a serving or fleet cell (a family, a mix or a deployed front is *expected*
-  to change between runs);
+  warm-start donors or objective set, and every field of a serving or fleet
+  cell (a family, a mix or a deployed front is *expected* to change between
+  runs);
+* a stored field that is **no longer part of the fingerprint** (an older
+  release wrote it for an option since removed) counts as refreshable too:
+  the cell re-runs once and the log names the field;
 * both mismatches log the names of the fields that changed;
 * a cell **no longer in the grid** is ignored (stale), and cells *added* to
   the grid are simply not in the file, so a grown grid runs exactly the new
@@ -161,7 +164,11 @@ class CellExpectation:
         return campaign_fingerprint(**self.field_digests)
 
     def changed_fields(self, stored: Mapping[str, str]) -> List[str]:
-        """Names of the fields whose ``stored`` digest differs from this run's."""
+        """Names of the fields whose ``stored`` digest differs from this run's.
+
+        A field only one side has counts as changed, so a line written with
+        a field this run no longer carries names that field.
+        """
         expected = self.field_digests
         names = dict.fromkeys([*expected, *stored])
         return [name for name in names if expected.get(name) != stored.get(name)]

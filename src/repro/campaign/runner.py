@@ -56,7 +56,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..dynamics.accuracy import AccuracyModel
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..engine.cache import EvaluationCache
-from ..engine.surrogate import SurrogateSettings
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.constraints import SearchConstraints
@@ -139,13 +138,6 @@ class CampaignCell:
     def front(self) -> Tuple[EvaluatedConfig, ...]:
         """The cell's Pareto front."""
         return self.result.pareto
-
-    @property
-    def surrogate_report(self):
-        """The cell's :class:`~repro.engine.surrogate.SurrogateReport`.
-
-        ``None`` for pure-oracle cells."""
-        return self.result.surrogate
 
     @property
     def measured_cache_stats(self):
@@ -398,8 +390,8 @@ class _SearchSettings:
         every other platform for the portability matrix.
     accuracy_model, reorder_channels, validation_samples:
         Platform-independent evaluator settings applied in every cell (the
-        cost model is always the analytical oracle: surrogates are
-        calibrated per platform and do not transfer).
+        cost model is always the analytical oracle: a learned per-layer
+        predictor is calibrated to one platform and does not transfer).
     seed:
         Master seed of every cell's search, replays and checkpoint.
     checkpoint_dir:
@@ -408,8 +400,9 @@ class _SearchSettings:
         restart, and a resumed campaign is byte-identical to an
         uninterrupted one.  A changed seed or search configuration raises
         :class:`~repro.errors.ConfigurationError` rather than mixing; changed
-        warm-start donors, surrogate settings or objectives re-run the
-        affected cells.  Either way the changed field names are logged.
+        warm-start donors or objectives re-run the affected cells, and so
+        does a line stored with a field this run no longer has.  Either way
+        the changed field names are logged.
     cell_workers:
         Fan independent cells over a pool of this many worker processes
         (``None``/1 keeps the sequential path); each cell still owns its
@@ -420,13 +413,6 @@ class _SearchSettings:
         capped at half the population so exploration survives.  The first
         platform always runs cold.  Cells then run in platform-order waves
         so donors finish first — identically under ``cell_workers``.
-    surrogate:
-        Optional :class:`~repro.engine.surrogate.SurrogateSettings`: every
-        cell then runs surrogate-assisted (see :meth:`MapAndConquer.search`),
-        reported by :attr:`CampaignCell.surrogate_report`.  Cells never
-        harvest the shared cache — its content depends on cell scheduling,
-        and training on it would break the serial == cell-parallel byte
-        guarantee.
     objectives:
         Optional :class:`~repro.search.objectives.ObjectiveSet` every cell's
         search optimises (e.g.
@@ -467,7 +453,6 @@ class _SearchSettings:
     checkpoint_dir: Union[str, Path, None] = None
     cell_workers: Optional[int] = None
     warm_start: bool = False
-    surrogate: Optional[SurrogateSettings] = None
     objectives: Optional[ObjectiveSet] = None
     measured_objectives: Optional[MeasuredObjectives] = None
     serving_cache: Union[ServingResultCache, str, Path, None] = None
@@ -493,11 +478,6 @@ class _SearchSettings:
             )
         if self.cell_workers is not None and int(self.cell_workers) < 1:
             raise ConfigurationError(f"cell_workers must be >= 1, got {self.cell_workers}")
-        if self.surrogate is not None and not isinstance(self.surrogate, SurrogateSettings):
-            raise ConfigurationError(
-                f"surrogate must be a SurrogateSettings or None, got "
-                f"{type(self.surrogate).__name__}"
-            )
         if self.objectives is not None and not isinstance(self.objectives, ObjectiveSet):
             raise ConfigurationError(
                 f"objectives must be an ObjectiveSet or None, got "
@@ -518,12 +498,6 @@ class _SearchSettings:
         resolved: Dict[str, object] = {"seed": int(self.seed)}
         if not isinstance(self.cache, EvaluationCache):
             resolved["cache"] = EvaluationCache(path=self.cache)
-        if self.surrogate is not None:
-            # Training rows come only from each cell's own seeded bootstrap
-            # and validations, never from the shared cache.
-            resolved["surrogate"] = dataclasses.replace(
-                self.surrogate, bootstrap_from_cache=False
-            )
         if not isinstance(self.serving_cache, ServingResultCache) and (
             self.serving_cache is not None or measured is not None
         ):
@@ -578,7 +552,6 @@ class _CellTask:
     validation_samples: int
     seed: int
     warm_seeds: Tuple[MappingConfig, ...]
-    surrogate: Optional[SurrogateSettings]
     objectives: Optional[ObjectiveSet]
     measured: Optional[MeasuredObjectives]
     serving_cache_path: Optional[str]
@@ -635,7 +608,6 @@ def _run_cell(
         n_workers=task.n_workers,
         cache=cache,
         initial_population=list(task.warm_seeds) if task.warm_seeds else None,
-        surrogate=task.surrogate,
         objectives=objectives,
     )
     if recorder is not None:
@@ -745,9 +717,9 @@ def _search_campaign(
     # network or board with different calibration must invalidate the cell,
     # not silently restore the old one.  The scalar objective is deliberately
     # absent — it is applied post hoc in the main process and never shapes a
-    # cell's search result.  Strict fields define which search ran; donors,
-    # surrogate settings and the objective set only make a stored front
-    # stale, so changing them re-runs the cell.
+    # cell's search result.  Strict fields define which search ran; donors
+    # and the objective set only make a stored front stale, so changing them
+    # re-runs the cell.
     expectations: Dict[CellKey, CellExpectation] = {}
     for scenario in scenario_objs:
         gens, pop = cell_budget(scenario)
@@ -768,7 +740,6 @@ def _search_campaign(
                 ),
                 refreshable=dict(
                     donors=tuple(p.name for p in platform_objs[:index]) if s.warm_start else (),
-                    surrogate=s.surrogate,
                     objectives=objectives_tags[platform.name],
                 ),
             )
@@ -810,7 +781,6 @@ def _search_campaign(
             validation_samples=s.validation_samples,
             seed=s.seed,
             warm_seeds=warm_seeds,
-            surrogate=s.surrogate,
             objectives=s.objectives,
             measured=s.measured_objectives,
             serving_cache_path=s.serving_cache_path,

@@ -20,7 +20,6 @@ baselines and Pareto selections reported in the paper.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -31,12 +30,6 @@ from ..engine.cache import EvaluationCache
 from ..engine.engine import SearchEngine
 from ..engine.nsga import NSGA2Strategy
 from ..engine.strategies import EvolutionaryStrategy, RandomStrategy, SearchStrategy
-from ..engine.surrogate import (
-    SurrogateAssistedStrategy,
-    SurrogateEvaluationBackend,
-    SurrogateObjective,
-    SurrogateSettings,
-)
 from ..errors import ConfigurationError
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
@@ -190,7 +183,6 @@ class MapAndConquer:
         n_workers: Optional[int] = None,
         cache: "EvaluationCache | str | Path | None" = None,
         initial_population: Optional[Sequence[MappingConfig]] = None,
-        surrogate: Optional[SurrogateSettings] = None,
         objectives: Optional[ObjectiveSet] = None,
     ) -> SearchResult:
         """Run the mapping search (Fig. 5) and return its result.
@@ -226,52 +218,26 @@ class MapAndConquer:
             translated from a related platform
             (:func:`repro.campaign.translate_config`).  ``None`` keeps the
             cold-start behaviour bit-for-bit.
-        surrogate:
-            ``None`` (default) runs every candidate through the real
-            evaluation pipeline, bit-for-bit as before.  A
-            :class:`~repro.engine.surrogate.SurrogateSettings` instance
-            accelerates the search with per-objective GBDT models: after a
-            short oracle bootstrap the inner strategy's generations are
-            answered by the surrogate and only the incumbent Pareto front is
-            periodically re-validated through the oracle.  The result's
-            history/pareto/best then contain exclusively real evaluations
-            and ``result.surrogate`` carries the
-            :class:`~repro.engine.surrogate.SurrogateReport`.
         objectives:
             ``None`` (default) keeps the paper's latency/energy/accuracy
             trio, bit-for-bit.  An
             :class:`~repro.search.objectives.ObjectiveSet` re-shapes the
-            reported Pareto front, drives the ``"nsga2"`` strategy's
+            reported Pareto front and drives the ``"nsga2"`` strategy's
             non-dominated ranking and crowding over the set's objective
-            matrix, and (with ``surrogate``) trains one GBDT per objective
-            under each spec's declared transform.  Build a serving-aware set
-            with :func:`~repro.search.objectives.serving_objectives`.
+            matrix.  Build a serving-aware set with
+            :func:`~repro.search.objectives.serving_objectives`.
         """
         if objectives is not None and not isinstance(objectives, ObjectiveSet):
             raise ConfigurationError(
                 f"objectives must be an ObjectiveSet or None, got "
                 f"{type(objectives).__name__}"
             )
-        if surrogate is not None and not isinstance(surrogate, SurrogateSettings):
-            raise ConfigurationError(
-                f"surrogate must be a SurrogateSettings or None, got "
-                f"{type(surrogate).__name__}"
-            )
-        if surrogate is not None and isinstance(strategy, SearchStrategy):
-            raise ConfigurationError(
-                "surrogate search wraps the inner strategy's objective; pass a "
-                "strategy name, not an instance, when surrogate settings are given"
-            )
-        resolved_objective = paper_objective if objective is None else objective
-        inner_objective = objective
-        if surrogate is not None:
-            inner_objective = SurrogateObjective(resolved_objective)
         strategy_obj = self._build_strategy(
             strategy,
             generations=generations,
             population_size=population_size,
             constraints=constraints,
-            objective=inner_objective,
+            objective=objective,
             elite_fraction=elite_fraction,
             mutation_rate=mutation_rate,
             seed=seed,
@@ -295,25 +261,6 @@ class MapAndConquer:
             cache_obj = cache
         else:
             cache_obj = EvaluationCache(path=cache)
-        if surrogate is not None:
-            backend_obj = SurrogateEvaluationBackend(
-                backend_obj,
-                evaluator=self.evaluator,
-                settings=surrogate,
-                objective=resolved_objective,
-                objectives=objectives,
-                owns_inner=owns_backend,
-            )
-            owns_backend = True
-            if surrogate.bootstrap_from_cache:
-                backend_obj.harvest(cache_obj)
-            strategy_obj = SurrogateAssistedStrategy(
-                inner=strategy_obj,
-                backend=backend_obj,
-                settings=surrogate,
-                objective=resolved_objective,
-                objectives=objectives,
-            )
         engine = SearchEngine(
             evaluator=self.evaluator,
             backend=backend_obj,
@@ -324,10 +271,7 @@ class MapAndConquer:
             objectives=objectives,
         )
         try:
-            result = engine.run(strategy_obj)
-            if surrogate is not None:
-                result = dataclasses.replace(result, surrogate=strategy_obj.report())
-            return result
+            return engine.run(strategy_obj)
         finally:
             if owns_backend:
                 backend_obj.close()
@@ -494,15 +438,14 @@ class MapAndConquer:
         )
 
     # -- cross-platform campaigns -----------------------------------------------------
-    def _campaign_platforms(self, platforms, include_own_platform: bool, method: str):
-        """The campaign grid: resolved platforms, own board prepended.
+    def _campaign_keywords(self, method: str, seed: Optional[int]) -> dict:
+        """The keywords every campaign facade hands its runner.
 
-        Also enforces the shared restriction that campaigns cannot inherit a
-        custom or surrogate cost model — it is calibrated to one platform
-        and would mis-score every other cell.
+        Refuses a framework with a custom or surrogate cost model: it is
+        calibrated to one platform and would mis-score every other cell.
+        Otherwise forwards the seed and the platform-independent evaluator
+        settings, so the own-platform cell reproduces :meth:`search`.
         """
-        from ..soc.presets import get_platform
-
         if self.cost_model is not None:
             raise ConfigurationError(
                 f"{method}() cannot reuse this framework's cost model: a custom "
@@ -510,6 +453,17 @@ class MapAndConquer:
                 "mis-score the other cells; build the campaign from an "
                 "analytical-oracle framework instead"
             )
+        return dict(
+            seed=self.seed if seed is None else seed,
+            accuracy_model=self.evaluator.accuracy_model,
+            reorder_channels=self.evaluator.reorder_channels,
+            validation_samples=self.evaluator.validation_samples,
+        )
+
+    def _campaign_platforms(self, platforms, include_own_platform: bool):
+        """The campaign grid: resolved platforms, own board prepended."""
+        from ..soc.presets import get_platform
+
         resolved = [
             item if isinstance(item, Platform) else get_platform(item)
             for item in platforms
@@ -542,23 +496,21 @@ class MapAndConquer:
         :meth:`search` would find.  A custom or surrogate cost model does
         *not* carry over — it is calibrated to one platform and would
         mis-score every other cell — so campaigning from such a framework
-        is rejected (see ROADMAP: per-platform surrogates).  See
-        :func:`repro.campaign.run_campaign` for the remaining keyword
-        arguments (strategy, backend, n_workers, cache, budgets, traffic
-        re-ranking, and ``measured_objectives=``/``serving_cache=`` for
-        searching every cell under measured serving behaviour with one
-        simulator-result cache shared grid-wide).
+        is rejected.  See :func:`repro.campaign.run_campaign` for the
+        remaining keyword arguments (strategy, backend, n_workers, cache,
+        budgets, traffic re-ranking, and
+        ``measured_objectives=``/``serving_cache=`` for searching every cell
+        under measured serving behaviour with one simulator-result cache
+        shared grid-wide).
         """
         from ..campaign import run_campaign
 
+        forwarded = self._campaign_keywords("campaign", seed)
         return run_campaign(
             self.network,
-            self._campaign_platforms(platforms, include_own_platform, "campaign"),
+            self._campaign_platforms(platforms, include_own_platform),
             scenarios=scenarios,
-            seed=self.seed if seed is None else seed,
-            accuracy_model=self.evaluator.accuracy_model,
-            reorder_channels=self.evaluator.reorder_channels,
-            validation_samples=self.evaluator.validation_samples,
+            **forwarded,
             **kwargs,
         )
 
@@ -591,16 +543,12 @@ class MapAndConquer:
         """
         from ..campaign.serving_runner import run_serving_campaign
 
+        forwarded = self._campaign_keywords("serving_campaign", seed)
         return run_serving_campaign(
             self.network,
-            self._campaign_platforms(
-                platforms, include_own_platform, "serving_campaign"
-            ),
+            self._campaign_platforms(platforms, include_own_platform),
             families=families,
-            seed=self.seed if seed is None else seed,
-            accuracy_model=self.evaluator.accuracy_model,
-            reorder_channels=self.evaluator.reorder_channels,
-            validation_samples=self.evaluator.validation_samples,
+            **forwarded,
             **kwargs,
         )
 
@@ -631,22 +579,9 @@ class MapAndConquer:
         """
         from ..campaign.fleet_runner import run_fleet_campaign
 
-        if self.cost_model is not None:
-            raise ConfigurationError(
-                "fleet_campaign() cannot reuse this framework's cost model: a "
-                "custom or surrogate cost model is calibrated to one platform "
-                "and would mis-score the other cells; build the campaign from "
-                "an analytical-oracle framework instead"
-            )
+        forwarded = self._campaign_keywords("fleet_campaign", seed)
         return run_fleet_campaign(
-            self.network,
-            mixes,
-            families=families,
-            seed=self.seed if seed is None else seed,
-            accuracy_model=self.evaluator.accuracy_model,
-            reorder_channels=self.evaluator.reorder_channels,
-            validation_samples=self.evaluator.validation_samples,
-            **kwargs,
+            self.network, mixes, families=families, **forwarded, **kwargs
         )
 
     # -- Pareto selection -------------------------------------------------------------

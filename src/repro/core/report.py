@@ -30,7 +30,6 @@ __all__ = [
     "campaign_table",
     "portability_table",
     "campaign_summary",
-    "surrogate_summary",
     "serving_campaign_table",
     "policy_adaptivity_table",
     "traffic_ranking_summary",
@@ -358,85 +357,6 @@ def campaign_summary(campaign) -> str:
     if cache_line is not None:
         lines.append("")
         lines.append(cache_line)
-    return "\n".join(lines)
-
-
-def _shared_reference(
-    fronts: Sequence[Sequence[EvaluatedConfig]],
-    objectives: Optional[ObjectiveSet] = None,
-) -> List[float]:
-    """Reference point dominated by every member of every given front.
-
-    Built from the per-objective maxima over the union (the default set's
-    latency, energy, negated accuracy — all minimised), nudged strictly
-    worse so boundary points still contribute volume.  Using one shared
-    reference makes two fronts' hypervolumes directly comparable.
-    """
-    return as_objective_set(objectives).reference_point(fronts)
-
-
-def surrogate_summary(campaign, baseline=None) -> str:
-    """Per-cell fidelity report of a surrogate-accelerated campaign.
-
-    One row per (platform, scenario) cell: oracle vs surrogate evaluation
-    counts, the candidate-throughput multiplier, surrogate-vs-oracle rank
-    correlation over the validated points, the validated-front regret, and
-    how many validation rounds ran.  All numbers are seed-determined and
-    rendered at fixed precision, so the text is byte-identical across
-    backends and machines.
-
-    ``baseline`` may be the same campaign run with ``surrogate=None``; each
-    row then also reports ``hv_vs_oracle`` — the cell front's hypervolume
-    divided by the baseline cell front's, both measured against one shared
-    reference point — quantifying how much front quality the oracle calls
-    saved actually cost.
-    """
-    rows = []
-    total_oracle = 0
-    total_surrogate = 0
-    for cell in campaign.cells:
-        report = cell.surrogate_report
-        if report is None:
-            raise ValueError(
-                f"cell {cell.platform_name}/{cell.scenario_name} has no surrogate "
-                "report; run the campaign with surrogate=SurrogateSettings(...)"
-            )
-        total_oracle += report.oracle_evaluations
-        total_surrogate += report.surrogate_evaluations
-        row = {
-            "platform": cell.platform_name,
-            "scenario": cell.scenario_name,
-            "oracle": report.oracle_evaluations,
-            "surrogate": report.surrogate_evaluations,
-            "throughput_x": f"{report.throughput_multiplier:.2f}",
-            "rank_corr": f"{report.rank_correlation:.3f}",
-            "front_regret": f"{report.front_regret:.4f}",
-            "validations": report.validations,
-        }
-        if baseline is not None:
-            reference_cell = next(
-                base
-                for base in baseline.cells
-                if base.platform_name == cell.platform_name
-                and base.scenario_name == cell.scenario_name
-            )
-            reference = _shared_reference([cell.front, reference_cell.front])
-            base_volume = hypervolume(reference_cell.front, reference)
-            volume = hypervolume(cell.front, reference)
-            row["hv_vs_oracle"] = (
-                f"{volume / base_volume:.4f}" if base_volume > 0.0 else "-"
-            )
-        rows.append(row)
-    saved = total_oracle + total_surrogate
-    lines = [
-        f"surrogate campaign: {total_oracle} oracle evaluations carried "
-        f"{saved} candidate evaluations "
-        f"({saved / total_oracle:.1f}x throughput)"
-        if total_oracle
-        else "surrogate campaign: no oracle evaluations recorded",
-        "",
-        format_table(rows),
-    ]
     return "\n".join(lines)
 
 

@@ -12,7 +12,10 @@ The engine decomposes the paper's Fig. 5 loop into three orthogonal pieces:
   content, with hit/miss telemetry and optional JSON-lines persistence.
 
 :class:`~repro.engine.engine.SearchEngine` wires the three together and is
-what :meth:`repro.core.framework.MapAndConquer.search` runs on.
+what :meth:`repro.core.framework.MapAndConquer.search` runs on.  It is the
+one search path: every proposed configuration is scored by the evaluator's
+cost model — the analytical oracle or the paper's per-layer GBDT predictor
+(:mod:`repro.perf.predictor`) — never by a model of the search objectives.
 """
 
 from .backends import EvaluationBackend, EvaluatorSpec, ProcessPoolBackend, SerialBackend
@@ -20,14 +23,6 @@ from .cache import CacheStats, EvaluationCache
 from .engine import SearchEngine
 from .nsga import NSGA2Strategy, crowding_distance, non_dominated_sort, objective_matrix
 from .strategies import EvolutionaryStrategy, RandomStrategy, SearchStrategy
-from .surrogate import (
-    SurrogateAssistedStrategy,
-    SurrogateEvaluationBackend,
-    SurrogateObjective,
-    SurrogatePrediction,
-    SurrogateReport,
-    SurrogateSettings,
-)
 
 __all__ = [
     "CacheStats",
@@ -44,10 +39,4 @@ __all__ = [
     "crowding_distance",
     "objective_matrix",
     "SearchEngine",
-    "SurrogateSettings",
-    "SurrogatePrediction",
-    "SurrogateObjective",
-    "SurrogateEvaluationBackend",
-    "SurrogateAssistedStrategy",
-    "SurrogateReport",
 ]

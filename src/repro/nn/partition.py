@@ -346,17 +346,6 @@ class PartitionScheme:
             )
         return total
 
-    def stage_params(self, stage: int) -> float:
-        """Parameters held by ``stage`` over its whole sub-layer chain."""
-        self._check_stage_layer(stage, 0)
-        total = 0.0
-        for layer_index, layer in enumerate(self._backbone):
-            total += layer.params(
-                in_units=self.available_in_units(stage, layer_index),
-                out_units=self.stage_channels(stage, layer_index),
-            )
-        return total
-
     def cumulative_width_fraction(self, stage: int, layer: int) -> float:
         """Fraction of layer width available to stage ``stage`` (incl. reuse)."""
         self._check_stage_layer(stage, layer)

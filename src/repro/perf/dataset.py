@@ -27,7 +27,6 @@ __all__ = [
     "BenchmarkDataset",
     "generate_benchmark_dataset",
     "encode_features",
-    "encode_mapping_features",
 ]
 
 #: Names of the hardware/DVFS features appended to the workload features.
@@ -53,50 +52,6 @@ def encode_features(workload: LayerWorkload, unit: ComputeUnit, scale: float) ->
         dtype=float,
     )
     return np.concatenate([workload.features(), hardware])
-
-
-def encode_mapping_features(network, config, platform: Platform) -> np.ndarray:
-    """Feature vector for a whole mapping configuration (for in-loop surrogates).
-
-    Unlike :func:`encode_features`, which describes one layer slice on one
-    unit, this describes a full :class:`~repro.search.space.MappingConfig`:
-    per stage, the structural workload (FLOPs, parameters, reused input
-    bytes, cumulative width, mean partition share) joined with the assigned
-    unit's hardware characteristics and DVFS scale, plus the global reuse
-    fraction and shared-memory footprint.  Everything is derived from the
-    partition scheme and platform tables — no cost model is consulted — so
-    featurisation is cheap enough to run on every surrogate candidate.
-    """
-    from ..nn.partition import PartitionScheme
-
-    scheme = PartitionScheme(
-        network=network, partition=config.partition, indicator=config.indicator
-    )
-    values: List[float] = []
-    last_layer = scheme.num_layers - 1
-    for stage in range(scheme.num_stages):
-        unit = platform.unit(config.unit_names[stage])
-        scale = unit.scale_for_point(config.dvfs_indices[stage])
-        reused_bytes = float(
-            sum(scheme.reused_input_bytes(stage, layer) for layer in range(scheme.num_layers))
-        )
-        values.extend(
-            [
-                scheme.stage_flops(stage),
-                scheme.stage_params(stage),
-                reused_bytes,
-                scheme.cumulative_width_fraction(stage, last_layer),
-                float(config.partition.values[stage].mean()),
-                unit.peak_gflops,
-                unit.memory_bandwidth_gbs,
-                unit.launch_overhead_ms,
-                unit.power.max_power_w,
-                scale,
-            ]
-        )
-    values.append(scheme.reuse_fraction())
-    values.append(float(scheme.stored_feature_bytes()))
-    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ The search jointly optimises the configuration ``Pi = (P, I, M, theta)``:
 * :mod:`repro.search.objectives` -- the composite objective of Eq. 16,
   latency/energy/serving-oriented scalarisations, and the first-class
   :class:`~repro.search.objectives.ObjectiveSet` layer (named objectives
-  with directions and surrogate transforms, pluggable through the engine,
-  surrogate and campaigns),
+  with directions, pluggable through the engine and campaigns),
 * :mod:`repro.search.constraints` -- the constraint filter of Eq. 15,
 * :mod:`repro.search.operators` -- mutation and crossover,
 * :mod:`repro.search.pareto` -- non-dominated sorting and Pareto selection,

@@ -54,13 +54,11 @@ class GenerationStats:
 class SearchResult:
     """Everything the search produced.
 
-    ``surrogate`` carries the
-    :class:`~repro.engine.surrogate.SurrogateReport` of a
-    surrogate-assisted run and is ``None`` for a pure-oracle search (typed
-    loosely to avoid a circular import).  ``serving_cache_stats`` carries the
+    ``serving_cache_stats`` carries the
     :class:`~repro.serving.result_cache.MeasuredCellStats` of a
     measured-objective campaign cell — deterministic lookup/unique-replay
-    counts — and is ``None`` everywhere else (same loose typing).
+    counts — and is ``None`` everywhere else (typed loosely to avoid a
+    circular import).
     """
 
     history: Tuple[EvaluatedConfig, ...]
@@ -68,7 +66,6 @@ class SearchResult:
     pareto: Tuple[EvaluatedConfig, ...]
     best: EvaluatedConfig
     generations: Tuple[GenerationStats, ...]
-    surrogate: Optional[object] = None
     serving_cache_stats: Optional[object] = None
 
     @property

@@ -15,11 +15,11 @@ models of Table II from a Pareto set.
 
 On top of the scalarisations, this module defines the *objective layer* the
 multi-objective machinery is built on: an :class:`ObjectiveSpec` names one
-axis (how to extract it from an :class:`~repro.search.evaluation.EvaluatedConfig`,
-whether it is minimised or maximised, and which transform a surrogate should
-train it under), and an :class:`ObjectiveSet` bundles the axes the search
-optimises.  :func:`default_objective_set` reproduces the historical
-(latency, energy, -accuracy) behaviour exactly; :func:`serving_objectives`
+axis (how to extract it from an :class:`~repro.search.evaluation.EvaluatedConfig`
+and whether it is minimised or maximised), and an :class:`ObjectiveSet`
+bundles the axes the search optimises.  :func:`default_objective_set`
+reproduces the historical (latency, energy, -accuracy) behaviour exactly;
+:func:`serving_objectives`
 extends it with the M/D/1 expected queueing wait so NSGA-II optimises for
 load directly.
 """
@@ -130,7 +130,6 @@ def nan_guarded(
 # -- the objective layer ---------------------------------------------------------
 
 _DIRECTIONS = ("min", "max")
-_TRANSFORMS = ("log1p", "symlog", "raw")
 
 
 def _latency_extractor(item: EvaluatedConfig) -> float:
@@ -230,7 +229,7 @@ class ObjectiveSpec:
     Parameters
     ----------
     name:
-        Column name in reports and key in surrogate predictions.
+        Column name in reports.
     extractor:
         Callable mapping an :class:`~repro.search.evaluation.EvaluatedConfig`
         to the raw objective value.  Must be picklable (a module-level
@@ -239,20 +238,11 @@ class ObjectiveSpec:
     direction:
         ``"min"`` or ``"max"``; internally every objective is minimised, so
         ``"max"`` values are negated at the boundary.
-    transform:
-        How a surrogate trains this target: ``"log1p"`` for positive
-        heavy-tailed metrics, ``"symlog"`` for signed heavy-tailed values,
-        ``"raw"`` for already-bounded values.
-    clip:
-        Optional ``(low, high)`` bounds applied to surrogate predictions of
-        the raw value (e.g. accuracies live in ``[0, 1]``).
     """
 
     name: str
     extractor: Callable[[EvaluatedConfig], float]
     direction: str = "min"
-    transform: str = "log1p"
-    clip: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -261,25 +251,13 @@ class ObjectiveSpec:
             raise ConfigurationError(
                 f"objective direction must be one of {_DIRECTIONS}, got {self.direction!r}"
             )
-        if self.transform not in _TRANSFORMS:
-            raise ConfigurationError(
-                f"objective transform must be one of {_TRANSFORMS}, got {self.transform!r}"
-            )
         if not callable(self.extractor):
             raise ConfigurationError(
                 f"objective extractor must be callable, got {type(self.extractor).__name__}"
             )
 
     def raw_value(self, item: EvaluatedConfig) -> float:
-        """The objective in its natural units (accuracy as accuracy, etc.).
-
-        Surrogate predictions carry an ``objective_values`` mapping with the
-        predicted raw value per spec name; anything else goes through the
-        extractor.
-        """
-        predicted = getattr(item, "objective_values", None)
-        if predicted is not None and self.name in predicted:
-            return float(predicted[self.name])
+        """The objective in its natural units (accuracy as accuracy, etc.)."""
         return float(self.extractor(item))
 
     def value(self, item: EvaluatedConfig) -> float:
@@ -297,10 +275,7 @@ class ObjectiveSpec:
 
     def describe(self) -> str:
         """Canonical one-line identity used in checkpoint fingerprints."""
-        return (
-            f"{self.name}:{self.direction}:{self.transform}:{self.clip!r}:"
-            f"{_extractor_identity(self.extractor)}"
-        )
+        return f"{self.name}:{self.direction}:{_extractor_identity(self.extractor)}"
 
 
 @dataclass(frozen=True)
@@ -308,10 +283,9 @@ class ObjectiveSet:
     """The ordered, named objectives one search minimises jointly.
 
     The set is what gets threaded through the stack: Pareto analysis and
-    NSGA-II ranking read :meth:`values` / :meth:`matrix`, the surrogate
-    trains one model per spec under the spec's declared transform, reports
-    render one column per name, and campaign checkpoints embed
-    :meth:`describe` so a changed set re-runs exactly the affected cells.
+    NSGA-II ranking read :meth:`values` / :meth:`matrix`, reports render one
+    column per name, and campaign checkpoints embed :meth:`describe` so a
+    changed set re-runs exactly the affected cells.
     """
 
     specs: Tuple[ObjectiveSpec, ...]
@@ -363,18 +337,10 @@ class ObjectiveSet:
 
 
 #: The historical axes: minimise latency and energy, maximise accuracy.
-_LATENCY_SPEC = ObjectiveSpec(
-    name="latency_ms", extractor=_latency_extractor, direction="min", transform="log1p"
-)
-_ENERGY_SPEC = ObjectiveSpec(
-    name="energy_mj", extractor=_energy_extractor, direction="min", transform="log1p"
-)
+_LATENCY_SPEC = ObjectiveSpec(name="latency_ms", extractor=_latency_extractor)
+_ENERGY_SPEC = ObjectiveSpec(name="energy_mj", extractor=_energy_extractor)
 _ACCURACY_SPEC = ObjectiveSpec(
-    name="accuracy",
-    extractor=_accuracy_extractor,
-    direction="max",
-    transform="raw",
-    clip=(0.0, 1.0),
+    name="accuracy", extractor=_accuracy_extractor, direction="max"
 )
 
 DEFAULT_OBJECTIVES = ObjectiveSet(specs=(_LATENCY_SPEC, _ENERGY_SPEC, _ACCURACY_SPEC))
@@ -413,10 +379,7 @@ def serving_objectives(
     if not rate > 0.0:
         raise ConfigurationError(f"target_rps must be positive, got {target_rps}")
     wait_spec = ObjectiveSpec(
-        name="expected_wait_ms",
-        extractor=ExpectedWaitExtractor(rate_rps=rate),
-        direction="min",
-        transform="log1p",
+        name="expected_wait_ms", extractor=ExpectedWaitExtractor(rate_rps=rate)
     )
     return ObjectiveSet(specs=DEFAULT_OBJECTIVES.specs + (wait_spec,))
 
@@ -498,8 +461,6 @@ def measured_serving_objectives(
             family_name=family.name,
             cache=cache,
         ),
-        direction="min",
-        transform="log1p",
     )
     return ObjectiveSet(specs=DEFAULT_OBJECTIVES.specs + (wait_spec,))
 
@@ -595,9 +556,7 @@ def as_objective_set(objectives) -> ObjectiveSet:
             f"got {type(objectives).__name__}"
         )
     specs = tuple(
-        ObjectiveSpec(
-            name=f"objective_{index}", extractor=key, direction="min", transform="symlog"
-        )
+        ObjectiveSpec(name=f"objective_{index}", extractor=key)
         for index, key in enumerate(keys)
     )
     return ObjectiveSet(specs=specs)

@@ -22,6 +22,7 @@ __all__ = [
     "check_probability_vector",
     "pairwise",
     "geometric_mean",
+    "spearman_rank_correlation",
 ]
 
 
@@ -92,3 +93,39 @@ def geometric_mean(values: Sequence[float]) -> float:
     if np.any(arr <= 0):
         raise ConfigurationError("geometric_mean requires strictly positive values")
     return float(np.exp(np.mean(np.log(arr))))
+
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """Average ranks (ties share the mean rank), as Spearman requires."""
+    array = np.asarray(values, dtype=float)
+    order = np.argsort(array, kind="stable")
+    ranks = np.empty(array.size, dtype=float)
+    position = 0
+    while position < array.size:
+        end = position
+        while end + 1 < array.size and array[order[end + 1]] == array[order[position]]:
+            end += 1
+        ranks[order[position : end + 1]] = (position + end) / 2.0
+        position = end + 1
+    return ranks
+
+
+def spearman_rank_correlation(first: Sequence[float], second: Sequence[float]) -> float:
+    """Spearman rank correlation with average-rank tie handling.
+
+    The proxy-vs-measured differential layer (``bench_policy_campaigns.py``
+    and the hypothesis tests) pins the M/D/1 proxy's rank agreement with
+    simulated waits using this exact estimator.  Degenerate inputs answer
+    deterministically: fewer than two points correlate perfectly (``1.0``,
+    or ``0.0`` for empty input) and an all-ties ranking correlates ``0.0``.
+    """
+    if len(first) < 2:
+        return 1.0 if first else 0.0
+    ranks_a = _average_ranks(first)
+    ranks_b = _average_ranks(second)
+    std_a = float(ranks_a.std())
+    std_b = float(ranks_b.std())
+    if std_a == 0.0 or std_b == 0.0:
+        return 0.0
+    covariance = float(((ranks_a - ranks_a.mean()) * (ranks_b - ranks_b.mean())).mean())
+    return covariance / (std_a * std_b)

@@ -6,10 +6,14 @@ import pytest
 
 from repro.campaign import (
     CampaignScenario,
+    FleetMix,
     count_surviving_on_front,
     run_campaign,
+    run_fleet_campaign,
+    run_serving_campaign,
     translate_config,
 )
+from repro.campaign import runner as runner_module
 from repro.core.framework import MapAndConquer
 from repro.core.report import campaign_summary, campaign_table, portability_table
 from repro.engine.cache import EvaluationCache
@@ -223,12 +227,20 @@ class TestFacadeAndReport:
         assert cell.result.best.energy_mj == native.best.energy_mj
         assert len(cell.front) == len(native.pareto)
 
-    def test_facade_rejects_platform_specific_cost_model(self, tiny_network_module):
+    @pytest.mark.parametrize("method", ["campaign", "serving_campaign", "fleet_campaign"])
+    def test_facade_rejects_platform_specific_cost_model(
+        self, tiny_network_module, method
+    ):
         framework = MapAndConquer(
             tiny_network_module, use_surrogate=True, surrogate_samples=60, seed=0
         )
-        with pytest.raises(ConfigurationError, match="cost model"):
-            framework.campaign(["mobile-big-little"], **BUDGET)
+        grid = (
+            [FleetMix(name="solo", counts=(("mobile-big-little", 1),))]
+            if method == "fleet_campaign"
+            else ["mobile-big-little"]
+        )
+        with pytest.raises(ConfigurationError, match=rf"{method}\(\) cannot reuse"):
+            getattr(framework, method)(grid, **BUDGET)
 
     def test_report_helpers(self, tiny_campaign):
         table = campaign_table(tiny_campaign)
@@ -238,3 +250,40 @@ class TestFacadeAndReport:
         summary = campaign_summary(tiny_campaign)
         assert "portability regret" in summary
         assert summary == campaign_summary(tiny_campaign)
+
+
+#: Each runner called on the tiny grid; the fleet runner takes mixes instead.
+RUNNERS = {
+    "run_campaign": lambda network, **search: run_campaign(network, GRID, **search),
+    "run_serving_campaign": lambda network, **search: run_serving_campaign(
+        network, GRID, **search
+    ),
+    "run_fleet_campaign": lambda network, **search: run_fleet_campaign(
+        network, [FleetMix(name="solo", counts=((GRID[0], 1),))], **search
+    ),
+}
+
+#: A removed option and a typo of a real one.
+UNKNOWN_KEYWORDS = {"surrogate": object(), "generation": 2}
+
+
+class TestUnknownKeywords:
+    @pytest.mark.parametrize("keyword", sorted(UNKNOWN_KEYWORDS))
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_runner_rejects_before_any_cell_runs(
+        self, tiny_network_module, monkeypatch, runner, keyword
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cell ran before the keyword check")
+
+        monkeypatch.setattr(runner_module, "_run_cell", forbidden)
+        message = rf"{runner}\(\) got an unexpected keyword argument '{keyword}'"
+        with pytest.raises(TypeError, match=message):
+            RUNNERS[runner](
+                tiny_network_module, **{keyword: UNKNOWN_KEYWORDS[keyword]}, **BUDGET
+            )
+
+    def test_search_rejects_surrogate(self, tiny_network_module):
+        framework = MapAndConquer(tiny_network_module, seed=0)
+        with pytest.raises(TypeError, match="surrogate"):
+            framework.search(surrogate=object(), **BUDGET)

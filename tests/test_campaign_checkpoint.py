@@ -14,12 +14,18 @@ The tentpole guarantees under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
 import pytest
 
-from repro.campaign import CampaignCheckpoint, CellExpectation, run_campaign
+from repro.campaign import (
+    CampaignCheckpoint,
+    CellExpectation,
+    campaign_fingerprint,
+    run_campaign,
+)
 from repro.campaign import runner as runner_module
 from repro.core.report import campaign_summary
 from repro.engine.cache import EvaluationCache
@@ -200,6 +206,47 @@ class TestCheckpointEdgeCases:
                 )
         # The rejection names the strict field that changed, and only it.
         assert "changed: generations)" in caplog.text
+
+    def test_line_with_a_removed_field_reruns_its_cell(
+        self, tiny_network, tmp_path, monkeypatch, baseline_summary, caplog
+    ):
+        """A line stored with one more refreshable field than this run has —
+        the ``surrogate`` field older checkpoints carry — re-runs its cell
+        once: it neither raises nor restores, and the log names the field."""
+        run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
+        path = tmp_path / CampaignCheckpoint.FILENAME
+        first, *rest = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(first)
+        record["fields"]["surrogate"] = hashlib.sha256(b"None").hexdigest()[:12]
+        record["fingerprint"] = campaign_fingerprint(**record["fields"])
+        path.write_text(
+            "\n".join([json.dumps(record, ensure_ascii=False), *rest]) + "\n",
+            encoding="utf-8",
+        )
+
+        searched, loads = [], []
+        original = runner_module._run_cell
+
+        def counting(task, cache=None, framework=None, **kwargs):
+            searched.append(task.platform.name)
+            return original(task, cache, framework, **kwargs)
+
+        class RecordingCheckpoint(CampaignCheckpoint):
+            def _load(self, *args):
+                loads.append(self)
+                return super()._load(*args)
+
+        monkeypatch.setattr(runner_module, "_run_cell", counting)
+        monkeypatch.setattr(runner_module, "CampaignCheckpoint", RecordingCheckpoint)
+        with caplog.at_level(logging.INFO, logger="repro.campaign.checkpoint"):
+            resumed = run_campaign(
+                tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET
+            )
+        assert searched == [record["platform"]]
+        assert loads[0].stats.refreshed == 1
+        assert loads[0].stats.restored == len(GRID) - 1
+        assert "search cells whose fields changed: surrogate (1)" in caplog.text
+        assert campaign_summary(resumed) == baseline_summary
 
     def test_same_named_but_recalibrated_platform_raises(self, tiny_network, tmp_path):
         """Platform identity is content, not name: a same-named board with

@@ -10,9 +10,9 @@ The guarantees under test:
 * NaN objective values are mapped to ``+inf`` at the ObjectiveSet boundary
   and by :func:`~repro.search.objectives.nan_guarded`, so degenerate
   extractors can no longer shuffle ``sorted(pool, key=objective)``;
-* a custom ObjectiveSet threads through the NSGA-II strategy, the engine,
-  the surrogate and campaigns — with serial, process-backend, cell-parallel
-  and checkpoint-resumed campaigns byte-identical, and a *changed* set
+* a custom ObjectiveSet threads through the NSGA-II strategy, the engine
+  and campaigns — with serial, process-backend, cell-parallel and
+  checkpoint-resumed campaigns byte-identical, and a *changed* set
   re-running exactly the affected cells;
 * :func:`~repro.search.objectives.serving_objectives` and
   :func:`~repro.search.pareto.select_serving_oriented` expose the M/D/1
@@ -37,7 +37,6 @@ from repro.campaign import runner as runner_module
 from repro.core.framework import MapAndConquer
 from repro.core.report import campaign_summary, objective_table, serving_table
 from repro.engine.nsga import crowding_distance, non_dominated_sort, objective_matrix
-from repro.engine.surrogate import SurrogateSettings
 from repro.errors import ConfigurationError, SearchError
 from repro.search.baselines import random_search
 from repro.search.objectives import (
@@ -165,9 +164,6 @@ GOLDEN_SHA256 = {
     "serving_campaign_golden.txt": (
         "f23fc721d78a5a9e2251fd06213fe99021d03d47c88a1b72053a5ecb584410cc"
     ),
-    "surrogate_summary_golden.txt": (
-        "fc68b4ad6f57db34a983d6cadeca2d06a44c07358cd2c7bc6b0a4e7e09ed5f6a"
-    ),
 }
 
 
@@ -185,9 +181,9 @@ class TestNanHandling:
         assert passthrough(object()) == 2.5
 
     def test_spec_value_maps_nan_to_inf(self):
-        spec = ObjectiveSpec("broken", lambda item: float("nan"), "min", "raw")
+        spec = ObjectiveSpec("broken", lambda item: float("nan"), "min")
         assert spec.value(object()) == float("inf")
-        maximised = ObjectiveSpec("broken_max", lambda item: float("nan"), "max", "raw")
+        maximised = ObjectiveSpec("broken_max", lambda item: float("nan"), "max")
         assert maximised.value(object()) == float("inf")
 
     def test_nan_values_cannot_shadow_finite_candidates(self):
@@ -233,16 +229,14 @@ class TestNanHandling:
 
 
 class TestSpecValidation:
-    def test_bad_direction_and_transform_rejected(self):
+    def test_bad_direction_rejected(self):
         with pytest.raises(ConfigurationError):
-            ObjectiveSpec("x", lambda item: 0.0, "sideways", "raw")
-        with pytest.raises(ConfigurationError):
-            ObjectiveSpec("x", lambda item: 0.0, "min", "wavelet")
+            ObjectiveSpec("x", lambda item: 0.0, "sideways")
 
     def test_empty_and_duplicate_sets_rejected(self):
         with pytest.raises(ConfigurationError):
             ObjectiveSet(())
-        spec = ObjectiveSpec("x", lambda item: 0.0, "min", "raw")
+        spec = ObjectiveSpec("x", lambda item: 0.0, "min")
         with pytest.raises(ConfigurationError):
             ObjectiveSet((spec, spec))
 
@@ -327,25 +321,6 @@ class TestEngineThreading:
             framework.search(
                 strategy=strategy, objectives=serving_objectives(target_rps=60.0)
             )
-
-    def test_surrogate_trains_a_model_per_extra_spec(self, tiny_network, platform):
-        framework = MapAndConquer(tiny_network, platform, seed=0)
-        objectives = serving_objectives(target_rps=60.0)
-        result = framework.search(
-            generations=8,
-            population_size=6,
-            strategy="nsga2",
-            surrogate=SurrogateSettings(
-                bootstrap_generations=2,
-                validate_every=3,
-                validation_cap=4,
-                min_training_rows=8,
-            ),
-            objectives=objectives,
-        )
-        assert result.pareto
-        assert result.surrogate is not None
-        assert result.surrogate.surrogate_evaluations > 0
 
 
 GRID = ("jetson-agx-xavier", "mobile-big-little")

@@ -344,7 +344,6 @@ class TestMeasuredObjectives:
         assert names[-1] == "measured_wait_ms"
         spec = objectives.specs[-1]
         assert spec.direction == "min"
-        assert spec.transform == "log1p"
         assert isinstance(spec.extractor, MeasuredWaitExtractor)
         assert isinstance(spec.extractor.cache, ServingResultCache)
 

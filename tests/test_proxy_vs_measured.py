@@ -33,11 +33,11 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.surrogate import spearman_rank_correlation
 from repro.serving.bridge import measured_serving_metrics
 from repro.serving.policies import Deployment
 from repro.serving.workload import PoissonArrivals
 from repro.soc.presets import get_platform
+from repro.utils import spearman_rank_correlation
 
 PLATFORM = get_platform("jetson-agx-xavier")
 

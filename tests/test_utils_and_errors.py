@@ -14,6 +14,7 @@ from repro.utils import (
     check_probability_vector,
     geometric_mean,
     pairwise,
+    spearman_rank_correlation,
 )
 
 
@@ -70,6 +71,21 @@ class TestRngAndIterables:
             geometric_mean([])
         with pytest.raises(errors.ConfigurationError):
             geometric_mean([1.0, 0.0])
+
+
+class TestSpearman:
+    def test_perfect_and_reversed(self):
+        assert spearman_rank_correlation([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
+        assert spearman_rank_correlation([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
+
+    def test_ties_use_average_ranks(self):
+        value = spearman_rank_correlation([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        assert -1.0 < value < 1.0
+
+    def test_degenerate_inputs(self):
+        assert spearman_rank_correlation([], []) == 0.0
+        assert spearman_rank_correlation([1.0], [2.0]) == 1.0
+        assert spearman_rank_correlation([1.0, 1.0], [1.0, 2.0]) == 0.0
 
 
 class TestErrorHierarchy:
