@@ -3,13 +3,13 @@
 Beyond the paper: the method is pitched as general over heterogeneous
 MPSoCs, but the paper only ever deploys on the Xavier.  This bench runs one
 campaign over three calibrated zoo presets — the paper's Xavier, an
-Orin-class successor and a mobile big.LITTLE+NPU — with the process-pool
-backend fanning each cell's evaluations over workers, and then checks the
-claims the campaign subsystem exists to make:
+Orin-class successor and a mobile big.LITTLE+NPU — with its cells fanned
+over two worker processes, and then checks the claims the campaign
+subsystem exists to make:
 
 * every platform gets its own non-empty Pareto front, and the portability
   matrix covers every (source, target) pair;
-* the whole campaign is byte-deterministic for a fixed seed: a second run
+* the whole campaign is byte-deterministic for a fixed seed: a serial rerun
   (sharing the evaluation cache, so cached and freshly computed paths must
   agree) renders the identical ``campaign_summary``;
 * the Xavier-searched front is **not** Pareto-optimal on at least one other
@@ -51,8 +51,7 @@ def test_campaign_portability(save_table):
         PLATFORMS,
         generations=GENERATIONS,
         population_size=POPULATION,
-        backend="process",
-        n_workers=2,
+        cell_workers=2,
         cache=cache,
         seed=SEED,
     )
@@ -69,15 +68,13 @@ def test_campaign_portability(save_table):
     assert all(value > 0 for value in matrix.values())
     assert all(name in portability_table(campaign) for name in PLATFORMS)
 
-    # Byte-determinism: the rerun shares the cache, so every number must be
-    # reproduced exactly whether it came from the cache or a fresh worker.
+    # Byte-determinism: the serial rerun shares the cache, so every number
+    # must be reproduced exactly whether it came from the cache or a worker.
     rerun = run_campaign(
         visformer(),
         PLATFORMS,
         generations=GENERATIONS,
         population_size=POPULATION,
-        backend="process",
-        n_workers=2,
         cache=cache,
         seed=SEED,
     )

@@ -37,8 +37,7 @@ def main() -> None:
         ["jetson-agx-orin", "mobile-big-little", throttled_orin],
         generations=10,
         population_size=20,
-        n_workers=2,
-        backend="process",
+        cell_workers=2,  # search the four boards two at a time
         traffic=OnOffBursts(burst_rps=60.0, idle_rps=10.0, burst_ms=2000.0, idle_ms=3000.0),
         traffic_duration_ms=20_000.0,
     )

@@ -8,8 +8,8 @@ Runs the full Map-and-Conquer pipeline with a small search budget:
 3. run a short evolutionary search over (P, I, M, theta),
 4. extract the energy- and latency-oriented models from the Pareto set and
    print a Table-II style comparison,
-5. rerun the same budget through the pluggable engine: NSGA-II strategy and
-   the process-pool backend (``strategy=`` / ``n_workers=``).
+5. rerun the same budget through the pluggable engine with the NSGA-II
+   strategy (``strategy=``), reusing the framework's evaluation cache.
 
 Run with:  python examples/quickstart.py
 """
@@ -59,14 +59,13 @@ def main() -> None:
         f"speedup vs DLA-only : {dla_only.latency_ms / ours_latency.latency_ms:.2f}x"
     )
 
-    # The search stack is pluggable: swap the optimiser for NSGA-II and fan
-    # evaluation out over two worker processes.  The default combination
-    # (strategy="evolutionary", serial backend) reproduces the paper's loop.
-    nsga = framework.search(
-        generations=20, population_size=24, seed=0, strategy="nsga2", n_workers=2
-    )
+    # The search stack is pluggable: swap the optimiser for NSGA-II.  The
+    # default strategy="evolutionary" reproduces the paper's loop; both share
+    # the framework's evaluation cache, so configurations already scored
+    # above are not scored again.
+    nsga = framework.search(generations=20, population_size=24, seed=0, strategy="nsga2")
     print()
-    print("NSGA-II + process-pool backend:")
+    print("NSGA-II strategy:")
     print(search_summary(nsga))
 
 

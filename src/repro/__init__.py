@@ -11,7 +11,7 @@ package provides:
 * the dynamic multi-exit inference simulator (:mod:`repro.dynamics`),
 * the evolutionary mapping optimiser and baselines (:mod:`repro.search`),
 * the pluggable search engine: ask/tell strategies (evolutionary, NSGA-II,
-  random), serial/process-pool evaluation backends and a persistent
+  random) over one in-process evaluation loop and a persistent
   content-keyed evaluation cache (:mod:`repro.engine`),
 * the serving subsystem: a deterministic discrete-event traffic simulator
   that deploys searched mappings behind per-compute-unit FIFO queues under
@@ -71,7 +71,6 @@ from .engine import (
     EvaluationCache,
     EvolutionaryStrategy,
     NSGA2Strategy,
-    ProcessPoolBackend,
     RandomStrategy,
     SearchEngine,
     SerialBackend,
@@ -157,7 +156,6 @@ __all__ = [
     "EvaluationCache",
     "SearchEngine",
     "SerialBackend",
-    "ProcessPoolBackend",
     "EvolutionaryStrategy",
     "NSGA2Strategy",
     "RandomStrategy",

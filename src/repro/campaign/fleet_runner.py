@@ -57,7 +57,7 @@ from .runner import (
     _SearchSettings,
     run_cell_grid,
 )
-from .serving_runner import _front_fingerprint
+from .serving_runner import _check_replay_budget, _front_fingerprint, _mean_metric
 
 __all__ = [
     "FleetMix",
@@ -213,14 +213,10 @@ class FleetCellResult:
             raise ConfigurationError("a fleet cell needs at least one member outcome")
         check_positive(self.p99_slo_ms, "p99_slo_ms")
 
-    def _mean(self, metric: str) -> float:
-        values = [float(getattr(outcome.metrics, metric)) for outcome in self.members]
-        return sum(values) / len(values)
-
     @property
     def p99_latency_ms(self) -> float:
         """Mean of the members' pooled p99 latencies."""
-        return self._mean("p99_latency_ms")
+        return _mean_metric(self.members, "p99_latency_ms")
 
     @property
     def worst_p99_latency_ms(self) -> float:
@@ -230,12 +226,12 @@ class FleetCellResult:
     @property
     def deadline_miss_rate(self) -> float:
         """Mean of the members' deadline-miss rates."""
-        return self._mean("deadline_miss_rate")
+        return _mean_metric(self.members, "deadline_miss_rate")
 
     @property
     def drop_rate(self) -> float:
         """Mean of the members' drop rates."""
-        return self._mean("drop_rate")
+        return _mean_metric(self.members, "drop_rate")
 
     @property
     def total_joules(self) -> float:
@@ -252,7 +248,7 @@ class FleetCellResult:
     @property
     def mean_active_instances(self) -> float:
         """Mean of the members' time-averaged powered-instance counts."""
-        return self._mean("mean_active_instances")
+        return _mean_metric(self.members, "mean_active_instances")
 
     @property
     def within_slo(self) -> bool:
@@ -546,12 +542,7 @@ def run_fleet_campaign(
     settings = _SearchSettings.from_keywords("run_fleet_campaign", search)
     mix_objs, mix_entries, platform_objs = _resolve_mixes(mixes)
     family_objs = resolve_families(families)
-    if int(members_per_family) < 1:
-        raise ConfigurationError(
-            f"members_per_family must be >= 1, got {members_per_family}"
-        )
-    members = int(members_per_family)
-    check_positive(duration_ms, "duration_ms")
+    members = _check_replay_budget(members_per_family, duration_ms)
     check_positive(p99_slo_ms, "p99_slo_ms")
 
     campaign = _search_campaign(

@@ -1,8 +1,7 @@
 """Cross-platform search campaigns over the platform zoo.
 
 :func:`run_campaign` fans :meth:`MapAndConquer.search` out over a platform x
-scenario grid, reusing the engine's evaluation backends (serial or process
-pool) inside every cell and one shared, optionally persistent
+scenario grid, sharing one optionally persistent
 :class:`~repro.engine.cache.EvaluationCache` across the whole grid (content
 digests include the platform name, so platforms never alias entries).  For
 every cell it keeps the full :class:`~repro.search.evolutionary.SearchResult`
@@ -19,9 +18,11 @@ Production-grade grid running (beyond the paper):
   restarted with the same directory re-runs only the missing cells and
   produces byte-identical output.
 * **Cell-level parallelism** — pass ``cell_workers=N`` and independent cells
-  fan out over a process pool, each cell owning its own backend exactly as
-  in the sequential path; results are merged deterministically, so the
-  summary stays bit-for-bit equal to a sequential run.
+  fan out over a process pool, each worker running one whole search exactly
+  as the sequential path does; results are merged deterministically, so the
+  summary stays bit-for-bit equal to a sequential run.  Cells are the
+  library's only unit of parallel work: one candidate's evaluation is too
+  small to amortise a worker pool.
 * **Transfer-aware warm starts** — pass ``warm_start=True`` and every
   platform after the first seeds its initial population with the translated
   Pareto points of the platforms before it in the list (HADAS-style
@@ -40,7 +41,7 @@ via :func:`repro.serving.bridge.rank_under_traffic`, so the campaign reports
 both isolated-sample and under-load winners per platform.
 
 Everything is seed-deterministic: the same seed produces byte-identical
-:func:`repro.core.report.campaign_summary` output, with serial, process and
+:func:`repro.core.report.campaign_summary` output, with serial and
 cell-parallel paths agreeing bit for bit, interrupted or not.
 """
 
@@ -86,10 +87,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Backend choices the campaigns accept.  Instances are rejected: a backend
-#: is bound to one evaluator spec, and the campaign needs one per platform.
-_BACKEND_NAMES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -374,11 +371,8 @@ class _SearchSettings:
     :func:`~repro.campaign.fleet_runner.run_fleet_campaign` take these as
     ``**search``; the defaults below are theirs.
 
-    strategy, backend, n_workers:
-        Forwarded to every cell's :meth:`MapAndConquer.search`.  ``backend``
-        must be a name (``"serial"`` / ``"process"``), not an instance — a
-        backend instance is bound to one platform's evaluator, and the
-        campaign needs a fresh one per cell.
+    strategy:
+        Forwarded to every cell's :meth:`MapAndConquer.search`.
     cache:
         The :class:`~repro.engine.cache.EvaluationCache` (object or JSONL
         path) shared by the whole grid.
@@ -405,8 +399,9 @@ class _SearchSettings:
         the changed field names are logged.
     cell_workers:
         Fan independent cells over a pool of this many worker processes
-        (``None``/1 keeps the sequential path); each cell still owns its
-        backend, and results are bit-for-bit identical to the sequential path.
+        (``None``/1 keeps the sequential path); each task is a whole cell —
+        one search, or one serving or fleet replay sweep — and results are
+        bit-for-bit identical to the sequential path.
     warm_start:
         Seed each platform's initial population with the translated Pareto
         points of the platforms *before it in the list* (same scenario),
@@ -440,8 +435,6 @@ class _SearchSettings:
     """
 
     strategy: str = "evolutionary"
-    backend: Optional[str] = None
-    n_workers: Optional[int] = None
     cache: Union[EvaluationCache, str, Path, None] = None
     generations: int = 10
     population_size: int = 16
@@ -467,15 +460,6 @@ class _SearchSettings:
         return cls(**search)
 
     def __post_init__(self) -> None:
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ConfigurationError(
-                "run_campaign needs a backend *name* ('serial' or 'process'); backend "
-                "instances are bound to a single platform's evaluator and cannot be shared"
-            )
-        if self.backend is not None and self.backend not in _BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected one of {_BACKEND_NAMES}"
-            )
         if self.cell_workers is not None and int(self.cell_workers) < 1:
             raise ConfigurationError(f"cell_workers must be >= 1, got {self.cell_workers}")
         if self.objectives is not None and not isinstance(self.objectives, ObjectiveSet):
@@ -545,8 +529,6 @@ class _CellTask:
     generations: int
     population_size: int
     strategy: str
-    backend: Optional[str]
-    n_workers: Optional[int]
     accuracy_model: Optional[AccuracyModel]
     reorder_channels: bool
     validation_samples: int
@@ -604,8 +586,6 @@ def _run_cell(
         constraints=task.scenario.resolve_constraints(),
         seed=task.seed,
         strategy=task.strategy,
-        backend=task.backend,
-        n_workers=task.n_workers,
         cache=cache,
         initial_population=list(task.warm_seeds) if task.warm_seeds else None,
         objectives=objectives,
@@ -774,8 +754,6 @@ def _search_campaign(
             generations=gens,
             population_size=pop,
             strategy=s.strategy,
-            backend=s.backend,
-            n_workers=s.n_workers,
             accuracy_model=s.accuracy_model,
             reorder_channels=s.reorder_channels,
             validation_samples=s.validation_samples,

@@ -126,6 +126,12 @@ def _score_geometric_mean(scores: Sequence[float]) -> float:
     return geometric_mean(values)
 
 
+def _mean_metric(outcomes: Sequence, metric: str) -> float:
+    """Mean of one metrics field across member outcomes (serving or fleet)."""
+    values = [float(getattr(outcome.metrics, metric)) for outcome in outcomes]
+    return sum(values) / len(values)
+
+
 @dataclass(frozen=True)
 class MemberOutcome:
     """One family member replayed against one platform's front.
@@ -223,32 +229,27 @@ class ServingCellResult:
     def policy_mean(self, policy: str, metric: str) -> float:
         """Mean of one :class:`~repro.serving.metrics.ServingMetrics` field
         across the members one policy replayed."""
-        outcomes = self._policy_outcomes(policy)
-        return sum(float(getattr(o.metrics, metric)) for o in outcomes) / len(outcomes)
-
-    def _mean(self, metric: str) -> float:
-        values = [float(getattr(outcome.metrics, metric)) for outcome in self.members]
-        return sum(values) / len(values)
+        return _mean_metric(self._policy_outcomes(policy), metric)
 
     @property
     def p50_latency_ms(self) -> float:
         """Mean of the member winners' p50 latencies."""
-        return self._mean("p50_latency_ms")
+        return _mean_metric(self.members, "p50_latency_ms")
 
     @property
     def p95_latency_ms(self) -> float:
         """Mean of the member winners' p95 latencies."""
-        return self._mean("p95_latency_ms")
+        return _mean_metric(self.members, "p95_latency_ms")
 
     @property
     def p99_latency_ms(self) -> float:
         """Mean of the member winners' p99 latencies."""
-        return self._mean("p99_latency_ms")
+        return _mean_metric(self.members, "p99_latency_ms")
 
     @property
     def deadline_miss_rate(self) -> float:
         """Mean of the member winners' deadline-miss rates."""
-        return self._mean("deadline_miss_rate")
+        return _mean_metric(self.members, "deadline_miss_rate")
 
     @property
     def joules_per_request(self) -> float:
@@ -579,6 +580,16 @@ def _front_fingerprint(front: Sequence[EvaluatedConfig]) -> tuple:
     )
 
 
+def _check_replay_budget(members_per_family: int, duration_ms: float) -> int:
+    """Validate a serving or fleet sweep's replay budget; return the member count."""
+    if int(members_per_family) < 1:
+        raise ConfigurationError(
+            f"members_per_family must be >= 1, got {members_per_family}"
+        )
+    check_positive(duration_ms, "duration_ms")
+    return int(members_per_family)
+
+
 def run_serving_campaign(
     network: NetworkGraph,
     platforms: Sequence[Union[str, Platform]],
@@ -644,12 +655,7 @@ def run_serving_campaign(
     settings = _SearchSettings.from_keywords("run_serving_campaign", search)
     platform_objs = _resolve_platforms(platforms)
     family_objs = resolve_families(families)
-    if int(members_per_family) < 1:
-        raise ConfigurationError(
-            f"members_per_family must be >= 1, got {members_per_family}"
-        )
-    members = int(members_per_family)
-    check_positive(duration_ms, "duration_ms")
+    members = _check_replay_budget(members_per_family, duration_ms)
     # Validate the ranking metric before any search work is spent.
     metric_direction(metric)
     policy_kinds = tuple(policies)

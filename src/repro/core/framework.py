@@ -25,7 +25,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from ..dynamics.accuracy import AccuracyModel
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
-from ..engine.backends import EvaluationBackend, ProcessPoolBackend, SerialBackend
 from ..engine.cache import EvaluationCache
 from ..engine.engine import SearchEngine
 from ..engine.nsga import NSGA2Strategy
@@ -179,8 +178,6 @@ class MapAndConquer:
         mutation_rate: Optional[float] = None,
         seed: Optional[int] = None,
         strategy: "str | SearchStrategy" = "evolutionary",
-        backend: "str | EvaluationBackend | None" = None,
-        n_workers: Optional[int] = None,
         cache: "EvaluationCache | str | Path | None" = None,
         initial_population: Optional[Sequence[MappingConfig]] = None,
         objectives: Optional[ObjectiveSet] = None,
@@ -201,11 +198,6 @@ class MapAndConquer:
             :class:`~repro.engine.strategies.SearchStrategy` instance, which
             carries its own budget/seed (passing loop parameters alongside an
             instance is rejected as ambiguous).
-        backend:
-            ``"serial"`` (default) or ``"process"``, or an
-            :class:`~repro.engine.backends.EvaluationBackend` instance.
-        n_workers:
-            Worker-process count; setting it implies the process backend.
         cache:
             An :class:`~repro.engine.cache.EvaluationCache` to share/reuse, or
             a path to a JSON-lines file for persistence across runs; ``None``
@@ -254,7 +246,6 @@ class MapAndConquer:
                 engine_objective = getattr(strategy_obj, "objective", None)
             if engine_constraints is None:
                 engine_constraints = getattr(strategy_obj, "constraints", None)
-        backend_obj, owns_backend = self._build_backend(backend, n_workers)
         if cache is None:
             cache_obj = self.evaluation_cache
         elif isinstance(cache, EvaluationCache):
@@ -263,18 +254,13 @@ class MapAndConquer:
             cache_obj = EvaluationCache(path=cache)
         engine = SearchEngine(
             evaluator=self.evaluator,
-            backend=backend_obj,
             cache=cache_obj,
             constraints=engine_constraints,
             objective=engine_objective if engine_objective is not None else paper_objective,
             platform=self.platform,
             objectives=objectives,
         )
-        try:
-            return engine.run(strategy_obj)
-        finally:
-            if owns_backend:
-                backend_obj.close()
+        return engine.run(strategy_obj)
 
     # -- engine wiring ----------------------------------------------------------------
     def _build_strategy(
@@ -348,31 +334,6 @@ class MapAndConquer:
         raise ConfigurationError(
             f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES} "
             "or a SearchStrategy instance"
-        )
-
-    def _build_backend(self, backend, n_workers: Optional[int]):
-        """Resolve the backend choice; returns ``(backend, engine_owns_it)``."""
-        if isinstance(backend, EvaluationBackend):
-            if n_workers is not None:
-                raise ConfigurationError("pass n_workers or a backend instance, not both")
-            return backend, False
-        if backend is None:
-            backend = "serial" if n_workers is None else "process"
-        if backend == "serial":
-            if n_workers is not None and n_workers != 1:
-                raise ConfigurationError("the serial backend cannot use n_workers")
-            return SerialBackend(self.evaluator), True
-        if backend == "process":
-            return (
-                ProcessPoolBackend(
-                    self.evaluator,
-                    n_workers=n_workers if n_workers is not None else 2,
-                ),
-                True,
-            )
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; expected 'serial', 'process' "
-            "or an EvaluationBackend instance"
         )
 
     # -- serving under traffic --------------------------------------------------------
@@ -497,8 +458,8 @@ class MapAndConquer:
         *not* carry over — it is calibrated to one platform and would
         mis-score every other cell — so campaigning from such a framework
         is rejected.  See :func:`repro.campaign.run_campaign` for the
-        remaining keyword arguments (strategy, backend, n_workers, cache,
-        budgets, traffic re-ranking, and
+        remaining keyword arguments (strategy, cache, budgets,
+        ``cell_workers``, traffic re-ranking, and
         ``measured_objectives=``/``serving_cache=`` for searching every cell
         under measured serving behaviour with one simulator-result cache
         shared grid-wide).

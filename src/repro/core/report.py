@@ -113,7 +113,7 @@ def convergence_table(result: SearchResult, every: int = 1) -> str:
 
     Besides the paper's convergence curve (best objective per generation),
     this surfaces the evaluation-cache hit rate and the wall-clock time each
-    generation's evaluation took, so cache efficacy and backend scaling are
+    generation's evaluation took, so cache efficacy and evaluation cost are
     visible at a glance.  ``every`` subsamples long runs (the final
     generation is always included).
     """
@@ -319,7 +319,7 @@ def campaign_summary(campaign) -> str:
 
     Contains only seed-determined numbers — no wall-clock or cache-rate
     telemetry — so two runs with the same seed produce byte-identical text
-    regardless of backend or machine.
+    regardless of ``cell_workers`` or machine.
     """
     lines = [
         f"campaign: {campaign.network_name} x {len(campaign.platform_names)} platforms "

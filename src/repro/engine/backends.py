@@ -1,214 +1,29 @@
-"""Evaluation backends: where a generation's configurations actually run.
+"""Where a generation's uncached configurations are evaluated.
 
-The search engine hands every batch of *uncached* configurations to an
-:class:`EvaluationBackend`.  Two implementations are provided:
-
-* :class:`SerialBackend` evaluates in-process, exactly like the seed's loop
-  did — zero overhead, bit-for-bit identical results.
-* :class:`ProcessPoolBackend` fans a batch out over worker processes.  Each
-  worker rebuilds the evaluation pipeline once from a picklable
-  :class:`EvaluatorSpec` (networks, platforms, rankings and cost models are
-  all plain dataclasses), then streams configurations through it.  With a
-  deterministic pipeline — every search configuration in this library — a
-  parallel run returns the same numbers as a serial one; results are merged
-  back into the engine's shared cache by the caller.
-
-  A *stateful* cost model (e.g. :class:`~repro.perf.layer_cost.NoisyCostModel`,
-  whose noise RNG advances per call) breaks that guarantee under any
-  evaluation-order change, parallel or serial: each worker clones the
-  construction-time RNG state and chunk scheduling varies run to run.  Such
-  models exist for surrogate *training-data generation*; keep them out of
-  search loops, or accept order-dependent numbers.
-
-Backends only ever see configurations the cache could not answer, so the
-parallel speedup applies precisely to the hot path the paper's 60 x 200
-budget spends its time in.
+The search engine hands every batch the cache could not answer to a
+:class:`SerialBackend`, which scores it in-process through the evaluator's
+cost model, in batch order.  Per-candidate work (a few milliseconds on the
+analytical oracle) is too small to amortise a worker pool, so parallelism
+lives one level up: campaign runners fan whole cells — each one search —
+over ``cell_workers`` processes (:func:`repro.campaign.runner.run_cell_grid`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-import multiprocessing
-
-from ..dynamics.accuracy import AccuracyModel
-from ..errors import ConfigurationError
-from ..nn.channels import ChannelRanking
-from ..nn.graph import NetworkGraph
-from ..perf.layer_cost import CostModel
 from ..search.evaluation import ConfigEvaluator, EvaluatedConfig
 from ..search.space import MappingConfig
-from ..soc.platform import Platform
 
-__all__ = [
-    "EvaluatorSpec",
-    "EvaluationBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-]
+__all__ = ["SerialBackend"]
 
 
-@dataclass(frozen=True)
-class EvaluatorSpec:
-    """Everything needed to rebuild a :class:`ConfigEvaluator` elsewhere.
-
-    The spec is a plain picklable value object: worker processes receive it
-    once (as pool-initializer argument), build their own evaluator from it,
-    and amortise that cost over every configuration they score.
-    """
-
-    network: NetworkGraph
-    platform: Platform
-    cost_model: Optional[CostModel]
-    accuracy_model: AccuracyModel
-    ranking: ChannelRanking
-    reorder_channels: bool
-    validation_samples: int
-    seed: int
-
-    @classmethod
-    def from_evaluator(cls, evaluator: ConfigEvaluator) -> "EvaluatorSpec":
-        """Capture the identity of an existing evaluator."""
-        return cls(
-            network=evaluator.network,
-            platform=evaluator.platform,
-            cost_model=evaluator.cost_model,
-            accuracy_model=evaluator.accuracy_model,
-            ranking=evaluator.ranking,
-            reorder_channels=evaluator.reorder_channels,
-            validation_samples=evaluator.validation_samples,
-            seed=evaluator.seed,
-        )
-
-    def build(self) -> ConfigEvaluator:
-        """Instantiate a fresh evaluator equivalent to the captured one."""
-        return ConfigEvaluator(
-            network=self.network,
-            platform=self.platform,
-            cost_model=self.cost_model,
-            accuracy_model=self.accuracy_model,
-            ranking=self.ranking,
-            reorder_channels=self.reorder_channels,
-            validation_samples=self.validation_samples,
-            seed=self.seed,
-        )
-
-
-class EvaluationBackend:
-    """Minimal interface the engine drives: evaluate a batch, then clean up."""
-
-    def evaluate(self, configs: Sequence[MappingConfig]) -> List[EvaluatedConfig]:
-        """Evaluate ``configs`` and return results in the same order."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources (worker pools); idempotent."""
-
-    def __enter__(self) -> "EvaluationBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SerialBackend(EvaluationBackend):
+class SerialBackend:
     """In-process evaluation, identical to the seed's behaviour."""
 
     def __init__(self, evaluator: ConfigEvaluator) -> None:
         self.evaluator = evaluator
 
     def evaluate(self, configs: Sequence[MappingConfig]) -> List[EvaluatedConfig]:
+        """Evaluate ``configs`` and return results in the same order."""
         return [self.evaluator.evaluate(config) for config in configs]
-
-
-# Per-worker evaluator, installed by the pool initializer.  A module-level
-# global is the only channel available to ``ProcessPoolExecutor`` workers.
-_WORKER_EVALUATOR: Optional[ConfigEvaluator] = None
-
-
-def _init_worker(spec: EvaluatorSpec) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = spec.build()
-
-
-def _evaluate_in_worker(config: MappingConfig) -> EvaluatedConfig:
-    if _WORKER_EVALUATOR is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker pool was not initialised with an EvaluatorSpec")
-    return _WORKER_EVALUATOR.evaluate(config)
-
-
-class ProcessPoolBackend(EvaluationBackend):
-    """Evaluate batches in parallel worker processes.
-
-    Parameters
-    ----------
-    spec:
-        Picklable evaluator description, or an existing
-        :class:`ConfigEvaluator` to capture one from.
-    n_workers:
-        Number of worker processes (>= 1).
-    start_method:
-        Optional :mod:`multiprocessing` start method (``"fork"`` /
-        ``"spawn"`` / ``"forkserver"``); ``None`` uses the platform default.
-    chunksize:
-        Configurations per task message; ``None`` picks a balanced default.
-
-    The pool is created lazily on first use and kept alive across batches so
-    the per-generation cost is only task dispatch, not process startup.
-    """
-
-    def __init__(
-        self,
-        spec,
-        n_workers: int = 2,
-        start_method: Optional[str] = None,
-        chunksize: Optional[int] = None,
-    ) -> None:
-        if isinstance(spec, ConfigEvaluator):
-            spec = EvaluatorSpec.from_evaluator(spec)
-        if not isinstance(spec, EvaluatorSpec):
-            raise ConfigurationError(
-                f"spec must be an EvaluatorSpec or ConfigEvaluator, got {type(spec).__name__}"
-            )
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
-        self.spec = spec
-        self.n_workers = int(n_workers)
-        self.start_method = start_method
-        self.chunksize = chunksize
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method is not None
-                else None
-            )
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(self.spec,),
-            )
-        return self._executor
-
-    def evaluate(self, configs: Sequence[MappingConfig]) -> List[EvaluatedConfig]:
-        if not configs:
-            return []
-        executor = self._ensure_executor()
-        if self.chunksize is not None:
-            chunksize = self.chunksize
-        else:
-            # Two waves per worker balances load without flooding the queue.
-            chunksize = max(1, len(configs) // (2 * self.n_workers))
-        return list(executor.map(_evaluate_in_worker, configs, chunksize=chunksize))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None

@@ -1,13 +1,11 @@
-"""The search engine: one evaluation loop for every strategy and backend.
+"""The search engine: one evaluation loop for every strategy.
 
-The seed's ``EvolutionarySearch.run`` owned sampling, evaluation, caching and
-bookkeeping at once.  :class:`SearchEngine` inverts that: a
-:class:`~repro.engine.strategies.SearchStrategy` proposes configurations, the
-engine resolves them through its content-keyed
-:class:`~repro.engine.cache.EvaluationCache`, sends only the uncached
-remainder to an :class:`~repro.engine.backends.EvaluationBackend` (serial or
-process pool), merges the results back, and records per-generation telemetry
-(cache hit-rate, wall-clock) alongside the paper's convergence statistics.
+A :class:`~repro.engine.strategies.SearchStrategy` proposes configurations,
+and :class:`SearchEngine` resolves them through its content-keyed
+:class:`~repro.engine.cache.EvaluationCache`, scores only the uncached
+remainder in-process through a :class:`~repro.engine.backends.SerialBackend`,
+merges the results back, and records per-generation telemetry (cache
+hit-rate, wall-clock) alongside the paper's convergence statistics.
 
 The final :class:`~repro.search.evolutionary.SearchResult` is assembled
 exactly as the seed did — history deduplicated (now by content key rather
@@ -27,7 +25,7 @@ from ..search.evolutionary import GenerationStats, SearchResult
 from ..search.objectives import as_objective_set, nan_guarded, paper_objective
 from ..search.pareto import pareto_front
 from ..search.space import MappingConfig
-from .backends import EvaluationBackend, SerialBackend
+from .backends import SerialBackend
 from .cache import EvaluationCache
 from .strategies import SearchStrategy
 
@@ -35,16 +33,13 @@ __all__ = ["SearchEngine"]
 
 
 class SearchEngine:
-    """Drive a strategy's ask/tell loop through a cache and a backend.
+    """Drive a strategy's ask/tell loop through a cache and the evaluator.
 
     Parameters
     ----------
     evaluator:
-        The evaluation pipeline; also provides the content keys the cache and
-        the history deduplication use.
-    backend:
-        Where uncached configurations are evaluated; defaults to a
-        :class:`SerialBackend` over ``evaluator``.
+        The evaluation pipeline that scores every uncached configuration; also
+        provides the content keys the cache and the history deduplication use.
     cache:
         Shared result store; defaults to a fresh in-memory cache.  Pass a
         persistent cache to reuse results across runs.
@@ -65,7 +60,6 @@ class SearchEngine:
     def __init__(
         self,
         evaluator: ConfigEvaluator,
-        backend: Optional[EvaluationBackend] = None,
         cache: Optional[EvaluationCache] = None,
         constraints: Optional[SearchConstraints] = None,
         objective: Callable[[EvaluatedConfig], float] = paper_objective,
@@ -73,7 +67,7 @@ class SearchEngine:
         objectives=None,
     ) -> None:
         self.evaluator = evaluator
-        self.backend = backend if backend is not None else SerialBackend(evaluator)
+        self.backend = SerialBackend(evaluator)
         self.cache = cache if cache is not None else EvaluationCache()
         self.constraints = constraints if constraints is not None else SearchConstraints()
         self.objective = objective

@@ -3,14 +3,14 @@
 A :class:`SearchStrategy` proposes batches of configurations (``ask``) and
 learns from their evaluations (``tell``); it never evaluates anything itself.
 That inversion — the engine owns evaluation, the strategy owns variation and
-selection — is what lets one evolutionary loop run unchanged on a serial
-backend, a process pool, or a persistent cache.
+selection — is what lets every optimiser share one cache and one evaluation
+loop (:class:`~repro.engine.engine.SearchEngine`).
 
 Strategies provided here:
 
 * :class:`EvolutionaryStrategy` — the paper's elite-selection loop (Fig. 5),
-  ported verbatim from the seed's ``EvolutionarySearch``: identical RNG
-  consumption, identical populations, identical results for a given seed.
+  ported verbatim from the seed's search loop: identical RNG consumption,
+  identical populations, identical results for a given seed.
 * :class:`RandomStrategy` — uniform random sampling at the same budget, the
   sanity-check baseline every optimiser must beat.
 
@@ -97,10 +97,10 @@ def _check_common_budget(population_size: int, generations: int) -> None:
 class EvolutionaryStrategy(SearchStrategy):
     """Elite-selection evolutionary loop of Fig. 5 as an ask/tell strategy.
 
-    This is the seed's ``EvolutionarySearch`` loop with evaluation carved
-    out: sampling, ranking, elitism, crossover, mutation and fresh-sample
-    top-up are unchanged and consume the RNG in the same order, so a given
-    seed reproduces the seed repository's populations bit for bit.
+    This is the seed's search loop with evaluation carved out: sampling,
+    ranking, elitism, crossover, mutation and fresh-sample top-up are
+    unchanged and consume the RNG in the same order, so a given seed
+    reproduces the seed repository's populations bit for bit.
     """
 
     def __init__(

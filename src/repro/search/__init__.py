@@ -14,10 +14,10 @@ The search jointly optimises the configuration ``Pi = (P, I, M, theta)``:
 * :mod:`repro.search.constraints` -- the constraint filter of Eq. 15,
 * :mod:`repro.search.operators` -- mutation and crossover,
 * :mod:`repro.search.pareto` -- non-dominated sorting and Pareto selection,
-* :mod:`repro.search.evolutionary` -- the evolutionary loop with elite
-  selection,
-* :mod:`repro.search.baselines` -- GPU-only / DLA-only / static-partitioned /
-  random-search baselines used by Fig. 1 and Table II.
+* :mod:`repro.search.evolutionary` -- the search result and per-generation
+  statistics (the loop itself runs in :mod:`repro.engine`),
+* :mod:`repro.search.baselines` -- GPU-only / DLA-only / static-partitioned
+  baselines used by Fig. 1 and Table II.
 """
 
 from .space import MappingConfig, SearchSpace
@@ -46,12 +46,8 @@ from .pareto import (
     select_measured_serving,
     select_serving_oriented,
 )
-from .evolutionary import EvolutionarySearch, SearchResult
-from .baselines import (
-    random_search,
-    single_unit_baseline,
-    static_partitioned_baseline,
-)
+from .evolutionary import SearchResult
+from .baselines import single_unit_baseline, static_partitioned_baseline
 
 __all__ = [
     "MappingConfig",
@@ -79,9 +75,7 @@ __all__ = [
     "select_latency_oriented",
     "select_serving_oriented",
     "select_measured_serving",
-    "EvolutionarySearch",
     "SearchResult",
     "single_unit_baseline",
     "static_partitioned_baseline",
-    "random_search",
 ]

@@ -6,9 +6,10 @@ Fig. 1 and Table II compare Map-and-Conquer against:
   (:func:`single_unit_baseline`),
 * **static partitioned mapping** -- width-partitioned across all units with
   every feature map exchanged, but no early exits: every input runs all
-  stages (:func:`static_partitioned_baseline`),
-* **random search** -- the sanity-check optimiser baseline
-  (:func:`random_search`).
+  stages (:func:`static_partitioned_baseline`).
+
+The random-search optimiser baseline runs through the search engine like
+every other strategy: ``MapAndConquer.search(strategy="random")``.
 
 Baselines use an accuracy model without exit penalties/bonuses so the
 single-unit rows report exactly the pretrained baseline accuracy, as in
@@ -17,7 +18,7 @@ Table II.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,13 +28,10 @@ from ..nn.graph import NetworkGraph
 from ..nn.partition import IndicatorMatrix, PartitionMatrix, backbone_layers
 from ..perf.layer_cost import CostModel
 from ..soc.platform import Platform
-from ..utils import as_rng
-from .constraints import SearchConstraints
 from .evaluation import ConfigEvaluator, EvaluatedConfig
-from .objectives import nan_guarded, paper_objective
-from .space import MappingConfig, SearchSpace
+from .space import MappingConfig
 
-__all__ = ["single_unit_baseline", "static_partitioned_baseline", "random_search"]
+__all__ = ["single_unit_baseline", "static_partitioned_baseline"]
 
 
 def _baseline_evaluator(
@@ -110,28 +108,3 @@ def static_partitioned_baseline(
     )
     evaluator = _baseline_evaluator(network, platform, cost_model, seed)
     return evaluator.evaluate(config)
-
-
-def random_search(
-    space: SearchSpace,
-    evaluator: ConfigEvaluator,
-    num_samples: int = 200,
-    constraints: Optional[SearchConstraints] = None,
-    objective: Callable[[EvaluatedConfig], float] = paper_objective,
-    seed: int = 0,
-) -> List[EvaluatedConfig]:
-    """Uniform random search baseline over the same space and budget.
-
-    Returns all feasible evaluated samples sorted by the objective (best
-    first); falls back to all samples when nothing is feasible.
-    """
-    if num_samples < 1:
-        raise SearchError(f"num_samples must be >= 1, got {num_samples}")
-    rng = as_rng(seed)
-    gate = constraints if constraints is not None else SearchConstraints()
-    evaluated = [evaluator.evaluate(space.sample(rng)) for _ in range(num_samples)]
-    feasible = [item for item in evaluated if gate.is_feasible(item, platform=space.platform)]
-    pool = feasible if feasible else evaluated
-    # A NaN-returning objective would shuffle rather than sort (every NaN
-    # comparison is false); nan_guarded pins undefined scores to the back.
-    return sorted(pool, key=nan_guarded(objective))

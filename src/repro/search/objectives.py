@@ -181,9 +181,10 @@ class MeasuredWaitExtractor:
     and therefore in objective-set fingerprints, so changing the replay
     re-runs exactly the affected campaign cells.  The attached
     :class:`~repro.serving.result_cache.ServingResultCache` is excluded from
-    both ``repr`` and equality — it is an accelerator, not an identity — and
-    pickles along with the extractor so process-pool evaluation backends
-    carry their warm entries across.
+    both ``repr`` and equality — it is an accelerator, not an identity.
+    Campaign cells bind their extractor in the process that runs the cell
+    (:class:`MeasuredObjectives`), so the cache never crosses processes with
+    it.
     """
 
     platform: object

@@ -119,10 +119,6 @@ class TestRunCampaign:
             run_campaign(tiny_network_module, [], **BUDGET)
         with pytest.raises(ConfigurationError, match="distinct names"):
             run_campaign(tiny_network_module, ["server-gpu", "server-gpu"], **BUDGET)
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_campaign(
-                tiny_network_module, GRID, backend=object(), **BUDGET
-            )
         with pytest.raises(ConfigurationError, match="num_stages"):
             run_campaign(tiny_network_module, GRID, num_stages=9, **BUDGET)
         with pytest.raises(ConfigurationError, match="default scenario"):
@@ -180,15 +176,13 @@ class TestRunCampaign:
         for item in capped.result.feasible:
             assert item.reuse_fraction <= 0.5 + 1e-9
 
-    def test_campaign_determinism_serial_vs_process(self, tiny_network_module):
-        """Same seed => byte-identical summary, across runs and backends."""
+    def test_campaign_determinism_serial_vs_cell_parallel(self, tiny_network_module):
+        """Same seed => byte-identical summary, across runs and cell pools."""
         serial_a = run_campaign(tiny_network_module, GRID, seed=7, **BUDGET)
         serial_b = run_campaign(tiny_network_module, GRID, seed=7, **BUDGET)
-        process = run_campaign(
-            tiny_network_module, GRID, seed=7, backend="process", n_workers=2, **BUDGET
-        )
+        parallel = run_campaign(tiny_network_module, GRID, seed=7, cell_workers=2, **BUDGET)
         assert campaign_summary(serial_a) == campaign_summary(serial_b)
-        assert campaign_summary(serial_a) == campaign_summary(process)
+        assert campaign_summary(serial_a) == campaign_summary(parallel)
 
     def test_traffic_rerank(self, tiny_network_module):
         result = run_campaign(
@@ -263,8 +257,13 @@ RUNNERS = {
     ),
 }
 
-#: A removed option and a typo of a real one.
-UNKNOWN_KEYWORDS = {"surrogate": object(), "generation": 2}
+#: Removed options and a typo of a real one.
+UNKNOWN_KEYWORDS = {
+    "surrogate": object(),
+    "backend": "process",
+    "n_workers": 2,
+    "generation": 2,
+}
 
 
 class TestUnknownKeywords:
@@ -283,7 +282,8 @@ class TestUnknownKeywords:
                 tiny_network_module, **{keyword: UNKNOWN_KEYWORDS[keyword]}, **BUDGET
             )
 
-    def test_search_rejects_surrogate(self, tiny_network_module):
+    @pytest.mark.parametrize("keyword", ["surrogate", "backend", "n_workers"])
+    def test_search_rejects_removed_keyword(self, tiny_network_module, keyword):
         framework = MapAndConquer(tiny_network_module, seed=0)
-        with pytest.raises(TypeError, match="surrogate"):
-            framework.search(surrogate=object(), **BUDGET)
+        with pytest.raises(TypeError, match=keyword):
+            framework.search(**{keyword: UNKNOWN_KEYWORDS[keyword]}, **BUDGET)

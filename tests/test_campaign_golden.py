@@ -1,11 +1,11 @@
 """Golden-file regression pin of ``campaign_summary`` bytes.
 
 A small 2-platform x 2-scenario grid at a fixed seed must render the exact
-bytes stored in ``tests/data/campaign_summary_golden.txt`` — through the
-serial path, the process evaluation backend, and the cell-parallel runner
-alike.  Any change to search semantics, evaluation numerics, translation
-rules or report formatting shows up here as a diff against a file a reviewer
-can read, instead of as silent drift.
+bytes stored in ``tests/data/campaign_summary_golden.txt`` — through both
+the serial path and the cell-parallel runner.  Any change to search
+semantics, evaluation numerics, translation rules or report formatting shows
+up here as a diff against a file a reviewer can read, instead of as silent
+drift.
 
 To regenerate after an *intentional* change::
 
@@ -86,10 +86,6 @@ def golden() -> str:
 
 def test_serial_path_matches_golden(tiny_network, golden):
     assert _render(network=tiny_network) == golden
-
-
-def test_process_backend_matches_golden(tiny_network, golden):
-    assert _render(network=tiny_network, backend="process", n_workers=2) == golden
 
 
 def test_cell_parallel_matches_golden(tiny_network, golden):

@@ -1,36 +1,9 @@
-"""Tests for evaluation backends: spec round-trips and serial/parallel parity."""
+"""Tests for the serial evaluation backend and the engine's batch accounting."""
 
 from __future__ import annotations
 
-import pickle
-
-import pytest
-
-from repro.engine.backends import EvaluatorSpec, ProcessPoolBackend, SerialBackend
+from repro.engine.backends import SerialBackend
 from repro.engine.engine import SearchEngine
-from repro.engine.strategies import EvolutionaryStrategy
-from repro.errors import ConfigurationError
-from repro.search.evaluation import ConfigEvaluator
-from repro.search.objectives import paper_objective
-
-
-class TestEvaluatorSpec:
-    def test_round_trip_builds_equivalent_evaluator(self, tiny_config_evaluator, tiny_space):
-        spec = EvaluatorSpec.from_evaluator(tiny_config_evaluator)
-        rebuilt = spec.build()
-        config = tiny_space.sample(0)
-        assert rebuilt.content_digest(config) == tiny_config_evaluator.content_digest(config)
-        original = tiny_config_evaluator.evaluate(config)
-        copy = rebuilt.evaluate(config)
-        assert copy.latency_ms == pytest.approx(original.latency_ms)
-        assert copy.energy_mj == pytest.approx(original.energy_mj)
-        assert copy.accuracy == pytest.approx(original.accuracy)
-
-    def test_spec_is_picklable(self, tiny_config_evaluator, tiny_space):
-        spec = EvaluatorSpec.from_evaluator(tiny_config_evaluator)
-        clone = pickle.loads(pickle.dumps(spec))
-        config = tiny_space.sample(1)
-        assert clone.build().content_digest(config) == tiny_config_evaluator.content_digest(config)
 
 
 class TestSerialBackend:
@@ -43,39 +16,6 @@ class TestSerialBackend:
 
     def test_empty_batch(self, tiny_config_evaluator):
         assert SerialBackend(tiny_config_evaluator).evaluate([]) == []
-
-
-class TestProcessPoolBackend:
-    def test_invalid_arguments_rejected(self, tiny_config_evaluator):
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(tiny_config_evaluator, n_workers=0)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(tiny_config_evaluator, chunksize=0)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend("not an evaluator")
-
-    def test_empty_batch_without_pool(self, tiny_config_evaluator):
-        backend = ProcessPoolBackend(tiny_config_evaluator, n_workers=2)
-        assert backend.evaluate([]) == []
-        assert backend._executor is None  # no pool was spun up
-        backend.close()
-
-    def test_matches_serial_results(self, tiny_config_evaluator, tiny_space):
-        configs = [tiny_space.sample(i) for i in range(6)]
-        serial = SerialBackend(tiny_config_evaluator).evaluate(configs)
-        with ProcessPoolBackend(tiny_config_evaluator, n_workers=2) as backend:
-            parallel = backend.evaluate(configs)
-        assert len(parallel) == len(serial)
-        for ours, theirs in zip(parallel, serial):
-            assert ours.latency_ms == theirs.latency_ms
-            assert ours.energy_mj == theirs.energy_mj
-            assert ours.accuracy == theirs.accuracy
-
-    def test_close_is_idempotent(self, tiny_config_evaluator, tiny_space):
-        backend = ProcessPoolBackend(tiny_config_evaluator, n_workers=2)
-        backend.evaluate([tiny_space.sample(0)])
-        backend.close()
-        backend.close()
 
 
 class TestEngineBatchAccounting:
@@ -96,43 +36,3 @@ class TestEngineBatchAccounting:
         snapshot = engine.cache.stats.snapshot()
         engine.evaluate_batch(configs)
         assert engine.cache.stats.window_hit_rate(snapshot) == 1.0
-
-
-class TestSeedDeterminism:
-    """Serial and process backends must produce identical search results."""
-
-    def _run(self, network, platform, backend_factory):
-        evaluator = ConfigEvaluator(network=network, platform=platform, seed=0)
-        from repro.search.space import SearchSpace
-
-        space = SearchSpace(network=network, platform=platform)
-        strategy = EvolutionaryStrategy(
-            space=space, population_size=8, generations=3, seed=0
-        )
-        backend = backend_factory(evaluator)
-        try:
-            engine = SearchEngine(evaluator=evaluator, backend=backend)
-            return engine.run(strategy), evaluator
-        finally:
-            backend.close()
-
-    def test_serial_and_process_find_identical_best(self, tiny_network, platform):
-        serial_result, serial_eval = self._run(
-            tiny_network, platform, SerialBackend
-        )
-        process_result, process_eval = self._run(
-            tiny_network,
-            platform,
-            lambda evaluator: ProcessPoolBackend(evaluator, n_workers=2),
-        )
-        assert paper_objective(process_result.best) == paper_objective(serial_result.best)
-        assert process_eval.content_digest(process_result.best.config) == serial_eval.content_digest(
-            serial_result.best.config
-        )
-        assert process_result.best.latency_ms == serial_result.best.latency_ms
-        assert process_result.best.energy_mj == serial_result.best.energy_mj
-        assert process_result.num_evaluations == serial_result.num_evaluations
-        assert len(process_result.pareto) == len(serial_result.pareto)
-        assert [s.best_objective for s in process_result.generations] == [
-            s.best_objective for s in serial_result.generations
-        ]

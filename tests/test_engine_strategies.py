@@ -14,7 +14,6 @@ from repro.engine.nsga import (
 )
 from repro.engine.strategies import EvolutionaryStrategy, RandomStrategy
 from repro.errors import ConfigurationError, SearchError
-from repro.search.evolutionary import EvolutionarySearch
 from repro.search.objectives import paper_objective
 from repro.search.pareto import pareto_front
 
@@ -105,25 +104,6 @@ class TestRandomStrategy:
 
 
 class TestEvolutionaryStrategyEquivalence:
-    def test_matches_legacy_evolutionary_search(self, tiny_config_evaluator, tiny_space):
-        """The strategy port and the facade consume RNG identically."""
-        legacy = EvolutionarySearch(
-            space=tiny_space,
-            evaluator=tiny_config_evaluator,
-            population_size=10,
-            generations=4,
-            seed=3,
-        ).run()
-        strategy = EvolutionaryStrategy(
-            space=tiny_space, population_size=10, generations=4, seed=3
-        )
-        engine_result = SearchEngine(evaluator=tiny_config_evaluator).run(strategy)
-        assert paper_objective(engine_result.best) == paper_objective(legacy.best)
-        assert engine_result.num_evaluations == legacy.num_evaluations
-        assert [s.best_objective for s in engine_result.generations] == [
-            s.best_objective for s in legacy.generations
-        ]
-
     def test_cache_hits_recorded_for_elites(self, tiny_config_evaluator, tiny_space):
         strategy = EvolutionaryStrategy(
             space=tiny_space, population_size=10, generations=5, seed=0
@@ -153,21 +133,6 @@ class TestFrameworkStrategyWiring:
         with pytest.raises(ConfigurationError):
             framework.search(generations=2, population_size=6, strategy="annealing")
 
-    def test_unknown_backend_rejected(self, framework):
-        with pytest.raises(ConfigurationError):
-            framework.search(generations=2, population_size=6, backend="threads")
-
-    def test_backend_instance_conflicts_with_n_workers(self, framework):
-        from repro.engine.backends import SerialBackend
-
-        with pytest.raises(ConfigurationError):
-            framework.search(
-                generations=2,
-                population_size=6,
-                backend=SerialBackend(framework.evaluator),
-                n_workers=2,
-            )
-
     def test_strategy_instance_conflicts_with_loop_parameters(self, framework):
         strategy = RandomStrategy(space=framework.space, population_size=6, generations=2, seed=0)
         with pytest.raises(ConfigurationError, match="generations"):
@@ -191,10 +156,6 @@ class TestFrameworkStrategyWiring:
         assert energy_oriented_objective(result.best) == pytest.approx(
             min(energy_oriented_objective(item) for item in pool)
         )
-
-    def test_zero_workers_rejected(self, framework):
-        with pytest.raises(ConfigurationError):
-            framework.search(generations=2, population_size=6, n_workers=0)
 
     def test_cache_accepts_path_objects(self, framework, tmp_path):
         result = framework.search(
@@ -303,9 +264,9 @@ class TestInitialPopulation:
 class TestSeedRegression:
     """Pin the default search trajectory to the seed repository's numbers.
 
-    These values were captured from the pre-engine implementation
-    (``EvolutionarySearch.run`` evaluating inline); the engine-based default
-    path must keep reproducing them bit for bit.
+    These values were captured from the pre-engine implementation (the
+    evolutionary loop evaluating inline); the engine-based default path must
+    keep reproducing them bit for bit.
     """
 
     def test_visformer_seed0_trajectory(self, visformer_net, platform):

@@ -22,6 +22,7 @@ import json
 import pytest
 
 from repro.campaign import FleetMix, run_fleet_campaign, select_front_point
+from repro.campaign import runner as runner_module
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.core.report import fleet_summary, fleet_table
 from repro.errors import ConfigurationError
@@ -189,7 +190,11 @@ class TestValidation:
             name="x", counts=(("jetson-agx-xavier", 2),)
         ).total_instances == 2
 
-    def test_campaign_input_validation(self, tiny_network):
+    def test_campaign_input_validation(self, tiny_network, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cell ran before the input check")
+
+        monkeypatch.setattr(runner_module, "_run_cell", forbidden)
         with pytest.raises(ConfigurationError, match="at least one mix"):
             run_fleet_campaign(tiny_network, ())
         duplicated = (_mixes()[0], _mixes()[0])
@@ -199,6 +204,8 @@ class TestValidation:
             run_fleet_campaign(tiny_network, ("jetson-agx-xavier",))
         with pytest.raises(ConfigurationError, match="members_per_family"):
             _run(tiny_network, members_per_family=0)
+        with pytest.raises(ConfigurationError, match="duration_ms"):
+            _run(tiny_network, duration_ms=0.0)
 
     def test_aliased_platform_name_rejected(self, tiny_network):
         xavier = get_platform("jetson-agx-xavier")

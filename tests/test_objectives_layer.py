@@ -11,8 +11,8 @@ The guarantees under test:
   and by :func:`~repro.search.objectives.nan_guarded`, so degenerate
   extractors can no longer shuffle ``sorted(pool, key=objective)``;
 * a custom ObjectiveSet threads through the NSGA-II strategy, the engine
-  and campaigns — with serial, process-backend, cell-parallel and
-  checkpoint-resumed campaigns byte-identical, and a *changed* set
+  and campaigns — with serial, cell-parallel and checkpoint-resumed
+  campaigns byte-identical, and a *changed* set
   re-running exactly the affected cells;
 * :func:`~repro.search.objectives.serving_objectives` and
   :func:`~repro.search.pareto.select_serving_oriented` expose the M/D/1
@@ -36,9 +36,10 @@ from repro.campaign import run_campaign
 from repro.campaign import runner as runner_module
 from repro.core.framework import MapAndConquer
 from repro.core.report import campaign_summary, objective_table, serving_table
+from repro.engine.engine import SearchEngine
 from repro.engine.nsga import crowding_distance, non_dominated_sort, objective_matrix
+from repro.engine.strategies import RandomStrategy
 from repro.errors import ConfigurationError, SearchError
-from repro.search.baselines import random_search
 from repro.search.objectives import (
     DEFAULT_OBJECTIVES,
     ExpectedWaitExtractor,
@@ -195,25 +196,22 @@ class TestNanHandling:
         front = pareto_front([bad, good])
         assert good in front
 
-    def test_random_search_orders_nan_scores_last(
-        self, tiny_space, tiny_config_evaluator
-    ):
-        # A degenerate objective that is undefined for half the pool used to
-        # shuffle the result (NaN comparisons are all false in timsort);
-        # nan_guarded pins those candidates to the back deterministically.
-        def half_broken(item):
-            return float("nan") if item.accuracy > 0.5 else item.latency_ms
+    def test_engine_ranks_nan_scores_last(self, tiny_space, tiny_config_evaluator):
+        # A degenerate objective undefined for part of the pool (every
+        # GPU-first mapping) must never be crowned best.  NaN comparisons are
+        # all false, so a plain min() would keep the first candidate, which
+        # here scores NaN; nan_guarded ranks those candidates last.
+        def gpu_broken(item):
+            return float("nan") if item.config.unit_names[0] == "gpu" else item.latency_ms
 
-        result = random_search(
-            tiny_space,
-            tiny_config_evaluator,
-            num_samples=12,
-            objective=half_broken,
-            seed=4,
+        strategy = RandomStrategy(tiny_space, population_size=12, generations=1, seed=4)
+        result = SearchEngine(evaluator=tiny_config_evaluator, objective=gpu_broken).run(
+            strategy
         )
-        scores = [nan_guarded(half_broken)(item) for item in result]
-        assert scores == sorted(scores)
-        assert any(math.isinf(score) for score in scores)
+        scores = [gpu_broken(item) for item in result.history]
+        assert math.isnan(scores[0])
+        assert any(math.isfinite(score) for score in scores)
+        assert math.isfinite(gpu_broken(result.best))
 
     def test_crowding_distance_survives_inf_columns(self):
         values = np.array(
@@ -348,18 +346,6 @@ class TestCampaignThreading:
             **BUDGET,
         )
         assert campaign_summary(parallel) == serial_summary
-
-    def test_process_backend_matches_serial(self, tiny_network, serial_summary):
-        processed = run_campaign(
-            tiny_network,
-            GRID,
-            seed=SEED,
-            objectives=SERVING_SET,
-            backend="process",
-            n_workers=2,
-            **BUDGET,
-        )
-        assert campaign_summary(processed) == serial_summary
 
     def test_checkpoint_resume_matches_serial(
         self, tiny_network, serial_summary, tmp_path, monkeypatch

@@ -1,18 +1,24 @@
-"""Unit tests for the evolutionary loop, random search and baselines."""
+"""Unit tests for the evolutionary loop, the random baseline and baselines."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine.engine import SearchEngine
+from repro.engine.strategies import EvolutionaryStrategy, RandomStrategy
 from repro.errors import SearchError
-from repro.search.baselines import (
-    random_search,
-    single_unit_baseline,
-    static_partitioned_baseline,
-)
+from repro.search.baselines import single_unit_baseline, static_partitioned_baseline
 from repro.search.constraints import SearchConstraints
-from repro.search.evolutionary import EvolutionarySearch
 from repro.search.objectives import energy_oriented_objective, paper_objective
+
+
+def evolve(space, evaluator, objective=paper_objective, constraints=None, **budget):
+    """One evolutionary search through the engine, wired as ``search()`` does."""
+    strategy = EvolutionaryStrategy(
+        space=space, objective=objective, constraints=constraints, **budget
+    )
+    engine = SearchEngine(evaluator=evaluator, constraints=constraints, objective=objective)
+    return engine.run(strategy)
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +47,11 @@ def tiny_search_result(request):
     platform = jetson_agx_xavier()
     evaluator = ConfigEvaluator(network=network, platform=platform, seed=0)
     space = SearchSpace(network=network, platform=platform)
-    search = EvolutionarySearch(
-        space=space,
-        evaluator=evaluator,
-        population_size=12,
-        generations=6,
-        seed=0,
-    )
-    return search.run(), space, evaluator, network, platform
+    result = evolve(space, evaluator, population_size=12, generations=6, seed=0)
+    return result, space, evaluator, network, platform
 
 
-class TestEvolutionarySearch:
+class TestEvolutionaryRun:
     def test_result_structure(self, tiny_search_result):
         result, _, _, _, _ = tiny_search_result
         assert result.num_evaluations > 0
@@ -83,40 +83,40 @@ class TestEvolutionarySearch:
 
     def test_constrained_search_respects_reuse_cap(self, tiny_search_result):
         _, space, evaluator, _, _ = tiny_search_result
-        constrained = EvolutionarySearch(
-            space=space,
-            evaluator=evaluator,
+        constrained = evolve(
+            space,
+            evaluator,
             constraints=SearchConstraints(max_reuse_fraction=0.5),
             population_size=10,
             generations=4,
             seed=1,
-        ).run()
+        )
         assert all(item.reuse_fraction <= 0.5 + 1e-9 for item in constrained.feasible)
         assert all(item.reuse_fraction <= 0.5 + 1e-9 for item in constrained.pareto)
 
     def test_invalid_hyperparameters_rejected(self, tiny_search_result):
-        _, space, evaluator, _, _ = tiny_search_result
+        _, space, _, _, _ = tiny_search_result
         with pytest.raises(SearchError):
-            EvolutionarySearch(space, evaluator, population_size=1)
+            EvolutionaryStrategy(space, population_size=1)
         with pytest.raises(SearchError):
-            EvolutionarySearch(space, evaluator, generations=0)
+            EvolutionaryStrategy(space, generations=0)
         with pytest.raises(SearchError):
-            EvolutionarySearch(space, evaluator, elite_fraction=0.0)
+            EvolutionaryStrategy(space, elite_fraction=0.0)
         with pytest.raises(SearchError):
-            EvolutionarySearch(space, evaluator, mutation_rate=1.5)
+            EvolutionaryStrategy(space, mutation_rate=1.5)
         with pytest.raises(SearchError):
-            EvolutionarySearch(space, evaluator, fresh_fraction=1.0)
+            EvolutionaryStrategy(space, fresh_fraction=1.0)
 
     def test_alternative_objective_changes_best(self, tiny_search_result):
         _, space, evaluator, _, _ = tiny_search_result
-        energy_first = EvolutionarySearch(
-            space=space,
-            evaluator=evaluator,
+        energy_first = evolve(
+            space,
+            evaluator,
             objective=energy_oriented_objective,
             population_size=10,
             generations=4,
             seed=2,
-        ).run()
+        )
         assert energy_first.best.energy_mj <= min(
             item.energy_mj for item in energy_first.feasible
         ) * 1.0 + 1e-9
@@ -164,18 +164,8 @@ class TestBaselines:
         with pytest.raises(SearchError):
             static_partitioned_baseline(network, platform, unit_names=("gpu", "gpu"))
 
-    def test_random_search_sorted_by_objective(self, tiny_search_result):
-        _, space, evaluator, _, _ = tiny_search_result
-        results = random_search(space, evaluator, num_samples=15, seed=0)
-        values = [paper_objective(item) for item in results]
-        assert values == sorted(values)
-
-    def test_random_search_invalid_samples_rejected(self, tiny_search_result):
-        _, space, evaluator, _, _ = tiny_search_result
-        with pytest.raises(SearchError):
-            random_search(space, evaluator, num_samples=0)
-
     def test_evolutionary_beats_or_matches_random(self, tiny_search_result):
         result, space, evaluator, _, _ = tiny_search_result
-        random_best = random_search(space, evaluator, num_samples=30, seed=9)[0]
+        strategy = RandomStrategy(space, population_size=12, generations=6, seed=9)
+        random_best = SearchEngine(evaluator=evaluator).run(strategy).best
         assert paper_objective(result.best) <= paper_objective(random_best) * 1.05

@@ -115,7 +115,7 @@ class TestCalibrationInvariants:
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_platform_survives_pickling(self, name):
-        """Presets cross process boundaries inside EvaluatorSpec."""
+        """Presets cross process boundaries inside campaign cell tasks."""
         platform = get_platform(name)
         clone = pickle.loads(pickle.dumps(platform))
         assert clone == platform
