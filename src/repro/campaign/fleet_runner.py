@@ -102,10 +102,11 @@ class FleetMix:
         :func:`repro.serving.fleet.simulate_fleet`: a request is dropped when
         every ready instance's estimated backlog exceeds it.  ``None`` (the
         default) never sheds, reproducing the historical behaviour
-        byte-for-byte.  An undersized mix with an aggressive bound can shed
-        *every* request of a hot member; such a cell aggregates to the degenerate
-        :class:`~repro.serving.fleet_metrics.FleetMetrics` (zero completed,
-        infinite tails) and ranks last instead of crashing the campaign.
+        byte-for-byte.  An undersized mix with an aggressive bound sheds most
+        of a hot member's requests but never all of them: a warm instance has
+        zero backlog at t=0, so the first arrival is always served.  A mix
+        that sheds requests misses its SLO and ranks after every mix that
+        holds it.
     """
 
     name: str

@@ -11,8 +11,9 @@ this traffic?**  :func:`run_serving_campaign`
 2. expands every :class:`~repro.serving.families.WorkloadFamily` into ``n``
    seeded member scenarios (:meth:`~repro.serving.families.WorkloadFamily.expand`),
 3. deploys each platform's Pareto front under every member via
-   :func:`repro.serving.bridge.rank_under_traffic` (the front member best on
-   the ranking metric wins that member), and
+   :func:`repro.serving.bridge.rank_under_traffic`, through the campaign's
+   shared serving cache (the front member best on the ranking metric wins
+   that member), and
 4. aggregates each ``(platform, family)`` cell into a
    :class:`ServingCellResult` — p50/p95/p99 under load, deadline-miss rate,
    joules per request and the headline **served-p99-per-joule** score —
@@ -53,7 +54,6 @@ byte-identical :func:`repro.core.report.traffic_ranking_summary`.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.evaluation import EvaluatedConfig
-from ..serving.bridge import measured_serving_metrics
+from ..serving import bridge
 from ..serving.families import WorkloadFamily, member_traffic_seed, resolve_families
 from ..serving.metrics import ServingMetrics, metric_direction
 from ..serving.policies import POLICY_KINDS, Deployment, build_policy
@@ -440,53 +440,6 @@ def _policy_front_tag(kind: str, deployed: Sequence[Deployment]) -> str:
     return f"{kind}:{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
-def _rank_front_cached(
-    task: _ServingCellTask,
-    process,
-    traffic_seed: int,
-    cache,
-) -> List[Tuple[Deployment, ServingMetrics]]:
-    """Rank the deployed front under one member via the serving cache.
-
-    Mirrors :func:`~repro.serving.bridge.rank_under_traffic` exactly — same
-    ``pareto-{position}`` deployment names, same metric extraction, same
-    stable best-first sort — but each candidate goes through
-    :func:`~repro.serving.bridge.measured_serving_metrics`, so replays of
-    deployments the measured search (or an earlier run sharing the JSONL)
-    already simulated cost a cache lookup instead of a simulation.  A cache
-    hit may carry the *storer's* policy label, so the label is normalised to
-    the fresh-simulation spelling; everything else in the metrics is already
-    byte-identical because arrivals and simulator seeding are pure functions
-    of ``(workload, duration, seed)``.
-    """
-    reverse = metric_direction(task.metric) == "desc"
-    entries = []
-    for position, candidate in enumerate(task.front):
-        deployment = (
-            candidate
-            if isinstance(candidate, Deployment)
-            else Deployment.from_evaluated(candidate, name=f"pareto-{position}")
-        )
-        metrics = measured_serving_metrics(
-            deployment,
-            task.platform,
-            process,
-            task.duration_ms,
-            seed=traffic_seed,
-            deadline_ms=task.deadline_ms,
-            cache=cache,
-            family_name=task.family.name,
-        )
-        expected_policy = f"static({deployment.name})"
-        if metrics.policy != expected_policy:
-            metrics = dataclasses.replace(metrics, policy=expected_policy)
-        entries.append((deployment, metrics))
-    entries.sort(
-        key=lambda entry: float(getattr(entry[1], task.metric)), reverse=reverse
-    )
-    return entries
-
-
 def _run_serving_cell(
     task: _ServingCellTask,
     serving_cache: Optional[ServingResultCache] = None,
@@ -495,16 +448,18 @@ def _run_serving_cell(
 
     Member scenarios and traffic seeds derive from the task contents alone,
     so the same task yields bit-identical outcomes in any process.  Each
-    member is first ranked under static deployment (picking the best static
+    member first ranks the front with
+    :func:`~repro.serving.bridge.rank_under_traffic` (picking the best static
     front member for its traffic); every additional policy kind then replays
-    the *same* request stream through a policy built deterministically from
-    that winner and the deployed front (:func:`~repro.serving.policies.build_policy`),
-    so per-member policy comparisons share identical arrivals and difficulty
-    draws.
+    the *same* request stream through
+    :func:`~repro.serving.bridge.measured_serving_metrics`, under a policy
+    built deterministically from that winner and the deployed front
+    (:func:`~repro.serving.policies.build_policy`), so per-member policy
+    comparisons share identical arrivals and difficulty draws.
 
-    Every simulation goes through a
-    :class:`~repro.serving.result_cache.ServingResultCache`, so deployments
-    the measured search already simulated are not re-simulated: the caller's
+    Both calls take a :class:`~repro.serving.result_cache.ServingResultCache`,
+    so deployments the measured search already simulated are not
+    re-simulated: the caller's
     handle when given (sequential sweeps), else a cell-local handle that
     reads the shared cache file (when there is one) but never writes it.
     Its new entries ship back inside a
@@ -519,31 +474,41 @@ def _run_serving_cell(
     labels = task.family.member_labels(task.members)
     for index, process in enumerate(processes):
         traffic_seed = member_traffic_seed(task.seed, task.family.name, index)
-        ranked = _rank_front_cached(task, process, traffic_seed, serving_cache)
-        winner_deployment, winner_metrics = ranked[0]
+        ranked = bridge.rank_under_traffic(
+            task.front,
+            task.platform,
+            process,
+            task.duration_ms,
+            metric=task.metric,
+            seed=traffic_seed,
+            deadline_ms=task.deadline_ms,
+            cache=serving_cache,
+            family_name=task.family.name,
+        )
+        winner = ranked[0]
         outcomes.append(
             MemberOutcome(
                 label=labels[index],
                 traffic_seed=traffic_seed,
-                winner=winner_deployment.name,
-                metrics=winner_metrics,
+                winner=winner.deployment.name,
+                metrics=winner.metrics,
             )
         )
         if task.policies == ("static",):
             continue
-        deployed = tuple(deployment for deployment, _ in ranked)
+        deployed = tuple(ranking.deployment for ranking in ranked)
         for kind in task.policies:
             if kind == "static":
                 # The ranked winner *is* the static policy's replay — reuse
                 # its metrics byte-for-byte instead of re-simulating.
-                name, metrics = winner_deployment.name, winner_metrics
+                name, metrics = winner.deployment.name, winner.metrics
             else:
                 policy = build_policy(
-                    kind, winner_deployment, task.platform, front=deployed
+                    kind, winner.deployment, task.platform, front=deployed
                 )
                 name = policy.name
-                metrics = measured_serving_metrics(
-                    winner_deployment,
+                metrics = bridge.measured_serving_metrics(
+                    winner.deployment,
                     task.platform,
                     process,
                     task.duration_ms,
@@ -554,8 +519,6 @@ def _run_serving_cell(
                     policy=policy,
                     policy_tag=_policy_front_tag(kind, deployed),
                 )
-                if metrics.policy != name:
-                    metrics = dataclasses.replace(metrics, policy=name)
             policy_outcomes.append(
                 PolicyOutcome(
                     policy=kind, label=labels[index], deployment=name, metrics=metrics

@@ -9,12 +9,11 @@ comparison tables from their results.
 """
 
 from .framework import MapAndConquer
-from .report import convergence_table, format_table, search_summary, table_to_string
+from .report import convergence_table, format_table, search_summary
 
 __all__ = [
     "MapAndConquer",
     "format_table",
-    "table_to_string",
     "convergence_table",
     "search_summary",
 ]

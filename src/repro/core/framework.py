@@ -343,7 +343,6 @@ class MapAndConquer:
         workload,
         duration_ms: Optional[float] = None,
         policy=None,
-        controller=None,
         seed: int = 0,
         deadline_ms: Optional[float] = None,
     ):
@@ -362,7 +361,6 @@ class MapAndConquer:
             workload,
             duration_ms=duration_ms,
             policy=policy,
-            controller=controller,
             seed=seed,
             deadline_ms=deadline_ms,
         )
@@ -373,7 +371,6 @@ class MapAndConquer:
         workload,
         duration_ms: Optional[float] = None,
         metric: str = "p99_latency_ms",
-        controller=None,
         seed: int = 0,
         deadline_ms: Optional[float] = None,
     ):
@@ -393,7 +390,6 @@ class MapAndConquer:
             workload,
             duration_ms=duration_ms,
             metric=metric,
-            controller=controller,
             seed=seed,
             deadline_ms=deadline_ms,
         )

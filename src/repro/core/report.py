@@ -19,7 +19,6 @@ from ..search.pareto import hypervolume, select_serving_oriented
 
 __all__ = [
     "format_table",
-    "table_to_string",
     "table2_row",
     "comparison_row",
     "convergence_table",
@@ -67,10 +66,6 @@ def format_table(
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)) for line in rendered
     ]
     return "\n".join([header, separator, *body])
-
-
-# Backwards-friendly alias: some call sites read better with this name.
-table_to_string = format_table
 
 
 def table2_row(

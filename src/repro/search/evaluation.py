@@ -10,10 +10,12 @@ For every sampled configuration ``Pi`` the framework must:
    average latency/energy (:mod:`repro.dynamics`).
 
 :class:`ConfigEvaluator` wires those steps behind a single ``evaluate`` call
-and caches results by configuration so the evolutionary loop never pays twice
-for elites carried across generations.  The per-layer cost model is pluggable
-(analytical oracle or trained surrogate), mirroring the paper's use of an
-XGBoost predictor inside the loop.
+and exposes the content digest under which the engine's
+:class:`~repro.engine.cache.EvaluationCache` stores results, so the
+evolutionary loop never pays twice for elites carried across generations.
+The per-layer cost model is pluggable (analytical oracle or trained
+surrogate), mirroring the paper's use of an XGBoost predictor inside the
+loop.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +45,10 @@ __all__ = ["EvaluatedConfig", "ConfigEvaluator"]
 class EvaluatedConfig:
     """A configuration together with everything the search needs to rank it.
 
-    Equality is identity: the evaluator caches by configuration, so two
-    references to the same evaluated configuration are the same object, and
-    membership tests (``config in pareto_set``) compare identities instead of
-    trying to compare the nested numpy matrices element-wise.
+    Equality is identity: the evaluation cache hands out one object per
+    content digest, so membership tests (``config in pareto_set``) compare
+    identities instead of trying to compare the nested numpy matrices
+    element-wise.
     """
 
     config: MappingConfig
@@ -197,13 +199,7 @@ class ConfigEvaluator:
             type(effective_cost_model).__name__,
             state_digest,
         )
-        self._cache: Dict[Tuple, EvaluatedConfig] = {}
         self._identity: Optional[Tuple] = None
-
-    @property
-    def evaluations(self) -> int:
-        """Number of distinct configurations evaluated so far."""
-        return len(self._cache)
 
     # -- content identity --------------------------------------------------------
     def identity_key(self) -> Tuple:
@@ -250,18 +246,12 @@ class ConfigEvaluator:
         return digest.hexdigest()
 
     def evaluate(self, config: MappingConfig) -> EvaluatedConfig:
-        """Run the full pipeline for ``config`` (cached).
+        """Run the full pipeline for ``config``.
 
-        The private per-instance cache keys on the bare configuration: the
-        evaluator identity is constant here, so including it would cost hash
-        work for zero discrimination.  Caches *shared between* evaluators
-        (the engine's :class:`~repro.engine.cache.EvaluationCache`) key on
-        :meth:`content_digest`, which does include the identity.
+        Uncached: repeats are resolved by the engine's
+        :class:`~repro.engine.cache.EvaluationCache`, keyed on
+        :meth:`content_digest`.
         """
-        key = _config_key(config)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         dynamic_network = build_dynamic_network(
             self.network,
             partition=config.partition,
@@ -280,14 +270,12 @@ class ConfigEvaluator:
             accuracy_model=self.accuracy_model,
             validation_samples=self.validation_samples,
         )
-        evaluated = EvaluatedConfig(
+        return EvaluatedConfig(
             config=config,
             dynamic_network=dynamic_network,
             profile=profile,
             inference=inference,
         )
-        self._cache[key] = evaluated
-        return evaluated
 
     def evaluate_many(self, configs) -> list:
         """Evaluate a whole population, preserving order."""

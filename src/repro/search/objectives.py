@@ -30,7 +30,7 @@ import hashlib
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -317,16 +317,6 @@ class ObjectiveSet:
     def matrix(self, evaluated: Sequence[EvaluatedConfig]) -> np.ndarray:
         """Stack :meth:`values` rows for NSGA-II's non-dominated sorting."""
         return np.array([self.values(item) for item in evaluated], dtype=float)
-
-    def reference_point(
-        self, fronts: Sequence[Sequence[EvaluatedConfig]]
-    ) -> List[float]:
-        """Shared hypervolume reference slightly worse than every candidate."""
-        reference: List[float] = []
-        for spec in self.specs:
-            worst = max(spec.value(item) for front in fronts for item in front)
-            reference.append(worst + 0.1 * abs(worst) + 1e-9)
-        return reference
 
     def describe(self) -> str:
         """Canonical identity string (stable across processes and runs)."""

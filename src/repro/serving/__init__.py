@@ -26,10 +26,11 @@ this time dropping the "one request at a time" idealisation:
   scenarios for serving campaigns (:mod:`repro.campaign.serving_runner`),
 * :mod:`repro.serving.fleet` -- heterogeneous fleets of instances behind a
   pluggable deterministic router with an autoscaler (boot latency, idle
-  power), each instance replaying its sub-stream through the unchanged
-  event loop,
-* :mod:`repro.serving.fleet_metrics` -- fleet-level pooled tails, dynamic +
-  idle joules, utilisation and the byte-deterministic fleet trace.
+  power), each instance replaying its sub-stream through
+  :func:`~repro.serving.bridge.simulate_deployment`,
+* :mod:`repro.serving.fleet_metrics` -- fleet-level pooled tails (reduced by
+  :func:`~repro.serving.metrics.compute_metrics`), dynamic + idle joules,
+  utilisation and the fleet-wide trace records.
 """
 
 from .bridge import (
@@ -59,7 +60,6 @@ from .fleet_metrics import (
     FleetRequestRecord,
     compute_fleet_metrics,
     fleet_records,
-    write_fleet_trace_jsonl,
 )
 from .families import (
     DiurnalFamily,
@@ -161,5 +161,4 @@ __all__ = [
     "FleetMetrics",
     "fleet_records",
     "compute_fleet_metrics",
-    "write_fleet_trace_jsonl",
 ]

@@ -4,20 +4,22 @@ The search engine ranks configurations by isolated average-case latency and
 energy (Eq. 16); under real traffic the right ranking can differ — a mapping
 whose bottleneck stage saturates first queues earlier and blows up its tail
 latency long before its *average* degrades.  :func:`rank_under_traffic`
-replays one seeded scenario against every candidate (same arrivals, same
-difficulty stream) and re-ranks by a simulated serving metric such as
-p99-under-load, so ``MapAndConquer.search`` results can be deployed on
-distributional evidence instead of per-sample expectations.
+replays one seeded scenario against every candidate and re-ranks by a
+simulated serving metric such as p99-under-load, so ``MapAndConquer.search``
+results can be deployed on distributional evidence instead of per-sample
+expectations.  It is built on the two primitives every single-board replay
+in the repo goes through: :func:`simulate_deployment` (one seeded replay)
+and :func:`measured_serving_metrics` (its reduction, cache-aware).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..dynamics.controller import ThresholdExitController
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from .metrics import ServingMetrics, compute_metrics, metric_direction
@@ -40,7 +42,6 @@ class TrafficRanking:
 
     candidate: object
     deployment: Deployment
-    result: ServingResult
     metrics: ServingMetrics
 
     def score(self, metric: str) -> float:
@@ -70,16 +71,21 @@ def _resolve_requests(
     return requests
 
 
+def _as_deployment(candidate, name: Optional[str] = None) -> Deployment:
+    """``candidate`` itself if it is a deployment, else its distillation."""
+    if isinstance(candidate, Deployment):
+        return candidate
+    return Deployment.from_evaluated(candidate, name=name)
+
+
 def simulate_deployment(
     candidate,
     platform: Platform,
     workload: Union[ArrivalProcess, Sequence[Request]],
     duration_ms: Optional[float] = None,
     policy: Optional[ServingPolicy] = None,
-    controller: Optional[ThresholdExitController] = None,
     seed: int = 0,
     deadline_ms: Optional[float] = None,
-    name: Optional[str] = None,
 ) -> ServingResult:
     """Simulate one searched mapping (or ready deployment) under traffic.
 
@@ -89,16 +95,10 @@ def simulate_deployment(
     passing a ``policy`` that already carries its deployments.
     """
     if policy is None:
-        deployment = (
-            candidate
-            if isinstance(candidate, Deployment)
-            else Deployment.from_evaluated(candidate, name=name)
-        )
-        policy = StaticPolicy(deployment)
+        policy = StaticPolicy(_as_deployment(candidate))
     simulator = TrafficSimulator(
         platform=platform,
         policy=policy,
-        controller=controller,
         seed=_simulation_seed(seed),
         deadline_ms=deadline_ms,
     )
@@ -110,27 +110,28 @@ def measured_serving_metrics(
     candidate,
     platform: Platform,
     workload: Union[ArrivalProcess, Sequence[Request]],
-    duration_ms: float,
+    duration_ms: Optional[float],
     seed: int = 0,
     deadline_ms: Optional[float] = None,
     cache: Optional[ServingResultCache] = None,
     family_name: str = "",
-    name: Optional[str] = None,
     policy: Optional[ServingPolicy] = None,
     policy_tag: str = "static",
 ) -> ServingMetrics:
     """Measured serving behaviour of one candidate, simulated at most once.
 
-    The cache-aware entry point behind ``measured_serving_objectives`` and
-    the measured campaign replays: the candidate is distilled into a
-    :class:`~repro.serving.policies.Deployment`, keyed by
+    The cache-aware entry point behind ``measured_serving_objectives``,
+    :func:`rank_under_traffic` and the campaign policy replays: the candidate
+    is distilled into a :class:`~repro.serving.policies.Deployment`, keyed by
     :func:`~repro.serving.result_cache.serving_digest` (deployment content x
     platform x workload x seed x replay budget x ``policy_tag``) and only
     simulated on a cache miss.  NSGA-II's pairwise domination checks
     interrogate the same candidates many times per generation; with a shared
     :class:`~repro.serving.result_cache.ServingResultCache` each distinct
     deployment pays for exactly one replay — and serving-campaign replays of
-    deployments the search already measured pay for none.
+    deployments the search already measured pay for none.  The digest
+    ignores display names, so a hit is relabelled to the policy name a fresh
+    replay would carry: cached and fresh metrics are equal.
 
     ``policy`` replays an adaptive :class:`~repro.serving.policies.ServingPolicy`
     (switcher, DVFS governor) instead of pinning the candidate statically; the
@@ -138,11 +139,9 @@ def measured_serving_metrics(
     the deployment set it switches over, since the digest still keys on the
     anchor ``candidate``.
     """
-    deployment = (
-        candidate
-        if isinstance(candidate, Deployment)
-        else Deployment.from_evaluated(candidate, name=name)
-    )
+    deployment = _as_deployment(candidate)
+    if policy is None:
+        policy = StaticPolicy(deployment)
     digest = None
     if cache is not None:
         digest = serving_digest(
@@ -156,17 +155,20 @@ def measured_serving_metrics(
         )
         hit = cache.lookup(digest)
         if hit is not None:
+            if hit.policy != policy.name:
+                hit = dataclasses.replace(hit, policy=policy.name)
             return hit
-    result = simulate_deployment(
-        deployment if policy is None else None,
-        platform,
-        workload,
-        duration_ms,
-        policy=policy,
-        seed=seed,
-        deadline_ms=deadline_ms,
+    metrics = compute_metrics(
+        simulate_deployment(
+            None,
+            platform,
+            workload,
+            duration_ms,
+            policy=policy,
+            seed=seed,
+            deadline_ms=deadline_ms,
+        )
     )
-    metrics = compute_metrics(result)
     if cache is not None:
         cache.store(digest, metrics, family=family_name)
     return metrics
@@ -178,46 +180,50 @@ def rank_under_traffic(
     workload: Union[ArrivalProcess, Sequence[Request]],
     duration_ms: Optional[float] = None,
     metric: str = "p99_latency_ms",
-    controller: Optional[ThresholdExitController] = None,
     seed: int = 0,
     deadline_ms: Optional[float] = None,
+    cache: Optional[ServingResultCache] = None,
+    family_name: str = "",
 ) -> List[TrafficRanking]:
     """Re-rank searched mappings by a simulated serving metric.
 
-    Every candidate faces the *same* request stream (arrivals are generated
-    once from ``seed``) and the same per-request difficulty/noise stream (the
-    simulator is re-seeded identically per candidate), so differences in the
-    chosen ``metric`` are attributable to the mappings alone.  Returns
-    rankings sorted best-first.
+    Every candidate faces the *same* request stream (arrivals are a pure
+    function of ``workload``, ``duration_ms`` and ``seed``) and the same
+    per-request difficulty/noise stream (the simulator is re-seeded
+    identically per candidate), so differences in the chosen ``metric`` are
+    attributable to the mappings alone.  Searched configurations deploy as
+    ``pareto-<position>``.  Each candidate is scored through
+    :func:`measured_serving_metrics`, so with a ``cache`` (and
+    ``family_name``, the label stored next to new entries) a deployment
+    already replayed under this scenario costs a lookup instead of a
+    simulation, with metrics equal to a fresh replay's.  Returns rankings
+    sorted best-first.
     """
     if not candidates:
         raise ConfigurationError("rank_under_traffic needs at least one candidate")
     # Resolve the declared sort direction up front: unknown or direction-less
     # metric names fail here, before any simulation work.
     reverse = metric_direction(metric) == "desc"
-    requests = _resolve_requests(workload, duration_ms, seed)
+    if cache is not None and duration_ms is None:
+        raise ConfigurationError(
+            "a cached ranking needs duration_ms: the replay budget is part of "
+            "the serving-cache key"
+        )
     rankings = []
     for position, candidate in enumerate(candidates):
-        deployment = (
-            candidate
-            if isinstance(candidate, Deployment)
-            else Deployment.from_evaluated(candidate, name=f"pareto-{position}")
-        )
-        simulator = TrafficSimulator(
-            platform=platform,
-            policy=StaticPolicy(deployment),
-            controller=controller,
-            seed=_simulation_seed(seed),
+        deployment = _as_deployment(candidate, name=f"pareto-{position}")
+        metrics = measured_serving_metrics(
+            deployment,
+            platform,
+            workload,
+            duration_ms,
+            seed=seed,
             deadline_ms=deadline_ms,
+            cache=cache,
+            family_name=family_name,
         )
-        result = simulator.run(requests, duration_ms=duration_ms)
         rankings.append(
-            TrafficRanking(
-                candidate=candidate,
-                deployment=deployment,
-                result=result,
-                metrics=compute_metrics(result),
-            )
+            TrafficRanking(candidate=candidate, deployment=deployment, metrics=metrics)
         )
     rankings.sort(key=lambda ranking: ranking.score(metric), reverse=reverse)
     return rankings

@@ -4,7 +4,7 @@ One :class:`~repro.serving.simulator.TrafficSimulator` deploys one mapping on
 one board; a production service runs a *fleet* — N instances across mixed zoo
 platforms, each serving its own :class:`~repro.serving.policies.Deployment`
 drawn from that platform's Pareto front.  This module simulates such fleets
-deterministically while reusing the per-CU FIFO event loop unchanged:
+deterministically on top of the single-board serving path:
 
 1. **Routing pass** — the shared request stream (one seeded
    :class:`~repro.serving.workload.ArrivalProcess`) is walked in arrival
@@ -15,11 +15,10 @@ deterministically while reusing the per-CU FIFO event loop unchanged:
    :class:`AutoscalerPolicy` boots instances up (paying a boot latency) and
    spins them down (saving their idle power) as the observed arrival rate
    swings.
-2. **Replay pass** — each instance's assigned sub-stream is played through
-   its own :class:`TrafficSimulator` (same per-request difficulty seed
-   derivation as :func:`repro.serving.bridge.simulate_deployment`), so a
-   fleet of one instance behind a round-robin router reproduces
-   single-instance serving byte for byte.
+2. **Replay pass** — each instance's assigned sub-stream is replayed by
+   :func:`repro.serving.bridge.simulate_deployment` with the fleet's seed,
+   so a fleet of one instance behind a round-robin router *is*
+   single-instance serving, byte for byte.
 
 Everything is seed-deterministic: routing consumes no randomness beyond the
 request stream itself, and per-instance replays derive their seeds from
@@ -37,14 +36,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..dynamics.controller import ThresholdExitController
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from ..utils import check_fraction, check_positive
-from .policies import Deployment, StaticPolicy
-from .simulator import ServingResult, TrafficSimulator
+from .bridge import _resolve_requests, simulate_deployment
+from .metrics import write_trace_jsonl
+from .policies import Deployment
+from .simulator import ServingResult
 from .workload import ArrivalProcess, Request
 
 __all__ = [
@@ -447,9 +445,7 @@ class FleetResult:
 
     def write_trace(self, path) -> None:
         """Export the per-request fleet trace as JSONL (byte-deterministic)."""
-        from .fleet_metrics import write_fleet_trace_jsonl
-
-        write_fleet_trace_jsonl(self.records(), path)
+        write_trace_jsonl(self.records(), path)
 
 
 @dataclass
@@ -490,9 +486,9 @@ class FleetSimulator:
         starts ``min_instances`` warm at t=0 and scales within
         ``[min_instances, max_instances]`` as the observed rate swings.
     seed:
-        Per-instance replay seed basis (difficulty/noise streams); uses the
-        same derivation as :func:`repro.serving.bridge.simulate_deployment`,
-        so a fleet of one reproduces single-instance serving byte for byte.
+        Seed of the generated request stream and of every instance's replay
+        (:func:`repro.serving.bridge.simulate_deployment`), so a fleet of one
+        reproduces single-instance serving byte for byte.
     deadline_ms:
         Default relative deadline for requests not carrying one.
     shed_backlog_ms:
@@ -508,7 +504,6 @@ class FleetSimulator:
         seed: int = 0,
         deadline_ms: Optional[float] = None,
         shed_backlog_ms: Optional[float] = None,
-        controller: Optional[ThresholdExitController] = None,
     ) -> None:
         if not instances:
             raise ConfigurationError("a fleet needs at least one instance")
@@ -530,7 +525,6 @@ class FleetSimulator:
         if shed_backlog_ms is not None:
             check_positive(shed_backlog_ms, "shed_backlog_ms")
         self.shed_backlog_ms = shed_backlog_ms
-        self.controller = controller
 
     # -- public API --------------------------------------------------------------
     def run(
@@ -539,44 +533,29 @@ class FleetSimulator:
         duration_ms: Optional[float] = None,
     ) -> FleetResult:
         """Route and replay one request stream through the fleet."""
-        if isinstance(workload, ArrivalProcess):
-            if duration_ms is None:
-                raise ConfigurationError(
-                    "duration_ms is required when passing an ArrivalProcess"
-                )
-            requests = workload.generate(duration_ms, seed=self.seed)
-        else:
-            requests = tuple(workload)
-        if not requests:
-            raise ConfigurationError("cannot simulate an empty request stream")
+        requests = _resolve_requests(workload, duration_ms, self.seed)
         ordered = tuple(sorted(requests, key=lambda request: request.arrival_ms))
 
         assignments, dropped, events, states, initial_active = self._route(ordered)
 
-        # Replay pass: each instance's sub-stream through the unchanged
-        # per-CU event loop, seeded exactly like single-instance serving.
+        # Replay pass: each instance's sub-stream through single-board serving.
         per_instance: List[List[int]] = [[] for _ in self.instances]
         for global_index, instance_index in enumerate(assignments):
             if instance_index >= 0:
                 per_instance[instance_index].append(global_index)
-        results: List[Optional[ServingResult]] = []
-        for instance_index, assigned in enumerate(per_instance):
-            if not assigned:
-                results.append(None)
-                continue
-            instance = self.instances[instance_index]
-            simulator = TrafficSimulator(
-                platform=instance.platform,
-                policy=StaticPolicy(instance.deployment),
-                controller=self.controller,
-                seed=self._replay_seed(),
+        results: List[Optional[ServingResult]] = [
+            simulate_deployment(
+                instance.deployment,
+                instance.platform,
+                [ordered[index] for index in assigned],
+                duration_ms=duration_ms,
+                seed=self.seed,
                 deadline_ms=self.deadline_ms,
             )
-            results.append(
-                simulator.run(
-                    [ordered[index] for index in assigned], duration_ms=duration_ms
-                )
-            )
+            if assigned
+            else None
+            for instance, assigned in zip(self.instances, per_instance)
+        ]
 
         horizon = max(
             [float(duration_ms) if duration_ms is not None else 0.0]
@@ -610,12 +589,6 @@ class FleetSimulator:
         )
 
     # -- internals ---------------------------------------------------------------
-    def _replay_seed(self) -> np.random.Generator:
-        """Identical derivation to ``bridge._simulation_seed``: every instance
-        replays the same seeded difficulty basis over its own sub-stream, so
-        a fleet of one is byte-identical to :func:`simulate_deployment`."""
-        return np.random.default_rng(np.random.SeedSequence([self.seed, 0x5E57]))
-
     def _route(self, ordered: Sequence[Request]):
         """The deterministic routing pass (no randomness consumed)."""
         view = _RoutingView(self.instances, self.deadline_ms)
@@ -721,7 +694,6 @@ def simulate_fleet(
     seed: int = 0,
     deadline_ms: Optional[float] = None,
     shed_backlog_ms: Optional[float] = None,
-    controller: Optional[ThresholdExitController] = None,
 ) -> FleetResult:
     """One-call fleet simulation (the :func:`simulate_deployment` sibling)."""
     simulator = FleetSimulator(
@@ -731,6 +703,5 @@ def simulate_fleet(
         seed=seed,
         deadline_ms=deadline_ms,
         shed_backlog_ms=shed_backlog_ms,
-        controller=controller,
     )
     return simulator.run(workload, duration_ms=duration_ms)

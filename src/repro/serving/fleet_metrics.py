@@ -5,31 +5,27 @@ judged on the *pooled* request population plus costs no single instance sees:
 idle power of boards kept warm for headroom, boot events, dropped requests.
 :func:`compute_fleet_metrics` reduces a
 :class:`~repro.serving.fleet.FleetResult` to those numbers, checking request
-conservation (served + dropped == generated) on the way, and
-:func:`write_fleet_trace_jsonl` exports the fleet-wide trace with the same
-byte-deterministic formatting as single-instance serving (sorted keys,
-shortest round-trip floats), each line carrying the serving instance and the
-request's *global* index in the shared stream.
+conservation (served + dropped == generated) on the way and pooling through
+``compute_metrics`` itself.  :func:`fleet_records` yields the fleet-wide
+trace, each record carrying the serving instance and the request's *global*
+index in the shared stream; :func:`repro.serving.metrics.write_trace_jsonl`
+exports it with the byte-deterministic single-instance formatting.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Tuple
-
-import numpy as np
+from typing import Mapping, Tuple
 
 from ..errors import ConfigurationError
-from .simulator import RequestRecord
+from .metrics import compute_metrics
+from .simulator import RequestRecord, ServingResult
 
 __all__ = [
     "FleetRequestRecord",
     "FleetMetrics",
     "fleet_records",
     "compute_fleet_metrics",
-    "write_fleet_trace_jsonl",
 ]
 
 
@@ -174,69 +170,30 @@ def _mean_peak_active(result) -> Tuple[float, int]:
     return mean, peak
 
 
-def _degenerate_fleet_metrics(result) -> FleetMetrics:
-    """The zero-served aggregate: every request shed, nothing to pool.
-
-    Same convention as :meth:`repro.serving.metrics.ServingMetrics.degenerate`
-    — ``inf`` on every ascending latency/energy-per-request axis, accuracy 0,
-    miss rate 1 — but the system-side numbers (idle joules of warm silicon,
-    drop rate, active-instance statistics, boots) are still real and kept,
-    because an overloaded fleet that sheds everything *does* burn idle power.
-    """
-    idle_mj = float(sum(outcome.idle_energy_mj() for outcome in result.outcomes))
-    mean_active, peak_active = _mean_peak_active(result)
-    generated = len(result.requests)
-    return FleetMetrics(
-        router=result.router,
-        num_instances=len(result.outcomes),
-        num_requests=0,
-        num_dropped=result.num_dropped,
-        duration_ms=result.duration_ms,
-        throughput_rps=0.0,
-        drop_rate=result.num_dropped / generated if generated else 0.0,
-        mean_latency_ms=float("inf"),
-        p50_latency_ms=float("inf"),
-        p95_latency_ms=float("inf"),
-        p99_latency_ms=float("inf"),
-        max_latency_ms=float("inf"),
-        mean_queueing_ms=float("inf"),
-        deadline_miss_rate=1.0,
-        accuracy=0.0,
-        dynamic_energy_mj=0.0,
-        idle_energy_mj=idle_mj,
-        total_energy_mj=idle_mj,
-        energy_per_request_mj=float("inf"),
-        mean_in_flight=0.0,
-        mean_active_instances=mean_active,
-        peak_active_instances=int(peak_active),
-        boots=sum(outcome.boots for outcome in result.outcomes),
-        instance_requests={
-            outcome.instance.name: outcome.num_requests for outcome in result.outcomes
-        },
-        instance_utilisation={
-            outcome.instance.name: outcome.utilisation() for outcome in result.outcomes
-        },
-    )
-
-
 def compute_fleet_metrics(result) -> FleetMetrics:
-    """Reduce a :class:`~repro.serving.fleet.FleetResult` to fleet aggregates."""
-    pooled = fleet_records(result)
-    if not pooled:
-        return _degenerate_fleet_metrics(result)
-    records = [entry.record for entry in pooled]
-    latencies = np.sort(np.array([record.latency_ms for record in records]))
-    queueing = np.array([record.queueing_ms for record in records])
-    energies = np.array([record.energy_mj for record in records])
-    correct = np.array([record.correct for record in records])
-    with_deadline = [record for record in records if record.deadline_ms is not None]
-    missed = sum(1 for record in with_deadline if record.deadline_missed)
+    """Reduce a :class:`~repro.serving.fleet.FleetResult` to fleet aggregates.
 
+    The pooled request statistics are :func:`~repro.serving.metrics.compute_metrics`
+    over the served records in stream order.  A result that served nothing
+    (hand-built: a simulated fleet always serves its first arrival) reduces
+    through :meth:`~repro.serving.metrics.ServingMetrics.degenerate` (``inf``
+    tails, accuracy 0, miss rate 1) while its system-side numbers — idle
+    joules of warm silicon, drops, active instances, boots — stay real.
+    """
+    pooled = fleet_records(result)
     duration_ms = result.duration_ms
-    duration_s = duration_ms / 1000.0
-    dynamic_mj = float(energies.sum())
+    served = compute_metrics(
+        ServingResult(
+            policy=result.router,
+            records=tuple(entry.record for entry in pooled),
+            duration_ms=duration_ms,
+            busy_ms={},
+            mean_in_flight=0.0,
+            peak_in_flight=0,
+        )
+    )
     idle_mj = float(sum(outcome.idle_energy_mj() for outcome in result.outcomes))
-    total_mj = dynamic_mj + idle_mj
+    total_mj = served.total_energy_mj + idle_mj
     in_flight_area = sum(
         outcome.result.mean_in_flight * outcome.result.duration_ms
         for outcome in result.outcomes
@@ -247,23 +204,25 @@ def compute_fleet_metrics(result) -> FleetMetrics:
     return FleetMetrics(
         router=result.router,
         num_instances=len(result.outcomes),
-        num_requests=len(records),
+        num_requests=served.num_requests,
         num_dropped=result.num_dropped,
         duration_ms=duration_ms,
-        throughput_rps=len(records) / duration_s if duration_s > 0 else 0.0,
+        throughput_rps=served.throughput_rps,
         drop_rate=result.num_dropped / generated if generated else 0.0,
-        mean_latency_ms=float(latencies.mean()),
-        p50_latency_ms=float(np.percentile(latencies, 50.0)),
-        p95_latency_ms=float(np.percentile(latencies, 95.0)),
-        p99_latency_ms=float(np.percentile(latencies, 99.0)),
-        max_latency_ms=float(latencies[-1]),
-        mean_queueing_ms=float(queueing.mean()),
-        deadline_miss_rate=missed / len(with_deadline) if with_deadline else 0.0,
-        accuracy=float(correct.mean()),
-        dynamic_energy_mj=dynamic_mj,
+        mean_latency_ms=served.mean_latency_ms,
+        p50_latency_ms=served.p50_latency_ms,
+        p95_latency_ms=served.p95_latency_ms,
+        p99_latency_ms=served.p99_latency_ms,
+        max_latency_ms=served.max_latency_ms,
+        mean_queueing_ms=served.mean_queueing_ms,
+        deadline_miss_rate=served.deadline_miss_rate,
+        accuracy=served.accuracy,
+        dynamic_energy_mj=served.total_energy_mj,
         idle_energy_mj=idle_mj,
         total_energy_mj=total_mj,
-        energy_per_request_mj=total_mj / len(records),
+        energy_per_request_mj=(
+            total_mj / served.num_requests if served.completed else float("inf")
+        ),
         mean_in_flight=in_flight_area / duration_ms if duration_ms > 0 else 0.0,
         mean_active_instances=mean_active,
         peak_active_instances=int(peak_active),
@@ -275,21 +234,3 @@ def compute_fleet_metrics(result) -> FleetMetrics:
             outcome.instance.name: outcome.utilisation() for outcome in result.outcomes
         },
     )
-
-
-def write_fleet_trace_jsonl(records: Iterable[FleetRequestRecord], path) -> Path:
-    """Write one JSON object per served fleet request to ``path``.
-
-    Same guarantees as :func:`repro.serving.metrics.write_trace_jsonl`: sorted
-    keys and shortest round-trip floats, so a seeded fleet run always writes
-    a byte-identical file.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        for entry in records:
-            handle.write(
-                json.dumps(entry.to_json_dict(), sort_keys=True, separators=(",", ":"))
-            )
-            handle.write("\n")
-    return target

@@ -257,8 +257,11 @@ def _trace_lines(records: Iterable[RequestRecord]) -> Iterable[str]:
 def write_trace_jsonl(records: Iterable[RequestRecord], path) -> Path:
     """Write one JSON object per completed request to ``path``.
 
-    Keys are sorted and floats use Python's shortest round-trip repr, so the
-    same seeded simulation always writes a byte-identical file.
+    Each record contributes its ``to_json_dict()``, so fleet-wide
+    :class:`~repro.serving.fleet_metrics.FleetRequestRecord` traces export
+    the same way.  Keys are sorted and floats use Python's shortest
+    round-trip repr, so the same seeded simulation always writes a
+    byte-identical file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ import math
 import pytest
 
 import repro.campaign.runner as runner_module
-import repro.campaign.serving_runner as serving_runner_module
+import repro.serving.bridge as bridge_module
 from repro.campaign import run_campaign, run_serving_campaign
 from repro.campaign.serving_runner import (
     MemberOutcome,
@@ -431,16 +431,16 @@ class TestDegenerateCells:
         self, tiny_network, monkeypatch
     ):
         """End to end: one platform sheds everything, the campaign survives."""
-        real = serving_runner_module.measured_serving_metrics
+        real = bridge_module.measured_serving_metrics
 
         def drowning(deployment, platform, process, duration_ms, **kwargs):
             if platform.name == "mobile-big-little":
                 return ServingMetrics.degenerate("static(shed)", duration_ms)
             return real(deployment, platform, process, duration_ms, **kwargs)
 
-        monkeypatch.setattr(
-            serving_runner_module, "measured_serving_metrics", drowning
-        )
+        # Patched at its single definition: it drowns the static ranking
+        # (through rank_under_traffic) and the adaptive replays alike.
+        monkeypatch.setattr(bridge_module, "measured_serving_metrics", drowning)
         serving = run_serving_campaign(
             tiny_network,
             PLATFORMS,

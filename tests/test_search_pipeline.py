@@ -38,13 +38,6 @@ class TestConfigEvaluator:
         assert evaluated.latency_ms <= evaluated.worst_case_latency_ms + 1e-9
         assert evaluated.energy_mj <= evaluated.worst_case_energy_mj + 1e-9
 
-    def test_cache_returns_same_object(self, tiny_config_evaluator, tiny_space):
-        config = tiny_space.sample(seed=3)
-        first = tiny_config_evaluator.evaluate(config)
-        second = tiny_config_evaluator.evaluate(config)
-        assert first is second
-        assert tiny_config_evaluator.evaluations == 1
-
     def test_summary_row_fields(self, tiny_config_evaluator, tiny_space):
         row = tiny_config_evaluator.evaluate(tiny_space.sample(seed=1)).summary_row()
         assert set(row) == {

@@ -6,7 +6,7 @@ Pins the acceptance criteria of :mod:`repro.serving.fleet`:
   instance or explicitly dropped; global trace indices partition exactly,
 * **fleet-of-1 identity** — a round-robin fleet of one instance replays the
   stream byte-identically to :func:`repro.serving.bridge.simulate_deployment`
-  (same seed derivation, same records, same trace bytes),
+  (same records, same trace bytes) and pools to the same request metrics,
 * **Little's law at fleet scope** — time-averaged in-flight equals
   throughput x mean latency, measured independently of per-request numbers,
 * **router determinism** — a hypothesis property: any registered router
@@ -33,6 +33,7 @@ from repro.serving import (
     FleetSimulator,
     PoissonArrivals,
     compute_fleet_metrics,
+    compute_metrics,
     fleet_records,
     get_router,
     router_names,
@@ -230,6 +231,34 @@ class TestFleetOfOneIdentity:
             for key, value in left.items():
                 if key != "index":
                     assert right[key] == value
+
+    def test_fleet_metrics_pool_like_single_board_metrics(self, platform, fast):
+        workload = PoissonArrivals(120.0)
+        scenario = dict(duration_ms=1500.0, seed=5, deadline_ms=20.0)
+        single = compute_metrics(
+            simulate_deployment(fast, platform, workload, **scenario)
+        )
+        fleet = compute_fleet_metrics(
+            simulate_fleet(
+                (FleetInstance(name="only", platform=platform, deployment=fast),),
+                workload,
+                router="round-robin",
+                **scenario,
+            )
+        )
+        for name in (
+            "throughput_rps",
+            "mean_latency_ms",
+            "p50_latency_ms",
+            "p95_latency_ms",
+            "p99_latency_ms",
+            "max_latency_ms",
+            "mean_queueing_ms",
+            "deadline_miss_rate",
+            "accuracy",
+        ):
+            assert getattr(fleet, name) == getattr(single, name), name
+        assert fleet.dynamic_energy_mj == single.total_energy_mj
 
 
 class TestFleetMetrics:

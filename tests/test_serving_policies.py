@@ -84,7 +84,7 @@ class TestDeployment:
 
 
 class TestRescaleDeployment:
-    def test_identity_at_reference_point(self, frugal, platform):
+    def test_identity_at_profiled_scale(self, frugal, platform):
         rescaled = rescale_deployment(frugal, platform, 1.0)
         assert rescaled.service_ms == frugal.service_ms
         assert rescaled.energy_mj == frugal.energy_mj

@@ -9,11 +9,11 @@ adaptive-switcher behaviour under bursts, and the search-to-serving bridge.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.dynamics.inference import simulate_dynamic_inference
 from repro.errors import ConfigurationError
+from repro.search.objectives import measured_serving_objectives
 from repro.serving import (
     AdaptiveSwitchPolicy,
     ConstantRate,
@@ -21,7 +21,9 @@ from repro.serving import (
     MultiTenantStream,
     OnOffBursts,
     PoissonArrivals,
+    ServingResultCache,
     StaticPolicy,
+    SteadyPoissonFamily,
     TrafficSimulator,
     compute_metrics,
     rank_under_traffic,
@@ -271,6 +273,77 @@ class TestBridge:
             seed=0,
         )
         assert by_energy[0].deployment.name == "cramped"
+
+    def test_cached_ranking_equals_fresh_and_replays_once(
+        self, tiny_config_evaluator, tiny_space, platform
+    ):
+        front = [
+            tiny_config_evaluator.evaluate(tiny_space.sample(seed=seed))
+            for seed in range(4)
+        ]
+        scenario = dict(duration_ms=2000.0, seed=3)
+        fresh = rank_under_traffic(front, platform, PoissonArrivals(30.0), **scenario)
+        cache = ServingResultCache()
+        cached = rank_under_traffic(
+            front, platform, PoissonArrivals(30.0), cache=cache, **scenario
+        )
+        assert [r.candidate for r in cached] == [r.candidate for r in fresh]
+        assert [r.deployment.name for r in cached] == [
+            r.deployment.name for r in fresh
+        ]
+        assert [r.metrics for r in cached] == [r.metrics for r in fresh]
+        misses = cache.stats.misses
+        again = rank_under_traffic(
+            front, platform, PoissonArrivals(30.0), cache=cache, **scenario
+        )
+        assert cache.stats.misses == misses
+        assert [r.metrics for r in again] == [r.metrics for r in fresh]
+
+    def test_cache_filled_by_measured_search_keeps_ranking_labels(
+        self, tiny_config_evaluator, tiny_space, platform
+    ):
+        front = [
+            tiny_config_evaluator.evaluate(tiny_space.sample(seed=seed))
+            for seed in range(3)
+        ]
+        cache = ServingResultCache()
+        objectives = measured_serving_objectives(
+            SteadyPoissonFamily(rate_rps=30.0),
+            platform,
+            duration_ms=800.0,
+            members=2,
+            cache=cache,
+        )
+        for item in front:
+            objectives.values(item)  # stores under the search-time names
+        assert not any(
+            metrics.policy.startswith("static(pareto-") for _, metrics in cache.items()
+        )
+        replay = objectives.specs[-1].extractor
+        scenario = dict(duration_ms=replay.duration_ms, seed=replay.traffic_seed)
+        misses = cache.stats.misses
+        ranked = rank_under_traffic(
+            front, platform, replay.workload, cache=cache, **scenario
+        )
+        assert cache.stats.misses == misses  # every candidate was a hit
+        for ranking in ranked:
+            assert ranking.deployment.name.startswith("pareto-")
+            assert ranking.metrics.policy == f"static({ranking.deployment.name})"
+        fresh = rank_under_traffic(front, platform, replay.workload, **scenario)
+        assert [r.metrics for r in ranked] == [r.metrics for r in fresh]
+
+    def test_cached_ranking_needs_a_replay_budget(self, platform, cascade, monkeypatch):
+        import repro.serving.bridge as bridge_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before validating the replay budget")
+
+        monkeypatch.setattr(bridge_module, "simulate_deployment", never)
+        requests = ConstantRate(10.0).generate(500.0, seed=0)
+        with pytest.raises(ConfigurationError, match="duration_ms"):
+            rank_under_traffic(
+                [cascade], platform, requests, duration_ms=None, cache=ServingResultCache()
+            )
 
     def test_rank_rejects_unknown_metric(self, platform, cascade):
         with pytest.raises(ConfigurationError):
