@@ -1,11 +1,18 @@
-"""Setuptools shim for environments without the ``wheel`` package.
+"""Package metadata for the Map-and-Conquer reproduction (``import repro``).
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-only so that ``pip install -e . --no-build-isolation --no-use-pep517`` (the
-legacy editable path) works on offline machines that lack the ``wheel``
-build dependency required by PEP 660 editable installs.
+The library lives under ``src/`` and depends on numpy only.  Install it with
+``pip install .`` (or ``pip install -e .``), or skip the install and run from
+a checkout with ``PYTHONPATH=src``.  Keep ``version`` equal to
+``repro.__version__``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.5.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy"],
+)

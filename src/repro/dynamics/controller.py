@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..perf.evaluator import HardwareProfile
-from ..utils import as_rng, check_fraction
+from ..utils import as_rng, check_fraction, check_stage_accuracies
 
 __all__ = ["ControllerResult", "ExitDecision", "ThresholdExitController"]
 
@@ -100,16 +100,6 @@ class ThresholdExitController:
         self._rng = as_rng(seed)
 
     # -- shared model pieces -----------------------------------------------------
-    @staticmethod
-    def _validated_accuracies(stage_accuracies: Sequence[float]) -> "list[float]":
-        """Validate the per-stage accuracy vector (non-empty, non-decreasing)."""
-        accuracies = [check_fraction(value, "stage accuracy") for value in stage_accuracies]
-        if not accuracies:
-            raise ConfigurationError("stage_accuracies must be non-empty")
-        if any(b < a - 1e-9 for a, b in zip(accuracies, accuracies[1:])):
-            raise ConfigurationError("stage accuracies must be non-decreasing")
-        return accuracies
-
     def _confidence(
         self, correct: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
@@ -135,11 +125,13 @@ class ThresholdExitController:
     ) -> ExitDecision:
         """Decide the terminating stage for one request of known difficulty.
 
-        This is the per-request counterpart of :meth:`simulate`, used by the
-        serving simulator (:mod:`repro.serving`) to make exit decisions in the
-        loop: the request is classifiable by stage ``i`` iff
-        ``difficulty <= stage_accuracies[i]``, and the controller exits at the
-        first stage whose (noisy) confidence clears the threshold.
+        This is the per-request counterpart of :meth:`simulate`: the request
+        is classifiable by stage ``i`` iff ``difficulty <= stage_accuracies[i]``,
+        and the controller exits at the first stage whose (noisy) confidence
+        clears the threshold.  Noise-free (``confidence_noise=0``) and with a
+        positive threshold it reduces to the ideal exit of
+        :meth:`repro.serving.policies.Deployment.exit_stage`, the rule the
+        serving simulator replays.
 
         Parameters
         ----------
@@ -152,7 +144,7 @@ class ThresholdExitController:
             controller's own stream.
         """
         check_fraction(difficulty, "difficulty")
-        accuracies = self._validated_accuracies(stage_accuracies)
+        accuracies = check_stage_accuracies(stage_accuracies)
         generator = self._rng if rng is None else as_rng(rng)
 
         escalated = False
@@ -199,7 +191,7 @@ class ThresholdExitController:
         num_samples:
             Monte-Carlo population size.
         """
-        accuracies = self._validated_accuracies(stage_accuracies)
+        accuracies = check_stage_accuracies(stage_accuracies)
         if profile.num_stages != len(accuracies):
             raise ConfigurationError(
                 f"profile has {profile.num_stages} stages but {len(accuracies)} accuracies given"

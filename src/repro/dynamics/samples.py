@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils import check_fraction
+from ..utils import check_stage_accuracies
 
 __all__ = ["ExitStatistics", "compute_exit_statistics"]
 
@@ -90,13 +90,9 @@ def compute_exit_statistics(
         Size of the validation set the counts refer to (10 000 for the
         CIFAR-100 test set used in the paper).
     """
-    accuracies = [check_fraction(value, "stage accuracy") for value in stage_accuracies]
-    if not accuracies:
-        raise ConfigurationError("stage_accuracies must be non-empty")
+    accuracies = check_stage_accuracies(stage_accuracies)
     if validation_samples < 1:
         raise ConfigurationError("validation_samples must be >= 1")
-    if any(b < a - 1e-9 for a, b in zip(accuracies, accuracies[1:])):
-        raise ConfigurationError("stage accuracies must be non-decreasing")
 
     increments = np.diff(np.concatenate(([0.0], np.asarray(accuracies))))
     correct_counts = np.round(increments * validation_samples).astype(int)

@@ -2,16 +2,17 @@
 
 The paper evaluates each mapping on isolated samples (Table II); this
 subsystem deploys searched Pareto mappings behind per-compute-unit FIFO
-queues and plays whole request traces through them -- the second relaxation
-of the ideal-input-mapping assumption (after the runtime exit controller),
-this time dropping the "one request at a time" idealisation:
+queues and plays whole request traces through them, dropping the "one
+request at a time" idealisation.  Exits stay ideal, as in the paper
+(Sect. III-B): each request exits at the first stage that classifies it.
 
 * :mod:`repro.serving.workload` -- seedable arrival processes (constant,
   Poisson, bursty on/off, diurnal, multi-tenant),
 * :mod:`repro.serving.policies` -- deployments and runtime policies (static,
   hysteresis mapping-switcher, DVFS governor),
-* :mod:`repro.serving.simulator` -- the deterministic event loop with the
-  threshold exit controller deciding exits per request,
+* :mod:`repro.serving.simulator` -- the deterministic event loop; each
+  request exits at :meth:`~repro.serving.policies.Deployment.exit_stage` of
+  its latent difficulty,
 * :mod:`repro.serving.metrics` -- tail latency, throughput, deadline misses,
   utilisation, energy, JSONL trace export,
 * :mod:`repro.serving.bridge` -- re-rank ``MapAndConquer.search`` results by

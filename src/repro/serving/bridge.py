@@ -189,8 +189,8 @@ def rank_under_traffic(
 
     Every candidate faces the *same* request stream (arrivals are a pure
     function of ``workload``, ``duration_ms`` and ``seed``) and the same
-    per-request difficulty/noise stream (the simulator is re-seeded
-    identically per candidate), so differences in the chosen ``metric`` are
+    per-request difficulty stream (the simulator is re-seeded identically
+    per candidate), so differences in the chosen ``metric`` are
     attributable to the mappings alone.  Searched configurations deploy as
     ``pareto-<position>``.  Each candidate is scored through
     :func:`measured_serving_metrics`, so with a ``cache`` (and

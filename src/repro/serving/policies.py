@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
-from ..utils import check_fraction, check_non_negative, check_positive
+from ..utils import check_fraction, check_non_negative, check_positive, check_stage_accuracies
 
 __all__ = [
     "Deployment",
@@ -74,12 +74,7 @@ class Deployment:
             check_positive(value, "service_ms")
         for value in self.energy_mj:
             check_positive(value, "energy_mj")
-        for value in self.stage_accuracies:
-            check_fraction(value, "stage accuracy")
-        if any(
-            b < a - 1e-9 for a, b in zip(self.stage_accuracies, self.stage_accuracies[1:])
-        ):
-            raise ConfigurationError("stage accuracies must be non-decreasing")
+        check_stage_accuracies(self.stage_accuracies)
         for value in self.dvfs_scales:
             check_fraction(value, "dvfs scale", allow_zero=False)
 
@@ -87,6 +82,18 @@ class Deployment:
     def num_stages(self) -> int:
         """Number of inference stages."""
         return len(self.unit_names)
+
+    def exit_stage(self, difficulty: float) -> int:
+        """Stage a request of latent ``difficulty`` exits at, ideally (Sect. III-B).
+
+        The first stage whose accuracy is ``>= difficulty`` (the first that
+        classifies it), else the last stage, which answers wrongly.  A
+        first-match scan, not a bisection: accuracies may dip by up to 1e-9.
+        """
+        for stage, accuracy in enumerate(self.stage_accuracies):
+            if difficulty <= accuracy:
+                return stage
+        return len(self.stage_accuracies) - 1
 
     def cumulative_latency_ms(self, stage: int) -> float:
         """Zero-contention latency when terminating at ``stage`` (Eq. 13)."""

@@ -1,20 +1,25 @@
 """Deterministic discrete-event simulation of mappings under traffic.
 
-This is the second relaxation of the paper's ideal-input-mapping assumption.
-The first (:mod:`repro.dynamics.controller`) admitted that a deployed system
-does not know a priori how many stages a sample needs; this module admits
-that requests *contend*: every compute unit serves a FIFO queue, so the
+The paper evaluates each mapping on one sample at a time, under ideal input
+mapping (Sect. III-B).  This module keeps the ideal exits and drops the
+isolation: requests *contend*, every compute unit serves a FIFO queue, so the
 latency a user sees is queueing delay plus service, not the isolated
-per-sample makespan of Table II.
+per-sample makespan of Table II.  (The noisy runtime exit controller,
+``ThresholdExitController.simulate``, is a separate Monte-Carlo study.)
 
 Execution model
 ---------------
 A request admitted at time ``t`` is assigned a deployment by the serving
-policy (from the live queue depth) and an exit stage by the
-:class:`~repro.dynamics.controller.ThresholdExitController` (from its latent
-difficulty).  Under the paper's concurrent-execution model the instantiated
-stages ``S_1 .. S_i`` run in parallel on their (distinct) compute units, so
-the request enqueues one task per instantiated stage at admission; each task
+policy (from the live queue depth) and exits where ideal input mapping puts
+it: at :meth:`~repro.serving.policies.Deployment.exit_stage` of its latent
+difficulty, the first stage whose accuracy covers that difficulty.  The
+difficulties are a seeded permutation of an evenly spaced grid over
+``(0, 1)``, so a trace's exit fractions match the ideal analysis almost
+exactly at any trace length.
+
+Under the paper's concurrent-execution model the instantiated stages
+``S_1 .. S_i`` run in parallel on their (distinct) compute units, so the
+request enqueues one task per instantiated stage at admission; each task
 occupies its unit's FIFO queue for the stage's service time, and the request
 completes when its last task does.  At zero contention this reproduces
 Eq. 13/14 exactly: latency ``max_{k<=i} T_{S_k}``, energy ``E_{S_{1:i}}``.
@@ -32,7 +37,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dynamics.controller import ThresholdExitController
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from ..utils import as_rng, check_positive
@@ -121,7 +125,6 @@ class _Task:
     """One stage of one in-flight request, queued on a compute unit."""
 
     state: "_RequestState"
-    stage: int
     service_ms: float
 
 
@@ -151,44 +154,28 @@ class TrafficSimulator:
     policy:
         Serving policy choosing a deployment per request
         (:mod:`repro.serving.policies`).
-    controller:
-        Runtime exit controller; ``None`` uses a noise-free
-        :class:`~repro.dynamics.controller.ThresholdExitController`, which
-        reproduces the paper's ideal exit behaviour in expectation.
     seed:
-        Seed of the per-request difficulty and confidence-noise draws.
+        Seed of the permutation that deals the evenly spaced difficulty grid
+        out to the requests.
     deadline_ms:
         Default relative deadline applied to requests that do not carry one;
         ``None`` disables deadline accounting for those requests.
-    stratified_difficulty:
-        Draw request difficulties from a seeded permutation of an evenly
-        spaced grid instead of i.i.d. uniforms.  This variance reduction
-        makes the empirical exit fractions match the ideal analysis almost
-        exactly at any trace length (used by the zero-load consistency
-        checks); set ``False`` for fully independent requests.
     """
 
     def __init__(
         self,
         platform: Platform,
         policy: ServingPolicy,
-        controller: Optional[ThresholdExitController] = None,
+        *,
         seed: "int | np.random.Generator | None" = 0,
         deadline_ms: Optional[float] = None,
-        stratified_difficulty: bool = True,
     ) -> None:
         self.platform = platform
         self.policy = policy
-        self.controller = (
-            controller
-            if controller is not None
-            else ThresholdExitController(threshold=0.5, confidence_noise=0.0, seed=0)
-        )
         self._seed = seed
         if deadline_ms is not None:
             check_positive(deadline_ms, "deadline_ms")
         self.deadline_ms = deadline_ms
-        self.stratified_difficulty = bool(stratified_difficulty)
 
     def run(
         self,
@@ -207,9 +194,9 @@ class TrafficSimulator:
         """
         if not requests:
             raise ConfigurationError("cannot simulate an empty request stream")
-        rng = as_rng(self._seed)
         ordered = sorted(requests, key=lambda r: r.arrival_ms)
-        difficulties = self._draw_difficulties(rng, len(ordered))
+        grid = (np.arange(len(ordered)) + 0.5) / len(ordered)
+        difficulties = as_rng(self._seed).permutation(grid).tolist()
         self.policy.reset()
 
         unit_names = self.platform.unit_names
@@ -254,24 +241,23 @@ class TrafficSimulator:
                 if id(deployment) not in validated_deployments:
                     self._check_deployment_units(deployment)
                     validated_deployments[id(deployment)] = deployment
-                decision = self.controller.decide(
-                    difficulties[request_index], deployment.stage_accuracies, rng=rng
-                )
+                difficulty = difficulties[request_index]
+                exit_stage = deployment.exit_stage(difficulty)
                 state = _RequestState(
                     index=request_index,
                     request=request,
                     deployment_name=deployment.name,
-                    exit_stage=decision.stage,
-                    correct=decision.correct,
-                    energy_mj=deployment.cumulative_energy_mj(decision.stage),
-                    critical_service_ms=deployment.cumulative_latency_ms(decision.stage),
-                    remaining_tasks=decision.stage + 1,
+                    exit_stage=exit_stage,
+                    correct=bool(difficulty <= deployment.stage_accuracies[exit_stage]),
+                    energy_mj=deployment.cumulative_energy_mj(exit_stage),
+                    critical_service_ms=deployment.cumulative_latency_ms(exit_stage),
+                    remaining_tasks=exit_stage + 1,
                 )
                 in_flight += 1
                 peak_in_flight = max(peak_in_flight, in_flight)
-                for stage in range(decision.stage + 1):
+                for stage in range(exit_stage + 1):
                     unit = deployment.unit_names[stage]
-                    task = _Task(state=state, stage=stage, service_ms=deployment.service_ms[stage])
+                    task = _Task(state=state, service_ms=deployment.service_ms[stage])
                     if busy[unit]:
                         queues[unit].append(task)
                     else:
@@ -303,12 +289,6 @@ class TrafficSimulator:
         )
 
     # -- internals ---------------------------------------------------------------
-    def _draw_difficulties(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.stratified_difficulty:
-            grid = (np.arange(count) + 0.5) / count
-            return rng.permutation(grid)
-        return rng.random(count)
-
     def _check_deployment_units(self, deployment) -> None:
         for name in deployment.unit_names:
             if name not in self.platform.unit_names:

@@ -19,6 +19,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_fraction",
+    "check_stage_accuracies",
     "check_probability_vector",
     "pairwise",
     "geometric_mean",
@@ -58,6 +59,19 @@ def check_fraction(value: float, name: str, *, allow_zero: bool = True) -> float
         bound = "[0, 1]" if allow_zero else "(0, 1]"
         raise ConfigurationError(f"{name} must lie in {bound}, got {value!r}")
     return float(value)
+
+
+def check_stage_accuracies(values: Iterable[float]) -> list[float]:
+    """Validate a per-stage exit accuracy vector and return it as floats.
+
+    Non-empty, every value a fraction, non-decreasing up to a 1e-9 dip.
+    """
+    accuracies = [check_fraction(value, "stage accuracy") for value in values]
+    if not accuracies:
+        raise ConfigurationError("stage_accuracies must be non-empty")
+    if any(b < a - 1e-9 for a, b in zip(accuracies, accuracies[1:])):
+        raise ConfigurationError("stage accuracies must be non-decreasing")
+    return accuracies
 
 
 def check_probability_vector(values: Sequence[float], name: str, *, atol: float = 1e-6) -> np.ndarray:

@@ -182,6 +182,51 @@ class TestDvfsGovernorPolicy:
             DvfsGovernorPolicy(fast, platform, high_watermark=1, low_watermark=1)
 
 
+#: Accuracy vectors the ideal exit rule is pinned on: one stage, strictly
+#: increasing, tied, and a dip smaller than the 1e-9 tolerance Deployment
+#: admits.
+EXIT_ACCURACIES = [(0.9,), (0.5, 0.7, 0.9), (0.5, 0.5, 0.9), (0.5, 0.5 - 1e-10)]
+
+
+def _exit_probe_difficulties(accuracies):
+    """0, 1, a 101-point grid, the dip probe, and each accuracy and +/- 1e-12."""
+    points = {0.0, 1.0, 0.49999999995, *np.linspace(0.0, 1.0, 101).tolist()}
+    for accuracy in accuracies:
+        points.update((accuracy - 1e-12, accuracy, accuracy + 1e-12))
+    return sorted(point for point in points if 0.0 <= point <= 1.0)
+
+
+def _deployment_with(accuracies):
+    stages = len(accuracies)
+    return Deployment(
+        name="probe",
+        unit_names=tuple(f"unit{index}" for index in range(stages)),
+        service_ms=(1.0,) * stages,
+        energy_mj=(1.0,) * stages,
+        stage_accuracies=accuracies,
+        dvfs_scales=(1.0,) * stages,
+    )
+
+
+class TestExitStage:
+    """``Deployment.exit_stage`` is the noise-free controller's decision."""
+
+    @pytest.mark.parametrize("accuracies", EXIT_ACCURACIES)
+    def test_matches_noise_free_decide(self, accuracies):
+        deployment = _deployment_with(accuracies)
+        controller = ThresholdExitController(threshold=0.5, confidence_noise=0.0, seed=0)
+        for difficulty in _exit_probe_difficulties(accuracies):
+            decision = controller.decide(difficulty, accuracies)
+            stage = deployment.exit_stage(difficulty)
+            correct = difficulty <= deployment.stage_accuracies[stage]
+            assert (stage, correct) == (decision.stage, decision.correct), difficulty
+
+    def test_first_match_under_a_tolerated_dip(self):
+        # A bisection assumes sorted accuracies and would answer stage 1 here.
+        deployment = _deployment_with((0.5, 0.5 - 1e-10))
+        assert deployment.exit_stage(0.49999999995) == 0
+
+
 class TestControllerDecide:
     def test_ideal_controller_reproduces_ideal_mapping(self):
         controller = ThresholdExitController(threshold=0.5, confidence_noise=0.0, seed=0)

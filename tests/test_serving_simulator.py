@@ -135,9 +135,7 @@ class TestZeroLoadConsistency:
         count = 2000
         requests = ConstantRate(1000.0 / gap_ms).generate(count * gap_ms, seed=0)
         assert len(requests) == count
-        result = TrafficSimulator(
-            platform, StaticPolicy(deployment), seed=0, stratified_difficulty=True
-        ).run(requests)
+        result = TrafficSimulator(platform, StaticPolicy(deployment), seed=0).run(requests)
         metrics = compute_metrics(result)
         assert metrics.mean_queueing_ms == pytest.approx(0.0, abs=1e-9)
         assert metrics.mean_latency_ms == pytest.approx(
@@ -427,6 +425,11 @@ class TestValidation:
     def test_empty_stream_rejected(self, platform, cascade):
         with pytest.raises(ConfigurationError):
             TrafficSimulator(platform, StaticPolicy(cascade), seed=0).run([])
+
+    def test_seed_is_keyword_only(self, platform, cascade):
+        # A stray third positional argument must raise, not become the seed.
+        with pytest.raises(TypeError):
+            TrafficSimulator(platform, StaticPolicy(cascade), None, 3)
 
     def test_unknown_unit_rejected(self, platform):
         rogue = Deployment(
