@@ -41,6 +41,7 @@ from repro.campaign import run_serving_campaign
 from repro.nn.models import resnet20
 from repro.search import MeasuredObjectives
 from repro.serving.families import SteadyPoissonFamily
+from repro.serving.result_cache import ServingResultCache
 
 SMOKE = os.environ.get("REPRO_MEASURED_CAMPAIGN_SMOKE", "") == "1"
 
@@ -90,20 +91,20 @@ def counting_simulators():
 def isolated_cell_caches():
     """Sever the shared-cache wiring: every cell warms its own cache from cold.
 
-    Dropping the live handle (and with it the worker merge-back) makes each
-    search and serving cell build a private in-memory
-    :class:`~repro.serving.result_cache.ServingResultCache` — the per-cell
-    isolated baseline the ISSUE's headline compares against.  Results are
-    byte-identical either way; only the simulator invocation count differs.
+    Each search and serving cell gets a fresh in-memory
+    :class:`~repro.serving.result_cache.ServingResultCache` in place of the
+    campaign-wide one — the per-cell isolated baseline the headline compares
+    against.  Results are byte-identical either way; only the simulator
+    invocation count differs.
     """
     real_cell = runner_module._run_cell
     real_serving = serving_runner_module._run_serving_cell
 
-    def isolated_cell(task, cache=None, framework=None, serving_cache=None):
-        return real_cell(task, cache, framework)
+    def isolated_cell(task, cache, serving_cache):
+        return real_cell(task, cache, ServingResultCache())
 
-    def isolated_serving(task, serving_cache=None):
-        return real_serving(task)
+    def isolated_serving(task, cache, serving_cache):
+        return real_serving(task, cache, ServingResultCache())
 
     runner_module._run_cell = isolated_cell
     serving_runner_module._run_serving_cell = isolated_serving

@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..engine.cache import EvaluationCache
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.evaluation import EvaluatedConfig
@@ -46,6 +47,7 @@ from ..serving.families import WorkloadFamily, member_traffic_seed, resolve_fami
 from ..serving.fleet import AutoscalerPolicy, FleetInstance, get_router, simulate_fleet
 from ..serving.fleet_metrics import FleetMetrics, compute_fleet_metrics
 from ..serving.policies import Deployment
+from ..serving.result_cache import ServingResultCache
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
 from ..utils import check_positive
@@ -393,12 +395,15 @@ class _FleetCellTask:
     shed_backlog_ms: Optional[float]
 
 
-def _run_fleet_cell(task: _FleetCellTask) -> FleetCellResult:
+def _run_fleet_cell(
+    task: _FleetCellTask, cache: EvaluationCache, serving_cache: ServingResultCache
+) -> FleetCellResult:
     """Serve one family with one mix (worker-safe).
 
     Member scenarios, traffic seeds, routing and replays derive from the
     task contents alone, so the same task yields bit-identical outcomes in
-    any process.
+    any process.  Both caches of the cell contract go unused: fleet replays
+    are simulated afresh.
     """
     outcomes = []
     processes = task.family.expand(task.seed, task.members)
@@ -613,15 +618,7 @@ def run_fleet_campaign(
             shed_backlog_ms=mix.shed_backlog_ms,
         )
 
-    completed = run_cell_grid(
-        "fleet",
-        expectations,
-        make_task,
-        _run_fleet_cell,
-        seed=settings.seed,
-        checkpoint_dir=settings.checkpoint_dir,
-        workers=settings.workers,
-    )
+    completed = run_cell_grid("fleet", expectations, make_task, _run_fleet_cell, settings)
     return FleetCampaignResult(
         campaign=campaign,
         mixes=mix_objs,

@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from ..dynamics.accuracy import AccuracyModel
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..engine.cache import EvaluationCache
+from ..engine.strategies import check_strategy_name
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.constraints import SearchConstraints
@@ -79,7 +80,6 @@ from .portability import count_surviving_on_front, translate_config, translate_f
 __all__ = [
     "CampaignScenario",
     "CampaignCell",
-    "CellOutcome",
     "PortabilityEntry",
     "CampaignResult",
     "run_campaign",
@@ -269,20 +269,18 @@ def _resolve_scenarios(
     return resolved
 
 
-@dataclass(frozen=True)
-class CellOutcome:
-    """A cell result bundled with the serving-cache entries it simulated.
+def _run_pooled(run_cell: Callable, task, serving_cache_path: Optional[Path]):
+    """Run one cell in a pool worker; return its result and new replays.
 
-    A pool worker's cell function returns this instead of a bare result:
-    ``cache_export`` carries the ``(digest, metrics, family)`` tuples its
-    read-only cache handle stored, so the parent process can merge them into
-    — and persist them through — the shared
-    :class:`~repro.serving.result_cache.ServingResultCache`.
-    :func:`run_cell_grid` unwraps it transparently.
+    The worker's caches are its own.  A fresh evaluation cache changes
+    nothing observable: the evaluation pipeline is deterministic.  The
+    serving cache reads the campaign's shared file, if there is one, but
+    never writes it; the replays the cell simulated travel home with its
+    result, and the parent process, the file's single writer, absorbs them.
     """
-
-    result: object
-    cache_export: Tuple = ()
+    serving_cache = ServingResultCache.reader(serving_cache_path)
+    result = run_cell(task, EvaluationCache(), serving_cache)
+    return result, serving_cache.export_session()
 
 
 def run_cell_grid(
@@ -290,32 +288,31 @@ def run_cell_grid(
     expectations: Mapping[Tuple[str, str], CellExpectation],
     make_task: Callable,
     run_cell: Callable,
-    *,
-    seed: int,
-    checkpoint_dir: Union[str, Path, None] = None,
-    workers: int = 1,
+    settings: _SearchSettings,
     waves: Optional[Sequence[Sequence[Tuple[str, str]]]] = None,
-    run_here: Optional[Callable] = None,
-    serving_cache: Optional[ServingResultCache] = None,
 ) -> Dict[Tuple[str, str], object]:
     """Run a campaign's cell grid; return every cell's result, restored or run.
 
     The one executor under all three campaign runners.  Each key of
     ``expectations`` is a cell; those restored from the ``kind`` records in
-    ``checkpoint_dir`` are skipped.  The rest run wave by wave — ``waves``
-    lists groups of independent keys in dependency order (warm-start donors
-    first), by default one wave of all cells — as picklable tasks
-    ``make_task(key, completed)``, run in-process by ``run_here(key, task)``
-    (default ``run_cell(task)``), or by the module-level ``run_cell(task)``
-    on one process pool when ``workers > 1`` and a wave has several pending
-    cells.  A :class:`CellOutcome`'s cache export is absorbed into
-    ``serving_cache``.  Cells are checkpointed here, so the file has one
-    writer and completion order never leaks into results.
+    ``settings.checkpoint_dir`` are skipped.  The rest run wave by wave —
+    ``waves`` lists groups of independent keys in dependency order
+    (warm-start donors first), by default one wave of all cells — as
+    picklable tasks ``make_task(key, completed)``.
+
+    Every cell is the module-level ``run_cell(task, cache, serving_cache)``,
+    and this function alone decides where the caches come from.  In-process
+    a cell gets ``settings.cache`` and ``settings.serving_cache``.  When
+    ``settings.workers > 1`` and a wave has several pending cells, they run
+    on one process pool against caches of their own (:func:`_run_pooled`),
+    and each cell's new replays are absorbed into ``settings.serving_cache``.
+    Cells are checkpointed here, so the file has one writer and completion
+    order never leaks into results.
     """
     checkpoint: Optional[CampaignCheckpoint] = None
     completed: Dict[Tuple[str, str], object] = {}
-    if checkpoint_dir is not None:
-        checkpoint = CampaignCheckpoint(checkpoint_dir, seed=seed)
+    if settings.checkpoint_dir is not None:
+        checkpoint = CampaignCheckpoint(settings.checkpoint_dir, seed=settings.seed)
         load, store = {
             "search": (checkpoint.load, checkpoint.store),
             "serving": (checkpoint.load_serving, checkpoint.store_serving),
@@ -337,25 +334,28 @@ def run_cell_grid(
             if not pending:
                 continue
             tasks = {key: make_task(key, completed) for key in pending}
-            if workers > 1 and len(pending) > 1:
+            if settings.workers > 1 and len(pending) > 1:
                 if executor is None:
-                    executor = ProcessPoolExecutor(max_workers=workers)
-                futures = {executor.submit(run_cell, tasks[key]): key for key in pending}
+                    executor = ProcessPoolExecutor(max_workers=settings.workers)
+                futures = {
+                    executor.submit(
+                        _run_pooled, run_cell, tasks[key], settings.serving_cache.path
+                    ): key
+                    for key in pending
+                }
                 finished = (
                     (futures[future], future.result()) for future in as_completed(futures)
                 )
-            elif run_here is None:
-                finished = ((key, run_cell(tasks[key])) for key in pending)
             else:
-                finished = ((key, run_here(key, tasks[key])) for key in pending)
-            for key, outcome in finished:
-                if isinstance(outcome, CellOutcome):
-                    if serving_cache is not None:
-                        serving_cache.absorb(outcome.cache_export)
-                    outcome = outcome.result
-                completed[key] = outcome
+                finished = (
+                    (key, (run_cell(tasks[key], settings.cache, settings.serving_cache), ()))
+                    for key in pending
+                )
+            for key, (result, replays) in finished:
+                settings.serving_cache.absorb(replays)
+                completed[key] = result
                 if checkpoint is not None:
-                    store(key, expectations[key], outcome)
+                    store(key, expectations[key], result)
     finally:
         if executor is not None:
             executor.shutdown()
@@ -372,7 +372,9 @@ class _SearchSettings:
     ``**search``; the defaults below are theirs.
 
     strategy:
-        Forwarded to every cell's :meth:`MapAndConquer.search`.
+        One of :data:`~repro.engine.strategies.STRATEGY_NAMES`, forwarded to
+        every cell's :meth:`MapAndConquer.search`; any other value raises
+        before a checkpoint is read or a cell runs.
     cache:
         The :class:`~repro.engine.cache.EvaluationCache` (object or JSONL
         path) shared by the whole grid.
@@ -409,29 +411,35 @@ class _SearchSettings:
         platform always runs cold.  Cells then run in platform-order waves
         so donors finish first — identically under ``cell_workers``.
     objectives:
-        Optional :class:`~repro.search.objectives.ObjectiveSet` every cell's
-        search optimises (e.g.
-        :func:`~repro.search.objectives.serving_objectives` to fold the M/D/1
-        expected wait into NSGA-II); ``None`` keeps the default
+        Optional :class:`~repro.search.objectives.ObjectiveSet` (e.g.
+        :func:`~repro.search.objectives.serving_objectives`, which adds the
+        M/D/1 expected wait); ``None`` keeps the default
         latency/energy/accuracy axes.  Unlike the scalar ``objective`` of
-        :func:`run_campaign`, the set *shapes* each cell's Pareto front.
+        :func:`run_campaign`, the set *shapes* each cell's reported Pareto
+        front.  Only under ``strategy="nsga2"`` does it also drive the
+        search's ranking; the ``"evolutionary"`` and ``"random"`` searches
+        visit the same candidates with or without it.
     measured_objectives:
         Optional :class:`~repro.search.objectives.MeasuredObjectives`
         factory, mutually exclusive with ``objectives`` (a ready set binds a
-        single platform): every cell searches under
-        :func:`~repro.search.objectives.measured_serving_objectives` bound to
-        *its own* platform and the campaign seed, with ``serving_cache``
-        deduplicating replays grid-wide.  Each cell's deterministic cache
-        statistics are exposed as :attr:`CampaignCell.measured_cache_stats`.
+        single platform): every cell binds
+        :func:`~repro.search.objectives.measured_serving_objectives` to *its
+        own* platform and the campaign seed, with ``serving_cache``
+        deduplicating replays grid-wide.  Like ``objectives``, the bound set
+        shapes each cell's reported front under every strategy and steers
+        the search only under ``"nsga2"``.  Each cell's deterministic cache
+        statistics are exposed as :attr:`CampaignCell.measured_cache_stats`;
+        they count the front assembly's lookups, plus NSGA-II's ranking
+        lookups under ``"nsga2"``.
     serving_cache:
         The campaign-wide
         :class:`~repro.serving.result_cache.ServingResultCache` (instance or
         JSONL path) behind ``measured_objectives`` and the serving replays;
-        defaults to a fresh in-memory cache when measuring.  Serial cells
-        share the live handle.  Pool workers read a path-backed cache's file
-        but never write it: their new entries travel back with each cell's
-        result, and this process — the file's single writer — appends what
-        it absorbs, so every replay is persisted once.
+        defaults to a fresh in-memory cache.  In-process cells share the
+        live handle.  Pool workers read a path-backed cache's file but never
+        write it: their new entries travel back with each cell's result,
+        and this process — the file's single writer — appends what it
+        absorbs, so every replay is persisted once.
     """
 
     strategy: str = "evolutionary"
@@ -460,6 +468,7 @@ class _SearchSettings:
         return cls(**search)
 
     def __post_init__(self) -> None:
+        check_strategy_name(self.strategy)
         if self.cell_workers is not None and int(self.cell_workers) < 1:
             raise ConfigurationError(f"cell_workers must be >= 1, got {self.cell_workers}")
         if self.objectives is not None and not isinstance(self.objectives, ObjectiveSet):
@@ -482,9 +491,7 @@ class _SearchSettings:
         resolved: Dict[str, object] = {"seed": int(self.seed)}
         if not isinstance(self.cache, EvaluationCache):
             resolved["cache"] = EvaluationCache(path=self.cache)
-        if not isinstance(self.serving_cache, ServingResultCache) and (
-            self.serving_cache is not None or measured is not None
-        ):
+        if not isinstance(self.serving_cache, ServingResultCache):
             resolved["serving_cache"] = ServingResultCache(path=self.serving_cache)
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
@@ -494,14 +501,9 @@ class _SearchSettings:
         """Cell-level pool size (1: the sequential path)."""
         return 1 if self.cell_workers is None else int(self.cell_workers)
 
-    @property
-    def serving_cache_path(self) -> Optional[str]:
-        """Where pool workers read the shared serving cache (``None``: in-memory)."""
-        cache = self.serving_cache
-        return None if cache is None or cache.path is None else str(cache.path)
-
     def objectives_tag(self, platform: Platform) -> str:
-        """Identity of the objective set ``platform``'s search cells optimise.
+        """Identity of the objective set ``platform``'s search cells run under
+        (it shapes their fronts, and under ``"nsga2"`` their search).
 
         A measured recipe binds per platform, so its tag covers the platform,
         workload member, traffic seed and replay duration; otherwise every
@@ -516,10 +518,10 @@ class _SearchSettings:
 class _CellTask:
     """Picklable description of one cell's search, runnable in any process.
 
-    Everything a worker needs to rebuild the cell's framework bit-for-bit:
-    the same arguments the sequential path hands to
-    :class:`~repro.core.framework.MapAndConquer`, plus the warm-start seed
-    population already translated into this platform's vocabulary.
+    Everything the cell needs to build its framework bit-for-bit (the
+    :class:`~repro.core.framework.MapAndConquer` arguments) and run its
+    search, including the warm-start seed population already translated
+    into this platform's vocabulary.
     """
 
     network: NetworkGraph
@@ -536,11 +538,10 @@ class _CellTask:
     warm_seeds: Tuple[MappingConfig, ...]
     objectives: Optional[ObjectiveSet]
     measured: Optional[MeasuredObjectives]
-    serving_cache_path: Optional[str]
 
 
 def _build_cell_framework(task: _CellTask):
-    """The cell's framework; deterministic, so main and worker builds agree."""
+    """The cell's framework; deterministic, so every build of it agrees."""
     from ..core.framework import MapAndConquer  # local import: core imports campaign
 
     return MapAndConquer(
@@ -556,28 +557,19 @@ def _build_cell_framework(task: _CellTask):
 
 
 def _run_cell(
-    task: _CellTask,
-    cache: Optional[EvaluationCache] = None,
-    framework=None,
-    serving_cache: Optional[ServingResultCache] = None,
-) -> Union[SearchResult, CellOutcome]:
-    """Run one cell's search.  Top-level so a process pool can dispatch it.
+    task: _CellTask, cache: EvaluationCache, serving_cache: ServingResultCache
+) -> SearchResult:
+    """Run one cell's search against the caches :func:`run_cell_grid` hands it.
 
-    The sequential path hands in the grid-wide evaluation cache, the cell's
-    framework and the live serving cache.  A pool worker passes only the
-    task: it rebuilds the framework from the task and evaluates against a
-    private cache, which changes nothing observable — the evaluation
-    pipeline is deterministic.  A measured worker cell replays through a
-    handle that reads the shared serving-cache file but never writes it, and
-    returns a :class:`CellOutcome` so the parent absorbs (and persists) the
-    replays it simulated.
+    Top-level so a process pool can dispatch it.  The framework is rebuilt
+    from the task, deterministically, so a cell's result does not depend on
+    the process it runs in.  A measured cell replays through
+    ``serving_cache``, counted per cell by a
+    :class:`~repro.serving.result_cache.ServingCacheRecorder`.
     """
-    if framework is None:
-        framework = _build_cell_framework(task)
-    objectives, recorder, worker_cache = task.objectives, None, None
+    framework = _build_cell_framework(task)
+    objectives, recorder = task.objectives, None
     if task.measured is not None:
-        if serving_cache is None:
-            serving_cache = worker_cache = ServingResultCache.reader(task.serving_cache_path)
         recorder = ServingCacheRecorder(serving_cache)
         objectives = task.measured.bind(task.platform, seed=task.seed, cache=recorder)
     result = framework.search(
@@ -597,8 +589,6 @@ def _run_cell(
         result = dataclasses.replace(
             result, serving_cache_stats=recorder.cell_stats()
         )
-    if worker_cache is not None:
-        return CellOutcome(result=result, cache_export=worker_cache.export_session())
     return result
 
 
@@ -761,16 +751,7 @@ def _search_campaign(
             warm_seeds=warm_seeds,
             objectives=s.objectives,
             measured=s.measured_objectives,
-            serving_cache_path=s.serving_cache_path,
         )
-
-    # Sequential cells share the grid-wide caches and keep their framework
-    # for the portability pass below.
-    frameworks = {}
-
-    def run_here(key: CellKey, task: _CellTask):
-        frameworks[key] = _build_cell_framework(task)
-        return _run_cell(task, s.cache, frameworks[key], serving_cache=s.serving_cache)
 
     # Warm starts order the grid into platform-index waves (donors first);
     # without them every cell is independent and forms one wave.
@@ -780,27 +761,15 @@ def _search_campaign(
             [(platform.name, scenario.name) for scenario in scenario_objs]
             for platform in platform_objs
         ]
-    completed = run_cell_grid(
-        "search",
-        expectations,
-        make_task,
-        _run_cell,
-        seed=s.seed,
-        checkpoint_dir=s.checkpoint_dir,
-        workers=s.workers,
-        waves=waves,
-        run_here=run_here,
-        serving_cache=s.serving_cache,
-    )
+    completed = run_cell_grid("search", expectations, make_task, _run_cell, s, waves)
 
-    # Restored and worker-run cells never touched the shared cache: build
-    # their main-process frameworks (portability re-evaluation, traffic
-    # re-ranks) and merge their histories so the grid-wide (and persistent)
-    # cache stays complete.  Seeds are not recomputed — the framework
-    # construction never reads them.
+    # Every cell's framework serves the portability and traffic passes
+    # below.  Restored and pool-run cells never touched the grid-wide cache,
+    # so every history is merged into it to keep that (possibly persistent)
+    # cache complete; a cell searched in-process adds nothing new.  Seeds are
+    # not recomputed — the framework construction never reads them.
+    frameworks = {}
     for key in expectations:
-        if key in frameworks:
-            continue
         frameworks[key] = _build_cell_framework(make_task(key, completed, with_seeds=False))
         evaluator = frameworks[key].evaluator
         s.cache.store_many(

@@ -59,6 +59,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..engine.cache import EvaluationCache
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.evaluation import EvaluatedConfig
@@ -73,7 +74,6 @@ from .checkpoint import CellExpectation, ServingCellKey
 from .runner import (
     CampaignResult,
     CampaignScenario,
-    CellOutcome,
     _resolve_platforms,
     _search_campaign,
     _SearchSettings,
@@ -410,11 +410,7 @@ class ServingCampaignResult:
 
 @dataclass(frozen=True)
 class _ServingCellTask:
-    """Picklable description of one serving cell, runnable in any process.
-
-    ``serving_cache_path`` points pool workers at the campaign's shared
-    serving-cache file (``None``: the shared cache is in-memory, or absent).
-    """
+    """Picklable description of one serving cell, runnable in any process."""
 
     platform: Platform
     family: WorkloadFamily
@@ -425,7 +421,6 @@ class _ServingCellTask:
     deadline_ms: Optional[float]
     seed: int
     policies: Tuple[str, ...]
-    serving_cache_path: Optional[str]
 
 
 def _policy_front_tag(kind: str, deployed: Sequence[Deployment]) -> str:
@@ -442,8 +437,9 @@ def _policy_front_tag(kind: str, deployed: Sequence[Deployment]) -> str:
 
 def _run_serving_cell(
     task: _ServingCellTask,
-    serving_cache: Optional[ServingResultCache] = None,
-) -> Union[ServingCellResult, CellOutcome]:
+    cache: EvaluationCache,
+    serving_cache: ServingResultCache,
+) -> ServingCellResult:
     """Replay one family against one platform's front (worker-safe).
 
     Member scenarios and traffic seeds derive from the task contents alone,
@@ -457,17 +453,11 @@ def _run_serving_cell(
     (:func:`~repro.serving.policies.build_policy`), so per-member policy
     comparisons share identical arrivals and difficulty draws.
 
-    Both calls take a :class:`~repro.serving.result_cache.ServingResultCache`,
-    so deployments the measured search already simulated are not
-    re-simulated: the caller's
-    handle when given (sequential sweeps), else a cell-local handle that
-    reads the shared cache file (when there is one) but never writes it.
-    Its new entries ship back inside a
-    :class:`~repro.campaign.runner.CellOutcome` for the parent to absorb.
+    Both calls go through ``serving_cache``, the one
+    :func:`~repro.campaign.runner.run_cell_grid` hands the cell, so
+    deployments the measured search already simulated are not re-simulated.
+    The evaluation ``cache`` is unused: a replay evaluates no mapping.
     """
-    local: Optional[ServingResultCache] = None
-    if serving_cache is None:
-        serving_cache = local = ServingResultCache.reader(task.serving_cache_path)
     outcomes = []
     policy_outcomes = []
     processes = task.family.expand(task.seed, task.members)
@@ -524,15 +514,12 @@ def _run_serving_cell(
                     policy=kind, label=labels[index], deployment=name, metrics=metrics
                 )
             )
-    result = ServingCellResult(
+    return ServingCellResult(
         platform_name=task.platform.name,
         family_name=task.family.name,
         members=tuple(outcomes),
         policy_outcomes=tuple(policy_outcomes),
     )
-    if local is not None:
-        return CellOutcome(result=result, cache_export=local.export_session())
-    return result
 
 
 def _front_fingerprint(front: Sequence[EvaluatedConfig]) -> tuple:
@@ -609,11 +596,10 @@ def run_serving_campaign(
         definition, replay budget, objective set, policy set or deployed
         front changed is re-run instead of restored.  ``cell_workers`` fans
         the serving cells over the same-size process pool.  The
-        ``serving_cache`` (a fresh in-memory one under
-        ``measured_objectives``) is shared by the measured searches *and*
-        the replays, so a deployment the search already simulated under a
-        family member is never re-simulated by that member's replay; cached
-        replays produce byte-identical cells.
+        ``serving_cache`` (a fresh in-memory one by default) is shared by
+        the measured searches *and* the replays, so a deployment the search
+        already simulated under a family member is never re-simulated by
+        that member's replay; cached replays produce byte-identical cells.
     """
     settings = _SearchSettings.from_keywords("run_serving_campaign", search)
     platform_objs = _resolve_platforms(platforms)
@@ -689,19 +675,10 @@ def run_serving_campaign(
             deadline_ms=deadline_ms,
             seed=settings.seed,
             policies=policy_kinds,
-            serving_cache_path=settings.serving_cache_path,
         )
 
     completed = run_cell_grid(
-        "serving",
-        expectations,
-        make_task,
-        _run_serving_cell,
-        seed=settings.seed,
-        checkpoint_dir=settings.checkpoint_dir,
-        workers=settings.workers,
-        run_here=lambda key, task: _run_serving_cell(task, settings.serving_cache),
-        serving_cache=settings.serving_cache,
+        "serving", expectations, make_task, _run_serving_cell, settings
     )
     return ServingCampaignResult(
         campaign=campaign,

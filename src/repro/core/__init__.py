@@ -9,11 +9,10 @@ comparison tables from their results.
 """
 
 from .framework import MapAndConquer
-from .report import convergence_table, format_table, search_summary
+from .report import format_table, search_summary
 
 __all__ = [
     "MapAndConquer",
     "format_table",
-    "convergence_table",
     "search_summary",
 ]

@@ -28,7 +28,7 @@ from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..engine.cache import EvaluationCache
 from ..engine.engine import SearchEngine
 from ..engine.nsga import NSGA2Strategy
-from ..engine.strategies import EvolutionaryStrategy, RandomStrategy, SearchStrategy
+from ..engine.strategies import EvolutionaryStrategy, RandomStrategy, check_strategy_name
 from ..errors import ConfigurationError
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
@@ -50,9 +50,6 @@ from ..search.space import MappingConfig, SearchSpace
 from ..soc.platform import Platform, jetson_agx_xavier
 
 __all__ = ["MapAndConquer"]
-
-#: Strategy names accepted by :meth:`MapAndConquer.search`.
-STRATEGY_NAMES = ("evolutionary", "nsga2", "random")
 
 
 class MapAndConquer:
@@ -170,23 +167,23 @@ class MapAndConquer:
     # -- search ---------------------------------------------------------------------
     def search(
         self,
-        generations: Optional[int] = None,
-        population_size: Optional[int] = None,
+        *,
+        generations: int = 200,
+        population_size: int = 60,
         constraints: Optional[SearchConstraints] = None,
-        objective: Optional[Callable[[EvaluatedConfig], float]] = None,
-        elite_fraction: Optional[float] = None,
-        mutation_rate: Optional[float] = None,
+        objective: Callable[[EvaluatedConfig], float] = paper_objective,
         seed: Optional[int] = None,
-        strategy: "str | SearchStrategy" = "evolutionary",
+        strategy: str = "evolutionary",
         cache: "EvaluationCache | str | Path | None" = None,
         initial_population: Optional[Sequence[MappingConfig]] = None,
         objectives: Optional[ObjectiveSet] = None,
     ) -> SearchResult:
         """Run the mapping search (Fig. 5) and return its result.
 
-        The paper's full budget is 200 generations of 60 individuals; the
-        benches and examples use smaller budgets that converge on the reduced
-        analytical problem in seconds.
+        The defaults are the paper's full budget, 200 generations of 60
+        individuals; the benches and examples use smaller budgets that
+        converge on the reduced analytical problem in seconds.  Every
+        parameter is keyword-only.
 
         Parameters beyond the seed behaviour
         ------------------------------------
@@ -194,10 +191,10 @@ class MapAndConquer:
             ``"evolutionary"`` (default, the paper's Fig. 5 loop — identical
             results to the pre-engine implementation for a given seed),
             ``"nsga2"`` (non-dominated sorting + crowding distance), or
-            ``"random"``; alternatively a ready-made
-            :class:`~repro.engine.strategies.SearchStrategy` instance, which
-            carries its own budget/seed (passing loop parameters alongside an
-            instance is rejected as ambiguous).
+            ``"random"``.  A configured
+            :class:`~repro.engine.strategies.SearchStrategy` (custom
+            ``elite_fraction``, ``mutation_rate``, ...) is rejected here; run
+            it with ``SearchEngine(evaluator=framework.evaluator).run(strategy)``.
         cache:
             An :class:`~repro.engine.cache.EvaluationCache` to share/reuse, or
             a path to a JSON-lines file for persistence across runs; ``None``
@@ -214,127 +211,42 @@ class MapAndConquer:
             ``None`` (default) keeps the paper's latency/energy/accuracy
             trio, bit-for-bit.  An
             :class:`~repro.search.objectives.ObjectiveSet` re-shapes the
-            reported Pareto front and drives the ``"nsga2"`` strategy's
-            non-dominated ranking and crowding over the set's objective
-            matrix.  Build a serving-aware set with
+            reported Pareto front under every strategy, and under
+            ``"nsga2"`` also drives the non-dominated ranking and crowding
+            over the set's objective matrix.  Build a serving-aware set with
             :func:`~repro.search.objectives.serving_objectives`.
         """
+        check_strategy_name(strategy)
         if objectives is not None and not isinstance(objectives, ObjectiveSet):
             raise ConfigurationError(
                 f"objectives must be an ObjectiveSet or None, got "
                 f"{type(objectives).__name__}"
             )
-        strategy_obj = self._build_strategy(
-            strategy,
-            generations=generations,
+        loop = dict(
+            space=self.space,
             population_size=population_size,
-            constraints=constraints,
-            objective=objective,
-            elite_fraction=elite_fraction,
-            mutation_rate=mutation_rate,
-            seed=seed,
+            generations=generations,
+            seed=self.seed if seed is None else seed,
             initial_population=initial_population,
-            objectives=objectives,
         )
-        # The engine ranks the final result; keep its view aligned with the
-        # strategy's own objective/constraints when an instance carries them
-        # and the caller did not override.
-        engine_objective = objective
-        engine_constraints = constraints
-        if isinstance(strategy, SearchStrategy):
-            if engine_objective is None:
-                engine_objective = getattr(strategy_obj, "objective", None)
-            if engine_constraints is None:
-                engine_constraints = getattr(strategy_obj, "constraints", None)
-        if cache is None:
-            cache_obj = self.evaluation_cache
-        elif isinstance(cache, EvaluationCache):
-            cache_obj = cache
+        if strategy == "evolutionary":
+            chosen = EvolutionaryStrategy(objective=objective, constraints=constraints, **loop)
+        elif strategy == "nsga2":
+            chosen = NSGA2Strategy(constraints=constraints, objectives=objectives, **loop)
         else:
-            cache_obj = EvaluationCache(path=cache)
+            chosen = RandomStrategy(**loop)
+        if cache is None:
+            cache = self.evaluation_cache
+        elif not isinstance(cache, EvaluationCache):
+            cache = EvaluationCache(path=cache)
         engine = SearchEngine(
             evaluator=self.evaluator,
-            cache=cache_obj,
-            constraints=engine_constraints,
-            objective=engine_objective if engine_objective is not None else paper_objective,
-            platform=self.platform,
+            cache=cache,
+            constraints=constraints,
+            objective=objective,
             objectives=objectives,
         )
-        return engine.run(strategy_obj)
-
-    # -- engine wiring ----------------------------------------------------------------
-    def _build_strategy(
-        self,
-        strategy,
-        generations: Optional[int],
-        population_size: Optional[int],
-        constraints: Optional[SearchConstraints],
-        objective: Optional[Callable[[EvaluatedConfig], float]],
-        elite_fraction: Optional[float],
-        mutation_rate: Optional[float],
-        seed: Optional[int],
-        initial_population: Optional[Sequence[MappingConfig]] = None,
-        objectives: Optional[ObjectiveSet] = None,
-    ) -> SearchStrategy:
-        if isinstance(strategy, SearchStrategy):
-            conflicting = {
-                "generations": generations,
-                "population_size": population_size,
-                "elite_fraction": elite_fraction,
-                "mutation_rate": mutation_rate,
-                "seed": seed,
-                "initial_population": initial_population,
-                "objectives": objectives,
-            }
-            passed = [name for name, value in conflicting.items() if value is not None]
-            if passed:
-                raise ConfigurationError(
-                    "a SearchStrategy instance carries its own loop parameters; "
-                    f"drop {passed} or pass a strategy name instead"
-                )
-            return strategy
-        # The paper's full budget, used when nothing smaller is requested.
-        generations = 200 if generations is None else generations
-        population_size = 60 if population_size is None else population_size
-        elite_fraction = 0.25 if elite_fraction is None else elite_fraction
-        mutation_rate = 0.8 if mutation_rate is None else mutation_rate
-        seed = self.seed if seed is None else seed
-        objective = paper_objective if objective is None else objective
-        if strategy == "evolutionary":
-            return EvolutionaryStrategy(
-                space=self.space,
-                objective=objective,
-                constraints=constraints,
-                population_size=population_size,
-                generations=generations,
-                elite_fraction=elite_fraction,
-                mutation_rate=mutation_rate,
-                seed=seed,
-                initial_population=initial_population,
-            )
-        if strategy == "nsga2":
-            return NSGA2Strategy(
-                space=self.space,
-                constraints=constraints,
-                population_size=population_size,
-                generations=generations,
-                mutation_rate=mutation_rate,
-                seed=seed,
-                initial_population=initial_population,
-                objectives=objectives,
-            )
-        if strategy == "random":
-            return RandomStrategy(
-                space=self.space,
-                population_size=population_size,
-                generations=generations,
-                seed=seed,
-                initial_population=initial_population,
-            )
-        raise ConfigurationError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES} "
-            "or a SearchStrategy instance"
-        )
+        return engine.run(chosen)
 
     # -- serving under traffic --------------------------------------------------------
     def simulate_traffic(
@@ -456,9 +368,11 @@ class MapAndConquer:
         is rejected.  See :func:`repro.campaign.run_campaign` for the
         remaining keyword arguments (strategy, cache, budgets,
         ``cell_workers``, traffic re-ranking, and
-        ``measured_objectives=``/``serving_cache=`` for searching every cell
-        under measured serving behaviour with one simulator-result cache
-        shared grid-wide).
+        ``measured_objectives=``/``serving_cache=`` for measured serving
+        objectives bound to each cell's platform, with one simulator-result
+        cache shared grid-wide).  An objective set shapes every cell's
+        reported front; only under ``strategy="nsga2"`` does it also steer
+        the cell's search.
         """
         from ..campaign import run_campaign
 
@@ -496,7 +410,9 @@ class MapAndConquer:
         ``policies=`` axis deploying each front under static, switcher and
         DVFS-governor runtime policies, and
         ``measured_objectives=``/``serving_cache=`` for measured campaigns
-        whose replays reuse the very simulations the searches paid for).
+        whose replays reuse the very simulations the searches paid for).  As
+        in :meth:`campaign`, a measured set shapes every searched front, and
+        steers the searches themselves only under ``strategy="nsga2"``.
         """
         from ..campaign.serving_runner import run_serving_campaign
 

@@ -21,7 +21,6 @@ __all__ = [
     "format_table",
     "table2_row",
     "comparison_row",
-    "convergence_table",
     "search_summary",
     "objective_table",
     "serving_table",
@@ -101,37 +100,6 @@ def comparison_row(label: str, reference: EvaluatedConfig, candidate: EvaluatedC
         "accuracy_delta_pct": 100.0 * (candidate.accuracy - reference.accuracy),
         "reuse_pct": 100.0 * candidate.reuse_fraction,
     }
-
-
-def convergence_table(result: SearchResult, every: int = 1) -> str:
-    """Per-generation convergence table with the engine's telemetry columns.
-
-    Besides the paper's convergence curve (best objective per generation),
-    this surfaces the evaluation-cache hit rate and the wall-clock time each
-    generation's evaluation took, so cache efficacy and evaluation cost are
-    visible at a glance.  ``every`` subsamples long runs (the final
-    generation is always included).
-    """
-    if every < 1:
-        raise ValueError(f"every must be >= 1, got {every}")
-    stats = result.generations
-    selected = [s for s in stats if s.generation % every == 0]
-    if stats and stats[-1] not in selected:
-        selected.append(stats[-1])
-    rows = [
-        {
-            "gen": s.generation,
-            "evaluated": s.evaluated,
-            "feasible": s.feasible,
-            "best_objective": s.best_objective,
-            "best_lat_ms": s.best_latency_ms,
-            "best_enrg_mJ": s.best_energy_mj,
-            "cache_hit_%": 100.0 * s.cache_hit_rate,
-            "wall_ms": 1000.0 * s.wall_clock_s,
-        }
-        for s in selected
-    ]
-    return format_table(rows)
 
 
 def objective_table(

@@ -26,4 +26,4 @@ class SerialBackend:
 
     def evaluate(self, configs: Sequence[MappingConfig]) -> List[EvaluatedConfig]:
         """Evaluate ``configs`` and return results in the same order."""
-        return [self.evaluator.evaluate(config) for config in configs]
+        return self.evaluator.evaluate_many(configs)

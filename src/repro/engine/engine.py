@@ -52,9 +52,8 @@ class SearchEngine:
         is computed over.  ``None`` adopts the strategy's own set when it
         declares one (NSGA-II), otherwise the default
         (latency, energy, accuracy) axes.
-    platform:
-        Platform the constraints are checked against; defaults to the
-        evaluator's platform.
+
+    Constraints are checked against the evaluator's platform.
     """
 
     def __init__(
@@ -63,7 +62,6 @@ class SearchEngine:
         cache: Optional[EvaluationCache] = None,
         constraints: Optional[SearchConstraints] = None,
         objective: Callable[[EvaluatedConfig], float] = paper_objective,
-        platform=None,
         objectives=None,
     ) -> None:
         self.evaluator = evaluator
@@ -72,7 +70,7 @@ class SearchEngine:
         self.constraints = constraints if constraints is not None else SearchConstraints()
         self.objective = objective
         self.objectives = None if objectives is None else as_objective_set(objectives)
-        self.platform = platform if platform is not None else evaluator.platform
+        self.platform = evaluator.platform
 
     # -- evaluation --------------------------------------------------------------
     def evaluate_batch(self, configs: Sequence[MappingConfig]) -> List[EvaluatedConfig]:

@@ -24,8 +24,7 @@ from ..search.evaluation import EvaluatedConfig
 from ..search.objectives import as_objective_set
 from ..search.operators import crossover, mutate
 from ..search.space import MappingConfig, SearchSpace
-from ..utils import as_rng
-from .strategies import SearchStrategy, _check_common_budget, resolve_initial_population
+from .strategies import SearchStrategy
 
 __all__ = ["objective_matrix", "non_dominated_sort", "crowding_distance", "NSGA2Strategy"]
 
@@ -135,20 +134,12 @@ class NSGA2Strategy(SearchStrategy):
         initial_population: Optional[Sequence[MappingConfig]] = None,
         objectives=None,
     ) -> None:
-        _check_common_budget(population_size, generations)
+        super().__init__(space, population_size, generations, seed, initial_population)
         if not 0 <= mutation_rate <= 1:
             raise SearchError(f"mutation_rate must lie in [0, 1], got {mutation_rate}")
-        self.space = space
         self.constraints = constraints if constraints is not None else SearchConstraints()
-        self.population_size = population_size
-        self.generations = generations
         self.mutation_rate = mutation_rate
         self.objectives = as_objective_set(objectives)
-        self.initial_population = resolve_initial_population(
-            initial_population, population_size
-        )
-        self._rng = as_rng(seed)
-        self._generation = 0
         self._parents: List[EvaluatedConfig] = []
         # Selection-time (rank, crowding) of the surviving parents, reused by
         # the next _breed so the domination sort runs once per generation.
@@ -160,10 +151,7 @@ class NSGA2Strategy(SearchStrategy):
         if self._generation >= self.generations:
             return []
         if not self._parents:
-            seeds = list(self.initial_population)
-            remainder = self.population_size - len(seeds)
-            fresh = self.space.population(remainder, self._rng) if remainder else []
-            return seeds + fresh
+            return self._first_population()
         return self._breed()
 
     def tell(self, evaluated: List[EvaluatedConfig]) -> None:

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SearchError
+from ..errors import ConfigurationError, SearchError
 from ..search.constraints import SearchConstraints
 from ..search.evaluation import EvaluatedConfig
 from ..search.objectives import nan_guarded, paper_objective
@@ -31,35 +31,38 @@ from ..search.operators import crossover, mutate
 from ..search.space import MappingConfig, SearchSpace
 from ..utils import as_rng
 
-__all__ = ["SearchStrategy", "EvolutionaryStrategy", "RandomStrategy"]
+__all__ = [
+    "STRATEGY_NAMES",
+    "check_strategy_name",
+    "SearchStrategy",
+    "EvolutionaryStrategy",
+    "RandomStrategy",
+]
 
 
-def resolve_initial_population(
-    initial_population: Optional[Sequence[MappingConfig]],
-    population_size: int,
-) -> Tuple[MappingConfig, ...]:
-    """Validate a warm-start seed population against a strategy's budget.
+#: Strategy names accepted by :meth:`MapAndConquer.search` and the campaign
+#: runners' ``strategy=``.
+STRATEGY_NAMES = ("evolutionary", "nsga2", "random")
 
-    Returns the seeds as a tuple (empty for ``None``).  Seeds beyond
-    ``population_size`` are rejected rather than silently dropped: the caller
-    chose them deliberately, so losing some must be its decision (the
-    campaign runner caps donor fronts before handing them over).
+
+def check_strategy_name(strategy) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``strategy`` is
+    one of :data:`STRATEGY_NAMES`.
+
+    Only names are accepted; a configured :class:`SearchStrategy` runs on
+    :class:`~repro.engine.engine.SearchEngine` directly.
     """
-    if initial_population is None:
-        return ()
-    seeds = tuple(initial_population)
-    for item in seeds:
-        if not isinstance(item, MappingConfig):
-            raise SearchError(
-                f"initial_population must contain MappingConfig instances, "
-                f"got {type(item).__name__}"
-            )
-    if len(seeds) > population_size:
-        raise SearchError(
-            f"initial_population has {len(seeds)} seeds but the population "
-            f"holds only {population_size}; trim the seeds explicitly"
+    if isinstance(strategy, str) and strategy in STRATEGY_NAMES:
+        return
+    if isinstance(strategy, SearchStrategy):
+        raise ConfigurationError(
+            f"strategy must be one of {STRATEGY_NAMES}, not a "
+            f"{type(strategy).__name__} instance; run a configured strategy with "
+            "SearchEngine(evaluator=framework.evaluator).run(strategy)"
         )
-    return seeds
+    raise ConfigurationError(
+        f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}"
+    )
 
 
 class SearchStrategy:
@@ -68,6 +71,14 @@ class SearchStrategy:
     The engine alternates ``ask`` / ``tell`` until ``ask`` returns an empty
     batch, then assembles the :class:`~repro.search.evolutionary.SearchResult`
     from everything evaluated along the way.
+
+    The base owns what every strategy shares: the ``generations x
+    population_size`` budget, the seeded generator, the generation counter
+    and the warm-start seeds.  ``initial_population`` holds configurations
+    evaluated as-is in the first generation; seeds beyond
+    ``population_size`` are rejected rather than silently dropped, since the
+    caller chose them deliberately (the campaign runner caps donor fronts
+    before handing them over).
 
     A strategy that optimises a specific
     :class:`~repro.search.objectives.ObjectiveSet` (NSGA-II does) exposes it
@@ -78,6 +89,37 @@ class SearchStrategy:
 
     objectives = None
 
+    def __init__(
+        self,
+        space: SearchSpace,
+        population_size: int = 60,
+        generations: int = 200,
+        seed: "int | np.random.Generator | None" = 0,
+        initial_population: Optional[Sequence[MappingConfig]] = None,
+    ) -> None:
+        if population_size < 2:
+            raise SearchError(f"population_size must be >= 2, got {population_size}")
+        if generations < 1:
+            raise SearchError(f"generations must be >= 1, got {generations}")
+        seeds = () if initial_population is None else tuple(initial_population)
+        for item in seeds:
+            if not isinstance(item, MappingConfig):
+                raise SearchError(
+                    f"initial_population must contain MappingConfig instances, "
+                    f"got {type(item).__name__}"
+                )
+        if len(seeds) > population_size:
+            raise SearchError(
+                f"initial_population has {len(seeds)} seeds but the population "
+                f"holds only {population_size}; trim the seeds explicitly"
+            )
+        self.space = space
+        self.population_size = population_size
+        self.generations = generations
+        self.initial_population: Tuple[MappingConfig, ...] = seeds
+        self._rng = as_rng(seed)
+        self._generation = 0
+
     def ask(self) -> List[MappingConfig]:
         """Propose the next batch of configurations (empty when done)."""
         raise NotImplementedError
@@ -86,12 +128,16 @@ class SearchStrategy:
         """Ingest the evaluations of the batch returned by the last ``ask``."""
         raise NotImplementedError
 
+    def _first_population(self) -> List[MappingConfig]:
+        """Warm-start seeds first, random samples fill the rest.
 
-def _check_common_budget(population_size: int, generations: int) -> None:
-    if population_size < 2:
-        raise SearchError(f"population_size must be >= 2, got {population_size}")
-    if generations < 1:
-        raise SearchError(f"generations must be >= 1, got {generations}")
+        Without seeds this consumes the generator exactly like the seed
+        repository's cold start, so existing runs stay bit-for-bit
+        reproducible.
+        """
+        seeds = list(self.initial_population)
+        remainder = self.population_size - len(seeds)
+        return seeds + (self.space.population(remainder, self._rng) if remainder else [])
 
 
 class EvolutionaryStrategy(SearchStrategy):
@@ -116,39 +162,25 @@ class EvolutionaryStrategy(SearchStrategy):
         seed: "int | np.random.Generator | None" = 0,
         initial_population: Optional[Sequence[MappingConfig]] = None,
     ) -> None:
-        _check_common_budget(population_size, generations)
+        super().__init__(space, population_size, generations, seed, initial_population)
         if not 0 < elite_fraction <= 1:
             raise SearchError(f"elite_fraction must lie in (0, 1], got {elite_fraction}")
         if not 0 <= mutation_rate <= 1:
             raise SearchError(f"mutation_rate must lie in [0, 1], got {mutation_rate}")
         if not 0 <= fresh_fraction < 1:
             raise SearchError(f"fresh_fraction must lie in [0, 1), got {fresh_fraction}")
-        self.space = space
         self.objective = objective
         self.constraints = constraints if constraints is not None else SearchConstraints()
-        self.population_size = population_size
-        self.generations = generations
         self.elite_fraction = elite_fraction
         self.mutation_rate = mutation_rate
         self.fresh_fraction = fresh_fraction
-        self.initial_population = resolve_initial_population(
-            initial_population, population_size
-        )
-        self._rng = as_rng(seed)
-        self._generation = 0
         self._population: Optional[List[MappingConfig]] = None
 
     def ask(self) -> List[MappingConfig]:
         if self._generation >= self.generations:
             return []
         if self._population is None:
-            # Warm start: seeds lead, random samples fill the remainder.  An
-            # empty seed tuple consumes the RNG exactly like the seed repo's
-            # cold start, so existing runs stay bit-for-bit reproducible.
-            seeds = list(self.initial_population)
-            remainder = self.population_size - len(seeds)
-            fresh = self.space.population(remainder, self._rng) if remainder else []
-            self._population = seeds + fresh
+            self._population = self._first_population()
         return list(self._population)
 
     def tell(self, evaluated: List[EvaluatedConfig]) -> None:
@@ -185,31 +217,11 @@ class EvolutionaryStrategy(SearchStrategy):
 class RandomStrategy(SearchStrategy):
     """Uniform random search at the same ``generations x population`` budget."""
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        population_size: int = 60,
-        generations: int = 200,
-        seed: "int | np.random.Generator | None" = 0,
-        initial_population: Optional[Sequence[MappingConfig]] = None,
-    ) -> None:
-        _check_common_budget(population_size, generations)
-        self.space = space
-        self.population_size = population_size
-        self.generations = generations
-        self.initial_population = resolve_initial_population(
-            initial_population, population_size
-        )
-        self._rng = as_rng(seed)
-        self._generation = 0
-
     def ask(self) -> List[MappingConfig]:
         if self._generation >= self.generations:
             return []
-        if self._generation == 0 and self.initial_population:
-            seeds = list(self.initial_population)
-            remainder = self.population_size - len(seeds)
-            return seeds + (self.space.population(remainder, self._rng) if remainder else [])
+        if self._generation == 0:
+            return self._first_population()
         return self.space.population(self.population_size, self._rng)
 
     def tell(self, evaluated: List[EvaluatedConfig]) -> None:

@@ -324,9 +324,6 @@ class ServingCacheRecorder:
         self._digests.add(digest)
         return self.cache.lookup(digest)
 
-    def peek(self, digest: str) -> Optional[ServingMetrics]:
-        return self.cache.peek(digest)
-
     def store(self, digest: str, value: ServingMetrics, family: str = "") -> None:
         self.cache.store(digest, value, family)
 

@@ -262,6 +262,8 @@ UNKNOWN_KEYWORDS = {
     "surrogate": object(),
     "backend": "process",
     "n_workers": 2,
+    "elite_fraction": 0.5,
+    "mutation_rate": 0.5,
     "generation": 2,
 }
 
@@ -282,8 +284,31 @@ class TestUnknownKeywords:
                 tiny_network_module, **{keyword: UNKNOWN_KEYWORDS[keyword]}, **BUDGET
             )
 
-    @pytest.mark.parametrize("keyword", ["surrogate", "backend", "n_workers"])
+    @pytest.mark.parametrize(
+        "keyword", ["surrogate", "backend", "n_workers", "elite_fraction", "mutation_rate"]
+    )
     def test_search_rejects_removed_keyword(self, tiny_network_module, keyword):
         framework = MapAndConquer(tiny_network_module, seed=0)
         with pytest.raises(TypeError, match=keyword):
             framework.search(**{keyword: UNKNOWN_KEYWORDS[keyword]}, **BUDGET)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_runner_rejects_unknown_strategy_before_any_checkpoint_or_cell(
+        self, tiny_network_module, monkeypatch, tmp_path, runner
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a checkpoint or cell ran before the strategy check")
+
+        monkeypatch.setattr(runner_module, "_run_cell", forbidden)
+        monkeypatch.setattr(runner_module, "CampaignCheckpoint", forbidden)
+        for typo in ("annealing", "nsga-2"):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"unknown strategy '{typo}'; expected one of \('evolutionary'",
+            ):
+                RUNNERS[runner](
+                    tiny_network_module,
+                    strategy=typo,
+                    checkpoint_dir=tmp_path,
+                    **BUDGET,
+                )

@@ -47,11 +47,11 @@ def _interrupt_after(monkeypatch, n_cells):
     calls = {"count": 0}
     original = runner_module._run_cell
 
-    def exploding(task, cache=None, framework=None, **kwargs):
+    def exploding(task, cache, serving_cache):
         if calls["count"] >= n_cells:
             raise KeyboardInterrupt("simulated mid-campaign crash")
         calls["count"] += 1
-        return original(task, cache, framework, **kwargs)
+        return original(task, cache, serving_cache)
 
     monkeypatch.setattr(runner_module, "_run_cell", exploding)
     return calls
@@ -74,9 +74,9 @@ class TestResumeByteIdentity:
         searched = []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, **kwargs):
+        def counting(task, cache, serving_cache):
             searched.append(task.platform.name)
-            return original(task, cache, framework, **kwargs)
+            return original(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         resumed = run_campaign(
@@ -90,7 +90,7 @@ class TestResumeByteIdentity:
     ):
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
 
-        def forbidden(task, cache=None, framework=None, **kwargs):
+        def forbidden(task, cache, serving_cache):
             raise AssertionError(f"cell {task.platform.name} was re-searched")
 
         monkeypatch.setattr(runner_module, "_run_cell", forbidden)
@@ -141,9 +141,9 @@ class TestCheckpointEdgeCases:
         searched = []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, **kwargs):
+        def counting(task, cache, serving_cache):
             searched.append(task.platform.name)
-            return original(task, cache, framework, **kwargs)
+            return original(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         # Orin has three units like the original grid members, so the stage
@@ -172,9 +172,9 @@ class TestCheckpointEdgeCases:
         searched = []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, **kwargs):
+        def counting(task, cache, serving_cache):
             searched.append(task.platform.name)
-            return original(task, cache, framework, **kwargs)
+            return original(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         with caplog.at_level(logging.WARNING, logger="repro.campaign.checkpoint"):
@@ -227,9 +227,9 @@ class TestCheckpointEdgeCases:
         searched, loads = [], []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, **kwargs):
+        def counting(task, cache, serving_cache):
             searched.append(task.platform.name)
-            return original(task, cache, framework, **kwargs)
+            return original(task, cache, serving_cache)
 
         class RecordingCheckpoint(CampaignCheckpoint):
             def _load(self, *args):
@@ -280,7 +280,7 @@ class TestCheckpointEdgeCases:
 
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
 
-        def forbidden(task, cache=None, framework=None, serving_cache=None):
+        def forbidden(task, cache, serving_cache):
             raise AssertionError("objective change should not re-search cells")
 
         monkeypatch.setattr(runner_module, "_run_cell", forbidden)
@@ -339,9 +339,9 @@ class TestWarmStart:
         seen = []
         original = runner_module._run_cell
 
-        def spying(task, cache=None, framework=None, serving_cache=None):
+        def spying(task, cache, serving_cache):
             seen.append((task.platform.name, len(task.warm_seeds)))
-            return original(task, cache, framework, serving_cache)
+            return original(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", spying)
         run_campaign(tiny_network, GRID, seed=SEED, warm_start=True, **BUDGET)
@@ -360,9 +360,9 @@ class TestWarmStart:
         searched = []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, **kwargs):
+        def counting(task, cache, serving_cache):
             searched.append(task.platform.name)
-            return original(task, cache, framework, **kwargs)
+            return original(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         reordered = (GRID[0], "jetson-agx-orin", GRID[1])

@@ -130,18 +130,25 @@ class TestFrameworkStrategyWiring:
             assert result.num_evaluations > 0
 
     def test_unknown_strategy_rejected(self, framework):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown strategy 'annealing'"):
             framework.search(generations=2, population_size=6, strategy="annealing")
 
-    def test_strategy_instance_conflicts_with_loop_parameters(self, framework):
+    def test_strategy_instance_is_rejected(self, framework):
+        """search() takes names only; a configured strategy runs on the engine."""
         strategy = RandomStrategy(space=framework.space, population_size=6, generations=2, seed=0)
-        with pytest.raises(ConfigurationError, match="generations"):
-            framework.search(generations=5, strategy=strategy)
-        result = framework.search(strategy=strategy)
+        for loop in ({}, {"generations": 5}):
+            with pytest.raises(ConfigurationError, match="not a RandomStrategy instance"):
+                framework.search(strategy=strategy, **loop)
+        result = SearchEngine(evaluator=framework.evaluator).run(strategy)
         assert len(result.generations) == 2
 
+    def test_search_is_keyword_only(self, framework):
+        with pytest.raises(TypeError):
+            framework.search(2, 6)
+
     def test_strategy_instance_objective_drives_result_ranking(self, framework):
-        """The engine ranks with the instance strategy's own objective."""
+        """A configured strategy runs on SearchEngine, which ranks the result
+        with the objective it is given."""
         from repro.search.objectives import energy_oriented_objective
 
         strategy = EvolutionaryStrategy(
@@ -151,7 +158,9 @@ class TestFrameworkStrategyWiring:
             generations=3,
             seed=0,
         )
-        result = framework.search(strategy=strategy)
+        result = SearchEngine(
+            evaluator=framework.evaluator, objective=energy_oriented_objective
+        ).run(strategy)
         pool = result.feasible if result.feasible else result.history
         assert energy_oriented_objective(result.best) == pytest.approx(
             min(energy_oriented_objective(item) for item in pool)
@@ -257,7 +266,7 @@ class TestInitialPopulation:
         for seed_config in seeds:
             assert framework.evaluator.content_digest(seed_config) in digests
         strategy = RandomStrategy(space=framework.space, population_size=6, generations=1)
-        with pytest.raises(ConfigurationError, match="initial_population"):
+        with pytest.raises(ConfigurationError, match="SearchEngine"):
             framework.search(strategy=strategy, initial_population=seeds)
 
 

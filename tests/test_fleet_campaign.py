@@ -112,7 +112,7 @@ class TestCheckpoint:
         monkeypatch.setattr(
             fleet_runner,
             "_run_fleet_cell",
-            lambda task: calls.append(task) or original(task),
+            lambda task, *caches: calls.append(task) or original(task, *caches),
         )
         resumed = _run(tiny_network, checkpoint_dir=tmp_path)
         assert calls == []  # every fleet cell came from the checkpoint
@@ -140,8 +140,8 @@ class TestCheckpoint:
         monkeypatch.setattr(
             fleet_runner,
             "_run_fleet_cell",
-            lambda task: calls.append((task.mix_name, task.family.name))
-            or original(task),
+            lambda task, *caches: calls.append((task.mix_name, task.family.name))
+            or original(task, *caches),
         )
         edited = (
             _mixes()[0],

@@ -124,6 +124,25 @@ class TestMeasuredCampaignDifferential:
             MeasuredObjectives(family=FAMILY, members=0)
 
 
+class TestMeasuredObjectivesSteerNSGA2:
+    def test_measured_search_history_differs_from_plain(self, tiny_network):
+        """Under NSGA-II each board's measured set drives the ranking, so the
+        search visits different candidates, not just a re-filtered front
+        (runtime-aware objectives shape the search itself, as in HADAS)."""
+        measured = run_campaign(
+            tiny_network,
+            PLATFORMS,
+            strategy="nsga2",
+            measured_objectives=MEASURED,
+            **BUDGET,
+        )
+        plain = run_campaign(tiny_network, PLATFORMS, strategy="nsga2", **BUDGET)
+        for platform in PLATFORMS:
+            steered = [item.summary_row() for item in measured.cell(platform).result.history]
+            unsteered = [item.summary_row() for item in plain.cell(platform).result.history]
+            assert steered != unsteered, platform
+
+
 class TestSharedServingCache:
     def test_deterministic_cell_stats_attached(self, measured_campaign):
         for cell in measured_campaign.cells:
@@ -232,9 +251,9 @@ class TestCheckpointRefresh:
         calls = []
         real = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, **kwargs):
+        def counting(task, cache, serving_cache):
             calls.append(task.platform.name)
-            return real(task, cache, framework, **kwargs)
+            return real(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         return calls

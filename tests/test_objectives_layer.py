@@ -315,7 +315,7 @@ class TestEngineThreading:
         strategy = NSGA2Strategy(
             space=framework.space, population_size=4, generations=1
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="not a NSGA2Strategy instance"):
             framework.search(
                 strategy=strategy, objectives=serving_objectives(target_rps=60.0)
             )
@@ -359,7 +359,7 @@ class TestCampaignThreading:
             **BUDGET,
         )
 
-        def forbidden(task, cache=None, framework=None, serving_cache=None):
+        def forbidden(task, cache, serving_cache):
             raise AssertionError(f"cell {task.platform.name} was re-searched")
 
         monkeypatch.setattr(runner_module, "_run_cell", forbidden)
@@ -380,9 +380,9 @@ class TestCampaignThreading:
         searched = []
         original = runner_module._run_cell
 
-        def counting(task, cache=None, framework=None, serving_cache=None):
+        def counting(task, cache, serving_cache):
             searched.append(task.platform.name)
-            return original(task, cache, framework, serving_cache)
+            return original(task, cache, serving_cache)
 
         monkeypatch.setattr(runner_module, "_run_cell", counting)
         # A different objective set invalidates (refreshes) every cell ...
