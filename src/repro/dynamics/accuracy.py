@@ -26,8 +26,10 @@ baseline 80.55 % with dynamic variants around 82-85 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import ConfigurationError
+from ..nn.graph import NetworkGraph
 from ..nn.multiexit import DynamicNetwork
 from ..utils import check_fraction, check_non_negative
 
@@ -105,12 +107,20 @@ class AccuracyModel:
         forward); the model enforces monotonicity explicitly so that exit
         statistics stay well defined even for adversarial indicator choices.
         """
-        base = dynamic_network.network.base_accuracy
-        family = dynamic_network.network.family
+        return self.stage_accuracies_from_coverage(
+            dynamic_network.network,
+            (dynamic_network.stage_coverage(stage) for stage in range(dynamic_network.num_stages)),
+        )
+
+    def stage_accuracies_from_coverage(
+        self, network: NetworkGraph, coverages: Iterable[float]
+    ) -> tuple:
+        """:meth:`stage_accuracies` of ``network`` given each stage's coverage."""
+        base = network.base_accuracy
+        family = network.family
         accuracies = []
         best_so_far = 0.0
-        for stage_index in range(dynamic_network.num_stages):
-            coverage = dynamic_network.stage_coverage(stage_index)
+        for coverage in coverages:
             accuracy = self.stage_accuracy_from_coverage(coverage, base, family)
             best_so_far = max(best_so_far, accuracy)
             accuracies.append(best_so_far)

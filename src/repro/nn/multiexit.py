@@ -17,7 +17,7 @@ feed the hardware model in :mod:`repro.perf` and the accuracy model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,23 +144,10 @@ class DynamicNetwork:
         fraction -- the quantity that makes the reordering ablation visible.
         """
         self._check_stage(stage)
-        per_layer = []
-        for layer_index, layer in enumerate(self.scheme.backbone):
-            included = [stage] + [
-                k for k in range(stage) if self.scheme.indicator.reused(k, layer_index)
-            ]
-            if self.reordered and self.ranking is not None:
-                curve = self.ranking.cumulative_curve(layer.name)
-                curve = np.concatenate(([0.0], curve))
-                mass = 0.0
-                for k in included:
-                    start, end = self.scheme.stage_range(k, layer_index)
-                    mass += float(curve[end] - curve[start])
-            else:
-                owned = sum(self.scheme.stage_channels(k, layer_index) for k in included)
-                mass = owned / layer.width
-            per_layer.append(min(1.0, mass))
-        return float(np.mean(per_layer))
+        curves = None
+        if self.reordered and self.ranking is not None:
+            curves = importance_curves(self.ranking, self.scheme.backbone)
+        return stage_coverages(self.scheme, (stage,), curves)[0]
 
     def summary(self) -> str:
         """Multi-line human-readable summary of stages and their costs."""
@@ -205,36 +192,39 @@ def build_dynamic_network(
         ablation benches set this to ``False``.
     """
     scheme = PartitionScheme(network=network, partition=partition, indicator=indicator)
-    stages = []
+    backbone = scheme.backbone
+    channels = scheme.channels.tolist()
+    reused = scheme.indicator.values.tolist()
     last_layer_index = scheme.num_layers - 1
+    stages = []
     for stage_index in range(scheme.num_stages):
-        sublayers = []
-        for layer_index, layer in enumerate(scheme.backbone):
-            sublayers.append(
-                SubLayer(
-                    base=layer,
-                    stage_index=stage_index,
-                    layer_index=layer_index,
-                    in_units=scheme.available_in_units(stage_index, layer_index),
-                    out_units=scheme.stage_channels(stage_index, layer_index),
-                    reused_input_bytes=scheme.reused_input_bytes(stage_index, layer_index),
-                )
+        own = channels[stage_index]
+        sublayers = tuple(
+            SubLayer(
+                base=layer,
+                stage_index=stage_index,
+                layer_index=layer_index,
+                in_units=in_units,
+                out_units=own[layer_index],
+                reused_input_bytes=imported,
             )
+            for layer_index, (layer, (in_units, imported)) in enumerate(
+                zip(backbone, scheme.sublayer_inputs(stage_index))
+            )
+        )
         # The exit head classifies from every feature available to this stage
         # at the final backbone layer (own channels plus reused ones).
-        exit_in = scheme.stage_channels(stage_index, last_layer_index)
-        exit_in += sum(
-            scheme.stage_channels(k, last_layer_index)
-            for k in range(stage_index)
-            if scheme.indicator.reused(k, last_layer_index)
-        )
+        exit_in = own[last_layer_index]
+        for k in range(stage_index):
+            if reused[k][last_layer_index]:
+                exit_in += channels[k][last_layer_index]
         exit_head = LinearLayer(
             name=f"exit{stage_index}",
             width=network.num_classes,
-            in_width=int(exit_in),
+            in_width=exit_in,
             tokens=1,
         )
-        stages.append(Stage(index=stage_index, sublayers=tuple(sublayers), exit_head=exit_head))
+        stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=exit_head))
     return DynamicNetwork(
         network=network,
         scheme=scheme,
@@ -242,3 +232,49 @@ def build_dynamic_network(
         ranking=ranking,
         reordered=reorder and ranking is not None,
     )
+
+
+def importance_curves(ranking: ChannelRanking, layers: Sequence[Layer]) -> List[List[float]]:
+    """Each layer's cumulative importance curve, led by a zero, as floats.
+
+    Entry ``c`` of a curve is the importance mass of the layer's ``c`` most
+    important channels, so a channel range ``[start, end)`` of the
+    importance-sorted order holds ``curve[end] - curve[start]``.
+    """
+    return [[0.0] + ranking.cumulative_curve(layer.name).tolist() for layer in layers]
+
+
+def stage_coverages(
+    scheme: PartitionScheme,
+    stages: Iterable[int],
+    curves: Optional[Sequence[Sequence[float]]],
+) -> List[float]:
+    """Exit coverage of each of ``stages`` (see :meth:`DynamicNetwork.stage_coverage`).
+
+    ``curves`` are the backbone's :func:`importance_curves` when channels are
+    reordered by importance, ``None`` for plain width fractions.  A caller
+    that scores many schemes of one network computes the curves once.
+    """
+    channels = scheme.channels.tolist()
+    reused = scheme.indicator.values.tolist()
+    # bounds[k][j]: where stage k's block of layer j starts in the importance
+    # order (stage 0 owns the most important channels, stage 1 the next...).
+    bounds = [[0] * scheme.num_layers]
+    for row in channels:
+        bounds.append([start + count for start, count in zip(bounds[-1], row)])
+    coverages = []
+    for stage in stages:
+        per_layer = []
+        for layer_index, layer in enumerate(scheme.backbone):
+            included = [stage] + [k for k in range(stage) if reused[k][layer_index]]
+            if curves is None:
+                owned = sum(channels[k][layer_index] for k in included)
+                mass = owned / layer.width
+            else:
+                curve = curves[layer_index]
+                mass = 0.0
+                for k in included:
+                    mass += curve[bounds[k + 1][layer_index]] - curve[bounds[k][layer_index]]
+            per_layer.append(min(1.0, mass))
+        coverages.append(float(np.mean(per_layer)))
+    return coverages

@@ -19,6 +19,7 @@ ranges.  The actual construction of per-stage sub-models lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -74,7 +75,9 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or fractions.size == 0:
         raise PartitionError("fractions must be a non-empty 1-D sequence")
-    if np.any(fractions < 0) or abs(float(fractions.sum()) - 1.0) > 1e-6:
+    values = fractions.tolist()
+    # Written so that a NaN fails it too: NaN shares are no distribution.
+    if any(value < 0 for value in values) or not abs(float(fractions.sum()) - 1.0) <= 1e-6:
         raise PartitionError(f"fractions must be non-negative and sum to 1, got {fractions}")
     if granularity < 1 or width % granularity != 0:
         raise PartitionError(
@@ -87,22 +90,29 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
             f"cannot split {width} units ({granules} granules of {granularity}) "
             f"into {num_shares} non-empty shares"
         )
-    # Largest-remainder rounding in granule space with a floor of one granule.
-    ideal = fractions * granules
-    shares = np.maximum(1, np.floor(ideal).astype(int))
+    # Largest-remainder rounding in granule space with a floor of one granule,
+    # on plain floats and ints: the shares are a handful of numbers, and
+    # max() picks the first of equal candidates as numpy's argmax would.
+    ideal = [value * granules for value in values]
+    shares = [max(1, math.floor(value)) for value in ideal]
+    surplus = sum(shares) - granules
     # Remove any excess introduced by the floor-of-one, taking from the
     # largest shares first.
-    while shares.sum() > granules:
-        candidates = np.where(shares > 1)[0]
-        victim = candidates[np.argmax(shares[candidates] - ideal[candidates])]
+    while surplus > 0:
+        victim = max(
+            (index for index in range(num_shares) if shares[index] > 1),
+            key=lambda index: shares[index] - ideal[index],
+        )
         shares[victim] -= 1
+        surplus -= 1
     # Distribute any remaining granules to the largest remainders.
-    remainder = ideal - shares
-    while shares.sum() < granules:
-        winner = int(np.argmax(remainder))
+    remainder = [value - share for value, share in zip(ideal, shares)]
+    while surplus < 0:
+        winner = max(range(num_shares), key=remainder.__getitem__)
         shares[winner] += 1
         remainder[winner] -= 1.0
-    return tuple(int(share) * granularity for share in shares)
+        surplus += 1
+    return tuple(share * granularity for share in shares)
 
 
 @dataclass(frozen=True)
@@ -280,6 +290,28 @@ class PartitionScheme:
         start = int(self._channels[:stage, layer].sum())
         return start, start + self.stage_channels(stage, layer)
 
+    def sublayer_inputs(self, stage: int) -> Tuple[Tuple[int, int], ...]:
+        """``(available_in_units, reused_input_bytes)`` of every layer of ``stage``.
+
+        Computed in one pass over the channel and indicator matrices; the
+        dynamic-network build takes its sub-layers' inputs from here.
+        """
+        self._check_stage_layer(stage, 0)
+        channels = self._channels.tolist()
+        reused = self.indicator.values.tolist()
+        inputs = [(self._backbone[0].in_width, 0)]
+        for layer in range(1, self.num_layers):
+            previous = layer - 1
+            producer = self._backbone[previous]
+            in_units = channels[stage][previous]
+            imported = 0
+            for k in range(stage):
+                if reused[k][previous]:
+                    in_units += channels[k][previous]
+                    imported += producer.output_bytes(channels[k][previous])
+            inputs.append((in_units, imported))
+        return tuple(inputs)
+
     def available_in_units(self, stage: int, layer: int) -> int:
         """Input width available to stage ``stage`` at backbone layer ``layer``.
 
@@ -289,15 +321,7 @@ class PartitionScheme:
         stage whose indicator bit is set (Eq. 8's dependency set).
         """
         self._check_stage_layer(stage, layer)
-        if layer == 0:
-            return self._backbone[0].in_width
-        own = self.stage_channels(stage, layer - 1)
-        reused = sum(
-            self.stage_channels(k, layer - 1)
-            for k in range(stage)
-            if self.indicator.reused(k, layer - 1)
-        )
-        return int(own + reused)
+        return self.sublayer_inputs(stage)[layer][0]
 
     def reused_input_bytes(self, stage: int, layer: int) -> int:
         """Bytes of previous-layer features imported from earlier stages.
@@ -307,14 +331,7 @@ class PartitionScheme:
         (the ``size(F, I) < M`` constraint of Eq. 15).
         """
         self._check_stage_layer(stage, layer)
-        if layer == 0 or stage == 0:
-            return 0
-        previous = self._backbone[layer - 1]
-        total = 0
-        for k in range(stage):
-            if self.indicator.reused(k, layer - 1):
-                total += previous.output_bytes(self.stage_channels(k, layer - 1))
-        return int(total)
+        return self.sublayer_inputs(stage)[layer][1]
 
     def stored_feature_bytes(self) -> int:
         """Total bytes of forwarded feature maps held in shared memory.
@@ -323,11 +340,13 @@ class PartitionScheme:
         available for subsequent stages for the duration of the inference
         (Fig. 4), so the memory-constraint term sums their sizes.
         """
+        channels = self._channels.tolist()
+        reused = self.indicator.values.tolist()
         total = 0
         for stage in range(self.num_stages - 1):
             for layer_index, layer in enumerate(self._backbone):
-                if self.indicator.reused(stage, layer_index):
-                    total += layer.output_bytes(self.stage_channels(stage, layer_index))
+                if reused[stage][layer_index]:
+                    total += layer.output_bytes(channels[stage][layer_index])
         return int(total)
 
     def reuse_fraction(self) -> float:
@@ -337,11 +356,11 @@ class PartitionScheme:
     # -- per-stage aggregate costs ----------------------------------------------
     def stage_flops(self, stage: int) -> float:
         """FLOPs executed by ``stage`` over its whole sub-layer chain."""
-        self._check_stage_layer(stage, 0)
+        inputs = self.sublayer_inputs(stage)
         total = 0.0
         for layer_index, layer in enumerate(self._backbone):
             total += layer.flops(
-                in_units=self.available_in_units(stage, layer_index),
+                in_units=inputs[layer_index][0],
                 out_units=self.stage_channels(stage, layer_index),
             )
         return total

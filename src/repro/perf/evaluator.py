@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..errors import MappingError
+from ..nn.graph import NetworkGraph
 from ..nn.multiexit import DynamicNetwork
+from ..nn.partition import backbone_layers
+from ..soc.compute_unit import ComputeUnit
 from ..soc.platform import Platform
-from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload
-from .schedule import ScheduleResult, simulate_schedule
+from .layer_cost import AnalyticalCostModel, CostModel
+from .schedule import ScheduleResult, SliceTable, tabled_schedule
 
 __all__ = ["StagePerformance", "HardwareProfile", "MappingEvaluator"]
 
@@ -91,11 +94,34 @@ class HardwareProfile:
 
 
 class MappingEvaluator:
-    """Evaluate mapping configurations on a platform with a given cost model."""
+    """Evaluate mapping configurations on a platform with a given cost model.
+
+    Each :meth:`profile` call costs its slices through a
+    :class:`~repro.perf.schedule.SliceTable` that lives for that call, unless
+    the evaluator keeps one for the call's network (see
+    :meth:`_keep_slice_table`): then every slice is costed once for the life
+    of the evaluator.
+    """
 
     def __init__(self, platform: Platform, cost_model: Optional[CostModel] = None) -> None:
         self.platform = platform
         self.cost_model = cost_model if cost_model is not None else AnalyticalCostModel()
+        # A (unit, DVFS point) pair packs into one slice-table key.
+        self._dvfs_stride = max(unit.num_dvfs_points() for unit in platform.compute_units)
+        self._table_network: Optional[NetworkGraph] = None
+        self._table: Optional[SliceTable] = None
+
+    def _keep_slice_table(self, network: NetworkGraph) -> None:
+        """Cost ``network``'s slices once for the life of this evaluator."""
+        backbone = backbone_layers(network)
+        max_units = max(max(layer.width, layer.in_width) for layer in backbone)
+        self._table_network = network
+        self._table = SliceTable(
+            self.cost_model,
+            self.platform.interconnect,
+            backbone,
+            max(max_units, network.num_classes),
+        )
 
     def profile(
         self,
@@ -125,34 +151,34 @@ class MappingEvaluator:
         scales = [
             unit.scale_for_point(int(index)) for unit, index in zip(units, dvfs_indices)
         ]
-        schedule = simulate_schedule(
-            dynamic_network,
-            units=units,
-            scales=scales,
-            cost_model=self.cost_model,
-            interconnect=self.platform.interconnect,
-        )
-        return self._profile_from_schedule(dynamic_network, schedule, unit_names, scales)
+        unit_keys = [
+            self.platform.unit_index(name) * self._dvfs_stride + int(index)
+            for name, index in zip(unit_names, dvfs_indices)
+        ]
+        if dynamic_network.network is self._table_network:
+            table = self._table
+        else:
+            table = SliceTable.for_network(
+                self.cost_model, self.platform.interconnect, dynamic_network
+            )
+        schedule = tabled_schedule(dynamic_network, units, scales, unit_keys, table)
+        return self._profile_from_schedule(dynamic_network, schedule, units, scales, table)
 
     # -- internals ---------------------------------------------------------------
     def _profile_from_schedule(
         self,
         dynamic_network: DynamicNetwork,
         schedule: ScheduleResult,
-        unit_names: Sequence[str],
+        units: Sequence[ComputeUnit],
         scales: Sequence[float],
+        table: SliceTable,
     ) -> HardwareProfile:
         interconnect = self.platform.interconnect
         performances = []
         for stage, stage_schedule in zip(dynamic_network.stages, schedule.stages):
-            unit = self.platform.unit(unit_names[stage.index])
+            unit = units[stage.index]
             scale = scales[stage.index]
-            compute_energy = 0.0
-            for sub in stage.sublayers:
-                workload = LayerWorkload.from_sublayer(sub)
-                compute_energy += self.cost_model.energy_mj(workload, unit, scale)
-            exit_workload = LayerWorkload.from_layer(stage.exit_head)
-            compute_energy += self.cost_model.energy_mj(exit_workload, unit, scale)
+            compute_energy = table.stage_energy_mj(stage, stage_schedule, unit, scale)
             transfer_energy = interconnect.transfer_energy_mj(stage.imported_bytes())
             performances.append(
                 StagePerformance(

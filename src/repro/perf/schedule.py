@@ -12,20 +12,24 @@ transfer ``u_{k->i}``.  The cumulative latency recursion of Eq. 8,
 is evaluated layer by layer; the latency of a stage is the cumulative latency
 of its last layer plus its exit head (Eq. 9), and the stall time (the waiting
 visible in Fig. 3) is reported separately for analysis.
+
+The raw latencies ``tau`` and transfers ``u`` come from a :class:`SliceTable`,
+which costs each distinct layer slice once for as long as the table lives:
+one call of :func:`simulate_schedule`, or the whole life of the
+:class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from ..errors import MappingError
-from ..nn.multiexit import DynamicNetwork
+from ..nn.layers import Layer
+from ..nn.multiexit import DynamicNetwork, Stage
 from ..soc.compute_unit import ComputeUnit
 from ..soc.interconnect import Interconnect
-from .layer_cost import CostModel, LayerWorkload
+from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload
 
 __all__ = ["StageSchedule", "ScheduleResult", "simulate_schedule"]
 
@@ -70,6 +74,104 @@ class ScheduleResult:
         return self.stages[index]
 
 
+class SliceTable:
+    """Costs of the layer slices of one backbone, each computed once.
+
+    A slice is a backbone layer position (the exit head takes the position
+    after the last layer) run with ``in_units``/``out_units`` width-units on
+    the compute unit and DVFS point a small integer ``unit_key`` stands for.
+    The key of a slice packs those integers into one int and its value is
+    the cost model's latency; transfers of a layer's output are keyed by
+    ``(position, out_units)`` the same way.
+
+    Only an exact :class:`AnalyticalCostModel` is memoised.  Its energy is
+    the latency times the unit's power, so :meth:`stage_energy_mj` reuses the
+    schedule's latencies and performs the same two float operations
+    ``energy_mj`` would.  Every other cost model (noisy, learned, or a
+    subclass) is called for each slice on each use, in the order the
+    schedule needs the costs, exactly as without a table.
+    """
+
+    def __init__(
+        self,
+        cost_model: CostModel,
+        interconnect: Interconnect,
+        backbone: Sequence[Layer],
+        max_units: int,
+    ) -> None:
+        self.cost_model = cost_model
+        self.interconnect = interconnect
+        self.memo = type(cost_model) is AnalyticalCostModel
+        self._positions = len(backbone) + 1
+        self._span = int(max_units) + 1
+        self._latencies: Dict[int, float] = {}
+        self._transfers: Dict[int, float] = {}
+
+    @classmethod
+    def for_network(
+        cls, cost_model: CostModel, interconnect: Interconnect, dynamic_network: DynamicNetwork
+    ) -> "SliceTable":
+        """A table wide enough for every slice of ``dynamic_network``."""
+        backbone = dynamic_network.scheme.backbone
+        layers = list(backbone) + [stage.exit_head for stage in dynamic_network.stages]
+        return cls(
+            cost_model,
+            interconnect,
+            backbone,
+            max(max(layer.width, layer.in_width) for layer in layers),
+        )
+
+    def latency_ms(
+        self,
+        unit_key: int,
+        position: int,
+        layer: Layer,
+        in_units: int,
+        out_units: int,
+        unit: ComputeUnit,
+        scale: float,
+    ) -> float:
+        """Latency of ``layer`` sliced to ``(in_units, out_units)`` on ``unit``."""
+        if not self.memo:
+            workload = LayerWorkload.from_layer(layer, in_units, out_units)
+            return float(self.cost_model.latency_ms(workload, unit, scale))
+        span = self._span
+        key = ((unit_key * self._positions + position) * span + in_units) * span + out_units
+        value = self._latencies.get(key)
+        if value is None:
+            workload = LayerWorkload.from_layer(layer, in_units, out_units)
+            value = float(self.cost_model.latency_ms(workload, unit, scale))
+            self._latencies[key] = value
+        return value
+
+    def transfer_ms(self, position: int, layer: Layer, out_units: int) -> float:
+        """Shared-memory transfer latency of ``layer``'s ``out_units`` output."""
+        if not self.memo:
+            return self.interconnect.transfer_latency_ms(layer.output_bytes(out_units))
+        key = position * self._span + out_units
+        value = self._transfers.get(key)
+        if value is None:
+            value = self.interconnect.transfer_latency_ms(layer.output_bytes(out_units))
+            self._transfers[key] = value
+        return value
+
+    def stage_energy_mj(
+        self, stage: Stage, schedule: StageSchedule, unit: ComputeUnit, scale: float
+    ) -> float:
+        """Compute energy of ``stage``: its sub-layers, then its exit head (Eq. 11-12)."""
+        energy = 0.0
+        if self.memo:
+            power = unit.power_w(scale)
+            for sub in stage.sublayers:
+                energy += schedule.sublayer_latencies_ms[sub.layer_index] * power
+            energy += schedule.exit_latency_ms * power
+            return energy
+        for sub in stage.sublayers:
+            energy += self.cost_model.energy_mj(LayerWorkload.from_sublayer(sub), unit, scale)
+        energy += self.cost_model.energy_mj(LayerWorkload.from_layer(stage.exit_head), unit, scale)
+        return energy
+
+
 def simulate_schedule(
     dynamic_network: DynamicNetwork,
     units: Sequence[ComputeUnit],
@@ -93,6 +195,21 @@ def simulate_schedule(
     interconnect:
         Shared-memory transfer model providing the ``u_{k->i}`` terms.
     """
+    table = SliceTable.for_network(cost_model, interconnect, dynamic_network)
+    return tabled_schedule(dynamic_network, units, scales, range(len(units)), table)
+
+
+def tabled_schedule(
+    dynamic_network: DynamicNetwork,
+    units: Sequence[ComputeUnit],
+    scales: Sequence[float],
+    unit_keys: Sequence[int],
+    table: SliceTable,
+) -> ScheduleResult:
+    """:func:`simulate_schedule` costed through ``table``.
+
+    ``unit_keys[i]`` is the table's key for stage ``i``'s (unit, DVFS point).
+    """
     num_stages = dynamic_network.num_stages
     if len(units) != num_stages or len(scales) != num_stages:
         raise MappingError(
@@ -102,62 +219,73 @@ def simulate_schedule(
     if len(set(names)) != len(names):
         raise MappingError(f"stages must map to distinct compute units, got {names}")
 
-    num_layers = dynamic_network.num_layers
-    indicator = dynamic_network.scheme.indicator
     scheme = dynamic_network.scheme
+    backbone = scheme.backbone
+    num_layers = dynamic_network.num_layers
+    channels = scheme.channels.tolist()
+    reused = scheme.indicator.values.tolist()
 
     # Per-stage, per-layer raw latencies tau^j_i.
-    taus = np.zeros((num_stages, num_layers))
+    taus = [[0.0] * num_layers for _ in range(num_stages)]
     for stage in dynamic_network.stages:
+        index = stage.index
+        unit, scale, unit_key, row = units[index], scales[index], unit_keys[index], taus[index]
         for sub in stage.sublayers:
-            workload = LayerWorkload.from_sublayer(sub)
-            taus[stage.index, sub.layer_index] = cost_model.latency_ms(
-                workload, units[stage.index], scales[stage.index]
+            row[sub.layer_index] = table.latency_ms(
+                unit_key, sub.layer_index, sub.base, sub.in_units, sub.out_units, unit, scale
             )
 
     # Transfer latency of stage k's layer-j output when imported by a later
     # stage (Eq. 8's u term).  All stages live on different CUs, so a reused
-    # feature always crosses the shared memory.
-    transfer = np.zeros((num_stages, num_layers))
-    for stage_index in range(num_stages):
-        for layer_index, layer in enumerate(scheme.backbone):
-            feature_bytes = layer.output_bytes(scheme.stage_channels(stage_index, layer_index))
-            transfer[stage_index, layer_index] = interconnect.transfer_latency_ms(feature_bytes)
+    # feature always crosses the shared memory.  Only the outputs the
+    # recursion imports are costed: those of every stage but the last, at
+    # every layer but the last, whose indicator bit is set.
+    transfer = [[0.0] * num_layers for _ in range(num_stages)]
+    for stage_index in range(num_stages - 1):
+        for layer_index in range(num_layers - 1):
+            if reused[stage_index][layer_index]:
+                transfer[stage_index][layer_index] = table.transfer_ms(
+                    layer_index, backbone[layer_index], channels[stage_index][layer_index]
+                )
 
-    cumulative = np.zeros((num_stages, num_layers))
-    stalls = np.zeros(num_stages)
-    transfer_totals = np.zeros(num_stages)
+    cumulative = [[0.0] * num_layers for _ in range(num_stages)]
+    stalls = [0.0] * num_stages
+    transfer_totals = [0.0] * num_stages
     for layer_index in range(num_layers):
+        previous = layer_index - 1
         for stage_index in range(num_stages):
-            own_ready = cumulative[stage_index, layer_index - 1] if layer_index > 0 else 0.0
+            own_ready = cumulative[stage_index][previous] if layer_index > 0 else 0.0
             dependency_ready = own_ready
             if layer_index > 0:
                 for k in range(stage_index):
-                    if indicator.reused(k, layer_index - 1):
-                        ready = cumulative[k, layer_index - 1] + transfer[k, layer_index - 1]
-                        transfer_totals[stage_index] += transfer[k, layer_index - 1]
+                    if reused[k][previous]:
+                        ready = cumulative[k][previous] + transfer[k][previous]
+                        transfer_totals[stage_index] += transfer[k][previous]
                         dependency_ready = max(dependency_ready, ready)
             stalls[stage_index] += max(0.0, dependency_ready - own_ready)
-            cumulative[stage_index, layer_index] = (
-                taus[stage_index, layer_index] + dependency_ready
+            cumulative[stage_index][layer_index] = (
+                taus[stage_index][layer_index] + dependency_ready
             )
 
+    exit_position = num_layers
     schedules = []
     for stage in dynamic_network.stages:
-        exit_workload = LayerWorkload.from_layer(stage.exit_head)
-        exit_latency = cost_model.latency_ms(
-            exit_workload, units[stage.index], scales[stage.index]
+        index = stage.index
+        head = stage.exit_head
+        exit_latency = table.latency_ms(
+            unit_keys[index], exit_position, head, head.in_width, head.width,
+            units[index], scales[index],
         )
         schedules.append(
             StageSchedule(
-                stage_index=stage.index,
-                unit_name=units[stage.index].name,
-                scale=float(scales[stage.index]),
-                sublayer_latencies_ms=tuple(taus[stage.index].tolist()),
-                cumulative_latencies_ms=tuple(cumulative[stage.index].tolist()),
-                exit_latency_ms=float(exit_latency),
-                transfer_latency_ms=float(transfer_totals[stage.index]),
-                stall_ms=float(stalls[stage.index]),
+                stage_index=index,
+                unit_name=units[index].name,
+                scale=float(scales[index]),
+                sublayer_latencies_ms=tuple(taus[index]),
+                cumulative_latencies_ms=tuple(cumulative[index]),
+                exit_latency_ms=exit_latency,
+                transfer_latency_ms=float(transfer_totals[index]),
+                stall_ms=float(stalls[index]),
             )
         )
     return ScheduleResult(stages=tuple(schedules))

@@ -32,7 +32,13 @@ from ..dynamics.inference import DynamicInferenceResult, simulate_dynamic_infere
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import DynamicNetwork, build_dynamic_network
+from ..nn.multiexit import (
+    DynamicNetwork,
+    build_dynamic_network,
+    importance_curves,
+    stage_coverages,
+)
+from ..nn.partition import backbone_layers
 from ..perf.evaluator import HardwareProfile, MappingEvaluator
 from ..perf.layer_cost import CostModel
 from ..soc.platform import Platform
@@ -136,6 +142,37 @@ def _ranking_fingerprint(ranking: ChannelRanking) -> str:
     return digest.hexdigest()
 
 
+class _CachedCoverageAccuracy:
+    """An accuracy model whose stage coverage reads curves computed once.
+
+    :func:`simulate_dynamic_inference` only asks its accuracy model for
+    ``stage_accuracies(dynamic_network)``.  This answers like
+    :meth:`AccuracyModel.stage_accuracies`, through the same coverage helper,
+    but computes each backbone layer's importance curve once per evaluator
+    rather than once per stage and evaluation.  ``ranking`` is ``None`` when
+    channels are not reordered (plain width fractions).
+    """
+
+    def __init__(
+        self,
+        model: AccuracyModel,
+        network: NetworkGraph,
+        ranking: Optional[ChannelRanking],
+    ) -> None:
+        self.model = model
+        self._network = network
+        self._ranking = ranking
+        self._curves = None
+
+    def stage_accuracies(self, dynamic_network: DynamicNetwork) -> tuple:
+        if self._curves is None and self._ranking is not None:
+            self._curves = importance_curves(self._ranking, backbone_layers(self._network))
+        coverages = stage_coverages(
+            dynamic_network.scheme, range(dynamic_network.num_stages), self._curves
+        )
+        return self.model.stage_accuracies_from_coverage(dynamic_network.network, coverages)
+
+
 class ConfigEvaluator:
     """Evaluate mapping configurations for one network on one platform.
 
@@ -179,7 +216,13 @@ class ConfigEvaluator:
         self.reorder_channels = bool(reorder_channels)
         self.validation_samples = int(validation_samples)
         self.seed = int(seed)
+        # Both memos live only as long as this evaluator: each distinct layer
+        # slice is costed once, each layer's importance curve built once.
         self._mapping_evaluator = MappingEvaluator(platform, cost_model=cost_model)
+        self._mapping_evaluator._keep_slice_table(network)
+        self._accuracy = _CachedCoverageAccuracy(
+            self.accuracy_model, network, self.ranking if self.reorder_channels else None
+        )
         # Fingerprint the *effective* cost model (the mapping evaluator
         # substitutes the analytical oracle for None) now, before any
         # stateful use can advance internal RNGs: class plus full pickled
@@ -267,7 +310,7 @@ class ConfigEvaluator:
         inference = simulate_dynamic_inference(
             dynamic_network,
             profile,
-            accuracy_model=self.accuracy_model,
+            accuracy_model=self._accuracy,
             validation_samples=self.validation_samples,
         )
         return EvaluatedConfig(

@@ -52,6 +52,8 @@ class TestSplitUnits:
             split_units(100, [-0.1, 1.1])
         with pytest.raises(PartitionError):
             split_units(100, [])
+        with pytest.raises(PartitionError):
+            split_units(100, [float("nan"), 0.5, 0.5])
 
 
 class TestPartitionMatrix:
