@@ -19,7 +19,7 @@ from typing import Mapping, Tuple
 
 from ..errors import ConfigurationError
 from .metrics import compute_metrics
-from .simulator import RequestRecord, ServingResult
+from .simulator import RequestColumns, RequestRecord, ServingResult
 
 __all__ = [
     "FleetRequestRecord",
@@ -185,7 +185,7 @@ def compute_fleet_metrics(result) -> FleetMetrics:
     served = compute_metrics(
         ServingResult(
             policy=result.router,
-            records=tuple(entry.record for entry in pooled),
+            columns=RequestColumns.from_records([entry.record for entry in pooled]),
             duration_ms=duration_ms,
             busy_ms={},
             mean_in_flight=0.0,

@@ -4,7 +4,7 @@ Table II reports average-case latency/energy per isolated sample; a serving
 system is judged on distributions: tail latency (p95/p99), sustained
 throughput, deadline misses, per-unit utilisation and cumulative energy over
 a whole trace.  :func:`compute_metrics` reduces a simulation's per-request
-records to those numbers, and :func:`write_trace_jsonl` exports the raw
+columns to those numbers, and :func:`write_trace_jsonl` exports the raw
 records deterministically (sorted keys, shortest-round-trip floats) so a
 seeded run always produces a byte-identical trace file.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -179,10 +179,27 @@ def compute_metrics(
     utilisation and in-flight statistics always describe the whole system,
     since the hardware is shared.
     """
-    records: Sequence[RequestRecord] = result.records
+    columns = result.columns
+    # One float array per reduced field, in request order: every reduction
+    # below sees the values, dtype and element order of the old per-record
+    # pass, so the aggregates stay bit-identical (pinned by the serving
+    # goldens and the row-wise reference test).
+    values = np.array(
+        (
+            columns.latency_ms,
+            columns.queueing_ms,
+            columns.energy_mj,
+            columns.num_stages,
+            columns.correct,
+            [deadline is not None for deadline in columns.deadline_ms],
+            columns.deadline_missed,
+        ),
+        dtype=float,
+    )
     if tenant is not None:
-        records = [record for record in records if record.tenant == tenant]
-    if not records:
+        values = values[:, [name == tenant for name in columns.tenant]]
+    count = values.shape[1]
+    if not count:
         # Zero completions (every request shed/dropped, or a tenant filter
         # matching nothing) is a legitimate — if catastrophic — outcome of a
         # saturated deployment; collapse to the canonical degenerate
@@ -197,38 +214,16 @@ def compute_metrics(
                 for name, busy in result.busy_ms.items()
             },
         )
-    # Single pass over the records into one (n, 7) array; every reduction
-    # below then sees exactly the values, dtype and element order the old
-    # per-field comprehensions produced, so the aggregates stay bit-identical
-    # (pinned by the serving goldens and the row-wise reference test).
-    columns = np.array(
-        [
-            (
-                record.latency_ms,
-                record.queueing_ms,
-                record.energy_mj,
-                float(record.num_stages),
-                1.0 if record.correct else 0.0,
-                0.0 if record.deadline_ms is None else 1.0,
-                1.0 if record.deadline_missed else 0.0,
-            )
-            for record in records
-        ],
-        dtype=float,
-    )
-    latencies = np.sort(columns[:, 0])
-    queueing = np.ascontiguousarray(columns[:, 1])
-    energies = np.ascontiguousarray(columns[:, 2])
-    stages = np.ascontiguousarray(columns[:, 3])
-    correct = np.ascontiguousarray(columns[:, 4])
-    num_with_deadline = int(columns[:, 5].sum())
-    missed = int(columns[:, 6].sum())
+    latencies = np.sort(values[0])
+    queueing, energies, stages, correct = values[1:5]
+    num_with_deadline = int(values[5].sum())
+    missed = int(values[6].sum())
     duration_s = result.duration_ms / 1000.0
     return ServingMetrics(
         policy=result.policy,
-        num_requests=len(records),
+        num_requests=count,
         duration_ms=result.duration_ms,
-        throughput_rps=len(records) / duration_s if duration_s > 0 else 0.0,
+        throughput_rps=count / duration_s if duration_s > 0 else 0.0,
         mean_latency_ms=float(latencies.mean()),
         p50_latency_ms=_percentile(latencies, 50.0),
         p95_latency_ms=_percentile(latencies, 95.0),

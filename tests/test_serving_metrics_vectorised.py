@@ -1,11 +1,15 @@
-"""Bit-identity pin of the vectorised :func:`compute_metrics` reduction.
+"""Bit-identity pin of the columnar :func:`compute_metrics` reduction.
 
-``compute_metrics`` builds one ``(n, 7)`` array in a single pass instead of
-seven per-field list comprehensions.  The refactor is only legal if every
+``compute_metrics`` reduces a result's request columns directly: one float
+array per reduced field, built from the column tuples, instead of one pass
+over the per-request records.  The refactor is only legal if every
 aggregate keeps its exact bits — the serving goldens and the fleet summary
-both hash these floats.  This file keeps the *old* row-wise implementation
-as an executable reference and asserts equality with ``==`` (never
-``approx``) across policies, tenants and deadline shapes.
+both hash these floats.  This file keeps the *old* row-wise implementation,
+which reads ``result.records``, as an executable reference and asserts
+equality with ``==`` (never ``approx``) across tenants and deadline shapes,
+and across the three ways a store is written: the heap-free static replay,
+the event heap (switcher and DVFS governor), and a fleet pool built from
+records.
 """
 
 from __future__ import annotations
@@ -16,13 +20,22 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serving import (
     Deployment,
+    FleetInstance,
     MultiTenantStream,
     PoissonArrivals,
-    StaticPolicy,
+    ServingResult,
     TrafficSimulator,
+    build_policy,
     compute_metrics,
+    fleet_records,
+    simulate_fleet,
 )
 from repro.serving.metrics import ServingMetrics, _percentile
+from repro.serving.simulator import RequestColumns
+
+#: How the reduced store was written: the static replay, the event heap
+#: (two load-driven policies), or pooled fleet records.
+KINDS = ("static", "switcher", "dvfs-governor", "fleet-pool")
 
 
 def _reference_metrics(result, tenant=None) -> ServingMetrics:
@@ -81,6 +94,48 @@ def cascade():
     )
 
 
+@pytest.fixture()
+def sprinter():
+    return Deployment(
+        name="sprinter",
+        unit_names=("gpu", "dla0"),
+        service_ms=(4.0, 9.0),
+        energy_mj=(70.0, 20.0),
+        stage_accuracies=(0.6, 0.9),
+        dvfs_scales=(1.0, 1.0),
+    )
+
+
+def _replay(kind, platform, cascade, sprinter, requests, seed, deadline_ms=None):
+    """One result of ``kind`` for ``requests``."""
+    if kind == "fleet-pool":
+        # Pooled the way compute_fleet_metrics pools: the served records in
+        # stream order, reaching the store through RequestColumns.from_records.
+        fleet = simulate_fleet(
+            (
+                FleetInstance(name="a", platform=platform, deployment=cascade),
+                FleetInstance(name="b", platform=platform, deployment=sprinter),
+            ),
+            requests,
+            seed=seed,
+            deadline_ms=deadline_ms,
+        )
+        pooled = tuple(entry.record for entry in fleet_records(fleet))
+        result = ServingResult(
+            policy=fleet.router,
+            columns=RequestColumns.from_records(pooled),
+            duration_ms=fleet.duration_ms,
+            busy_ms={},
+            mean_in_flight=0.0,
+            peak_in_flight=0,
+        )
+        assert result.records == pooled
+        return result
+    policy = build_policy(kind, cascade, platform, front=(cascade, sprinter))
+    simulator = TrafficSimulator(platform, policy, seed=seed, deadline_ms=deadline_ms)
+    return simulator.run(requests)
+
+
 def _assert_bit_identical(vectorised: ServingMetrics, reference: ServingMetrics):
     # Strict equality on every float: the two reductions must agree to the
     # last bit, not within a tolerance.
@@ -88,44 +143,60 @@ def _assert_bit_identical(vectorised: ServingMetrics, reference: ServingMetrics)
 
 
 class TestVectorisedBitIdentity:
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_poisson_no_deadlines(self, platform, cascade, seed):
-        simulator = TrafficSimulator(platform, StaticPolicy(cascade), seed=seed)
-        result = simulator.run(
-            PoissonArrivals(60.0).generate(duration_ms=3000.0, seed=seed)
+    def test_poisson_no_deadlines(self, platform, cascade, sprinter, seed, kind):
+        result = _replay(
+            kind,
+            platform,
+            cascade,
+            sprinter,
+            PoissonArrivals(60.0).generate(duration_ms=3000.0, seed=seed),
+            seed,
         )
         _assert_bit_identical(compute_metrics(result), _reference_metrics(result))
 
-    def test_with_deadlines(self, platform, cascade):
-        simulator = TrafficSimulator(
-            platform, StaticPolicy(cascade), seed=5, deadline_ms=45.0
-        )
-        result = simulator.run(
-            PoissonArrivals(80.0).generate(duration_ms=2000.0, seed=5)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_with_deadlines(self, platform, cascade, sprinter, kind):
+        result = _replay(
+            kind,
+            platform,
+            cascade,
+            sprinter,
+            PoissonArrivals(80.0).generate(duration_ms=2000.0, seed=5),
+            5,
+            deadline_ms=45.0,
         )
         metrics = compute_metrics(result)
         _assert_bit_identical(metrics, _reference_metrics(result))
         assert metrics.deadline_miss_rate > 0.0  # the comparison is non-trivial
 
-    def test_multi_tenant_filter(self, platform, cascade):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_multi_tenant_filter(self, platform, cascade, sprinter, kind):
         stream = MultiTenantStream(
             (
                 PoissonArrivals(30.0, tenant="interactive", deadline_ms=50.0),
                 PoissonArrivals(20.0, tenant="batch"),
             )
         )
-        simulator = TrafficSimulator(platform, StaticPolicy(cascade), seed=2)
-        result = simulator.run(stream.generate(duration_ms=2500.0, seed=2))
+        result = _replay(
+            kind, platform, cascade, sprinter, stream.generate(duration_ms=2500.0, seed=2), 2
+        )
         for tenant in (None, "interactive", "batch"):
             _assert_bit_identical(
                 compute_metrics(result, tenant=tenant),
                 _reference_metrics(result, tenant=tenant),
             )
 
-    def test_single_request_edges(self, platform, cascade):
-        simulator = TrafficSimulator(platform, StaticPolicy(cascade), seed=1)
-        result = simulator.run(
-            PoissonArrivals(2.0).generate(duration_ms=3000.0, seed=9)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_request_edges(self, platform, cascade, sprinter, kind):
+        result = _replay(
+            kind,
+            platform,
+            cascade,
+            sprinter,
+            PoissonArrivals(2.0).generate(duration_ms=3000.0, seed=9),
+            1,
         )
         assert result.records  # tiny but non-empty stream
         _assert_bit_identical(compute_metrics(result), _reference_metrics(result))

@@ -4,12 +4,18 @@ Covers the acceptance criteria of the serving subsystem: reproducibility
 (byte-identical JSONL traces under a fixed seed), queueing-theory sanity
 (Little's law measured independently of per-request latencies), zero-load
 consistency with :func:`repro.dynamics.inference.simulate_dynamic_inference`,
-adaptive-switcher behaviour under bursts, and the search-to-serving bridge.
+adaptive-switcher behaviour under bursts, the search-to-serving bridge, and
+the heap-free static replay against the event-heap loop it stands in for.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamics.inference import simulate_dynamic_inference
 from repro.errors import ConfigurationError
@@ -18,18 +24,24 @@ from repro.serving import (
     AdaptiveSwitchPolicy,
     ConstantRate,
     Deployment,
+    FleetInstance,
     MultiTenantStream,
     OnOffBursts,
     PoissonArrivals,
+    Request,
     ServingResultCache,
     StaticPolicy,
     SteadyPoissonFamily,
     TrafficSimulator,
+    build_policy,
     compute_metrics,
     rank_under_traffic,
     read_trace_jsonl,
     simulate_deployment,
+    simulate_fleet,
 )
+from repro.serving.simulator import RequestColumns
+from repro.soc.platform import jetson_agx_xavier
 
 
 @pytest.fixture()
@@ -53,6 +65,19 @@ def cascade():
         service_ms=(5.0, 20.0, 30.0),
         energy_mj=(40.0, 10.0, 12.0),
         stage_accuracies=(0.5, 0.7, 0.9),
+        dvfs_scales=(1.0, 1.0, 1.0),
+    )
+
+
+@pytest.fixture()
+def shared_unit():
+    """Three stages, the first and last queueing on the same GPU."""
+    return Deployment(
+        name="shared",
+        unit_names=("gpu", "dla0", "gpu"),
+        service_ms=(5.0, 10.0, 5.0),
+        energy_mj=(20.0, 8.0, 9.0),
+        stage_accuracies=(0.4, 0.75, 0.95),
         dvfs_scales=(1.0, 1.0, 1.0),
     )
 
@@ -421,7 +446,152 @@ class TestBridge:
         assert "latency p50/p95/p99" in summary
 
 
+class _EventLoopStatic(StaticPolicy):
+    """A static policy that is not ``StaticPolicy`` itself, so the simulator
+    replays it through the event heap: the reference for the static replay."""
+
+
+def _assert_static_matches_heap(platform, deployment, requests, **scenario):
+    """The static replay equals the event heap, float for float."""
+    duration_ms = scenario.pop("duration_ms", None)
+    fast = TrafficSimulator(platform, StaticPolicy(deployment), **scenario).run(
+        requests, duration_ms=duration_ms
+    )
+    heap = TrafficSimulator(platform, _EventLoopStatic(deployment), **scenario).run(
+        requests, duration_ms=duration_ms
+    )
+    # Counting the requests reads the columns; records are built on demand.
+    assert fast.num_requests == len(requests) and fast._records is None
+    assert fast.records == heap.records
+    assert repr(fast.records) == repr(heap.records)
+    for name in ("busy_ms", "mean_in_flight", "peak_in_flight", "duration_ms"):
+        assert repr(getattr(fast, name)) == repr(getattr(heap, name)), name
+    assert fast == heap
+    for tenant in [None] + sorted({request.tenant for request in requests}):
+        fast_metrics = compute_metrics(fast, tenant=tenant)
+        assert fast_metrics == compute_metrics(heap, tenant=tenant)
+        assert repr(fast_metrics) == repr(compute_metrics(heap, tenant=tenant))
+    assert RequestColumns.from_records(fast.records) == fast.columns
+    assert pickle.loads(pickle.dumps(fast)) == fast
+    return fast
+
+
+def _grid_stream(count, step_ms, seed, **request_fields):
+    """Arrivals on a coarse grid, so they tie with task completions."""
+    slots = np.sort(np.random.default_rng(seed).integers(0, count, size=count))
+    return [Request(arrival_ms=step_ms * int(slot), **request_fields) for slot in slots]
+
+
+@st.composite
+def _static_scenarios(draw):
+    """A deployment (stages may share a unit) and a stream on a time grid."""
+    units = jetson_agx_xavier().unit_names
+    stages = draw(st.integers(min_value=1, max_value=4))
+    step_ms = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    deployment = Deployment(
+        name="drawn",
+        unit_names=tuple(draw(st.sampled_from(units)) for _ in range(stages)),
+        service_ms=tuple(
+            step_ms * draw(st.integers(min_value=1, max_value=12)) for _ in range(stages)
+        ),
+        energy_mj=tuple(
+            draw(st.floats(min_value=0.5, max_value=50.0)) for _ in range(stages)
+        ),
+        stage_accuracies=tuple(
+            sorted(draw(st.floats(min_value=0.05, max_value=0.99)) for _ in range(stages))
+        ),
+        dvfs_scales=(1.0,) * stages,
+    )
+    count = draw(st.integers(min_value=1, max_value=60))
+    requests = [
+        Request(
+            arrival_ms=step_ms * draw(st.integers(min_value=0, max_value=3 * count))
+            + draw(st.sampled_from([0.0, 0.1, 1e-3])),
+            tenant=draw(st.sampled_from(["a", "b"])),
+            deadline_ms=draw(st.sampled_from([None, 4.0, 30.0])),
+        )
+        for _ in range(count)
+    ]
+    scenario = dict(
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        deadline_ms=draw(st.sampled_from([None, 12.0])),
+        duration_ms=draw(st.sampled_from([None, 1.0, 1e4])),
+    )
+    return deployment, requests, scenario
+
+
+class TestStaticReplayMatchesEventHeap:
+    @pytest.mark.parametrize("name", ["single_stage", "cascade", "shared_unit"])
+    def test_poisson_streams(self, platform, request, name):
+        deployment = request.getfixturevalue(name)
+        for seed in (0, 7):
+            requests = PoissonArrivals(70.0).generate(4000.0, seed=seed)
+            _assert_static_matches_heap(platform, deployment, requests, seed=seed)
+
+    @pytest.mark.parametrize("name", ["cascade", "shared_unit"])
+    def test_arrivals_tie_with_completions(self, platform, request, name):
+        deployment = request.getfixturevalue(name)
+        requests = _grid_stream(300, 5.0, seed=3)
+        result = _assert_static_matches_heap(platform, deployment, requests, seed=1)
+        arrivals = {record.arrival_ms for record in result.records}
+        assert arrivals & {record.completion_ms for record in result.records}
+
+    def test_deadlines_and_tenants(self, platform, cascade):
+        requests = MultiTenantStream(
+            (
+                PoissonArrivals(40.0, tenant="interactive", deadline_ms=35.0),
+                PoissonArrivals(25.0, tenant="batch"),
+            )
+        ).generate(3000.0, seed=4)
+        result = _assert_static_matches_heap(
+            platform, cascade, requests, seed=2, deadline_ms=60.0
+        )
+        assert {record.deadline_ms for record in result.records} == {35.0, 60.0}
+        assert any(record.deadline_missed for record in result.records)
+
+    def test_single_request(self, platform, shared_unit):
+        _assert_static_matches_heap(
+            platform, shared_unit, [Request(arrival_ms=3.0)], seed=5, deadline_ms=1.0
+        )
+
+    @pytest.mark.parametrize("duration_ms", [None, 50.0, 10_000.0])
+    def test_observation_window(self, platform, cascade, duration_ms):
+        requests = _grid_stream(120, 2.0, seed=8)
+        result = _assert_static_matches_heap(
+            platform, cascade, requests, seed=0, duration_ms=duration_ms
+        )
+        makespan = max(record.completion_ms for record in result.records)
+        assert result.duration_ms == max(duration_ms or 0.0, makespan)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_static_scenarios())
+    def test_generated_streams(self, platform, drawn):
+        deployment, requests, scenario = drawn
+        _assert_static_matches_heap(platform, deployment, requests, **scenario)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("duration_ms", [float("nan"), float("inf"), 0.0, -5.0])
+    @pytest.mark.parametrize(
+        "entry", ["static", "switcher", "simulate_deployment", "FleetSimulator.run"]
+    )
+    def test_meaningless_window_rejected(self, platform, cascade, entry, duration_ms):
+        requests = ConstantRate(10.0).generate(1000.0, seed=0)
+        with pytest.raises(ConfigurationError, match="duration_ms"):
+            if entry == "simulate_deployment":
+                simulate_deployment(cascade, platform, requests, duration_ms=duration_ms)
+            elif entry == "FleetSimulator.run":
+                simulate_fleet(
+                    (FleetInstance(name="only", platform=platform, deployment=cascade),),
+                    requests,
+                    duration_ms=duration_ms,
+                )
+            else:
+                policy = build_policy(entry, cascade, platform)
+                TrafficSimulator(platform, policy, seed=0).run(
+                    requests, duration_ms=duration_ms
+                )
+
     def test_empty_stream_rejected(self, platform, cascade):
         with pytest.raises(ConfigurationError):
             TrafficSimulator(platform, StaticPolicy(cascade), seed=0).run([])
