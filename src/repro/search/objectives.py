@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 import types
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -185,6 +186,18 @@ class MeasuredWaitExtractor:
     Campaign cells bind their extractor in the process that runs the cell
     (:class:`MeasuredObjectives`), so the cache never crosses processes with
     it.
+
+    One replay key per candidate: the extractor keeps each
+    :class:`~repro.search.evaluation.EvaluatedConfig`'s
+    :class:`~repro.serving.bridge.MeasuredReplay` (its deployment and cache
+    key), so a candidate is distilled and hashed once per bound set, not once
+    per domination check or NSGA-II matrix row.  Every interrogation still
+    makes one cache lookup, so hit/miss and recorder counts are those of an
+    unmemoised extractor.  The memo holds candidates through weak references
+    (it never keeps a search's candidates alive) and, since
+    ``EvaluatedConfig`` compares by identity, keys them by identity; it stays out
+    of ``repr``, equality, the hash and fingerprints, and is not pickled: a
+    clone starts empty.
     """
 
     platform: object
@@ -193,20 +206,31 @@ class MeasuredWaitExtractor:
     duration_ms: float
     family_name: str = ""
     cache: Optional[object] = field(default=None, repr=False, compare=False)
+    _replays: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     def __call__(self, item: EvaluatedConfig) -> float:
-        from ..serving.bridge import measured_serving_metrics
+        replay = self._replays.get(item)
+        if replay is None:
+            from ..serving.bridge import MeasuredReplay
 
-        metrics = measured_serving_metrics(
-            item,
-            self.platform,
-            self.workload,
-            self.duration_ms,
-            seed=self.traffic_seed,
-            cache=self.cache,
-            family_name=self.family_name,
-        )
-        return metrics.mean_queueing_ms
+            replay = self._replays[item] = MeasuredReplay(
+                item,
+                self.platform,
+                self.workload,
+                self.duration_ms,
+                seed=self.traffic_seed,
+                cache=self.cache,
+                family_name=self.family_name,
+            )
+        return replay.metrics().mean_queueing_ms
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_replays"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _replays=weakref.WeakKeyDictionary())
 
 
 def _extractor_identity(extractor: Callable[[EvaluatedConfig], float]) -> str:

@@ -32,6 +32,7 @@ __all__ = [
     "TrafficRanking",
     "simulate_deployment",
     "measured_serving_metrics",
+    "MeasuredReplay",
     "rank_under_traffic",
 ]
 
@@ -120,18 +121,21 @@ def measured_serving_metrics(
 ) -> ServingMetrics:
     """Measured serving behaviour of one candidate, simulated at most once.
 
-    The cache-aware entry point behind ``measured_serving_objectives``,
-    :func:`rank_under_traffic` and the campaign policy replays: the candidate
+    The cache-aware entry point behind :func:`rank_under_traffic` and the
+    campaign policy replays (``measured_serving_objectives`` keeps one
+    :class:`MeasuredReplay`, which takes the same arguments, per candidate
+    instead).  The candidate
     is distilled into a :class:`~repro.serving.policies.Deployment`, keyed by
     :func:`~repro.serving.result_cache.serving_digest` (deployment content x
     platform x workload x seed x replay budget x ``policy_tag``) and only
-    simulated on a cache miss.  NSGA-II's pairwise domination checks
-    interrogate the same candidates many times per generation; with a shared
+    simulated on a cache miss.  With a shared
     :class:`~repro.serving.result_cache.ServingResultCache` each distinct
     deployment pays for exactly one replay — and serving-campaign replays of
     deployments the search already measured pay for none.  The digest
     ignores display names, so a hit is relabelled to the policy name a fresh
-    replay would carry: cached and fresh metrics are equal.
+    replay would carry: cached and fresh metrics are equal.  A cached replay
+    needs ``duration_ms`` (it is part of the key);
+    :class:`~repro.errors.ConfigurationError` says so before any simulation.
 
     ``policy`` replays an adaptive :class:`~repro.serving.policies.ServingPolicy`
     (switcher, DVFS governor) instead of pinning the candidate statically; the
@@ -139,39 +143,89 @@ def measured_serving_metrics(
     the deployment set it switches over, since the digest still keys on the
     anchor ``candidate``.
     """
-    deployment = _as_deployment(candidate)
-    if policy is None:
-        policy = StaticPolicy(deployment)
-    digest = None
-    if cache is not None:
-        digest = serving_digest(
-            deployment,
-            platform,
-            workload,
-            duration_ms,
-            seed,
-            deadline_ms=deadline_ms,
-            policy_tag=policy_tag,
+    return MeasuredReplay(
+        candidate,
+        platform,
+        workload,
+        duration_ms,
+        seed=seed,
+        deadline_ms=deadline_ms,
+        cache=cache,
+        family_name=family_name,
+        policy=policy,
+        policy_tag=policy_tag,
+    ).metrics()
+
+
+class MeasuredReplay:
+    """:func:`measured_serving_metrics` of one candidate, keyed once.
+
+    Takes :func:`measured_serving_metrics`'s arguments.  Construction distils
+    the candidate and, given a ``cache``, derives its serving-cache key from
+    the deployment and the scenario; the key is never taken from a caller,
+    since a wrong one would poison a shared, persisted cache.  Each
+    :meth:`metrics` call then looks that key up (so hit/miss statistics and
+    :class:`~repro.serving.result_cache.ServingCacheRecorder` counts see
+    every interrogation), and a miss replays through
+    :func:`simulate_deployment` + :func:`~repro.serving.metrics.compute_metrics`
+    and stores.  A measured search objective keeps one per candidate, so a
+    candidate is distilled and hashed once however often it is compared.
+    """
+
+    __slots__ = ("_policy", "_scenario", "_cache", "_family_name", "_key")
+
+    def __init__(
+        self,
+        candidate,
+        platform: Platform,
+        workload: Union[ArrivalProcess, Sequence[Request]],
+        duration_ms: Optional[float],
+        seed: int = 0,
+        deadline_ms: Optional[float] = None,
+        cache: Optional[ServingResultCache] = None,
+        family_name: str = "",
+        policy: Optional[ServingPolicy] = None,
+        policy_tag: str = "static",
+    ) -> None:
+        deployment = _as_deployment(candidate)
+        self._policy = StaticPolicy(deployment) if policy is None else policy
+        self._scenario = (platform, workload, duration_ms, seed, deadline_ms)
+        self._cache = cache
+        self._family_name = family_name
+        self._key = None
+        if cache is not None:
+            self._key = serving_digest(
+                deployment,
+                platform,
+                workload,
+                duration_ms,
+                seed,
+                deadline_ms=deadline_ms,
+                policy_tag=policy_tag,
+            )
+
+    def metrics(self) -> ServingMetrics:
+        """The replay's metrics: a cache hit, else a fresh (stored) replay."""
+        if self._cache is not None:
+            hit = self._cache.lookup(self._key)
+            if hit is not None:
+                name = self._policy.name
+                return hit if hit.policy == name else dataclasses.replace(hit, policy=name)
+        platform, workload, duration_ms, seed, deadline_ms = self._scenario
+        metrics = compute_metrics(
+            simulate_deployment(
+                None,
+                platform,
+                workload,
+                duration_ms,
+                policy=self._policy,
+                seed=seed,
+                deadline_ms=deadline_ms,
+            )
         )
-        hit = cache.lookup(digest)
-        if hit is not None:
-            if hit.policy != policy.name:
-                hit = dataclasses.replace(hit, policy=policy.name)
-            return hit
-    metrics = compute_metrics(
-        simulate_deployment(
-            None,
-            platform,
-            workload,
-            duration_ms,
-            policy=policy,
-            seed=seed,
-            deadline_ms=deadline_ms,
-        )
-    )
-    if cache is not None:
-        cache.store(digest, metrics, family=family_name)
-    return metrics
+        if self._cache is not None:
+            self._cache.store(self._key, metrics, family=self._family_name)
+        return metrics
 
 
 def rank_under_traffic(
@@ -196,19 +250,14 @@ def rank_under_traffic(
     :func:`measured_serving_metrics`, so with a ``cache`` (and
     ``family_name``, the label stored next to new entries) a deployment
     already replayed under this scenario costs a lookup instead of a
-    simulation, with metrics equal to a fresh replay's.  Returns rankings
-    sorted best-first.
+    simulation, with metrics equal to a fresh replay's; a cached ranking
+    needs ``duration_ms``.  Returns rankings sorted best-first.
     """
     if not candidates:
         raise ConfigurationError("rank_under_traffic needs at least one candidate")
     # Resolve the declared sort direction up front: unknown or direction-less
     # metric names fail here, before any simulation work.
     reverse = metric_direction(metric) == "desc"
-    if cache is not None and duration_ms is None:
-        raise ConfigurationError(
-            "a cached ranking needs duration_ms: the replay budget is part of "
-            "the serving-cache key"
-        )
     rankings = []
     for position, candidate in enumerate(candidates):
         deployment = _as_deployment(candidate, name=f"pareto-{position}")

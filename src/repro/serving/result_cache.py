@@ -6,7 +6,11 @@ queueing wait, and the same candidate is interrogated many times per
 generation (pairwise domination is O(n^2)).  Re-simulating an unchanged
 deployment every time would make measured search orders of magnitude slower
 than the M/D/1 proxy; the :class:`ServingResultCache` makes each distinct
-replay happen exactly once.
+replay happen exactly once.  The objective's extractor derives one key per
+candidate per bound objective set (it keeps the candidate's
+:class:`~repro.serving.bridge.MeasuredReplay`) and makes one lookup per
+interrogation, so hit/miss statistics and :class:`ServingCacheRecorder`
+counts tally interrogations, exactly as if every one re-derived its key.
 
 Entries are keyed by :func:`serving_digest` — a stable content digest of the
 *deployment* (per-stage services/energies/accuracies/DVFS points; the display
@@ -103,8 +107,15 @@ def serving_digest(
     dataclasses whose repr encodes every parameter), the platform its
     content-bearing repr, and the replay budget the duration, deadline,
     traffic seed and policy tag — so any change that could alter a single
-    simulated record changes the key.
+    simulated record changes the key.  ``duration_ms=None`` (replay until
+    the stream drains) has no key and raises
+    :class:`~repro.errors.ConfigurationError`.
     """
+    if duration_ms is None:
+        raise ConfigurationError(
+            "a cached replay needs duration_ms: the replay budget is part of "
+            "the serving-cache key"
+        )
     workload_identity = (
         repr(workload)
         if isinstance(workload, ArrivalProcess)

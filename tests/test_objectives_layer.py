@@ -47,11 +47,12 @@ from repro.search.objectives import (
     ObjectiveSpec,
     as_objective_set,
     default_objective_set,
+    measured_serving_objectives,
     nan_guarded,
     serving_objectives,
 )
 from repro.search.pareto import hypervolume, pareto_front, select_serving_oriented
-from repro.serving.families import OnOffBurstFamily, WorkloadFamily
+from repro.serving.families import OnOffBurstFamily, SteadyPoissonFamily, WorkloadFamily
 
 # -- legacy reimplementations (the pre-layer hard-wired behaviour) ------------
 
@@ -270,11 +271,27 @@ class TestServingObjectives:
         with pytest.raises(ConfigurationError):
             serving_objectives()
 
-    def test_serving_sets_pickle(self):
-        objectives = serving_objectives(target_rps=80.0)
-        clone = pickle.loads(pickle.dumps(objectives))
-        assert clone == objectives
-        assert clone.fingerprint() == objectives.fingerprint()
+    def test_serving_sets_pickle(self, platform, tiny_config_evaluator, tiny_space):
+        """Proxy and measured sets round-trip, before and after interrogation.
+
+        ``run_campaign(objectives=<measured set>, cell_workers=2)`` pickles a
+        ready measured set into cell tasks; its per-candidate replay memo must
+        not travel (a clone starts empty) nor enter equality or fingerprints.
+        """
+        evaluated = tiny_config_evaluator.evaluate(tiny_space.sample(seed=0))
+        measured = measured_serving_objectives(
+            SteadyPoissonFamily(rate_rps=30.0), platform, duration_ms=400.0, members=1
+        )
+        for objectives in (serving_objectives(target_rps=80.0), measured):
+            for interrogated in (False, True):
+                if interrogated:
+                    objectives.values(evaluated)
+                clone = pickle.loads(pickle.dumps(objectives))
+                assert clone == objectives
+                assert clone.fingerprint() == objectives.fingerprint()
+        memo = measured.specs[-1].extractor._replays
+        clone_memo = pickle.loads(pickle.dumps(measured)).specs[-1].extractor._replays
+        assert len(memo) == 1 and len(clone_memo) == 0
 
     def test_expected_wait_saturates_to_inf(self, tiny_config_evaluator, tiny_space):
         evaluated = tiny_config_evaluator.evaluate(tiny_space.sample(seed=0))

@@ -19,6 +19,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.serving.families import SteadyPoissonFamily
 from repro.serving.metrics import ServingMetrics
 from repro.serving.policies import Deployment
 from repro.serving.result_cache import (
@@ -93,6 +94,28 @@ class TestDigests:
         assert base != serving_digest(
             deployment, PLATFORM, PoissonArrivals(rate_rps=60.0), 1000.0, 0
         )
+
+    def test_key_bytes_are_pinned(self):
+        """Persisted cache files are addressed by these digests.
+
+        A change to either key function orphans every stored replay, so it
+        must be a deliberate, announced format change, never a side effect.
+        """
+        deployment = Deployment(
+            name="pinned",
+            unit_names=("gpu", "dla0"),
+            service_ms=(3.5, 6.25),
+            energy_mj=(40.0, 12.5),
+            stage_accuracies=(0.62, 0.91),
+            dvfs_scales=(1.0, 0.8),
+        )
+        member = SteadyPoissonFamily(rate_rps=40.0).expand(seed=0, n=1)[0]
+        assert deployment_digest(deployment) == (
+            "57ea1e9c3c59dff2b94166df82fe1ab69e83de587a5d1c1e98f02d4d39393faa"
+        )
+        assert serving_digest(
+            deployment, PLATFORM, member, 400.0, 3, deadline_ms=None, policy_tag="static"
+        ) == "87cbf678550635a888000f0377879617542ed43fcf95701715a8636c947bf123"
 
 
 class TestInMemory:

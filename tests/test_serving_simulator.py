@@ -35,6 +35,7 @@ from repro.serving import (
     TrafficSimulator,
     build_policy,
     compute_metrics,
+    measured_serving_metrics,
     rank_under_traffic,
     read_trace_jsonl,
     simulate_deployment,
@@ -356,17 +357,33 @@ class TestBridge:
         assert [r.metrics for r in ranked] == [r.metrics for r in fresh]
 
     def test_cached_ranking_needs_a_replay_budget(self, platform, cascade, monkeypatch):
+        """Both cached entry points name ``duration_ms`` before simulating.
+
+        The check lives once, in the cache key.  Regression:
+        ``measured_serving_metrics(..., duration_ms=None, cache=...)`` used to
+        fail there with a raw ``TypeError``.  Without a cache the stream
+        simply replays until it drains.
+        """
         import repro.serving.bridge as bridge_module
+
+        requests = ConstantRate(10.0).generate(500.0, seed=0)
+        drained = measured_serving_metrics(cascade, platform, requests, None)
+        assert drained.num_requests == len(requests)
 
         def never(*args, **kwargs):
             raise AssertionError("simulated before validating the replay budget")
 
         monkeypatch.setattr(bridge_module, "simulate_deployment", never)
-        requests = ConstantRate(10.0).generate(500.0, seed=0)
-        with pytest.raises(ConfigurationError, match="duration_ms"):
-            rank_under_traffic(
-                [cascade], platform, requests, duration_ms=None, cache=ServingResultCache()
-            )
+        cache = ServingResultCache()
+        message = (
+            "^a cached replay needs duration_ms: the replay budget is part of "
+            "the serving-cache key$"
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            rank_under_traffic([cascade], platform, requests, duration_ms=None, cache=cache)
+        with pytest.raises(ConfigurationError, match=message):
+            measured_serving_metrics(cascade, platform, requests, None, cache=cache)
+        assert len(cache) == 0 and cache.stats.misses == 0
 
     def test_rank_rejects_unknown_metric(self, platform, cascade):
         with pytest.raises(ConfigurationError):
