@@ -10,9 +10,10 @@ request at a time" idealisation.  Exits stay ideal, as in the paper
   Poisson, bursty on/off, diurnal, multi-tenant),
 * :mod:`repro.serving.policies` -- deployments and runtime policies (static,
   hysteresis mapping-switcher, DVFS governor),
-* :mod:`repro.serving.simulator` -- the deterministic event loop; each
-  request exits at :meth:`~repro.serving.policies.Deployment.exit_stage` of
-  its latent difficulty,
+* :mod:`repro.serving.simulator` -- the deterministic replay (one per-unit
+  Lindley recursion for every policy); each request exits at
+  :meth:`~repro.serving.policies.Deployment.exit_stage` of its latent
+  difficulty,
 * :mod:`repro.serving.metrics` -- tail latency, throughput, deadline misses,
   utilisation, energy, JSONL trace export,
 * :mod:`repro.serving.bridge` -- re-rank ``MapAndConquer.search`` results by

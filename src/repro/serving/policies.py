@@ -20,7 +20,9 @@ reproducible and unit-testable in isolation from the event loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
@@ -84,16 +86,23 @@ class Deployment:
         return len(self.unit_names)
 
     def exit_stage(self, difficulty: float) -> int:
-        """Stage a request of latent ``difficulty`` exits at, ideally (Sect. III-B).
+        """Stage a request of latent ``difficulty`` exits at (see :meth:`exit_stages`)."""
+        return int(self.exit_stages((difficulty,))[0])
+
+    def exit_stages(self, difficulties: Sequence[float]) -> np.ndarray:
+        """Stage each request of latent difficulty exits at, ideally (Sect. III-B).
 
         The first stage whose accuracy is ``>= difficulty`` (the first that
         classifies it), else the last stage, which answers wrongly.  A
         first-match scan, not a bisection: accuracies may dip by up to 1e-9.
         """
-        for stage, accuracy in enumerate(self.stage_accuracies):
-            if difficulty <= accuracy:
-                return stage
-        return len(self.stage_accuracies) - 1
+        difficulties = np.asarray(difficulties, dtype=float)
+        last = len(self.stage_accuracies) - 1
+        stages = np.full(difficulties.shape, last)
+        # Latest stage first, so each request ends on the first that covers it.
+        for stage in range(last - 1, -1, -1):
+            stages[difficulties <= self.stage_accuracies[stage]] = stage
+        return stages
 
     def cumulative_latency_ms(self, stage: int) -> float:
         """Zero-contention latency when terminating at ``stage`` (Eq. 13)."""

@@ -24,21 +24,22 @@ occupies its unit's FIFO queue for the stage's service time, and the request
 completes when its last task does.  At zero contention this reproduces
 Eq. 13/14 exactly: latency ``max_{k<=i} T_{S_k}``, energy ``E_{S_{1:i}}``.
 
-Two replays implement the model, and they produce the same outputs float
-for float:
+One replay implements the model for every policy.  A policy reads only
+``(in_flight, now)``, and only at arrivals, and whichever deployment a
+request gets, its tasks join their units' FIFO queues in (request, stage)
+order.  So each task follows the per-unit Lindley recursion
+``done = max(arrival, free) + service`` on Python floats, with ``free`` the
+completion of the unit's previous task.  Arrivals precede completions at
+equal times, so at arrival ``k`` the in-flight count is ``k`` minus the
+admitted requests that completed strictly before it, read off a min-heap of
+completion times.  The peak in flight comes from that loop, and the mean
+in flight from the sorted arrival and task-completion times.  The ideal
+exits are decided once per distinct accuracy tuple over all requests, and
+each distinct deployment is planned once.  ``tests/`` keeps an event heap of
+arrivals and task completions as the reference this replay is pinned
+against, float for float.
 
-* A :class:`~repro.serving.policies.StaticPolicy` serves every request with
-  one deployment whatever the load, so each unit's queue is fed in (request,
-  stage) order and the replay needs no event heap.  It runs the per-unit
-  Lindley recursion ``done_k = max(arrival_k, done_{k-1}) + service_k`` on
-  Python floats, then reads the in-flight statistics off the sorted arrival
-  and task-completion times.
-* Every other policy (the load-driven switcher and DVFS governor) reads the
-  in-flight count at each arrival, so it replays through an event heap of
-  arrivals and task completions, arrivals first at equal times.  That loop
-  is also the reference the static replay is tested against.
-
-Both write one :class:`RequestColumns` store, one tuple per
+The replay writes one :class:`RequestColumns` store, one tuple per
 :class:`RequestRecord` field.  :func:`~repro.serving.metrics.compute_metrics`
 reduces the columns directly, and :attr:`ServingResult.records` builds the
 records only when something reads them (trace export, fleet pooling).
@@ -49,17 +50,16 @@ sequence; the exported JSONL trace is byte-identical across runs.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from ..utils import as_rng, check_positive
-from .policies import ServingPolicy, StaticPolicy
+from .policies import Deployment, ServingPolicy
 from .workload import Request
 
 __all__ = ["RequestRecord", "RequestColumns", "ServingResult", "TrafficSimulator"]
@@ -150,7 +150,8 @@ class ServingResult:
     maps compute-unit names to total occupied time; ``mean_in_flight`` is the
     time-averaged number of requests in the system (measured independently
     of per-request latencies, so Little's law ``L = lambda * W`` is a
-    non-trivial consistency check of either replay).
+    non-trivial consistency check of the replay).  Every policy's result
+    comes from the same Lindley replay (see the module docstring).
     """
 
     policy: str
@@ -188,26 +189,15 @@ class ServingResult:
         write_trace_jsonl(self.records, path)
 
 
-@dataclass
-class _Task:
-    """One stage of one in-flight request, queued on a compute unit."""
+class _Plan(NamedTuple):
+    """What a replay needs of one deployment, built once per object."""
 
-    state: "_RequestState"
-    service_ms: float
-
-
-@dataclass
-class _RequestState:
-    """Mutable bookkeeping of one admitted request."""
-
-    index: int
-    deployment_name: str
-    exit_stage: int
-    correct: bool
-    energy_mj: float
-    critical_service_ms: float
-    remaining_tasks: int
-    completion_ms: float = 0.0
+    deployment: Deployment
+    exits: List[int]  # exit stage of every request, by request index
+    correct: List[bool]  # whether that exit classifies the request
+    tasks_at: List[Tuple[Tuple[int, float], ...]]  # per exit stage: (unit slot, service)
+    service_at: List[float]  # per exit stage: zero-contention latency (Eq. 13)
+    energy_at: List[float]  # per exit stage: energy (Eq. 14)
 
 
 class TrafficSimulator:
@@ -251,6 +241,11 @@ class TrafficSimulator:
     ) -> ServingResult:
         """Play ``requests`` through the platform and return the full trace.
 
+        Every policy replays by the same per-unit Lindley recursion, which
+        is exact because a policy reads only the in-flight count and the
+        time at each arrival, and each request's tasks join their units'
+        FIFO queues in (request, stage) order whichever deployment it gets.
+
         Parameters
         ----------
         requests:
@@ -267,14 +262,9 @@ class TrafficSimulator:
             check_positive(duration_ms, "duration_ms")
         ordered = sorted(requests, key=lambda r: r.arrival_ms)
         grid = (np.arange(len(ordered)) + 0.5) / len(ordered)
-        difficulties = as_rng(self._seed).permutation(grid).tolist()
+        difficulties = as_rng(self._seed).permutation(grid)
         self.policy.reset()
-
-        # A StaticPolicy ignores the load, so it needs no event heap; any other
-        # policy (a subclass too: it may override select) reads the in-flight
-        # count at each arrival.
-        replay = self._replay_static if type(self.policy) is StaticPolicy else self._replay_events
-        columns, busy_ms, in_flight_area, peak_in_flight, makespan = replay(
+        columns, busy_ms, in_flight_area, peak_in_flight, makespan = self._replay(
             ordered, difficulties
         )
         horizon = makespan if duration_ms is None else max(float(duration_ms), makespan)
@@ -288,38 +278,76 @@ class TrafficSimulator:
         )
 
     # -- internals ---------------------------------------------------------------
-    def _replay_static(self, ordered: Sequence[Request], difficulties: Sequence[float]):
-        """One fixed deployment, replayed by the per-unit Lindley recursion.
+    def _replay(self, ordered: Sequence[Request], difficulties: np.ndarray):
+        """The per-unit Lindley recursion, under any policy.
 
-        Returns what :meth:`_replay_events` returns, float for float.
+        Returns ``(columns, busy_ms, in-flight area, peak in flight,
+        makespan)``; the makespan is the last completion time.
         """
-        deployment = self.policy.deployment
-        self._check_deployment_units(deployment)
-        stages = range(deployment.num_stages)
-        service_at = [deployment.cumulative_latency_ms(stage) for stage in stages]
-        energy_at = [deployment.cumulative_energy_mj(stage) for stage in stages]
-        # As floats, so ``correct`` holds Python bools whatever the tuple holds.
-        accuracy_at = [float(accuracy) for accuracy in deployment.stage_accuracies]
-        slot_of = {name: slot for slot, name in enumerate(dict.fromkeys(deployment.unit_names))}
-        # The tasks a request exiting at each stage queues, in stage order,
-        # which is the order they join their units' FIFO queues.
-        tasks_at = [
-            tuple(
-                (slot_of[deployment.unit_names[task]], deployment.service_ms[task])
-                for task in range(stage + 1)
-            )
-            for stage in stages
-        ]
-        exit_stage = list(map(deployment.exit_stage, difficulties))
-        arrival_ms = [request.arrival_ms for request in ordered]
+        # Looked up per run, so a select wrapped on the policy's class after
+        # construction still sees every call.
+        select = self.policy.select
+        unit_names = self.platform.unit_names
+        slot_of = {name: slot for slot, name in enumerate(unit_names)}
+        # The ideal exits (and their correctness) depend on the accuracies
+        # alone, so the switcher's two deployments and the governor's rungs
+        # decide them once per distinct tuple, over every request: the
+        # replay costs one pass per request plus one vector pass per tuple.
+        exits_of: Dict[Tuple[float, ...], Tuple[list, list]] = {}
+        # Keyed by identity with the deployment kept in the plan, so a freed
+        # id cannot alias a fresh object.
+        plans: Dict[int, _Plan] = {}
 
-        free_ms = [float("-inf")] * len(slot_of)
-        busy = [0.0] * len(slot_of)
+        def plan_of(deployment) -> _Plan:
+            self._check_deployment_units(deployment)
+            accuracies = tuple(deployment.stage_accuracies)
+            if accuracies not in exits_of:
+                exits = deployment.exit_stages(difficulties)
+                correct = difficulties <= np.array(accuracies, dtype=float)[exits]
+                exits_of[accuracies] = (exits.tolist(), correct.tolist())
+            tasks = [
+                (slot_of[name], service)
+                for name, service in zip(deployment.unit_names, deployment.service_ms)
+            ]
+            stages = range(deployment.num_stages)
+            return _Plan(
+                deployment,
+                *exits_of[accuracies],
+                # The tasks a request exiting at each stage queues, in stage
+                # order, which is the order they join their units' queues.
+                [tuple(tasks[: stage + 1]) for stage in stages],
+                [deployment.cumulative_latency_ms(stage) for stage in stages],
+                [deployment.cumulative_energy_mj(stage) for stage in stages],
+            )
+
+        arrival_ms = [request.arrival_ms for request in ordered]
+        free_ms = [float("-inf")] * len(unit_names)
+        busy = [0.0] * len(unit_names)
         completion_ms = []
         done_ms = []
-        for arrival, stage in zip(arrival_ms, exit_stage):
+        admitted: list = []  # min-heap of the admitted requests' completion times
+        completed = peak = 0
+        segments = []  # (first request, plan) at every change of deployment
+        last = None
+        for index, arrival in enumerate(arrival_ms):
+            # Arrivals precede completions at equal times, so a request that
+            # completes exactly now is still in flight.
+            while admitted and admitted[0] < arrival:
+                heappop(admitted)
+                completed += 1
+            in_flight = index - completed
+            if in_flight >= peak:
+                peak = in_flight + 1
+            deployment = select(in_flight, arrival)
+            if deployment is not last:
+                last = deployment
+                plan = plans.get(id(deployment))
+                if plan is None:
+                    plan = plans[id(deployment)] = plan_of(deployment)
+                exits, tasks_at = plan.exits, plan.tasks_at
+                segments.append((index, plan))
             completion = 0.0
-            for slot, service in tasks_at[stage]:
+            for slot, service in tasks_at[exits[index]]:
                 free = free_ms[slot]
                 # At a tie the unit is still busy (arrivals precede
                 # completions), so the task starts at the previous completion.
@@ -330,11 +358,13 @@ class TrafficSimulator:
                 if done > completion:
                     completion = done
             completion_ms.append(completion)
+            heappush(admitted, completion)
 
-        # The heap adds in_flight * (now - last) at every event, which is
-        # exactly 0.0 at a repeated time: summing over the distinct arrival
-        # and task-completion times in order gives the same float.  cumsum
-        # adds left to right; np.sum's pairwise reduction would not.
+        # An event loop adds in_flight * (now - last) at every arrival and
+        # task completion, exactly 0.0 at a repeated time: summing over the
+        # distinct arrival and task-completion times in order gives the same
+        # float.  cumsum adds left to right; np.sum's pairwise reduction
+        # would not.
         arrivals = np.array(arrival_ms, dtype=float)
         completions = np.sort(np.array(completion_ms, dtype=float))
         times = np.unique(np.concatenate((arrivals, np.array(done_ms, dtype=float))))
@@ -342,125 +372,33 @@ class TrafficSimulator:
             completions, times, "right"
         )
         area = np.cumsum(in_flight[:-1] * np.diff(times))
-        # An arrival precedes the completions at its own time, so request k
-        # sees k + 1 arrivals and the completions strictly before it.
-        peak = np.arange(1, len(ordered) + 1) - np.searchsorted(completions, arrivals, "left")
 
-        busy_ms = {name: 0.0 for name in self.platform.unit_names}
-        busy_ms.update({name: busy[slot] for name, slot in slot_of.items()})
+        exit_stage, correct, service_ms, energy_mj, deployment_names = [], [], [], [], []
+        stops = [start for start, _ in segments[1:]] + [len(ordered)]
+        for (start, plan), stop in zip(segments, stops):
+            stages = plan.exits[start:stop]
+            exit_stage += stages
+            correct += plan.correct[start:stop]
+            service_ms += [plan.service_at[stage] for stage in stages]
+            energy_mj += [plan.energy_at[stage] for stage in stages]
+            deployment_names += [plan.deployment.name] * (stop - start)
         columns = self._columns(
             ordered,
             arrival_ms=arrival_ms,
             completion_ms=completion_ms,
-            service_ms=[service_at[stage] for stage in exit_stage],
+            service_ms=service_ms,
             exit_stage=exit_stage,
-            deployment=(deployment.name,) * len(ordered),
-            correct=[
-                difficulty <= accuracy_at[stage]
-                for difficulty, stage in zip(difficulties, exit_stage)
-            ],
-            energy_mj=[energy_at[stage] for stage in exit_stage],
+            deployment=deployment_names,
+            correct=correct,
+            energy_mj=energy_mj,
         )
         return (
             columns,
-            busy_ms,
+            dict(zip(unit_names, busy)),
             float(area[-1]) if len(area) else 0.0,
-            int(peak.max()),
+            peak,
             max(completion_ms),
         )
-
-    def _replay_events(self, ordered: Sequence[Request], difficulties: Sequence[float]):
-        """Any policy, replayed through an event heap (the reference loop).
-
-        Returns ``(columns, busy_ms, in-flight area, peak in flight,
-        makespan)``; the makespan is the time of the last event.
-        """
-        unit_names = self.platform.unit_names
-        # Policies hand back the same few Deployment objects for the whole
-        # run; validate each distinct one once instead of per arrival.  Keyed
-        # by id with the object kept referenced, so a freed id can't alias.
-        validated_deployments: Dict[int, object] = {}
-        queues: Dict[str, deque] = {name: deque() for name in unit_names}
-        busy: Dict[str, bool] = {name: False for name in unit_names}
-        busy_ms: Dict[str, float] = {name: 0.0 for name in unit_names}
-
-        # Event heap entries: (time_ms, sequence, kind, payload).  Arrivals are
-        # pre-seeded with the lowest sequence numbers so simultaneous
-        # arrival/completion ties resolve deterministically (arrival first).
-        events: list = []
-        for seq, request in enumerate(ordered):
-            heapq.heappush(events, (request.arrival_ms, seq, "arrival", seq))
-        next_seq = len(ordered)
-
-        in_flight = 0
-        peak_in_flight = 0
-        in_flight_area = 0.0
-        last_event_ms = 0.0
-        finished: list = []
-
-        def start_task(unit: str, task: _Task, now: float) -> None:
-            nonlocal next_seq
-            busy[unit] = True
-            busy_ms[unit] += task.service_ms
-            heapq.heappush(events, (now + task.service_ms, next_seq, "done", (unit, task)))
-            next_seq += 1
-
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            in_flight_area += in_flight * (now - last_event_ms)
-            last_event_ms = now
-
-            if kind == "arrival":
-                request_index = payload
-                deployment = self.policy.select(in_flight, now)
-                if id(deployment) not in validated_deployments:
-                    self._check_deployment_units(deployment)
-                    validated_deployments[id(deployment)] = deployment
-                difficulty = difficulties[request_index]
-                exit_stage = deployment.exit_stage(difficulty)
-                state = _RequestState(
-                    index=request_index,
-                    deployment_name=deployment.name,
-                    exit_stage=exit_stage,
-                    correct=bool(difficulty <= deployment.stage_accuracies[exit_stage]),
-                    energy_mj=deployment.cumulative_energy_mj(exit_stage),
-                    critical_service_ms=deployment.cumulative_latency_ms(exit_stage),
-                    remaining_tasks=exit_stage + 1,
-                )
-                in_flight += 1
-                peak_in_flight = max(peak_in_flight, in_flight)
-                for stage in range(exit_stage + 1):
-                    unit = deployment.unit_names[stage]
-                    task = _Task(state=state, service_ms=deployment.service_ms[stage])
-                    if busy[unit]:
-                        queues[unit].append(task)
-                    else:
-                        start_task(unit, task, now)
-            else:  # "done"
-                unit, task = payload
-                state = task.state
-                state.remaining_tasks -= 1
-                state.completion_ms = max(state.completion_ms, now)
-                if state.remaining_tasks == 0:
-                    in_flight -= 1
-                    finished.append(state)
-                if queues[unit]:
-                    start_task(unit, queues[unit].popleft(), now)
-                else:
-                    busy[unit] = False
-
-        finished.sort(key=lambda state: state.index)
-        columns = self._columns(
-            ordered,
-            arrival_ms=[request.arrival_ms for request in ordered],
-            completion_ms=[state.completion_ms for state in finished],
-            service_ms=[state.critical_service_ms for state in finished],
-            exit_stage=[state.exit_stage for state in finished],
-            deployment=[state.deployment_name for state in finished],
-            correct=[state.correct for state in finished],
-            energy_mj=[state.energy_mj for state in finished],
-        )
-        return columns, dict(busy_ms), in_flight_area, peak_in_flight, last_event_ms
 
     def _columns(
         self,
@@ -474,7 +412,7 @@ class TrafficSimulator:
         correct: Sequence[bool],
         energy_mj: Sequence[float],
     ) -> RequestColumns:
-        """The request store both replays write, rows in request-index order."""
+        """The request store of one replay, rows in request-index order."""
         latency_ms = [done - arrival for done, arrival in zip(completion_ms, arrival_ms)]
         default = self.deadline_ms
         deadline_ms = [

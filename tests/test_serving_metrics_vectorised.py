@@ -2,20 +2,23 @@
 
 ``compute_metrics`` reduces a result's request columns directly: one float
 array per reduced field, built from the column tuples, instead of one pass
-over the per-request records.  The refactor is only legal if every
-aggregate keeps its exact bits — the serving goldens and the fleet summary
-both hash these floats.  This file keeps the *old* row-wise implementation,
-which reads ``result.records``, as an executable reference and asserts
-equality with ``==`` (never ``approx``) across tenants and deadline shapes,
-and across the three ways a store is written: the heap-free static replay,
-the event heap (switcher and DVFS governor), and a fleet pool built from
-records.
+over the per-request records, and one ``np.percentile`` call for p50, p95
+and p99.  The refactor is only legal if every aggregate keeps its exact bits
+— the serving goldens and the fleet summary both hash these floats.  This
+file keeps the *old* row-wise implementation, which reads
+``result.records`` and takes each percentile with its own call, as an
+executable reference and asserts equality with ``==`` (never ``approx``)
+across tenants and deadline shapes, and across the two ways a store is
+written: the simulator's one replay (under a static policy, the switcher
+and the DVFS governor) and a fleet pool built from records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serving import (
@@ -30,11 +33,11 @@ from repro.serving import (
     fleet_records,
     simulate_fleet,
 )
-from repro.serving.metrics import ServingMetrics, _percentile
+from repro.serving.metrics import ServingMetrics
 from repro.serving.simulator import RequestColumns
 
-#: How the reduced store was written: the static replay, the event heap
-#: (two load-driven policies), or pooled fleet records.
+#: How the reduced store was written: the simulator's replay under a static
+#: or a load-driven policy, or pooled fleet records.
 KINDS = ("static", "switcher", "dvfs-governor", "fleet-pool")
 
 
@@ -61,9 +64,9 @@ def _reference_metrics(result, tenant=None) -> ServingMetrics:
         duration_ms=result.duration_ms,
         throughput_rps=len(records) / duration_s if duration_s > 0 else 0.0,
         mean_latency_ms=float(latencies.mean()),
-        p50_latency_ms=_percentile(latencies, 50.0),
-        p95_latency_ms=_percentile(latencies, 95.0),
-        p99_latency_ms=_percentile(latencies, 99.0),
+        p50_latency_ms=float(np.percentile(latencies, 50.0)),
+        p95_latency_ms=float(np.percentile(latencies, 95.0)),
+        p99_latency_ms=float(np.percentile(latencies, 99.0)),
         max_latency_ms=float(latencies[-1]),
         mean_queueing_ms=float(queueing.mean()),
         deadline_miss_rate=(
@@ -200,3 +203,50 @@ class TestVectorisedBitIdentity:
         )
         assert result.records  # tiny but non-empty stream
         _assert_bit_identical(compute_metrics(result), _reference_metrics(result))
+
+
+def _latency_only_result(latencies) -> ServingResult:
+    """A one-tenant result whose requests differ only in latency."""
+    count = len(latencies)
+    return ServingResult(
+        policy="latencies",
+        columns=RequestColumns(
+            index=tuple(range(count)),
+            tenant=("default",) * count,
+            arrival_ms=(0.0,) * count,
+            completion_ms=tuple(latencies),
+            latency_ms=tuple(latencies),
+            service_ms=tuple(latencies),
+            queueing_ms=(0.0,) * count,
+            exit_stage=(0,) * count,
+            num_stages=(1,) * count,
+            deployment=("d",) * count,
+            correct=(True,) * count,
+            energy_mj=(1.0,) * count,
+            deadline_ms=(None,) * count,
+            deadline_missed=(False,) * count,
+        ),
+        duration_ms=1000.0,
+        busy_ms={},
+        mean_in_flight=0.0,
+        peak_in_flight=0,
+    )
+
+
+class TestOnePercentileCall:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(min_value=1, max_value=2000),
+        distinct=st.integers(min_value=1, max_value=2000),
+        scale=st.sampled_from([1e-3, 1.0, 37.5, 1e4]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_three_separate_calls(self, count, distinct, scale, seed):
+        # Drawn from ``distinct`` values, so small pools tie heavily.
+        rng = np.random.default_rng(seed)
+        latencies = np.sort(rng.choice(scale * rng.random(distinct), size=count))
+        metrics = compute_metrics(_latency_only_result(latencies.tolist()))
+        one_call = (metrics.p50_latency_ms, metrics.p95_latency_ms, metrics.p99_latency_ms)
+        three_calls = tuple(float(np.percentile(latencies, q)) for q in (50.0, 95.0, 99.0))
+        assert one_call == three_calls
+        assert repr(one_call) == repr(three_calls)

@@ -209,22 +209,25 @@ def _deployment_with(accuracies):
 
 
 class TestExitStage:
-    """``Deployment.exit_stage`` is the noise-free controller's decision."""
+    """``Deployment.exit_stage`` and ``exit_stages`` (one request, a vector of
+    them) are the noise-free controller's decision."""
 
     @pytest.mark.parametrize("accuracies", EXIT_ACCURACIES)
     def test_matches_noise_free_decide(self, accuracies):
         deployment = _deployment_with(accuracies)
         controller = ThresholdExitController(threshold=0.5, confidence_noise=0.0, seed=0)
-        for difficulty in _exit_probe_difficulties(accuracies):
+        probes = _exit_probe_difficulties(accuracies)
+        for difficulty, batched in zip(probes, deployment.exit_stages(probes).tolist()):
             decision = controller.decide(difficulty, accuracies)
-            stage = deployment.exit_stage(difficulty)
-            correct = difficulty <= deployment.stage_accuracies[stage]
-            assert (stage, correct) == (decision.stage, decision.correct), difficulty
+            for stage in (deployment.exit_stage(difficulty), batched):
+                correct = difficulty <= deployment.stage_accuracies[stage]
+                assert (stage, correct) == (decision.stage, decision.correct), difficulty
 
     def test_first_match_under_a_tolerated_dip(self):
         # A bisection assumes sorted accuracies and would answer stage 1 here.
         deployment = _deployment_with((0.5, 0.5 - 1e-10))
         assert deployment.exit_stage(0.49999999995) == 0
+        assert deployment.exit_stages([0.49999999995, 0.5]).tolist() == [0, 0]
 
 
 class TestControllerDecide:

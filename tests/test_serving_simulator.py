@@ -5,12 +5,18 @@ Covers the acceptance criteria of the serving subsystem: reproducibility
 (Little's law measured independently of per-request latencies), zero-load
 consistency with :func:`repro.dynamics.inference.simulate_dynamic_inference`,
 adaptive-switcher behaviour under bursts, the search-to-serving bridge, and
-the heap-free static replay against the event-heap loop it stands in for.
+the simulator's one Lindley replay, under static, switcher and DVFS-governor
+policies alike, against the event heap of arrivals and task completions kept
+here as the reference.
 """
 
 from __future__ import annotations
 
+import heapq
 import pickle
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Dict, Sequence
 
 import numpy as np
 import pytest
@@ -21,14 +27,18 @@ from repro.dynamics.inference import simulate_dynamic_inference
 from repro.errors import ConfigurationError
 from repro.search.objectives import measured_serving_objectives
 from repro.serving import (
+    POLICY_KINDS,
     AdaptiveSwitchPolicy,
     ConstantRate,
     Deployment,
+    DvfsGovernorPolicy,
     FleetInstance,
     MultiTenantStream,
     OnOffBursts,
     PoissonArrivals,
     Request,
+    ServingPolicy,
+    ServingResult,
     ServingResultCache,
     StaticPolicy,
     SteadyPoissonFamily,
@@ -42,7 +52,9 @@ from repro.serving import (
     simulate_fleet,
 )
 from repro.serving.simulator import RequestColumns
+from repro.soc import mobile_big_little
 from repro.soc.platform import jetson_agx_xavier
+from repro.utils import as_rng
 
 
 @pytest.fixture()
@@ -463,20 +475,154 @@ class TestBridge:
         assert "latency p50/p95/p99" in summary
 
 
-class _EventLoopStatic(StaticPolicy):
-    """A static policy that is not ``StaticPolicy`` itself, so the simulator
-    replays it through the event heap: the reference for the static replay."""
+# -- the event-heap reference ---------------------------------------------------------
+# An event heap of arrivals and task completions, popped in time order with
+# arrivals first at equal times, that asks the policy at every arrival.  It is
+# the simulator's earlier general-purpose loop, kept verbatim.
 
 
-def _assert_static_matches_heap(platform, deployment, requests, **scenario):
-    """The static replay equals the event heap, float for float."""
+@dataclass
+class _Task:
+    """One stage of one in-flight request, queued on a compute unit."""
+
+    state: "_RequestState"
+    service_ms: float
+
+
+@dataclass
+class _RequestState:
+    """Mutable bookkeeping of one admitted request."""
+
+    index: int
+    deployment_name: str
+    exit_stage: int
+    correct: bool
+    energy_mj: float
+    critical_service_ms: float
+    remaining_tasks: int
+    completion_ms: float = 0.0
+
+
+def _replay_events(self, ordered: Sequence[Request], difficulties: Sequence[float]):
+    """Any policy, replayed through an event heap (the reference loop).
+
+    Returns ``(columns, busy_ms, in-flight area, peak in flight,
+    makespan)``; the makespan is the time of the last event.
+    """
+    unit_names = self.platform.unit_names
+    # Policies hand back the same few Deployment objects for the whole
+    # run; validate each distinct one once instead of per arrival.  Keyed
+    # by id with the object kept referenced, so a freed id can't alias.
+    validated_deployments: Dict[int, object] = {}
+    queues: Dict[str, deque] = {name: deque() for name in unit_names}
+    busy: Dict[str, bool] = {name: False for name in unit_names}
+    busy_ms: Dict[str, float] = {name: 0.0 for name in unit_names}
+
+    # Event heap entries: (time_ms, sequence, kind, payload).  Arrivals are
+    # pre-seeded with the lowest sequence numbers so simultaneous
+    # arrival/completion ties resolve deterministically (arrival first).
+    events: list = []
+    for seq, request in enumerate(ordered):
+        heapq.heappush(events, (request.arrival_ms, seq, "arrival", seq))
+    next_seq = len(ordered)
+
+    in_flight = 0
+    peak_in_flight = 0
+    in_flight_area = 0.0
+    last_event_ms = 0.0
+    finished: list = []
+
+    def start_task(unit: str, task: _Task, now: float) -> None:
+        nonlocal next_seq
+        busy[unit] = True
+        busy_ms[unit] += task.service_ms
+        heapq.heappush(events, (now + task.service_ms, next_seq, "done", (unit, task)))
+        next_seq += 1
+
+    while events:
+        now, _, kind, payload = heapq.heappop(events)
+        in_flight_area += in_flight * (now - last_event_ms)
+        last_event_ms = now
+
+        if kind == "arrival":
+            request_index = payload
+            deployment = self.policy.select(in_flight, now)
+            if id(deployment) not in validated_deployments:
+                self._check_deployment_units(deployment)
+                validated_deployments[id(deployment)] = deployment
+            difficulty = difficulties[request_index]
+            exit_stage = deployment.exit_stage(difficulty)
+            state = _RequestState(
+                index=request_index,
+                deployment_name=deployment.name,
+                exit_stage=exit_stage,
+                correct=bool(difficulty <= deployment.stage_accuracies[exit_stage]),
+                energy_mj=deployment.cumulative_energy_mj(exit_stage),
+                critical_service_ms=deployment.cumulative_latency_ms(exit_stage),
+                remaining_tasks=exit_stage + 1,
+            )
+            in_flight += 1
+            peak_in_flight = max(peak_in_flight, in_flight)
+            for stage in range(exit_stage + 1):
+                unit = deployment.unit_names[stage]
+                task = _Task(state=state, service_ms=deployment.service_ms[stage])
+                if busy[unit]:
+                    queues[unit].append(task)
+                else:
+                    start_task(unit, task, now)
+        else:  # "done"
+            unit, task = payload
+            state = task.state
+            state.remaining_tasks -= 1
+            state.completion_ms = max(state.completion_ms, now)
+            if state.remaining_tasks == 0:
+                in_flight -= 1
+                finished.append(state)
+            if queues[unit]:
+                start_task(unit, queues[unit].popleft(), now)
+            else:
+                busy[unit] = False
+
+    finished.sort(key=lambda state: state.index)
+    columns = self._columns(
+        ordered,
+        arrival_ms=[request.arrival_ms for request in ordered],
+        completion_ms=[state.completion_ms for state in finished],
+        service_ms=[state.critical_service_ms for state in finished],
+        exit_stage=[state.exit_stage for state in finished],
+        deployment=[state.deployment_name for state in finished],
+        correct=[state.correct for state in finished],
+        energy_mj=[state.energy_mj for state in finished],
+    )
+    return columns, dict(busy_ms), in_flight_area, peak_in_flight, last_event_ms
+
+
+def _reference_run(simulator, requests, duration_ms=None) -> ServingResult:
+    """``TrafficSimulator.run`` with the event heap in place of its replay."""
+    ordered = sorted(requests, key=lambda r: r.arrival_ms)
+    grid = (np.arange(len(ordered)) + 0.5) / len(ordered)
+    difficulties = as_rng(simulator._seed).permutation(grid).tolist()
+    simulator.policy.reset()
+    columns, busy_ms, in_flight_area, peak_in_flight, makespan = _replay_events(
+        simulator, ordered, difficulties
+    )
+    horizon = makespan if duration_ms is None else max(float(duration_ms), makespan)
+    return ServingResult(
+        policy=simulator.policy.name,
+        columns=columns,
+        duration_ms=horizon,
+        busy_ms=busy_ms,
+        mean_in_flight=in_flight_area / horizon if horizon > 0 else 0.0,
+        peak_in_flight=peak_in_flight,
+    )
+
+
+def _assert_matches_heap(platform, policy, requests, **scenario):
+    """The simulator's replay equals the event-heap reference, float for float."""
     duration_ms = scenario.pop("duration_ms", None)
-    fast = TrafficSimulator(platform, StaticPolicy(deployment), **scenario).run(
-        requests, duration_ms=duration_ms
-    )
-    heap = TrafficSimulator(platform, _EventLoopStatic(deployment), **scenario).run(
-        requests, duration_ms=duration_ms
-    )
+    simulator = TrafficSimulator(platform, policy, **scenario)
+    fast = simulator.run(requests, duration_ms=duration_ms)
+    heap = _reference_run(simulator, requests, duration_ms)
     # Counting the requests reads the columns; records are built on demand.
     assert fast.num_requests == len(requests) and fast._records is None
     assert fast.records == heap.records
@@ -500,13 +646,12 @@ def _grid_stream(count, step_ms, seed, **request_fields):
 
 
 @st.composite
-def _static_scenarios(draw):
-    """A deployment (stages may share a unit) and a stream on a time grid."""
-    units = jetson_agx_xavier().unit_names
+def _deployments(draw, units, step_ms, name="drawn"):
+    """A deployment on ``units`` (stages may share a unit), float service
+    times on the ``step_ms`` grid."""
     stages = draw(st.integers(min_value=1, max_value=4))
-    step_ms = draw(st.sampled_from([0.5, 1.0, 2.5]))
-    deployment = Deployment(
-        name="drawn",
+    return Deployment(
+        name=name,
         unit_names=tuple(draw(st.sampled_from(units)) for _ in range(stages)),
         service_ms=tuple(
             step_ms * draw(st.integers(min_value=1, max_value=12)) for _ in range(stages)
@@ -519,37 +664,124 @@ def _static_scenarios(draw):
         ),
         dvfs_scales=(1.0,) * stages,
     )
+
+
+@st.composite
+def _streams(draw, step_ms, spread):
+    """Up to 60 requests on the ``step_ms`` grid, some just off it, with two
+    tenants and optional deadlines; ``spread`` grid steps per request."""
     count = draw(st.integers(min_value=1, max_value=60))
-    requests = [
+    return [
         Request(
-            arrival_ms=step_ms * draw(st.integers(min_value=0, max_value=3 * count))
+            arrival_ms=step_ms * draw(st.integers(min_value=0, max_value=spread * count))
             + draw(st.sampled_from([0.0, 0.1, 1e-3])),
             tenant=draw(st.sampled_from(["a", "b"])),
             deadline_ms=draw(st.sampled_from([None, 4.0, 30.0])),
         )
         for _ in range(count)
     ]
-    scenario = dict(
-        seed=draw(st.integers(min_value=0, max_value=2**16)),
-        deadline_ms=draw(st.sampled_from([None, 12.0])),
-        duration_ms=draw(st.sampled_from([None, 1.0, 1e4])),
-    )
-    return deployment, requests, scenario
+
+
+#: Simulator seed, default deadline and observation window of a drawn replay.
+_SCENARIOS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(min_value=0, max_value=2**16),
+        "deadline_ms": st.sampled_from([None, 12.0]),
+        "duration_ms": st.sampled_from([None, 1.0, 1e4]),
+    }
+)
+
+
+@st.composite
+def _static_scenarios(draw):
+    """A deployment and a stream on a time grid."""
+    step_ms = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    deployment = draw(_deployments(jetson_agx_xavier().unit_names, step_ms))
+    return deployment, draw(_streams(step_ms, spread=3)), draw(_SCENARIOS)
+
+
+@st.composite
+def _policy_scenarios(draw):
+    """Any policy kind over two drawn deployments and drawn watermarks, on
+    either board, under a stream dense enough to switch deployments."""
+    board = draw(st.sampled_from((jetson_agx_xavier(), mobile_big_little())))
+    step_ms = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    first = draw(_deployments(board.unit_names, step_ms, name="first"))
+    low = draw(st.integers(min_value=0, max_value=3))
+    high = draw(st.integers(min_value=low + 1, max_value=low + 5))
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    if kind == "static":
+        policy = StaticPolicy(first)
+    elif kind == "switcher":
+        second = draw(_deployments(board.unit_names, step_ms, name="second"))
+        policy = AdaptiveSwitchPolicy(first, second, high_watermark=high, low_watermark=low)
+    else:
+        levels = draw(
+            st.lists(
+                st.sampled_from([0.3, 0.5, 0.7, 0.85, 1.0]), min_size=1, max_size=4, unique=True
+            )
+        )
+        policy = DvfsGovernorPolicy(
+            first, board, levels=tuple(levels), high_watermark=high, low_watermark=low
+        )
+    return board, policy, draw(_streams(step_ms, spread=1)), draw(_SCENARIOS)
+
+
+def _adaptive_policy(kind, platform, calm, surge):
+    """A load-driven policy that steps up at three requests in flight."""
+    if kind == "switcher":
+        return AdaptiveSwitchPolicy(calm, surge, high_watermark=3, low_watermark=1)
+    return DvfsGovernorPolicy(calm, platform, high_watermark=3, low_watermark=1)
+
+
+class _FreshDeploymentPolicy(ServingPolicy):
+    """Returns a new ``Deployment`` object on every call, alternating two
+    service-time contents.
+
+    It keeps only the last three it returned and drops the oldest just
+    before building the next, so the allocator hands that address straight
+    back, holding the other content.  A replay that keyed its per-deployment
+    plan by the id of an object it had let go would serve it the wrong plan.
+    """
+
+    name = "fresh-deployments"
+
+    def __init__(self, deployment):
+        self.deployment = deployment
+        self.contents = (
+            deployment.service_ms,
+            tuple(2.5 * service for service in deployment.service_ms),
+        )
+        self.reset()
+
+    def reset(self):
+        self.calls = 0
+        self.recent = []
+
+    def select(self, queue_depth, now_ms):
+        self.calls += 1
+        if len(self.recent) == 3:
+            self.recent.pop(0)
+        fresh = replace(self.deployment, service_ms=self.contents[self.calls % 2])
+        self.recent.append(fresh)
+        return fresh
 
 
 class TestStaticReplayMatchesEventHeap:
+    """Every policy's replay equals the event-heap reference."""
+
     @pytest.mark.parametrize("name", ["single_stage", "cascade", "shared_unit"])
     def test_poisson_streams(self, platform, request, name):
         deployment = request.getfixturevalue(name)
         for seed in (0, 7):
             requests = PoissonArrivals(70.0).generate(4000.0, seed=seed)
-            _assert_static_matches_heap(platform, deployment, requests, seed=seed)
+            _assert_matches_heap(platform, StaticPolicy(deployment), requests, seed=seed)
 
     @pytest.mark.parametrize("name", ["cascade", "shared_unit"])
     def test_arrivals_tie_with_completions(self, platform, request, name):
         deployment = request.getfixturevalue(name)
         requests = _grid_stream(300, 5.0, seed=3)
-        result = _assert_static_matches_heap(platform, deployment, requests, seed=1)
+        result = _assert_matches_heap(platform, StaticPolicy(deployment), requests, seed=1)
         arrivals = {record.arrival_ms for record in result.records}
         assert arrivals & {record.completion_ms for record in result.records}
 
@@ -560,22 +792,22 @@ class TestStaticReplayMatchesEventHeap:
                 PoissonArrivals(25.0, tenant="batch"),
             )
         ).generate(3000.0, seed=4)
-        result = _assert_static_matches_heap(
-            platform, cascade, requests, seed=2, deadline_ms=60.0
+        result = _assert_matches_heap(
+            platform, StaticPolicy(cascade), requests, seed=2, deadline_ms=60.0
         )
         assert {record.deadline_ms for record in result.records} == {35.0, 60.0}
         assert any(record.deadline_missed for record in result.records)
 
     def test_single_request(self, platform, shared_unit):
-        _assert_static_matches_heap(
-            platform, shared_unit, [Request(arrival_ms=3.0)], seed=5, deadline_ms=1.0
+        _assert_matches_heap(
+            platform, StaticPolicy(shared_unit), [Request(arrival_ms=3.0)], seed=5, deadline_ms=1.0
         )
 
     @pytest.mark.parametrize("duration_ms", [None, 50.0, 10_000.0])
     def test_observation_window(self, platform, cascade, duration_ms):
         requests = _grid_stream(120, 2.0, seed=8)
-        result = _assert_static_matches_heap(
-            platform, cascade, requests, seed=0, duration_ms=duration_ms
+        result = _assert_matches_heap(
+            platform, StaticPolicy(cascade), requests, seed=0, duration_ms=duration_ms
         )
         makespan = max(record.completion_ms for record in result.records)
         assert result.duration_ms == max(duration_ms or 0.0, makespan)
@@ -584,7 +816,44 @@ class TestStaticReplayMatchesEventHeap:
     @given(_static_scenarios())
     def test_generated_streams(self, platform, drawn):
         deployment, requests, scenario = drawn
-        _assert_static_matches_heap(platform, deployment, requests, **scenario)
+        _assert_matches_heap(platform, StaticPolicy(deployment), requests, **scenario)
+
+    @pytest.mark.parametrize("kind", ["switcher", "dvfs-governor"])
+    def test_adaptive_policies_switch(self, platform, cascade, shared_unit, kind):
+        for seed in (0, 7):
+            requests = PoissonArrivals(70.0).generate(4000.0, seed=seed)
+            policy = _adaptive_policy(kind, platform, cascade, shared_unit)
+            result = _assert_matches_heap(platform, policy, requests, seed=seed)
+            assert len(set(result.columns.deployment)) > 1
+
+    @pytest.mark.parametrize("kind", ["switcher", "dvfs-governor"])
+    def test_adaptive_ties_deadlines_and_tenants(self, platform, cascade, shared_unit, kind):
+        requests = [
+            replace(request, tenant="ab"[index % 2])
+            for index, request in enumerate(_grid_stream(300, 5.0, seed=3, deadline_ms=30.0))
+        ]
+        policy = _adaptive_policy(kind, platform, cascade, shared_unit)
+        result = _assert_matches_heap(
+            platform, policy, requests, seed=1, deadline_ms=60.0, duration_ms=1e5
+        )
+        assert len(set(result.columns.deployment)) > 1
+        assert any(result.columns.deadline_missed)
+        if kind == "switcher":  # the governor's rescaled service times leave the grid
+            assert set(result.columns.arrival_ms) & set(result.columns.completion_ms)
+
+    def test_fresh_deployment_on_every_call(self, platform, cascade):
+        for seed in (0, 7):
+            requests = PoissonArrivals(40.0).generate(4000.0, seed=seed)
+            result = _assert_matches_heap(
+                platform, _FreshDeploymentPolicy(cascade), requests, seed=seed
+            )
+            assert len(set(result.columns.service_ms)) == 2 * cascade.num_stages
+
+    @settings(max_examples=200, deadline=None)
+    @given(_policy_scenarios())
+    def test_generated_policy_streams(self, drawn):
+        board, policy, requests, scenario = drawn
+        _assert_matches_heap(board, policy, requests, **scenario)
 
 
 class TestValidation:
