@@ -30,7 +30,7 @@ from typing import Iterable
 
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import DynamicNetwork
+from ..nn.multiexit import DynamicNetwork, stage_coverages
 from ..utils import check_fraction, check_non_negative
 
 __all__ = ["AccuracyModel"]
@@ -106,11 +106,14 @@ class AccuracyModel:
         see strictly more features (their own plus whatever earlier stages
         forward); the model enforces monotonicity explicitly so that exit
         statistics stay well defined even for adversarial indicator choices.
+        The backbone's importance curves are built once for all stages.
         """
-        return self.stage_accuracies_from_coverage(
-            dynamic_network.network,
-            (dynamic_network.stage_coverage(stage) for stage in range(dynamic_network.num_stages)),
+        coverages = stage_coverages(
+            dynamic_network.scheme,
+            range(dynamic_network.num_stages),
+            dynamic_network._importance_curves(),
         )
+        return self.stage_accuracies_from_coverage(dynamic_network.network, coverages)
 
     def stage_accuracies_from_coverage(
         self, network: NetworkGraph, coverages: Iterable[float]

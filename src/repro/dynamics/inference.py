@@ -77,16 +77,26 @@ def simulate_dynamic_inference(
     stage_accuracies = model.stage_accuracies(dynamic_network)
     statistics = compute_exit_statistics(stage_accuracies, validation_samples=validation_samples)
 
+    if statistics.num_stages > profile.num_stages:
+        # Fail as HardwareProfile.cumulative_latency_ms does past the last stage.
+        profile.cumulative_latency_ms(profile.num_stages)
+    latencies = tuple(stage.latency_ms for stage in profile.stages)
+    energies = tuple(stage.energy_mj for stage in profile.stages)
+    # Stopping at stage i costs the makespan of stages 0..i and the energy of
+    # all of them: the running maximum of HardwareProfile.cumulative_latency_ms,
+    # and the built-in sum of each prefix that cumulative_energy_mj takes.
     expected_latency = 0.0
     expected_energy = 0.0
+    makespan = latencies[0]
     for stage_index, fraction in enumerate(statistics.exit_fractions):
-        expected_latency += fraction * profile.cumulative_latency_ms(stage_index)
-        expected_energy += fraction * profile.cumulative_energy_mj(stage_index)
+        makespan = max(makespan, latencies[stage_index])
+        expected_latency += fraction * makespan
+        expected_energy += fraction * sum(energies[: stage_index + 1])
 
     return DynamicInferenceResult(
         exit_statistics=statistics,
-        stage_latencies_ms=tuple(stage.latency_ms for stage in profile.stages),
-        stage_energies_mj=tuple(stage.energy_mj for stage in profile.stages),
+        stage_latencies_ms=latencies,
+        stage_energies_mj=energies,
         expected_latency_ms=float(expected_latency),
         expected_energy_mj=float(expected_energy),
         worst_case_latency_ms=profile.latency_ms,

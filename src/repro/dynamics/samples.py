@@ -76,6 +76,21 @@ class ExitStatistics:
         )
 
 
+def _numpy_sum(values: Sequence[float]) -> float:
+    """``float(np.sum(values))`` of a non-empty float sequence, bit for bit.
+
+    numpy adds fewer than eight terms left to right, so short sequences are
+    summed by a plain loop (not the built-in ``sum``, which compensates
+    rounding on newer Pythons); longer ones keep numpy's pairwise reduction.
+    """
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return float(total)
+
+
 def compute_exit_statistics(
     stage_accuracies: Sequence[float],
     validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
@@ -94,17 +109,19 @@ def compute_exit_statistics(
     if validation_samples < 1:
         raise ConfigurationError("validation_samples must be >= 1")
 
-    increments = np.diff(np.concatenate(([0.0], np.asarray(accuracies))))
-    correct_counts = np.round(increments * validation_samples).astype(int)
+    # Plain floats and the same IEEE operations numpy would run on these
+    # few-element vectors (Python's round is half-to-even like np.round).
+    increments = [b - a for a, b in zip([0.0] + accuracies, accuracies)]
+    correct_counts = [round(increment * validation_samples) for increment in increments]
     # Samples that no stage classifies correctly still traverse all stages
     # and therefore terminate at the last one.
-    exit_fractions = increments.copy()
+    exit_fractions = list(increments)
     exit_fractions[-1] += 1.0 - accuracies[-1]
     # Normalise away rounding noise.
-    exit_fractions = exit_fractions / exit_fractions.sum()
+    total = _numpy_sum(exit_fractions)
     return ExitStatistics(
-        stage_accuracies=tuple(float(value) for value in accuracies),
-        correct_counts=tuple(int(count) for count in correct_counts),
-        exit_fractions=tuple(float(value) for value in exit_fractions),
+        stage_accuracies=tuple(accuracies),
+        correct_counts=tuple(correct_counts),
+        exit_fractions=tuple(value / total for value in exit_fractions),
         validation_samples=int(validation_samples),
     )

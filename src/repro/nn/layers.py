@@ -19,7 +19,7 @@ operations into the preceding kernel on the Jetson platform used by the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 from ..errors import ConfigurationError
 
@@ -34,6 +34,20 @@ __all__ = [
 
 #: Feature maps are exchanged in half precision (fp16) on the Jetson DLA/GPU.
 BYTES_PER_ELEMENT = 2
+
+
+#: The public accounting methods and the unit resolution they share.  A
+#: subclass that overrides any of them is priced through them, not through
+#: the formulas on resolved units.
+_ACCOUNTING = (
+    "flops",
+    "params",
+    "input_elements",
+    "output_elements",
+    "input_bytes",
+    "output_bytes",
+    "resolve_units",
+)
 
 
 def _check_units(layer_name: str, width: int, in_width: int, in_units: int, out_units: int) -> None:
@@ -62,12 +76,31 @@ class Layer:
     fused_overhead:
         Multiplicative factor on FLOPs accounting for fused normalisation and
         activation operations.
+    kind:
+        Short lowercase identifier of the layer type (``conv2d`` ...), a
+        per-class constant: the class name without its ``Layer`` suffix.
+
+    Each public accounting method (:meth:`flops`, :meth:`params`,
+    :meth:`input_elements`, :meth:`output_elements`) resolves its units once
+    and delegates to a private formula on resolved ints (``_flops`` ...),
+    which the built-in kinds implement.  A subclass may instead override the
+    public methods (or :meth:`resolve_units`); :meth:`_slice` then prices its
+    slices through them.
     """
 
     name: str
     width: int
     in_width: int
     fused_overhead: float = 1.0
+    kind: ClassVar[str] = ""
+    _priced_by_formulas: ClassVar[bool] = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "kind" not in vars(cls):
+            cls.kind = cls.__name__.removesuffix("Layer").lower()
+        if any(name in vars(cls) for name in _ACCOUNTING):
+            cls._priced_by_formulas = False
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -86,21 +119,23 @@ class Layer:
         """Floating-point operations for one input sample.
 
         ``in_units`` / ``out_units`` default to the full layer width, i.e. the
-        unpartitioned cost.
+        unpartitioned cost.  Like every accounting method, this resolves and
+        validates the units once (:meth:`resolve_units`) and hands them to the
+        kind's formula.
         """
-        raise NotImplementedError
+        return self._flops(*self.resolve_units(in_units, out_units))
 
     def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
         """Number of trainable parameters for the selected slice."""
-        raise NotImplementedError
+        return self._params(*self.resolve_units(in_units, out_units))
 
     def output_elements(self, out_units: int | None = None) -> int:
         """Number of scalar elements in the produced feature map (per sample)."""
-        raise NotImplementedError
+        return self._output_elements(self.resolve_units(None, out_units)[1])
 
     def input_elements(self, in_units: int | None = None) -> int:
         """Number of scalar elements consumed from the input feature map."""
-        raise NotImplementedError
+        return self._input_elements(self.resolve_units(in_units, None)[0])
 
     # -- convenience helpers ---------------------------------------------------
     def output_bytes(self, out_units: int | None = None) -> int:
@@ -110,6 +145,43 @@ class Layer:
     def input_bytes(self, in_units: int | None = None) -> int:
         """Size of the consumed feature map in bytes (fp16)."""
         return self.input_elements(in_units) * BYTES_PER_ELEMENT
+
+    # -- formulas on resolved units ----------------------------------------------
+    def _flops(self, in_u: int, out_u: int) -> float:
+        raise NotImplementedError
+
+    def _params(self, in_u: int, out_u: int) -> float:
+        raise NotImplementedError
+
+    def _output_elements(self, out_u: int) -> int:
+        raise NotImplementedError
+
+    def _input_elements(self, in_u: int) -> int:
+        raise NotImplementedError
+
+    def _slice(
+        self, in_units: int | None, out_units: int | None
+    ) -> Tuple[float, int, int, float]:
+        """``(flops, input_bytes, output_bytes, params)`` of one slice.
+
+        The units are resolved once and the formulas take them.  A class that
+        overrides a public accounting method is priced through its public
+        methods instead, each of which resolves the units again.
+        """
+        in_u, out_u = self.resolve_units(in_units, out_units)
+        if self._priced_by_formulas:
+            return (
+                self._flops(in_u, out_u),
+                self._input_elements(in_u) * BYTES_PER_ELEMENT,
+                self._output_elements(out_u) * BYTES_PER_ELEMENT,
+                self._params(in_u, out_u),
+            )
+        return (
+            self.flops(in_units=in_u, out_units=out_u),
+            self.input_bytes(in_u),
+            self.output_bytes(out_u),
+            self.params(in_units=in_u, out_units=out_u),
+        )
 
     def resolve_units(self, in_units: int | None, out_units: int | None) -> Tuple[int, int]:
         """Fill in defaults and validate a ``(in_units, out_units)`` pair."""
@@ -121,11 +193,6 @@ class Layer:
     def with_name(self, name: str) -> "Layer":
         """Return a copy of this layer under a different name."""
         return replace(self, name=name)
-
-    @property
-    def kind(self) -> str:
-        """Short lowercase identifier of the layer type (``conv2d`` ...)."""
-        return type(self).__name__.removesuffix("Layer").lower()
 
     @property
     def partition_granularity(self) -> int:
@@ -168,8 +235,7 @@ class Conv2dLayer(Layer):
                     f"layer {self.name!r}: {label} must be a pair of positive ints, got {dims!r}"
                 )
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         height, width = self.out_spatial
         macs = (
             self.kernel_size
@@ -181,19 +247,16 @@ class Conv2dLayer(Layer):
         )
         return 2.0 * macs * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         weights = self.kernel_size * self.kernel_size * (in_u / self.groups) * out_u
         bias_and_norm = 3 * out_u  # bias + fused batch-norm scale/shift
         return weights + bias_and_norm
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         height, width = self.out_spatial
         return int(out_u * height * width)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         height, width = self.in_spatial
         return int(in_u * height * width)
 
@@ -214,20 +277,16 @@ class LinearLayer(Layer):
         if self.tokens < 1:
             raise ConfigurationError(f"layer {self.name!r}: tokens must be >= 1")
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         return 2.0 * self.tokens * in_u * out_u * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         return in_u * out_u + out_u
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         return int(self.tokens * out_u)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
 
 
@@ -266,25 +325,21 @@ class AttentionLayer(Layer):
     def partition_granularity(self) -> int:
         return self.head_dim
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         qkv = 3 * 2.0 * self.tokens * in_u * out_u
         attention = 2 * 2.0 * self.tokens * self.tokens * out_u
         projection = 2.0 * self.tokens * out_u * out_u
         return (qkv + attention + projection) * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         qkv = 3 * in_u * out_u + 3 * out_u
         projection = out_u * out_u + out_u
         return qkv + projection
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         return int(self.tokens * out_u)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
 
 
@@ -307,26 +362,26 @@ class FeedForwardLayer(Layer):
             raise ConfigurationError(f"layer {self.name!r}: expansion must be > 0")
 
     def hidden_units(self, out_units: int | None = None) -> int:
-        """Hidden width used for a slice producing ``out_units`` channels."""
+        """Hidden width used for a slice producing ``out_units`` channels.
+
+        The formulas read the hidden width through this method, so a subclass
+        may override it.
+        """
         _, out_u = self.resolve_units(None, out_units)
         return max(1, int(round(out_u * self.expansion)))
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         hidden = self.hidden_units(out_u)
         first = 2.0 * self.tokens * in_u * hidden
         second = 2.0 * self.tokens * hidden * out_u
         return (first + second) * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         hidden = self.hidden_units(out_u)
         return in_u * hidden + hidden + hidden * out_u + out_u
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         return int(self.tokens * out_u)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)

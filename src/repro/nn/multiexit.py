@@ -144,10 +144,13 @@ class DynamicNetwork:
         fraction -- the quantity that makes the reordering ablation visible.
         """
         self._check_stage(stage)
-        curves = None
+        return stage_coverages(self.scheme, (stage,), self._importance_curves())[0]
+
+    def _importance_curves(self) -> Optional[List[List[float]]]:
+        """The backbone's :func:`importance_curves`, ``None`` when not reordered."""
         if self.reordered and self.ranking is not None:
-            curves = importance_curves(self.ranking, self.scheme.backbone)
-        return stage_coverages(self.scheme, (stage,), curves)[0]
+            return importance_curves(self.ranking, self.scheme.backbone)
+        return None
 
     def summary(self) -> str:
         """Multi-line human-readable summary of stages and their costs."""
@@ -193,35 +196,29 @@ def build_dynamic_network(
     """
     scheme = PartitionScheme(network=network, partition=partition, indicator=indicator)
     backbone = scheme.backbone
-    channels = scheme.channels.tolist()
-    reused = scheme.indicator.values.tolist()
-    last_layer_index = scheme.num_layers - 1
+    channels, reused = scheme._lists()
+    # The exit head classifies from every feature available to its stage at
+    # the final backbone layer (own channels plus reused ones).
+    inputs, exit_units = scheme._inputs(channels, reused)
     stages = []
-    for stage_index in range(scheme.num_stages):
-        own = channels[stage_index]
+    for stage_index, (own, stage_inputs) in enumerate(zip(channels, inputs)):
         sublayers = tuple(
             SubLayer(
                 base=layer,
                 stage_index=stage_index,
                 layer_index=layer_index,
                 in_units=in_units,
-                out_units=own[layer_index],
+                out_units=out_units,
                 reused_input_bytes=imported,
             )
-            for layer_index, (layer, (in_units, imported)) in enumerate(
-                zip(backbone, scheme.sublayer_inputs(stage_index))
+            for layer_index, (layer, out_units, (in_units, imported)) in enumerate(
+                zip(backbone, own, stage_inputs)
             )
         )
-        # The exit head classifies from every feature available to this stage
-        # at the final backbone layer (own channels plus reused ones).
-        exit_in = own[last_layer_index]
-        for k in range(stage_index):
-            if reused[k][last_layer_index]:
-                exit_in += channels[k][last_layer_index]
         exit_head = LinearLayer(
             name=f"exit{stage_index}",
             width=network.num_classes,
-            in_width=exit_in,
+            in_width=exit_units[stage_index],
             tokens=1,
         )
         stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=exit_head))
@@ -255,26 +252,40 @@ def stage_coverages(
     reordered by importance, ``None`` for plain width fractions.  A caller
     that scores many schemes of one network computes the curves once.
     """
-    channels = scheme.channels.tolist()
-    reused = scheme.indicator.values.tolist()
-    # bounds[k][j]: where stage k's block of layer j starts in the importance
-    # order (stage 0 owns the most important channels, stage 1 the next...).
-    bounds = [[0] * scheme.num_layers]
-    for row in channels:
-        bounds.append([start + count for start, count in zip(bounds[-1], row)])
-    coverages = []
+    channels, reused = scheme._lists()
+    num_layers = scheme.num_layers
+    if curves is None:
+        # Plain width fractions: a stage's own channels plus reused ones.
+        blocks = channels
+        widths = [layer.width for layer in scheme.backbone]
+    else:
+        # Stage k's block of layer j holds curve[end] - curve[start] of the
+        # importance mass: stage 0 owns the most important channels, stage 1
+        # the next, and so on.
+        blocks = []
+        starts = [0] * num_layers
+        for row in channels:
+            ends = [start + count for start, count in zip(starts, row)]
+            blocks.append(
+                [curve[end] - curve[start] for curve, start, end in zip(curves, starts, ends)]
+            )
+            starts = ends
+    rows = []
     for stage in stages:
         per_layer = []
-        for layer_index, layer in enumerate(scheme.backbone):
-            included = [stage] + [k for k in range(stage) if reused[k][layer_index]]
+        for layer_index in range(num_layers):
+            # The stage's own block first, then each reused earlier block (a
+            # mass is never -0.0, so starting from it is starting from 0.0).
+            mass = blocks[stage][layer_index]
+            for k in range(stage):
+                if reused[k][layer_index]:
+                    mass += blocks[k][layer_index]
             if curves is None:
-                owned = sum(channels[k][layer_index] for k in included)
-                mass = owned / layer.width
-            else:
-                curve = curves[layer_index]
-                mass = 0.0
-                for k in included:
-                    mass += curve[bounds[k + 1][layer_index]] - curve[bounds[k][layer_index]]
+                mass /= widths[layer_index]
             per_layer.append(min(1.0, mass))
-        coverages.append(float(np.mean(per_layer)))
-    return coverages
+        rows.append(per_layer)
+    if not rows:
+        return []
+    # One reduction for every stage: the mean along a row of the 2-D array
+    # sums that row exactly as the 1-D mean of the row would.
+    return np.mean(rows, axis=1).tolist()

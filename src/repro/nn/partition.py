@@ -19,9 +19,8 @@ ranges.  The actual construction of per-stage sub-models lives in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +39,10 @@ __all__ = [
 #: Discrete partition-ratio choices used by the search space (Sect. V-A uses
 #: "8 channel partitioning ratios" per layer).
 RATIO_CHOICES: Tuple[float, ...] = tuple((k + 1) / 8 for k in range(8))
+
+#: How far a distribution of width fractions may sum from one: ``P``'s
+#: columns and :func:`split_units`'s fractions share it.
+SUM_TOLERANCE = 1e-6
 
 
 def backbone_layers(network: NetworkGraph) -> Tuple[Layer, ...]:
@@ -77,13 +80,20 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
         raise PartitionError("fractions must be a non-empty 1-D sequence")
     values = fractions.tolist()
     # Written so that a NaN fails it too: NaN shares are no distribution.
-    if any(value < 0 for value in values) or not abs(float(fractions.sum()) - 1.0) <= 1e-6:
+    if any(value < 0 for value in values) or not (
+        abs(float(fractions.sum()) - 1.0) <= SUM_TOLERANCE
+    ):
         raise PartitionError(f"fractions must be non-negative and sum to 1, got {fractions}")
+    return _largest_remainder(width, values, granularity)
+
+
+def _largest_remainder(width: int, values: list, granularity: int) -> Tuple[int, ...]:
+    """:func:`split_units` of a distribution already validated, as floats."""
     if granularity < 1 or width % granularity != 0:
         raise PartitionError(
             f"granularity must divide the width ({width} % {granularity} != 0)"
         )
-    num_shares = fractions.size
+    num_shares = len(values)
     granules = width // granularity
     if granules < num_shares:
         raise PartitionError(
@@ -92,9 +102,11 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
         )
     # Largest-remainder rounding in granule space with a floor of one granule,
     # on plain floats and ints: the shares are a handful of numbers, and
-    # max() picks the first of equal candidates as numpy's argmax would.
+    # max() and index() pick the first of equal candidates as numpy's argmax
+    # would.
     ideal = [value * granules for value in values]
-    shares = [max(1, math.floor(value)) for value in ideal]
+    # The floor of a non-negative float, and at least one granule.
+    shares = [int(value) or 1 for value in ideal]
     surplus = sum(shares) - granules
     # Remove any excess introduced by the floor-of-one, taking from the
     # largest shares first.
@@ -108,7 +120,7 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
     # Distribute any remaining granules to the largest remainders.
     remainder = [value - share for value, share in zip(ideal, shares)]
     while surplus < 0:
-        winner = max(range(num_shares), key=remainder.__getitem__)
+        winner = remainder.index(max(remainder))
         shares[winner] += 1
         remainder[winner] -= 1.0
         surplus += 1
@@ -117,22 +129,35 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
 
 @dataclass(frozen=True)
 class PartitionMatrix:
-    """The ``P`` matrix: per-stage, per-layer width fractions."""
+    """The ``P`` matrix: per-stage, per-layer width fractions.
+
+    ``values`` is a validated, read-only copy of the array it was given.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        # A read-only copy: the scheme splits P on the strength of this
+        # validation, so no later write, to the caller's array or to
+        # ``values``, may reach P.
+        values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.size == 0:
             raise PartitionError("P must be a non-empty 2-D array (stages x layers)")
-        if np.any(values < 0) or np.any(values > 1):
+        # Written so that a NaN fails it too.
+        if not ((values >= 0) & (values <= 1)).all():
             raise PartitionError("P entries must lie in [0, 1]")
         column_sums = values.sum(axis=0)
-        if not np.allclose(column_sums, 1.0, atol=1e-6):
+        if not (np.abs(column_sums - 1.0) <= SUM_TOLERANCE).all():
             raise PartitionError(
                 f"every column of P must sum to 1 (got column sums {column_sums})"
             )
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling and deep copies rebuild the array writeable.
+        self.__dict__.update(state)
+        self.values.flags.writeable = False
 
     @property
     def num_stages(self) -> int:
@@ -172,7 +197,7 @@ class IndicatorMatrix:
         values = np.asarray(self.values)
         if values.ndim != 2 or values.size == 0:
             raise PartitionError("I must be a non-empty 2-D array (stages x layers)")
-        if not np.all(np.isin(values, (0, 1))):
+        if not ((values == 0) | (values == 1)).all():
             raise PartitionError("I entries must be 0 or 1")
         object.__setattr__(self, "values", values.astype(int))
 
@@ -199,8 +224,10 @@ class IndicatorMatrix:
         """
         if self.num_stages < 2:
             return 0.0
-        relevant = self.values[:-1, :]
-        return float(relevant.mean())
+        # A count of set bits over a count of entries: both exact integers,
+        # so the quotient is the one numpy's mean of the bits would give.
+        relevant = self.values[:-1, :].tolist()
+        return sum(map(sum, relevant)) / (len(relevant) * self.num_layers)
 
     @classmethod
     def full(cls, num_stages: int, num_layers: int) -> "IndicatorMatrix":
@@ -226,6 +253,13 @@ class PartitionScheme:
     (whole attention heads), and exposes the quantities needed downstream:
     per-stage channel ranges in importance order, available input widths
     including reused features, and the reuse fraction.
+
+    ``P`` was validated when its :class:`PartitionMatrix` was built, so its
+    columns are split straight from one list conversion.  The scheme holds
+    nothing beyond its fields but the backbone and the channel matrix: the
+    oracle reads a candidate's channel and indicator lists from
+    :meth:`_lists` and every stage's sub-layer inputs from :meth:`_inputs`,
+    each derived in one pass when asked.
     """
 
     network: NetworkGraph
@@ -244,16 +278,12 @@ class PartitionScheme:
                 f"P and I must have the same shape, got {self.partition.values.shape} "
                 f"and {self.indicator.values.shape}"
             )
-        channels = np.zeros(self.partition.values.shape, dtype=int)
-        for layer_index, layer in enumerate(backbone):
-            shares = split_units(
-                layer.width,
-                self.partition.values[:, layer_index],
-                granularity=layer.partition_granularity,
-            )
-            channels[:, layer_index] = shares
+        shares = [
+            _largest_remainder(layer.width, column, layer.partition_granularity)
+            for layer, column in zip(backbone, self.partition.values.T.tolist())
+        ]
         object.__setattr__(self, "_backbone", backbone)
-        object.__setattr__(self, "_channels", channels)
+        object.__setattr__(self, "_channels", np.array(list(zip(*shares)), dtype=int))
 
     # -- basic shape -----------------------------------------------------------
     @property
@@ -290,27 +320,50 @@ class PartitionScheme:
         start = int(self._channels[:stage, layer].sum())
         return start, start + self.stage_channels(stage, layer)
 
+    def _lists(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """The channel and indicator matrices as nested lists of ints."""
+        return self._channels.tolist(), self.indicator.values.tolist()
+
+    def _inputs(
+        self, channels: List[List[int]], reused: List[List[int]]
+    ) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
+        """Every stage's sub-layer inputs, and the input units of its exit head.
+
+        ``channels`` and ``reused`` are :meth:`_lists`.  One pass over the
+        layers: each earlier stage's reused output is sized once and shared
+        by every later stage, which receives ``(own + reused units,
+        reused bytes)`` (see :meth:`sublayer_inputs`).  The exit head of a
+        stage sees what a layer after the last one would.
+        """
+        backbone = self._backbone
+        num_stages = len(channels)
+        last = len(backbone) - 1
+        inputs = [[(backbone[0].in_width, 0)] for _ in range(num_stages)]
+        exit_units = [0] * num_stages
+        for previous, producer in enumerate(backbone):
+            shared_units = 0
+            shared_bytes = 0
+            for stage in range(num_stages):
+                own = channels[stage][previous]
+                if previous == last:
+                    exit_units[stage] = own + shared_units
+                else:
+                    inputs[stage].append((own + shared_units, shared_bytes))
+                if reused[stage][previous]:
+                    shared_units += own
+                    if previous != last:
+                        shared_bytes += producer.output_bytes(own)
+        return inputs, exit_units
+
     def sublayer_inputs(self, stage: int) -> Tuple[Tuple[int, int], ...]:
         """``(available_in_units, reused_input_bytes)`` of every layer of ``stage``.
 
         Computed in one pass over the channel and indicator matrices; the
-        dynamic-network build takes its sub-layers' inputs from here.
+        dynamic-network build takes its sub-layers' inputs from the same pass.
         """
         self._check_stage_layer(stage, 0)
-        channels = self._channels.tolist()
-        reused = self.indicator.values.tolist()
-        inputs = [(self._backbone[0].in_width, 0)]
-        for layer in range(1, self.num_layers):
-            previous = layer - 1
-            producer = self._backbone[previous]
-            in_units = channels[stage][previous]
-            imported = 0
-            for k in range(stage):
-                if reused[k][previous]:
-                    in_units += channels[k][previous]
-                    imported += producer.output_bytes(channels[k][previous])
-            inputs.append((in_units, imported))
-        return tuple(inputs)
+        inputs, _ = self._inputs(*self._lists())
+        return tuple(inputs[stage])
 
     def available_in_units(self, stage: int, layer: int) -> int:
         """Input width available to stage ``stage`` at backbone layer ``layer``.
@@ -340,8 +393,7 @@ class PartitionScheme:
         available for subsequent stages for the duration of the inference
         (Fig. 4), so the memory-constraint term sums their sizes.
         """
-        channels = self._channels.tolist()
-        reused = self.indicator.values.tolist()
+        channels, reused = self._lists()
         total = 0
         for stage in range(self.num_stages - 1):
             for layer_index, layer in enumerate(self._backbone):

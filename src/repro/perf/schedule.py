@@ -78,11 +78,13 @@ class SliceTable:
     """Costs of the layer slices of one backbone, each computed once.
 
     A slice is a backbone layer position (the exit head takes the position
-    after the last layer) run with ``in_units``/``out_units`` width-units on
-    the compute unit and DVFS point a small integer ``unit_key`` stands for.
-    The key of a slice packs those integers into one int and its value is
-    the cost model's latency; transfers of a layer's output are keyed by
-    ``(position, out_units)`` the same way.
+    after the last layer) run with ``in_units``/``out_units`` width-units;
+    its key packs those integers into one int.  Each distinct slice's
+    :class:`~repro.perf.layer_cost.LayerWorkload` is built once, under that
+    key, and shared by every compute unit and DVFS point it is costed on.
+    A costed slice adds the small integer ``unit_key`` of its (unit, DVFS
+    point) to the key, and its value is the cost model's latency; transfers
+    of a layer's output are keyed by ``(position, out_units)`` the same way.
 
     Only an exact :class:`AnalyticalCostModel` is memoised.  Its energy is
     the latency times the unit's power, so :meth:`stage_energy_mj` reuses the
@@ -102,8 +104,9 @@ class SliceTable:
         self.cost_model = cost_model
         self.interconnect = interconnect
         self.memo = type(cost_model) is AnalyticalCostModel
-        self._positions = len(backbone) + 1
         self._span = int(max_units) + 1
+        self._slices = (len(backbone) + 1) * self._span * self._span
+        self._workloads: Dict[int, LayerWorkload] = {}
         self._latencies: Dict[int, float] = {}
         self._transfers: Dict[int, float] = {}
 
@@ -136,10 +139,14 @@ class SliceTable:
             workload = LayerWorkload.from_layer(layer, in_units, out_units)
             return float(self.cost_model.latency_ms(workload, unit, scale))
         span = self._span
-        key = ((unit_key * self._positions + position) * span + in_units) * span + out_units
+        slice_key = (position * span + in_units) * span + out_units
+        key = unit_key * self._slices + slice_key
         value = self._latencies.get(key)
         if value is None:
-            workload = LayerWorkload.from_layer(layer, in_units, out_units)
+            workload = self._workloads.get(slice_key)
+            if workload is None:
+                workload = LayerWorkload.from_layer(layer, in_units, out_units)
+                self._workloads[slice_key] = workload
             value = float(self.cost_model.latency_ms(workload, unit, scale))
             self._latencies[key] = value
         return value
@@ -222,8 +229,7 @@ def tabled_schedule(
     scheme = dynamic_network.scheme
     backbone = scheme.backbone
     num_layers = dynamic_network.num_layers
-    channels = scheme.channels.tolist()
-    reused = scheme.indicator.values.tolist()
+    channels, reused = scheme._lists()
 
     # Per-stage, per-layer raw latencies tau^j_i.
     taus = [[0.0] * num_layers for _ in range(num_stages)]
@@ -248,24 +254,33 @@ def tabled_schedule(
                     layer_index, backbone[layer_index], channels[stage_index][layer_index]
                 )
 
-    cumulative = [[0.0] * num_layers for _ in range(num_stages)]
+    # Eq. 8 stage by stage: stage i at layer j waits only on layer j - 1 of
+    # itself and of earlier stages, so each stage's row is complete once the
+    # rows before it are.  Per (stage, layer) the float operations are the
+    # layer-by-layer recursion's, in its order.
+    cumulative = []
     stalls = [0.0] * num_stages
     transfer_totals = [0.0] * num_stages
-    for layer_index in range(num_layers):
-        previous = layer_index - 1
-        for stage_index in range(num_stages):
-            own_ready = cumulative[stage_index][previous] if layer_index > 0 else 0.0
+    for stage_index in range(num_stages):
+        tau = taus[stage_index]
+        row = [0.0] * num_layers
+        row[0] = tau[0] + 0.0
+        stall = 0.0
+        moved = 0.0
+        for layer_index in range(1, num_layers):
+            previous = layer_index - 1
+            own_ready = row[previous]
             dependency_ready = own_ready
-            if layer_index > 0:
-                for k in range(stage_index):
-                    if reused[k][previous]:
-                        ready = cumulative[k][previous] + transfer[k][previous]
-                        transfer_totals[stage_index] += transfer[k][previous]
-                        dependency_ready = max(dependency_ready, ready)
-            stalls[stage_index] += max(0.0, dependency_ready - own_ready)
-            cumulative[stage_index][layer_index] = (
-                taus[stage_index][layer_index] + dependency_ready
-            )
+            for k in range(stage_index):
+                if reused[k][previous]:
+                    ready = cumulative[k][previous] + transfer[k][previous]
+                    moved += transfer[k][previous]
+                    dependency_ready = max(dependency_ready, ready)
+            stall += max(0.0, dependency_ready - own_ready)
+            row[layer_index] = tau[layer_index] + dependency_ready
+        cumulative.append(row)
+        stalls[stage_index] = stall
+        transfer_totals[stage_index] = moved
 
     exit_position = num_layers
     schedules = []

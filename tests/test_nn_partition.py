@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.framework import MapAndConquer
 from repro.errors import PartitionError
+from repro.nn.models import resnet20
 from repro.nn.partition import (
     RATIO_CHOICES,
     IndicatorMatrix,
@@ -14,6 +19,8 @@ from repro.nn.partition import (
     backbone_layers,
     split_units,
 )
+from repro.search.space import MappingConfig
+from repro.soc.platform import jetson_agx_xavier
 
 
 class TestSplitUnits:
@@ -79,6 +86,55 @@ class TestPartitionMatrix:
     def test_empty_rejected(self):
         with pytest.raises(PartitionError):
             PartitionMatrix(np.zeros((0, 0)))
+
+    def test_column_sums_share_split_units_tolerance(self):
+        # resnet20 with two stages: 0.5 everywhere plus 5e-6 on row 0 sums to
+        # 1.000005.  np.allclose's default rtol used to accept that, and
+        # evaluate() then failed inside split_units; P now refuses it.
+        values = np.full((2, len(backbone_layers(resnet20()))), 0.5)
+        values[0] += 5e-6
+        with pytest.raises(PartitionError) as raised:
+            PartitionMatrix(values)
+        assert str(raised.value) == (
+            f"every column of P must sum to 1 (got column sums {values.sum(axis=0)})"
+        )
+        with pytest.raises(PartitionError, match="fractions must be non-negative and sum to 1"):
+            split_units(64, values[:, 0])
+
+    def test_column_sums_within_tolerance_evaluate(self):
+        network = resnet20()
+        values = np.full((2, len(backbone_layers(network))), 0.5)
+        values[0] += 5e-7
+        values[1] -= 1e-7
+        framework = MapAndConquer(network, jetson_agx_xavier(), num_stages=2)
+        config = MappingConfig(
+            partition=PartitionMatrix(values),
+            indicator=IndicatorMatrix.full(2, values.shape[1]),
+            unit_names=("gpu", "dla0"),
+            dvfs_indices=(0, 0),
+        )
+        assert framework.evaluate(config).accuracy > 0
+
+    def test_holds_a_copy_of_the_callers_array(self):
+        values = np.full((2, 3), 0.5)
+        matrix = PartitionMatrix(values)
+        values[0, 0] = 7.0
+        assert matrix.values[0, 0] == 0.5
+        # P's own array is read-only too, also in unpickled and deep copies,
+        # so the validation the scheme relies on cannot go stale.
+        clones = [pickle.loads(pickle.dumps(matrix, protocol=p)) for p in (2, 4, 5)]
+        for held in [matrix, copy.deepcopy(matrix)] + clones:
+            assert np.array_equal(held.values, matrix.values)
+            with pytest.raises(ValueError, match="read-only"):
+                held.values[0, 0] = 7.0
+            assert held.values[0, 0] == 0.5
+
+    def test_nan_entry_fails_the_range_check(self):
+        values = np.full((2, 3), 0.5)
+        values[1, 2] = np.nan
+        with pytest.raises(PartitionError) as raised:
+            PartitionMatrix(values)
+        assert str(raised.value) == "P entries must lie in [0, 1]"
 
     def test_ratio_choices_are_eight_fractions(self):
         assert len(RATIO_CHOICES) == 8
