@@ -23,6 +23,7 @@ from ..search.constraints import SearchConstraints
 from ..search.evaluation import EvaluatedConfig
 from ..search.objectives import as_objective_set
 from ..search.operators import crossover, mutate
+from ..search.pareto import _dominates
 from ..search.space import MappingConfig, SearchSpace
 from .strategies import SearchStrategy
 
@@ -41,26 +42,31 @@ def objective_matrix(
     return as_objective_set(objectives).matrix(evaluated)
 
 
-def _dominates_row(first: np.ndarray, second: np.ndarray) -> bool:
-    return bool(np.all(first <= second) and np.any(first < second))
-
-
 def non_dominated_sort(values: np.ndarray) -> List[List[int]]:
     """Partition row indices of ``values`` into successive Pareto fronts.
 
     ``values`` holds one row per candidate, all objectives minimised.  The
     first front contains exactly the non-dominated rows; removing it, the
     second front is the non-dominated remainder, and so on.
+
+    The matrix is converted to Python floats once and each pair of rows is
+    compared with the Pareto analysis's dominance test
+    (:func:`~repro.search.pareto.dominates`), which answers as numpy's
+    ``all(first <= second) and any(first < second)`` would, NaN and
+    infinities included.
     """
-    count = len(values)
+    rows = np.asarray(values).tolist()
+    count = len(rows)
     dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_count = np.zeros(count, dtype=int)
+    domination_count = [0] * count
     for i in range(count):
+        first = rows[i]
         for j in range(i + 1, count):
-            if _dominates_row(values[i], values[j]):
+            second = rows[j]
+            if _dominates(first, second):
                 dominated_by[i].append(j)
                 domination_count[j] += 1
-            elif _dominates_row(values[j], values[i]):
+            elif _dominates(second, first):
                 dominated_by[j].append(i)
                 domination_count[i] += 1
     fronts: List[List[int]] = []

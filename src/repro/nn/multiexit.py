@@ -17,7 +17,7 @@ feed the hardware model in :mod:`repro.perf` and the accuracy model in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,8 +124,14 @@ class DynamicNetwork:
         return self.scheme.reuse_fraction()
 
     def stored_feature_bytes(self) -> int:
-        """Shared-memory footprint of forwarded features (Eq. 15 constraint)."""
-        return self.scheme.stored_feature_bytes()
+        """Shared-memory footprint of forwarded features (Eq. 15 constraint).
+
+        :meth:`PartitionScheme.stored_feature_bytes
+        <repro.nn.partition.PartitionScheme.stored_feature_bytes>` through the
+        same helper, starting from the last stage's imported bytes, which the
+        build has already sized.
+        """
+        return self.scheme._stored_bytes(self.stages[-1].imported_bytes())
 
     def total_flops_through(self, stage: int) -> float:
         """FLOPs spent when the inference terminates at ``stage`` (inclusive)."""
@@ -177,6 +183,8 @@ def build_dynamic_network(
     indicator: IndicatorMatrix,
     ranking: Optional[ChannelRanking] = None,
     reorder: bool = True,
+    *,
+    splits: Optional[Dict[tuple, Tuple[int, ...]]] = None,
 ) -> DynamicNetwork:
     """Materialise the dynamic multi-exit network for a ``(P, I)`` choice.
 
@@ -193,8 +201,16 @@ def build_dynamic_network(
     reorder:
         Whether to apply importance reordering (the paper's default).  The
         ablation benches set this to ``False``.
+    splits:
+        Optional split table handed to :class:`~repro.nn.partition.PartitionScheme`,
+        so a caller building many networks splits each distinct column of
+        ``P`` once (:class:`~repro.search.evaluation.ConfigEvaluator` keeps
+        one per evaluator).  It changes no result: the network is the same
+        with or without it.
     """
-    scheme = PartitionScheme(network=network, partition=partition, indicator=indicator)
+    scheme = PartitionScheme(
+        network=network, partition=partition, indicator=indicator, splits=splits
+    )
     backbone = scheme.backbone
     channels, reused = scheme._lists()
     # The exit head classifies from every feature available to its stage at

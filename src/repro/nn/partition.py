@@ -19,8 +19,8 @@ ranges.  The actual construction of per-stage sub-models lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -260,13 +260,21 @@ class PartitionScheme:
     oracle reads a candidate's channel and indicator lists from
     :meth:`_lists` and every stage's sub-layer inputs from :meth:`_inputs`,
     each derived in one pass when asked.
+
+    ``splits`` is an optional split table, an init-only argument the scheme
+    does not keep: a dict from ``(width, granularity, *column)`` to the
+    column's integer shares.  A column met before is read from it, a new one
+    split and stored.  The split reads nothing else, so the channels are the
+    same with or without a table, and one table may serve any number of
+    schemes and networks; ``None`` splits every column.
     """
 
     network: NetworkGraph
     partition: PartitionMatrix
     indicator: IndicatorMatrix
+    splits: InitVar[Optional[Dict[tuple, Tuple[int, ...]]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, splits: Optional[Dict[tuple, Tuple[int, ...]]]) -> None:
         backbone = backbone_layers(self.network)
         if self.partition.num_layers != len(backbone):
             raise PartitionError(
@@ -278,10 +286,16 @@ class PartitionScheme:
                 f"P and I must have the same shape, got {self.partition.values.shape} "
                 f"and {self.indicator.values.shape}"
             )
-        shares = [
-            _largest_remainder(layer.width, column, layer.partition_granularity)
-            for layer, column in zip(backbone, self.partition.values.T.tolist())
-        ]
+        if splits is None:
+            splits = {}
+        shares = []
+        for layer, column in zip(backbone, self.partition.values.T.tolist()):
+            width, granularity = layer.width, layer.partition_granularity
+            key = (width, granularity, *column)
+            share = splits.get(key)
+            if share is None:
+                share = splits[key] = _largest_remainder(width, column, granularity)
+            shares.append(share)
         object.__setattr__(self, "_backbone", backbone)
         object.__setattr__(self, "_channels", np.array(list(zip(*shares)), dtype=int))
 
@@ -393,12 +407,25 @@ class PartitionScheme:
         available for subsequent stages for the duration of the inference
         (Fig. 4), so the memory-constraint term sums their sizes.
         """
+        inputs, _ = self._inputs(*self._lists())
+        return self._stored_bytes(sum(imported for _, imported in inputs[-1]))
+
+    def _stored_bytes(self, imported: int) -> int:
+        """:meth:`stored_feature_bytes` from the last stage's imported bytes.
+
+        The last stage imports, at layers ``1 .. n-1``, every reused output
+        of the earlier stages at layers ``0 .. n-2``, so ``imported`` (the sum
+        of its sub-layers' reused input bytes) already holds those sizes.
+        Only the earlier stages' reused outputs of the last layer, which no
+        stage imports, are sized here: at most ``M - 1`` of them.
+        """
         channels, reused = self._lists()
-        total = 0
-        for stage in range(self.num_stages - 1):
-            for layer_index, layer in enumerate(self._backbone):
-                if reused[stage][layer_index]:
-                    total += layer.output_bytes(channels[stage][layer_index])
+        last = len(self._backbone) - 1
+        producer = self._backbone[last]
+        total = imported
+        for stage in range(len(channels) - 1):
+            if reused[stage][last]:
+                total += producer.output_bytes(channels[stage][last])
         return int(total)
 
     def reuse_fraction(self) -> float:

@@ -65,8 +65,12 @@ class EvaluatedConfig:
     # -- convenience accessors used by objectives, constraints and reports -------
     @property
     def accuracy(self) -> float:
-        """Top-1 accuracy of the dynamic cascade."""
-        return self.inference.accuracy
+        """Top-1 accuracy of the dynamic cascade (its final stage's accuracy).
+
+        Read straight off the exit statistics: the default accuracy
+        objective reads it on every domination check.
+        """
+        return self.inference.exit_statistics.stage_accuracies[-1]
 
     @property
     def latency_ms(self) -> float:
@@ -216,8 +220,10 @@ class ConfigEvaluator:
         self.reorder_channels = bool(reorder_channels)
         self.validation_samples = int(validation_samples)
         self.seed = int(seed)
-        # Both memos live only as long as this evaluator: each distinct layer
-        # slice is costed once, each layer's importance curve built once.
+        # The memos live only as long as this evaluator: each distinct column
+        # of P is split once, each distinct layer slice costed once, each
+        # layer's importance curve built once.
+        self._splits: dict = {}
         self._mapping_evaluator = MappingEvaluator(platform, cost_model=cost_model)
         self._mapping_evaluator._keep_slice_table(network)
         self._accuracy = _CachedCoverageAccuracy(
@@ -301,6 +307,7 @@ class ConfigEvaluator:
             indicator=config.indicator,
             ranking=self.ranking,
             reorder=self.reorder_channels,
+            splits=self._splits,
         )
         profile = self._mapping_evaluator.profile(
             dynamic_network,

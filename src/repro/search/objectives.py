@@ -311,6 +311,12 @@ class ObjectiveSet:
     NSGA-II ranking read :meth:`values` / :meth:`matrix`, reports render one
     column per name, and campaign checkpoints embed :meth:`describe` so a
     changed set re-runs exactly the affected cells.
+
+    Each spec's ``(extractor, direction == "max")`` pair is read off once,
+    into ``_readers``, so :meth:`values` calls the extractors without a
+    lookup on every spec.  ``_readers`` is out of ``repr``, equality, the
+    hash and the pickled state; an unpickled or copied set rebuilds it from
+    its own specs.
     """
 
     specs: Tuple[ObjectiveSpec, ...]
@@ -323,6 +329,18 @@ class ObjectiveSet:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"objective names must be unique, got {names}")
+        self._bind_readers()
+
+    def _bind_readers(self) -> None:
+        readers = tuple((spec.extractor, spec.direction == "max") for spec in self.specs)
+        object.__setattr__(self, "_readers", readers)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_readers"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_readers()
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -335,8 +353,24 @@ class ObjectiveSet:
         return tuple(spec.name for spec in self.specs)
 
     def values(self, item: EvaluatedConfig) -> Tuple[float, ...]:
-        """Minimised objective vector of one candidate."""
-        return tuple(spec.value(item) for spec in self.specs)
+        """Minimised objective vector of one candidate.
+
+        Entry ``k`` is ``specs[k].value(item)``, read off the spec's
+        extractor and direction directly: each extractor is called once, in
+        spec order, its result taken through ``float``, NaN mapped to
+        ``+inf`` and a ``"max"`` objective negated.  Every call reads every
+        extractor again; under measured objectives each read is one counted
+        serving-cache lookup.
+        """
+        row = []
+        for extractor, maximise in self._readers:
+            raw = float(extractor(item))
+            if raw != raw:
+                raw = math.inf
+            elif maximise:
+                raw = -raw
+            row.append(raw)
+        return tuple(row)
 
     def matrix(self, evaluated: Sequence[EvaluatedConfig]) -> np.ndarray:
         """Stack :meth:`values` rows for NSGA-II's non-dominated sorting."""

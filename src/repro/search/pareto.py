@@ -38,35 +38,59 @@ __all__ = [
 ]
 
 
+def _dominates(first: Sequence[float], second: Sequence[float]) -> bool:
+    """Whether minimised row ``first`` Pareto-dominates row ``second``.
+
+    No entry worse and at least one strictly better, compared pairwise as
+    ``all(a <= b) and any(a < b)`` would (a NaN makes ``a <= b`` false, so a
+    row holding one neither dominates nor is dominated), stopping at the
+    first worse entry.
+    """
+    better = False
+    for a, b in zip(first, second):
+        if not a <= b:
+            return False
+        if a < b:
+            better = True
+    return better
+
+
 def dominates(
     first: EvaluatedConfig,
     second: EvaluatedConfig,
     objectives=None,
 ) -> bool:
-    """Whether ``first`` Pareto-dominates ``second`` (all objectives minimised)."""
+    """Whether ``first`` Pareto-dominates ``second`` (all objectives minimised).
+
+    Reads ``objectives.values(first)``, then ``objectives.values(second)``,
+    and compares the rows with the same test :func:`pareto_front` applies.
+    """
     objective_set = as_objective_set(objectives)
-    first_values = objective_set.values(first)
-    second_values = objective_set.values(second)
-    no_worse = all(a <= b for a, b in zip(first_values, second_values))
-    strictly_better = any(a < b for a, b in zip(first_values, second_values))
-    return no_worse and strictly_better
+    return _dominates(objective_set.values(first), objective_set.values(second))
 
 
 def pareto_front(
     evaluated: Sequence[EvaluatedConfig],
     objectives=None,
 ) -> list:
-    """Non-dominated subset of ``evaluated`` under the given objectives."""
-    objective_set = as_objective_set(objectives)
+    """Non-dominated subset of ``evaluated`` under the given objectives, in input order.
+
+    Pairwise, as :func:`dominates` asks it: each candidate is checked
+    against every other candidate in input order, reading
+    ``values(other)`` and then ``values(candidate)`` for each pair, until
+    one dominates it.  Rows are not cached between pairs, because under
+    measured objectives every read is a counted serving-cache lookup.  The
+    rows are compared with the row test :func:`dominates` also uses, without
+    calling :func:`dominates`, so that entry point sees no calls from here.
+    """
+    values = as_objective_set(objectives).values
     front = []
     for candidate in evaluated:
-        if any(
-            dominates(other, candidate, objective_set)
-            for other in evaluated
-            if other is not candidate
-        ):
-            continue
-        front.append(candidate)
+        for other in evaluated:
+            if other is not candidate and _dominates(values(other), values(candidate)):
+                break
+        else:
+            front.append(candidate)
     return front
 
 

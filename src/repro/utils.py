@@ -39,14 +39,23 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: The Python ints numpy converts to an integer array scalar (int64 or uint64).
+_NUMPY_INT_MIN = -(2**63)
+_NUMPY_INT_MAX = 2**64 - 1
+
+
 def _is_finite(value) -> bool:
-    """``np.isfinite(value)`` for one scalar, without numpy's overhead on floats.
+    """``np.isfinite(value)`` for one scalar, without numpy's overhead on floats and ints.
 
     Python floats (and ``np.float64``, a float subclass) take ``math.isfinite``,
-    which answers the same; anything else keeps numpy's answer and errors.
+    which answers the same.  An exact ``int`` (not a ``bool``) that numpy would
+    hold as int64 or uint64 is finite, as numpy answers; anything else,
+    including ints outside that range, keeps numpy's answer and errors.
     """
     if isinstance(value, float):
         return math.isfinite(value)
+    if type(value) is int and _NUMPY_INT_MIN <= value <= _NUMPY_INT_MAX:
+        return True
     return np.isfinite(value)
 
 

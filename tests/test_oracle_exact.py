@@ -816,6 +816,31 @@ class TestScalarChecksMatchNumpy:
                 reference, value, "x", **options
             )
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0, 1, -1, True, False, np.bool_(True), np.bool_(False),
+            np.int8(-3), np.int32(7), np.uint8(0), np.int64(2**63 - 1), np.int64(-(2**63)),
+            np.uint64(2**64 - 1),
+            2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1,
+            -(2**63) + 1, -(2**63), -(2**63) - 1, -(2**64), 10**30, -(10**30),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("allow_zero", [True, False])
+    def test_integers_at_numpy_bounds(self, value, allow_zero):
+        # Exact ints numpy holds as int64/uint64 skip np.isfinite; bools,
+        # numpy ints and ints outside that range still go through it.
+        pairs = [
+            (check_positive, reference_check_positive, {}),
+            (check_non_negative, reference_check_non_negative, {}),
+            (check_fraction, reference_check_fraction, {"allow_zero": allow_zero}),
+        ]
+        for check, reference, options in pairs:
+            assert outcome(check, value, "x", **options) == outcome(
+                reference, value, "x", **options
+            )
+
 
 @st.composite
 def p_matrices(draw):
