@@ -195,9 +195,11 @@ class MeasuredWaitExtractor:
     makes one cache lookup, so hit/miss and recorder counts are those of an
     unmemoised extractor.  The memo holds candidates through weak references
     (it never keeps a search's candidates alive) and, since
-    ``EvaluatedConfig`` compares by identity, keys them by identity; it stays out
-    of ``repr``, equality, the hash and fingerprints, and is not pickled: a
-    clone starts empty.
+    ``EvaluatedConfig`` compares by identity, keys them by identity.  Its
+    replays share one scenario, prepared once per extractor: the request
+    stream is generated once and the scenario half of every key is derived
+    once.  Memo and scenario stay out of ``repr``, equality, the hash and
+    fingerprints, and are not pickled: a clone starts empty.
     """
 
     platform: object
@@ -209,28 +211,33 @@ class MeasuredWaitExtractor:
     _replays: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
+    _scenario: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, item: EvaluatedConfig) -> float:
         replay = self._replays.get(item)
         if replay is None:
-            from ..serving.bridge import MeasuredReplay
+            from ..serving.bridge import MeasuredReplay, _Scenario
 
-            replay = self._replays[item] = MeasuredReplay(
-                item,
-                self.platform,
-                self.workload,
-                self.duration_ms,
-                seed=self.traffic_seed,
-                cache=self.cache,
-                family_name=self.family_name,
+            scenario = self._scenario
+            if scenario is None:
+                scenario = _Scenario(
+                    self.platform, self.workload, self.duration_ms, self.traffic_seed, None
+                )
+                object.__setattr__(self, "_scenario", scenario)
+            replay = self._replays[item] = MeasuredReplay._under(
+                scenario, item, self.cache, self.family_name
             )
         return replay.metrics().mean_queueing_ms
 
     def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "_replays"}
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in ("_replays", "_scenario")
+        }
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _replays=weakref.WeakKeyDictionary())
+        self.__dict__.update(state, _replays=weakref.WeakKeyDictionary(), _scenario=None)
 
 
 def _extractor_identity(extractor: Callable[[EvaluatedConfig], float]) -> str:

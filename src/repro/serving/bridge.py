@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from .metrics import ServingMetrics, compute_metrics, metric_direction
 from .policies import Deployment, ServingPolicy, StaticPolicy
-from .result_cache import ServingResultCache, serving_digest
+from .result_cache import ServingResultCache, _keyed, _scenario_suffix
 from .simulator import ServingResult, TrafficSimulator
 from .workload import ArrivalProcess, Request
 
@@ -157,6 +157,65 @@ def measured_serving_metrics(
     ).metrics()
 
 
+class _Scenario:
+    """One replay scenario, prepared once for every candidate replayed under it.
+
+    Holds what :func:`measured_serving_metrics` takes besides the candidate,
+    the cache and the policy.  It derives the scenario half of a
+    serving-cache key (:func:`~repro.serving.result_cache.serving_digest`'s
+    payload after the deployment digest) once per policy tag, and generates
+    the request stream on the first replay, so a measured objective pays for
+    both once per extractor rather than once per candidate.  Every key it
+    derives is byte-identical to ``serving_digest``'s, and a replay still
+    goes through :func:`simulate_deployment`.
+    """
+
+    __slots__ = (
+        "platform", "workload", "duration_ms", "seed", "deadline_ms", "_suffixes", "_stream"
+    )
+
+    def __init__(self, platform, workload, duration_ms, seed, deadline_ms) -> None:
+        self.platform = platform
+        self.workload = workload
+        self.duration_ms = duration_ms
+        self.seed = seed
+        self.deadline_ms = deadline_ms
+        self._suffixes: dict = {}
+        self._stream = None
+
+    def key(self, deployment: Deployment, policy_tag: str) -> str:
+        """The serving-cache key of replaying ``deployment`` under ``policy_tag``."""
+        suffix = self._suffixes.get(policy_tag)
+        if suffix is None:
+            suffix = self._suffixes[policy_tag] = _scenario_suffix(
+                self.platform,
+                self.workload,
+                self.duration_ms,
+                self.seed,
+                self.deadline_ms,
+                policy_tag,
+            )
+        return _keyed(deployment, suffix)
+
+    def replay(self, policy: ServingPolicy) -> ServingResult:
+        """One seeded replay of the scenario's request stream under ``policy``."""
+        if self._stream is None:
+            # A process that generates nothing stays the stream, so each
+            # replay fails where and as the process itself would.
+            self._stream = (
+                _resolve_requests(self.workload, self.duration_ms, self.seed) or self.workload
+            )
+        return simulate_deployment(
+            None,
+            self.platform,
+            self._stream,
+            self.duration_ms,
+            policy=policy,
+            seed=self.seed,
+            deadline_ms=self.deadline_ms,
+        )
+
+
 class MeasuredReplay:
     """:func:`measured_serving_metrics` of one candidate, keyed once.
 
@@ -169,7 +228,8 @@ class MeasuredReplay:
     every interrogation), and a miss replays through
     :func:`simulate_deployment` + :func:`~repro.serving.metrics.compute_metrics`
     and stores.  A measured search objective keeps one per candidate, so a
-    candidate is distilled and hashed once however often it is compared.
+    candidate is distilled and hashed once however often it is compared, and
+    its candidates share one prepared scenario (:meth:`_under`).
     """
 
     __slots__ = ("_policy", "_scenario", "_cache", "_family_name", "_key")
@@ -187,22 +247,31 @@ class MeasuredReplay:
         policy: Optional[ServingPolicy] = None,
         policy_tag: str = "static",
     ) -> None:
+        self._bind(
+            _Scenario(platform, workload, duration_ms, seed, deadline_ms),
+            candidate,
+            cache,
+            family_name,
+            policy,
+            policy_tag,
+        )
+
+    @classmethod
+    def _under(
+        cls, scenario: _Scenario, candidate, cache, family_name: str
+    ) -> "MeasuredReplay":
+        """A static replay of ``candidate`` under a shared, prepared ``scenario``."""
+        replay = cls.__new__(cls)
+        replay._bind(scenario, candidate, cache, family_name, None, "static")
+        return replay
+
+    def _bind(self, scenario, candidate, cache, family_name, policy, policy_tag) -> None:
         deployment = _as_deployment(candidate)
         self._policy = StaticPolicy(deployment) if policy is None else policy
-        self._scenario = (platform, workload, duration_ms, seed, deadline_ms)
+        self._scenario = scenario
         self._cache = cache
         self._family_name = family_name
-        self._key = None
-        if cache is not None:
-            self._key = serving_digest(
-                deployment,
-                platform,
-                workload,
-                duration_ms,
-                seed,
-                deadline_ms=deadline_ms,
-                policy_tag=policy_tag,
-            )
+        self._key = None if cache is None else scenario.key(deployment, policy_tag)
 
     def metrics(self) -> ServingMetrics:
         """The replay's metrics: a cache hit, else a fresh (stored) replay."""
@@ -211,18 +280,7 @@ class MeasuredReplay:
             if hit is not None:
                 name = self._policy.name
                 return hit if hit.policy == name else dataclasses.replace(hit, policy=name)
-        platform, workload, duration_ms, seed, deadline_ms = self._scenario
-        metrics = compute_metrics(
-            simulate_deployment(
-                None,
-                platform,
-                workload,
-                duration_ms,
-                policy=self._policy,
-                seed=seed,
-                deadline_ms=deadline_ms,
-            )
-        )
+        metrics = compute_metrics(self._scenario.replay(self._policy))
         if self._cache is not None:
             self._cache.store(self._key, metrics, family=self._family_name)
         return metrics

@@ -12,6 +12,7 @@ seeded run always produces a byte-identical trace file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Tuple
@@ -174,24 +175,19 @@ def compute_metrics(
     accuracy, energy, miss rate) to one tenant of a multi-tenant trace;
     utilisation and in-flight statistics always describe the whole system,
     since the hardware is shared.
+
+    The reduction reads the store's float block (the one a replay hands
+    over, or the conversion of a hand-built store's tuples), takes every
+    sum from one row-wise call and reads p50/p95/p99 by index, each equal
+    bit for bit to the per-field numpy reductions it replaces (pinned in the
+    tests against the earlier implementation).
     """
     columns = result.columns
-    # One float array per reduced field, in request order: every reduction
-    # below sees the values, dtype and element order of the old per-record
-    # pass, so the aggregates stay bit-identical (pinned by the serving
-    # goldens and the row-wise reference test).
-    values = np.array(
-        (
-            columns.latency_ms,
-            columns.queueing_ms,
-            columns.energy_mj,
-            columns.num_stages,
-            columns.correct,
-            [deadline is not None for deadline in columns.deadline_ms],
-            columns.deadline_missed,
-        ),
-        dtype=float,
-    )
+    # Rows latency, queueing, energy, stages, correct, has-deadline and
+    # deadline-missed, in request order: the floats the old per-record pass
+    # reduced, so every aggregate stays bit-identical (pinned by the serving
+    # goldens and the reference tests).
+    values = columns._float_rows()
     if tenant is not None:
         values = values[:, [name == tenant for name in columns.tenant]]
     count = values.shape[1]
@@ -210,30 +206,32 @@ def compute_metrics(
                 for name, busy in result.busy_ms.items()
             },
         )
-    latencies = np.sort(values[0])
-    queueing, energies, stages, correct = values[1:5]
-    num_with_deadline = int(values[5].sum())
-    missed = int(values[6].sum())
+    # A C-contiguous copy with the latencies sorted (the store's block stays
+    # as it was): one row-wise sum over it equals each row's own 1-D sum, and
+    # each mean is that sum over the count, as numpy's mean divides it.
+    values = values.copy()
+    latencies = values[0]
+    latencies.sort()
+    latency, queueing, energy, stages, correct, with_deadline, missed = values.sum(
+        axis=1
+    ).tolist()
     duration_s = result.duration_ms / 1000.0
-    # One call for the three percentiles: each equals its own separate call
-    # bit for bit (pinned in the vectorised-metrics tests).
-    p50, p95, p99 = np.percentile(latencies, (50.0, 95.0, 99.0)).tolist()
     return ServingMetrics(
         policy=result.policy,
         num_requests=count,
         duration_ms=result.duration_ms,
         throughput_rps=count / duration_s if duration_s > 0 else 0.0,
-        mean_latency_ms=float(latencies.mean()),
-        p50_latency_ms=p50,
-        p95_latency_ms=p95,
-        p99_latency_ms=p99,
+        mean_latency_ms=latency / count,
+        p50_latency_ms=_percentile(latencies, 50.0),
+        p95_latency_ms=_percentile(latencies, 95.0),
+        p99_latency_ms=_percentile(latencies, 99.0),
         max_latency_ms=float(latencies[-1]),
-        mean_queueing_ms=float(queueing.mean()),
-        deadline_miss_rate=missed / num_with_deadline if num_with_deadline else 0.0,
-        accuracy=float(correct.mean()),
-        mean_stages=float(stages.mean()),
-        total_energy_mj=float(energies.sum()),
-        energy_per_request_mj=float(energies.mean()),
+        mean_queueing_ms=queueing / count,
+        deadline_miss_rate=int(missed) / int(with_deadline) if with_deadline else 0.0,
+        accuracy=correct / count,
+        mean_stages=stages / count,
+        total_energy_mj=energy,
+        energy_per_request_mj=energy / count,
         mean_in_flight=result.mean_in_flight,
         peak_in_flight=result.peak_in_flight,
         utilisation={
@@ -241,6 +239,31 @@ def compute_metrics(
             for name, busy in result.busy_ms.items()
         },
     )
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` of the sorted ``ordered``, read by index.
+
+    numpy's default ``linear`` rule, step for step: the virtual index
+    ``(n - 1) * (q / 100)``, its floor (index ``-1`` at and past the top),
+    then ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` once ``t >= 0.5``.
+    Each step is the IEEE operation numpy applies, so the result equals
+    numpy's bit for bit without the call; a NaN sorts last and makes every
+    percentile NaN, as in numpy.
+    """
+    count = len(ordered)
+    top = float(ordered[-1])
+    if top != top:
+        return top
+    virtual = (count - 1) * (q / 100)
+    below = above = -1
+    if virtual < count - 1:
+        below = math.floor(virtual)
+        above = below + 1
+    weight = virtual - below
+    low, high = float(ordered[below]), float(ordered[above])
+    step = high - low
+    return high - step * (1 - weight) if weight >= 0.5 else low + step * weight
 
 
 def _trace_lines(records: Iterable[RequestRecord]) -> Iterable[str]:

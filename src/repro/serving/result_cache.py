@@ -8,7 +8,8 @@ deployment every time would make measured search orders of magnitude slower
 than the M/D/1 proxy; the :class:`ServingResultCache` makes each distinct
 replay happen exactly once.  The objective's extractor derives one key per
 candidate per bound objective set (it keeps the candidate's
-:class:`~repro.serving.bridge.MeasuredReplay`) and makes one lookup per
+:class:`~repro.serving.bridge.MeasuredReplay`, and hashes the scenario half
+of the key once for all its candidates) and makes one lookup per
 interrogation, so hit/miss statistics and :class:`ServingCacheRecorder`
 counts tally interrogations, exactly as if every one re-derived its key.
 
@@ -111,6 +112,26 @@ def serving_digest(
     the stream drains) has no key and raises
     :class:`~repro.errors.ConfigurationError`.
     """
+    return _keyed(
+        deployment,
+        _scenario_suffix(platform, workload, duration_ms, seed, deadline_ms, policy_tag),
+    )
+
+
+def _scenario_suffix(
+    platform: Platform,
+    workload: Union[ArrivalProcess, Sequence[Request]],
+    duration_ms: Optional[float],
+    seed: int,
+    deadline_ms: Optional[float],
+    policy_tag: str,
+) -> str:
+    """The scenario half of a :func:`serving_digest` payload.
+
+    Everything after the deployment digest: the lines every candidate
+    replayed under one scenario shares, so a measured objective derives them
+    once (:class:`~repro.serving.bridge.MeasuredReplay`).
+    """
     if duration_ms is None:
         raise ConfigurationError(
             "a cached replay needs duration_ms: the replay budget is part of "
@@ -121,9 +142,8 @@ def serving_digest(
         if isinstance(workload, ArrivalProcess)
         else repr(tuple(workload))
     )
-    payload = "\n".join(
+    return "\n".join(
         [
-            deployment_digest(deployment),
             repr(platform),
             workload_identity,
             repr(float(duration_ms)),
@@ -132,6 +152,11 @@ def serving_digest(
             policy_tag,
         ]
     )
+
+
+def _keyed(deployment: Deployment, scenario_suffix: str) -> str:
+    """The :func:`serving_digest` of ``deployment`` under a scenario's suffix."""
+    payload = deployment_digest(deployment) + "\n" + scenario_suffix
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -39,10 +39,14 @@ each distinct deployment is planned once.  ``tests/`` keeps an event heap of
 arrivals and task completions as the reference this replay is pinned
 against, float for float.
 
-The replay writes one :class:`RequestColumns` store, one tuple per
-:class:`RequestRecord` field.  :func:`~repro.serving.metrics.compute_metrics`
-reduces the columns directly, and :attr:`ServingResult.records` builds the
-records only when something reads them (trace export, fleet pooling).
+After the loop the replay derives its numeric columns with numpy, each one
+elementwise IEEE operation on the loop's lists and each plan's per-stage
+tables, and stacks the seven rows
+:func:`~repro.serving.metrics.compute_metrics` reduces into one float block.
+It hands that block over in an unboxed :class:`RequestColumns` store, whose
+tuples (one per :class:`RequestRecord` field) are built only when something
+reads them, as :attr:`ServingResult.records` builds the records (trace
+export, fleet pooling).
 
 Determinism: identical seed + scenario + policy replays the identical event
 sequence; the exported JSONL trace is byte-identical across runs.
@@ -52,7 +56,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +115,13 @@ class RequestColumns:
 
     One tuple per :class:`RequestRecord` field, with the same name and in the
     same order; row ``i`` across the tuples is record ``i``.
+
+    A replay's store comes unboxed: it carries the float rows
+    :func:`~repro.serving.metrics.compute_metrics` reduces
+    (:meth:`_float_rows`) and builds its tuples on their first read (trace
+    export, fleet pooling, equality, ``repr``, pickling), so a replay that is
+    only reduced to metrics boxes no value.  A store built from tuples is
+    reduced from them.
     """
 
     index: Tuple[int, ...]
@@ -138,6 +150,61 @@ class RequestColumns:
     def records(self) -> Tuple[RequestRecord, ...]:
         """One :class:`RequestRecord` per row."""
         return tuple(map(RequestRecord, *(getattr(self, column.name) for column in fields(self))))
+
+    @classmethod
+    def _unboxed(
+        cls, rows: np.ndarray, box: Callable[[], "RequestColumns"]
+    ) -> "RequestColumns":
+        """A store of the float ``rows`` whose tuples ``box()`` builds on first read."""
+        columns = cls.__new__(cls)
+        columns.__dict__.update(_rows=rows, _box=box)
+        return columns
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a column of an
+        # unboxed store before its first read.
+        box = self.__dict__.get("_box")
+        if box is None or name not in _COLUMN_NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(box().__dict__)
+        del self.__dict__["_box"]
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        # The columns alone, so an unboxed store pickles and copies boxed.
+        return {name: getattr(self, name) for name in _COLUMN_NAMES}
+
+    def _row_count(self) -> int:
+        """Number of rows, read without boxing."""
+        rows = self.__dict__.get("_rows")
+        return len(self.index) if rows is None else rows.shape[1]
+
+    def _float_rows(self) -> np.ndarray:
+        """The ``7 x n`` float block :func:`~repro.serving.metrics.compute_metrics` reduces.
+
+        Rows latency, queueing, energy, stages, correct, has-deadline and
+        deadline-missed, columns in request order.  A replay hands its block
+        over with the store (callers must not write to it); a store built
+        from tuples converts them on every call.
+        """
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = np.array(
+                (
+                    self.latency_ms,
+                    self.queueing_ms,
+                    self.energy_mj,
+                    self.num_stages,
+                    self.correct,
+                    [deadline is not None for deadline in self.deadline_ms],
+                    self.deadline_missed,
+                ),
+                dtype=float,
+            )
+        return rows
+
+
+_COLUMN_NAMES = tuple(column.name for column in fields(RequestColumns))
 
 
 @dataclass(frozen=True)
@@ -174,7 +241,7 @@ class ServingResult:
     @property
     def num_requests(self) -> int:
         """Number of completed requests."""
-        return len(self.columns.index)
+        return self.columns._row_count()
 
     def metrics(self):
         """Aggregate percentile/throughput/energy metrics for this run."""
@@ -194,10 +261,12 @@ class _Plan(NamedTuple):
 
     deployment: Deployment
     exits: List[int]  # exit stage of every request, by request index
-    correct: List[bool]  # whether that exit classifies the request
+    exit_array: np.ndarray  # the same, as an array
+    correct: np.ndarray  # whether each request's exit classifies it
     tasks_at: List[Tuple[Tuple[int, float], ...]]  # per exit stage: (unit slot, service)
     service_at: List[float]  # per exit stage: zero-contention latency (Eq. 13)
     energy_at: List[float]  # per exit stage: energy (Eq. 14)
+    costs: np.ndarray  # service_at and energy_at as a 2 x stages float array
 
 
 class TrafficSimulator:
@@ -260,7 +329,7 @@ class TrafficSimulator:
             raise ConfigurationError("cannot simulate an empty request stream")
         if duration_ms is not None:
             check_positive(duration_ms, "duration_ms")
-        ordered = sorted(requests, key=lambda r: r.arrival_ms)
+        ordered = sorted(requests, key=attrgetter("arrival_ms"))
         grid = (np.arange(len(ordered)) + 0.5) / len(ordered)
         difficulties = as_rng(self._seed).permutation(grid)
         self.policy.reset()
@@ -293,7 +362,7 @@ class TrafficSimulator:
         # alone, so the switcher's two deployments and the governor's rungs
         # decide them once per distinct tuple, over every request: the
         # replay costs one pass per request plus one vector pass per tuple.
-        exits_of: Dict[Tuple[float, ...], Tuple[list, list]] = {}
+        exits_of: Dict[Tuple[float, ...], Tuple[list, np.ndarray, np.ndarray]] = {}
         # Keyed by identity with the deployment kept in the plan, so a freed
         # id cannot alias a fresh object.
         plans: Dict[int, _Plan] = {}
@@ -304,20 +373,23 @@ class TrafficSimulator:
             if accuracies not in exits_of:
                 exits = deployment.exit_stages(difficulties)
                 correct = difficulties <= np.array(accuracies, dtype=float)[exits]
-                exits_of[accuracies] = (exits.tolist(), correct.tolist())
+                exits_of[accuracies] = (exits.tolist(), exits, correct)
             tasks = [
                 (slot_of[name], service)
                 for name, service in zip(deployment.unit_names, deployment.service_ms)
             ]
             stages = range(deployment.num_stages)
+            service_at = [deployment.cumulative_latency_ms(stage) for stage in stages]
+            energy_at = [deployment.cumulative_energy_mj(stage) for stage in stages]
             return _Plan(
                 deployment,
                 *exits_of[accuracies],
                 # The tasks a request exiting at each stage queues, in stage
                 # order, which is the order they join their units' queues.
                 [tuple(tasks[: stage + 1]) for stage in stages],
-                [deployment.cumulative_latency_ms(stage) for stage in stages],
-                [deployment.cumulative_energy_mj(stage) for stage in stages],
+                service_at,
+                energy_at,
+                np.array((service_at, energy_at), dtype=float),
             )
 
         arrival_ms = [request.arrival_ms for request in ordered]
@@ -366,39 +438,99 @@ class TrafficSimulator:
         # float.  cumsum adds left to right; np.sum's pairwise reduction
         # would not.
         arrivals = np.array(arrival_ms, dtype=float)
-        completions = np.sort(np.array(completion_ms, dtype=float))
+        completions = np.array(completion_ms, dtype=float)
         times = np.unique(np.concatenate((arrivals, np.array(done_ms, dtype=float))))
         in_flight = np.searchsorted(arrivals, times, "right") - np.searchsorted(
-            completions, times, "right"
+            np.sort(completions), times, "right"
         )
         area = np.cumsum(in_flight[:-1] * np.diff(times))
 
-        exit_stage, correct, service_ms, energy_mj, deployment_names = [], [], [], [], []
+        # The float block compute_metrics reduces.  Each row is one
+        # elementwise IEEE operation on the values the boxed columns hold, so
+        # it equals the floats those columns convert to.
         stops = [start for start, _ in segments[1:]] + [len(ordered)]
-        for (start, plan), stop in zip(segments, stops):
-            stages = plan.exits[start:stop]
-            exit_stage += stages
-            correct += plan.correct[start:stop]
-            service_ms += [plan.service_at[stage] for stage in stages]
-            energy_mj += [plan.energy_at[stage] for stage in stages]
-            deployment_names += [plan.deployment.name] * (stop - start)
-        columns = self._columns(
-            ordered,
-            arrival_ms=arrival_ms,
-            completion_ms=completion_ms,
-            service_ms=service_ms,
-            exit_stage=exit_stage,
-            deployment=deployment_names,
-            correct=correct,
-            energy_mj=energy_mj,
+        stage, correct, service, energy = self._exits_and_costs(segments, stops)
+        default = self.deadline_ms
+        # No deadline reads as NaN: none to have, none to miss.  (Written as
+        # NaN, not None, which numpy converts on a slow path.)
+        fill = float("nan") if default is None else default
+        deadline = np.array(
+            [fill if request.deadline_ms is None else request.deadline_ms for request in ordered],
+            dtype=float,
         )
+        latency = completions - arrivals
+        rows = np.array(
+            (
+                latency,
+                latency - service,
+                energy,
+                stage + 1,
+                correct,
+                deadline == deadline,
+                latency > deadline,
+            ),
+            dtype=float,
+        )
+
+        def box() -> RequestColumns:
+            # The tuples, from the loop's own lists and the plans' Python
+            # values, so every entry keeps the type the loop wrote.
+            exit_stage, hits, service_ms, energy_mj, deployment_names = [], [], [], [], []
+            for (start, plan), stop in zip(segments, stops):
+                stages = plan.exits[start:stop]
+                exit_stage += stages
+                hits += plan.correct[start:stop].tolist()
+                service_ms += [plan.service_at[stage] for stage in stages]
+                energy_mj += [plan.energy_at[stage] for stage in stages]
+                deployment_names += [plan.deployment.name] * (stop - start)
+            return _request_columns(
+                ordered,
+                default,
+                arrival_ms=arrival_ms,
+                completion_ms=completion_ms,
+                service_ms=service_ms,
+                exit_stage=exit_stage,
+                deployment=deployment_names,
+                correct=hits,
+                energy_mj=energy_mj,
+            )
+
         return (
-            columns,
+            RequestColumns._unboxed(rows, box),
             dict(zip(unit_names, busy)),
             float(area[-1]) if len(area) else 0.0,
             peak,
             max(completion_ms),
         )
+
+    @staticmethod
+    def _exits_and_costs(segments, stops):
+        """Every request's exit stage, correctness, service and energy arrays.
+
+        Each is read off the plan that served the request: directly when one
+        deployment served them all, else gathered from the plans stacked by
+        first use, whatever the number of switches.
+        """
+        if len(segments) == 1:
+            plan = segments[0][1]
+            service, energy = plan.costs[:, plan.exit_array]
+            return plan.exit_array, plan.correct, service, energy
+        planned = {id(plan): plan for _, plan in segments}
+        position = {key: index for index, key in enumerate(planned)}
+        served_by = np.repeat(
+            [position[id(plan)] for _, plan in segments],
+            [stop - start for (start, _), stop in zip(segments, stops)],
+        )
+        requests = np.arange(len(served_by))
+        stage = np.stack([plan.exit_array for plan in planned.values()])[served_by, requests]
+        correct = np.stack([plan.correct for plan in planned.values()])[served_by, requests]
+        costs = np.zeros(
+            (len(planned), 2, max(plan.costs.shape[1] for plan in planned.values()))
+        )
+        for index, plan in enumerate(planned.values()):
+            costs[index, :, : plan.costs.shape[1]] = plan.costs
+        service, energy = costs[served_by, :, stage].T
+        return stage, correct, service, energy
 
     def _columns(
         self,
@@ -412,35 +544,17 @@ class TrafficSimulator:
         correct: Sequence[bool],
         energy_mj: Sequence[float],
     ) -> RequestColumns:
-        """The request store of one replay, rows in request-index order."""
-        latency_ms = [done - arrival for done, arrival in zip(completion_ms, arrival_ms)]
-        default = self.deadline_ms
-        deadline_ms = [
-            default if request.deadline_ms is None else request.deadline_ms
-            for request in ordered
-        ]
-        return RequestColumns(
-            index=tuple(range(len(ordered))),
-            tenant=tuple([request.tenant for request in ordered]),
-            arrival_ms=tuple(arrival_ms),
-            completion_ms=tuple(completion_ms),
-            latency_ms=tuple(latency_ms),
-            service_ms=tuple(service_ms),
-            queueing_ms=tuple(
-                [latency - service for latency, service in zip(latency_ms, service_ms)]
-            ),
-            exit_stage=tuple(exit_stage),
-            num_stages=tuple([stage + 1 for stage in exit_stage]),
-            deployment=tuple(deployment),
-            correct=tuple(correct),
-            energy_mj=tuple(energy_mj),
-            deadline_ms=tuple(deadline_ms),
-            deadline_missed=tuple(
-                [
-                    deadline is not None and latency > deadline
-                    for latency, deadline in zip(latency_ms, deadline_ms)
-                ]
-            ),
+        """The boxed request store of a replay under this simulator's default deadline."""
+        return _request_columns(
+            ordered,
+            self.deadline_ms,
+            arrival_ms=arrival_ms,
+            completion_ms=completion_ms,
+            service_ms=service_ms,
+            exit_stage=exit_stage,
+            deployment=deployment,
+            correct=correct,
+            energy_mj=energy_mj,
         )
 
     def _check_deployment_units(self, deployment) -> None:
@@ -450,3 +564,46 @@ class TrafficSimulator:
                     f"deployment {deployment.name!r} maps a stage to unknown "
                     f"compute unit {name!r} on platform {self.platform.name!r}"
                 )
+
+
+def _request_columns(
+    ordered: Sequence[Request],
+    default_deadline_ms: Optional[float],
+    *,
+    arrival_ms: Sequence[float],
+    completion_ms: Sequence[float],
+    service_ms: Sequence[float],
+    exit_stage: Sequence[int],
+    deployment: Sequence[str],
+    correct: Sequence[bool],
+    energy_mj: Sequence[float],
+) -> RequestColumns:
+    """The boxed request store of one replay, rows in request-index order."""
+    latency_ms = [done - arrival for done, arrival in zip(completion_ms, arrival_ms)]
+    deadline_ms = [
+        default_deadline_ms if request.deadline_ms is None else request.deadline_ms
+        for request in ordered
+    ]
+    return RequestColumns(
+        index=tuple(range(len(ordered))),
+        tenant=tuple([request.tenant for request in ordered]),
+        arrival_ms=tuple(arrival_ms),
+        completion_ms=tuple(completion_ms),
+        latency_ms=tuple(latency_ms),
+        service_ms=tuple(service_ms),
+        queueing_ms=tuple(
+            [latency - service for latency, service in zip(latency_ms, service_ms)]
+        ),
+        exit_stage=tuple(exit_stage),
+        num_stages=tuple([stage + 1 for stage in exit_stage]),
+        deployment=tuple(deployment),
+        correct=tuple(correct),
+        energy_mj=tuple(energy_mj),
+        deadline_ms=tuple(deadline_ms),
+        deadline_missed=tuple(
+            [
+                deadline is not None and latency > deadline
+                for latency, deadline in zip(latency_ms, deadline_ms)
+            ]
+        ),
+    )

@@ -8,7 +8,9 @@ through it and through a reference extractor that calls
 :func:`~repro.serving.bridge.measured_serving_metrics` on every
 interrogation must produce the same history, the same front and the same
 recorder counts (every interrogation still looks its key up), and the memo
-must not outlive the candidates it describes.
+must not outlive the candidates it describes.  Its replays share one
+scenario: the extractor generates its request stream once for the whole
+search, while every interrogation still looks its key up.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.search.objectives import (
     ObjectiveSpec,
     measured_serving_objectives,
 )
+from repro.serving import ArrivalProcess
 from repro.serving.bridge import measured_serving_metrics
 from repro.serving.families import SteadyPoissonFamily
 from repro.serving.result_cache import ServingCacheRecorder, ServingResultCache
@@ -109,3 +112,39 @@ def test_memo_matches_per_call_reference_and_frees_candidates():
 
     gc.collect()
     assert len(extractor._replays) == 0
+
+
+def test_one_stream_per_extractor_and_one_lookup_per_interrogation(monkeypatch):
+    recorder = ServingCacheRecorder(ServingResultCache())
+    objectives = measured_serving_objectives(
+        FAMILY, PLATFORM, duration_ms=400.0, members=1, cache=recorder
+    )
+    extractor = objectives.specs[-1].extractor
+    calls = {"generate": [], "interrogations": 0, "lookups": 0}
+
+    generate = ArrivalProcess.generate
+    interrogate = MeasuredWaitExtractor.__call__
+    lookup = ServingResultCache.lookup
+
+    def counting_generate(self, *args, **kwargs):
+        calls["generate"].append(self)
+        return generate(self, *args, **kwargs)
+
+    def counting_call(self, item):
+        calls["interrogations"] += 1
+        return interrogate(self, item)
+
+    def counting_lookup(self, digest):
+        calls["lookups"] += 1
+        return lookup(self, digest)
+
+    monkeypatch.setattr(ArrivalProcess, "generate", counting_generate)
+    monkeypatch.setattr(MeasuredWaitExtractor, "__call__", counting_call)
+    monkeypatch.setattr(ServingResultCache, "lookup", counting_lookup)
+    _search(objectives)
+
+    stats = recorder.cell_stats()
+    # Many distinct replays, one generated stream.
+    assert stats.unique > 10
+    assert calls["generate"] == [extractor.workload]
+    assert calls["lookups"] == calls["interrogations"] == stats.lookups
