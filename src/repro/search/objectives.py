@@ -221,7 +221,12 @@ class MeasuredWaitExtractor:
             scenario = self._scenario
             if scenario is None:
                 scenario = _Scenario(
-                    self.platform, self.workload, self.duration_ms, self.traffic_seed, None
+                    self.platform,
+                    self.workload,
+                    self.duration_ms,
+                    self.traffic_seed,
+                    None,
+                    "static",
                 )
                 object.__setattr__(self, "_scenario", scenario)
             replay = self._replays[item] = MeasuredReplay._under(

@@ -161,41 +161,43 @@ class _Scenario:
     """One replay scenario, prepared once for every candidate replayed under it.
 
     Holds what :func:`measured_serving_metrics` takes besides the candidate,
-    the cache and the policy.  It derives the scenario half of a
-    serving-cache key (:func:`~repro.serving.result_cache.serving_digest`'s
-    payload after the deployment digest) once per policy tag, and generates
-    the request stream on the first replay, so a measured objective pays for
-    both once per extractor rather than once per candidate.  Every key it
-    derives is byte-identical to ``serving_digest``'s, and a replay still
-    goes through :func:`simulate_deployment`.
+    the cache and the policy, plus the policy's cache tag.  It derives the
+    scenario half of a serving-cache key
+    (:func:`~repro.serving.result_cache.serving_digest`'s payload after the
+    deployment digest) on the first key, and generates the request stream on
+    the first replay, so a measured objective pays for both once per
+    extractor rather than once per candidate.  Every key it derives is
+    byte-identical to ``serving_digest``'s, and a replay still goes through
+    :func:`simulate_deployment`.
     """
 
     __slots__ = (
-        "platform", "workload", "duration_ms", "seed", "deadline_ms", "_suffixes", "_stream"
+        "platform", "workload", "duration_ms", "seed", "deadline_ms", "policy_tag",
+        "_suffix", "_stream",
     )
 
-    def __init__(self, platform, workload, duration_ms, seed, deadline_ms) -> None:
+    def __init__(self, platform, workload, duration_ms, seed, deadline_ms, policy_tag) -> None:
         self.platform = platform
         self.workload = workload
         self.duration_ms = duration_ms
         self.seed = seed
         self.deadline_ms = deadline_ms
-        self._suffixes: dict = {}
+        self.policy_tag = policy_tag
+        self._suffix = None
         self._stream = None
 
-    def key(self, deployment: Deployment, policy_tag: str) -> str:
-        """The serving-cache key of replaying ``deployment`` under ``policy_tag``."""
-        suffix = self._suffixes.get(policy_tag)
-        if suffix is None:
-            suffix = self._suffixes[policy_tag] = _scenario_suffix(
+    def key(self, deployment: Deployment) -> str:
+        """The serving-cache key of replaying ``deployment`` in this scenario."""
+        if self._suffix is None:
+            self._suffix = _scenario_suffix(
                 self.platform,
                 self.workload,
                 self.duration_ms,
                 self.seed,
                 self.deadline_ms,
-                policy_tag,
+                self.policy_tag,
             )
-        return _keyed(deployment, suffix)
+        return _keyed(deployment, self._suffix)
 
     def replay(self, policy: ServingPolicy) -> ServingResult:
         """One seeded replay of the scenario's request stream under ``policy``."""
@@ -248,30 +250,29 @@ class MeasuredReplay:
         policy_tag: str = "static",
     ) -> None:
         self._bind(
-            _Scenario(platform, workload, duration_ms, seed, deadline_ms),
+            _Scenario(platform, workload, duration_ms, seed, deadline_ms, policy_tag),
             candidate,
             cache,
             family_name,
             policy,
-            policy_tag,
         )
 
     @classmethod
     def _under(
         cls, scenario: _Scenario, candidate, cache, family_name: str
     ) -> "MeasuredReplay":
-        """A static replay of ``candidate`` under a shared, prepared ``scenario``."""
+        """A static replay of ``candidate`` in a shared, prepared ``"static"`` scenario."""
         replay = cls.__new__(cls)
-        replay._bind(scenario, candidate, cache, family_name, None, "static")
+        replay._bind(scenario, candidate, cache, family_name, None)
         return replay
 
-    def _bind(self, scenario, candidate, cache, family_name, policy, policy_tag) -> None:
+    def _bind(self, scenario, candidate, cache, family_name, policy) -> None:
         deployment = _as_deployment(candidate)
         self._policy = StaticPolicy(deployment) if policy is None else policy
         self._scenario = scenario
         self._cache = cache
         self._family_name = family_name
-        self._key = None if cache is None else scenario.key(deployment, policy_tag)
+        self._key = None if cache is None else scenario.key(deployment)
 
     def metrics(self) -> ServingMetrics:
         """The replay's metrics: a cache hit, else a fresh (stored) replay."""

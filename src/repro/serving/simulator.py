@@ -39,14 +39,14 @@ each distinct deployment is planned once.  ``tests/`` keeps an event heap of
 arrivals and task completions as the reference this replay is pinned
 against, float for float.
 
-After the loop the replay derives its numeric columns with numpy, each one
-elementwise IEEE operation on the loop's lists and each plan's per-stage
-tables, and stacks the seven rows
-:func:`~repro.serving.metrics.compute_metrics` reduces into one float block.
-It hands that block over in an unboxed :class:`RequestColumns` store, whose
-tuples (one per :class:`RequestRecord` field) are built only when something
-reads them, as :attr:`ServingResult.records` builds the records (trace
-export, fleet pooling).
+The replay hands over an unboxed :class:`RequestColumns` store that derives
+each of its two forms on first read.  The float block
+:func:`~repro.serving.metrics.compute_metrics` reduces is seven numpy rows,
+each one elementwise IEEE operation on the loop's lists and each plan's
+per-stage tables; the tuples (one per :class:`RequestRecord` field) are
+boxed from the loop's own values, as :attr:`ServingResult.records` builds
+the records (trace export, fleet pooling).  A replay that is only reduced
+boxes nothing, and one that is only boxed derives no block.
 
 Determinism: identical seed + scenario + policy replays the identical event
 sequence; the exported JSONL trace is byte-identical across runs.
@@ -55,6 +55,7 @@ sequence; the exported JSONL trace is byte-identical across runs.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import accumulate
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -116,12 +117,13 @@ class RequestColumns:
     One tuple per :class:`RequestRecord` field, with the same name and in the
     same order; row ``i`` across the tuples is record ``i``.
 
-    A replay's store comes unboxed: it carries the float rows
+    A replay's store comes unboxed: it derives the float rows
     :func:`~repro.serving.metrics.compute_metrics` reduces
-    (:meth:`_float_rows`) and builds its tuples on their first read (trace
-    export, fleet pooling, equality, ``repr``, pickling), so a replay that is
-    only reduced to metrics boxes no value.  A store built from tuples is
-    reduced from them.
+    (:meth:`_float_rows`) on their first read, and builds its tuples on
+    theirs (trace export, fleet pooling, equality, ``repr``, pickling), so a
+    replay that is only reduced to metrics boxes no value and one that is
+    only boxed derives no block.  A store built from tuples is reduced from
+    them.
     """
 
     index: Tuple[int, ...]
@@ -153,11 +155,15 @@ class RequestColumns:
 
     @classmethod
     def _unboxed(
-        cls, rows: np.ndarray, box: Callable[[], "RequestColumns"]
+        cls,
+        count: int,
+        rows: Callable[[], np.ndarray],
+        box: Callable[[], "RequestColumns"],
     ) -> "RequestColumns":
-        """A store of the float ``rows`` whose tuples ``box()`` builds on first read."""
+        """A store of ``count`` rows whose float block ``rows()`` and tuples
+        ``box()`` derive, each on its first read."""
         columns = cls.__new__(cls)
-        columns.__dict__.update(_rows=rows, _box=box)
+        columns.__dict__.update(_count=count, _derive=rows, _box=box)
         return columns
 
     def __getattr__(self, name: str):
@@ -176,17 +182,20 @@ class RequestColumns:
 
     def _row_count(self) -> int:
         """Number of rows, read without boxing."""
-        rows = self.__dict__.get("_rows")
-        return len(self.index) if rows is None else rows.shape[1]
+        count = self.__dict__.get("_count")
+        return len(self.index) if count is None else count
 
     def _float_rows(self) -> np.ndarray:
         """The ``7 x n`` float block :func:`~repro.serving.metrics.compute_metrics` reduces.
 
         Rows latency, queueing, energy, stages, correct, has-deadline and
-        deadline-missed, columns in request order.  A replay hands its block
-        over with the store (callers must not write to it); a store built
-        from tuples converts them on every call.
+        deadline-missed, columns in request order.  A replay's store derives
+        its block once and keeps it (callers must not write to it); a store
+        built from tuples converts them on every call.
         """
+        derive = self.__dict__.pop("_derive", None)
+        if derive is not None:
+            self.__dict__["_rows"] = derive()
         rows = self.__dict__.get("_rows")
         if rows is None:
             rows = np.array(
@@ -266,7 +275,6 @@ class _Plan(NamedTuple):
     tasks_at: List[Tuple[Tuple[int, float], ...]]  # per exit stage: (unit slot, service)
     service_at: List[float]  # per exit stage: zero-contention latency (Eq. 13)
     energy_at: List[float]  # per exit stage: energy (Eq. 14)
-    costs: np.ndarray  # service_at and energy_at as a 2 x stages float array
 
 
 class TrafficSimulator:
@@ -379,17 +387,14 @@ class TrafficSimulator:
                 for name, service in zip(deployment.unit_names, deployment.service_ms)
             ]
             stages = range(deployment.num_stages)
-            service_at = [deployment.cumulative_latency_ms(stage) for stage in stages]
-            energy_at = [deployment.cumulative_energy_mj(stage) for stage in stages]
             return _Plan(
                 deployment,
                 *exits_of[accuracies],
                 # The tasks a request exiting at each stage queues, in stage
                 # order, which is the order they join their units' queues.
                 [tuple(tasks[: stage + 1]) for stage in stages],
-                service_at,
-                energy_at,
-                np.array((service_at, energy_at), dtype=float),
+                [deployment.cumulative_latency_ms(stage) for stage in stages],
+                [deployment.cumulative_energy_mj(stage) for stage in stages],
             )
 
         arrival_ms = [request.arrival_ms for request in ordered]
@@ -445,32 +450,37 @@ class TrafficSimulator:
         )
         area = np.cumsum(in_flight[:-1] * np.diff(times))
 
-        # The float block compute_metrics reduces.  Each row is one
-        # elementwise IEEE operation on the values the boxed columns hold, so
-        # it equals the floats those columns convert to.
         stops = [start for start, _ in segments[1:]] + [len(ordered)]
-        stage, correct, service, energy = self._exits_and_costs(segments, stops)
         default = self.deadline_ms
-        # No deadline reads as NaN: none to have, none to miss.  (Written as
-        # NaN, not None, which numpy converts on a slow path.)
-        fill = float("nan") if default is None else default
-        deadline = np.array(
-            [fill if request.deadline_ms is None else request.deadline_ms for request in ordered],
-            dtype=float,
-        )
-        latency = completions - arrivals
-        rows = np.array(
-            (
-                latency,
-                latency - service,
-                energy,
-                stage + 1,
-                correct,
-                deadline == deadline,
-                latency > deadline,
-            ),
-            dtype=float,
-        )
+
+        def rows() -> np.ndarray:
+            # The float block compute_metrics reduces.  Each row is one
+            # elementwise IEEE operation on the values the boxed columns
+            # hold, so it equals the floats those columns convert to.
+            stage, correct, service, energy = _exits_and_costs(segments, stops)
+            # No deadline reads as NaN: none to have, none to miss.  (Written
+            # as NaN, not None, which numpy converts on a slow path.)
+            fill = float("nan") if default is None else default
+            deadline = np.array(
+                [
+                    fill if request.deadline_ms is None else request.deadline_ms
+                    for request in ordered
+                ],
+                dtype=float,
+            )
+            latency = completions - arrivals
+            return np.array(
+                (
+                    latency,
+                    latency - service,
+                    energy,
+                    stage + 1,
+                    correct,
+                    deadline == deadline,
+                    latency > deadline,
+                ),
+                dtype=float,
+            )
 
         def box() -> RequestColumns:
             # The tuples, from the loop's own lists and the plans' Python
@@ -496,41 +506,12 @@ class TrafficSimulator:
             )
 
         return (
-            RequestColumns._unboxed(rows, box),
+            RequestColumns._unboxed(len(ordered), rows, box),
             dict(zip(unit_names, busy)),
             float(area[-1]) if len(area) else 0.0,
             peak,
             max(completion_ms),
         )
-
-    @staticmethod
-    def _exits_and_costs(segments, stops):
-        """Every request's exit stage, correctness, service and energy arrays.
-
-        Each is read off the plan that served the request: directly when one
-        deployment served them all, else gathered from the plans stacked by
-        first use, whatever the number of switches.
-        """
-        if len(segments) == 1:
-            plan = segments[0][1]
-            service, energy = plan.costs[:, plan.exit_array]
-            return plan.exit_array, plan.correct, service, energy
-        planned = {id(plan): plan for _, plan in segments}
-        position = {key: index for index, key in enumerate(planned)}
-        served_by = np.repeat(
-            [position[id(plan)] for _, plan in segments],
-            [stop - start for (start, _), stop in zip(segments, stops)],
-        )
-        requests = np.arange(len(served_by))
-        stage = np.stack([plan.exit_array for plan in planned.values()])[served_by, requests]
-        correct = np.stack([plan.correct for plan in planned.values()])[served_by, requests]
-        costs = np.zeros(
-            (len(planned), 2, max(plan.costs.shape[1] for plan in planned.values()))
-        )
-        for index, plan in enumerate(planned.values()):
-            costs[index, :, : plan.costs.shape[1]] = plan.costs
-        service, energy = costs[served_by, :, stage].T
-        return stage, correct, service, energy
 
     def _columns(
         self,
@@ -607,3 +588,29 @@ def _request_columns(
             ]
         ),
     )
+
+
+def _exits_and_costs(segments, stops):
+    """Every request's exit stage, correctness, service and energy arrays.
+
+    Each is read off the plan that served the request, whatever the number
+    of switches.  Exits and correctness are gathered from each distinct
+    decision (plans of equal accuracies share one) laid end to end, and
+    costs from each distinct plan's per-stage table laid end to end, so the
+    gather grows with the requests, the decisions and the plans' stages,
+    never with plans times requests.
+    """
+    lengths = [stop - start for (start, _), stop in zip(segments, stops)]
+    plans = {id(plan): plan for _, plan in segments}
+    decided = {id(plan.exit_array): plan for plan in plans.values()}
+    count = stops[-1]
+    row = {key: index * count for index, key in enumerate(decided)}
+    table = dict(zip(plans, accumulate([0] + [len(plan.service_at) for plan in plans.values()])))
+    entry = np.repeat([row[id(plan.exit_array)] for _, plan in segments], lengths)
+    entry += np.arange(count)
+    stage = np.concatenate([plan.exit_array for plan in decided.values()])[entry]
+    correct = np.concatenate([plan.correct for plan in decided.values()])[entry]
+    cost = np.repeat([table[id(plan)] for _, plan in segments], lengths) + stage
+    service = np.array([value for plan in plans.values() for value in plan.service_at], dtype=float)
+    energy = np.array([value for plan in plans.values() for value in plan.energy_at], dtype=float)
+    return stage, correct, service[cost], energy[cost]

@@ -3,7 +3,7 @@
 :class:`~repro.search.objectives.MeasuredWaitExtractor` keeps one private
 scenario for all its candidates: the request stream is generated on the
 first replay, and the scenario half of every serving-cache key (everything
-after the deployment digest) is derived once per policy tag.  That is only
+after the deployment digest) is derived once.  That is only
 legal if every key stays byte-identical to
 :func:`~repro.serving.result_cache.serving_digest`, the scenario never
 travels with a pickled or copied extractor, and every error is raised as the
@@ -87,21 +87,24 @@ class TestScenarioKeys:
     def test_keys_equal_serving_digest(
         self, deployment, front, workload, duration_ms, seed, deadline_ms, kind
     ):
-        tags = ["static", _policy_front_tag(kind, front)]
-        scenario = _Scenario(XAVIER, workload, duration_ms, seed, deadline_ms)
         cache = ServingResultCache()
-        # Twice each, in both orders: the second read comes from the memo.
-        for tag in tags + tags[::-1]:
-            expected = serving_digest(
-                deployment,
-                XAVIER,
-                workload,
-                duration_ms,
-                seed,
-                deadline_ms=deadline_ms,
-                policy_tag=tag,
-            )
-            assert scenario.key(deployment, tag) == expected
+        for tag in ("static", _policy_front_tag(kind, front)):
+            scenario = _Scenario(XAVIER, workload, duration_ms, seed, deadline_ms, tag)
+            expected = [
+                serving_digest(
+                    member,
+                    XAVIER,
+                    workload,
+                    duration_ms,
+                    seed,
+                    deadline_ms=deadline_ms,
+                    policy_tag=tag,
+                )
+                for member in [deployment, *front]
+            ]
+            # Twice over: the second pass reads the suffix the first derived.
+            for _ in range(2):
+                assert [scenario.key(member) for member in [deployment, *front]] == expected
             per_call = MeasuredReplay(
                 deployment,
                 XAVIER,
@@ -112,11 +115,10 @@ class TestScenarioKeys:
                 cache=cache,
                 policy_tag=tag,
             )
-            assert per_call._key == expected
-        shared = MeasuredReplay._under(scenario, deployment, cache, "family")
-        assert shared._key == serving_digest(
-            deployment, XAVIER, workload, duration_ms, seed, deadline_ms=deadline_ms
-        )
+            assert per_call._key == expected[0]
+            if tag == "static":
+                shared = MeasuredReplay._under(scenario, deployment, cache, "family")
+                assert shared._key == expected[0]
 
     def test_pinned_key_through_the_scenario(self):
         # The deployment and digest of
@@ -130,8 +132,8 @@ class TestScenarioKeys:
             dvfs_scales=(1.0, 0.8),
         )
         member = SteadyPoissonFamily(rate_rps=40.0).expand(seed=0, n=1)[0]
-        scenario = _Scenario(jetson_agx_xavier(), member, 400.0, 3, None)
-        assert scenario.key(deployment, "static") == (
+        scenario = _Scenario(jetson_agx_xavier(), member, 400.0, 3, None, "static")
+        assert scenario.key(deployment) == (
             "87cbf678550635a888000f0377879617542ed43fcf95701715a8636c947bf123"
         )
 
@@ -256,6 +258,8 @@ class TestErrorsAsBefore:
         with pytest.raises(ConfigurationError) as raised:
             replay.metrics()
         assert str(raised.value) == "duration_ms is required when passing an ArrivalProcess"
+        # No key, so the scenario never derived the suffix that would raise.
+        assert replay._key is None and replay._scenario._suffix is None
 
     def test_unknown_unit_fails_at_the_replay(self, deployment):
         replay = MeasuredReplay(deployment, mobile_big_little(), PoissonArrivals(40.0), 400.0)

@@ -18,6 +18,7 @@ import copy
 import hashlib
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.serving import (
     MultiTenantStream,
     PoissonArrivals,
     Request,
+    ServingPolicy,
     ServingResult,
     StaticPolicy,
     TrafficSimulator,
@@ -172,11 +174,35 @@ SPRINTER = Deployment(
 TENANT_FILTERS = (None, "a", "b", "nobody")
 
 
+class _FreshPolicy(ServingPolicy):
+    """A new deployment object on every call: one plan per request, of two
+    accuracy profiles and three service-time contents."""
+
+    name = "fresh"
+
+    def __init__(self, first, second):
+        self.deployments = (first, second)
+        self.reset()
+
+    def reset(self):
+        self.calls = 0
+
+    def select(self, queue_depth, now_ms):
+        self.calls += 1
+        deployment = self.deployments[self.calls % 2]
+        scale = 1.0 + 0.5 * (self.calls % 3)
+        return replace(
+            deployment, service_ms=tuple(scale * service for service in deployment.service_ms)
+        )
+
+
 def _policy(kind, first=CASCADE, second=SPRINTER):
     if kind == "static":
         return StaticPolicy(first)
     if kind == "switcher":
         return AdaptiveSwitchPolicy(first, second, high_watermark=3, low_watermark=1)
+    if kind == "fresh":
+        return _FreshPolicy(first, second)
     return DvfsGovernorPolicy(first, PLATFORM, high_watermark=3, low_watermark=1)
 
 
@@ -237,7 +263,8 @@ def _assert_matches_parent(simulator, requests, duration_ms=None):
 def _replays(draw):
     """A simulator and 1-600 requests on a coarse time grid (ties and
     duplicate latencies), two tenants, per-request and default deadlines or
-    none, under a static, switching or governed policy."""
+    none, under a static, switching, governed or fresh-object-per-call
+    policy."""
     count = draw(st.integers(min_value=1, max_value=600))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     step_ms = draw(st.sampled_from([0.5, 2.5, 5.0]))
@@ -254,7 +281,7 @@ def _replays(draw):
         )
         for _ in range(count)
     ]
-    kind = draw(st.sampled_from(("static", "switcher", "dvfs-governor")))
+    kind = draw(st.sampled_from(("static", "switcher", "dvfs-governor", "fresh")))
     simulator = TrafficSimulator(
         PLATFORM,
         _policy(kind),
@@ -271,7 +298,7 @@ class TestReplayStoreMatchesParent:
         simulator, requests, duration_ms = drawn
         _assert_matches_parent(simulator, requests, duration_ms)
 
-    @pytest.mark.parametrize("kind", ["static", "switcher", "dvfs-governor"])
+    @pytest.mark.parametrize("kind", ["static", "switcher", "dvfs-governor", "fresh"])
     def test_two_tenants_with_deadlines(self, kind):
         requests = MultiTenantStream(
             (
@@ -293,6 +320,23 @@ class TestReplayStoreMatchesParent:
         result = _assert_matches_parent(simulator, requests)
         assert type(result.columns.arrival_ms[0]) is int
         assert type(result.columns.deadline_ms[0]) is int
+
+    def test_one_plan_per_request_gathers_in_linear_memory(self):
+        # Every request gets a fresh deployment object, so a replay of n
+        # requests plans n deployments: a gather that laid out plans x
+        # requests would allocate ~9 n^2 bytes (36 MB here) to derive the block.
+        requests = PoissonArrivals(100.0).generate(25_000.0, seed=3)[:2000]
+        simulator = TrafficSimulator(PLATFORM, _policy("fresh"), seed=4, deadline_ms=40.0)
+        result = simulator.run(requests)
+        tracemalloc.start()
+        try:
+            result.columns._float_rows()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(requests) == 2000 and len(set(result.columns.service_ms)) > 2
+        assert peak < 2_000_000
+        _assert_matches_parent(simulator, requests)
 
     def test_single_request(self):
         simulator = TrafficSimulator(PLATFORM, StaticPolicy(CASCADE), seed=5, deadline_ms=1.0)
@@ -342,6 +386,26 @@ class TestLazyBoxing:
         compute_metrics(result, tenant="default")
         assert result._records is None
         assert "_box" not in result.columns.__dict__
+
+    @pytest.mark.parametrize("kind", ["static", "switcher"])
+    def test_boxing_derives_no_block(self, kind, tmp_path):
+        # Fleet pooling and trace export read the tuples alone: the block is
+        # derived only when a reduction reads it, and then equals the one
+        # the parent converted from the tuples.
+        requests = PoissonArrivals(60.0, deadline_ms=40.0).generate(2000.0, seed=1)
+        simulator = TrafficSimulator(PLATFORM, _policy(kind), seed=1)
+        result = simulator.run(requests)
+        columns = result.columns
+        assert result.records and result.num_requests == len(requests)
+        result.write_trace(tmp_path / "trace.jsonl")
+        assert "_box" not in columns.__dict__
+        assert "_derive" in columns.__dict__ and "_rows" not in columns.__dict__
+        parent = _parent_result(simulator, requests, result)
+        expected = parent_compute_metrics(parent)
+        assert repr(compute_metrics(result)) == repr(expected)
+        block = columns._float_rows()
+        assert "_derive" not in columns.__dict__ and columns._float_rows() is block
+        assert repr(block.tolist()) == repr(parent_float_block(parent.columns).tolist())
 
     def test_boxed_columns_equal_the_records(self, result):
         columns = result.columns
