@@ -45,7 +45,7 @@ from repro.core.framework import MapAndConquer
 from repro.nn.models import resnet20, visformer
 from repro.search.objectives import measured_serving_objectives, serving_objectives
 from repro.search.pareto import select_measured_serving, select_serving_oriented
-from repro.serving.bridge import rank_under_traffic
+from repro.serving.bridge import ReplayScenario, rank_under_traffic
 from repro.serving.families import (
     OnOffBurstFamily,
     SteadyPoissonFamily,
@@ -103,11 +103,8 @@ def _best_static_front_score(result, platform_name: str, family) -> float:
         seed = member_traffic_seed(GOVERNOR_SEED, family.name, index)
         for ranking in rank_under_traffic(
             list(front),
-            platform,
-            process,
-            duration_ms=GOVERNOR_DURATION_MS,
+            ReplayScenario(platform, process, GOVERNOR_DURATION_MS, seed),
             metric="energy_per_request_mj",
-            seed=seed,
         ):
             score = (
                 1000.0 / ranking.metrics.energy_per_request_mj

@@ -68,12 +68,8 @@ def main() -> None:
 
     # Replay the heterogeneous mix once more to show the autoscaler at work.
     hetero = next(mix for mix in fleet.mixes if mix.name == "hetero")
-    from repro.campaign.fleet_runner import _mix_instances, _resolve_mixes
-
-    _, entries, _ = _resolve_mixes(fleet.mixes)
-    instances = _mix_instances(hetero, entries["hetero"], fleet.deployments)
     result = simulate_fleet(
-        instances,
+        fleet.instances("hetero"),
         DAILY.expand(fleet.seed, 1)[0],
         duration_ms=4000.0,
         router=hetero.router,

@@ -94,6 +94,7 @@ from .serving import (
     DvfsGovernorPolicy,
     OnOffBursts,
     PoissonArrivals,
+    ReplayScenario,
     ServingResultCache,
     StaticPolicy,
     SteadyPoissonFamily,
@@ -166,6 +167,7 @@ __all__ = [
     "DvfsGovernorPolicy",
     "PoissonArrivals",
     "OnOffBursts",
+    "ReplayScenario",
     "rank_under_traffic",
     "__version__",
 ]

@@ -338,6 +338,16 @@ class FleetCampaignResult:
             )
         return found
 
+    def instances(self, mix: str) -> Tuple[FleetInstance, ...]:
+        """The fleet ``mix`` fielded: the instances its cells replayed."""
+        found = next((item for item in self.mixes if item.name == mix), None)
+        if found is None:
+            raise ConfigurationError(
+                f"no fleet mix {mix!r}; have mixes {list(self.mix_names)}"
+            )
+        _, entries, _ = _resolve_mixes(self.mixes)
+        return _mix_instances(found, entries[mix], self.deployments)
+
     def ranking(self, family: str) -> List[FleetCellResult]:
         """Mix cells for ``family``: within-SLO by total joules, violators after.
 

@@ -444,10 +444,11 @@ def _run_serving_cell(
 
     Member scenarios and traffic seeds derive from the task contents alone,
     so the same task yields bit-identical outcomes in any process.  Each
-    member first ranks the front with
+    member is one :class:`~repro.serving.bridge.ReplayScenario`, so its
+    request stream is generated once.  The member first ranks the front with
     :func:`~repro.serving.bridge.rank_under_traffic` (picking the best static
     front member for its traffic); every additional policy kind then replays
-    the *same* request stream through
+    the *same* scenario through
     :func:`~repro.serving.bridge.measured_serving_metrics`, under a policy
     built deterministically from that winner and the deployed front
     (:func:`~repro.serving.policies.build_policy`), so per-member policy
@@ -464,14 +465,13 @@ def _run_serving_cell(
     labels = task.family.member_labels(task.members)
     for index, process in enumerate(processes):
         traffic_seed = member_traffic_seed(task.seed, task.family.name, index)
+        scenario = bridge.ReplayScenario(
+            task.platform, process, task.duration_ms, traffic_seed, task.deadline_ms
+        )
         ranked = bridge.rank_under_traffic(
             task.front,
-            task.platform,
-            process,
-            task.duration_ms,
+            scenario,
             metric=task.metric,
-            seed=traffic_seed,
-            deadline_ms=task.deadline_ms,
             cache=serving_cache,
             family_name=task.family.name,
         )
@@ -499,11 +499,7 @@ def _run_serving_cell(
                 name = policy.name
                 metrics = bridge.measured_serving_metrics(
                     winner.deployment,
-                    task.platform,
-                    process,
-                    task.duration_ms,
-                    seed=traffic_seed,
-                    deadline_ms=task.deadline_ms,
+                    scenario,
                     cache=serving_cache,
                     family_name=task.family.name,
                     policy=policy,

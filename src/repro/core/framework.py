@@ -294,17 +294,10 @@ class MapAndConquer:
         (default: p99 latency under traffic), best first.  See
         :func:`repro.serving.bridge.rank_under_traffic`.
         """
-        from ..serving.bridge import rank_under_traffic
+        from ..serving.bridge import ReplayScenario, rank_under_traffic
 
-        return rank_under_traffic(
-            list(candidates),
-            self.platform,
-            workload,
-            duration_ms=duration_ms,
-            metric=metric,
-            seed=seed,
-            deadline_ms=deadline_ms,
-        )
+        scenario = ReplayScenario(self.platform, workload, duration_ms, seed, deadline_ms)
+        return rank_under_traffic(list(candidates), scenario, metric=metric)
 
     # -- cross-platform campaigns -----------------------------------------------------
     def _campaign_keywords(self, method: str, seed: Optional[int]) -> dict:

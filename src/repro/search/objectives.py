@@ -172,7 +172,7 @@ class MeasuredWaitExtractor:
     extractor distils the candidate into a
     :class:`~repro.serving.policies.Deployment` and replays a short seeded
     traffic scenario through the deterministic event-loop simulator
-    (:func:`~repro.serving.bridge.measured_serving_metrics`), reading the
+    (:class:`~repro.serving.bridge.MeasuredReplay`), reading the
     measured ``mean_queueing_ms`` — directly comparable to the proxy, but
     aware of burst shapes, transient queue build-up and the finite horizon
     the proxy's steady-state assumption ignores.
@@ -196,10 +196,11 @@ class MeasuredWaitExtractor:
     unmemoised extractor.  The memo holds candidates through weak references
     (it never keeps a search's candidates alive) and, since
     ``EvaluatedConfig`` compares by identity, keys them by identity.  Its
-    replays share one scenario, prepared once per extractor: the request
-    stream is generated once and the scenario half of every key is derived
-    once.  Memo and scenario stay out of ``repr``, equality, the hash and
-    fingerprints, and are not pickled: a clone starts empty.
+    replays share one :class:`~repro.serving.bridge.ReplayScenario`, built
+    once per extractor from its fields: the request stream is generated once
+    and the scenario half of every key is derived once.  Memo and scenario
+    stay out of ``repr``, equality, the hash and fingerprints, and are not
+    pickled: a clone starts empty.
     """
 
     platform: object
@@ -216,21 +217,16 @@ class MeasuredWaitExtractor:
     def __call__(self, item: EvaluatedConfig) -> float:
         replay = self._replays.get(item)
         if replay is None:
-            from ..serving.bridge import MeasuredReplay, _Scenario
+            from ..serving.bridge import MeasuredReplay, ReplayScenario
 
             scenario = self._scenario
             if scenario is None:
-                scenario = _Scenario(
-                    self.platform,
-                    self.workload,
-                    self.duration_ms,
-                    self.traffic_seed,
-                    None,
-                    "static",
+                scenario = ReplayScenario(
+                    self.platform, self.workload, self.duration_ms, self.traffic_seed
                 )
                 object.__setattr__(self, "_scenario", scenario)
-            replay = self._replays[item] = MeasuredReplay._under(
-                scenario, item, self.cache, self.family_name
+            replay = self._replays[item] = MeasuredReplay(
+                item, scenario, self.cache, self.family_name
             )
         return replay.metrics().mean_queueing_ms
 

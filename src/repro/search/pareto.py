@@ -223,7 +223,8 @@ def select_measured_serving(
 
     Sibling of :func:`select_serving_oriented` with the M/D/1 proxy replaced
     by the traffic simulator: each candidate is distilled into a deployment
-    and the family's busiest member under ``seed`` is replayed through it
+    and the family's busiest member under ``seed`` is replayed through it in
+    one shared :class:`~repro.serving.bridge.ReplayScenario`
     (:func:`~repro.serving.bridge.measured_serving_metrics`), minimising the
     accuracy-penalised measured sojourn time — service latency plus the
     *simulated* mean queueing wait.  Passing the
@@ -231,7 +232,7 @@ def select_measured_serving(
     ``measured_serving_objectives`` search makes the selection free: every
     front member was already simulated during the search.
     """
-    from ..serving.bridge import measured_serving_metrics
+    from ..serving.bridge import ReplayScenario, measured_serving_metrics
     from ..serving.families import WorkloadFamily
 
     if not evaluated:
@@ -244,19 +245,14 @@ def select_measured_serving(
     _, workload, traffic_seed = family.peak_member(
         int(seed), int(members), probe_ms=float(duration_ms)
     )
+    scenario = ReplayScenario(platform, workload, float(duration_ms), traffic_seed)
     candidates = _filter_by_accuracy_drop(evaluated, max_accuracy_drop)
 
     def measured_sojourn(item: EvaluatedConfig) -> float:
         accuracy = max(1e-3, item.accuracy)
         accuracy_term = item.dynamic_network.network.base_accuracy / accuracy
         metrics = measured_serving_metrics(
-            item,
-            platform,
-            workload,
-            float(duration_ms),
-            seed=traffic_seed,
-            cache=cache,
-            family_name=family.name,
+            item, scenario, cache=cache, family_name=family.name
         )
         return (item.latency_ms + metrics.mean_queueing_ms) * accuracy_term
 

@@ -17,9 +17,13 @@ request at a time" idealisation.  Exits stay ideal, as in the paper
 * :mod:`repro.serving.metrics` -- tail latency, throughput, deadline misses,
   utilisation, energy, JSONL trace export,
 * :mod:`repro.serving.bridge` -- re-rank ``MapAndConquer.search`` results by
-  simulated p99-under-traffic instead of isolated averages, and
-  :func:`~repro.serving.bridge.measured_serving_metrics`, the
-  simulate-one-deployment primitive behind the measured search objectives,
+  simulated p99-under-traffic instead of isolated averages, in one
+  :class:`~repro.serving.bridge.ReplayScenario` (platform, workload, replay
+  budget, traffic seed, deadline; its stream generated once for every
+  candidate and policy), and
+  :func:`~repro.serving.bridge.measured_serving_metrics`, the cache-aware
+  replay of one deployment in a scenario behind the measured search
+  objectives,
 * :mod:`repro.serving.result_cache` -- :class:`ServingResultCache`, the
   content-keyed JSONL-persistent cache of simulated serving outcomes that
   keeps measured-objective searches within a small factor of proxy cost,
@@ -36,6 +40,7 @@ request at a time" idealisation.  Exits stay ideal, as in the paper
 """
 
 from .bridge import (
+    ReplayScenario,
     TrafficRanking,
     measured_serving_metrics,
     rank_under_traffic,
@@ -123,6 +128,7 @@ __all__ = [
     "ServingResultCache",
     "serving_digest",
     "deployment_digest",
+    "ReplayScenario",
     "measured_serving_metrics",
     "TrafficSimulator",
     "ServingResult",

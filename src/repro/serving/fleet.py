@@ -39,11 +39,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from ..utils import check_fraction, check_positive
-from .bridge import _resolve_requests, simulate_deployment
+from .bridge import simulate_deployment
 from .metrics import write_trace_jsonl
 from .policies import Deployment
 from .simulator import ServingResult
-from .workload import ArrivalProcess, Request
+from .workload import ArrivalProcess, Request, _resolve_requests
 
 __all__ = [
     "FleetInstance",

@@ -8,8 +8,9 @@ deployment every time would make measured search orders of magnitude slower
 than the M/D/1 proxy; the :class:`ServingResultCache` makes each distinct
 replay happen exactly once.  The objective's extractor derives one key per
 candidate per bound objective set (it keeps the candidate's
-:class:`~repro.serving.bridge.MeasuredReplay`, and hashes the scenario half
-of the key once for all its candidates) and makes one lookup per
+:class:`~repro.serving.bridge.MeasuredReplay`, and its
+:class:`~repro.serving.bridge.ReplayScenario` hashes the scenario half of
+the key once for all its candidates) and makes one lookup per
 interrogation, so hit/miss statistics and :class:`ServingCacheRecorder`
 counts tally interrogations, exactly as if every one re-derived its key.
 
@@ -129,8 +130,9 @@ def _scenario_suffix(
     """The scenario half of a :func:`serving_digest` payload.
 
     Everything after the deployment digest: the lines every candidate
-    replayed under one scenario shares, so a measured objective derives them
-    once (:class:`~repro.serving.bridge.MeasuredReplay`).
+    replayed under one scenario shares, so a
+    :class:`~repro.serving.bridge.ReplayScenario` derives them once.  The
+    policy tag is the last line.
     """
     if duration_ms is None:
         raise ConfigurationError(

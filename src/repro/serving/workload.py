@@ -263,6 +263,24 @@ class MultiTenantStream(ArrivalProcess):
         raise NotImplementedError("MultiTenantStream overrides generate() directly")
 
 
+def _resolve_requests(
+    workload: ArrivalProcess | Sequence[Request],
+    duration_ms: Optional[float],
+    seed,
+) -> Tuple[Request, ...]:
+    """The request stream ``workload`` replays: generated, or the given requests."""
+    if isinstance(workload, ArrivalProcess):
+        if duration_ms is None:
+            raise ConfigurationError(
+                "duration_ms is required when passing an ArrivalProcess"
+            )
+        return workload.generate(duration_ms, seed=seed)
+    requests = tuple(workload)
+    if not requests:
+        raise ConfigurationError("the request stream is empty")
+    return requests
+
+
 def _poisson_times(
     rng: np.random.Generator, rate_rps: float, start_ms: float, end_ms: float
 ) -> np.ndarray:

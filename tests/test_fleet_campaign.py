@@ -293,6 +293,38 @@ class TestRanking:
         with pytest.raises(ConfigurationError):
             fleet.ranking("nonexistent")
 
+    def test_instances_rebuild_each_mix_fleet(self, fleet):
+        from repro.campaign.fleet_runner import _FleetCellTask, _run_fleet_cell
+
+        family = _families()[0]
+        for mix in fleet.mixes:
+            instances = fleet.instances(mix.name)
+            assert len(instances) == mix.total_instances
+            for instance in instances:
+                key = (instance.platform.name, mix.selection)
+                assert instance.deployment == fleet.deployments[key]
+                assert instance.boot_ms == mix.boot_ms
+            # The rebuilt fleet replays the cell the campaign recorded.
+            task = _FleetCellTask(
+                mix_name=mix.name,
+                family=family,
+                instances=instances,
+                router=mix.router,
+                autoscaler=mix.autoscaler,
+                members=fleet.members_per_family,
+                duration_ms=fleet.duration_ms,
+                p99_slo_ms=fleet.p99_slo_ms,
+                deadline_ms=None,
+                seed=fleet.seed,
+                shed_backlog_ms=mix.shed_backlog_ms,
+            )
+            assert _run_fleet_cell(task, None, None) == fleet.cell(mix.name, family.name)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^no fleet mix 'nonexistent'; have mixes \['xavier-solo', 'hetero'\]$",
+        ):
+            fleet.instances("nonexistent")
+
     def test_report_renders_every_cell(self, fleet):
         table = fleet_table(fleet)
         summary = fleet_summary(fleet)

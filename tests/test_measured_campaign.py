@@ -452,10 +452,10 @@ class TestDegenerateCells:
         """End to end: one platform sheds everything, the campaign survives."""
         real = bridge_module.measured_serving_metrics
 
-        def drowning(deployment, platform, process, duration_ms, **kwargs):
-            if platform.name == "mobile-big-little":
-                return ServingMetrics.degenerate("static(shed)", duration_ms)
-            return real(deployment, platform, process, duration_ms, **kwargs)
+        def drowning(deployment, scenario, **kwargs):
+            if scenario.platform.name == "mobile-big-little":
+                return ServingMetrics.degenerate("static(shed)", scenario.duration_ms)
+            return real(deployment, scenario, **kwargs)
 
         # Patched at its single definition: it drowns the static ranking
         # (through rank_under_traffic) and the adaptive replays alike.

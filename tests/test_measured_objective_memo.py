@@ -27,7 +27,7 @@ from repro.search.objectives import (
     measured_serving_objectives,
 )
 from repro.serving import ArrivalProcess
-from repro.serving.bridge import measured_serving_metrics
+from repro.serving.bridge import ReplayScenario, measured_serving_metrics
 from repro.serving.families import SteadyPoissonFamily
 from repro.serving.result_cache import ServingCacheRecorder, ServingResultCache
 from repro.soc.presets import get_platform
@@ -42,10 +42,9 @@ class PerCallWaitExtractor(MeasuredWaitExtractor):
     def __call__(self, item):
         metrics = measured_serving_metrics(
             item,
-            self.platform,
-            self.workload,
-            self.duration_ms,
-            seed=self.traffic_seed,
+            ReplayScenario(
+                self.platform, self.workload, self.duration_ms, seed=self.traffic_seed
+            ),
             cache=self.cache,
             family_name=self.family_name,
         )

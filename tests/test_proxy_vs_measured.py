@@ -33,7 +33,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.serving.bridge import measured_serving_metrics
+from repro.serving.bridge import ReplayScenario, measured_serving_metrics
 from repro.serving.policies import Deployment
 from repro.serving.workload import PoissonArrivals
 from repro.soc.presets import get_platform
@@ -116,7 +116,7 @@ class TestProxyMeasuredAgreement:
         assume(all(b >= 1.15 * a for a, b in zip(ordered, ordered[1:])))
         measured_waits = [
             measured_serving_metrics(
-                d, PLATFORM, workload, 4000.0, seed=seed
+                d, ReplayScenario(PLATFORM, workload, 4000.0, seed=seed)
             ).mean_queueing_ms
             for d in deployments
         ]
@@ -139,7 +139,8 @@ class TestProxyMeasuredAgreement:
         rate_rps = 0.2 * 1000.0 / deployment.bottleneck_busy_ms
         proxy = deployment.expected_wait_ms(rate_rps)
         measured = measured_serving_metrics(
-            deployment, PLATFORM, PoissonArrivals(rate_rps=rate_rps), 3000.0, seed=seed
+            deployment,
+            ReplayScenario(PLATFORM, PoissonArrivals(rate_rps=rate_rps), 3000.0, seed=seed),
         ).mean_queueing_ms
         assert 0.0 <= proxy < deployment.bottleneck_busy_ms
         assert 0.0 <= measured < 10.0 * deployment.bottleneck_busy_ms
@@ -166,10 +167,10 @@ class TestInversionRegimes:
 
         workload = PoissonArrivals(rate_rps=rate_rps)
         short = measured_serving_metrics(
-            deployment, PLATFORM, workload, 1000.0, seed=0
+            deployment, ReplayScenario(PLATFORM, workload, 1000.0, seed=0)
         ).mean_queueing_ms
         long = measured_serving_metrics(
-            deployment, PLATFORM, workload, 4000.0, seed=0
+            deployment, ReplayScenario(PLATFORM, workload, 4000.0, seed=0)
         ).mean_queueing_ms
 
         assert math.isfinite(short) and short > 0.0
@@ -195,10 +196,12 @@ class TestInversionRegimes:
         assert math.isfinite(proxy_slow)
 
         measured_fast = measured_serving_metrics(
-            fast_saturated, PLATFORM, PoissonArrivals(rate_rps=fast_rate), 500.0, seed=0
+            fast_saturated,
+            ReplayScenario(PLATFORM, PoissonArrivals(rate_rps=fast_rate), 500.0, seed=0),
         ).mean_queueing_ms
         measured_slow = measured_serving_metrics(
-            slow_stable, PLATFORM, PoissonArrivals(rate_rps=slow_rate), 500.0, seed=0
+            slow_stable,
+            ReplayScenario(PLATFORM, PoissonArrivals(rate_rps=slow_rate), 500.0, seed=0),
         ).mean_queueing_ms
 
         assert measured_fast < measured_slow, (

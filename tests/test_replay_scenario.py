@@ -1,13 +1,14 @@
-"""The replay scenario a measured objective prepares once, against the per-key path.
+"""The replay scenario, prepared once for every replay made in it, against the per-key path.
 
-:class:`~repro.search.objectives.MeasuredWaitExtractor` keeps one private
-scenario for all its candidates: the request stream is generated on the
+A :class:`~repro.serving.bridge.ReplayScenario` serves every candidate and
+policy replayed in it (a measured objective's candidates, a serving-cell
+member's ranking and policy replays): the request stream is generated on the
 first replay, and the scenario half of every serving-cache key (everything
-after the deployment digest) is derived once.  That is only
-legal if every key stays byte-identical to
-:func:`~repro.serving.result_cache.serving_digest`, the scenario never
-travels with a pickled or copied extractor, and every error is raised as the
-per-call path raised it.
+after the deployment digest, but for the policy tag) is derived once.  That
+is only legal if every key stays byte-identical to
+:func:`~repro.serving.result_cache.serving_digest` under every policy tag,
+the scenario never travels with a pickled or copied extractor, and every
+error is raised as the per-call path raised it.
 """
 
 from __future__ import annotations
@@ -20,19 +21,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.serving_runner import _policy_front_tag
+from repro.campaign.serving_runner import (
+    _policy_front_tag,
+    _run_serving_cell,
+    _ServingCellTask,
+)
 from repro.errors import ConfigurationError
 from repro.search.objectives import MeasuredWaitExtractor, measured_serving_objectives
 from repro.serving import (
+    POLICY_KINDS,
     ArrivalProcess,
     Deployment,
     MultiTenantStream,
     PoissonArrivals,
+    ReplayScenario,
     ServingResultCache,
     SteadyPoissonFamily,
     measured_serving_metrics,
+    rank_under_traffic,
 )
-from repro.serving.bridge import MeasuredReplay, _Scenario
+from repro.serving.bridge import MeasuredReplay
 from repro.serving.result_cache import serving_digest
 from repro.soc import mobile_big_little
 from repro.soc.platform import jetson_agx_xavier
@@ -82,14 +90,14 @@ class TestScenarioKeys:
         duration_ms=st.sampled_from([400.0, 1000, 2.5e3]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         deadline_ms=st.sampled_from([None, 35.0, 60]),
-        kind=st.sampled_from(["static", "switcher", "dvfs-governor"]),
     )
     def test_keys_equal_serving_digest(
-        self, deployment, front, workload, duration_ms, seed, deadline_ms, kind
+        self, deployment, front, workload, duration_ms, seed, deadline_ms
     ):
         cache = ServingResultCache()
-        for tag in ("static", _policy_front_tag(kind, front)):
-            scenario = _Scenario(XAVIER, workload, duration_ms, seed, deadline_ms, tag)
+        # One scenario serves the static ranking and every policy replay.
+        scenario = ReplayScenario(XAVIER, workload, duration_ms, seed, deadline_ms)
+        for tag in ("static", *(_policy_front_tag(kind, front) for kind in POLICY_KINDS)):
             expected = [
                 serving_digest(
                     member,
@@ -102,23 +110,20 @@ class TestScenarioKeys:
                 )
                 for member in [deployment, *front]
             ]
-            # Twice over: the second pass reads the suffix the first derived.
+            # Twice over: the second pass reads the prefix the first derived.
             for _ in range(2):
-                assert [scenario.key(member) for member in [deployment, *front]] == expected
+                assert [scenario.key(member, tag) for member in [deployment, *front]] == expected
             per_call = MeasuredReplay(
                 deployment,
-                XAVIER,
-                workload,
-                duration_ms,
-                seed=seed,
-                deadline_ms=deadline_ms,
+                ReplayScenario(XAVIER, workload, duration_ms, seed, deadline_ms),
                 cache=cache,
                 policy_tag=tag,
             )
             assert per_call._key == expected[0]
+            shared = MeasuredReplay(deployment, scenario, cache, "family", policy_tag=tag)
+            assert shared._key == expected[0]
             if tag == "static":
-                shared = MeasuredReplay._under(scenario, deployment, cache, "family")
-                assert shared._key == expected[0]
+                assert scenario.key(deployment) == expected[0]
 
     def test_pinned_key_through_the_scenario(self):
         # The deployment and digest of
@@ -132,7 +137,7 @@ class TestScenarioKeys:
             dvfs_scales=(1.0, 0.8),
         )
         member = SteadyPoissonFamily(rate_rps=40.0).expand(seed=0, n=1)[0]
-        scenario = _Scenario(jetson_agx_xavier(), member, 400.0, 3, None, "static")
+        scenario = ReplayScenario(jetson_agx_xavier(), member, 400.0, 3)
         assert scenario.key(deployment) == (
             "87cbf678550635a888000f0377879617542ed43fcf95701715a8636c947bf123"
         )
@@ -191,6 +196,54 @@ class TestExtractorScenario:
         assert scenarios == {id(extractor._scenario)}
 
 
+class TestOneStreamPerMember:
+    """Every replay in one scenario reads the stream it generated once."""
+
+    @pytest.fixture()
+    def generated(self, monkeypatch):
+        calls = []
+        real = ArrivalProcess.generate
+
+        def counting(self, duration_ms, seed=0):
+            calls.append((repr(self), seed))
+            return real(self, duration_ms, seed=seed)
+
+        monkeypatch.setattr(ArrivalProcess, "generate", counting)
+        return calls
+
+    def test_a_ranking_generates_once(
+        self, generated, platform, tiny_config_evaluator, tiny_space
+    ):
+        front = _candidates(tiny_config_evaluator, tiny_space, count=4)
+        cache = ServingResultCache()
+        scenario = ReplayScenario(platform, PoissonArrivals(30.0), 400.0, seed=3)
+        ranked = rank_under_traffic(front, scenario, cache=cache)
+        assert len(ranked) == len(front)
+        assert cache.stats.misses >= 3  # every miss replays the one stream
+        assert generated == [(repr(PoissonArrivals(30.0)), 3)]
+
+    def test_a_serving_cell_generates_one_stream_per_member(
+        self, generated, platform, tiny_config_evaluator, tiny_space
+    ):
+        members = 2
+        task = _ServingCellTask(
+            platform=platform,
+            family=SteadyPoissonFamily(rate_rps=40.0),
+            front=tuple(_candidates(tiny_config_evaluator, tiny_space, count=4)),
+            members=members,
+            duration_ms=400.0,
+            metric="p99_latency_ms",
+            deadline_ms=None,
+            seed=0,
+            policies=POLICY_KINDS,
+        )
+        cache = ServingResultCache()
+        cell = _run_serving_cell(task, None, cache)
+        assert len(cell.policy_outcomes) == members * len(POLICY_KINDS)
+        assert cache.stats.misses > members
+        assert len(generated) <= members
+
+
 class TestErrorsAsBefore:
     """Each message is the one the per-call path raised, at the same call."""
 
@@ -210,7 +263,9 @@ class TestErrorsAsBefore:
     @pytest.mark.parametrize("cached", [False, True])
     def test_empty_generated_stream(self, deployment, cached):
         cache = ServingResultCache() if cached else None
-        replay = MeasuredReplay(deployment, XAVIER, _Silent(), 400.0, seed=1, cache=cache)
+        replay = MeasuredReplay(
+            deployment, ReplayScenario(XAVIER, _Silent(), 400.0, seed=1), cache=cache
+        )
         for _ in range(2):  # every replay fails the same way
             with pytest.raises(ConfigurationError) as raised:
                 replay.metrics()
@@ -218,7 +273,9 @@ class TestErrorsAsBefore:
         if cached:
             assert cache.stats.misses == 2 and len(cache) == 0
         with pytest.raises(ConfigurationError) as raised:
-            measured_serving_metrics(deployment, XAVIER, _Silent(), 400.0, cache=cache)
+            measured_serving_metrics(
+                deployment, ReplayScenario(XAVIER, _Silent(), 400.0), cache=cache
+            )
         assert str(raised.value) == self.EMPTY
 
     def test_empty_generated_stream_through_the_extractor(
@@ -238,7 +295,7 @@ class TestErrorsAsBefore:
         assert extractor.cache.stats.misses == 2
 
     def test_empty_request_tuple(self, deployment):
-        replay = MeasuredReplay(deployment, XAVIER, (), 400.0)
+        replay = MeasuredReplay(deployment, ReplayScenario(XAVIER, (), 400.0))
         with pytest.raises(ConfigurationError) as raised:
             replay.metrics()
         assert str(raised.value) == "the request stream is empty"
@@ -246,7 +303,9 @@ class TestErrorsAsBefore:
     def test_cached_replay_without_a_duration_fails_at_construction(self, deployment):
         with pytest.raises(ConfigurationError) as raised:
             MeasuredReplay(
-                deployment, XAVIER, PoissonArrivals(40.0), None, cache=ServingResultCache()
+                deployment,
+                ReplayScenario(XAVIER, PoissonArrivals(40.0), None),
+                cache=ServingResultCache(),
             )
         assert str(raised.value) == (
             "a cached replay needs duration_ms: the replay budget is part of the "
@@ -254,14 +313,16 @@ class TestErrorsAsBefore:
         )
 
     def test_uncached_process_without_a_duration_fails_at_the_replay(self, deployment):
-        replay = MeasuredReplay(deployment, XAVIER, PoissonArrivals(40.0), None)
+        replay = MeasuredReplay(deployment, ReplayScenario(XAVIER, PoissonArrivals(40.0)))
         with pytest.raises(ConfigurationError) as raised:
             replay.metrics()
         assert str(raised.value) == "duration_ms is required when passing an ArrivalProcess"
-        # No key, so the scenario never derived the suffix that would raise.
-        assert replay._key is None and replay._scenario._suffix is None
+        # No key, so the scenario never derived the prefix that would raise.
+        assert replay._key is None and replay._scenario._prefix is None
 
     def test_unknown_unit_fails_at_the_replay(self, deployment):
-        replay = MeasuredReplay(deployment, mobile_big_little(), PoissonArrivals(40.0), 400.0)
+        replay = MeasuredReplay(
+            deployment, ReplayScenario(mobile_big_little(), PoissonArrivals(40.0), 400.0)
+        )
         with pytest.raises(ConfigurationError, match="unknown compute unit 'gpu'"):
             replay.metrics()

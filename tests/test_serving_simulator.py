@@ -36,6 +36,7 @@ from repro.serving import (
     MultiTenantStream,
     OnOffBursts,
     PoissonArrivals,
+    ReplayScenario,
     Request,
     ServingPolicy,
     ServingResult,
@@ -291,22 +292,16 @@ class TestBridge:
         )
         rankings = rank_under_traffic(
             [cramped, spacious],
-            platform,
-            PoissonArrivals(40.0),
-            duration_ms=20_000.0,
+            ReplayScenario(platform, PoissonArrivals(40.0), duration_ms=20_000.0, seed=0),
             metric="p99_latency_ms",
-            seed=0,
         )
         assert rankings[0].deployment.name == "spacious"
         assert rankings[0].score("p99_latency_ms") <= rankings[1].score("p99_latency_ms")
         # Ranking by energy flips the order at this load.
         by_energy = rank_under_traffic(
             [cramped, spacious],
-            platform,
-            PoissonArrivals(10.0),
-            duration_ms=20_000.0,
+            ReplayScenario(platform, PoissonArrivals(10.0), duration_ms=20_000.0, seed=0),
             metric="energy_per_request_mj",
-            seed=0,
         )
         assert by_energy[0].deployment.name == "cramped"
 
@@ -318,10 +313,12 @@ class TestBridge:
             for seed in range(4)
         ]
         scenario = dict(duration_ms=2000.0, seed=3)
-        fresh = rank_under_traffic(front, platform, PoissonArrivals(30.0), **scenario)
+        fresh = rank_under_traffic(
+            front, ReplayScenario(platform, PoissonArrivals(30.0), **scenario)
+        )
         cache = ServingResultCache()
         cached = rank_under_traffic(
-            front, platform, PoissonArrivals(30.0), cache=cache, **scenario
+            front, ReplayScenario(platform, PoissonArrivals(30.0), **scenario), cache=cache
         )
         assert [r.candidate for r in cached] == [r.candidate for r in fresh]
         assert [r.deployment.name for r in cached] == [
@@ -330,7 +327,7 @@ class TestBridge:
         assert [r.metrics for r in cached] == [r.metrics for r in fresh]
         misses = cache.stats.misses
         again = rank_under_traffic(
-            front, platform, PoissonArrivals(30.0), cache=cache, **scenario
+            front, ReplayScenario(platform, PoissonArrivals(30.0), **scenario), cache=cache
         )
         assert cache.stats.misses == misses
         assert [r.metrics for r in again] == [r.metrics for r in fresh]
@@ -359,27 +356,27 @@ class TestBridge:
         scenario = dict(duration_ms=replay.duration_ms, seed=replay.traffic_seed)
         misses = cache.stats.misses
         ranked = rank_under_traffic(
-            front, platform, replay.workload, cache=cache, **scenario
+            front, ReplayScenario(platform, replay.workload, **scenario), cache=cache
         )
         assert cache.stats.misses == misses  # every candidate was a hit
         for ranking in ranked:
             assert ranking.deployment.name.startswith("pareto-")
             assert ranking.metrics.policy == f"static({ranking.deployment.name})"
-        fresh = rank_under_traffic(front, platform, replay.workload, **scenario)
+        fresh = rank_under_traffic(front, ReplayScenario(platform, replay.workload, **scenario))
         assert [r.metrics for r in ranked] == [r.metrics for r in fresh]
 
     def test_cached_ranking_needs_a_replay_budget(self, platform, cascade, monkeypatch):
         """Both cached entry points name ``duration_ms`` before simulating.
 
         The check lives once, in the cache key.  Regression:
-        ``measured_serving_metrics(..., duration_ms=None, cache=...)`` used to
+        ``measured_serving_metrics`` with ``duration_ms=None`` and a cache used to
         fail there with a raw ``TypeError``.  Without a cache the stream
         simply replays until it drains.
         """
         import repro.serving.bridge as bridge_module
 
         requests = ConstantRate(10.0).generate(500.0, seed=0)
-        drained = measured_serving_metrics(cascade, platform, requests, None)
+        drained = measured_serving_metrics(cascade, ReplayScenario(platform, requests))
         assert drained.num_requests == len(requests)
 
         def never(*args, **kwargs):
@@ -392,15 +389,19 @@ class TestBridge:
             "the serving-cache key$"
         )
         with pytest.raises(ConfigurationError, match=message):
-            rank_under_traffic([cascade], platform, requests, duration_ms=None, cache=cache)
+            rank_under_traffic(
+                [cascade], ReplayScenario(platform, requests, duration_ms=None), cache=cache
+            )
         with pytest.raises(ConfigurationError, match=message):
-            measured_serving_metrics(cascade, platform, requests, None, cache=cache)
+            measured_serving_metrics(cascade, ReplayScenario(platform, requests), cache=cache)
         assert len(cache) == 0 and cache.stats.misses == 0
 
     def test_rank_rejects_unknown_metric(self, platform, cascade):
         with pytest.raises(ConfigurationError):
             rank_under_traffic(
-                [cascade], platform, PoissonArrivals(10.0), duration_ms=1000.0, metric="nope"
+                [cascade],
+                ReplayScenario(platform, PoissonArrivals(10.0), duration_ms=1000.0),
+                metric="nope",
             )
 
     def test_rank_rejects_misspelled_metric(self, platform, cascade):
@@ -408,9 +409,7 @@ class TestBridge:
         with pytest.raises(ConfigurationError, match="p99_latencyms"):
             rank_under_traffic(
                 [cascade],
-                platform,
-                PoissonArrivals(10.0),
-                duration_ms=1000.0,
+                ReplayScenario(platform, PoissonArrivals(10.0), duration_ms=1000.0),
                 metric="p99_latencyms",
             )
 
@@ -420,15 +419,13 @@ class TestBridge:
             with pytest.raises(ConfigurationError):
                 rank_under_traffic(
                     [cascade],
-                    platform,
-                    PoissonArrivals(10.0),
-                    duration_ms=1000.0,
+                    ReplayScenario(platform, PoissonArrivals(10.0), duration_ms=1000.0),
                     metric=metric,
                 )
 
     def test_score_rejects_misspelled_metric(self, platform, cascade):
         rankings = rank_under_traffic(
-            [cascade], platform, PoissonArrivals(10.0), duration_ms=1000.0, seed=0
+            [cascade], ReplayScenario(platform, PoissonArrivals(10.0), duration_ms=1000.0, seed=0)
         )
         with pytest.raises(ConfigurationError):
             rankings[0].score("p99_latencyms")
