@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import MapAndConquer, jetson_agx_xavier, visformer
 from repro.core.report import format_table
-from repro.dynamics import AccuracyModel, ThresholdExitController
+from repro.dynamics import ThresholdExitController
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     result = framework.search(generations=15, population_size=20, seed=0)
     best = framework.select_energy_oriented(result.pareto, max_accuracy_drop=0.02)
-    stage_accuracies = AccuracyModel().stage_accuracies(best.dynamic_network)
+    stage_accuracies = best.inference.exit_statistics.stage_accuracies
 
     rows = [
         {

@@ -51,6 +51,19 @@ two groups.  On load:
   skipped and logged, never fatal; a line of an **older format version** is
   logged as such and never restored, so its cell re-runs.
 
+Format versions
+---------------
+* **1** — kind, seed, fingerprint, cell key, metrics and payload.
+* **2** — adds the per-field digests, so a mismatch names what changed.
+* **3** (current) — a search cell's results no longer carry the
+  :class:`~repro.nn.multiexit.DynamicNetwork` they were built from, only
+  its ``base_accuracy``
+  (:class:`~repro.search.evaluation.EvaluatedConfig`).
+
+A version-1 or version-2 line is counted as an older format, logged as such
+and never unpickled: every cell it holds re-runs, and the re-run writes a
+current line, so the rendered summary is byte-identical to a fresh run.
+
 .. warning::
    The payload is a pickle, exactly like the evaluation cache's: only load
    checkpoint files you wrote yourself or obtained from a trusted source.
@@ -80,9 +93,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Format marker written into every persisted line; bump on layout changes.
-#: Version 2 added the per-field digests; version-1 lines re-run their cells.
-_CHECKPOINT_VERSION = 2
+#: Format marker written into every persisted line; bump on layout changes
+#: (the history is in the module docstring).  Older lines re-run their cells.
+_CHECKPOINT_VERSION = 3
 
 #: A search cell's identity within one campaign grid: (platform, scenario).
 CellKey = Tuple[str, str]

@@ -14,6 +14,14 @@ between processes.  The file is a :class:`~repro.jsonl_store.JsonlStore`:
 each line carries a human-readable metric summary next to an opaque pickled
 payload, so cache files double as a flat log of everything ever evaluated.
 
+Format versions: **1** stored each result with the
+:class:`~repro.nn.multiexit.DynamicNetwork` it was built from; **2**
+(current) stores only the result's numbers and the network's
+``base_accuracy`` (:class:`~repro.search.evaluation.EvaluatedConfig`).  A
+line of an older version is counted and logged as an older format and never
+unpickled, so its digest misses and a search re-evaluates that
+configuration.
+
 .. warning::
    The payload is a pickle: loading a cache file deserialises it with
    :func:`pickle.loads`, which can execute arbitrary code.  Only open cache
@@ -36,8 +44,9 @@ __all__ = ["CacheStats", "EvaluationCache"]
 
 logger = logging.getLogger(__name__)
 
-#: Format marker written into every persisted line; bump on layout changes.
-_PERSIST_VERSION = 1
+#: Format marker written into every persisted line; bump on layout changes
+#: (the history is in the module docstring).  Older lines are not loaded.
+_PERSIST_VERSION = 2
 
 
 @dataclass

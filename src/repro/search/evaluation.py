@@ -51,6 +51,15 @@ __all__ = ["EvaluatedConfig", "ConfigEvaluator"]
 class EvaluatedConfig:
     """A configuration together with everything the search needs to rank it.
 
+    A result is content: the configuration, its hardware profile (stage
+    latencies and energies, Eq. 13/14), the simulated dynamic inference
+    (exit statistics and stage accuracies) and the network's pretrained
+    ``base_accuracy`` (the ``Acc_base`` of Eq. 16).  The
+    :class:`~repro.nn.multiexit.DynamicNetwork` it was built from is not
+    kept; rebuild it with :func:`~repro.nn.multiexit.build_dynamic_network`
+    from the evaluator's inputs (its ``network``, ``config.partition``,
+    ``config.indicator``, ``ranking`` and ``reorder_channels``).
+
     Equality is identity: the evaluation cache hands out one object per
     content digest, so membership tests (``config in pareto_set``) compare
     identities instead of trying to compare the nested numpy matrices
@@ -58,9 +67,9 @@ class EvaluatedConfig:
     """
 
     config: MappingConfig
-    dynamic_network: DynamicNetwork
     profile: HardwareProfile
     inference: DynamicInferenceResult
+    base_accuracy: float
 
     # -- convenience accessors used by objectives, constraints and reports -------
     @property
@@ -105,7 +114,7 @@ class EvaluatedConfig:
     @property
     def accuracy_drop(self) -> float:
         """Accuracy drop relative to the pretrained baseline (can be negative)."""
-        return self.dynamic_network.network.base_accuracy - self.accuracy
+        return self.base_accuracy - self.accuracy
 
     def summary_row(self) -> dict:
         """Flat dictionary used by the report tables."""
@@ -297,8 +306,9 @@ class ConfigEvaluator:
     def evaluate(self, config: MappingConfig) -> EvaluatedConfig:
         """Run the full pipeline for ``config``.
 
-        Uncached: repeats are resolved by the engine's
-        :class:`~repro.engine.cache.EvaluationCache`, keyed on
+        The dynamic network is built, profiled and simulated, then let go:
+        the result keeps only the numbers.  Uncached: repeats are resolved by
+        the engine's :class:`~repro.engine.cache.EvaluationCache`, keyed on
         :meth:`content_digest`.
         """
         dynamic_network = build_dynamic_network(
@@ -322,9 +332,9 @@ class ConfigEvaluator:
         )
         return EvaluatedConfig(
             config=config,
-            dynamic_network=dynamic_network,
             profile=profile,
             inference=inference,
+            base_accuracy=self.network.base_accuracy,
         )
 
     def evaluate_many(self, configs) -> list:

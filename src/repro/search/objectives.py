@@ -60,10 +60,14 @@ __all__ = [
 _MIN_ACCURACY = 1e-3
 
 
+def _accuracy_term(evaluated: EvaluatedConfig) -> float:
+    """``Acc_base / Acc_SM`` of Eq. 16, the penalty every scalarisation applies."""
+    return evaluated.base_accuracy / max(_MIN_ACCURACY, evaluated.accuracy)
+
+
 def paper_objective(evaluated: EvaluatedConfig) -> float:
     """Composite objective of Eq. 16 (lower is better)."""
-    accuracy = max(_MIN_ACCURACY, evaluated.accuracy)
-    accuracy_term = evaluated.dynamic_network.network.base_accuracy / accuracy
+    accuracy_term = _accuracy_term(evaluated)
     statistics = evaluated.inference.exit_statistics
     profile = evaluated.profile
     latency_term = 0.0
@@ -81,16 +85,12 @@ def paper_objective(evaluated: EvaluatedConfig) -> float:
 
 def latency_oriented_objective(evaluated: EvaluatedConfig) -> float:
     """Average latency penalised by accuracy loss (used to pick "Ours-L")."""
-    accuracy = max(_MIN_ACCURACY, evaluated.accuracy)
-    accuracy_term = evaluated.dynamic_network.network.base_accuracy / accuracy
-    return evaluated.latency_ms * accuracy_term
+    return evaluated.latency_ms * _accuracy_term(evaluated)
 
 
 def energy_oriented_objective(evaluated: EvaluatedConfig) -> float:
     """Average energy penalised by accuracy loss (used to pick "Ours-E")."""
-    accuracy = max(_MIN_ACCURACY, evaluated.accuracy)
-    accuracy_term = evaluated.dynamic_network.network.base_accuracy / accuracy
-    return evaluated.energy_mj * accuracy_term
+    return evaluated.energy_mj * _accuracy_term(evaluated)
 
 
 def serving_oriented_objective(evaluated: EvaluatedConfig, rate_rps: float) -> float:
@@ -103,10 +103,8 @@ def serving_oriented_objective(evaluated: EvaluatedConfig, rate_rps: float) -> f
     """
     from ..serving.policies import Deployment
 
-    accuracy = max(_MIN_ACCURACY, evaluated.accuracy)
-    accuracy_term = evaluated.dynamic_network.network.base_accuracy / accuracy
     wait_ms = Deployment.from_evaluated(evaluated).expected_wait_ms(rate_rps)
-    return (evaluated.latency_ms + wait_ms) * accuracy_term
+    return (evaluated.latency_ms + wait_ms) * _accuracy_term(evaluated)
 
 
 def nan_guarded(
@@ -199,8 +197,9 @@ class MeasuredWaitExtractor:
     replays share one :class:`~repro.serving.bridge.ReplayScenario`, built
     once per extractor from its fields: the request stream is generated once
     and the scenario half of every key is derived once.  Memo and scenario
-    stay out of ``repr``, equality, the hash and fingerprints, and are not
-    pickled: a clone starts empty.
+    stay out of ``repr``, equality and fingerprints, and are not pickled: a
+    clone starts empty.  The extractor cannot be hashed: ``hash()`` raises
+    ``TypeError``, because its platform's compute units carry dicts.
     """
 
     platform: object
@@ -322,9 +321,11 @@ class ObjectiveSet:
 
     Each spec's ``(extractor, direction == "max")`` pair is read off once,
     into ``_readers``, so :meth:`values` calls the extractors without a
-    lookup on every spec.  ``_readers`` is out of ``repr``, equality, the
-    hash and the pickled state; an unpickled or copied set rebuilds it from
-    its own specs.
+    lookup on every spec.  ``_readers`` is out of ``repr``, equality and the
+    pickled state; an unpickled or copied set rebuilds it from its own specs.
+    A set can be hashed only when all of its extractors can: ``hash()``
+    raises ``TypeError`` on a measured set, whose extractor holds a platform.
+    Compare sets with ``==`` or by :meth:`fingerprint`.
     """
 
     specs: Tuple[ObjectiveSpec, ...]

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from ..errors import SearchError
 from .evaluation import EvaluatedConfig
 from .objectives import (
+    _accuracy_term,
     as_objective_set,
     energy_oriented_objective,
     latency_oriented_objective,
@@ -249,11 +250,9 @@ def select_measured_serving(
     candidates = _filter_by_accuracy_drop(evaluated, max_accuracy_drop)
 
     def measured_sojourn(item: EvaluatedConfig) -> float:
-        accuracy = max(1e-3, item.accuracy)
-        accuracy_term = item.dynamic_network.network.base_accuracy / accuracy
         metrics = measured_serving_metrics(
             item, scenario, cache=cache, family_name=family.name
         )
-        return (item.latency_ms + metrics.mean_queueing_ms) * accuracy_term
+        return (item.latency_ms + metrics.mean_queueing_ms) * _accuracy_term(item)
 
     return min(candidates, key=nan_guarded(measured_sojourn))

@@ -513,31 +513,6 @@ class TrafficSimulator:
             max(completion_ms),
         )
 
-    def _columns(
-        self,
-        ordered: Sequence[Request],
-        *,
-        arrival_ms: Sequence[float],
-        completion_ms: Sequence[float],
-        service_ms: Sequence[float],
-        exit_stage: Sequence[int],
-        deployment: Sequence[str],
-        correct: Sequence[bool],
-        energy_mj: Sequence[float],
-    ) -> RequestColumns:
-        """The boxed request store of a replay under this simulator's default deadline."""
-        return _request_columns(
-            ordered,
-            self.deadline_ms,
-            arrival_ms=arrival_ms,
-            completion_ms=completion_ms,
-            service_ms=service_ms,
-            exit_stage=exit_stage,
-            deployment=deployment,
-            correct=correct,
-            energy_mj=energy_mj,
-        )
-
     def _check_deployment_units(self, deployment) -> None:
         for name in deployment.unit_names:
             if name not in self.platform.unit_names:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.engine.cache import CacheStats, EvaluationCache
+from repro.engine.cache import _PERSIST_VERSION, CacheStats, EvaluationCache
 from repro.errors import ConfigurationError
 from repro.search.evaluation import ConfigEvaluator
 
@@ -242,7 +242,7 @@ class TestPersistence:
             stream.write("{not json}\n")
             stream.write(json.dumps({"version": 99, "key": "x", "payload": ""}) + "\n")
             # Valid version but no "key" field (foreign writer).
-            stream.write(json.dumps({"version": 1, "payload": "AAAA"}) + "\n")
+            stream.write(json.dumps({"version": _PERSIST_VERSION, "payload": "AAAA"}) + "\n")
             # Valid shape but the payload is not an EvaluatedConfig pickle.
             import base64
             import pickle
@@ -250,7 +250,7 @@ class TestPersistence:
             stream.write(
                 json.dumps(
                     {
-                        "version": 1,
+                        "version": _PERSIST_VERSION,
                         "key": "y",
                         "payload": base64.b64encode(pickle.dumps([1, 2])).decode(),
                     }
@@ -336,3 +336,65 @@ class TestWarmSearches:
         assert [s.best_objective for s in warm.generations] == [
             s.best_objective for s in cold.generations
         ]
+
+
+class TestOlderFormat:
+    def test_v1_lines_are_ignored_and_re_evaluated(
+        self, tiny_network, platform, tmp_path, caplog
+    ):
+        """A version-1 line pickled its result with the dynamic network and no
+        ``base_accuracy``.  It is never unpickled: the reader logs an older
+        format, loads nothing, and a search evaluates every configuration
+        again, exactly as on a cold cache."""
+        import base64
+        import logging
+        import pickle
+
+        from repro.core.framework import MapAndConquer
+        from repro.nn.multiexit import build_dynamic_network
+        from repro.search.evaluation import EvaluatedConfig
+        from repro.search.objectives import paper_objective
+
+        def search():
+            framework = MapAndConquer(tiny_network, platform, seed=0)
+            result = framework.search(generations=3, population_size=8, seed=0, cache=str(path))
+            return framework, result
+
+        path = tmp_path / "cache.jsonl"
+        framework, cold = search()
+        evaluator = framework.evaluator
+        older_lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            value = pickle.loads(base64.b64decode(record["payload"]))
+            # The version-1 shape: the network in place of its base accuracy.
+            legacy = object.__new__(EvaluatedConfig)
+            legacy.__dict__.update(
+                config=value.config,
+                dynamic_network=build_dynamic_network(
+                    evaluator.network,
+                    value.config.partition,
+                    value.config.indicator,
+                    evaluator.ranking,
+                    evaluator.reorder_channels,
+                ),
+                profile=value.profile,
+                inference=value.inference,
+            )
+            record.update(version=1, payload=base64.b64encode(pickle.dumps(legacy)).decode())
+            older_lines.append(json.dumps(record))
+        path.write_text("\n".join(older_lines) + "\n", encoding="utf-8")
+
+        with caplog.at_level(logging.INFO, logger="repro.engine.cache"):
+            reader = EvaluationCache(path=path)
+        assert len(reader) == 0 and reader.stats.loaded == 0
+        assert f"ignored {cold.num_evaluations} lines of an older format" in caplog.text
+        assert "malformed" not in caplog.text
+
+        _, rerun = search()
+        assert [s.cache_hit_rate for s in rerun.generations] == [
+            s.cache_hit_rate for s in cold.generations
+        ]
+        assert paper_objective(rerun.best) == paper_objective(cold.best)
+        # The re-evaluated results were appended in the current format.
+        assert EvaluationCache(path=path).stats.loaded == cold.num_evaluations

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -582,6 +583,18 @@ def assert_identical(actual, expected):
     assert repr(actual) == repr(expected)
 
 
+def evaluated_network(evaluator, config):
+    """The dynamic network ``evaluator.evaluate(config)`` builds and lets go."""
+    return build_dynamic_network(
+        evaluator.network,
+        partition=config.partition,
+        indicator=config.indicator,
+        ranking=evaluator.ranking,
+        reorder=evaluator.reorder_channels,
+        splits=evaluator._splits,
+    )
+
+
 def check_config(evaluator, config, cost_model):
     reference = reference_build(
         evaluator.network,
@@ -606,11 +619,11 @@ def check_config(evaluator, config, cost_model):
     # Cold and warm slice table: the second evaluation hits every slice.
     for _ in range(2):
         evaluated = evaluator.evaluate(config)
-        assert_identical(evaluated.dynamic_network.stages, reference.stages)
+        assert_identical(evaluated_network(evaluator, config).stages, reference.stages)
         assert_identical(evaluated.profile, profile)
         assert_identical(evaluated.inference, inference)
     # The per-call table of the public entry points.
-    dynamic = evaluated.dynamic_network
+    dynamic = evaluated_network(evaluator, config)
     units = [evaluator.platform.unit(name) for name in config.unit_names]
     scales = [s.dvfs_scale for s in profile.stages]
     assert_identical(
@@ -700,7 +713,7 @@ class TestPerCallModels:
         for _ in range(2):
             model.calls.clear()
             evaluated = evaluator.evaluate(config)
-            stages = evaluated.dynamic_network.stages
+            stages = evaluated_network(evaluator, config).stages
             scales = [s.dvfs_scale for s in evaluated.profile.stages]
 
             def call(kind, workload, stage):
@@ -761,13 +774,19 @@ class TestCacheIdentity:
             assert first.content_digest(config) == second.content_digest(config)
 
     def test_pickled_objects_hold_only_their_fields(self, visformer_net, platform):
+        def field_names(obj):
+            return {field.name for field in dataclasses.fields(obj)}
+
         evaluator = ConfigEvaluator(visformer_net, platform, seed=0)
         for config in SearchSpace(visformer_net, platform).population(5, seed=6):
             evaluated = evaluator.evaluate(config)
-        dynamic = evaluated.dynamic_network
-
-        def field_names(obj):
-            return {field.name for field in dataclasses.fields(obj)}
+            # A result is its numbers: no network, nothing derived.
+            assert set(vars(evaluated)) == field_names(evaluated)
+            assert evaluated.base_accuracy == visformer_net.base_accuracy
+            payload = pickle.dumps(evaluated)
+            assert b"DynamicNetwork" not in payload
+            assert len(payload) <= 3_000
+        dynamic = evaluated_network(evaluator, config)
 
         assert set(vars(evaluator.ranking)) == field_names(evaluator.ranking)
         assert set(vars(dynamic)) == field_names(dynamic)

@@ -9,7 +9,7 @@ The serving campaign persists two record kinds into one JSONL checkpoint
 * a stale family definition (or a grown family list) re-runs exactly the
   affected cells instead of reusing stale records, and logs the changed
   field;
-* lines of the older checkpoint format, and search lines without the
+* lines of older checkpoint formats, and search lines without the
   ``kind`` field, are never restored: their cells re-run and the summary
   matches a fresh run;
 * a serving checkpoint written under another seed refuses to load.
@@ -243,12 +243,15 @@ class TestLegacyFormat:
 
 
 class TestOlderFormat:
-    def test_v1_checkpoint_reruns_every_cell(
-        self, tiny_network, tmp_path, monkeypatch, caplog
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_older_checkpoint_reruns_every_cell(
+        self, tiny_network, tmp_path, monkeypatch, caplog, version
     ):
-        """Version-1 lines (no per-field digests) are never restored: every
-        search and serving cell re-runs, the log calls them an older format
-        rather than damage, and the summary matches a fresh run."""
+        """Lines of an older version are never restored: version 1 (no
+        per-field digests) and version 2 (results that still held their
+        dynamic network).  Every search and serving cell re-runs, the log
+        calls them an older format rather than damage, and the summary
+        matches a fresh run."""
         import logging
 
         import repro.campaign.runner as runner
@@ -256,13 +259,14 @@ class TestOlderFormat:
 
         fresh = traffic_ranking_summary(_run(tiny_network, checkpoint_dir=tmp_path))
         path = tmp_path / CampaignCheckpoint.FILENAME
-        v1_lines = []
+        older_lines = []
         for line in path.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
-            record["version"] = 1
-            del record["fields"]
-            v1_lines.append(json.dumps(record, ensure_ascii=False))
-        path.write_text("\n".join(v1_lines) + "\n", encoding="utf-8")
+            record["version"] = version
+            if version == 1:
+                del record["fields"]
+            older_lines.append(json.dumps(record, ensure_ascii=False))
+        path.write_text("\n".join(older_lines) + "\n", encoding="utf-8")
 
         calls = []
         search_cell, serving_cell = runner._run_cell, serving_runner._run_serving_cell

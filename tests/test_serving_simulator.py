@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.dynamics.inference import simulate_dynamic_inference
 from repro.errors import ConfigurationError
+from repro.nn.multiexit import build_dynamic_network
 from repro.search.objectives import measured_serving_objectives
 from repro.serving import (
     POLICY_KINDS,
@@ -52,7 +53,7 @@ from repro.serving import (
     simulate_deployment,
     simulate_fleet,
 )
-from repro.serving.simulator import RequestColumns
+from repro.serving.simulator import RequestColumns, _request_columns
 from repro.soc import mobile_big_little
 from repro.soc.platform import jetson_agx_xavier
 from repro.utils import as_rng
@@ -165,9 +166,14 @@ class TestZeroLoadConsistency:
     ):
         """At zero contention the trace means reproduce the Table II analysis."""
         evaluated = tiny_config_evaluator.evaluate(tiny_mapping_config)
-        reference = simulate_dynamic_inference(
-            evaluated.dynamic_network, evaluated.profile
+        dynamic_network = build_dynamic_network(
+            tiny_config_evaluator.network,
+            partition=tiny_mapping_config.partition,
+            indicator=tiny_mapping_config.indicator,
+            ranking=tiny_config_evaluator.ranking,
+            reorder=tiny_config_evaluator.reorder_channels,
         )
+        reference = simulate_dynamic_inference(dynamic_network, evaluated.profile)
         deployment = Deployment.from_evaluated(evaluated)
         # One request every 5x the worst-case latency: strictly no queueing.
         gap_ms = 5.0 * reference.worst_case_latency_ms
@@ -581,8 +587,9 @@ def _replay_events(self, ordered: Sequence[Request], difficulties: Sequence[floa
                 busy[unit] = False
 
     finished.sort(key=lambda state: state.index)
-    columns = self._columns(
+    columns = _request_columns(
         ordered,
+        self.deadline_ms,
         arrival_ms=[request.arrival_ms for request in ordered],
         completion_ms=[state.completion_ms for state in finished],
         service_ms=[state.critical_service_ms for state in finished],
