@@ -75,7 +75,7 @@ from ..serving.workload import ArrivalProcess
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
 from .checkpoint import CampaignCheckpoint, CellExpectation, CellKey
-from .portability import count_surviving_on_front, translate_config, translate_front
+from .portability import count_surviving_on_front, translate_front
 
 __all__ = [
     "CampaignScenario",
@@ -821,12 +821,11 @@ def _search_campaign(
                     if cell.platform_name == target.name
                     and cell.scenario_name == scenario.name
                 )
-                transferred = [
-                    target_framework.evaluate(
-                        translate_config(item.config, source, target)
-                    )
-                    for item in source_cell.front
-                ]
+                # One batch per transfer: the oracle scores the translated
+                # front as arrays, each result equal to evaluate()'s.
+                transferred = target_framework.evaluator.evaluate_many(
+                    translate_front(source_cell.front, source, target)
+                )
                 best_cross = min(float(objective(item)) for item in transferred)
                 portability.append(
                     PortabilityEntry(

@@ -26,7 +26,7 @@ baseline 80.55 % with dynamic variants around 82-85 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
@@ -66,6 +66,15 @@ class AccuracyModel:
     redundancy: float | None = None
     exit_bonus: float | None = None
     exit_penalty: float = 0.005
+    #: Whether :meth:`stage_accuracies` maps stage coverages through
+    #: :meth:`stage_accuracies_from_coverage`.  A subclass that overrides
+    #: :meth:`stage_accuracies` is asked through it instead.
+    _from_coverage: ClassVar[bool] = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "stage_accuracies" in vars(cls):
+            cls._from_coverage = False
 
     def __post_init__(self) -> None:
         if self.redundancy is not None and self.redundancy <= 0:

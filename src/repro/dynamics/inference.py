@@ -12,7 +12,7 @@ energy ``E_{S_{1:i}}`` (Eq. 14) and experiences the makespan of the first
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..nn.multiexit import DynamicNetwork
@@ -74,7 +74,21 @@ def simulate_dynamic_inference(
             f"{dynamic_network.num_stages}"
         )
     model = accuracy_model if accuracy_model is not None else AccuracyModel()
-    stage_accuracies = model.stage_accuracies(dynamic_network)
+    return _inference_result(
+        model.stage_accuracies(dynamic_network),
+        profile,
+        dynamic_network.reuse_fraction(),
+        validation_samples,
+    )
+
+
+def _inference_result(
+    stage_accuracies: Sequence[float],
+    profile: HardwareProfile,
+    reuse_fraction: float,
+    validation_samples: int,
+) -> DynamicInferenceResult:
+    """:func:`simulate_dynamic_inference` once the stage accuracies are known."""
     statistics = compute_exit_statistics(stage_accuracies, validation_samples=validation_samples)
 
     if statistics.num_stages > profile.num_stages:
@@ -101,6 +115,6 @@ def simulate_dynamic_inference(
         expected_energy_mj=float(expected_energy),
         worst_case_latency_ms=profile.latency_ms,
         worst_case_energy_mj=profile.total_energy_mj,
-        reuse_fraction=dynamic_network.reuse_fraction(),
+        reuse_fraction=reuse_fraction,
         stored_feature_bytes=profile.stored_feature_bytes,
     )

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import ClassVar, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -85,7 +87,9 @@ class Layer:
     and delegates to a private formula on resolved ints (``_flops`` ...),
     which the built-in kinds implement.  A subclass may instead override the
     public methods (or :meth:`resolve_units`); :meth:`_slice` then prices its
-    slices through them.
+    slices through them.  Each built-in kind also writes its formulas on
+    whole arrays of units (``_formula_arrays``), which :meth:`_slice_arrays` uses
+    for that exact class only: a subclass is priced pair by pair.
     """
 
     name: str
@@ -94,6 +98,7 @@ class Layer:
     fused_overhead: float = 1.0
     kind: ClassVar[str] = ""
     _priced_by_formulas: ClassVar[bool] = True
+    _array_formulas: ClassVar[bool] = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -101,6 +106,7 @@ class Layer:
             cls.kind = cls.__name__.removesuffix("Layer").lower()
         if any(name in vars(cls) for name in _ACCOUNTING):
             cls._priced_by_formulas = False
+        cls._array_formulas = "_formula_arrays" in vars(cls)
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -183,6 +189,29 @@ class Layer:
             self.params(in_units=in_u, out_units=out_u),
         )
 
+    def _slice_arrays(self, in_units: np.ndarray, out_units: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """:meth:`_slice` of every ``(in_units[k], out_units[k])`` pair, as four arrays.
+
+        A built-in kind applies its formulas to the whole arrays, each element
+        the number its scalar formula gives, to units its caller has checked
+        as :meth:`resolve_units` checks them; any other class is priced pair
+        by pair through :meth:`_slice`, which resolves its units itself.
+        """
+        if not self._array_formulas:
+            terms = [self._slice(i, o) for i, o in zip(in_units.tolist(), out_units.tolist())]
+            return tuple(np.array(column) for column in zip(*terms))
+        flops, input_elements, output_elements, params = self._formula_arrays(in_units, out_units)
+        return (
+            flops,
+            input_elements * BYTES_PER_ELEMENT,
+            output_elements * BYTES_PER_ELEMENT,
+            params,
+        )
+
+    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(flops, input_elements, output_elements, params)`` of checked unit arrays."""
+        raise NotImplementedError
+
     def resolve_units(self, in_units: int | None, out_units: int | None) -> Tuple[int, int]:
         """Fill in defaults and validate a ``(in_units, out_units)`` pair."""
         in_u = self.in_width if in_units is None else int(in_units)
@@ -260,6 +289,16 @@ class Conv2dLayer(Layer):
         height, width = self.in_spatial
         return int(in_u * height * width)
 
+    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        in_height, in_width = self.in_spatial
+        out_height, out_width = self.out_spatial
+        return (
+            self._flops(in_u, out_u),
+            (in_u * in_height * in_width).astype(np.int64),
+            (out_u * out_height * out_width).astype(np.int64),
+            self._params(in_u, out_u),
+        )
+
 
 @dataclass(frozen=True)
 class LinearLayer(Layer):
@@ -288,6 +327,14 @@ class LinearLayer(Layer):
 
     def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
+
+    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return (
+            self._flops(in_u, out_u),
+            (self.tokens * in_u).astype(np.int64),
+            (self.tokens * out_u).astype(np.int64),
+            self._params(in_u, out_u),
+        )
 
 
 @dataclass(frozen=True)
@@ -342,6 +389,14 @@ class AttentionLayer(Layer):
     def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
 
+    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return (
+            self._flops(in_u, out_u),
+            (self.tokens * in_u).astype(np.int64),
+            (self.tokens * out_u).astype(np.int64),
+            self._params(in_u, out_u),
+        )
+
 
 @dataclass(frozen=True)
 class FeedForwardLayer(Layer):
@@ -385,3 +440,15 @@ class FeedForwardLayer(Layer):
 
     def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
+
+    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        # hidden_units on an array: round half to even, as round() does.
+        hidden = np.maximum(np.rint(out_u * self.expansion).astype(np.int64), 1)
+        first = 2.0 * self.tokens * in_u * hidden
+        second = 2.0 * self.tokens * hidden * out_u
+        return (
+            (first + second) * self.fused_overhead,
+            (self.tokens * in_u).astype(np.int64),
+            (self.tokens * out_u).astype(np.int64),
+            in_u * hidden + hidden + hidden * out_u + out_u,
+        )

@@ -12,20 +12,32 @@ features from earlier stages), its FLOPs / parameters / feature-map bytes, and
 the cross-stage bytes that must move between compute units.  These numbers
 feed the hardware model in :mod:`repro.perf` and the accuracy model in
 :mod:`repro.dynamics`.
+
+A search scores a whole generation at once: :func:`network_arrays` holds the
+same numbers for many candidates of one shape as ``(candidates, stages,
+layers)`` arrays, and :func:`stage_coverage_arrays` their exit coverages,
+each element equal to what :func:`build_dynamic_network` and
+:func:`stage_coverages` give for that candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, PartitionError
 from .channels import ChannelRanking
 from .graph import NetworkGraph
 from .layers import Layer, LinearLayer
-from .partition import IndicatorMatrix, PartitionMatrix, PartitionScheme
+from .partition import (
+    IndicatorMatrix,
+    PartitionMatrix,
+    PartitionScheme,
+    _layer_sizes,
+    _split_columns,
+)
 
 __all__ = ["SubLayer", "Stage", "DynamicNetwork", "build_dynamic_network"]
 
@@ -231,19 +243,98 @@ def build_dynamic_network(
                 zip(backbone, own, stage_inputs)
             )
         )
-        exit_head = LinearLayer(
-            name=f"exit{stage_index}",
-            width=network.num_classes,
-            in_width=exit_units[stage_index],
-            tokens=1,
-        )
-        stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=exit_head))
+        head = exit_head(network, stage_index, exit_units[stage_index])
+        stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=head))
     return DynamicNetwork(
         network=network,
         scheme=scheme,
         stages=tuple(stages),
         ranking=ranking,
         reordered=reorder and ranking is not None,
+    )
+
+
+def exit_head(network: NetworkGraph, stage_index: int, in_units: int) -> LinearLayer:
+    """The exit classifier of stage ``stage_index``, reading ``in_units`` units."""
+    return LinearLayer(
+        name=f"exit{stage_index}", width=network.num_classes, in_width=in_units, tokens=1
+    )
+
+
+class NetworkArrays(NamedTuple):
+    """Dynamic networks of one shape, as ``(candidates, stages, layers)`` arrays.
+
+    Row ``c`` holds the numbers :func:`build_dynamic_network` records for
+    candidate ``c``: every sub-layer's own output units (``channels``), its
+    indicator bit (``reused``) and its available input units (``in_units``);
+    every exit head's input units (``exit_units``) and every stage's
+    :meth:`Stage.imported_bytes` (``imported_bytes``); and the network's
+    :meth:`DynamicNetwork.stored_feature_bytes` (``stored_bytes``).
+    """
+
+    channels: np.ndarray
+    reused: np.ndarray
+    in_units: np.ndarray
+    exit_units: np.ndarray
+    imported_bytes: np.ndarray
+    stored_bytes: np.ndarray
+
+
+def network_arrays(
+    network: NetworkGraph,
+    backbone: Sequence[Layer],
+    partitions: Sequence[PartitionMatrix],
+    indicators: Sequence[IndicatorMatrix],
+    splits: Dict[tuple, Tuple[int, ...]],
+    output_bytes: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> NetworkArrays:
+    """:func:`build_dynamic_network` of many ``(P, I)`` pairs with one stage count.
+
+    ``backbone`` is ``network``'s, ``splits`` a split table, and
+    ``output_bytes(positions, units)`` sizes the output of each backbone
+    position at each unit count, as ``backbone[position].output_bytes(units)``
+    would.  The shape checks of :class:`~repro.nn.partition.PartitionScheme`
+    run per candidate, every column is split through the table, and the rest
+    is integer arithmetic, so the arrays hold exactly the build's numbers.
+    """
+    for partition, indicator in zip(partitions, indicators):
+        if partition.num_layers != len(backbone):
+            raise PartitionError(
+                f"P has {partition.num_layers} layers but the backbone of "
+                f"{network.name!r} has {len(backbone)}"
+            )
+        if indicator.values.shape != partition.values.shape:
+            raise PartitionError(
+                f"P and I must have the same shape, got {partition.values.shape} "
+                f"and {indicator.values.shape}"
+            )
+    sizes = _layer_sizes(backbone)
+    columns = np.array([partition.values for partition in partitions]).transpose(0, 2, 1)
+    shares = [_split_columns(sizes, candidate, splits) for candidate in columns.tolist()]
+    # (candidates, layers, stages) shares to (candidates, stages, layers).
+    channels = np.ascontiguousarray(np.array(shares, dtype=np.int64).transpose(0, 2, 1))
+    reused = np.array([indicator.values for indicator in indicators]) != 0
+    # What each stage forwards, and what the stages before it forwarded
+    # (Eq. 8's dependency set): stage i reads its own previous-layer output
+    # plus every earlier stage's forwarded one.
+    forwarded = channels * reused
+    available = channels + np.cumsum(forwarded, axis=1) - forwarded
+    in_units = np.empty_like(channels)
+    in_units[:, :, 0] = backbone[0].in_width
+    in_units[:, :, 1:] = available[:, :, :-1]
+    # Every forwarded output is sized once; the last layer's feeds no later
+    # layer, only the stored features.
+    positions = np.broadcast_to(np.arange(len(backbone)), channels.shape)
+    forwarded_bytes = np.zeros_like(channels)
+    forwarded_bytes[reused] = output_bytes(positions[reused], channels[reused])
+    per_stage = forwarded_bytes[:, :, :-1].sum(axis=2)
+    return NetworkArrays(
+        channels=channels,
+        reused=reused,
+        in_units=in_units,
+        exit_units=available[:, :, -1],
+        imported_bytes=np.cumsum(per_stage, axis=1) - per_stage,
+        stored_bytes=forwarded_bytes[:, :-1, :].sum(axis=(1, 2)),
     )
 
 
@@ -305,3 +396,36 @@ def stage_coverages(
     # One reduction for every stage: the mean along a row of the 2-D array
     # sums that row exactly as the 1-D mean of the row would.
     return np.mean(rows, axis=1).tolist()
+
+
+def stage_coverage_arrays(
+    arrays: NetworkArrays,
+    widths: Sequence[int],
+    curves: Optional[Tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """:func:`stage_coverages` of every stage of a batch, shape ``(candidates, stages)``.
+
+    ``widths`` are the backbone's layer widths.  ``curves`` is ``None`` for
+    plain width fractions, or the backbone's :func:`importance_curves` laid
+    end to end with the offset of each curve, ``(flat, offsets)``.  Stage by
+    stage, each mass takes the same additions in the same order, and the
+    layer mean reduces each row along the contiguous last axis, as the 2-D
+    mean of one candidate does.
+    """
+    channels, reused = arrays.channels, arrays.reused
+    if curves is None:
+        blocks = channels
+    else:
+        flat, offsets = curves
+        ends = np.cumsum(channels, axis=1)
+        blocks = flat[offsets + ends] - flat[offsets + ends - channels]
+    rows = np.empty(channels.shape)
+    for stage in range(channels.shape[1]):
+        mass = blocks[:, stage, :]
+        for k in range(stage):
+            mass = np.where(reused[:, k, :], mass + blocks[:, k, :], mass)
+        if curves is None:
+            mass = mass / widths
+        # min(1.0, mass): 1.0 unless the mass is smaller.
+        rows[:, stage, :] = np.where(mass < 1.0, mass, 1.0)
+    return rows.mean(axis=2)

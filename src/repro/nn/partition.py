@@ -127,6 +127,33 @@ def _largest_remainder(width: int, values: list, granularity: int) -> Tuple[int,
     return tuple(share * granularity for share in shares)
 
 
+def _split_columns(
+    sizes: Sequence[Tuple[int, int]],
+    columns: Sequence[list],
+    splits: Dict[tuple, Tuple[int, ...]],
+) -> List[Tuple[int, ...]]:
+    """The integer shares of every column of a validated ``P``.
+
+    ``sizes`` holds each layer's ``(width, partition_granularity)``,
+    ``columns`` each column of ``P`` as a list of floats, and ``splits`` is a
+    split table (see :class:`PartitionScheme`): a column met before is read
+    from it, a new one split and stored.
+    """
+    shares = []
+    for (width, granularity), column in zip(sizes, columns):
+        key = (width, granularity, *column)
+        share = splits.get(key)
+        if share is None:
+            share = splits[key] = _largest_remainder(width, column, granularity)
+        shares.append(share)
+    return shares
+
+
+def _layer_sizes(layers: Sequence[Layer]) -> List[Tuple[int, int]]:
+    """Each layer's ``(width, partition_granularity)``, what a split reads of it."""
+    return [(layer.width, layer.partition_granularity) for layer in layers]
+
+
 @dataclass(frozen=True)
 class PartitionMatrix:
     """The ``P`` matrix: per-stage, per-layer width fractions.
@@ -286,16 +313,11 @@ class PartitionScheme:
                 f"P and I must have the same shape, got {self.partition.values.shape} "
                 f"and {self.indicator.values.shape}"
             )
-        if splits is None:
-            splits = {}
-        shares = []
-        for layer, column in zip(backbone, self.partition.values.T.tolist()):
-            width, granularity = layer.width, layer.partition_granularity
-            key = (width, granularity, *column)
-            share = splits.get(key)
-            if share is None:
-                share = splits[key] = _largest_remainder(width, column, granularity)
-            shares.append(share)
+        shares = _split_columns(
+            _layer_sizes(backbone),
+            self.partition.values.T.tolist(),
+            {} if splits is None else splits,
+        )
         object.__setattr__(self, "_backbone", backbone)
         object.__setattr__(self, "_channels", np.array(list(zip(*shares)), dtype=int))
 

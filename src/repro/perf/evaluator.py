@@ -9,21 +9,34 @@ into a :class:`HardwareProfile`:
   (Eq. 11-12) plus the interconnect energy of imported features,
 * the overall latency ``max_i T_{S_i}`` (Eq. 13) and the cumulative energy
   ``E_{S_{1:i}}`` of instantiating the first ``i`` stages (Eq. 14).
+
+A search evaluator profiles a whole generation at once on the exact oracle
+(:meth:`MappingEvaluator._profile_arrays`): the same checks and the same
+floats as :meth:`MappingEvaluator.profile`, from arrays instead of a
+:class:`~repro.nn.multiexit.DynamicNetwork` per candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import MappingError
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import DynamicNetwork
+from ..nn.multiexit import DynamicNetwork, NetworkArrays, exit_head
 from ..nn.partition import backbone_layers
 from ..soc.compute_unit import ComputeUnit
 from ..soc.platform import Platform
 from .layer_cost import AnalyticalCostModel, CostModel
-from .schedule import ScheduleResult, SliceTable, tabled_schedule
+from .schedule import (
+    ScheduleResult,
+    SliceTable,
+    schedule_arrays,
+    stage_energy_arrays,
+    tabled_schedule,
+)
 
 __all__ = ["StagePerformance", "HardwareProfile", "MappingEvaluator"]
 
@@ -163,6 +176,123 @@ class MappingEvaluator:
             )
         schedule = tabled_schedule(dynamic_network, units, scales, unit_keys, table)
         return self._profile_from_schedule(dynamic_network, schedule, units, scales, table)
+
+    def _profile_arrays(
+        self,
+        arrays: NetworkArrays,
+        unit_names: Sequence[Sequence[str]],
+        dvfs_indices: Sequence[Sequence[int]],
+    ) -> List[HardwareProfile]:
+        """:meth:`profile` of a batch of the kept network, one profile per candidate.
+
+        For the exact analytical oracle on the kept slice table (see
+        :meth:`_keep_slice_table`).  Each candidate's mapping is checked as
+        :meth:`profile` checks it; its slices are read from (and priced into)
+        the table in one pass, Eq. 8 runs on arrays
+        (:func:`~repro.perf.schedule.schedule_arrays`), and each stage's
+        busy time is the built-in sum of its floats, as on the per-candidate
+        path.
+        """
+        table = self._table
+        _, num_stages, num_layers = arrays.channels.shape
+        mappings = self._mapping_points(unit_names, dvfs_indices, num_stages)
+        unit_keys = np.array([[point[0] for point in mapping] for mapping in mappings])
+        powers = np.array([[point[3] for point in mapping] for mapping in mappings])
+
+        # Every sub-layer's slice key, then every exit head's, as tabled_schedule keys them.
+        span = table._span
+        backbone = table._backbone
+        sublayers = (np.arange(num_layers) * span + arrays.in_units) * span + arrays.channels
+        exits = (num_layers * span + arrays.exit_units) * span + self._table_network.num_classes
+        keys = np.concatenate([sublayers, exits[:, :, None]], axis=2)
+        keys += (unit_keys * table._slices)[:, :, None]
+        layers = (*backbone, exit_head(self._table_network, 0, backbone[-1].width))
+        units = {
+            unit_key: (unit, scale)
+            for mapping in mappings
+            for unit_key, unit, scale, _ in mapping
+        }
+        latencies = table.latencies(keys, layers, units)
+        taus = latencies[:, :, :-1]
+        exit_latencies = latencies[:, :, -1]
+
+        # The outputs Eq. 8 imports: every stage's but the last, at every
+        # layer but the last, whose indicator bit is set.
+        imported = arrays.reused.copy()
+        imported[:, -1, :] = False
+        imported[:, :, -1] = False
+        positions = np.broadcast_to(np.arange(num_layers), imported.shape)[imported]
+        channels = arrays.channels[imported]
+        transfers = np.zeros(taus.shape)
+        transfers[imported] = table.transfers(
+            positions, channels, table.output_bytes(positions, channels)
+        )
+        finish, stalls, moved = schedule_arrays(taus, transfers, arrays.reused)
+        energies = stage_energy_arrays(taus, exit_latencies, powers)
+
+        interconnect = self.platform.interconnect
+        columns = np.stack([finish + exit_latencies, exit_latencies, stalls, moved, energies], 2)
+        profiles = []
+        for mapping, stage_rows, tau_rows, imported_bytes, stored in zip(
+            mappings,
+            columns.tolist(),
+            taus.tolist(),
+            arrays.imported_bytes.tolist(),
+            arrays.stored_bytes.tolist(),
+        ):
+            stages = []
+            for index, ((_, unit, scale, _), row, tau_row, stage_imports) in enumerate(
+                zip(mapping, stage_rows, tau_rows, imported_bytes)
+            ):
+                latency, exit_latency, stall, moved_ms, energy = row
+                stages.append(
+                    StagePerformance(
+                        stage_index=index,
+                        unit_name=unit.name,
+                        dvfs_scale=float(scale),
+                        latency_ms=latency,
+                        busy_ms=float(sum(tau_row)) + exit_latency,
+                        stall_ms=stall,
+                        transfer_ms=moved_ms,
+                        compute_energy_mj=energy,
+                        transfer_energy_mj=interconnect.transfer_energy_mj(stage_imports),
+                    )
+                )
+            profiles.append(HardwareProfile(stages=tuple(stages), stored_feature_bytes=stored))
+        return profiles
+
+    def _mapping_points(
+        self,
+        unit_names: Sequence[Sequence[str]],
+        dvfs_indices: Sequence[Sequence[int]],
+        num_stages: int,
+    ) -> List[List[Tuple[int, ComputeUnit, float, float]]]:
+        """Each candidate's ``(unit key, unit, scale, power)`` per stage.
+
+        Checked as :meth:`profile` and :func:`~repro.perf.schedule.tabled_schedule`
+        check a mapping; each distinct (unit, DVFS point) is looked up once.
+        """
+        points: dict = {}
+        mappings = []
+        for names, indices in zip(unit_names, dvfs_indices):
+            if len(names) != num_stages or len(indices) != num_stages:
+                raise MappingError(
+                    f"expected {num_stages} unit names and DVFS indices, got "
+                    f"{len(names)} and {len(indices)}"
+                )
+            if len(set(names)) != len(names):
+                raise MappingError(f"stages must map to distinct compute units, got {list(names)}")
+            mapping = []
+            for name, index in zip(names, indices):
+                point = points.get((name, index))
+                if point is None:
+                    unit = self.platform.unit(name)
+                    scale = unit.scale_for_point(int(index))
+                    unit_key = self.platform.unit_index(name) * self._dvfs_stride + int(index)
+                    point = points[name, index] = (unit_key, unit, scale, unit.power_w(scale))
+                mapping.append(point)
+            mappings.append(mapping)
+        return mappings
 
     # -- internals ---------------------------------------------------------------
     def _profile_from_schedule(

@@ -8,12 +8,16 @@ overhead -- evaluated on a compact :class:`LayerWorkload` descriptor.  The
 same descriptor doubles as the feature vector of the learned surrogate in
 :mod:`repro.perf.predictor`, so the oracle and the surrogate are
 interchangeable behind the :class:`CostModel` protocol.
+
+:func:`workload_arrays` and :meth:`AnalyticalCostModel.latencies_ms` are the
+array twins of building a workload and pricing it on the oracle: many slices
+at once, each element the float the scalar path gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -24,6 +28,9 @@ from ..soc.compute_unit import ComputeUnit
 from ..utils import as_rng, check_non_negative
 
 __all__ = ["LayerWorkload", "CostModel", "AnalyticalCostModel", "NoisyCostModel"]
+
+#: The terms :class:`LayerWorkload` checks, in its field order.
+_WORKLOAD_TERMS = ("flops", "input_bytes", "output_bytes", "weight_bytes")
 
 #: Order of the numerical features produced by :meth:`LayerWorkload.features`.
 WORKLOAD_FEATURE_NAMES = (
@@ -106,6 +113,47 @@ class LayerWorkload:
         return cls.from_layer(sublayer.base, sublayer.in_units, sublayer.out_units)
 
 
+def workload_arrays(
+    layers: Sequence[Layer],
+    positions: np.ndarray,
+    in_units: np.ndarray,
+    out_units: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``flops`` and ``total_bytes`` of ``LayerWorkload.from_layer(layers[p], i, o)`` per slice.
+
+    The slices are ``(positions[k], in_units[k], out_units[k])``, sorted by
+    position.  A built-in kind's units are checked as
+    :meth:`~repro.nn.layers.Layer.resolve_units` checks them, all at once,
+    and its slices take its formulas on the unit arrays
+    (:meth:`~repro.nn.layers.Layer._slice_arrays`); the terms are converted
+    as the workload converts them and held to its non-negative finite
+    checks.  A failing check raises the scalar message.  ``total_bytes`` adds
+    the byte terms in :attr:`LayerWorkload.total_bytes`'s order.
+    """
+    formulas = np.array([layer._array_formulas for layer in layers])[positions]
+    widths = np.array([layer.width for layer in layers])[positions]
+    in_widths = np.array([layer.in_width for layer in layers])[positions]
+    outside = formulas & (
+        (out_units < 1) | (out_units > widths) | (in_units < 1) | (in_units > in_widths)
+    )
+    if outside.any():
+        first = int(np.argmax(outside))
+        layers[positions[first]].resolve_units(int(in_units[first]), int(out_units[first]))
+    terms = np.empty((4, positions.size))
+    bounds = np.searchsorted(positions, np.arange(len(layers) + 1)).tolist()
+    for layer, start, stop in zip(layers, bounds, bounds[1:]):
+        if start < stop:
+            terms[:, start:stop] = layer._slice_arrays(in_units[start:stop], out_units[start:stop])
+    # Rows: flops, input bytes, output bytes, then parameters to weight bytes.
+    terms[3] *= BYTES_PER_ELEMENT
+    if not (np.isfinite(terms) & (terms >= 0)).all():
+        for name, values in zip(_WORKLOAD_TERMS, terms.tolist()):
+            for value in values:
+                check_non_negative(value, name)
+    flops, input_bytes, output_bytes, weight_bytes = terms
+    return flops, input_bytes + output_bytes + weight_bytes
+
+
 @runtime_checkable
 class CostModel(Protocol):
     """Anything that can predict per-layer latency and energy on a CU."""
@@ -134,6 +182,38 @@ class AnalyticalCostModel:
         compute_ms = workload.flops / (unit.effective_gflops(workload.kind, scale) * 1e9) * 1e3
         memory_ms = workload.total_bytes / (unit.effective_bandwidth_gbs(scale) * 1e9) * 1e3
         return unit.launch_overhead_ms + max(compute_ms, memory_ms)
+
+    def unit_rates(self, unit: ComputeUnit, kind: str, scale: float) -> Tuple[float, float, float]:
+        """What :meth:`latency_ms` reads of ``unit`` for ``kind`` slices at ``scale``.
+
+        The sustained GFLOP/s, the bandwidth and the launch overhead, after
+        the same scale check.
+        """
+        if not 0 < scale <= 1:
+            raise ConfigurationError(f"scale must lie in (0, 1], got {scale}")
+        return (
+            unit.effective_gflops(kind, scale),
+            unit.effective_bandwidth_gbs(scale),
+            unit.launch_overhead_ms,
+        )
+
+    def latencies_ms(
+        self,
+        flops: np.ndarray,
+        total_bytes: np.ndarray,
+        gflops: np.ndarray,
+        bandwidth_gbs: np.ndarray,
+        overhead_ms: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`latency_ms` of many workloads, element for element.
+
+        The last three arrays hold each element's :meth:`unit_rates`; every
+        element then takes :meth:`latency_ms`'s float operations in its order.
+        """
+        compute_ms = flops / (gflops * 1e9) * 1e3
+        memory_ms = total_bytes / (bandwidth_gbs * 1e9) * 1e3
+        # max(compute_ms, memory_ms): the first unless the second is larger.
+        return overhead_ms + np.where(memory_ms > compute_ms, memory_ms, compute_ms)
 
     def energy_mj(self, workload: LayerWorkload, unit: ComputeUnit, scale: float) -> float:
         return self.latency_ms(workload, unit, scale) * unit.power_w(scale)

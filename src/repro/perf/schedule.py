@@ -17,19 +17,26 @@ The raw latencies ``tau`` and transfers ``u`` come from a :class:`SliceTable`,
 which costs each distinct layer slice once for as long as the table lives:
 one call of :func:`simulate_schedule`, or the whole life of the
 :class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
+
+A generation of candidates of one shape is scheduled at once on the exact
+oracle: :meth:`SliceTable.latencies` reads a batch's slices and prices all of
+its misses in one vectorised pass, and :func:`schedule_arrays` runs Eq. 8
+stage by stage and layer by layer, vectorised over the candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import MappingError
 from ..nn.layers import Layer
 from ..nn.multiexit import DynamicNetwork, Stage
 from ..soc.compute_unit import ComputeUnit
 from ..soc.interconnect import Interconnect
-from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload
+from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload, workload_arrays
 
 __all__ = ["StageSchedule", "ScheduleResult", "simulate_schedule"]
 
@@ -92,6 +99,10 @@ class SliceTable:
     ``energy_mj`` would.  Every other cost model (noisy, learned, or a
     subclass) is called for each slice on each use, in the order the
     schedule needs the costs, exactly as without a table.
+
+    A memoised table also answers whole batches: :meth:`latencies`,
+    :meth:`transfers` and :meth:`output_bytes` read and write the same keys
+    and floats as the per-slice methods.
     """
 
     def __init__(
@@ -104,11 +115,14 @@ class SliceTable:
         self.cost_model = cost_model
         self.interconnect = interconnect
         self.memo = type(cost_model) is AnalyticalCostModel
+        self._backbone = tuple(backbone)
         self._span = int(max_units) + 1
         self._slices = (len(backbone) + 1) * self._span * self._span
         self._workloads: Dict[int, LayerWorkload] = {}
         self._latencies: Dict[int, float] = {}
         self._transfers: Dict[int, float] = {}
+        # Output bytes of (position, units), -1 until sized; batches only.
+        self._sizes: Optional[np.ndarray] = None
 
     @classmethod
     def for_network(
@@ -161,6 +175,85 @@ class SliceTable:
             value = self.interconnect.transfer_latency_ms(layer.output_bytes(out_units))
             self._transfers[key] = value
         return value
+
+    def latencies(
+        self,
+        keys: np.ndarray,
+        layers: Sequence[Layer],
+        units: Dict[int, Tuple[ComputeUnit, float]],
+    ) -> np.ndarray:
+        """:meth:`latency_ms` of every element of ``keys``, an int array of this table's keys.
+
+        ``layers[position]`` is the layer at each slice position (the exit
+        head one past the backbone; the slice fixes its units) and
+        ``units[unit_key]`` the ``(unit, scale)`` of each unit key.  Known
+        keys are read; every missing one is priced in one vectorised roofline
+        pass and stored, under the key and float :meth:`latency_ms` would.
+        """
+        flat = keys.ravel()
+        get = self._latencies.get
+        # A latency is finite, so NaN (numpy's None) marks a missing key.
+        values = np.array([get(key) for key in flat.tolist()], dtype=float)
+        holes = np.isnan(values)
+        if holes.any():
+            missing = np.unique(flat[holes])
+            priced = self._price(missing, layers, units)
+            self._latencies.update(zip(missing.tolist(), priced.tolist()))
+            values[holes] = priced[np.searchsorted(missing, flat[holes])]
+        return values.reshape(keys.shape)
+
+    def _price(
+        self,
+        keys: np.ndarray,
+        layers: Sequence[Layer],
+        units: Dict[int, Tuple[ComputeUnit, float]],
+    ) -> np.ndarray:
+        """Latencies of the sorted, distinct, unknown ``keys`` (see :meth:`latencies`)."""
+        span = self._span
+        unit_keys, slice_keys = np.divmod(keys, self._slices)
+        # Each distinct slice's workload once.
+        slice_keys, slice_of = np.unique(slice_keys, return_inverse=True)
+        positions, pairs = np.divmod(slice_keys, span * span)
+        in_units, out_units = np.divmod(pairs, span)
+        flops, total_bytes = workload_arrays(layers, positions, in_units, out_units)
+        # Each distinct (unit key, layer kind)'s rates once.
+        kinds = sorted({layer.kind for layer in layers})
+        kind_of = np.array([kinds.index(layer.kind) for layer in layers])[positions[slice_of]]
+        codes, rate_of = np.unique(unit_keys * len(kinds) + kind_of, return_inverse=True)
+        rates = []
+        for code in codes.tolist():
+            unit_key, kind = divmod(code, len(kinds))
+            unit, scale = units[unit_key]
+            rates.append(self.cost_model.unit_rates(unit, kinds[kind], scale))
+        gflops, bandwidth_gbs, overhead_ms = np.array(rates)[rate_of].T
+        return self.cost_model.latencies_ms(
+            flops[slice_of], total_bytes[slice_of], gflops, bandwidth_gbs, overhead_ms
+        )
+
+    def output_bytes(self, positions: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """``backbone[position].output_bytes(units)`` of each pair; each distinct one sized once."""
+        if self._sizes is None:
+            self._sizes = np.full(len(self._backbone) * self._span, -1, dtype=np.int64)
+        keys = positions * self._span + units
+        sizes = self._sizes[keys]
+        unsized = keys[sizes < 0]
+        if unsized.size:
+            for key in np.unique(unsized).tolist():
+                position, count = divmod(key, self._span)
+                self._sizes[key] = self._backbone[position].output_bytes(count)
+            sizes = self._sizes[keys]
+        return sizes
+
+    def transfers(self, positions: np.ndarray, units: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """:meth:`transfer_ms` of each ``(position, units)`` output of ``sizes`` bytes."""
+        table = self._transfers
+        values = []
+        for key, size in zip((positions * self._span + units).tolist(), sizes.tolist()):
+            value = table.get(key)
+            if value is None:
+                value = table[key] = self.interconnect.transfer_latency_ms(size)
+            values.append(value)
+        return np.array(values, dtype=float)
 
     def stage_energy_mj(
         self, stage: Stage, schedule: StageSchedule, unit: ComputeUnit, scale: float
@@ -304,3 +397,74 @@ def tabled_schedule(
             )
         )
     return ScheduleResult(stages=tuple(schedules))
+
+
+def schedule_arrays(
+    taus: np.ndarray, transfers: np.ndarray, reused: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 8 of :func:`tabled_schedule` for a batch of candidates of one shape.
+
+    ``taus`` are the sub-layer latencies and ``transfers`` the costs of the
+    outputs the recursion imports (zero elsewhere), ``reused`` the indicator
+    bits, all ``(candidates, stages, layers)``.  Returns each stage's
+    cumulative latency at its last layer, its stall and its moved transfer
+    time, ``(candidates, stages)``.  Stage by stage and layer by layer, each
+    candidate takes the scalar recursion's float operations in its order:
+    ``max`` keeps its first argument unless the second is larger, running
+    sums go left to right (``cumsum``), and a stage waits on the latest of
+    its earlier stages' arrivals, the first of equals as the loop keeps it.
+    """
+    num_candidates, num_stages, num_layers = taus.shape
+    # Layer-major: one vector of candidates per (stage, layer).
+    taus = taus.transpose(1, 2, 0)
+    transfers = transfers.transpose(1, 2, 0)
+    reused = reused.transpose(1, 2, 0)
+    zero = np.zeros(num_candidates)
+    rows = []
+    stalls = []
+    moved = []
+    for stage in range(num_stages):
+        tau = taus[stage]
+        if stage == 0:
+            # Nothing to wait on: the running sum of the stage's latencies
+            # (+ 0.0, as the loop starts from it).
+            rows.append(np.cumsum(tau, axis=0) + 0.0)
+            stalls.append(zero)
+            moved.append(zero)
+            continue
+        # When each earlier stage's layer-j output reaches this stage (-inf
+        # where none is imported): the latest such arrival.
+        arrival = None
+        for k in range(stage):
+            ready = np.where(reused[k], rows[k] + transfers[k], -np.inf)
+            arrival = ready if arrival is None else np.where(ready > arrival, ready, arrival)
+        own = tau[0] + 0.0
+        row = [own]
+        gaps = [zero]
+        for layer in range(1, num_layers):
+            other = arrival[layer - 1]
+            ready = np.where(other > own, other, own)
+            # ready >= own, so this is max(0.0, ready - own).
+            gaps.append(ready - own)
+            own = tau[layer] + ready
+            row.append(own)
+        rows.append(np.array(row))
+        # Both running sums start from 0.0, as the loop's do; the imports go
+        # layer by layer, then stage by stage.
+        stalls.append(np.cumsum(gaps, axis=0)[-1])
+        imports = transfers[:stage, :-1].transpose(1, 0, 2).reshape(-1, num_candidates)
+        moved.append(np.cumsum(np.vstack([zero, imports]), axis=0)[-1])
+    finish = np.array([row[-1] for row in rows]).T
+    return finish, np.array(stalls).T, np.array(moved).T
+
+
+def stage_energy_arrays(
+    taus: np.ndarray, exit_latencies: np.ndarray, powers: np.ndarray
+) -> np.ndarray:
+    """:meth:`SliceTable.stage_energy_mj` of a batch on the exact oracle, ``(candidates, stages)``.
+
+    Each stage's sub-layer energies summed left to right from 0.0, then its
+    exit head's.
+    """
+    running = np.cumsum(taus * powers[:, :, None], axis=2)[:, :, -1] + 0.0
+    return running + exit_latencies * powers

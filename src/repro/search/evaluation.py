@@ -16,6 +16,19 @@ evolutionary loop never pays twice for elites carried across generations.
 The per-layer cost model is pluggable (analytical oracle or trained
 surrogate), mirroring the paper's use of an XGBoost predictor inside the
 loop.
+
+``evaluate`` is the reference path: it builds the candidate's
+:class:`~repro.nn.multiexit.DynamicNetwork`, profiles it and simulates it.
+The search scores a whole generation through ``evaluate_many``, which on the
+exact analytical oracle evaluates the generation as arrays, as the paper's
+loop ranks a generation only once all of it is scored: every column of ``P``
+is split through the evaluator's split table, and the sub-layer inputs,
+reused bytes, slice keys, the Eq. 8 recursion, stage energies and exit
+coverages are computed on ``(candidates, stages, layers)`` arrays, looping
+over stages and layers and vectorised over candidates; all of the
+generation's slice-table misses are priced in one vectorised roofline pass.
+No network, sub-layer or schedule object is built, and every result equals
+``evaluate``'s, field for field and bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +41,22 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..dynamics.accuracy import AccuracyModel
-from ..dynamics.inference import DynamicInferenceResult, simulate_dynamic_inference
+from ..dynamics.inference import (
+    DynamicInferenceResult,
+    _inference_result,
+    simulate_dynamic_inference,
+)
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
+from ..errors import ReproError
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
 from ..nn.multiexit import (
     DynamicNetwork,
+    NetworkArrays,
     build_dynamic_network,
     importance_curves,
+    network_arrays,
+    stage_coverage_arrays,
     stage_coverages,
 )
 from ..nn.partition import backbone_layers
@@ -176,14 +197,31 @@ class _CachedCoverageAccuracy:
         self._network = network
         self._ranking = ranking
         self._curves = None
+        self._flat_curves = None
 
-    def stage_accuracies(self, dynamic_network: DynamicNetwork) -> tuple:
+    def _importance_curves(self) -> Optional[list]:
         if self._curves is None and self._ranking is not None:
             self._curves = importance_curves(self._ranking, backbone_layers(self._network))
+        return self._curves
+
+    def stage_accuracies(self, dynamic_network: DynamicNetwork) -> tuple:
         coverages = stage_coverages(
-            dynamic_network.scheme, range(dynamic_network.num_stages), self._curves
+            dynamic_network.scheme, range(dynamic_network.num_stages), self._importance_curves()
         )
         return self.model.stage_accuracies_from_coverage(dynamic_network.network, coverages)
+
+    def stage_accuracy_rows(self, arrays: NetworkArrays) -> list:
+        """:meth:`stage_accuracies` of every candidate of a batch, from its arrays."""
+        curves = self._importance_curves()
+        if curves is not None and self._flat_curves is None:
+            offsets = np.cumsum([0] + [len(curve) for curve in curves[:-1]])
+            self._flat_curves = (np.concatenate(curves), offsets)
+        widths = [layer.width for layer in backbone_layers(self._network)]
+        coverages = stage_coverage_arrays(arrays, widths, self._flat_curves)
+        return [
+            self.model.stage_accuracies_from_coverage(self._network, row)
+            for row in coverages.tolist()
+        ]
 
 
 class ConfigEvaluator:
@@ -201,6 +239,8 @@ class ConfigEvaluator:
         to reproduce the paper's surrogate-in-the-loop setup.
     accuracy_model:
         Coverage-to-accuracy model; ``None`` selects the calibrated default.
+        A subclass that overrides ``stage_accuracies`` is asked through it,
+        candidate by candidate.
     ranking:
         Channel-importance ranking; ``None`` synthesises one from ``seed``.
     reorder_channels:
@@ -235,9 +275,12 @@ class ConfigEvaluator:
         self._splits: dict = {}
         self._mapping_evaluator = MappingEvaluator(platform, cost_model=cost_model)
         self._mapping_evaluator._keep_slice_table(network)
-        self._accuracy = _CachedCoverageAccuracy(
-            self.accuracy_model, network, self.ranking if self.reorder_channels else None
-        )
+        if getattr(self.accuracy_model, "_from_coverage", False):
+            self._accuracy = _CachedCoverageAccuracy(
+                self.accuracy_model, network, self.ranking if self.reorder_channels else None
+            )
+        else:
+            self._accuracy = self.accuracy_model
         # Fingerprint the *effective* cost model (the mapping evaluator
         # substitutes the analytical oracle for None) now, before any
         # stateful use can advance internal RNGs: class plus full pickled
@@ -338,5 +381,69 @@ class ConfigEvaluator:
         )
 
     def evaluate_many(self, configs) -> list:
-        """Evaluate a whole population, preserving order."""
-        return [self.evaluate(config) for config in configs]
+        """Evaluate a whole population, preserving order.
+
+        Each result equals ``evaluate(config)``'s, field for field.  On the
+        exact analytical oracle a population of two or more is evaluated as
+        arrays (see the module docstring), candidates of equal stage count
+        together.  Three kinds of input take ``evaluate`` one candidate at a
+        time: a cost model that is called per slice (noisy, learned or a
+        subclass), so its calls keep their order; an accuracy model that
+        overrides ``stage_accuracies``; and a single configuration.  A
+        population with an invalid configuration is also re-run that way, so
+        the first invalid one raises what ``evaluate`` raises for it.
+        """
+        configs = list(configs)
+        if len(configs) < 2 or not self._batched():
+            return [self.evaluate(config) for config in configs]
+        by_stages: dict = {}
+        for index, config in enumerate(configs):
+            by_stages.setdefault(config.partition.num_stages, []).append(index)
+        results = [None] * len(configs)
+        try:
+            for indices in by_stages.values():
+                batch = [configs[index] for index in indices]
+                for index, result in zip(indices, self._evaluate_arrays(batch)):
+                    results[index] = result
+        except ReproError:
+            return [self.evaluate(config) for config in configs]
+        return results
+
+    def _batched(self) -> bool:
+        """Whether :meth:`evaluate_many` may evaluate a population as arrays."""
+        return self._mapping_evaluator._table.memo and isinstance(
+            self._accuracy, _CachedCoverageAccuracy
+        )
+
+    def _evaluate_arrays(self, configs: list) -> list:
+        """``[evaluate(c) for c in configs]`` for configurations of one stage count."""
+        mapping = self._mapping_evaluator
+        table = mapping._table
+        arrays = network_arrays(
+            self.network,
+            table._backbone,
+            [config.partition for config in configs],
+            [config.indicator for config in configs],
+            self._splits,
+            table.output_bytes,
+        )
+        profiles = mapping._profile_arrays(
+            arrays,
+            [config.unit_names for config in configs],
+            [config.dvfs_indices for config in configs],
+        )
+        accuracies = self._accuracy.stage_accuracy_rows(arrays)
+        return [
+            EvaluatedConfig(
+                config=config,
+                profile=profile,
+                inference=_inference_result(
+                    stage_accuracies,
+                    profile,
+                    config.indicator.reuse_fraction(),
+                    self.validation_samples,
+                ),
+                base_accuracy=self.network.base_accuracy,
+            )
+            for config, profile, stage_accuracies in zip(configs, profiles, accuracies)
+        ]

@@ -197,9 +197,8 @@ class MeasuredWaitExtractor:
     replays share one :class:`~repro.serving.bridge.ReplayScenario`, built
     once per extractor from its fields: the request stream is generated once
     and the scenario half of every key is derived once.  Memo and scenario
-    stay out of ``repr``, equality and fingerprints, and are not pickled: a
-    clone starts empty.  The extractor cannot be hashed: ``hash()`` raises
-    ``TypeError``, because its platform's compute units carry dicts.
+    stay out of ``repr``, equality, the hash and fingerprints, and are not
+    pickled: a clone starts empty.
     """
 
     platform: object
@@ -323,9 +322,9 @@ class ObjectiveSet:
     into ``_readers``, so :meth:`values` calls the extractors without a
     lookup on every spec.  ``_readers`` is out of ``repr``, equality and the
     pickled state; an unpickled or copied set rebuilds it from its own specs.
-    A set can be hashed only when all of its extractors can: ``hash()``
-    raises ``TypeError`` on a measured set, whose extractor holds a platform.
-    Compare sets with ``==`` or by :meth:`fingerprint`.
+    A set can be hashed when all of its extractors can (a measured set's
+    extractor hashes by the fields it compares).  Compare sets with ``==`` or
+    by :meth:`fingerprint`.
     """
 
     specs: Tuple[ObjectiveSpec, ...]

@@ -83,6 +83,22 @@ class ComputeUnit:
         object.__setattr__(self, "kind", ComputeUnitKind(self.kind))
         object.__setattr__(self, "utilisation", dict(self.utilisation))
 
+    def __hash__(self) -> int:
+        # The fields ``==`` compares, the utilisation dict by its items (it
+        # stays a dict, so a platform prints as before).
+        return hash(
+            (
+                self.name,
+                self.kind,
+                self.peak_gflops,
+                self.memory_bandwidth_gbs,
+                self.launch_overhead_ms,
+                self.power,
+                self.dvfs,
+                frozenset(self.utilisation.items()),
+            )
+        )
+
     # -- throughput ------------------------------------------------------------
     def utilisation_for(self, layer_kind: str) -> float:
         """Sustained fraction of peak throughput for ``layer_kind`` layers."""

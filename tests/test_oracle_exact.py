@@ -5,9 +5,11 @@ The ``reference_*`` functions are verbatim copies of the per-call code: a
 Eq. 8 recursion on numpy arrays, numpy importance coverage, and the
 one-query-at-a-time channel arithmetic of ``PartitionScheme``.  Every field of
 every object the oracle produces must equal the reference exactly (``==`` and
-``repr``), on a cold slice table and on a warm one.  Cost models other than
-the exact analytical oracle must see the same calls, in the same order, as
-before, and no memo may leak into cache identities or pickled results.
+``repr``), through ``evaluate`` and through ``evaluate_many`` batches (the
+array path), on a cold slice table and on a warm one, whatever batch a
+candidate comes in.  Cost models other than the exact analytical oracle must
+see the same calls, in the same order, as before, through either entry, and
+no memo may leak into cache identities or pickled results.
 
 A second set of references copies the numpy-on-scalars helpers that the
 list-and-float oracle replaced: the ``np.isfinite`` scalar checks, the
@@ -26,17 +28,18 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.framework import MapAndConquer
 from repro.dynamics.accuracy import AccuracyModel
 from repro.dynamics.inference import DynamicInferenceResult, simulate_dynamic_inference
 from repro.dynamics.samples import ExitStatistics, compute_exit_statistics
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError, PartitionError, PlatformError
 from repro.nn.layers import (
     BYTES_PER_ELEMENT,
     AttentionLayer,
@@ -52,14 +55,22 @@ from repro.nn.partition import (
     IndicatorMatrix,
     PartitionMatrix,
     PartitionScheme,
+    backbone_layers,
     split_units,
 )
 from repro.perf.evaluator import HardwareProfile, MappingEvaluator, StagePerformance
-from repro.perf.layer_cost import AnalyticalCostModel, LayerWorkload, NoisyCostModel
+from repro.perf.layer_cost import (
+    AnalyticalCostModel,
+    LayerWorkload,
+    NoisyCostModel,
+    workload_arrays,
+)
 from repro.perf.schedule import ScheduleResult, SliceTable, StageSchedule, simulate_schedule
+from repro.search import evaluation
 from repro.search.evaluation import ConfigEvaluator
-from repro.search.space import SearchSpace
-from repro.soc.presets import get_platform
+from repro.search.space import MappingConfig, SearchSpace
+from repro.soc.platform import jetson_agx_xavier
+from repro.soc.presets import derive, get_platform
 from repro.utils import check_fraction, check_non_negative, check_positive
 
 NETWORKS = {"visformer": visformer, "resnet20": resnet20, "vgg19": vgg19}
@@ -595,7 +606,8 @@ def evaluated_network(evaluator, config):
     )
 
 
-def check_config(evaluator, config, cost_model):
+def reference_results(evaluator, config, cost_model):
+    """The per-call references of ``config``: network, schedule, profile, inference."""
     reference = reference_build(
         evaluator.network,
         config.partition,
@@ -612,28 +624,76 @@ def check_config(evaluator, config, cost_model):
         ReferenceAccuracy(evaluator.accuracy_model),
         evaluator.validation_samples,
     )
-    channels = reference_channels(reference.scheme)
-    assert_identical(reference.scheme.channels.tolist(), channels.tolist())
-    assert reference.scheme.channels.dtype == channels.dtype
-    assert profile.stored_feature_bytes == reference_stored_feature_bytes(reference.scheme)
-    # Cold and warm slice table: the second evaluation hits every slice.
-    for _ in range(2):
-        evaluated = evaluator.evaluate(config)
-        assert_identical(evaluated_network(evaluator, config).stages, reference.stages)
-        assert_identical(evaluated.profile, profile)
-        assert_identical(evaluated.inference, inference)
-    # The per-call table of the public entry points.
-    dynamic = evaluated_network(evaluator, config)
-    units = [evaluator.platform.unit(name) for name in config.unit_names]
-    scales = [s.dvfs_scale for s in profile.stages]
-    assert_identical(
-        simulate_schedule(dynamic, units, scales, cost_model, evaluator.platform.interconnect),
-        schedule,
+    return reference, schedule, profile, inference
+
+
+def twin_of(evaluator):
+    """A fresh evaluator configured as ``evaluator`` is, with its own (cold) tables."""
+    return ConfigEvaluator(
+        evaluator.network,
+        evaluator.platform,
+        cost_model=evaluator.cost_model,
+        accuracy_model=evaluator.accuracy_model,
+        ranking=evaluator.ranking,
+        reorder_channels=evaluator.reorder_channels,
+        validation_samples=evaluator.validation_samples,
     )
-    direct = MappingEvaluator(evaluator.platform, cost_model=cost_model)
-    assert_identical(direct.profile(dynamic, config.unit_names, config.dvfs_indices), profile)
-    for stage in range(dynamic.num_stages):
-        assert_identical(dynamic.stage_coverage(stage), reference_stage_coverage(dynamic, stage))
+
+
+def check_configs(evaluator, configs, cost_model):
+    """Every config through ``evaluate`` and ``evaluate_many`` against the references.
+
+    ``evaluator`` is fresh, so its first ``evaluate_many`` runs on a cold
+    slice table, as does the first ``evaluate`` of a twin evaluator; each
+    path then runs again on its warm table.  The configs are also evaluated
+    in batches of 1, 2 and the rest, and doubled with their reverse
+    appended: a candidate's result must not depend on its batch.
+    """
+    expected = [reference_results(evaluator, config, cost_model) for config in configs]
+
+    def check(results, indices):
+        assert len(results) == len(indices)
+        for result, index in zip(results, indices):
+            _, _, profile, inference = expected[index]
+            assert result.config is configs[index]
+            assert_identical(result.profile, profile)
+            assert_identical(result.inference, inference)
+            assert_identical(result.base_accuracy, evaluator.network.base_accuracy)
+
+    everything = list(range(len(configs)))
+    twin = twin_of(evaluator)
+    for _ in range(2):
+        batch = evaluator.evaluate_many(configs)
+        single = [twin.evaluate(config) for config in configs]
+        check(batch, everything)
+        check(single, everything)
+        assert [pickle.dumps(result) for result in batch] == [
+            pickle.dumps(result) for result in single
+        ]
+    for indices in (everything[:1], everything[1:3], everything[3:], everything + everything[::-1]):
+        if indices:
+            check(evaluator.evaluate_many([configs[index] for index in indices]), indices)
+
+    for config, (reference, schedule, profile, inference) in zip(configs, expected):
+        channels = reference_channels(reference.scheme)
+        assert_identical(reference.scheme.channels.tolist(), channels.tolist())
+        assert reference.scheme.channels.dtype == channels.dtype
+        assert profile.stored_feature_bytes == reference_stored_feature_bytes(reference.scheme)
+        # The network evaluate() builds, and the per-call table of the public entry points.
+        dynamic = evaluated_network(evaluator, config)
+        assert_identical(dynamic.stages, reference.stages)
+        units = [evaluator.platform.unit(name) for name in config.unit_names]
+        scales = [s.dvfs_scale for s in profile.stages]
+        assert_identical(
+            simulate_schedule(dynamic, units, scales, cost_model, evaluator.platform.interconnect),
+            schedule,
+        )
+        direct = MappingEvaluator(evaluator.platform, cost_model=cost_model)
+        assert_identical(direct.profile(dynamic, config.unit_names, config.dvfs_indices), profile)
+        for stage in range(dynamic.num_stages):
+            assert_identical(
+                dynamic.stage_coverage(stage), reference_stage_coverage(dynamic, stage)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -652,8 +712,8 @@ class TestOracleMatchesPerCallReference:
         space = SearchSpace(network, platform)
         evaluator = ConfigEvaluator(network, platform, reorder_channels=reorder, seed=0)
         count = CONFIGS_PER_CASE if reorder else UNORDERED_CONFIGS_PER_CASE
-        for config in space.population(count, seed=len(network_name)):
-            check_config(evaluator, config, AnalyticalCostModel())
+        configs = space.population(count, seed=len(network_name))
+        check_configs(evaluator, configs, AnalyticalCostModel())
 
     def test_capped_reuse_and_fewer_stages(self, networks):
         network = networks["visformer"]
@@ -661,9 +721,43 @@ class TestOracleMatchesPerCallReference:
         evaluator = ConfigEvaluator(network, platform, seed=3)
         capped = SearchSpace(network, platform, max_reuse_fraction=0.5)
         two_stage = SearchSpace(network, platform, num_stages=2)
-        configs = capped.population(CONFIGS_PER_CASE, seed=1) + two_stage.population(10, seed=2)
-        for config in configs:
-            check_config(evaluator, config, AnalyticalCostModel())
+        # One batch of three- and two-stage candidates, interleaved.
+        three = capped.population(CONFIGS_PER_CASE, seed=1)
+        two = two_stage.population(10, seed=2)
+        configs = [config for pair in zip(three, two) for config in pair] + three[len(two):]
+        check_configs(evaluator, configs, AnalyticalCostModel())
+
+    @pytest.mark.parametrize("network_name", ["visformer", "resnet20"])
+    def test_memory_bound_board_and_hand_built_matrices(self, networks, network_name):
+        network = networks[network_name]
+        # A hundredth of Xavier's bandwidth: about a third of the slices are
+        # memory-bound, so both roofline branches are priced.
+        platform = derive(jetson_agx_xavier(), "memory-bound", bandwidth_scale=0.01)
+        evaluator = ConfigEvaluator(network, platform, seed=2)
+        layers = len(backbone_layers(network))
+        configs = SearchSpace(network, platform).population(10, seed=4)
+        # Every stage forwarding everything (the last one included) and none.
+        for indicator in (IndicatorMatrix.full(3, layers), IndicatorMatrix.none(3, layers)):
+            for partition in (
+                PartitionMatrix.uniform(3, layers),
+                PartitionMatrix.from_stage_fractions([0.625, 0.25, 0.125], layers),
+            ):
+                configs.append(
+                    MappingConfig(partition, indicator, ("dla1", "gpu", "dla0"), (2, 9, 5))
+                )
+        check_configs(evaluator, configs, AnalyticalCostModel())
+
+    @pytest.mark.parametrize("network_name", ["visformer", "resnet20"])
+    @pytest.mark.parametrize("reorder", [True, False], ids=["reordered", "unordered"])
+    def test_one_to_four_stages_with_the_cpu(self, networks, network_name, reorder):
+        network = networks[network_name]
+        platform = jetson_agx_xavier(include_cpu=True)
+        evaluator = ConfigEvaluator(network, platform, reorder_channels=reorder, seed=1)
+        configs = []
+        for stages in (4, 1, 3, 2):
+            space = SearchSpace(network, platform, num_stages=stages)
+            configs += space.population(6, seed=stages)
+        check_configs(evaluator, configs, AnalyticalCostModel())
 
 
 class TestSplitUnitsMatchesNumpyRounding:
@@ -705,6 +799,35 @@ class RecordingCostModel:
         return self.base.energy_mj(workload, unit, scale)
 
 
+def expected_calls(evaluator, config):
+    """The per-slice calls ``evaluate(config)`` makes of a per-call cost model, in order."""
+    stages = evaluated_network(evaluator, config).stages
+    scales = [
+        evaluator.platform.unit(name).scale_for_point(index)
+        for name, index in zip(config.unit_names, config.dvfs_indices)
+    ]
+
+    def call(kind, workload, stage):
+        return (kind, workload, config.unit_names[stage.index], scales[stage.index])
+
+    expected = [
+        call("latency", LayerWorkload.from_sublayer(sub), stage)
+        for stage in stages
+        for sub in stage.sublayers
+    ]
+    expected += [
+        call("latency", LayerWorkload.from_layer(stage.exit_head), stage) for stage in stages
+    ]
+    for stage in stages:
+        expected += [
+            call("energy", LayerWorkload.from_sublayer(sub), stage) for sub in stage.sublayers
+        ]
+        expected.append(call("energy", LayerWorkload.from_layer(stage.exit_head), stage))
+    slices = sum(len(stage.sublayers) + 1 for stage in stages)
+    assert len(expected) == 2 * slices
+    return expected
+
+
 class TestPerCallModels:
     def test_call_order_is_unchanged(self, visformer_net, platform):
         model = RecordingCostModel()
@@ -712,31 +835,19 @@ class TestPerCallModels:
         config = SearchSpace(visformer_net, platform).sample(5)
         for _ in range(2):
             model.calls.clear()
-            evaluated = evaluator.evaluate(config)
-            stages = evaluated_network(evaluator, config).stages
-            scales = [s.dvfs_scale for s in evaluated.profile.stages]
+            evaluator.evaluate(config)
+            assert model.calls == expected_calls(evaluator, config)
 
-            def call(kind, workload, stage):
-                return (kind, workload, config.unit_names[stage.index], scales[stage.index])
-
-            expected = [
-                call("latency", LayerWorkload.from_sublayer(sub), stage)
-                for stage in stages
-                for sub in stage.sublayers
+    def test_call_order_is_unchanged_through_evaluate_many(self, visformer_net, platform):
+        model = RecordingCostModel()
+        evaluator = ConfigEvaluator(visformer_net, platform, cost_model=model, seed=0)
+        configs = SearchSpace(visformer_net, platform).population(3, seed=5)
+        for batch in (configs, configs[::-1] + configs[:1], configs[:1]):
+            model.calls.clear()
+            evaluator.evaluate_many(batch)
+            assert model.calls == [
+                call for config in batch for call in expected_calls(evaluator, config)
             ]
-            expected += [
-                call("latency", LayerWorkload.from_layer(stage.exit_head), stage)
-                for stage in stages
-            ]
-            for stage in stages:
-                expected += [
-                    call("energy", LayerWorkload.from_sublayer(sub), stage)
-                    for sub in stage.sublayers
-                ]
-                expected.append(call("energy", LayerWorkload.from_layer(stage.exit_head), stage))
-            slices = sum(len(stage.sublayers) + 1 for stage in stages)
-            assert len(model.calls) == 2 * slices
-            assert model.calls == expected
 
     def test_noisy_model_reproduces_recorded_draws(self, visformer_net, platform):
         evaluator = ConfigEvaluator(
@@ -751,6 +862,19 @@ class TestPerCallModels:
         for latency, energy in NOISY_REPRS:
             evaluated = evaluator.evaluate(config)
             assert (repr(evaluated.latency_ms), repr(evaluated.energy_mj)) == (latency, energy)
+
+    def test_noisy_model_reproduces_recorded_draws_through_evaluate_many(
+        self, visformer_net, platform
+    ):
+        evaluator = ConfigEvaluator(
+            visformer_net,
+            platform,
+            cost_model=NoisyCostModel(noise_std=0.05, seed=3),
+            seed=0,
+        )
+        config = SearchSpace(visformer_net, platform).sample(11)
+        evaluated = evaluator.evaluate_many([config, config])
+        assert [(repr(e.latency_ms), repr(e.energy_mj)) for e in evaluated] == list(NOISY_REPRS)
 
 
 #: ``(latency_ms, energy_mj)`` reprs of two evaluations of one config through a
@@ -1165,6 +1289,65 @@ class TestLayerSubclassesOverridingPublicMethods:
         )
 
 
+class TestWorkloadArrays:
+    """The array terms of every layer kind and subclass against ``from_layer``."""
+
+    LAYERS = LAYERS + [
+        ToyLayer(name="toy", width=8, in_width=6),
+        DoubledConv2dLayer(name="doubled", width=16, in_width=8),
+        WideFeedForwardLayer(name="wide", width=12, in_width=12, tokens=3, expansion=1.3),
+    ]
+
+    def test_every_slice_matches_from_layer(self):
+        rng = np.random.default_rng(0)
+        layers = self.LAYERS
+        positions = np.repeat(np.arange(len(layers)), 25)
+        in_units = np.array([rng.integers(1, layers[p].in_width + 1) for p in positions])
+        out_units = np.array([rng.integers(1, layers[p].width + 1) for p in positions])
+        flops, total_bytes = workload_arrays(layers, positions, in_units, out_units)
+        for index, position in enumerate(positions.tolist()):
+            workload = LayerWorkload.from_layer(
+                layers[position], int(in_units[index]), int(out_units[index])
+            )
+            assert_identical(flops[index].item(), float(workload.flops))
+            assert_identical(total_bytes[index].item(), workload.total_bytes)
+
+    @pytest.mark.parametrize("index", range(len(LAYERS)))
+    def test_units_outside_the_layer_raise_its_message(self, index):
+        layer = self.LAYERS[index]
+        for in_units, out_units in ((0, 1), (1, layer.width + 1), (layer.in_width + 1, 1)):
+            expected = outcome(LayerWorkload.from_layer, layer, in_units, out_units)
+            assert expected[0] == "raised"
+            actual = outcome(
+                workload_arrays, [layer], np.zeros(1, int), np.array([in_units]),
+                np.array([out_units]),
+            )
+            assert actual == expected
+
+    def test_invalid_terms_raise_the_workload_message(self):
+        broken = NegativeFlopsLayer(name="broken", width=4, in_width=4)
+        assert outcome(
+            workload_arrays, [broken], np.zeros(1, int), np.ones(1, int), np.ones(1, int)
+        ) == outcome(LayerWorkload.from_layer, broken, 1, 1)
+
+
+@dataclass(frozen=True)
+class NegativeFlopsLayer(Layer):
+    """Prices every slice at -1 FLOP, which a workload rejects."""
+
+    def flops(self, in_units=None, out_units=None):
+        return -1.0
+
+    def params(self, in_units=None, out_units=None):
+        return 0.0
+
+    def output_elements(self, out_units=None):
+        return 1
+
+    def input_elements(self, in_units=None):
+        return 1
+
+
 class TestStageAccuraciesBuildCurvesOnce:
     @pytest.mark.parametrize("reorder", [True, False], ids=["reordered", "unordered"])
     def test_equals_per_stage_coverage(self, networks, reorder):
@@ -1187,3 +1370,133 @@ class TestStageAccuraciesBuildCurvesOnce:
                 simulate_dynamic_inference(dynamic, profile).exit_statistics.stage_accuracies,
                 per_stage,
             )
+
+
+class TestBatchPath:
+    def test_a_batch_builds_no_network(self, visformer_net, platform, monkeypatch):
+        built = []
+        real = evaluation.build_dynamic_network
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_dynamic_network", counting)
+        evaluator = ConfigEvaluator(visformer_net, platform, seed=0)
+        configs = SearchSpace(visformer_net, platform).population(6, seed=1)
+        evaluator.evaluate_many(configs)
+        assert built == []
+        # One configuration takes evaluate().
+        evaluator.evaluate_many(configs[:1])
+        assert len(built) == 1
+
+    def test_the_table_holds_what_evaluate_stores(self, visformer_net, platform):
+        configs = SearchSpace(visformer_net, platform).population(8, seed=3)
+        batched = ConfigEvaluator(visformer_net, platform, seed=0)
+        single = ConfigEvaluator(visformer_net, platform, seed=0)
+        batched.evaluate_many(configs)
+        expected = [single.evaluate(config) for config in configs]
+        table = batched._mapping_evaluator._table
+        reference = single._mapping_evaluator._table
+        for memo, reference_memo in (
+            (table._latencies, reference._latencies),
+            (table._transfers, reference._transfers),
+        ):
+            assert_identical(sorted(memo.items()), sorted(reference_memo.items()))
+            assert {type(key) for key in memo} == {int}
+            assert {type(value) for value in memo.values()} == {float}
+        assert all(type(workload) is LayerWorkload for workload in table._workloads.values())
+        # evaluate() reads what the batch stored.
+        for config, result in zip(configs, expected):
+            assert_identical(batched.evaluate(config).inference, result.inference)
+
+    def test_first_invalid_candidate_raises_as_evaluate(self, visformer_net, platform):
+        space = SearchSpace(visformer_net, platform)
+        valid = space.population(4, seed=5)
+        num_layers = valid[0].num_layers
+        unknown_unit = replace(valid[1], unit_names=("gpu", "dla0", "npu"))
+        bad_dvfs = replace(valid[2], dvfs_indices=(0, 0, 99))
+        short = MappingConfig(
+            partition=PartitionMatrix.uniform(3, num_layers - 1),
+            indicator=IndicatorMatrix.full(3, num_layers - 1),
+            unit_names=("gpu", "dla0", "dla1"),
+            dvfs_indices=(0, 0, 0),
+        )
+        # Seven stages cannot split a six-head attention layer; the names are
+        # never looked up, as the split fails first.
+        unsplittable = MappingConfig(
+            partition=PartitionMatrix.uniform(7, num_layers),
+            indicator=IndicatorMatrix.none(7, num_layers),
+            unit_names=tuple(f"unit{index}" for index in range(7)),
+            dvfs_indices=(0,) * 7,
+        )
+        batches = [
+            [valid[0], bad_dvfs, unknown_unit, valid[3]],
+            [valid[0], unknown_unit, bad_dvfs],
+            [short, valid[0]],
+            [valid[0], valid[1], unsplittable, unknown_unit],
+            [unknown_unit, unsplittable],
+            [bad_dvfs, bad_dvfs],
+        ]
+        kinds = set()
+        for batch in batches:
+            evaluator = ConfigEvaluator(visformer_net, platform, seed=0)
+            expected = outcome(lambda configs: [evaluator.evaluate(c) for c in configs], batch)
+            assert expected[0] == "raised"
+            kinds.add(expected[1])
+            assert outcome(evaluator.evaluate_many, batch) == expected
+        assert kinds == {ConfigurationError, PartitionError, PlatformError}
+
+
+@dataclass(frozen=True)
+class HalfAccuracy(AccuracyModel):
+    """Every exit at 0.5, whatever it covers."""
+
+    def stage_accuracies(self, dynamic_network):
+        return (0.5,) * dynamic_network.num_stages
+
+
+@dataclass(frozen=True)
+class HalvedCoverageAccuracy(AccuracyModel):
+    """Overrides only the per-stage mapping, which the batch path asks too."""
+
+    def stage_accuracy_from_coverage(self, coverage, base_accuracy, family):
+        return 0.5 * super().stage_accuracy_from_coverage(coverage, base_accuracy, family)
+
+
+class TestAccuracyModelOverrides:
+    def test_an_overriding_model_is_asked(self, visformer_net, platform):
+        model = HalfAccuracy()
+        evaluator = ConfigEvaluator(visformer_net, platform, accuracy_model=model, seed=0)
+        space = SearchSpace(visformer_net, platform)
+        config = space.sample(3)
+        results = [evaluator.evaluate(config)] + evaluator.evaluate_many(
+            [config] + space.population(4, seed=2)
+        )
+        for result in results:
+            assert result.inference.exit_statistics.stage_accuracies == (0.5, 0.5, 0.5)
+        dynamic = evaluated_network(evaluator, config)
+        profile = MappingEvaluator(platform).profile(
+            dynamic, config.unit_names, config.dvfs_indices
+        )
+        assert_identical(
+            results[0].inference, simulate_dynamic_inference(dynamic, profile, accuracy_model=model)
+        )
+        assert_identical(results[1].inference, results[0].inference)
+
+    def test_search_asks_an_overriding_model(self, visformer_net, platform):
+        framework = MapAndConquer(visformer_net, platform, accuracy_model=HalfAccuracy(), seed=0)
+        result = framework.search(generations=2, population_size=6, seed=0)
+        assert {item.accuracy for item in result.history} == {0.5}
+
+    def test_a_coverage_override_keeps_the_batch_path(self, visformer_net, platform):
+        model = HalvedCoverageAccuracy()
+        evaluator = ConfigEvaluator(visformer_net, platform, accuracy_model=model, seed=0)
+        default = ConfigEvaluator(visformer_net, platform, seed=0)
+        configs = SearchSpace(visformer_net, platform).population(4, seed=8)
+        assert evaluator._batched()
+        for batched, config, plain in zip(
+            evaluator.evaluate_many(configs), configs, default.evaluate_many(configs)
+        ):
+            assert_identical(batched.inference, evaluator.evaluate(config).inference)
+            assert batched.accuracy < plain.accuracy

@@ -2,14 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError, PlatformError
+from repro.search.objectives import measured_serving_objectives
+from repro.serving.bridge import ReplayScenario
+from repro.serving.families import SteadyPoissonFamily
+from repro.serving.workload import PoissonArrivals
 from repro.soc.compute_unit import ComputeUnit, ComputeUnitKind
 from repro.soc.dvfs import DvfsTable, PowerModel
 from repro.soc.interconnect import Interconnect
 from repro.soc.memory import SharedMemory
 from repro.soc.platform import Platform, jetson_agx_xavier
+from repro.soc.presets import get_platform, platform_names
+
+#: sha256 of ``repr(platform)`` for every preset, recorded before compute
+#: units could be hashed: ``serving_digest`` hashes the repr into every
+#: serving-cache key, so it must not change.
+PRESET_REPR_DIGESTS = {
+    "jetson-agx-orin": "397f5ff70c50c961e94a9cf0bb14c4dcdbcf7afa0405e8081104f24eb0999387",
+    "jetson-agx-xavier": "4c2b338cf45e7bf49cfd64060b2074fb0c1d826dc9e4e96a0deba84f1952bf36",
+    "jetson-nano-class": "28d7ac922ac0a4c0621126b0265be5ebffe8f5878de8c04614aa820cf738dddf",
+    "mobile-big-little": "11fbe3ca6532c67f96f5866178fda97564d148783fb648e67620edcef5f8c2f9",
+    "server-gpu": "6e58659ca90d8e81ab7ae3725174720d085baa74e4a098cc84b4afbab14ac336",
+}
 
 
 def make_unit(name="gpu", kind=ComputeUnitKind.GPU, peak=40.0):
@@ -202,3 +221,45 @@ class TestPlatform:
     def test_feature_budget_configurable(self):
         platform = jetson_agx_xavier(feature_budget_mib=2.0)
         assert platform.shared_memory.feature_budget_bytes == 2 * 2**20
+
+
+class TestHashing:
+    @pytest.mark.parametrize("name", sorted(PRESET_REPR_DIGESTS))
+    def test_equal_platforms_hash_equal(self, name):
+        first, second = get_platform(name), get_platform(name)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert {first: name}[second] == name
+
+    def test_every_preset_is_pinned(self):
+        assert set(platform_names()) == set(PRESET_REPR_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_REPR_DIGESTS))
+    def test_repr_is_unchanged(self, name):
+        text = repr(get_platform(name))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRESET_REPR_DIGESTS[name]
+        assert "utilisation={'" in text
+
+    def test_unit_hash_follows_equality(self):
+        unit = make_unit()
+        reordered = dataclasses.replace(unit, utilisation={"attention": 0.5, "conv2d": 1.0})
+        assert reordered == unit
+        assert hash(reordered) == hash(unit)
+        changed = dataclasses.replace(unit, utilisation={"conv2d": 1.0, "attention": 0.4})
+        assert changed != unit
+        assert hash(changed) != hash(unit)
+
+    def test_replay_scenario_hashes(self):
+        scenario = ReplayScenario(jetson_agx_xavier(), PoissonArrivals(30.0), 400.0, seed=3)
+        twin = ReplayScenario(jetson_agx_xavier(), PoissonArrivals(30.0), 400.0, seed=3)
+        assert scenario == twin
+        assert hash(scenario) == hash(twin)
+        assert len({scenario, twin}) == 1
+
+    def test_measured_objective_set_hashes(self):
+        family = SteadyPoissonFamily(rate_rps=40.0)
+        first = measured_serving_objectives(family, jetson_agx_xavier())
+        second = measured_serving_objectives(family, jetson_agx_xavier())
+        assert first == second
+        assert hash(first) == hash(second)
