@@ -60,9 +60,10 @@ Format versions
   its ``base_accuracy``
   (:class:`~repro.search.evaluation.EvaluatedConfig`).
 
-A version-1 or version-2 line is counted as an older format, logged as such
-and never unpickled: every cell it holds re-runs, and the re-run writes a
-current line, so the rendered summary is byte-identical to a fresh run.
+A version-1 or version-2 line is counted as an older format by the loader of
+its own kind, so it is logged once per run, and it is never unpickled: every
+cell it holds re-runs, and the re-run writes a current line, so the rendered
+summary is byte-identical to a fresh run.
 
 .. warning::
    The payload is a pickle, exactly like the evaluation cache's: only load
@@ -261,9 +262,7 @@ class CampaignCheckpoint:
         first_field, second_field = _KEY_FIELDS[kind]
         restored: Dict[Tuple[str, str], object] = {}
         changed: Dict[Tuple[str, str], List[str]] = {}
-        for record in store.records():
-            if record.get("kind") != kind:
-                continue
+        for record in store.records(kind=kind):
             try:
                 key = (str(record[first_field]), str(record[second_field]))
                 seed = int(record["seed"])

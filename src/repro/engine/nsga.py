@@ -219,7 +219,7 @@ class NSGA2Strategy(SearchStrategy):
             crowding[chosen],
         )
 
-    def _tournament(self, ranks: np.ndarray, crowding: np.ndarray) -> int:
+    def _tournament(self, ranks: List[int], crowding: List[float]) -> int:
         first = int(self._rng.integers(0, len(ranks)))
         second = int(self._rng.integers(0, len(ranks)))
         if (ranks[first], -crowding[first]) <= (ranks[second], -crowding[second]):
@@ -227,7 +227,9 @@ class NSGA2Strategy(SearchStrategy):
         return second
 
     def _breed(self) -> List[MappingConfig]:
-        ranks, crowding = self._parent_ranks, self._parent_crowding
+        # Plain ints and floats: each tournament compares two of them.
+        ranks = self._parent_ranks.tolist()
+        crowding = self._parent_crowding.tolist()
         offspring: List[MappingConfig] = []
         while len(offspring) < self.population_size:
             parent_a = self._parents[self._tournament(ranks, crowding)]

@@ -98,7 +98,7 @@ class JsonlStore:
             stream.writelines(lines)
 
     # -- read --------------------------------------------------------------------
-    def records(self) -> Iterator[Dict[str, object]]:
+    def records(self, **match: object) -> Iterator[Dict[str, object]]:
         """Every well-formed line of the current version, in file order.
 
         Resets the counters, counts the lines it cannot use, and logs the
@@ -106,6 +106,11 @@ class JsonlStore:
         through :meth:`decode`, so an owner can reject a record on its fields
         without unpickling anything; owners count records they reject as
         malformed by incrementing :attr:`skipped`.
+
+        ``match`` narrows the read to the lines whose fields hold the given
+        values, such as one record kind of a shared file.  A current or
+        older line that differs is left to the read that matches it, so
+        each one is yielded or counted, and logged, by one read only.
         """
         self.decoded = self.skipped = self.older = self.duplicates = 0
         if not self.path.exists():
@@ -120,12 +125,15 @@ class JsonlStore:
                 except (ValueError, AttributeError):
                     self.skipped += 1
                     continue
-                if version == self.version:
-                    yield record
-                elif isinstance(version, int) and 0 < version < self.version:
-                    self.older += 1
-                else:
+                current = version == self.version
+                if not current and not (isinstance(version, int) and 0 < version < self.version):
                     self.skipped += 1
+                elif any(record.get(name) != value for name, value in match.items()):
+                    continue
+                elif current:
+                    yield record
+                else:
+                    self.older += 1
         self._log()
 
     def decode(self, record: Dict[str, object]) -> Optional[object]:

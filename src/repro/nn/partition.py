@@ -154,8 +154,34 @@ def _layer_sizes(layers: Sequence[Layer]) -> List[Tuple[int, int]]:
     return [(layer.width, layer.partition_granularity) for layer in layers]
 
 
-@dataclass(frozen=True)
-class PartitionMatrix:
+class _ContentMatrix:
+    """A read-only matrix compared and hashed by content: shape and bytes.
+
+    Two matrices of one kind are equal when they hold the same entries, so
+    configurations built from them compare, hash and deduplicate by value.
+    """
+
+    values: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.values.shape == other.values.shape
+            and self.values.tobytes() == other.values.tobytes()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.values.shape, self.values.tobytes()))
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickling and deep copies rebuild the array writeable.
+        self.__dict__.update(state)
+        self.values.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionMatrix(_ContentMatrix):
     """The ``P`` matrix: per-stage, per-layer width fractions.
 
     ``values`` is a validated, read-only copy of the array it was given.
@@ -170,21 +196,17 @@ class PartitionMatrix:
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.size == 0:
             raise PartitionError("P must be a non-empty 2-D array (stages x layers)")
-        # Written so that a NaN fails it too.
-        if not ((values >= 0) & (values <= 1)).all():
+        # min and max carry a NaN through, so a NaN fails this too.
+        if not (values.min() >= 0 and values.max() <= 1):
             raise PartitionError("P entries must lie in [0, 1]")
         column_sums = values.sum(axis=0)
-        if not (np.abs(column_sums - 1.0) <= SUM_TOLERANCE).all():
+        # The entries are finite now, so the largest deviation bounds them all.
+        if not np.abs(column_sums - 1.0).max() <= SUM_TOLERANCE:
             raise PartitionError(
                 f"every column of P must sum to 1 (got column sums {column_sums})"
             )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def __setstate__(self, state: dict) -> None:
-        # Unpickling and deep copies rebuild the array writeable.
-        self.__dict__.update(state)
-        self.values.flags.writeable = False
 
     @property
     def num_stages(self) -> int:
@@ -214,9 +236,13 @@ class PartitionMatrix:
         return cls(np.tile(column[:, None], (1, num_layers)))
 
 
-@dataclass(frozen=True)
-class IndicatorMatrix:
-    """The ``I`` matrix: whether a stage's features are reused downstream."""
+@dataclass(frozen=True, eq=False)
+class IndicatorMatrix(_ContentMatrix):
+    """The ``I`` matrix: whether a stage's features are reused downstream.
+
+    ``values`` is a validated, read-only integer copy of the array it was
+    given.
+    """
 
     values: np.ndarray
 
@@ -226,7 +252,9 @@ class IndicatorMatrix:
             raise PartitionError("I must be a non-empty 2-D array (stages x layers)")
         if not ((values == 0) | (values == 1)).all():
             raise PartitionError("I entries must be 0 or 1")
-        object.__setattr__(self, "values", values.astype(int))
+        values = values.astype(int)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def num_stages(self) -> int:

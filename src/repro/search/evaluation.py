@@ -83,8 +83,7 @@ class EvaluatedConfig:
 
     Equality is identity: the evaluation cache hands out one object per
     content digest, so membership tests (``config in pareto_set``) compare
-    identities instead of trying to compare the nested numpy matrices
-    element-wise.
+    identities instead of every nested field.
     """
 
     config: MappingConfig
@@ -155,6 +154,14 @@ def _config_key(config: MappingConfig) -> Tuple:
         config.indicator.values.tobytes(),
         config.unit_names,
         config.dvfs_indices,
+    )
+
+
+def _key_bytes(parts: Tuple) -> bytes:
+    """What :meth:`ConfigEvaluator.content_digest` hashes of key ``parts``:
+    bytes as they are, anything else as its ``repr`` in utf-8."""
+    return b"".join(
+        part if isinstance(part, bytes) else repr(part).encode("utf-8") for part in parts
     )
 
 
@@ -301,6 +308,7 @@ class ConfigEvaluator:
             state_digest,
         )
         self._identity: Optional[Tuple] = None
+        self._identity_bytes: Optional[bytes] = None
 
     # -- content identity --------------------------------------------------------
     def identity_key(self) -> Tuple:
@@ -337,14 +345,14 @@ class ConfigEvaluator:
         return _config_key(config) + self.identity_key()
 
     def content_digest(self, config: MappingConfig) -> str:
-        """Stable hex digest of :meth:`config_key`, for persistent caches."""
-        digest = hashlib.sha256()
-        for part in self.config_key(config):
-            if isinstance(part, bytes):
-                digest.update(part)
-            else:
-                digest.update(repr(part).encode("utf-8"))
-        return digest.hexdigest()
+        """Stable hex digest of :meth:`config_key`, for persistent caches.
+
+        The identity suffix is encoded once per evaluator; hashing it after
+        the configuration's own parts digests the same bytes.
+        """
+        if self._identity_bytes is None:
+            self._identity_bytes = _key_bytes(self.identity_key())
+        return hashlib.sha256(_key_bytes(_config_key(config)) + self._identity_bytes).hexdigest()
 
     def evaluate(self, config: MappingConfig) -> EvaluatedConfig:
         """Run the full pipeline for ``config``.

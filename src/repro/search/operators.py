@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..errors import SearchError
 from ..nn.partition import IndicatorMatrix, PartitionMatrix
 from ..utils import as_rng
 from .space import MappingConfig, SearchSpace
@@ -26,7 +27,7 @@ def _mutate_partition(
     """Resample the partition ratios of one random layer column."""
     values = config.partition.values.copy()
     layer = int(rng.integers(0, space.num_layers))
-    raw = rng.choice(space.ratio_choices, size=space.num_stages)
+    raw = space._draw_ratios(rng, space.num_stages)
     values[:, layer] = raw / raw.sum()
     return replace(config, partition=PartitionMatrix(values))
 
@@ -60,9 +61,10 @@ def _mutate_dvfs(
     """Random-walk the DVFS operating point of one stage by one step."""
     stage = int(rng.integers(0, space.num_stages))
     unit = space.platform.unit(config.unit_names[stage])
-    step = int(rng.choice([-1, 1]))
+    # The draw rng.choice([-1, 1]) makes, without building an array.
+    step = (-1, 1)[rng.integers(0, 2)]
     indices = list(config.dvfs_indices)
-    indices[stage] = int(np.clip(indices[stage] + step, 0, unit.num_dvfs_points() - 1))
+    indices[stage] = min(max(indices[stage] + step, 0), unit.num_dvfs_points() - 1)
     return replace(config, dvfs_indices=tuple(indices))
 
 
@@ -75,10 +77,15 @@ def mutate(
     rng: int | np.random.Generator | None = None,
     num_mutations: int = 1,
 ) -> MappingConfig:
-    """Apply ``num_mutations`` random elementary mutations to ``config``."""
+    """Apply ``num_mutations`` random elementary mutations to ``config``.
+
+    Raises :class:`~repro.errors.SearchError` when ``num_mutations`` is below one.
+    """
+    if num_mutations < 1:
+        raise SearchError(f"num_mutations must be >= 1, got {num_mutations}")
     generator = as_rng(rng)
     mutated = config
-    for _ in range(max(1, num_mutations)):
+    for _ in range(num_mutations):
         operator = _MUTATIONS[int(generator.integers(0, len(_MUTATIONS)))]
         mutated = operator(mutated, space, generator)
     return mutated
@@ -97,11 +104,9 @@ def crossover(
     are taken together from one parent so they stay mutually consistent.
     """
     generator = as_rng(rng)
-    partition = parent_a.partition.values.copy()
-    indicator = parent_a.indicator.values.copy()
     take_b = generator.random(space.num_layers) < 0.5
-    partition[:, take_b] = parent_b.partition.values[:, take_b]
-    indicator[:, take_b] = parent_b.indicator.values[:, take_b]
+    partition = np.where(take_b, parent_b.partition.values, parent_a.partition.values)
+    indicator = np.where(take_b, parent_b.indicator.values, parent_a.indicator.values)
     mapping_parent = parent_a if generator.random() < 0.5 else parent_b
     child = MappingConfig(
         partition=PartitionMatrix(partition),

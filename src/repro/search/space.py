@@ -40,6 +40,9 @@ class MappingConfig:
         Eq. 7); entries must be distinct.
     dvfs_indices:
         Index into the hosting unit's DVFS table for each stage (``theta``).
+
+    Configurations compare and hash by content (the matrices by shape and
+    bytes), so equal candidates deduplicate in sets and dicts.
     """
 
     partition: PartitionMatrix
@@ -49,7 +52,7 @@ class MappingConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unit_names", tuple(self.unit_names))
-        object.__setattr__(self, "dvfs_indices", tuple(int(i) for i in self.dvfs_indices))
+        object.__setattr__(self, "dvfs_indices", tuple(map(int, self.dvfs_indices)))
         num_stages = self.partition.num_stages
         if self.indicator.values.shape != self.partition.values.shape:
             raise ConfigurationError("P and I must have identical shapes")
@@ -63,7 +66,7 @@ class MappingConfig:
             raise MappingError(
                 f"expected {num_stages} DVFS indices, got {len(self.dvfs_indices)}"
             )
-        if any(index < 0 for index in self.dvfs_indices):
+        if min(self.dvfs_indices) < 0:
             raise MappingError("DVFS indices must be non-negative")
 
     @property
@@ -106,7 +109,7 @@ class SearchSpace:
         units, as in the paper (one stage per CU).
     ratio_choices:
         Discrete per-layer width-fraction choices used when sampling ``P``
-        (the paper uses 8 ratios).
+        (the paper uses 8 ratios); each must be positive and finite.
     reuse_prior:
         Probability that a forwardable feature map is reused when sampling
         ``I`` unconstrained.
@@ -135,8 +138,11 @@ class SearchSpace:
         self.backbone = backbone_layers(network)
         self.num_layers = len(self.backbone)
         self.ratio_choices = tuple(float(r) for r in ratio_choices)
-        if not self.ratio_choices or any(r <= 0 for r in self.ratio_choices):
-            raise ConfigurationError("ratio_choices must be non-empty and positive")
+        # Written so that a NaN fails it too.
+        if not self.ratio_choices or not all(0 < r < math.inf for r in self.ratio_choices):
+            raise ConfigurationError("ratio_choices must be non-empty, positive and finite")
+        # What a drawn choice index selects; see sample_partition.
+        self._ratios = np.array(self.ratio_choices)
         if not 0 <= reuse_prior <= 1:
             raise ConfigurationError(f"reuse_prior must lie in [0, 1], got {reuse_prior}")
         self.reuse_prior = float(reuse_prior)
@@ -154,13 +160,25 @@ class SearchSpace:
                 )
 
     # -- sampling ---------------------------------------------------------------
+    def _draw_ratios(self, rng: np.random.Generator, *shape: int) -> np.ndarray:
+        """Ratio choices drawn uniformly, one per entry of ``shape``.
+
+        One draw of choice indices: ``rng.choice(self.ratio_choices, size)``
+        draws exactly these, in the same order, from the same stream.
+        """
+        return self._ratios[rng.integers(0, len(self._ratios), size=shape)]
+
     def sample_partition(self, rng: np.random.Generator) -> PartitionMatrix:
-        """Sample a ``P`` matrix from the discrete ratio choices."""
-        columns = []
-        for _ in range(self.num_layers):
-            raw = rng.choice(self.ratio_choices, size=self.num_stages)
-            columns.append(raw / raw.sum())
-        return PartitionMatrix(np.column_stack(columns))
+        """Sample a ``P`` matrix from the discrete ratio choices.
+
+        Column by column: each layer's stage ratios are drawn together, then
+        divided by their own sum.  The ``(layers, stages)`` draw takes them
+        from the generator in that order, and its rows sum along the
+        contiguous axis, as each column's 1-D sum did.
+        """
+        raw = self._draw_ratios(rng, self.num_layers, self.num_stages)
+        columns = raw / raw.sum(axis=1, keepdims=True)
+        return PartitionMatrix(columns.T.copy())
 
     def sample_indicator(self, rng: np.random.Generator) -> IndicatorMatrix:
         """Sample an ``I`` matrix, repaired to satisfy the reuse cap if set."""

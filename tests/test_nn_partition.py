@@ -166,6 +166,48 @@ class TestIndicatorMatrix:
         assert indicator.reused(0, 0) is True
         assert indicator.reused(0, 1) is False
 
+    def test_holds_a_read_only_copy_of_the_callers_array(self):
+        values = np.array([[1, 0, 1], [0, 0, 0]])
+        matrix = IndicatorMatrix(values)
+        values[0, 1] = 1
+        assert matrix.values[0, 1] == 0
+        # Read-only also in unpickled and deep copies, as P's array is.
+        clones = [pickle.loads(pickle.dumps(matrix, protocol=p)) for p in (2, 4, 5)]
+        for held in [matrix, copy.deepcopy(matrix)] + clones:
+            assert held.values.dtype == np.dtype(int)
+            with pytest.raises(ValueError, match="read-only"):
+                held.values[0, 1] = 1
+            assert held.values[0, 1] == 0
+
+
+class TestContentEquality:
+    """P and I compare and hash by content: their shape and bytes."""
+
+    @pytest.mark.parametrize(
+        "build, other",
+        [
+            (lambda: PartitionMatrix.uniform(2, 3), lambda: PartitionMatrix.uniform(3, 2)),
+            (lambda: IndicatorMatrix.full(2, 3), lambda: IndicatorMatrix.none(2, 3)),
+            (lambda: IndicatorMatrix.none(2, 3), lambda: IndicatorMatrix.none(3, 2)),
+        ],
+    )
+    def test_equal_content_is_equal(self, build, other):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != other()
+        assert first in [other(), second] and other() not in [first]
+        assert len({first, second, other()}) == 2
+        for clone in (copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+            assert clone == first and hash(clone) == hash(first)
+
+    def test_kinds_and_foreign_values_differ(self):
+        indicator = IndicatorMatrix.none(2, 3)
+        partition = PartitionMatrix(np.zeros((2, 3)) + np.array([[1.0], [0.0]]))
+        assert indicator != partition and partition != indicator
+        assert indicator != indicator.values.tolist()
+        assert IndicatorMatrix(np.array([[True, False]])) == IndicatorMatrix(np.array([[1, 0]]))
+
 
 class TestBackboneLayers:
     def test_classifier_head_is_stripped(self, tiny_network):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,31 @@ from repro.search.space import MappingConfig, SearchSpace
 
 
 class TestMappingConfig:
+    def test_equality_membership_and_hashing(self, tiny_space):
+        first, second = tiny_space.sample(3), tiny_space.sample(3)
+        other = tiny_space.sample(4)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != other
+        assert second in [other, first] and other not in [first, second]
+        assert len({first, second, other}) == 2
+        assert {first: "kept"}[second] == "kept"
+        for clone in (pickle.loads(pickle.dumps(first)), copy.deepcopy(first)):
+            assert clone == first and hash(clone) == hash(first)
+            assert clone in {first}
+
+    def test_configs_differing_in_one_part_are_unequal(self, tiny_space):
+        config = tiny_space.sample(3)
+        variants = [
+            replace(config, partition=PartitionMatrix.uniform(3, config.num_layers)),
+            replace(config, indicator=IndicatorMatrix(1 - config.indicator.values)),
+            replace(config, unit_names=config.unit_names[::-1]),
+            replace(config, dvfs_indices=tuple(i + 1 for i in config.dvfs_indices)),
+        ]
+        for variant in variants:
+            assert variant != config and variant not in [config]
+        assert replace(config, dvfs_indices=config.dvfs_indices) == config
+
     def test_valid_config(self, tiny_mapping_config):
         assert tiny_mapping_config.num_stages == 3
         assert tiny_mapping_config.num_layers == 3
