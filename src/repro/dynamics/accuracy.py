@@ -30,7 +30,7 @@ from typing import ClassVar, Iterable
 
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import DynamicNetwork, stage_coverages
+from ..nn.multiexit import DynamicNetwork
 from ..utils import check_fraction, check_non_negative
 
 __all__ = ["AccuracyModel"]
@@ -115,14 +115,11 @@ class AccuracyModel:
         see strictly more features (their own plus whatever earlier stages
         forward); the model enforces monotonicity explicitly so that exit
         statistics stay well defined even for adversarial indicator choices.
-        The backbone's importance curves are built once for all stages.
+        Every stage's coverage is computed at once.
         """
-        coverages = stage_coverages(
-            dynamic_network.scheme,
-            range(dynamic_network.num_stages),
-            dynamic_network._importance_curves(),
+        return self.stage_accuracies_from_coverage(
+            dynamic_network.network, dynamic_network._coverages()
         )
-        return self.stage_accuracies_from_coverage(dynamic_network.network, coverages)
 
     def stage_accuracies_from_coverage(
         self, network: NetworkGraph, coverages: Iterable[float]

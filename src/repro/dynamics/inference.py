@@ -91,9 +91,11 @@ def _inference_result(
     """:func:`simulate_dynamic_inference` once the stage accuracies are known."""
     statistics = compute_exit_statistics(stage_accuracies, validation_samples=validation_samples)
 
-    if statistics.num_stages > profile.num_stages:
-        # Fail as HardwareProfile.cumulative_latency_ms does past the last stage.
-        profile.cumulative_latency_ms(profile.num_stages)
+    if statistics.num_stages != profile.num_stages:
+        raise ConfigurationError(
+            f"expected {profile.num_stages} stage accuracies, one per stage, "
+            f"got {statistics.num_stages}"
+        )
     latencies = tuple(stage.latency_ms for stage in profile.stages)
     energies = tuple(stage.energy_mj for stage in profile.stages)
     # Stopping at stage i costs the makespan of stages 0..i and the energy of

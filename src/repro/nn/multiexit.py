@@ -13,31 +13,25 @@ the cross-stage bytes that must move between compute units.  These numbers
 feed the hardware model in :mod:`repro.perf` and the accuracy model in
 :mod:`repro.dynamics`.
 
-A search scores a whole generation at once: :func:`network_arrays` holds the
-same numbers for many candidates of one shape as ``(candidates, stages,
-layers)`` arrays, and :func:`stage_coverage_arrays` their exit coverages,
-each element equal to what :func:`build_dynamic_network` and
-:func:`stage_coverages` give for that candidate.
+The numbers come from ``(candidates, stages, layers)`` arrays
+(:class:`~repro.nn.partition.NetworkArrays`), and so do the exit coverages
+(:func:`stage_coverage_arrays`): a search scores a whole generation of one
+shape at once, and a single network is the one-candidate case of the same
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, PartitionError
+from ..errors import ConfigurationError
 from .channels import ChannelRanking
 from .graph import NetworkGraph
 from .layers import Layer, LinearLayer
-from .partition import (
-    IndicatorMatrix,
-    PartitionMatrix,
-    PartitionScheme,
-    _layer_sizes,
-    _split_columns,
-)
+from .partition import IndicatorMatrix, NetworkArrays, PartitionMatrix, PartitionScheme
 
 __all__ = ["SubLayer", "Stage", "DynamicNetwork", "build_dynamic_network"]
 
@@ -162,13 +156,15 @@ class DynamicNetwork:
         fraction -- the quantity that makes the reordering ablation visible.
         """
         self._check_stage(stage)
-        return stage_coverages(self.scheme, (stage,), self._importance_curves())[0]
+        return self._coverages()[stage]
 
-    def _importance_curves(self) -> Optional[List[List[float]]]:
-        """The backbone's :func:`importance_curves`, ``None`` when not reordered."""
+    def _coverages(self) -> List[float]:
+        """Every stage's :meth:`stage_coverage`, from the scheme's arrays."""
+        backbone = self.scheme.backbone
+        curves = None
         if self.reordered and self.ranking is not None:
-            return importance_curves(self.ranking, self.scheme.backbone)
-        return None
+            curves = importance_curves(self.ranking, backbone)
+        return stage_coverage_arrays(self.scheme._arrays(), backbone, curves)[0].tolist()
 
     def summary(self) -> str:
         """Multi-line human-readable summary of stages and their costs."""
@@ -223,27 +219,32 @@ def build_dynamic_network(
     scheme = PartitionScheme(
         network=network, partition=partition, indicator=indicator, splits=splits
     )
-    backbone = scheme.backbone
-    channels, reused = scheme._lists()
-    # The exit head classifies from every feature available to its stage at
-    # the final backbone layer (own channels plus reused ones).
-    inputs, exit_units = scheme._inputs(channels, reused)
+    arrays = scheme._arrays()
     stages = []
-    for stage_index, (own, stage_inputs) in enumerate(zip(channels, inputs)):
+    for stage_index, (own, in_units, imported, exit_units) in enumerate(
+        zip(
+            arrays.channels[0].tolist(),
+            arrays.in_units[0].tolist(),
+            arrays.imported_bytes[0].tolist(),
+            arrays.exit_units[0].tolist(),
+        )
+    ):
         sublayers = tuple(
             SubLayer(
                 base=layer,
                 stage_index=stage_index,
                 layer_index=layer_index,
-                in_units=in_units,
+                in_units=layer_in,
                 out_units=out_units,
-                reused_input_bytes=imported,
+                reused_input_bytes=layer_imported,
             )
-            for layer_index, (layer, out_units, (in_units, imported)) in enumerate(
-                zip(backbone, own, stage_inputs)
+            for layer_index, (layer, out_units, layer_in, layer_imported) in enumerate(
+                zip(scheme.backbone, own, in_units, imported)
             )
         )
-        head = exit_head(network, stage_index, exit_units[stage_index])
+        # The exit head classifies from every feature available to its stage
+        # at the final backbone layer (own channels plus reused ones).
+        head = exit_head(network, stage_index, exit_units)
         stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=head))
     return DynamicNetwork(
         network=network,
@@ -261,164 +262,46 @@ def exit_head(network: NetworkGraph, stage_index: int, in_units: int) -> LinearL
     )
 
 
-class NetworkArrays(NamedTuple):
-    """Dynamic networks of one shape, as ``(candidates, stages, layers)`` arrays.
+def importance_curves(
+    ranking: ChannelRanking, layers: Sequence[Layer]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each layer's cumulative importance curve, led by a zero, laid end to end.
 
-    Row ``c`` holds the numbers :func:`build_dynamic_network` records for
-    candidate ``c``: every sub-layer's own output units (``channels``), its
-    indicator bit (``reused``) and its available input units (``in_units``);
-    every exit head's input units (``exit_units``) and every stage's
-    :meth:`Stage.imported_bytes` (``imported_bytes``); and the network's
-    :meth:`DynamicNetwork.stored_feature_bytes` (``stored_bytes``).
-    """
-
-    channels: np.ndarray
-    reused: np.ndarray
-    in_units: np.ndarray
-    exit_units: np.ndarray
-    imported_bytes: np.ndarray
-    stored_bytes: np.ndarray
-
-
-def network_arrays(
-    network: NetworkGraph,
-    backbone: Sequence[Layer],
-    partitions: Sequence[PartitionMatrix],
-    indicators: Sequence[IndicatorMatrix],
-    splits: Dict[tuple, Tuple[int, ...]],
-    output_bytes: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> NetworkArrays:
-    """:func:`build_dynamic_network` of many ``(P, I)`` pairs with one stage count.
-
-    ``backbone`` is ``network``'s, ``splits`` a split table, and
-    ``output_bytes(positions, units)`` sizes the output of each backbone
-    position at each unit count, as ``backbone[position].output_bytes(units)``
-    would.  The shape checks of :class:`~repro.nn.partition.PartitionScheme`
-    run per candidate, every column is split through the table, and the rest
-    is integer arithmetic, so the arrays hold exactly the build's numbers.
-    """
-    for partition, indicator in zip(partitions, indicators):
-        if partition.num_layers != len(backbone):
-            raise PartitionError(
-                f"P has {partition.num_layers} layers but the backbone of "
-                f"{network.name!r} has {len(backbone)}"
-            )
-        if indicator.values.shape != partition.values.shape:
-            raise PartitionError(
-                f"P and I must have the same shape, got {partition.values.shape} "
-                f"and {indicator.values.shape}"
-            )
-    sizes = _layer_sizes(backbone)
-    columns = np.array([partition.values for partition in partitions]).transpose(0, 2, 1)
-    shares = [_split_columns(sizes, candidate, splits) for candidate in columns.tolist()]
-    # (candidates, layers, stages) shares to (candidates, stages, layers).
-    channels = np.ascontiguousarray(np.array(shares, dtype=np.int64).transpose(0, 2, 1))
-    reused = np.array([indicator.values for indicator in indicators]) != 0
-    # What each stage forwards, and what the stages before it forwarded
-    # (Eq. 8's dependency set): stage i reads its own previous-layer output
-    # plus every earlier stage's forwarded one.
-    forwarded = channels * reused
-    available = channels + np.cumsum(forwarded, axis=1) - forwarded
-    in_units = np.empty_like(channels)
-    in_units[:, :, 0] = backbone[0].in_width
-    in_units[:, :, 1:] = available[:, :, :-1]
-    # Every forwarded output is sized once; the last layer's feeds no later
-    # layer, only the stored features.
-    positions = np.broadcast_to(np.arange(len(backbone)), channels.shape)
-    forwarded_bytes = np.zeros_like(channels)
-    forwarded_bytes[reused] = output_bytes(positions[reused], channels[reused])
-    per_stage = forwarded_bytes[:, :, :-1].sum(axis=2)
-    return NetworkArrays(
-        channels=channels,
-        reused=reused,
-        in_units=in_units,
-        exit_units=available[:, :, -1],
-        imported_bytes=np.cumsum(per_stage, axis=1) - per_stage,
-        stored_bytes=forwarded_bytes[:, :-1, :].sum(axis=(1, 2)),
-    )
-
-
-def importance_curves(ranking: ChannelRanking, layers: Sequence[Layer]) -> List[List[float]]:
-    """Each layer's cumulative importance curve, led by a zero, as floats.
-
-    Entry ``c`` of a curve is the importance mass of the layer's ``c`` most
+    Entry ``c`` of a layer's curve is the importance mass of its ``c`` most
     important channels, so a channel range ``[start, end)`` of the
-    importance-sorted order holds ``curve[end] - curve[start]``.
+    importance-sorted order holds ``curve[end] - curve[start]``.  Returns the
+    curves and the offset at which each starts, ``(flat, offsets)``.
     """
-    return [[0.0] + ranking.cumulative_curve(layer.name).tolist() for layer in layers]
-
-
-def stage_coverages(
-    scheme: PartitionScheme,
-    stages: Iterable[int],
-    curves: Optional[Sequence[Sequence[float]]],
-) -> List[float]:
-    """Exit coverage of each of ``stages`` (see :meth:`DynamicNetwork.stage_coverage`).
-
-    ``curves`` are the backbone's :func:`importance_curves` when channels are
-    reordered by importance, ``None`` for plain width fractions.  A caller
-    that scores many schemes of one network computes the curves once.
-    """
-    channels, reused = scheme._lists()
-    num_layers = scheme.num_layers
-    if curves is None:
-        # Plain width fractions: a stage's own channels plus reused ones.
-        blocks = channels
-        widths = [layer.width for layer in scheme.backbone]
-    else:
-        # Stage k's block of layer j holds curve[end] - curve[start] of the
-        # importance mass: stage 0 owns the most important channels, stage 1
-        # the next, and so on.
-        blocks = []
-        starts = [0] * num_layers
-        for row in channels:
-            ends = [start + count for start, count in zip(starts, row)]
-            blocks.append(
-                [curve[end] - curve[start] for curve, start, end in zip(curves, starts, ends)]
-            )
-            starts = ends
-    rows = []
-    for stage in stages:
-        per_layer = []
-        for layer_index in range(num_layers):
-            # The stage's own block first, then each reused earlier block (a
-            # mass is never -0.0, so starting from it is starting from 0.0).
-            mass = blocks[stage][layer_index]
-            for k in range(stage):
-                if reused[k][layer_index]:
-                    mass += blocks[k][layer_index]
-            if curves is None:
-                mass /= widths[layer_index]
-            per_layer.append(min(1.0, mass))
-        rows.append(per_layer)
-    if not rows:
-        return []
-    # One reduction for every stage: the mean along a row of the 2-D array
-    # sums that row exactly as the 1-D mean of the row would.
-    return np.mean(rows, axis=1).tolist()
+    curves = [[0.0] + ranking.cumulative_curve(layer.name).tolist() for layer in layers]
+    offsets = np.cumsum([0] + [len(curve) for curve in curves[:-1]])
+    return np.concatenate(curves), offsets
 
 
 def stage_coverage_arrays(
     arrays: NetworkArrays,
-    widths: Sequence[int],
+    backbone: Sequence[Layer],
     curves: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """:func:`stage_coverages` of every stage of a batch, shape ``(candidates, stages)``.
+    """Every stage's :meth:`DynamicNetwork.stage_coverage`, ``(candidates, stages)``.
 
-    ``widths`` are the backbone's layer widths.  ``curves`` is ``None`` for
-    plain width fractions, or the backbone's :func:`importance_curves` laid
-    end to end with the offset of each curve, ``(flat, offsets)``.  Stage by
-    stage, each mass takes the same additions in the same order, and the
-    layer mean reduces each row along the contiguous last axis, as the 2-D
-    mean of one candidate does.
+    ``curves`` is the backbone's :func:`importance_curves` when channels are
+    reordered by importance, ``None`` for plain width fractions.  Stage by
+    stage, each mass takes the stage's own block, then each reused earlier
+    block, and the layer mean reduces each row along the contiguous last
+    axis.
     """
     channels, reused = arrays.channels, arrays.reused
     if curves is None:
+        # Plain width fractions: a stage's own channels plus reused ones.
         blocks = channels
     else:
+        # Stage k's block of layer j holds curve[end] - curve[start] of the
+        # importance mass: stage 0 owns the most important channels, stage 1
+        # the next, and so on.
         flat, offsets = curves
         ends = np.cumsum(channels, axis=1)
         blocks = flat[offsets + ends] - flat[offsets + ends - channels]
+    widths = [layer.width for layer in backbone]
     rows = np.empty(channels.shape)
     for stage in range(channels.shape[1]):
         mass = blocks[:, stage, :]

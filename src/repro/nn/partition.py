@@ -13,14 +13,16 @@ matrices (Eq. 4):
 This module provides validated wrappers for both matrices plus the integer
 channel-splitting arithmetic (largest-remainder rounding constrained to each
 layer's partition granularity) that converts fractions into concrete channel
-ranges.  The actual construction of per-stage sub-models lives in
-:mod:`repro.nn.multiexit`.
+ranges, and what every sub-layer then receives, computed on
+``(candidates, stages, layers)`` arrays for one scheme or a whole generation
+(:class:`NetworkArrays`).  The actual construction of per-stage sub-models
+lives in :mod:`repro.nn.multiexit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,10 +313,8 @@ class PartitionScheme:
 
     ``P`` was validated when its :class:`PartitionMatrix` was built, so its
     columns are split straight from one list conversion.  The scheme holds
-    nothing beyond its fields but the backbone and the channel matrix: the
-    oracle reads a candidate's channel and indicator lists from
-    :meth:`_lists` and every stage's sub-layer inputs from :meth:`_inputs`,
-    each derived in one pass when asked.
+    nothing beyond its fields but the backbone and the channel matrix: every
+    stage's sub-layer inputs come from :meth:`_arrays`, derived when asked.
 
     ``splits`` is an optional split table, an init-only argument the scheme
     does not keep: a dict from ``(width, granularity, *column)`` to the
@@ -331,16 +331,7 @@ class PartitionScheme:
 
     def __post_init__(self, splits: Optional[Dict[tuple, Tuple[int, ...]]]) -> None:
         backbone = backbone_layers(self.network)
-        if self.partition.num_layers != len(backbone):
-            raise PartitionError(
-                f"P has {self.partition.num_layers} layers but the backbone of "
-                f"{self.network.name!r} has {len(backbone)}"
-            )
-        if self.indicator.values.shape != self.partition.values.shape:
-            raise PartitionError(
-                f"P and I must have the same shape, got {self.partition.values.shape} "
-                f"and {self.indicator.values.shape}"
-            )
+        _check_shapes(self.network, backbone, self.partition, self.indicator)
         shares = _split_columns(
             _layer_sizes(backbone),
             self.partition.values.T.tolist(),
@@ -388,46 +379,22 @@ class PartitionScheme:
         """The channel and indicator matrices as nested lists of ints."""
         return self._channels.tolist(), self.indicator.values.tolist()
 
-    def _inputs(
-        self, channels: List[List[int]], reused: List[List[int]]
-    ) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
-        """Every stage's sub-layer inputs, and the input units of its exit head.
-
-        ``channels`` and ``reused`` are :meth:`_lists`.  One pass over the
-        layers: each earlier stage's reused output is sized once and shared
-        by every later stage, which receives ``(own + reused units,
-        reused bytes)`` (see :meth:`sublayer_inputs`).  The exit head of a
-        stage sees what a layer after the last one would.
-        """
-        backbone = self._backbone
-        num_stages = len(channels)
-        last = len(backbone) - 1
-        inputs = [[(backbone[0].in_width, 0)] for _ in range(num_stages)]
-        exit_units = [0] * num_stages
-        for previous, producer in enumerate(backbone):
-            shared_units = 0
-            shared_bytes = 0
-            for stage in range(num_stages):
-                own = channels[stage][previous]
-                if previous == last:
-                    exit_units[stage] = own + shared_units
-                else:
-                    inputs[stage].append((own + shared_units, shared_bytes))
-                if reused[stage][previous]:
-                    shared_units += own
-                    if previous != last:
-                        shared_bytes += producer.output_bytes(own)
-        return inputs, exit_units
+    def _arrays(self) -> NetworkArrays:
+        """This scheme as a one-candidate :class:`NetworkArrays`."""
+        reused = self.indicator.values[None] != 0
+        return _arrays(self._backbone, self._channels[None], reused, None)
 
     def sublayer_inputs(self, stage: int) -> Tuple[Tuple[int, int], ...]:
         """``(available_in_units, reused_input_bytes)`` of every layer of ``stage``.
 
-        Computed in one pass over the channel and indicator matrices; the
-        dynamic-network build takes its sub-layers' inputs from the same pass.
+        Read off :meth:`_arrays`, as the dynamic-network build reads its
+        sub-layers' inputs.
         """
         self._check_stage_layer(stage, 0)
-        inputs, _ = self._inputs(*self._lists())
-        return tuple(inputs[stage])
+        arrays = self._arrays()
+        return tuple(
+            zip(arrays.in_units[0, stage].tolist(), arrays.imported_bytes[0, stage].tolist())
+        )
 
     def available_in_units(self, stage: int, layer: int) -> int:
         """Input width available to stage ``stage`` at backbone layer ``layer``.
@@ -457,8 +424,7 @@ class PartitionScheme:
         available for subsequent stages for the duration of the inference
         (Fig. 4), so the memory-constraint term sums their sizes.
         """
-        inputs, _ = self._inputs(*self._lists())
-        return self._stored_bytes(sum(imported for _, imported in inputs[-1]))
+        return int(self._arrays().stored_bytes[0])
 
     def _stored_bytes(self, imported: int) -> int:
         """:meth:`stored_feature_bytes` from the last stage's imported bytes.
@@ -511,3 +477,113 @@ class PartitionScheme:
             raise PartitionError(f"stage index {stage} out of range [0, {self.num_stages})")
         if not 0 <= layer < self.num_layers:
             raise PartitionError(f"layer index {layer} out of range [0, {self.num_layers})")
+
+
+def _check_shapes(
+    network: NetworkGraph,
+    backbone: Sequence[Layer],
+    partition: PartitionMatrix,
+    indicator: IndicatorMatrix,
+) -> None:
+    """Check that ``P`` spans ``network``'s backbone and ``I`` has ``P``'s shape."""
+    if partition.num_layers != len(backbone):
+        raise PartitionError(
+            f"P has {partition.num_layers} layers but the backbone of "
+            f"{network.name!r} has {len(backbone)}"
+        )
+    if indicator.values.shape != partition.values.shape:
+        raise PartitionError(
+            f"P and I must have the same shape, got {partition.values.shape} "
+            f"and {indicator.values.shape}"
+        )
+
+
+class NetworkArrays(NamedTuple):
+    """Partition schemes of one shape, as ``(candidates, stages, layers)`` arrays.
+
+    Row ``c`` holds what candidate ``c``'s sub-layers receive, the numbers
+    :func:`~repro.nn.multiexit.build_dynamic_network` records: every
+    sub-layer's own output units (``channels``), its indicator bit
+    (``reused``), its available input units (``in_units``) and its reused
+    input bytes (``imported_bytes``); every exit head's input units
+    (``exit_units``); and the scheme's :meth:`PartitionScheme.stored_feature_bytes`
+    (``stored_bytes``).
+    """
+
+    channels: np.ndarray
+    reused: np.ndarray
+    in_units: np.ndarray
+    exit_units: np.ndarray
+    imported_bytes: np.ndarray
+    stored_bytes: np.ndarray
+
+
+def network_arrays(
+    network: NetworkGraph,
+    backbone: Sequence[Layer],
+    partitions: Sequence[PartitionMatrix],
+    indicators: Sequence[IndicatorMatrix],
+    splits: Dict[tuple, Tuple[int, ...]],
+    output_bytes: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> NetworkArrays:
+    """The :class:`NetworkArrays` of many ``(P, I)`` pairs with one stage count.
+
+    ``backbone`` is ``network``'s, ``splits`` a split table, and
+    ``output_bytes(positions, units)`` sizes the output of each backbone
+    position at each unit count, as ``backbone[position].output_bytes(units)``
+    does.  Each pair is checked as :class:`PartitionScheme` checks it, and
+    every column is split through the table; the rest is
+    :meth:`PartitionScheme._arrays`'s integer arithmetic.
+    """
+    for partition, indicator in zip(partitions, indicators):
+        _check_shapes(network, backbone, partition, indicator)
+    sizes = _layer_sizes(backbone)
+    columns = np.array([partition.values for partition in partitions]).transpose(0, 2, 1)
+    shares = [_split_columns(sizes, candidate, splits) for candidate in columns.tolist()]
+    # (candidates, layers, stages) shares to (candidates, stages, layers).
+    channels = np.ascontiguousarray(np.array(shares, dtype=np.int64).transpose(0, 2, 1))
+    reused = np.array([indicator.values for indicator in indicators]) != 0
+    return _arrays(backbone, channels, reused, output_bytes)
+
+
+def _arrays(
+    backbone: Sequence[Layer],
+    channels: np.ndarray,
+    reused: np.ndarray,
+    output_bytes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+) -> NetworkArrays:
+    """The :class:`NetworkArrays` of split ``channels`` and indicator bits ``reused``.
+
+    ``output_bytes`` is :func:`network_arrays`'s, or ``None`` to size each
+    output through its layer.
+    """
+    # What each stage forwards, and what the stages before it forwarded
+    # (Eq. 8's dependency set): stage i reads its own previous-layer output
+    # plus every earlier stage's forwarded one.
+    forwarded = channels * reused
+    available = channels + np.cumsum(forwarded, axis=1) - forwarded
+    in_units = np.empty_like(channels)
+    in_units[:, :, 0] = backbone[0].in_width
+    in_units[:, :, 1:] = available[:, :, :-1]
+    # Every forwarded output is sized once; the last layer's feeds no later
+    # layer, only the stored features.
+    positions = np.broadcast_to(np.arange(len(backbone)), channels.shape)[reused]
+    counts = channels[reused]
+    forwarded_bytes = np.zeros_like(channels)
+    if output_bytes is None:
+        forwarded_bytes[reused] = [
+            backbone[position].output_bytes(count)
+            for position, count in zip(positions.tolist(), counts.tolist())
+        ]
+    else:
+        forwarded_bytes[reused] = output_bytes(positions, counts)
+    imported = np.zeros_like(channels)
+    imported[:, :, 1:] = (np.cumsum(forwarded_bytes, axis=1) - forwarded_bytes)[:, :, :-1]
+    return NetworkArrays(
+        channels=channels,
+        reused=reused,
+        in_units=in_units,
+        exit_units=available[:, :, -1],
+        imported_bytes=imported,
+        stored_bytes=forwarded_bytes[:, :-1, :].sum(axis=(1, 2)),
+    )

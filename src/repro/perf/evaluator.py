@@ -10,10 +10,9 @@ into a :class:`HardwareProfile`:
 * the overall latency ``max_i T_{S_i}`` (Eq. 13) and the cumulative energy
   ``E_{S_{1:i}}`` of instantiating the first ``i`` stages (Eq. 14).
 
-A search evaluator profiles a whole generation at once on the exact oracle
-(:meth:`MappingEvaluator._profile_arrays`): the same checks and the same
-floats as :meth:`MappingEvaluator.profile`, from arrays instead of a
-:class:`~repro.nn.multiexit.DynamicNetwork` per candidate.
+Every profile is computed on ``(candidates, stages, layers)`` arrays
+(:meth:`MappingEvaluator._profile_arrays`): a search evaluator's whole
+generation at once, or the one network of :meth:`MappingEvaluator.profile`.
 """
 
 from __future__ import annotations
@@ -25,18 +24,12 @@ import numpy as np
 
 from ..errors import MappingError
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import DynamicNetwork, NetworkArrays, exit_head
-from ..nn.partition import backbone_layers
+from ..nn.multiexit import DynamicNetwork
+from ..nn.partition import NetworkArrays
 from ..soc.compute_unit import ComputeUnit
 from ..soc.platform import Platform
 from .layer_cost import AnalyticalCostModel, CostModel
-from .schedule import (
-    ScheduleResult,
-    SliceTable,
-    schedule_arrays,
-    stage_energy_arrays,
-    tabled_schedule,
-)
+from .schedule import SliceTable, schedule_batch, stage_energy_arrays
 
 __all__ = ["StagePerformance", "HardwareProfile", "MappingEvaluator"]
 
@@ -112,8 +105,8 @@ class MappingEvaluator:
     Each :meth:`profile` call costs its slices through a
     :class:`~repro.perf.schedule.SliceTable` that lives for that call, unless
     the evaluator keeps one for the call's network (see
-    :meth:`_keep_slice_table`): then every slice is costed once for the life
-    of the evaluator.
+    :meth:`_keep_slice_table`): then, on the exact oracle, every slice is
+    costed once for the life of the evaluator.
     """
 
     def __init__(self, platform: Platform, cost_model: Optional[CostModel] = None) -> None:
@@ -126,15 +119,8 @@ class MappingEvaluator:
 
     def _keep_slice_table(self, network: NetworkGraph) -> None:
         """Cost ``network``'s slices once for the life of this evaluator."""
-        backbone = backbone_layers(network)
-        max_units = max(max(layer.width, layer.in_width) for layer in backbone)
         self._table_network = network
-        self._table = SliceTable(
-            self.cost_model,
-            self.platform.interconnect,
-            backbone,
-            max(max_units, network.num_classes),
-        )
+        self._table = SliceTable.for_network(self.cost_model, self.platform.interconnect, network)
 
     def profile(
         self,
@@ -154,90 +140,62 @@ class MappingEvaluator:
         dvfs_indices:
             Index into each assigned unit's DVFS table, in stage order.
         """
-        num_stages = dynamic_network.num_stages
-        if len(unit_names) != num_stages or len(dvfs_indices) != num_stages:
-            raise MappingError(
-                f"expected {num_stages} unit names and DVFS indices, got "
-                f"{len(unit_names)} and {len(dvfs_indices)}"
-            )
-        units = [self.platform.unit(name) for name in unit_names]
-        scales = [
-            unit.scale_for_point(int(index)) for unit, index in zip(units, dvfs_indices)
-        ]
-        unit_keys = [
-            self.platform.unit_index(name) * self._dvfs_stride + int(index)
-            for name, index in zip(unit_names, dvfs_indices)
-        ]
-        if dynamic_network.network is self._table_network:
+        network = dynamic_network.network
+        if network is self._table_network:
             table = self._table
         else:
-            table = SliceTable.for_network(
-                self.cost_model, self.platform.interconnect, dynamic_network
-            )
-        schedule = tabled_schedule(dynamic_network, units, scales, unit_keys, table)
-        return self._profile_from_schedule(dynamic_network, schedule, units, scales, table)
+            table = SliceTable.for_network(self.cost_model, self.platform.interconnect, network)
+        arrays = dynamic_network.scheme._arrays()
+        return self._profile_arrays(network, table, arrays, [unit_names], [dvfs_indices])[0]
 
     def _profile_arrays(
         self,
+        network: NetworkGraph,
+        table: SliceTable,
         arrays: NetworkArrays,
         unit_names: Sequence[Sequence[str]],
         dvfs_indices: Sequence[Sequence[int]],
     ) -> List[HardwareProfile]:
-        """:meth:`profile` of a batch of the kept network, one profile per candidate.
+        """:meth:`profile` of a batch of ``network``'s candidates, one profile per candidate.
 
-        For the exact analytical oracle on the kept slice table (see
-        :meth:`_keep_slice_table`).  Each candidate's mapping is checked as
-        :meth:`profile` checks it; its slices are read from (and priced into)
-        the table in one pass, Eq. 8 runs on arrays
-        (:func:`~repro.perf.schedule.schedule_arrays`), and each stage's
-        busy time is the built-in sum of its floats, as on the per-candidate
-        path.
+        Each candidate's mapping is checked as :meth:`profile` documents it;
+        its slices are priced through ``table`` and scheduled
+        (:func:`~repro.perf.schedule.schedule_batch`), and each stage's busy
+        time is the built-in sum of its floats.
         """
-        table = self._table
-        _, num_stages, num_layers = arrays.channels.shape
+        _, num_stages, _ = arrays.channels.shape
         mappings = self._mapping_points(unit_names, dvfs_indices, num_stages)
         unit_keys = np.array([[point[0] for point in mapping] for mapping in mappings])
-        powers = np.array([[point[3] for point in mapping] for mapping in mappings])
-
-        # Every sub-layer's slice key, then every exit head's, as tabled_schedule keys them.
-        span = table._span
-        backbone = table._backbone
-        sublayers = (np.arange(num_layers) * span + arrays.in_units) * span + arrays.channels
-        exits = (num_layers * span + arrays.exit_units) * span + self._table_network.num_classes
-        keys = np.concatenate([sublayers, exits[:, :, None]], axis=2)
-        keys += (unit_keys * table._slices)[:, :, None]
-        layers = (*backbone, exit_head(self._table_network, 0, backbone[-1].width))
         units = {
             unit_key: (unit, scale)
             for mapping in mappings
             for unit_key, unit, scale, _ in mapping
         }
-        latencies = table.latencies(keys, layers, units)
-        taus = latencies[:, :, :-1]
-        exit_latencies = latencies[:, :, -1]
-
-        # The outputs Eq. 8 imports: every stage's but the last, at every
-        # layer but the last, whose indicator bit is set.
-        imported = arrays.reused.copy()
-        imported[:, -1, :] = False
-        imported[:, :, -1] = False
-        positions = np.broadcast_to(np.arange(num_layers), imported.shape)[imported]
-        channels = arrays.channels[imported]
-        transfers = np.zeros(taus.shape)
-        transfers[imported] = table.transfers(
-            positions, channels, table.output_bytes(positions, channels)
-        )
-        finish, stalls, moved = schedule_arrays(taus, transfers, arrays.reused)
-        energies = stage_energy_arrays(taus, exit_latencies, powers)
+        batch = schedule_batch(table, network, arrays, unit_keys, units)
+        if table.memo:
+            powers = np.array([[point[3] for point in mapping] for mapping in mappings])
+            energies = stage_energy_arrays(batch.taus, batch.exit_latencies, powers)
+        else:
+            energies = table.energies(batch.keys, batch.layers, units)
 
         interconnect = self.platform.interconnect
-        columns = np.stack([finish + exit_latencies, exit_latencies, stalls, moved, energies], 2)
+        exit_latencies = batch.exit_latencies
+        columns = np.stack(
+            [
+                batch.cumulative[:, :, -1] + exit_latencies,
+                exit_latencies,
+                batch.stalls,
+                batch.moved,
+                energies,
+            ],
+            2,
+        )
         profiles = []
         for mapping, stage_rows, tau_rows, imported_bytes, stored in zip(
             mappings,
             columns.tolist(),
-            taus.tolist(),
-            arrays.imported_bytes.tolist(),
+            batch.taus.tolist(),
+            arrays.imported_bytes.sum(axis=2).tolist(),
             arrays.stored_bytes.tolist(),
         ):
             stages = []
@@ -269,8 +227,10 @@ class MappingEvaluator:
     ) -> List[List[Tuple[int, ComputeUnit, float, float]]]:
         """Each candidate's ``(unit key, unit, scale, power)`` per stage.
 
-        Checked as :meth:`profile` and :func:`~repro.perf.schedule.tabled_schedule`
-        check a mapping; each distinct (unit, DVFS point) is looked up once.
+        A candidate is checked in :meth:`profile`'s order: the number of
+        stages, then every unit name, then every DVFS point, then that the
+        units are distinct.  Each distinct (unit, DVFS point) is looked up
+        once.
         """
         points: dict = {}
         mappings = []
@@ -280,50 +240,16 @@ class MappingEvaluator:
                     f"expected {num_stages} unit names and DVFS indices, got "
                     f"{len(names)} and {len(indices)}"
                 )
-            if len(set(names)) != len(names):
-                raise MappingError(f"stages must map to distinct compute units, got {list(names)}")
+            units = [self.platform.unit(name) for name in names]
             mapping = []
-            for name, index in zip(names, indices):
+            for name, unit, index in zip(names, units, indices):
                 point = points.get((name, index))
                 if point is None:
-                    unit = self.platform.unit(name)
                     scale = unit.scale_for_point(int(index))
                     unit_key = self.platform.unit_index(name) * self._dvfs_stride + int(index)
                     point = points[name, index] = (unit_key, unit, scale, unit.power_w(scale))
                 mapping.append(point)
+            if len(set(names)) != len(names):
+                raise MappingError(f"stages must map to distinct compute units, got {list(names)}")
             mappings.append(mapping)
         return mappings
-
-    # -- internals ---------------------------------------------------------------
-    def _profile_from_schedule(
-        self,
-        dynamic_network: DynamicNetwork,
-        schedule: ScheduleResult,
-        units: Sequence[ComputeUnit],
-        scales: Sequence[float],
-        table: SliceTable,
-    ) -> HardwareProfile:
-        interconnect = self.platform.interconnect
-        performances = []
-        for stage, stage_schedule in zip(dynamic_network.stages, schedule.stages):
-            unit = units[stage.index]
-            scale = scales[stage.index]
-            compute_energy = table.stage_energy_mj(stage, stage_schedule, unit, scale)
-            transfer_energy = interconnect.transfer_energy_mj(stage.imported_bytes())
-            performances.append(
-                StagePerformance(
-                    stage_index=stage.index,
-                    unit_name=unit.name,
-                    dvfs_scale=float(scale),
-                    latency_ms=stage_schedule.total_latency_ms,
-                    busy_ms=stage_schedule.busy_latency_ms,
-                    stall_ms=stage_schedule.stall_ms,
-                    transfer_ms=stage_schedule.transfer_latency_ms,
-                    compute_energy_mj=compute_energy,
-                    transfer_energy_mj=transfer_energy,
-                )
-            )
-        return HardwareProfile(
-            stages=tuple(performances),
-            stored_feature_bytes=dynamic_network.stored_feature_bytes(),
-        )

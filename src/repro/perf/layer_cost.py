@@ -9,9 +9,11 @@ same descriptor doubles as the feature vector of the learned surrogate in
 :mod:`repro.perf.predictor`, so the oracle and the surrogate are
 interchangeable behind the :class:`CostModel` protocol.
 
-:func:`workload_arrays` and :meth:`AnalyticalCostModel.latencies_ms` are the
-array twins of building a workload and pricing it on the oracle: many slices
-at once, each element the float the scalar path gives.
+The exact oracle prices a batch of slices at once: :func:`workload_arrays`
+and :meth:`AnalyticalCostModel.latencies_ms` give, element for element, the
+floats :meth:`LayerWorkload.from_layer` and
+:meth:`AnalyticalCostModel.latency_ms` give for one slice, which is how
+every other cost model is asked.
 """
 
 from __future__ import annotations

@@ -14,26 +14,29 @@ of its last layer plus its exit head (Eq. 9), and the stall time (the waiting
 visible in Fig. 3) is reported separately for analysis.
 
 The raw latencies ``tau`` and transfers ``u`` come from a :class:`SliceTable`,
-which costs each distinct layer slice once for as long as the table lives:
-one call of :func:`simulate_schedule`, or the whole life of the
-:class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
+which on the exact oracle costs each distinct layer slice once for as long as
+the table lives: one call of :func:`simulate_schedule`, or the whole life of
+the :class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
 
-A generation of candidates of one shape is scheduled at once on the exact
-oracle: :meth:`SliceTable.latencies` reads a batch's slices and prices all of
-its misses in one vectorised pass, and :func:`schedule_arrays` runs Eq. 8
-stage by stage and layer by layer, vectorised over the candidates.
+Candidates of one shape are scheduled together, a search's whole generation
+or the one network of :func:`simulate_schedule` alike
+(:func:`schedule_batch`): :meth:`SliceTable.latencies` prices their slices,
+and :func:`schedule_arrays` runs Eq. 8 stage by stage and layer by layer,
+vectorised over the candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import MappingError
+from ..nn.graph import NetworkGraph
 from ..nn.layers import Layer
-from ..nn.multiexit import DynamicNetwork, Stage
+from ..nn.multiexit import DynamicNetwork, exit_head
+from ..nn.partition import NetworkArrays, backbone_layers
 from ..soc.compute_unit import ComputeUnit
 from ..soc.interconnect import Interconnect
 from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload, workload_arrays
@@ -82,27 +85,20 @@ class ScheduleResult:
 
 
 class SliceTable:
-    """Costs of the layer slices of one backbone, each computed once.
+    """Costs of the layer slices of one backbone.
 
     A slice is a backbone layer position (the exit head takes the position
     after the last layer) run with ``in_units``/``out_units`` width-units;
-    its key packs those integers into one int.  Each distinct slice's
-    :class:`~repro.perf.layer_cost.LayerWorkload` is built once, under that
-    key, and shared by every compute unit and DVFS point it is costed on.
-    A costed slice adds the small integer ``unit_key`` of its (unit, DVFS
-    point) to the key, and its value is the cost model's latency; transfers
-    of a layer's output are keyed by ``(position, out_units)`` the same way.
+    its key packs those integers, and the small integer ``unit_key`` of the
+    (unit, DVFS point) it runs on, into one int.  Transfers of a layer's
+    output are keyed by ``(position, out_units)`` the same way, and each is
+    costed once.
 
-    Only an exact :class:`AnalyticalCostModel` is memoised.  Its energy is
-    the latency times the unit's power, so :meth:`stage_energy_mj` reuses the
-    schedule's latencies and performs the same two float operations
-    ``energy_mj`` would.  Every other cost model (noisy, learned, or a
-    subclass) is called for each slice on each use, in the order the
-    schedule needs the costs, exactly as without a table.
-
-    A memoised table also answers whole batches: :meth:`latencies`,
-    :meth:`transfers` and :meth:`output_bytes` read and write the same keys
-    and floats as the per-slice methods.
+    Only an exact :class:`AnalyticalCostModel` is memoised: each slice's
+    latency is priced once, a batch's misses in one vectorised roofline
+    pass, and its energy is the latency times the unit's power
+    (:func:`stage_energy_arrays`).  Every other cost model (noisy, learned,
+    or a subclass) is called for each slice on each use, in key order.
     """
 
     def __init__(
@@ -118,63 +114,19 @@ class SliceTable:
         self._backbone = tuple(backbone)
         self._span = int(max_units) + 1
         self._slices = (len(backbone) + 1) * self._span * self._span
-        self._workloads: Dict[int, LayerWorkload] = {}
         self._latencies: Dict[int, float] = {}
         self._transfers: Dict[int, float] = {}
-        # Output bytes of (position, units), -1 until sized; batches only.
+        # Output bytes of (position, units), -1 until sized.
         self._sizes: Optional[np.ndarray] = None
 
     @classmethod
     def for_network(
-        cls, cost_model: CostModel, interconnect: Interconnect, dynamic_network: DynamicNetwork
+        cls, cost_model: CostModel, interconnect: Interconnect, network: NetworkGraph
     ) -> "SliceTable":
-        """A table wide enough for every slice of ``dynamic_network``."""
-        backbone = dynamic_network.scheme.backbone
-        layers = list(backbone) + [stage.exit_head for stage in dynamic_network.stages]
-        return cls(
-            cost_model,
-            interconnect,
-            backbone,
-            max(max(layer.width, layer.in_width) for layer in layers),
-        )
-
-    def latency_ms(
-        self,
-        unit_key: int,
-        position: int,
-        layer: Layer,
-        in_units: int,
-        out_units: int,
-        unit: ComputeUnit,
-        scale: float,
-    ) -> float:
-        """Latency of ``layer`` sliced to ``(in_units, out_units)`` on ``unit``."""
-        if not self.memo:
-            workload = LayerWorkload.from_layer(layer, in_units, out_units)
-            return float(self.cost_model.latency_ms(workload, unit, scale))
-        span = self._span
-        slice_key = (position * span + in_units) * span + out_units
-        key = unit_key * self._slices + slice_key
-        value = self._latencies.get(key)
-        if value is None:
-            workload = self._workloads.get(slice_key)
-            if workload is None:
-                workload = LayerWorkload.from_layer(layer, in_units, out_units)
-                self._workloads[slice_key] = workload
-            value = float(self.cost_model.latency_ms(workload, unit, scale))
-            self._latencies[key] = value
-        return value
-
-    def transfer_ms(self, position: int, layer: Layer, out_units: int) -> float:
-        """Shared-memory transfer latency of ``layer``'s ``out_units`` output."""
-        if not self.memo:
-            return self.interconnect.transfer_latency_ms(layer.output_bytes(out_units))
-        key = position * self._span + out_units
-        value = self._transfers.get(key)
-        if value is None:
-            value = self.interconnect.transfer_latency_ms(layer.output_bytes(out_units))
-            self._transfers[key] = value
-        return value
+        """A table wide enough for every slice of ``network``'s dynamic networks."""
+        backbone = backbone_layers(network)
+        max_units = max(max(layer.width, layer.in_width) for layer in backbone)
+        return cls(cost_model, interconnect, backbone, max(max_units, network.num_classes))
 
     def latencies(
         self,
@@ -182,15 +134,22 @@ class SliceTable:
         layers: Sequence[Layer],
         units: Dict[int, Tuple[ComputeUnit, float]],
     ) -> np.ndarray:
-        """:meth:`latency_ms` of every element of ``keys``, an int array of this table's keys.
+        """The latency of every element of ``keys``, an int array of this table's keys.
 
         ``layers[position]`` is the layer at each slice position (the exit
         head one past the backbone; the slice fixes its units) and
-        ``units[unit_key]`` the ``(unit, scale)`` of each unit key.  Known
-        keys are read; every missing one is priced in one vectorised roofline
-        pass and stored, under the key and float :meth:`latency_ms` would.
+        ``units[unit_key]`` the ``(unit, scale)`` of each unit key.  On the
+        exact oracle known keys are read, and every missing one is priced in
+        one vectorised roofline pass and stored; a per-call model is asked
+        for every key, in order.
         """
         flat = keys.ravel()
+        if not self.memo:
+            values = [
+                float(self.cost_model.latency_ms(*self._slice(key, layers, units)))
+                for key in flat.tolist()
+            ]
+            return np.array(values).reshape(keys.shape)
         get = self._latencies.get
         # A latency is finite, so NaN (numpy's None) marks a missing key.
         values = np.array([get(key) for key in flat.tolist()], dtype=float)
@@ -201,6 +160,35 @@ class SliceTable:
             self._latencies.update(zip(missing.tolist(), priced.tolist()))
             values[holes] = priced[np.searchsorted(missing, flat[holes])]
         return values.reshape(keys.shape)
+
+    def energies(
+        self,
+        keys: np.ndarray,
+        layers: Sequence[Layer],
+        units: Dict[int, Tuple[ComputeUnit, float]],
+    ) -> np.ndarray:
+        """A per-call model's energy of each row of ``keys`` (see :meth:`latencies`).
+
+        The model is asked for every key, in order, and each row's energies
+        are summed left to right from 0.0 (Eq. 11-12).
+        """
+        energies = []
+        for row in keys.reshape(-1, keys.shape[-1]).tolist():
+            energy = 0.0
+            for key in row:
+                energy += self.cost_model.energy_mj(*self._slice(key, layers, units))
+            energies.append(energy)
+        return np.array(energies).reshape(keys.shape[:-1])
+
+    def _slice(
+        self, key: int, layers: Sequence[Layer], units: Dict[int, Tuple[ComputeUnit, float]]
+    ) -> Tuple[LayerWorkload, ComputeUnit, float]:
+        """The workload, unit and scale of slice ``key`` (see :meth:`latencies`)."""
+        unit_key, slice_key = divmod(key, self._slices)
+        position, pair = divmod(slice_key, self._span * self._span)
+        in_units, out_units = divmod(pair, self._span)
+        unit, scale = units[unit_key]
+        return LayerWorkload.from_layer(layers[position], in_units, out_units), unit, scale
 
     def _price(
         self,
@@ -245,7 +233,7 @@ class SliceTable:
         return sizes
 
     def transfers(self, positions: np.ndarray, units: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """:meth:`transfer_ms` of each ``(position, units)`` output of ``sizes`` bytes."""
+        """Shared-memory transfer latency of each ``(position, units)`` output, ``sizes`` bytes."""
         table = self._transfers
         values = []
         for key, size in zip((positions * self._span + units).tolist(), sizes.tolist()):
@@ -255,21 +243,72 @@ class SliceTable:
             values.append(value)
         return np.array(values, dtype=float)
 
-    def stage_energy_mj(
-        self, stage: Stage, schedule: StageSchedule, unit: ComputeUnit, scale: float
-    ) -> float:
-        """Compute energy of ``stage``: its sub-layers, then its exit head (Eq. 11-12)."""
-        energy = 0.0
-        if self.memo:
-            power = unit.power_w(scale)
-            for sub in stage.sublayers:
-                energy += schedule.sublayer_latencies_ms[sub.layer_index] * power
-            energy += schedule.exit_latency_ms * power
-            return energy
-        for sub in stage.sublayers:
-            energy += self.cost_model.energy_mj(LayerWorkload.from_sublayer(sub), unit, scale)
-        energy += self.cost_model.energy_mj(LayerWorkload.from_layer(stage.exit_head), unit, scale)
-        return energy
+
+class BatchSchedule(NamedTuple):
+    """Eq. 8-9 of candidates of one shape (see :func:`schedule_batch`).
+
+    ``keys`` holds the slice key of every stage's sub-layers and then its
+    exit head, ``(candidates, stages, layers + 1)``, and ``layers`` the
+    layer at each slice position.  The rest are the sub-layer latencies
+    ``taus`` and the cumulative latencies ``cumulative``, ``(candidates,
+    stages, layers)``, and each stage's exit-head latency, stall and moved
+    transfer time, ``(candidates, stages)``.
+    """
+
+    keys: np.ndarray
+    layers: Tuple[Layer, ...]
+    taus: np.ndarray
+    exit_latencies: np.ndarray
+    cumulative: np.ndarray
+    stalls: np.ndarray
+    moved: np.ndarray
+
+
+def schedule_batch(
+    table: SliceTable,
+    network: NetworkGraph,
+    arrays: NetworkArrays,
+    unit_keys: np.ndarray,
+    units: Dict[int, Tuple[ComputeUnit, float]],
+) -> BatchSchedule:
+    """Price and schedule ``network``'s candidates ``arrays`` through ``table``.
+
+    ``unit_keys`` holds each stage's (unit, DVFS point) key, ``(candidates,
+    stages)``, and ``units[unit_key]`` its ``(unit, scale)``.  The slices are
+    priced in the order a per-call cost model is asked for them, candidate
+    by candidate: every sub-layer, stage by stage, then every exit head.
+    """
+    num_candidates, num_stages, num_layers = arrays.channels.shape
+    span = table._span
+    backbone = table._backbone
+    sublayers = (np.arange(num_layers) * span + arrays.in_units) * span + arrays.channels
+    exits = (num_layers * span + arrays.exit_units) * span + network.num_classes
+    keys = np.concatenate([sublayers, exits[:, :, None]], axis=2)
+    keys += (unit_keys * table._slices)[:, :, None]
+    layers = (*backbone, exit_head(network, 0, backbone[-1].width))
+    ordered = np.concatenate(
+        [keys[:, :, :-1].reshape(num_candidates, -1), keys[:, :, -1]], axis=1
+    )
+    latencies = table.latencies(ordered, layers, units)
+    taus = latencies[:, :-num_stages].reshape(num_candidates, num_stages, num_layers)
+    exit_latencies = latencies[:, -num_stages:]
+
+    # Transfer latency of stage k's layer-j output when imported by a later
+    # stage (Eq. 8's u term).  All stages live on different CUs, so a reused
+    # feature always crosses the shared memory.  Only the outputs the
+    # recursion imports are costed: those of every stage but the last, at
+    # every layer but the last, whose indicator bit is set.
+    imported = arrays.reused.copy()
+    imported[:, -1, :] = False
+    imported[:, :, -1] = False
+    positions = np.broadcast_to(np.arange(num_layers), imported.shape)[imported]
+    channels = arrays.channels[imported]
+    transfers = np.zeros(taus.shape)
+    transfers[imported] = table.transfers(
+        positions, channels, table.output_bytes(positions, channels)
+    )
+    cumulative, stalls, moved = schedule_arrays(taus, transfers, arrays.reused)
+    return BatchSchedule(keys, layers, taus, exit_latencies, cumulative, stalls, moved)
 
 
 def simulate_schedule(
@@ -295,21 +334,6 @@ def simulate_schedule(
     interconnect:
         Shared-memory transfer model providing the ``u_{k->i}`` terms.
     """
-    table = SliceTable.for_network(cost_model, interconnect, dynamic_network)
-    return tabled_schedule(dynamic_network, units, scales, range(len(units)), table)
-
-
-def tabled_schedule(
-    dynamic_network: DynamicNetwork,
-    units: Sequence[ComputeUnit],
-    scales: Sequence[float],
-    unit_keys: Sequence[int],
-    table: SliceTable,
-) -> ScheduleResult:
-    """:func:`simulate_schedule` costed through ``table``.
-
-    ``unit_keys[i]`` is the table's key for stage ``i``'s (unit, DVFS point).
-    """
     num_stages = dynamic_network.num_stages
     if len(units) != num_stages or len(scales) != num_stages:
         raise MappingError(
@@ -318,101 +342,59 @@ def tabled_schedule(
     names = [unit.name for unit in units]
     if len(set(names)) != len(names):
         raise MappingError(f"stages must map to distinct compute units, got {names}")
-
-    scheme = dynamic_network.scheme
-    backbone = scheme.backbone
-    num_layers = dynamic_network.num_layers
-    channels, reused = scheme._lists()
-
-    # Per-stage, per-layer raw latencies tau^j_i.
-    taus = [[0.0] * num_layers for _ in range(num_stages)]
-    for stage in dynamic_network.stages:
-        index = stage.index
-        unit, scale, unit_key, row = units[index], scales[index], unit_keys[index], taus[index]
-        for sub in stage.sublayers:
-            row[sub.layer_index] = table.latency_ms(
-                unit_key, sub.layer_index, sub.base, sub.in_units, sub.out_units, unit, scale
-            )
-
-    # Transfer latency of stage k's layer-j output when imported by a later
-    # stage (Eq. 8's u term).  All stages live on different CUs, so a reused
-    # feature always crosses the shared memory.  Only the outputs the
-    # recursion imports are costed: those of every stage but the last, at
-    # every layer but the last, whose indicator bit is set.
-    transfer = [[0.0] * num_layers for _ in range(num_stages)]
-    for stage_index in range(num_stages - 1):
-        for layer_index in range(num_layers - 1):
-            if reused[stage_index][layer_index]:
-                transfer[stage_index][layer_index] = table.transfer_ms(
-                    layer_index, backbone[layer_index], channels[stage_index][layer_index]
-                )
-
-    # Eq. 8 stage by stage: stage i at layer j waits only on layer j - 1 of
-    # itself and of earlier stages, so each stage's row is complete once the
-    # rows before it are.  Per (stage, layer) the float operations are the
-    # layer-by-layer recursion's, in its order.
-    cumulative = []
-    stalls = [0.0] * num_stages
-    transfer_totals = [0.0] * num_stages
-    for stage_index in range(num_stages):
-        tau = taus[stage_index]
-        row = [0.0] * num_layers
-        row[0] = tau[0] + 0.0
-        stall = 0.0
-        moved = 0.0
-        for layer_index in range(1, num_layers):
-            previous = layer_index - 1
-            own_ready = row[previous]
-            dependency_ready = own_ready
-            for k in range(stage_index):
-                if reused[k][previous]:
-                    ready = cumulative[k][previous] + transfer[k][previous]
-                    moved += transfer[k][previous]
-                    dependency_ready = max(dependency_ready, ready)
-            stall += max(0.0, dependency_ready - own_ready)
-            row[layer_index] = tau[layer_index] + dependency_ready
-        cumulative.append(row)
-        stalls[stage_index] = stall
-        transfer_totals[stage_index] = moved
-
-    exit_position = num_layers
-    schedules = []
-    for stage in dynamic_network.stages:
-        index = stage.index
-        head = stage.exit_head
-        exit_latency = table.latency_ms(
-            unit_keys[index], exit_position, head, head.in_width, head.width,
-            units[index], scales[index],
-        )
-        schedules.append(
+    network = dynamic_network.network
+    table = SliceTable.for_network(cost_model, interconnect, network)
+    batch = schedule_batch(
+        table,
+        network,
+        dynamic_network.scheme._arrays(),
+        np.arange(num_stages)[None],
+        dict(enumerate(zip(units, scales))),
+    )
+    rows = zip(
+        units,
+        scales,
+        batch.taus[0].tolist(),
+        batch.cumulative[0].tolist(),
+        batch.exit_latencies[0].tolist(),
+        batch.moved[0].tolist(),
+        batch.stalls[0].tolist(),
+    )
+    return ScheduleResult(
+        stages=tuple(
             StageSchedule(
                 stage_index=index,
-                unit_name=units[index].name,
-                scale=float(scales[index]),
-                sublayer_latencies_ms=tuple(taus[index]),
-                cumulative_latencies_ms=tuple(cumulative[index]),
+                unit_name=unit.name,
+                scale=float(scale),
+                sublayer_latencies_ms=tuple(taus),
+                cumulative_latencies_ms=tuple(cumulative),
                 exit_latency_ms=exit_latency,
-                transfer_latency_ms=float(transfer_totals[index]),
-                stall_ms=float(stalls[index]),
+                transfer_latency_ms=moved,
+                stall_ms=stall,
+            )
+            for index, (unit, scale, taus, cumulative, exit_latency, moved, stall) in enumerate(
+                rows
             )
         )
-    return ScheduleResult(stages=tuple(schedules))
+    )
 
 
 def schedule_arrays(
     taus: np.ndarray, transfers: np.ndarray, reused: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. 8 of :func:`tabled_schedule` for a batch of candidates of one shape.
+    """Eq. 8 for a batch of candidates of one shape.
 
     ``taus`` are the sub-layer latencies and ``transfers`` the costs of the
     outputs the recursion imports (zero elsewhere), ``reused`` the indicator
-    bits, all ``(candidates, stages, layers)``.  Returns each stage's
-    cumulative latency at its last layer, its stall and its moved transfer
-    time, ``(candidates, stages)``.  Stage by stage and layer by layer, each
-    candidate takes the scalar recursion's float operations in its order:
-    ``max`` keeps its first argument unless the second is larger, running
-    sums go left to right (``cumsum``), and a stage waits on the latest of
-    its earlier stages' arrivals, the first of equals as the loop keeps it.
+    bits, all ``(candidates, stages, layers)``.  Returns every sub-layer's
+    cumulative latency ``T^j_i``, ``(candidates, stages, layers)``, and each
+    stage's stall and moved transfer time, ``(candidates, stages)``.  Stage
+    by stage and layer by layer, each candidate takes Eq. 8's float
+    operations in the recursion's order: a layer starts from its own
+    previous output and waits on each earlier stage's import in stage
+    order, ``max`` keeps its first argument unless the second is larger
+    (so the first of equal arrivals), and running sums go left to right
+    from 0.0 (``cumsum``).
     """
     num_candidates, num_stages, num_layers = taus.shape
     # Layer-major: one vector of candidates per (stage, layer).
@@ -427,7 +409,7 @@ def schedule_arrays(
         tau = taus[stage]
         if stage == 0:
             # Nothing to wait on: the running sum of the stage's latencies
-            # (+ 0.0, as the loop starts from it).
+            # (+ 0.0, as the recursion starts from it).
             rows.append(np.cumsum(tau, axis=0) + 0.0)
             stalls.append(zero)
             moved.append(zero)
@@ -449,22 +431,21 @@ def schedule_arrays(
             own = tau[layer] + ready
             row.append(own)
         rows.append(np.array(row))
-        # Both running sums start from 0.0, as the loop's do; the imports go
-        # layer by layer, then stage by stage.
+        # Both running sums start from 0.0; the imports go layer by layer,
+        # then stage by stage.
         stalls.append(np.cumsum(gaps, axis=0)[-1])
         imports = transfers[:stage, :-1].transpose(1, 0, 2).reshape(-1, num_candidates)
         moved.append(np.cumsum(np.vstack([zero, imports]), axis=0)[-1])
-    finish = np.array([row[-1] for row in rows]).T
-    return finish, np.array(stalls).T, np.array(moved).T
+    return np.array(rows).transpose(2, 0, 1), np.array(stalls).T, np.array(moved).T
 
 
 def stage_energy_arrays(
     taus: np.ndarray, exit_latencies: np.ndarray, powers: np.ndarray
 ) -> np.ndarray:
-    """:meth:`SliceTable.stage_energy_mj` of a batch on the exact oracle, ``(candidates, stages)``.
+    """Compute energy of every stage of a batch on the exact oracle, ``(candidates, stages)``.
 
-    Each stage's sub-layer energies summed left to right from 0.0, then its
-    exit head's.
+    The latency times the unit's power of each stage's sub-layers, summed
+    left to right from 0.0, then its exit head's (Eq. 11-12).
     """
     running = np.cumsum(taus * powers[:, :, None], axis=2)[:, :, -1] + 0.0
     return running + exit_latencies * powers

@@ -17,18 +17,17 @@ The per-layer cost model is pluggable (analytical oracle or trained
 surrogate), mirroring the paper's use of an XGBoost predictor inside the
 loop.
 
-``evaluate`` is the reference path: it builds the candidate's
-:class:`~repro.nn.multiexit.DynamicNetwork`, profiles it and simulates it.
-The search scores a whole generation through ``evaluate_many``, which on the
-exact analytical oracle evaluates the generation as arrays, as the paper's
-loop ranks a generation only once all of it is scored: every column of ``P``
-is split through the evaluator's split table, and the sub-layer inputs,
-reused bytes, slice keys, the Eq. 8 recursion, stage energies and exit
-coverages are computed on ``(candidates, stages, layers)`` arrays, looping
-over stages and layers and vectorised over candidates; all of the
-generation's slice-table misses are priced in one vectorised roofline pass.
-No network, sub-layer or schedule object is built, and every result equals
-``evaluate``'s, field for field and bit for bit.
+Every evaluation runs on ``(candidates, stages, layers)`` arrays, one
+candidate or a whole generation alike.  The search scores a generation
+through ``evaluate_many``, as the paper's loop ranks a generation only once
+all of it is scored: every column of ``P`` is split through the evaluator's
+split table, and the sub-layer inputs, reused bytes, slice keys, the Eq. 8
+recursion, stage energies and exit coverages are computed looping over
+stages and layers and vectorised over candidates; on the exact analytical
+oracle all of a batch's slice-table misses are priced in one vectorised
+roofline pass.  No network, sub-layer or schedule object is built, unless
+the accuracy model overrides ``stage_accuracies`` and so reads the
+candidate's network.
 """
 
 from __future__ import annotations
@@ -41,25 +40,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..dynamics.accuracy import AccuracyModel
-from ..dynamics.inference import (
-    DynamicInferenceResult,
-    _inference_result,
-    simulate_dynamic_inference,
-)
+from ..dynamics.inference import DynamicInferenceResult, _inference_result
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..errors import ReproError
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import (
-    DynamicNetwork,
-    NetworkArrays,
-    build_dynamic_network,
-    importance_curves,
-    network_arrays,
-    stage_coverage_arrays,
-    stage_coverages,
-)
-from ..nn.partition import backbone_layers
+from ..nn.multiexit import build_dynamic_network, importance_curves, stage_coverage_arrays
+from ..nn.partition import NetworkArrays, network_arrays
 from ..perf.evaluator import HardwareProfile, MappingEvaluator
 from ..perf.layer_cost import CostModel
 from ..soc.platform import Platform
@@ -75,10 +62,10 @@ class EvaluatedConfig:
     A result is content: the configuration, its hardware profile (stage
     latencies and energies, Eq. 13/14), the simulated dynamic inference
     (exit statistics and stage accuracies) and the network's pretrained
-    ``base_accuracy`` (the ``Acc_base`` of Eq. 16).  The
-    :class:`~repro.nn.multiexit.DynamicNetwork` it was built from is not
-    kept; rebuild it with :func:`~repro.nn.multiexit.build_dynamic_network`
-    from the evaluator's inputs (its ``network``, ``config.partition``,
+    ``base_accuracy`` (the ``Acc_base`` of Eq. 16).  It holds no
+    :class:`~repro.nn.multiexit.DynamicNetwork`; build the candidate's with
+    :func:`~repro.nn.multiexit.build_dynamic_network` from the evaluator's
+    inputs (its ``network``, ``config.partition``,
     ``config.indicator``, ``ranking`` and ``reorder_channels``).
 
     Equality is identity: the evaluation cache hands out one object per
@@ -183,54 +170,6 @@ def _ranking_fingerprint(ranking: ChannelRanking) -> str:
     return digest.hexdigest()
 
 
-class _CachedCoverageAccuracy:
-    """An accuracy model whose stage coverage reads curves computed once.
-
-    :func:`simulate_dynamic_inference` only asks its accuracy model for
-    ``stage_accuracies(dynamic_network)``.  This answers like
-    :meth:`AccuracyModel.stage_accuracies`, through the same coverage helper,
-    but computes each backbone layer's importance curve once per evaluator
-    rather than once per stage and evaluation.  ``ranking`` is ``None`` when
-    channels are not reordered (plain width fractions).
-    """
-
-    def __init__(
-        self,
-        model: AccuracyModel,
-        network: NetworkGraph,
-        ranking: Optional[ChannelRanking],
-    ) -> None:
-        self.model = model
-        self._network = network
-        self._ranking = ranking
-        self._curves = None
-        self._flat_curves = None
-
-    def _importance_curves(self) -> Optional[list]:
-        if self._curves is None and self._ranking is not None:
-            self._curves = importance_curves(self._ranking, backbone_layers(self._network))
-        return self._curves
-
-    def stage_accuracies(self, dynamic_network: DynamicNetwork) -> tuple:
-        coverages = stage_coverages(
-            dynamic_network.scheme, range(dynamic_network.num_stages), self._importance_curves()
-        )
-        return self.model.stage_accuracies_from_coverage(dynamic_network.network, coverages)
-
-    def stage_accuracy_rows(self, arrays: NetworkArrays) -> list:
-        """:meth:`stage_accuracies` of every candidate of a batch, from its arrays."""
-        curves = self._importance_curves()
-        if curves is not None and self._flat_curves is None:
-            offsets = np.cumsum([0] + [len(curve) for curve in curves[:-1]])
-            self._flat_curves = (np.concatenate(curves), offsets)
-        widths = [layer.width for layer in backbone_layers(self._network)]
-        coverages = stage_coverage_arrays(arrays, widths, self._flat_curves)
-        return [
-            self.model.stage_accuracies_from_coverage(self._network, row)
-            for row in coverages.tolist()
-        ]
-
-
 class ConfigEvaluator:
     """Evaluate mapping configurations for one network on one platform.
 
@@ -247,7 +186,7 @@ class ConfigEvaluator:
     accuracy_model:
         Coverage-to-accuracy model; ``None`` selects the calibrated default.
         A subclass that overrides ``stage_accuracies`` is asked through it,
-        candidate by candidate.
+        candidate by candidate, with the candidate's dynamic network.
     ranking:
         Channel-importance ranking; ``None`` synthesises one from ``seed``.
     reorder_channels:
@@ -277,17 +216,12 @@ class ConfigEvaluator:
         self.validation_samples = int(validation_samples)
         self.seed = int(seed)
         # The memos live only as long as this evaluator: each distinct column
-        # of P is split once, each distinct layer slice costed once, each
-        # layer's importance curve built once.
+        # of P is split once, each distinct layer slice costed once, the
+        # importance curves built once.
         self._splits: dict = {}
+        self._curves = None
         self._mapping_evaluator = MappingEvaluator(platform, cost_model=cost_model)
         self._mapping_evaluator._keep_slice_table(network)
-        if getattr(self.accuracy_model, "_from_coverage", False):
-            self._accuracy = _CachedCoverageAccuracy(
-                self.accuracy_model, network, self.ranking if self.reorder_channels else None
-            )
-        else:
-            self._accuracy = self.accuracy_model
         # Fingerprint the *effective* cost model (the mapping evaluator
         # substitutes the analytical oracle for None) now, before any
         # stateful use can advance internal RNGs: class plus full pickled
@@ -355,76 +289,46 @@ class ConfigEvaluator:
         return hashlib.sha256(_key_bytes(_config_key(config)) + self._identity_bytes).hexdigest()
 
     def evaluate(self, config: MappingConfig) -> EvaluatedConfig:
-        """Run the full pipeline for ``config``.
+        """Run the full pipeline for ``config``: :meth:`evaluate_many` of it alone.
 
-        The dynamic network is built, profiled and simulated, then let go:
-        the result keeps only the numbers.  Uncached: repeats are resolved by
-        the engine's :class:`~repro.engine.cache.EvaluationCache`, keyed on
+        Uncached: repeats are resolved by the engine's
+        :class:`~repro.engine.cache.EvaluationCache`, keyed on
         :meth:`content_digest`.
         """
-        dynamic_network = build_dynamic_network(
-            self.network,
-            partition=config.partition,
-            indicator=config.indicator,
-            ranking=self.ranking,
-            reorder=self.reorder_channels,
-            splits=self._splits,
-        )
-        profile = self._mapping_evaluator.profile(
-            dynamic_network,
-            unit_names=config.unit_names,
-            dvfs_indices=config.dvfs_indices,
-        )
-        inference = simulate_dynamic_inference(
-            dynamic_network,
-            profile,
-            accuracy_model=self._accuracy,
-            validation_samples=self.validation_samples,
-        )
-        return EvaluatedConfig(
-            config=config,
-            profile=profile,
-            inference=inference,
-            base_accuracy=self.network.base_accuracy,
-        )
+        return self.evaluate_many([config])[0]
 
     def evaluate_many(self, configs) -> list:
         """Evaluate a whole population, preserving order.
 
-        Each result equals ``evaluate(config)``'s, field for field.  On the
-        exact analytical oracle a population of two or more is evaluated as
-        arrays (see the module docstring), candidates of equal stage count
-        together.  Three kinds of input take ``evaluate`` one candidate at a
-        time: a cost model that is called per slice (noisy, learned or a
-        subclass), so its calls keep their order; an accuracy model that
-        overrides ``stage_accuracies``; and a single configuration.  A
-        population with an invalid configuration is also re-run that way, so
-        the first invalid one raises what ``evaluate`` raises for it.
+        Configurations of one stage count are scored together as arrays (see
+        the module docstring).  Under a cost model that is called per slice
+        (noisy, learned or a subclass) they are scored one at a time, in
+        order, so its calls keep their order.  If a batch holds an invalid
+        configuration, the population is scored again one at a time, so the
+        first invalid one raises its own error.
         """
         configs = list(configs)
-        if len(configs) < 2 or not self._batched():
-            return [self.evaluate(config) for config in configs]
-        by_stages: dict = {}
+        memo = self._mapping_evaluator._table.memo
+        batches: dict = {}
         for index, config in enumerate(configs):
-            by_stages.setdefault(config.partition.num_stages, []).append(index)
+            key = config.partition.num_stages if memo else index
+            batches.setdefault(key, []).append(index)
         results = [None] * len(configs)
-        try:
-            for indices in by_stages.values():
-                batch = [configs[index] for index in indices]
-                for index, result in zip(indices, self._evaluate_arrays(batch)):
-                    results[index] = result
-        except ReproError:
-            return [self.evaluate(config) for config in configs]
+        for indices in batches.values():
+            try:
+                evaluated = self._evaluate_arrays([configs[index] for index in indices])
+            except ReproError:
+                if len(indices) < 2:
+                    raise
+                # A batch of one stage count may hold a later configuration
+                # than an invalid one of another stage count.
+                return [self._evaluate_arrays([config])[0] for config in configs]
+            for index, result in zip(indices, evaluated):
+                results[index] = result
         return results
 
-    def _batched(self) -> bool:
-        """Whether :meth:`evaluate_many` may evaluate a population as arrays."""
-        return self._mapping_evaluator._table.memo and isinstance(
-            self._accuracy, _CachedCoverageAccuracy
-        )
-
     def _evaluate_arrays(self, configs: list) -> list:
-        """``[evaluate(c) for c in configs]`` for configurations of one stage count."""
+        """The results of configurations of one stage count, scored together."""
         mapping = self._mapping_evaluator
         table = mapping._table
         arrays = network_arrays(
@@ -436,11 +340,13 @@ class ConfigEvaluator:
             table.output_bytes,
         )
         profiles = mapping._profile_arrays(
+            self.network,
+            table,
             arrays,
             [config.unit_names for config in configs],
             [config.dvfs_indices for config in configs],
         )
-        accuracies = self._accuracy.stage_accuracy_rows(arrays)
+        accuracies = self._stage_accuracies(configs, arrays)
         return [
             EvaluatedConfig(
                 config=config,
@@ -454,4 +360,29 @@ class ConfigEvaluator:
                 base_accuracy=self.network.base_accuracy,
             )
             for config, profile, stage_accuracies in zip(configs, profiles, accuracies)
+        ]
+
+    def _stage_accuracies(self, configs: list, arrays: NetworkArrays) -> list:
+        """Every candidate's stage accuracies, from the accuracy model."""
+        model = self.accuracy_model
+        if not getattr(model, "_from_coverage", False):
+            return [
+                model.stage_accuracies(
+                    build_dynamic_network(
+                        self.network,
+                        partition=config.partition,
+                        indicator=config.indicator,
+                        ranking=self.ranking,
+                        reorder=self.reorder_channels,
+                        splits=self._splits,
+                    )
+                )
+                for config in configs
+            ]
+        backbone = self._mapping_evaluator._table._backbone
+        if self._curves is None and self.reorder_channels:
+            self._curves = importance_curves(self.ranking, backbone)
+        coverages = stage_coverage_arrays(arrays, backbone, self._curves)
+        return [
+            model.stage_accuracies_from_coverage(self.network, row) for row in coverages.tolist()
         ]

@@ -65,6 +65,7 @@ from repro.perf.layer_cost import (
     NoisyCostModel,
     workload_arrays,
 )
+from repro.perf.predictor import train_surrogate
 from repro.perf.schedule import ScheduleResult, SliceTable, StageSchedule, simulate_schedule
 from repro.search import evaluation
 from repro.search.evaluation import ConfigEvaluator
@@ -759,6 +760,19 @@ class TestOracleMatchesPerCallReference:
             configs += space.population(6, seed=stages)
         check_configs(evaluator, configs, AnalyticalCostModel())
 
+    @pytest.mark.parametrize("network_name", ["resnet20", "visformer"])
+    def test_a_learned_cost_model(self, networks, network_name):
+        # A small trained surrogate: a cost model called per slice, whose
+        # latency and energy are learned separately.
+        platform = get_platform("jetson-agx-xavier")
+        surrogate = train_surrogate(
+            platform, num_samples=200, n_estimators=10, max_depth=3, seed=0
+        )
+        network = networks[network_name]
+        evaluator = ConfigEvaluator(network, platform, cost_model=surrogate, seed=0)
+        configs = SearchSpace(network, platform).population(5, seed=len(network_name))
+        check_configs(evaluator, configs, surrogate)
+
 
 class TestSplitUnitsMatchesNumpyRounding:
     def test_random_and_tied_fractions(self):
@@ -1269,11 +1283,17 @@ class TestLayerSubclassesOverridingPublicMethods:
         unit = platform.compute_units[0]
         model = AnalyticalCostModel()
         table = SliceTable(model, platform.interconnect, [toy], toy.width)
+        span = toy.width + 1
+        # Unit key 0, position 0, 3 units in and 4 out.
+        key = np.array([(0 * span + 3) * span + 4])
         for _ in range(2):
-            assert table.latency_ms(0, 0, toy, 3, 4, unit, 1.0) == model.latency_ms(
-                expected, unit, 1.0
-            )
-        assert table.transfer_ms(0, toy, 4) == platform.interconnect.transfer_latency_ms(40)
+            assert table.latencies(key, [toy], {0: (unit, 1.0)}).tolist() == [
+                model.latency_ms(expected, unit, 1.0)
+            ]
+        position, units = np.zeros(1, int), np.array([4])
+        assert table.transfers(position, units, table.output_bytes(position, units)).tolist() == [
+            platform.interconnect.transfer_latency_ms(40)
+        ]
 
     def test_overrides_of_built_in_kinds_are_honoured(self):
         conv = Conv2dLayer(name="c", width=16, in_width=8)
@@ -1386,9 +1406,10 @@ class TestBatchPath:
         configs = SearchSpace(visformer_net, platform).population(6, seed=1)
         evaluator.evaluate_many(configs)
         assert built == []
-        # One configuration takes evaluate().
+        # One configuration takes the same path.
         evaluator.evaluate_many(configs[:1])
-        assert len(built) == 1
+        evaluator.evaluate(configs[1])
+        assert built == []
 
     def test_the_table_holds_what_evaluate_stores(self, visformer_net, platform):
         configs = SearchSpace(visformer_net, platform).population(8, seed=3)
@@ -1405,7 +1426,31 @@ class TestBatchPath:
             assert_identical(sorted(memo.items()), sorted(reference_memo.items()))
             assert {type(key) for key in memo} == {int}
             assert {type(value) for value in memo.values()} == {float}
-        assert all(type(workload) is LayerWorkload for workload in table._workloads.values())
+        # Every stored float is the direct call for its key.
+        model = AnalyticalCostModel()
+        backbone = backbone_layers(visformer_net)
+        span = table._span
+        stride = batched._mapping_evaluator._dvfs_stride
+        for key, value in table._latencies.items():
+            unit_key, slice_key = divmod(key, table._slices)
+            position, pair = divmod(slice_key, span * span)
+            in_units, out_units = divmod(pair, span)
+            unit = platform.compute_units[unit_key // stride]
+            scale = unit.scale_for_point(unit_key % stride)
+            if position < len(backbone):
+                layer = backbone[position]
+            else:
+                layer = LinearLayer(
+                    name="exit", width=visformer_net.num_classes, in_width=in_units, tokens=1
+                )
+            workload = LayerWorkload.from_layer(layer, in_units, out_units)
+            assert_identical(value, model.latency_ms(workload, unit, scale))
+        for key, value in table._transfers.items():
+            position, units = divmod(key, span)
+            assert_identical(
+                value,
+                platform.interconnect.transfer_latency_ms(backbone[position].output_bytes(units)),
+            )
         # evaluate() reads what the batch stored.
         for config, result in zip(configs, expected):
             assert_identical(batched.evaluate(config).inference, result.inference)
@@ -1416,6 +1461,10 @@ class TestBatchPath:
         num_layers = valid[0].num_layers
         unknown_unit = replace(valid[1], unit_names=("gpu", "dla0", "npu"))
         bad_dvfs = replace(valid[2], dvfs_indices=(0, 0, 99))
+        # Every unit is looked up before any DVFS point.
+        bad_dvfs_then_unknown_unit = replace(
+            valid[3], unit_names=("gpu", "dla0", "npu"), dvfs_indices=(99, 0, 0)
+        )
         short = MappingConfig(
             partition=PartitionMatrix.uniform(3, num_layers - 1),
             indicator=IndicatorMatrix.full(3, num_layers - 1),
@@ -1430,22 +1479,41 @@ class TestBatchPath:
             unit_names=tuple(f"unit{index}" for index in range(7)),
             dvfs_indices=(0,) * 7,
         )
-        batches = [
-            [valid[0], bad_dvfs, unknown_unit, valid[3]],
-            [valid[0], unknown_unit, bad_dvfs],
-            [short, valid[0]],
-            [valid[0], valid[1], unsplittable, unknown_unit],
-            [unknown_unit, unsplittable],
-            [bad_dvfs, bad_dvfs],
+        # Scored in a batch of its own, after the three-stage batch.
+        two_stage_unknown_unit = MappingConfig(
+            partition=PartitionMatrix.uniform(2, num_layers),
+            indicator=IndicatorMatrix.none(2, num_layers),
+            unit_names=("gpu", "npu"),
+            dvfs_indices=(0, 0),
+        )
+        bad_point = (ConfigurationError, "operating-point index 99 out of range [0, 10)")
+        no_npu = (PlatformError, "platform 'jetson-agx-xavier' has no compute unit named 'npu'")
+        too_short = (PartitionError, "P has 13 layers but the backbone of 'visformer' has 14")
+        no_split = (
+            PartitionError,
+            "cannot split 192 units (6 granules of 32) into 7 non-empty shares",
+        )
+        # What evaluating each batch one configuration at a time raised
+        # before every evaluation took the array path.
+        cases = [
+            ([valid[0], bad_dvfs, unknown_unit, valid[3]], bad_point),
+            ([valid[0], unknown_unit, bad_dvfs], no_npu),
+            ([short, valid[0]], too_short),
+            ([valid[0], valid[1], unsplittable, unknown_unit], no_split),
+            ([unknown_unit, unsplittable], no_npu),
+            ([bad_dvfs, bad_dvfs], bad_point),
+            ([bad_dvfs_then_unknown_unit], no_npu),
+            ([valid[0], bad_dvfs_then_unknown_unit, bad_dvfs], no_npu),
+            ([valid[0], two_stage_unknown_unit, bad_dvfs], no_npu),
         ]
-        kinds = set()
-        for batch in batches:
+        for batch, (kind, message) in cases:
+            expected = ("raised", kind, message)
             evaluator = ConfigEvaluator(visformer_net, platform, seed=0)
-            expected = outcome(lambda configs: [evaluator.evaluate(c) for c in configs], batch)
-            assert expected[0] == "raised"
-            kinds.add(expected[1])
             assert outcome(evaluator.evaluate_many, batch) == expected
-        assert kinds == {ConfigurationError, PartitionError, PlatformError}
+            evaluator = ConfigEvaluator(visformer_net, platform, seed=0)
+            assert outcome(lambda configs: [evaluator.evaluate(c) for c in configs], batch) == (
+                expected
+            )
 
 
 @dataclass(frozen=True)
@@ -1454,6 +1522,16 @@ class HalfAccuracy(AccuracyModel):
 
     def stage_accuracies(self, dynamic_network):
         return (0.5,) * dynamic_network.num_stages
+
+
+@dataclass(frozen=True)
+class FixedAccuracies(AccuracyModel):
+    """The same stage accuracies for every network, however many stages it has."""
+
+    accuracies: tuple = (0.5,)
+
+    def stage_accuracies(self, dynamic_network):
+        return self.accuracies
 
 
 @dataclass(frozen=True)
@@ -1484,19 +1562,45 @@ class TestAccuracyModelOverrides:
         )
         assert_identical(results[1].inference, results[0].inference)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_one_accuracy_per_stage_or_an_error(self, visformer_net, platform, count):
+        model = FixedAccuracies(accuracies=(0.5, 0.6, 0.7, 0.8)[:count])
+        evaluator = ConfigEvaluator(visformer_net, platform, accuracy_model=model, seed=0)
+        configs = SearchSpace(visformer_net, platform).population(3, seed=4)
+        assert {config.partition.num_stages for config in configs} == {3}
+        expected = (
+            "raised",
+            ConfigurationError,
+            f"expected 3 stage accuracies, one per stage, got {count}",
+        )
+        assert outcome(evaluator.evaluate, configs[0]) == expected
+        assert outcome(evaluator.evaluate_many, configs) == expected
+        dynamic = evaluated_network(evaluator, configs[0])
+        profile = MappingEvaluator(platform).profile(
+            dynamic, configs[0].unit_names, configs[0].dvfs_indices
+        )
+        assert outcome(simulate_dynamic_inference, dynamic, profile, model) == expected
+
     def test_search_asks_an_overriding_model(self, visformer_net, platform):
         framework = MapAndConquer(visformer_net, platform, accuracy_model=HalfAccuracy(), seed=0)
         result = framework.search(generations=2, population_size=6, seed=0)
         assert {item.accuracy for item in result.history} == {0.5}
 
-    def test_a_coverage_override_keeps_the_batch_path(self, visformer_net, platform):
+    def test_a_coverage_override_keeps_the_batch_path(self, visformer_net, platform, monkeypatch):
         model = HalvedCoverageAccuracy()
         evaluator = ConfigEvaluator(visformer_net, platform, accuracy_model=model, seed=0)
         default = ConfigEvaluator(visformer_net, platform, seed=0)
         configs = SearchSpace(visformer_net, platform).population(4, seed=8)
-        assert evaluator._batched()
+        built = []
+        real = evaluation.build_dynamic_network
+        monkeypatch.setattr(
+            evaluation,
+            "build_dynamic_network",
+            lambda *args, **kwargs: built.append(args) or real(*args, **kwargs),
+        )
         for batched, config, plain in zip(
             evaluator.evaluate_many(configs), configs, default.evaluate_many(configs)
         ):
             assert_identical(batched.inference, evaluator.evaluate(config).inference)
             assert batched.accuracy < plain.accuracy
+        assert built == []

@@ -464,13 +464,29 @@ class TestSplitTable:
             ]
 
         with_table = search()
-        original = evaluation_module.build_dynamic_network
 
-        def without_table(*args, splits=None, **kwargs):
-            return original(*args, **kwargs)
+        class NoTable(dict):
+            """A split table that keeps nothing, so every column is split afresh."""
 
-        monkeypatch.setattr(evaluation_module, "build_dynamic_network", without_table)
+            reads = 0
+
+            def get(self, key, default=None):
+                NoTable.reads += 1
+                return default
+
+            def __setitem__(self, key, value):
+                pass
+
+        original = evaluation_module.ConfigEvaluator.__init__
+
+        def without_table(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self._splits = NoTable()
+
+        monkeypatch.setattr(evaluation_module.ConfigEvaluator, "__init__", without_table)
         assert search() == with_table
+        # The search split its columns through the table-less evaluators.
+        assert NoTable.reads > 0
 
 
 # -- stored feature bytes ---------------------------------------------------------------------
