@@ -63,7 +63,9 @@ Format versions
 A version-1 or version-2 line is counted as an older format by the loader of
 its own kind, so it is logged once per run, and it is never unpickled: every
 cell it holds re-runs, and the re-run writes a current line, so the rendered
-summary is byte-identical to a fresh run.
+summary is byte-identical to a fresh run.  A campaign run keeps one
+checkpoint, which reads the file once for all of its loads, so a malformed
+or foreign line is logged once per run too.
 
 .. warning::
    The payload is a pickle, exactly like the evaluation cache's: only load
@@ -79,7 +81,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..jsonl_store import JsonlStore
@@ -220,6 +222,8 @@ class CampaignCheckpoint:
         self.path = self.directory / self.FILENAME
         self.seed = int(seed)
         self.stats = CheckpointStats()
+        # One read of the file, each kind's lines kept for that kind's load.
+        self._kinds: Optional[Dict[object, List[Tuple[bool, dict]]]] = None
 
     # -- restore -----------------------------------------------------------------
     def load(
@@ -256,13 +260,26 @@ class CampaignCheckpoint:
         :class:`CellExpectation`; keys missing from it are stale cells of an
         older grid.  A foreign seed or a changed strict field raises before
         any payload is touched.
+
+        The file is read once for the loads of every kind, so each line is
+        counted and logged by one load: a line of a kind by that kind's
+        load, and a line no load can use by the load that read the file.
+        Loading a kind a second time reads the file again.
         """
         self.stats = CheckpointStats()
         store = self._store(payload_type)
+        if self._kinds is None or kind not in self._kinds:
+            # The lines no kind can use are counted here, by the read.
+            self._kinds = {name: [] for name in _KEY_FIELDS}
+            for current, record in store._lines():
+                self._kinds.setdefault(record.get("kind"), []).append((current, record))
         first_field, second_field = _KEY_FIELDS[kind]
         restored: Dict[Tuple[str, str], object] = {}
         changed: Dict[Tuple[str, str], List[str]] = {}
-        for record in store.records(kind=kind):
+        for current, record in self._kinds.pop(kind):
+            if not current:
+                store.older += 1
+                continue
             try:
                 key = (str(record[first_field]), str(record[second_field]))
                 seed = int(record["seed"])
@@ -298,6 +315,7 @@ class CampaignCheckpoint:
                 result = store.decode(record)
                 if result is not None:
                     restored[key] = result
+        store._log()
         self.stats.restored = len(restored)
         self.stats.malformed = store.skipped
         self.stats.older = store.older

@@ -50,7 +50,7 @@ from ..serving.policies import Deployment
 from ..serving.result_cache import ServingResultCache
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
-from ..utils import check_positive
+from ..utils import _left_sum, check_positive
 from .checkpoint import CellExpectation, FleetCellKey
 from .runner import (
     CampaignResult,
@@ -239,12 +239,12 @@ class FleetCellResult:
     @property
     def total_joules(self) -> float:
         """Mean total fleet energy per member replay (dynamic + idle), joules."""
-        return sum(outcome.joules_total for outcome in self.members) / len(self.members)
+        return _left_sum(outcome.joules_total for outcome in self.members) / len(self.members)
 
     @property
     def joules_per_request(self) -> float:
         """Mean energy per served request across members, in joules."""
-        return sum(outcome.joules_per_request for outcome in self.members) / len(
+        return _left_sum(outcome.joules_per_request for outcome in self.members) / len(
             self.members
         )
 

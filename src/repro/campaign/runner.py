@@ -309,10 +309,9 @@ def run_cell_grid(
     Cells are checkpointed here, so the file has one writer and completion
     order never leaks into results.
     """
-    checkpoint: Optional[CampaignCheckpoint] = None
+    checkpoint: Optional[CampaignCheckpoint] = settings.checkpoint
     completed: Dict[Tuple[str, str], object] = {}
-    if settings.checkpoint_dir is not None:
-        checkpoint = CampaignCheckpoint(settings.checkpoint_dir, seed=settings.seed)
+    if checkpoint is not None:
         load, store = {
             "search": (checkpoint.load, checkpoint.store),
             "serving": (checkpoint.load_serving, checkpoint.store_serving),
@@ -495,6 +494,15 @@ class _SearchSettings:
             resolved["serving_cache"] = ServingResultCache(path=self.serving_cache)
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
+        # One checkpoint for the run: it reads the file once for the loads
+        # of every grid the run executes.
+        object.__setattr__(
+            self,
+            "checkpoint",
+            None
+            if self.checkpoint_dir is None
+            else CampaignCheckpoint(self.checkpoint_dir, seed=self.seed),
+        )
 
     @property
     def workers(self) -> int:

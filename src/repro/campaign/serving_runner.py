@@ -69,7 +69,7 @@ from ..serving.metrics import ServingMetrics, metric_direction
 from ..serving.policies import POLICY_KINDS, Deployment, build_policy
 from ..serving.result_cache import ServingResultCache, deployment_digest
 from ..soc.platform import Platform
-from ..utils import check_positive, geometric_mean
+from ..utils import _left_sum, check_positive, geometric_mean
 from .checkpoint import CellExpectation, ServingCellKey
 from .runner import (
     CampaignResult,
@@ -129,7 +129,7 @@ def _score_geometric_mean(scores: Sequence[float]) -> float:
 def _mean_metric(outcomes: Sequence, metric: str) -> float:
     """Mean of one metrics field across member outcomes (serving or fleet)."""
     values = [float(getattr(outcome.metrics, metric)) for outcome in outcomes]
-    return sum(values) / len(values)
+    return _left_sum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ class ServingCellResult:
     @property
     def joules_per_request(self) -> float:
         """Mean energy per served request across members, in joules."""
-        return sum(outcome.joules_per_request for outcome in self.members) / len(
+        return _left_sum(outcome.joules_per_request for outcome in self.members) / len(
             self.members
         )
 

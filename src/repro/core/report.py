@@ -16,6 +16,7 @@ from ..search.evaluation import EvaluatedConfig
 from ..search.evolutionary import SearchResult
 from ..search.objectives import ObjectiveSet, as_objective_set
 from ..search.pareto import hypervolume, select_serving_oriented
+from ..utils import _left_sum
 
 __all__ = [
     "format_table",
@@ -541,9 +542,9 @@ def generations_to_reach(curve: Sequence[float], target: float) -> Optional[int]
 def search_summary(result: SearchResult) -> str:
     """One-paragraph summary of a search run, including cache/time totals."""
     stats = result.generations
-    total_wall_s = sum(s.wall_clock_s for s in stats)
+    total_wall_s = _left_sum(s.wall_clock_s for s in stats)
     total_lookups = sum(s.evaluated for s in stats)
-    hits = sum(s.cache_hit_rate * s.evaluated for s in stats)
+    hits = _left_sum(s.cache_hit_rate * s.evaluated for s in stats)
     overall_hit_rate = hits / total_lookups if total_lookups else 0.0
     lines = [
         f"{len(stats)} generations, {total_lookups} evaluations requested, "

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..perf.evaluator import HardwareProfile
-from ..utils import as_rng, check_fraction, check_stage_accuracies
+from ..utils import _left_sum, as_rng, check_fraction, check_stage_accuracies
 
 __all__ = ["ControllerResult", "ExitDecision", "ThresholdExitController"]
 
@@ -66,7 +66,7 @@ class ControllerResult:
     num_samples: int
 
     def __post_init__(self) -> None:
-        if abs(sum(self.exit_fractions) - 1.0) > 1e-6:
+        if abs(_left_sum(self.exit_fractions) - 1.0) > 1e-6:
             raise ConfigurationError("exit fractions must sum to one")
 
 
@@ -232,13 +232,13 @@ class ThresholdExitController:
 
         exit_fractions = np.bincount(exits, minlength=num_stages) / num_samples
         expected_latency = float(
-            sum(
+            _left_sum(
                 fraction * profile.cumulative_latency_ms(stage)
                 for stage, fraction in enumerate(exit_fractions)
             )
         )
         expected_energy = float(
-            sum(
+            _left_sum(
                 fraction * profile.cumulative_energy_mj(stage)
                 for stage, fraction in enumerate(exit_fractions)
             )

@@ -12,13 +12,15 @@ energy ``E_{S_{1:i}}`` (Eq. 14) and experiences the makespan of the first
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..nn.multiexit import DynamicNetwork
 from ..perf.evaluator import HardwareProfile
 from .accuracy import AccuracyModel
-from .samples import DEFAULT_VALIDATION_SAMPLES, ExitStatistics, compute_exit_statistics
+from .samples import DEFAULT_VALIDATION_SAMPLES, ExitStatistics, _exit_statistics
 
 __all__ = ["DynamicInferenceResult", "simulate_dynamic_inference"]
 
@@ -74,49 +76,65 @@ def simulate_dynamic_inference(
             f"{dynamic_network.num_stages}"
         )
     model = accuracy_model if accuracy_model is not None else AccuracyModel()
-    return _inference_result(
-        model.stage_accuracies(dynamic_network),
-        profile,
-        dynamic_network.reuse_fraction(),
+    stages = profile.stages
+    return _inference_results(
+        [model.stage_accuracies(dynamic_network)],
+        np.array([[stage.latency_ms for stage in stages]], dtype=float),
+        np.array([[stage.energy_mj for stage in stages]], dtype=float),
+        np.array([dynamic_network.reuse_fraction()]),
+        [profile.stored_feature_bytes],
         validation_samples,
-    )
+    )[0]
 
 
-def _inference_result(
-    stage_accuracies: Sequence[float],
-    profile: HardwareProfile,
-    reuse_fraction: float,
+def _inference_results(
+    accuracies: Sequence[Sequence[float]],
+    latencies: np.ndarray,
+    energies: np.ndarray,
+    reuse_fractions: np.ndarray,
+    stored_feature_bytes: Sequence[int],
     validation_samples: int,
-) -> DynamicInferenceResult:
-    """:func:`simulate_dynamic_inference` once the stage accuracies are known."""
-    statistics = compute_exit_statistics(stage_accuracies, validation_samples=validation_samples)
+) -> List[DynamicInferenceResult]:
+    """:func:`simulate_dynamic_inference` of a batch, once its numbers are known.
 
-    if statistics.num_stages != profile.num_stages:
-        raise ConfigurationError(
-            f"expected {profile.num_stages} stage accuracies, one per stage, "
-            f"got {statistics.num_stages}"
-        )
-    latencies = tuple(stage.latency_ms for stage in profile.stages)
-    energies = tuple(stage.energy_mj for stage in profile.stages)
-    # Stopping at stage i costs the makespan of stages 0..i and the energy of
-    # all of them: the running maximum of HardwareProfile.cumulative_latency_ms,
-    # and the built-in sum of each prefix that cumulative_energy_mj takes.
-    expected_latency = 0.0
-    expected_energy = 0.0
-    makespan = latencies[0]
-    for stage_index, fraction in enumerate(statistics.exit_fractions):
-        makespan = max(makespan, latencies[stage_index])
-        expected_latency += fraction * makespan
-        expected_energy += fraction * sum(energies[: stage_index + 1])
-
-    return DynamicInferenceResult(
-        exit_statistics=statistics,
-        stage_latencies_ms=latencies,
-        stage_energies_mj=energies,
-        expected_latency_ms=float(expected_latency),
-        expected_energy_mj=float(expected_energy),
-        worst_case_latency_ms=profile.latency_ms,
-        worst_case_energy_mj=profile.total_energy_mj,
-        reuse_fraction=reuse_fraction,
-        stored_feature_bytes=profile.stored_feature_bytes,
+    Row ``c`` of ``accuracies`` holds candidate ``c``'s stage accuracies
+    (checked as :func:`~repro.dynamics.samples.compute_exit_statistics`
+    checks them, one per stage), and row ``c`` of ``latencies`` and
+    ``energies``, ``(candidates, stages)``, its stages' ``T_{S_i}`` and
+    ``E_{S_i}``.  Each candidate's numbers take the float operations of the
+    stage loop, vectorised over the candidates: stopping at stage ``i``
+    costs the makespan of stages ``0..i``, a running maximum that keeps the
+    earlier value unless a later one is larger (as ``max`` does), and the
+    energy of all of them, a left-to-right prefix sum from 0.0.
+    """
+    statistics, fractions = _exit_statistics(accuracies, validation_samples, latencies.shape[1])
+    makespans = latencies.copy()
+    for stage in range(1, latencies.shape[1]):
+        previous, current = makespans[:, stage - 1], makespans[:, stage]
+        makespans[:, stage] = np.where(current > previous, current, previous)
+    prefix_energies = np.cumsum(energies, axis=1) + 0.0
+    expected_latencies = np.cumsum(fractions * makespans, axis=1)[:, -1] + 0.0
+    expected_energies = np.cumsum(fractions * prefix_energies, axis=1)[:, -1] + 0.0
+    # Each candidate's numbers after its stage tuples, in the field order.
+    numbers = np.stack(
+        [
+            expected_latencies,
+            expected_energies,
+            makespans[:, -1],
+            prefix_energies[:, -1],
+            reuse_fractions,
+        ],
+        1,
     )
+    return [
+        DynamicInferenceResult(
+            statistic, tuple(stage_latencies), tuple(stage_energies), *row, stored
+        )
+        for statistic, stage_latencies, stage_energies, row, stored in zip(
+            statistics,
+            latencies.tolist(),
+            energies.tolist(),
+            numbers.tolist(),
+            stored_feature_bytes,
+        )
+    ]

@@ -17,12 +17,12 @@ samples no stage classifies correctly traverse the whole cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils import check_stage_accuracies
+from ..utils import _left_sum, check_stage_accuracies
 
 __all__ = ["ExitStatistics", "compute_exit_statistics"]
 
@@ -48,7 +48,7 @@ class ExitStatistics:
             == len(self.exit_fractions)
         ):
             raise ConfigurationError("per-stage tuples must have identical length")
-        total_fraction = float(sum(self.exit_fractions))
+        total_fraction = float(_left_sum(self.exit_fractions))
         if abs(total_fraction - 1.0) > 1e-6:
             raise ConfigurationError(
                 f"exit fractions must sum to 1, got {total_fraction:.6f}"
@@ -67,28 +67,15 @@ class ExitStatistics:
     @property
     def early_exit_fraction(self) -> float:
         """Fraction of samples that terminate before the last stage."""
-        return float(sum(self.exit_fractions[:-1]))
+        return float(_left_sum(self.exit_fractions[:-1]))
 
     def expected_stages(self) -> float:
         """Mean number of stages instantiated per sample."""
         return float(
-            sum((index + 1) * fraction for index, fraction in enumerate(self.exit_fractions))
+            _left_sum(
+                (index + 1) * fraction for index, fraction in enumerate(self.exit_fractions)
+            )
         )
-
-
-def _numpy_sum(values: Sequence[float]) -> float:
-    """``float(np.sum(values))`` of a non-empty float sequence, bit for bit.
-
-    numpy adds fewer than eight terms left to right, so short sequences are
-    summed by a plain loop (not the built-in ``sum``, which compensates
-    rounding on newer Pythons); longer ones keep numpy's pairwise reduction.
-    """
-    if len(values) >= 8:
-        return float(np.sum(values))
-    total = values[0]
-    for value in values[1:]:
-        total += value
-    return float(total)
 
 
 def compute_exit_statistics(
@@ -105,23 +92,87 @@ def compute_exit_statistics(
         Size of the validation set the counts refer to (10 000 for the
         CIFAR-100 test set used in the paper).
     """
-    accuracies = check_stage_accuracies(stage_accuracies)
-    if validation_samples < 1:
-        raise ConfigurationError("validation_samples must be >= 1")
+    return _exit_statistics([stage_accuracies], validation_samples)[0][0]
 
-    # Plain floats and the same IEEE operations numpy would run on these
-    # few-element vectors (Python's round is half-to-even like np.round).
-    increments = [b - a for a, b in zip([0.0] + accuracies, accuracies)]
-    correct_counts = [round(increment * validation_samples) for increment in increments]
+
+def _exit_statistics(
+    rows: Sequence[Sequence[float]],
+    validation_samples: int,
+    num_stages: Optional[int] = None,
+) -> Tuple[List[ExitStatistics], np.ndarray]:
+    """:func:`compute_exit_statistics` of every row of stage accuracies, at once.
+
+    Returns the statistics and their exit fractions as a ``(rows, stages)``
+    array.  With ``num_stages``, every row must hold that many accuracies.
+    The rows are computed together, each element with the float operations
+    of one row's: increments, counts rounded half to even (``np.rint``, as
+    ``round``), and fractions normalised by what ``np.sum`` of a row gives,
+    a left-to-right sum below eight stages (``cumsum``) and numpy's
+    pairwise one from eight (a row sum along the contiguous axis).
+    """
+    accuracies = _checked_accuracies(rows, validation_samples, num_stages)
+    stages = accuracies.shape[1]
+    increments = np.diff(accuracies, axis=1, prepend=0.0)
+    counts = np.rint(increments * validation_samples).tolist()
     # Samples that no stage classifies correctly still traverse all stages
     # and therefore terminate at the last one.
-    exit_fractions = list(increments)
-    exit_fractions[-1] += 1.0 - accuracies[-1]
+    fractions = increments.copy()
+    fractions[:, -1] += 1.0 - accuracies[:, -1]
     # Normalise away rounding noise.
-    total = _numpy_sum(exit_fractions)
-    return ExitStatistics(
-        stage_accuracies=tuple(accuracies),
-        correct_counts=tuple(correct_counts),
-        exit_fractions=tuple(value / total for value in exit_fractions),
-        validation_samples=int(validation_samples),
-    )
+    if stages < 8:
+        total = np.cumsum(fractions, axis=1)[:, -1]
+    else:
+        total = fractions.sum(axis=1)
+    fractions /= total[:, None]
+    samples = int(validation_samples)
+    statistics = [
+        ExitStatistics(tuple(row), tuple(map(int, row_counts)), tuple(row_fractions), samples)
+        for row, row_counts, row_fractions in zip(
+            accuracies.tolist(), counts, fractions.tolist()
+        )
+    ]
+    return statistics, fractions
+
+
+def _checked_accuracies(
+    rows: Sequence[Sequence[float]], validation_samples: int, num_stages: Optional[int]
+) -> np.ndarray:
+    """The rows as a float array, ``(rows, stages)``, once each would pass its checks.
+
+    A row is checked as :func:`compute_exit_statistics` checks its
+    accuracies (:func:`~repro.utils.check_stage_accuracies`), then the
+    validation-set size, then its length against ``num_stages``.  Rows of
+    floats that pass every check are checked all at once; otherwise the
+    rows are checked one by one, in order, and the first offending one
+    raises its error.
+    """
+    try:
+        accuracies = np.array(rows)
+    except (TypeError, ValueError):  # ragged or foreign rows: checked one by one
+        accuracies = None
+    if (
+        accuracies is not None
+        and accuracies.dtype == np.float64
+        and accuracies.ndim == 2
+        and accuracies.shape[1] > 0
+        and num_stages in (None, accuracies.shape[1])
+        and (np.isfinite(accuracies) & (accuracies >= 0) & (accuracies <= 1)).all()
+        and not (accuracies[:, 1:] < accuracies[:, :-1] - 1e-9).any()
+    ):
+        _check_validation_samples(validation_samples)
+        return accuracies
+    checked = []
+    for row in rows:
+        values = check_stage_accuracies(row)
+        _check_validation_samples(validation_samples)
+        if num_stages is not None and len(values) != num_stages:
+            raise ConfigurationError(
+                f"expected {num_stages} stage accuracies, one per stage, got {len(values)}"
+            )
+        checked.append(values)
+    return np.array(checked, dtype=float)
+
+
+def _check_validation_samples(validation_samples: int) -> None:
+    if validation_samples < 1:
+        raise ConfigurationError("validation_samples must be >= 1")

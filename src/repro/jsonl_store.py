@@ -110,9 +110,25 @@ class JsonlStore:
         ``match`` narrows the read to the lines whose fields hold the given
         values, such as one record kind of a shared file.  A current or
         older line that differs is left to the read that matches it, so
-        each one is yielded or counted, and logged, by one read only.
+        each one is yielded or counted, and logged, by one read only; a
+        line that cannot be read is counted by every read.
         """
         self.decoded = self.skipped = self.older = self.duplicates = 0
+        for current, record in self._lines():
+            if any(record.get(name) != value for name, value in match.items()):
+                continue
+            if current:
+                yield record
+            else:
+                self.older += 1
+        self._log()
+
+    def _lines(self) -> Iterator[Tuple[bool, Dict[str, object]]]:
+        """``(current, record)`` of every line of the current or an older version.
+
+        Blank lines are ignored; a line that is not a JSON object, or whose
+        version this store never wrote, is counted in :attr:`skipped`.
+        """
         if not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as stream:
@@ -126,15 +142,10 @@ class JsonlStore:
                     self.skipped += 1
                     continue
                 current = version == self.version
-                if not current and not (isinstance(version, int) and 0 < version < self.version):
-                    self.skipped += 1
-                elif any(record.get(name) != value for name, value in match.items()):
-                    continue
-                elif current:
-                    yield record
+                if current or (isinstance(version, int) and 0 < version < self.version):
+                    yield current, record
                 else:
-                    self.older += 1
-        self._log()
+                    self.skipped += 1
 
     def decode(self, record: Dict[str, object]) -> Optional[object]:
         """The record's payload, or ``None`` (counted as skipped) when broken."""

@@ -13,10 +13,10 @@ objective of Eq. 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from ..errors import ConfigurationError
-from ..utils import check_fraction
+from ..utils import _left_sum, check_fraction
 from .layers import Layer
 
 __all__ = ["NetworkGraph"]
@@ -113,11 +113,11 @@ class NetworkGraph:
     # -- analytical totals -----------------------------------------------------
     def total_flops(self) -> float:
         """FLOPs of one full (unpartitioned) forward pass."""
-        return float(sum(layer.flops() for layer in self.layers))
+        return float(_left_sum(layer.flops() for layer in self.layers))
 
     def total_params(self) -> float:
         """Parameter count of the unpartitioned model."""
-        return float(sum(layer.params() for layer in self.layers))
+        return float(_left_sum(layer.params() for layer in self.layers))
 
     def total_feature_bytes(self) -> int:
         """Total bytes of all intermediate feature maps for one sample."""

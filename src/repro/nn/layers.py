@@ -88,8 +88,10 @@ class Layer:
     which the built-in kinds implement.  A subclass may instead override the
     public methods (or :meth:`resolve_units`); :meth:`_slice` then prices its
     slices through them.  Each built-in kind also writes its formulas on
-    whole arrays of units (``_formula_arrays``), which :meth:`_slice_arrays` uses
-    for that exact class only: a subclass is priced pair by pair.
+    whole arrays of units (``_formula_arrays``), which the exact oracle uses
+    for that exact class only, once per pricing pass for all of its layers
+    (:class:`~repro.perf.layer_cost.LayerArrays`): a subclass is priced pair
+    by pair through :meth:`_slice`.
     """
 
     name: str
@@ -189,27 +191,16 @@ class Layer:
             self.params(in_units=in_u, out_units=out_u),
         )
 
-    def _slice_arrays(self, in_units: np.ndarray, out_units: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """:meth:`_slice` of every ``(in_units[k], out_units[k])`` pair, as four arrays.
-
-        A built-in kind applies its formulas to the whole arrays, each element
-        the number its scalar formula gives, to units its caller has checked
-        as :meth:`resolve_units` checks them; any other class is priced pair
-        by pair through :meth:`_slice`, which resolves its units itself.
-        """
-        if not self._array_formulas:
-            terms = [self._slice(i, o) for i, o in zip(in_units.tolist(), out_units.tolist())]
-            return tuple(np.array(column) for column in zip(*terms))
-        flops, input_elements, output_elements, params = self._formula_arrays(in_units, out_units)
-        return (
-            flops,
-            input_elements * BYTES_PER_ELEMENT,
-            output_elements * BYTES_PER_ELEMENT,
-            params,
-        )
-
     def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """``(flops, input_elements, output_elements, params)`` of checked unit arrays."""
+        """``(flops, input_elements, output_elements, params)`` of checked unit arrays.
+
+        Each element is the number the scalar formulas give its units.  The
+        formulas read the layer's attributes, which may themselves be arrays
+        with one element per pair: a stand-in of the class whose every
+        attribute holds the attributes of many layers of it, so one call
+        prices the slices of all of them, each with the same float
+        operations.
+        """
         raise NotImplementedError
 
     def resolve_units(self, in_units: int | None, out_units: int | None) -> Tuple[int, int]:

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..utils import _left_sum
 from .channels import ChannelRanking
 from .graph import NetworkGraph
 from .layers import Layer, LinearLayer
@@ -88,11 +89,11 @@ class Stage:
 
     def flops(self) -> float:
         """Total FLOPs of the stage, including its exit head."""
-        return sum(sub.flops() for sub in self.sublayers) + self.exit_head.flops()
+        return _left_sum(sub.flops() for sub in self.sublayers) + self.exit_head.flops()
 
     def params(self) -> float:
         """Total parameters of the stage, including its exit head."""
-        return sum(sub.params() for sub in self.sublayers) + self.exit_head.params()
+        return _left_sum(sub.params() for sub in self.sublayers) + self.exit_head.params()
 
     def imported_bytes(self) -> int:
         """Bytes of features imported from earlier stages across all layers."""
@@ -142,7 +143,7 @@ class DynamicNetwork:
     def total_flops_through(self, stage: int) -> float:
         """FLOPs spent when the inference terminates at ``stage`` (inclusive)."""
         self._check_stage(stage)
-        return float(sum(self.stages[k].flops() for k in range(stage + 1)))
+        return float(_left_sum(self.stages[k].flops() for k in range(stage + 1)))
 
     def stage_coverage(self, stage: int) -> float:
         """Importance mass available to stage ``stage``'s exit, in ``[0, 1]``.

@@ -22,6 +22,7 @@ lives in :mod:`repro.nn.multiexit`.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,64 +92,113 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
 
 def _largest_remainder(width: int, values: list, granularity: int) -> Tuple[int, ...]:
     """:func:`split_units` of a distribution already validated, as floats."""
+    _check_granules(width, granularity, len(values))
+    shares = _split_rows(np.array([width]), np.array([granularity]), np.array([values], dtype=float))
+    return tuple(shares[0].tolist())
+
+
+def _check_granules(width: int, granularity: int, num_shares: int) -> None:
+    """Raise unless ``width`` splits into ``num_shares`` whole granules of ``granularity``."""
     if granularity < 1 or width % granularity != 0:
         raise PartitionError(
             f"granularity must divide the width ({width} % {granularity} != 0)"
         )
-    num_shares = len(values)
     granules = width // granularity
     if granules < num_shares:
         raise PartitionError(
             f"cannot split {width} units ({granules} granules of {granularity}) "
             f"into {num_shares} non-empty shares"
         )
-    # Largest-remainder rounding in granule space with a floor of one granule,
-    # on plain floats and ints: the shares are a handful of numbers, and
-    # max() and index() pick the first of equal candidates as numpy's argmax
-    # would.
-    ideal = [value * granules for value in values]
+
+
+def _split_rows(widths: np.ndarray, granularities: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The largest-remainder shares of every row of ``values``, ``(rows, shares)``.
+
+    Row ``r`` splits ``widths[r]`` units in whole granules of
+    ``granularities[r]`` (both checked by :func:`_check_granules`) in
+    proportion to its fractions, with a floor of one granule.  Every row
+    takes the float operations of the plain loop over its shares, all rows
+    round by round: the floor-of-one surplus is taken, one granule a round,
+    from the first share ``> 1`` with the largest ``share - ideal``
+    (recomputed each round, so one share may give several), and a deficit
+    goes, one granule a round, to the first largest running remainder
+    (``remainder - 1.0`` once served).  ``np.argmax`` picks the first of
+    equal keys, as ``max`` and ``list.index`` do.
+    """
+    granules = widths // granularities
+    ideal = values * granules[:, None]
     # The floor of a non-negative float, and at least one granule.
-    shares = [int(value) or 1 for value in ideal]
-    surplus = sum(shares) - granules
-    # Remove any excess introduced by the floor-of-one, taking from the
-    # largest shares first.
-    while surplus > 0:
-        victim = max(
-            (index for index in range(num_shares) if shares[index] > 1),
-            key=lambda index: shares[index] - ideal[index],
-        )
-        shares[victim] -= 1
-        surplus -= 1
-    # Distribute any remaining granules to the largest remainders.
-    remainder = [value - share for value, share in zip(ideal, shares)]
-    while surplus < 0:
-        winner = remainder.index(max(remainder))
-        shares[winner] += 1
-        remainder[winner] -= 1.0
-        surplus += 1
-    return tuple(share * granularity for share in shares)
+    shares = ideal.astype(np.int64)
+    shares[shares == 0] = 1
+    surplus = shares.sum(axis=1) - granules
+    rows = np.flatnonzero(surplus > 0)
+    while rows.size:
+        keys = np.where(shares[rows] > 1, shares[rows] - ideal[rows], -np.inf)
+        shares[rows, keys.argmax(axis=1)] -= 1
+        surplus[rows] -= 1
+        rows = rows[surplus[rows] > 0]
+    remainder = ideal - shares
+    rows = np.flatnonzero(surplus < 0)
+    while rows.size:
+        winners = remainder[rows].argmax(axis=1)
+        shares[rows, winners] += 1
+        remainder[rows, winners] -= 1.0
+        surplus[rows] += 1
+        rows = rows[surplus[rows] < 0]
+    return shares * granularities[:, None]
 
 
 def _split_columns(
     sizes: Sequence[Tuple[int, int]],
-    columns: Sequence[list],
+    columns: np.ndarray,
     splits: Dict[tuple, Tuple[int, ...]],
-) -> List[Tuple[int, ...]]:
-    """The integer shares of every column of a validated ``P``.
+) -> np.ndarray:
+    """The integer shares of every column of validated ``P`` matrices.
 
     ``sizes`` holds each layer's ``(width, partition_granularity)``,
-    ``columns`` each column of ``P`` as a list of floats, and ``splits`` is a
-    split table (see :class:`PartitionScheme`): a column met before is read
-    from it, a new one split and stored.
+    ``columns`` the columns of one or more ``P`` as ``(candidates, layers,
+    stages)`` floats, and ``splits`` is a split table (see
+    :class:`PartitionScheme`): a column met before is read from it, and the
+    new ones are split together (:func:`_split_rows`), each distinct one
+    once, and stored.  Returns the shares, ``(candidates, layers, stages)``.
+    A column that cannot be split raises as :func:`split_units` would, once
+    the new columns before it are stored.
     """
-    shares = []
-    for (width, granularity), column in zip(sizes, columns):
-        key = (width, granularity, *column)
-        share = splits.get(key)
-        if share is None:
-            share = splits[key] = _largest_remainder(width, column, granularity)
-        shares.append(share)
-    return shares
+    num_candidates, num_layers, num_stages = columns.shape
+    keys = [
+        (width, granularity, *column)
+        for candidate in columns.tolist()
+        for (width, granularity), column in zip(sizes, candidate)
+    ]
+    get = splits.get
+    shares = [get(key) for key in keys]
+    missing: dict = {}
+    failure: Optional[PartitionError] = None
+    for index in [index for index, share in enumerate(shares) if share is None]:
+        key = keys[index]
+        if key not in missing:
+            try:
+                _check_granules(key[0], key[1], num_stages)
+            except PartitionError as error:
+                failure = error
+                break
+            missing[key] = []
+        missing[key].append(index)
+    if missing:
+        new = list(missing)
+        split = _split_rows(
+            np.array([key[0] for key in new]),
+            np.array([key[1] for key in new]),
+            np.array([key[2:] for key in new], dtype=float),
+        )
+        for key, row in zip(new, split.tolist()):
+            share = splits[key] = tuple(row)
+            for index in missing[key]:
+                shares[index] = share
+    if failure is not None:
+        raise failure
+    flat = np.fromiter(chain.from_iterable(shares), dtype=np.int64, count=len(keys) * num_stages)
+    return flat.reshape(num_candidates, num_layers, num_stages)
 
 
 def _layer_sizes(layers: Sequence[Layer]) -> List[Tuple[int, int]]:
@@ -279,12 +329,7 @@ class IndicatorMatrix(_ContentMatrix):
         successor), so the denominator is ``(M - 1) * n``.  This is the
         "Fmap. reuse (%)" column of Table II.
         """
-        if self.num_stages < 2:
-            return 0.0
-        # A count of set bits over a count of entries: both exact integers,
-        # so the quotient is the one numpy's mean of the bits would give.
-        relevant = self.values[:-1, :].tolist()
-        return sum(map(sum, relevant)) / (len(relevant) * self.num_layers)
+        return reuse_fractions(self.values[None] != 0).item()
 
     @classmethod
     def full(cls, num_stages: int, num_layers: int) -> "IndicatorMatrix":
@@ -334,11 +379,11 @@ class PartitionScheme:
         _check_shapes(self.network, backbone, self.partition, self.indicator)
         shares = _split_columns(
             _layer_sizes(backbone),
-            self.partition.values.T.tolist(),
+            self.partition.values.T[None],
             {} if splits is None else splits,
         )
         object.__setattr__(self, "_backbone", backbone)
-        object.__setattr__(self, "_channels", np.array(list(zip(*shares)), dtype=int))
+        object.__setattr__(self, "_channels", np.ascontiguousarray(shares[0].T, dtype=int))
 
     # -- basic shape -----------------------------------------------------------
     @property
@@ -532,18 +577,30 @@ def network_arrays(
     ``output_bytes(positions, units)`` sizes the output of each backbone
     position at each unit count, as ``backbone[position].output_bytes(units)``
     does.  Each pair is checked as :class:`PartitionScheme` checks it, and
-    every column is split through the table; the rest is
-    :meth:`PartitionScheme._arrays`'s integer arithmetic.
+    every column is split through the table, all of the new ones in one
+    pass; the rest is :meth:`PartitionScheme._arrays`'s integer arithmetic.
     """
     for partition, indicator in zip(partitions, indicators):
         _check_shapes(network, backbone, partition, indicator)
-    sizes = _layer_sizes(backbone)
     columns = np.array([partition.values for partition in partitions]).transpose(0, 2, 1)
-    shares = [_split_columns(sizes, candidate, splits) for candidate in columns.tolist()]
+    shares = _split_columns(_layer_sizes(backbone), columns, splits)
     # (candidates, layers, stages) shares to (candidates, stages, layers).
-    channels = np.ascontiguousarray(np.array(shares, dtype=np.int64).transpose(0, 2, 1))
+    channels = np.ascontiguousarray(shares.transpose(0, 2, 1))
     reused = np.array([indicator.values for indicator in indicators]) != 0
     return _arrays(backbone, channels, reused, output_bytes)
+
+
+def reuse_fractions(reused: np.ndarray) -> np.ndarray:
+    """:meth:`IndicatorMatrix.reuse_fraction` of every candidate's indicator bits.
+
+    ``reused`` holds the bits, ``(candidates, stages, layers)``.  A count of
+    set bits over a count of entries: both exact integers, so each quotient
+    is the one numpy's mean of the bits would give.
+    """
+    num_candidates, num_stages, num_layers = reused.shape
+    if num_stages < 2:
+        return np.zeros(num_candidates)
+    return reused[:, :-1, :].sum(axis=(1, 2)) / ((num_stages - 1) * num_layers)
 
 
 def _arrays(

@@ -13,12 +13,14 @@ into a :class:`HardwareProfile`:
 Every profile is computed on ``(candidates, stages, layers)`` arrays
 (:meth:`MappingEvaluator._profile_arrays`): a search evaluator's whole
 generation at once, or the one network of :meth:`MappingEvaluator.profile`.
+Energy totals add left to right from zero (:func:`~repro.utils._left_sum`),
+whichever Python runs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from ..nn.multiexit import DynamicNetwork
 from ..nn.partition import NetworkArrays
 from ..soc.compute_unit import ComputeUnit
 from ..soc.platform import Platform
+from ..utils import _left_sum
 from .layer_cost import AnalyticalCostModel, CostModel
 from .schedule import SliceTable, schedule_batch, stage_energy_arrays
 
@@ -74,7 +77,7 @@ class HardwareProfile:
     @property
     def total_energy_mj(self) -> float:
         """Energy when every stage is instantiated (Eq. 14 with M' = M)."""
-        return sum(stage.energy_mj for stage in self.stages)
+        return _left_sum(stage.energy_mj for stage in self.stages)
 
     def stage_latency_ms(self, stage: int) -> float:
         """Latency ``T_{S_i}`` of stage ``stage``."""
@@ -92,11 +95,24 @@ class HardwareProfile:
     def cumulative_energy_mj(self, stage: int) -> float:
         """Energy ``E_{S_{1:i}}`` of instantiating stages up to ``stage`` (Eq. 14)."""
         self._check_stage(stage)
-        return sum(self.stages[k].energy_mj for k in range(stage + 1))
+        return _left_sum(self.stages[k].energy_mj for k in range(stage + 1))
 
     def _check_stage(self, stage: int) -> None:
         if not 0 <= stage < self.num_stages:
             raise MappingError(f"stage index {stage} out of range [0, {self.num_stages})")
+
+
+class BatchProfile(NamedTuple):
+    """The profiles of a batch of candidates and their stages' totals.
+
+    ``latencies`` and ``energies`` hold every stage's ``T_{S_i}`` and
+    ``E_{S_i}`` (:attr:`StagePerformance.latency_ms` and
+    :attr:`StagePerformance.energy_mj`), ``(candidates, stages)``.
+    """
+
+    profiles: List[HardwareProfile]
+    latencies: np.ndarray
+    energies: np.ndarray
 
 
 class MappingEvaluator:
@@ -146,7 +162,8 @@ class MappingEvaluator:
         else:
             table = SliceTable.for_network(self.cost_model, self.platform.interconnect, network)
         arrays = dynamic_network.scheme._arrays()
-        return self._profile_arrays(network, table, arrays, [unit_names], [dvfs_indices])[0]
+        batch = self._profile_arrays(network, table, arrays, [unit_names], [dvfs_indices])
+        return batch.profiles[0]
 
     def _profile_arrays(
         self,
@@ -155,13 +172,17 @@ class MappingEvaluator:
         arrays: NetworkArrays,
         unit_names: Sequence[Sequence[str]],
         dvfs_indices: Sequence[Sequence[int]],
-    ) -> List[HardwareProfile]:
+    ) -> BatchProfile:
         """:meth:`profile` of a batch of ``network``'s candidates, one profile per candidate.
 
         Each candidate's mapping is checked as :meth:`profile` documents it;
         its slices are priced through ``table`` and scheduled
-        (:func:`~repro.perf.schedule.schedule_batch`), and each stage's busy
-        time is the built-in sum of its floats.
+        (:func:`~repro.perf.schedule.schedule_batch`).  Every stage's numbers
+        are computed on ``(candidates, stages)`` arrays, each the float
+        operations of one stage's: its busy time is the left-to-right sum of
+        its sub-layer latencies from 0.0, then its exit head's, and its
+        transfer energy that of its imported bytes.  The profiles are built
+        from their rows.
         """
         _, num_stages, _ = arrays.channels.shape
         mappings = self._mapping_points(unit_names, dvfs_indices, num_stages)
@@ -178,46 +199,30 @@ class MappingEvaluator:
         else:
             energies = table.energies(batch.keys, batch.layers, units)
 
-        interconnect = self.platform.interconnect
         exit_latencies = batch.exit_latencies
-        columns = np.stack(
-            [
-                batch.cumulative[:, :, -1] + exit_latencies,
-                exit_latencies,
-                batch.stalls,
-                batch.moved,
-                energies,
-            ],
-            2,
+        latencies = batch.cumulative[:, :, -1] + exit_latencies
+        busy = (np.cumsum(batch.taus, axis=2)[:, :, -1] + 0.0) + exit_latencies
+        transfer_energies = self.platform.interconnect._transfer_energies_mj(
+            arrays.imported_bytes.sum(axis=2)
         )
-        profiles = []
-        for mapping, stage_rows, tau_rows, imported_bytes, stored in zip(
-            mappings,
-            columns.tolist(),
-            batch.taus.tolist(),
-            arrays.imported_bytes.sum(axis=2).tolist(),
-            arrays.stored_bytes.tolist(),
-        ):
-            stages = []
-            for index, ((_, unit, scale, _), row, tau_row, stage_imports) in enumerate(
-                zip(mapping, stage_rows, tau_rows, imported_bytes)
-            ):
-                latency, exit_latency, stall, moved_ms, energy = row
-                stages.append(
-                    StagePerformance(
-                        stage_index=index,
-                        unit_name=unit.name,
-                        dvfs_scale=float(scale),
-                        latency_ms=latency,
-                        busy_ms=float(sum(tau_row)) + exit_latency,
-                        stall_ms=stall,
-                        transfer_ms=moved_ms,
-                        compute_energy_mj=energy,
-                        transfer_energy_mj=interconnect.transfer_energy_mj(stage_imports),
-                    )
-                )
-            profiles.append(HardwareProfile(stages=tuple(stages), stored_feature_bytes=stored))
-        return profiles
+        # Every stage's numbers in StagePerformance's field order, from
+        # latency_ms on.
+        columns = np.stack(
+            [latencies, busy, batch.stalls, batch.moved, energies, transfer_energies], 2
+        )
+        profiles = [
+            HardwareProfile(
+                tuple(
+                    StagePerformance(index, unit.name, float(scale), *row)
+                    for index, ((_, unit, scale, _), row) in enumerate(zip(mapping, stage_rows))
+                ),
+                stored,
+            )
+            for mapping, stage_rows, stored in zip(
+                mappings, columns.tolist(), arrays.stored_bytes.tolist()
+            )
+        ]
+        return BatchProfile(profiles, latencies, energies + transfer_energies)
 
     def _mapping_points(
         self,

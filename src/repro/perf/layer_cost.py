@@ -13,13 +13,16 @@ The exact oracle prices a batch of slices at once: :func:`workload_arrays`
 and :meth:`AnalyticalCostModel.latencies_ms` give, element for element, the
 floats :meth:`LayerWorkload.from_layer` and
 :meth:`AnalyticalCostModel.latency_ms` give for one slice, which is how
-every other cost model is asked.
+every other cost model is asked.  Each built-in layer kind's formulas run
+once per batch, on the attributes of all of its layers
+(:class:`LayerArrays`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Protocol, Sequence, Tuple, runtime_checkable
+from typing import Iterator, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
 
@@ -115,8 +118,79 @@ class LayerWorkload:
         return cls.from_layer(sublayer.base, sublayer.in_units, sublayer.out_units)
 
 
+class LayerArrays:
+    """What :func:`workload_arrays` reads of each position of ``layers``, gathered once.
+
+    Every position's width, input width and kind, and for each built-in
+    kind (an exact class with its own ``_formula_arrays``) the attributes of
+    its layers: an attribute every one of them holds alike (by ``repr``, so
+    ``1`` and ``1.0`` differ) stays that Python value, any other becomes an
+    array over the layers (a pair of ints a pair of arrays).  A table keeps
+    one for as long as it prices the same layers.  Any other class is priced
+    pair by pair through its :meth:`~repro.nn.layers.Layer._slice`.
+    """
+
+    def __init__(self, layers: Sequence[Layer]) -> None:
+        self.layers = tuple(layers)
+        self.widths = np.array([layer.width for layer in self.layers])
+        self.in_widths = np.array([layer.in_width for layer in self.layers])
+        self.formulas = np.array([layer._array_formulas for layer in self.layers])
+        self.all_formulas = bool(self.formulas.all())
+        #: Each position's kind, an index into the sorted kind names.
+        self.kinds = sorted({layer.kind for layer in self.layers})
+        self.kind_codes = np.array([self.kinds.index(layer.kind) for layer in self.layers])
+        members: dict = {}
+        for position, layer in enumerate(self.layers):
+            if layer._array_formulas:
+                members.setdefault(type(layer), []).append(position)
+        # Each position's rank among its class's layers.
+        self.rank = np.zeros(len(self.layers), dtype=np.int64)
+        self.classes = []
+        for cls, positions in members.items():
+            self.rank[positions] = np.arange(len(positions))
+            shared, varying = {}, {}
+            for field in dataclasses.fields(cls):
+                values = [getattr(self.layers[position], field.name) for position in positions]
+                if len({repr(value) for value in values}) == 1:
+                    shared[field.name] = values[0]
+                elif isinstance(values[0], tuple):
+                    varying[field.name] = tuple(np.array(part) for part in zip(*values))
+                else:
+                    varying[field.name] = np.array(values)
+            member = np.zeros(len(self.layers), dtype=bool)
+            member[positions] = True
+            self.classes.append((cls, member, shared, varying))
+
+    def formula_terms(
+        self, positions: np.ndarray, in_units: np.ndarray, out_units: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, Tuple[np.ndarray, ...]]]:
+        """``(selected, terms)`` of every built-in class among the slices.
+
+        ``selected`` indexes the slices at that class's positions, and
+        ``terms`` holds their ``(flops, input_elements, output_elements,
+        params)`` from one call of the class's formulas on a stand-in of the
+        class whose attributes are those of the slices' layers.
+        """
+        for cls, member, shared, varying in self.classes:
+            selected = np.flatnonzero(member[positions])
+            if not selected.size:
+                continue
+            stand_in = object.__new__(cls)
+            attributes = vars(stand_in)
+            attributes.update(shared)
+            if varying:
+                rank = self.rank[positions[selected]]
+                for name, values in varying.items():
+                    attributes[name] = (
+                        tuple(part[rank] for part in values)
+                        if isinstance(values, tuple)
+                        else values[rank]
+                    )
+            yield selected, stand_in._formula_arrays(in_units[selected], out_units[selected])
+
+
 def workload_arrays(
-    layers: Sequence[Layer],
+    layers: Union[Sequence[Layer], LayerArrays],
     positions: np.ndarray,
     in_units: np.ndarray,
     out_units: np.ndarray,
@@ -124,31 +198,51 @@ def workload_arrays(
     """``flops`` and ``total_bytes`` of ``LayerWorkload.from_layer(layers[p], i, o)`` per slice.
 
     The slices are ``(positions[k], in_units[k], out_units[k])``, sorted by
-    position.  A built-in kind's units are checked as
+    position; ``layers`` may be given as their :class:`LayerArrays`.  A
+    built-in kind's units are checked as
     :meth:`~repro.nn.layers.Layer.resolve_units` checks them, all at once,
-    and its slices take its formulas on the unit arrays
-    (:meth:`~repro.nn.layers.Layer._slice_arrays`); the terms are converted
-    as the workload converts them and held to its non-negative finite
-    checks.  A failing check raises the scalar message.  ``total_bytes`` adds
-    the byte terms in :attr:`LayerWorkload.total_bytes`'s order.
+    and the slices of all of its layers take its formulas in one call on
+    the unit arrays; any other class's slices are priced pair by pair,
+    position by position.  The terms are converted as the workload converts
+    them and held to its non-negative finite checks.  A failing check raises
+    the scalar message.  ``total_bytes`` adds the byte terms in
+    :attr:`LayerWorkload.total_bytes`'s order.
     """
-    formulas = np.array([layer._array_formulas for layer in layers])[positions]
-    widths = np.array([layer.width for layer in layers])[positions]
-    in_widths = np.array([layer.in_width for layer in layers])[positions]
-    outside = formulas & (
-        (out_units < 1) | (out_units > widths) | (in_units < 1) | (in_units > in_widths)
+    gathered = layers if isinstance(layers, LayerArrays) else LayerArrays(layers)
+    outside = (
+        (out_units < 1)
+        | (out_units > gathered.widths[positions])
+        | (in_units < 1)
+        | (in_units > gathered.in_widths[positions])
     )
+    formulas = None
+    if not gathered.all_formulas:
+        formulas = gathered.formulas[positions]
+        outside &= formulas
     if outside.any():
         first = int(np.argmax(outside))
-        layers[positions[first]].resolve_units(int(in_units[first]), int(out_units[first]))
-    terms = np.empty((4, positions.size))
-    bounds = np.searchsorted(positions, np.arange(len(layers) + 1)).tolist()
-    for layer, start, stop in zip(layers, bounds, bounds[1:]):
-        if start < stop:
-            terms[:, start:stop] = layer._slice_arrays(in_units[start:stop], out_units[start:stop])
-    # Rows: flops, input bytes, output bytes, then parameters to weight bytes.
-    terms[3] *= BYTES_PER_ELEMENT
-    if not (np.isfinite(terms) & (terms >= 0)).all():
+        gathered.layers[positions[first]].resolve_units(
+            int(in_units[first]), int(out_units[first])
+        )
+    # Rows: flops, input elements to bytes, output elements to bytes, then
+    # parameters to weight bytes.  Scaling a float by a power of two is
+    # exact, so each byte count is the float of the integer one.
+    terms = np.zeros((4, positions.size))
+    for selected, values in gathered.formula_terms(positions, in_units, out_units):
+        terms[:, selected] = values
+    terms[1:] *= BYTES_PER_ELEMENT
+    if formulas is not None:
+        for position in np.unique(positions[~formulas]).tolist():
+            selected = np.flatnonzero(positions == position)
+            layer = gathered.layers[position]
+            pairs = [
+                layer._slice(i, o)
+                for i, o in zip(in_units[selected].tolist(), out_units[selected].tolist())
+            ]
+            terms[:, selected] = tuple(np.array(column) for column in zip(*pairs))
+            terms[3, selected] *= BYTES_PER_ELEMENT
+    # Written so that a NaN fails it too.
+    if terms.size and not (terms.min() >= 0 and terms.max() < np.inf):
         for name, values in zip(_WORKLOAD_TERMS, terms.tolist()):
             for value in values:
                 check_non_negative(value, name)

@@ -39,7 +39,14 @@ from ..nn.multiexit import DynamicNetwork, exit_head
 from ..nn.partition import NetworkArrays, backbone_layers
 from ..soc.compute_unit import ComputeUnit
 from ..soc.interconnect import Interconnect
-from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload, workload_arrays
+from ..utils import _left_sum
+from .layer_cost import (
+    AnalyticalCostModel,
+    CostModel,
+    LayerArrays,
+    LayerWorkload,
+    workload_arrays,
+)
 
 __all__ = ["StageSchedule", "ScheduleResult", "simulate_schedule"]
 
@@ -65,7 +72,7 @@ class StageSchedule:
     @property
     def busy_latency_ms(self) -> float:
         """Time the compute unit is actually executing (no stalls, no waits)."""
-        return float(sum(self.sublayer_latencies_ms)) + self.exit_latency_ms
+        return float(_left_sum(self.sublayer_latencies_ms)) + self.exit_latency_ms
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,8 @@ class SliceTable:
 
     Only an exact :class:`AnalyticalCostModel` is memoised: each slice's
     latency is priced once, a batch's misses in one vectorised roofline
-    pass, and its energy is the latency times the unit's power
+    pass (one formula call per layer kind, on the layers' attributes the
+    table gathers once), and its energy is the latency times the unit's power
     (:func:`stage_energy_arrays`).  Every other cost model (noisy, learned,
     or a subclass) is called for each slice on each use, in key order.
     """
@@ -116,6 +124,10 @@ class SliceTable:
         self._slices = (len(backbone) + 1) * self._span * self._span
         self._latencies: Dict[int, float] = {}
         self._transfers: Dict[int, float] = {}
+        # What pricing reads of the layers it was last given, and of each
+        # (unit key, layer kind).
+        self._gathered: Optional[LayerArrays] = None
+        self._rates: Dict[Tuple[int, str], Tuple[float, float, float]] = {}
         # Output bytes of (position, units), -1 until sized.
         self._sizes: Optional[np.ndarray] = None
 
@@ -203,16 +215,26 @@ class SliceTable:
         slice_keys, slice_of = np.unique(slice_keys, return_inverse=True)
         positions, pairs = np.divmod(slice_keys, span * span)
         in_units, out_units = np.divmod(pairs, span)
-        flops, total_bytes = workload_arrays(layers, positions, in_units, out_units)
-        # Each distinct (unit key, layer kind)'s rates once.
-        kinds = sorted({layer.kind for layer in layers})
-        kind_of = np.array([kinds.index(layer.kind) for layer in layers])[positions[slice_of]]
+        gathered = self._gathered
+        layers = tuple(layers)
+        if gathered is None or gathered.layers != layers:
+            gathered = self._gathered = LayerArrays(layers)
+        flops, total_bytes = workload_arrays(gathered, positions, in_units, out_units)
+        # Each distinct (unit key, layer kind)'s rates, read once per table.
+        kinds = gathered.kinds
+        kind_of = gathered.kind_codes[positions[slice_of]]
         codes, rate_of = np.unique(unit_keys * len(kinds) + kind_of, return_inverse=True)
+        known = self._rates
         rates = []
         for code in codes.tolist():
             unit_key, kind = divmod(code, len(kinds))
-            unit, scale = units[unit_key]
-            rates.append(self.cost_model.unit_rates(unit, kinds[kind], scale))
+            rate = known.get((unit_key, kinds[kind]))
+            if rate is None:
+                unit, scale = units[unit_key]
+                rate = known[unit_key, kinds[kind]] = self.cost_model.unit_rates(
+                    unit, kinds[kind], scale
+                )
+            rates.append(rate)
         gflops, bandwidth_gbs, overhead_ms = np.array(rates)[rate_of].T
         return self.cost_model.latencies_ms(
             flops[slice_of], total_bytes[slice_of], gflops, bandwidth_gbs, overhead_ms
@@ -235,13 +257,20 @@ class SliceTable:
     def transfers(self, positions: np.ndarray, units: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Shared-memory transfer latency of each ``(position, units)`` output, ``sizes`` bytes."""
         table = self._transfers
-        values = []
-        for key, size in zip((positions * self._span + units).tolist(), sizes.tolist()):
-            value = table.get(key)
-            if value is None:
-                value = table[key] = self.interconnect.transfer_latency_ms(size)
-            values.append(value)
-        return np.array(values, dtype=float)
+        keys = (positions * self._span + units).tolist()
+        get = table.get
+        # A transfer latency is finite, so NaN (numpy's None) marks a new key.
+        values = np.array([get(key) for key in keys], dtype=float)
+        holes = np.flatnonzero(np.isnan(values))
+        if holes.size:
+            sizes = sizes.tolist()
+            for index in holes.tolist():
+                key = keys[index]
+                value = get(key)
+                if value is None:
+                    value = table[key] = self.interconnect.transfer_latency_ms(sizes[index])
+                values[index] = value
+        return values
 
 
 class BatchSchedule(NamedTuple):

@@ -25,9 +25,12 @@ split table, and the sub-layer inputs, reused bytes, slice keys, the Eq. 8
 recursion, stage energies and exit coverages are computed looping over
 stages and layers and vectorised over candidates; on the exact analytical
 oracle all of a batch's slice-table misses are priced in one vectorised
-roofline pass.  No network, sub-layer or schedule object is built, unless
-the accuracy model overrides ``stage_accuracies`` and so reads the
-candidate's network.
+roofline pass.  The exit statistics, the expected and worst-case latency
+and energy and the reuse fractions are computed on ``(candidates, stages)``
+arrays too, and each result is built from its rows; only the accuracy
+mapping runs candidate by candidate.  No network, sub-layer or schedule
+object is built, unless the accuracy model overrides ``stage_accuracies``
+and so reads the candidate's network.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..dynamics.accuracy import AccuracyModel
-from ..dynamics.inference import DynamicInferenceResult, _inference_result
+from ..dynamics.inference import DynamicInferenceResult, _inference_results
 from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..errors import ReproError
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
 from ..nn.multiexit import build_dynamic_network, importance_curves, stage_coverage_arrays
-from ..nn.partition import NetworkArrays, network_arrays
+from ..nn.partition import NetworkArrays, network_arrays, reuse_fractions
 from ..perf.evaluator import HardwareProfile, MappingEvaluator
 from ..perf.layer_cost import CostModel
 from ..soc.platform import Platform
@@ -339,27 +342,25 @@ class ConfigEvaluator:
             self._splits,
             table.output_bytes,
         )
-        profiles = mapping._profile_arrays(
+        batch = mapping._profile_arrays(
             self.network,
             table,
             arrays,
             [config.unit_names for config in configs],
             [config.dvfs_indices for config in configs],
         )
-        accuracies = self._stage_accuracies(configs, arrays)
+        inferences = _inference_results(
+            self._stage_accuracies(configs, arrays),
+            batch.latencies,
+            batch.energies,
+            reuse_fractions(arrays.reused),
+            arrays.stored_bytes.tolist(),
+            self.validation_samples,
+        )
+        base_accuracy = self.network.base_accuracy
         return [
-            EvaluatedConfig(
-                config=config,
-                profile=profile,
-                inference=_inference_result(
-                    stage_accuracies,
-                    profile,
-                    config.indicator.reuse_fraction(),
-                    self.validation_samples,
-                ),
-                base_accuracy=self.network.base_accuracy,
-            )
-            for config, profile, stage_accuracies in zip(configs, profiles, accuracies)
+            EvaluatedConfig(config, profile, inference, base_accuracy)
+            for config, profile, inference in zip(configs, batch.profiles, inferences)
         ]
 
     def _stage_accuracies(self, configs: list, arrays: NetworkArrays) -> list:

@@ -69,16 +69,18 @@ def paper_objective(evaluated: EvaluatedConfig) -> float:
     """Composite objective of Eq. 16 (lower is better)."""
     accuracy_term = _accuracy_term(evaluated)
     statistics = evaluated.inference.exit_statistics
-    stages = evaluated.profile.stages
-    energies = tuple(stage.energy_mj for stage in stages)
     latency_term = 0.0
     energy_term = 0.0
     # HardwareProfile.stage_latency_ms and cumulative_energy_mj, read off the
-    # stages.  Each prefix energy is the built-in sum of its prefix, not a
-    # running total, which would round differently where sum() compensates.
+    # stages: each prefix energy adds its prefix left to right from zero, as
+    # the running total does.
+    stages = evaluated.profile.stages
+    prefix_energy = 0.0
     for stage_index, count in enumerate(statistics.correct_counts):
-        latency_term += stages[stage_index].latency_ms * count
-        energy_term += sum(energies[: stage_index + 1]) * count
+        stage = stages[stage_index]
+        prefix_energy += stage.energy_mj
+        latency_term += stage.latency_ms * count
+        energy_term += prefix_energy * count
     # A degenerate configuration that classifies nothing correctly produces
     # zero latency/energy terms; give it the worst possible score instead of
     # an artificially perfect one.

@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
-from ..utils import check_fraction, check_positive
+from ..utils import _left_sum, check_fraction, check_positive
 from .bridge import simulate_deployment
 from .metrics import write_trace_jsonl
 from .policies import Deployment
@@ -105,7 +105,7 @@ class FleetInstance:
         """Idle draw of the whole powered instance (watts)."""
         if self.idle_power_w is not None:
             return self.idle_power_w
-        return float(sum(self.static_power_by_unit.values()))
+        return float(_left_sum(self.static_power_by_unit.values()))
 
 
 class _RoutingView:
@@ -389,7 +389,7 @@ class InstanceOutcome:
             busiest = max(busy_ms.values()) if busy_ms else 0.0
             return self.instance.idle_power_w * max(0.0, self.up_ms - busiest)
         return float(
-            sum(
+            _left_sum(
                 static_w * max(0.0, self.up_ms - busy_ms.get(unit_name, 0.0))
                 for unit_name, static_w in self.instance.static_power_by_unit.items()
             )
@@ -651,7 +651,7 @@ class FleetSimulator:
         policy = self.autoscaler
         rate_rps = 1000.0 * len(window) / policy.window_ms
         powered = [index for index, state in enumerate(states) if state.powered]
-        capacity = sum(
+        capacity = _left_sum(
             self.instances[index].deployment.effective_capacity_rps() for index in powered
         )
         limit = (

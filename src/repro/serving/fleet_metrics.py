@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Tuple
 
 from ..errors import ConfigurationError
+from ..utils import _left_sum
 from .metrics import compute_metrics
 from .simulator import RequestColumns, RequestRecord, ServingResult
 
@@ -192,9 +193,9 @@ def compute_fleet_metrics(result) -> FleetMetrics:
             peak_in_flight=0,
         )
     )
-    idle_mj = float(sum(outcome.idle_energy_mj() for outcome in result.outcomes))
+    idle_mj = float(_left_sum(outcome.idle_energy_mj() for outcome in result.outcomes))
     total_mj = served.total_energy_mj + idle_mj
-    in_flight_area = sum(
+    in_flight_area = _left_sum(
         outcome.result.mean_in_flight * outcome.result.duration_ms
         for outcome in result.outcomes
         if outcome.result is not None

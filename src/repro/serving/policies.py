@@ -26,7 +26,13 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
-from ..utils import check_fraction, check_non_negative, check_positive, check_stage_accuracies
+from ..utils import (
+    _left_sum,
+    check_fraction,
+    check_non_negative,
+    check_positive,
+    check_stage_accuracies,
+)
 
 __all__ = [
     "Deployment",
@@ -110,7 +116,7 @@ class Deployment:
 
     def cumulative_energy_mj(self, stage: int) -> float:
         """Energy of instantiating stages up to ``stage`` (Eq. 14)."""
-        return float(sum(self.energy_mj[: stage + 1]))
+        return float(_left_sum(self.energy_mj[: stage + 1]))
 
     @property
     def bottleneck_service_ms(self) -> float:
@@ -198,7 +204,7 @@ class Deployment:
         instances.
         """
         return float(
-            sum(
+            _left_sum(
                 energy * visit
                 for energy, visit in zip(self.energy_mj, self.stage_visit_fractions)
             )

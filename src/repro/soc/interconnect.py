@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..utils import check_non_negative, check_positive
 
 __all__ = ["Interconnect"]
@@ -53,4 +55,10 @@ class Interconnect:
     def transfer_energy_mj(self, num_bytes: int) -> float:
         """Energy in millijoules to move ``num_bytes`` across units."""
         check_non_negative(num_bytes, "num_bytes")
+        return num_bytes * self.energy_pj_per_byte * 1e-9
+
+    def _transfer_energies_mj(self, num_bytes: np.ndarray) -> np.ndarray:
+        """:meth:`transfer_energy_mj` of every element of an integer array."""
+        if (num_bytes < 0).any():
+            check_non_negative(num_bytes[num_bytes < 0][0].item(), "num_bytes")
         return num_bytes * self.energy_pj_per_byte * 1e-9

@@ -59,6 +59,20 @@ def _is_finite(value) -> bool:
     return np.isfinite(value)
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.9-3.11 adds floats: left to right from 0.
+
+    Python 3.12 made the built-in ``sum`` of floats compensated, so the same
+    floats would total differently from one interpreter to the next; every
+    float total in the library adds through this loop instead.  A row's
+    ``cumsum`` plus ``0.0`` is the same sum.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it."""
     if not _is_finite(value) or value <= 0:

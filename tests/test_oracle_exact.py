@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from repro.core.framework import MapAndConquer
 from repro.dynamics.accuracy import AccuracyModel
 from repro.dynamics.inference import DynamicInferenceResult, simulate_dynamic_inference
-from repro.dynamics.samples import ExitStatistics, compute_exit_statistics
+from repro.dynamics.samples import ExitStatistics, _exit_statistics, compute_exit_statistics
 from repro.errors import ConfigurationError, PartitionError, PlatformError
 from repro.nn.layers import (
     BYTES_PER_ELEMENT,
@@ -50,17 +50,20 @@ from repro.nn.layers import (
 )
 from repro.nn.models import resnet20, vgg19, visformer
 from repro.nn.multiexit import DynamicNetwork, Stage, SubLayer, build_dynamic_network
+from repro.nn import partition as partition_module
 from repro.nn.partition import (
     RATIO_CHOICES,
     IndicatorMatrix,
     PartitionMatrix,
     PartitionScheme,
+    _split_rows,
     backbone_layers,
     split_units,
 )
 from repro.perf.evaluator import HardwareProfile, MappingEvaluator, StagePerformance
 from repro.perf.layer_cost import (
     AnalyticalCostModel,
+    LayerArrays,
     LayerWorkload,
     NoisyCostModel,
     workload_arrays,
@@ -73,6 +76,7 @@ from repro.search.space import MappingConfig, SearchSpace
 from repro.soc.platform import jetson_agx_xavier
 from repro.soc.presets import derive, get_platform
 from repro.utils import check_fraction, check_non_negative, check_positive
+from test_variation_stream import nine_unit_board
 
 NETWORKS = {"visformer": visformer, "resnet20": resnet20, "vgg19": vgg19}
 PLATFORMS = ("jetson-agx-xavier", "mobile-big-little", "jetson-nano-class")
@@ -1392,6 +1396,20 @@ class TestStageAccuraciesBuildCurvesOnce:
             )
 
 
+@dataclass(frozen=True)
+class SpoiledAccuracies(AccuracyModel):
+    """The default accuracies, but ``spoiled[k]`` for the k-th candidate's coverages."""
+
+    spoiled: tuple = ()
+
+    def stage_accuracies_from_coverage(self, network, coverages):
+        coverages = tuple(coverages)
+        for bad_coverages, accuracies in self.spoiled:
+            if coverages == bad_coverages:
+                return accuracies
+        return super().stage_accuracies_from_coverage(network, coverages)
+
+
 class TestBatchPath:
     def test_a_batch_builds_no_network(self, visformer_net, platform, monkeypatch):
         built = []
@@ -1515,6 +1533,55 @@ class TestBatchPath:
                 expected
             )
 
+    @pytest.mark.parametrize("stages", range(1, 10))
+    def test_one_to_nine_stages_match_the_reference(self, networks, stages):
+        network = networks["resnet20"]
+        platform = nine_unit_board()
+        evaluator = ConfigEvaluator(network, platform, seed=stages)
+        configs = SearchSpace(network, platform, num_stages=stages).population(6, seed=stages)
+        for result, config in zip(evaluator.evaluate_many(configs), configs):
+            _, _, profile, inference = reference_results(
+                evaluator, config, AnalyticalCostModel()
+            )
+            assert_identical(result.profile, profile)
+            assert_identical(result.inference, inference)
+            assert pickle.dumps(result.profile) == pickle.dumps(profile)
+            assert pickle.dumps(result.inference) == pickle.dumps(inference)
+            assert len(result.inference.exit_statistics.exit_fractions) == stages
+
+    @pytest.mark.parametrize(
+        "accuracies, error",
+        [
+            ((0.5, 0.4, 0.6), "stage accuracies must be non-decreasing"),
+            ((0.5, 1.5, 1.5), "stage accuracy must lie in [0, 1], got 1.5"),
+            ((0.5, math.nan, 0.6), "stage accuracy must lie in [0, 1], got nan"),
+            ((0.5, 0.6), "expected 3 stage accuracies, one per stage, got 2"),
+            ((0.4, 0.5, 0.6, 0.7), "expected 3 stage accuracies, one per stage, got 4"),
+        ],
+    )
+    def test_the_kth_candidate_raises_its_own_error(self, networks, accuracies, error):
+        network = networks["visformer"]
+        platform = get_platform("jetson-agx-xavier")
+        configs = SearchSpace(network, platform).population(5, seed=11)
+        evaluator = ConfigEvaluator(network, platform, seed=0)
+        coverages = [
+            tuple(evaluated_network(evaluator, config)._coverages()) for config in configs
+        ]
+        # The third candidate is spoiled, and the fifth fails another check.
+        model = SpoiledAccuracies(
+            spoiled=((coverages[2], accuracies), (coverages[4], (0.9, 0.1, 0.2)))
+        )
+        expected = ("raised", ConfigurationError, error)
+        spoiled = ConfigEvaluator(network, platform, accuracy_model=model, seed=0)
+        assert outcome(spoiled.evaluate_many, configs) == expected
+        assert outcome(spoiled.evaluate, configs[2]) == expected
+        assert outcome(
+            lambda: [spoiled.evaluate(config) for config in configs[:2]]
+        )[0] == "returned"
+        # The batch's own check, with no one-at-a-time rescoring behind it.
+        rows = [model.stage_accuracies_from_coverage(network, row) for row in coverages]
+        assert outcome(_exit_statistics, rows, 10_000, 3) == expected
+
 
 @dataclass(frozen=True)
 class HalfAccuracy(AccuracyModel):
@@ -1604,3 +1671,162 @@ class TestAccuracyModelOverrides:
             assert_identical(batched.inference, evaluator.evaluate(config).inference)
             assert batched.accuracy < plain.accuracy
         assert built == []
+
+
+# -- the three batched parts: per-kind pricing, the split pass, the tail -------------------
+def exit_layer(network):
+    """The exit head a slice table prices one past the backbone."""
+    backbone = backbone_layers(network)
+    return LinearLayer(name="exit0", width=network.num_classes, in_width=backbone[-1].width)
+
+
+def sampled_slices(layers, rng, per_layer=30):
+    """Every layer's corner unit pairs and random ones, as sorted slice arrays."""
+    positions, in_units, out_units = [], [], []
+    for position, layer in enumerate(layers):
+        pairs = {(1, 1), (1, layer.width), (layer.in_width, 1), (layer.in_width, layer.width)}
+        pairs |= {
+            (int(rng.integers(1, layer.in_width + 1)), int(rng.integers(1, layer.width + 1)))
+            for _ in range(per_layer)
+        }
+        for pair in sorted(pairs):
+            positions.append(position)
+            in_units.append(pair[0])
+            out_units.append(pair[1])
+    return np.array(positions), np.array(in_units), np.array(out_units)
+
+
+class TestPricingPerLayerKind:
+    @pytest.mark.parametrize("network_name", sorted(NETWORKS))
+    def test_every_layer_of_a_network_matches_the_reference(
+        self, networks, network_name, monkeypatch
+    ):
+        network = networks[network_name]
+        layers = (*backbone_layers(network), exit_layer(network))
+        positions, in_units, out_units = sampled_slices(layers, np.random.default_rng(1))
+        gathered = LayerArrays(layers)
+        # One formula call per layer kind prices every slice.
+        calls = []
+        for cls in {type(layer) for layer in layers}:
+            real = vars(cls)["_formula_arrays"]
+
+            def counted(self, in_u, out_u, real=real, cls=cls):
+                calls.append(cls)
+                return real(self, in_u, out_u)
+
+            monkeypatch.setattr(cls, "_formula_arrays", counted)
+        flops, total_bytes = workload_arrays(gathered, positions, in_units, out_units)
+        monkeypatch.undo()
+        assert sorted(cls.__name__ for cls in calls) == sorted(
+            {type(layer).__name__ for layer in layers}
+        )
+        for index, position in enumerate(positions.tolist()):
+            expected = reference_from_layer(
+                layers[position], int(in_units[index]), int(out_units[index])
+            )
+            assert_identical(flops[index].item(), expected.flops)
+            assert_identical(total_bytes[index].item(), expected.total_bytes)
+        # The layers themselves, or their gathered arrays, price alike.
+        again = workload_arrays(list(layers), positions, in_units, out_units)
+        assert [values.tolist() for values in again] == [flops.tolist(), total_bytes.tolist()]
+
+    def test_a_backbone_mixing_in_overriding_subclasses(self, networks):
+        network = networks["visformer"]
+        backbone = list(backbone_layers(network))
+        # A conv subclass that overrides flops, and a feed-forward one whose
+        # hidden width reaches its formulas, replace built-in layers.
+        conv = backbone[1]
+        backbone[1] = DoubledConv2dLayer(
+            **{field.name: getattr(conv, field.name) for field in dataclasses.fields(conv)}
+        )
+        index = next(i for i, layer in enumerate(backbone) if isinstance(layer, FeedForwardLayer))
+        feed = backbone[index]
+        backbone[index] = WideFeedForwardLayer(
+            **{field.name: getattr(feed, field.name) for field in dataclasses.fields(feed)}
+        )
+        layers = (*backbone, exit_layer(network))
+        positions, in_units, out_units = sampled_slices(layers, np.random.default_rng(2), 10)
+        flops, total_bytes = workload_arrays(layers, positions, in_units, out_units)
+        for index, position in enumerate(positions.tolist()):
+            expected = LayerWorkload.from_layer(
+                layers[position], int(in_units[index]), int(out_units[index])
+            )
+            assert_identical(flops[index].item(), float(expected.flops))
+            assert_identical(total_bytes[index].item(), expected.total_bytes)
+
+
+@st.composite
+def split_batches(draw):
+    """Rows of one share count for many layers: ties, skews, -0.0 and whole heads."""
+    shares = draw(st.integers(min_value=1, max_value=9))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        granularity = draw(st.sampled_from([1, 1, 2, 32, 64]))
+        width = granularity * draw(st.integers(min_value=shares, max_value=shares + 40))
+        kind = draw(st.sampled_from(["ratios", "skewed", "uniform", "zeros"]))
+        if kind == "ratios":
+            raw = [draw(st.sampled_from(RATIO_CHOICES)) for _ in range(shares)]
+        elif kind == "skewed":
+            raw = [draw(st.floats(min_value=0.0, max_value=0.06)) for _ in range(shares)]
+            raw[draw(st.integers(0, shares - 1))] += 1.0
+        elif kind == "uniform":
+            raw = [1.0] * shares
+        else:
+            raw = [0.0] * shares
+            raw[draw(st.integers(0, shares - 1))] = 1.0
+        total = sum(raw)
+        fractions = [-0.0 if value == 0.0 and draw(st.booleans()) else value / total for value in raw]
+        rows.append((width, granularity, fractions))
+    return rows
+
+
+class TestSplitPass:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=split_batches())
+    def test_equals_the_reference_row_by_row(self, rows):
+        shares = _split_rows(
+            np.array([width for width, _, _ in rows]),
+            np.array([granularity for _, granularity, _ in rows]),
+            np.array([fractions for _, _, fractions in rows]),
+        )
+        for row, (width, granularity, fractions) in zip(shares.tolist(), rows):
+            assert tuple(row) == reference_split_units(width, fractions, granularity)
+
+    def test_ties_surplus_taken_twice_and_deficits(self):
+        cases = [
+            # Floor-of-one surplus of two, both taken from the last share.
+            (4, 1, [0.05, 0.05, 0.05, 0.85], (1, 1, 1, 1)),
+            # Tied remainders: the first share wins.
+            (96, 1, [1 / 3, 1 / 3, 1 / 3], (32, 32, 32)),
+            (10, 1, [0.25, 0.25, 0.25, 0.25], (3, 3, 2, 2)),
+            # Whole heads of 32 and 64 channels, with a deficit to spread.
+            (192, 32, [0.98, 0.01, 0.01], (128, 32, 32)),
+            (384, 64, [0.125, 0.375, 0.5], (64, 128, 192)),
+            (7, 1, [-0.0, 1.0, 0.0], (1, 5, 1)),
+        ]
+        for width, granularity, fractions, expected in cases:
+            result = _split_rows(np.array([width]), np.array([granularity]), np.array([fractions]))
+            assert tuple(result[0].tolist()) == expected
+            assert reference_split_units(width, fractions, granularity) == expected
+
+    def test_a_generation_splits_its_new_columns_once(self, networks, monkeypatch):
+        network = networks["visformer"]
+        platform = get_platform("jetson-agx-xavier")
+        configs = SearchSpace(network, platform).population(24, seed=3)
+        evaluator = ConfigEvaluator(network, platform, seed=0)
+        passes = []
+        real = partition_module._split_rows
+        monkeypatch.setattr(
+            partition_module,
+            "_split_rows",
+            lambda *args: passes.append(len(args[0])) or real(*args),
+        )
+        evaluator.evaluate_many(configs)
+        table = evaluator._splits
+        assert passes == [len(table)]
+        for key, shares in table.items():
+            width, granularity, *column = key
+            assert shares == reference_split_units(width, column, granularity)
+        # A second generation splits only the columns it adds, in one pass.
+        evaluator.evaluate_many(configs + SearchSpace(network, platform).population(4, seed=9))
+        assert len(passes) == 2 and sum(passes) == len(table)

@@ -302,6 +302,40 @@ class TestOlderFormat:
         ]
 
 
+class TestUnusableLines:
+    def test_each_is_logged_once_per_run(self, tiny_network, tmp_path, caplog):
+        """A line no load can use (not JSON, or of a version no release
+        wrote) is counted and logged once per run, by the run's first load,
+        though a serving campaign loads the file for its search cells and
+        again for its serving cells."""
+        import logging
+
+        from repro.serving.families import SteadyPoissonFamily
+
+        options = dict(
+            families=[SteadyPoissonFamily(rate_rps=150.0)],
+            members_per_family=1,
+            duration_ms=1000.0,
+            generations=1,
+            population_size=4,
+            seed=3,
+            checkpoint_dir=tmp_path,
+        )
+        fresh = run_serving_campaign(tiny_network, PLATFORMS[:1], **options)
+        path = tmp_path / CampaignCheckpoint.FILENAME
+        with path.open("a", encoding="utf-8") as stream:
+            stream.write("not json\n")
+            stream.write(json.dumps({"version": 99, "kind": "serving"}) + "\n")
+        with caplog.at_level(logging.INFO, logger="repro.campaign.checkpoint"):
+            resumed = run_serving_campaign(tiny_network, PLATFORMS[:1], **options)
+        assert traffic_ranking_summary(resumed) == traffic_ranking_summary(fresh)
+        malformed = [
+            record.getMessage() for record in caplog.records if "malformed" in record.getMessage()
+        ]
+        assert len(malformed) == 1
+        assert "recovered 1 entries, skipped 2 malformed or foreign lines" in malformed[0]
+
+
 _CHILD_SCRIPT = textwrap.dedent(
     """
     from repro.campaign import run_serving_campaign
