@@ -372,9 +372,12 @@ class ObjectiveSet:
         Entry ``k`` is ``specs[k].value(item)``, read off the spec's
         extractor and direction directly: each extractor is called once, in
         spec order, its result taken through ``float``, NaN mapped to
-        ``+inf`` and a ``"max"`` objective negated.  Every call reads every
-        extractor again; under measured objectives each read is one counted
-        serving-cache lookup.
+        ``+inf`` and a ``"max"`` objective negated, so a row holds no NaN
+        and rows compare totally as tuples.  Nothing is memoised: every call
+        reads every extractor again.  :func:`~repro.search.pareto.pareto_front`
+        reads each candidate once, except under a
+        :class:`MeasuredWaitExtractor`, whose every read is one counted
+        serving-cache lookup, so its front keeps the pairwise reads.
         """
         row = []
         for extractor, maximise in self._readers:
@@ -387,8 +390,13 @@ class ObjectiveSet:
         return tuple(row)
 
     def matrix(self, evaluated: Sequence[EvaluatedConfig]) -> np.ndarray:
-        """Stack :meth:`values` rows for NSGA-II's non-dominated sorting."""
-        return np.array([self.values(item) for item in evaluated], dtype=float)
+        """Stack :meth:`values` rows for NSGA-II's non-dominated sorting.
+
+        One row per candidate and one column per objective, so no candidates
+        give shape ``(0, len(self))``.
+        """
+        rows = [self.values(item) for item in evaluated]
+        return np.array(rows, dtype=float).reshape(len(rows), len(self.specs))
 
     def describe(self) -> str:
         """Canonical identity string (stable across processes and runs)."""

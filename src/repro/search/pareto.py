@@ -11,6 +11,13 @@ optional :class:`~repro.search.objectives.ObjectiveSet` (or, for backward
 compatibility, a sequence of already-minimised key callables) and defaults to
 :data:`~repro.search.objectives.DEFAULT_OBJECTIVES` — the seed's
 (latency, energy, -accuracy) behaviour, byte for byte.
+
+:func:`pareto_front` reads each candidate's row once and sweeps the rows in
+lexicographic order against the front found so far.  A set holding a
+:class:`~repro.search.objectives.MeasuredWaitExtractor` is the exception:
+each of its reads is a counted serving-cache lookup (the campaign summaries
+and cell statistics report them), so its front keeps the pairwise reads it
+always made.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from typing import Optional, Sequence
 from ..errors import SearchError
 from .evaluation import EvaluatedConfig
 from .objectives import (
+    MeasuredWaitExtractor,
     _accuracy_term,
     as_objective_set,
     energy_oriented_objective,
@@ -76,23 +84,49 @@ def pareto_front(
 ) -> list:
     """Non-dominated subset of ``evaluated`` under the given objectives, in input order.
 
-    Pairwise, as :func:`dominates` asks it: each candidate is checked
-    against every other candidate in input order, reading
-    ``values(other)`` and then ``values(candidate)`` for each pair, until
-    one dominates it.  Rows are not cached between pairs, because under
-    measured objectives every read is a counted serving-cache lookup.  The
-    rows are compared with the row test :func:`dominates` also uses, without
+    Each position's row is read once through ``objectives.values``, in input
+    order.  The rows are then visited in lexicographic order and each is
+    tested only against the front found so far; the kept candidates are
+    returned in input order.  This keeps exactly the pairwise members: a
+    row's dominators all sort strictly before it, and ``values`` maps NaN to
+    ``+inf``, so the rows are totally ordered.  Equal rows never dominate
+    each other, so duplicate rows, and an object listed twice, are kept or
+    dropped together.
+
+    A set whose specs hold a
+    :class:`~repro.search.objectives.MeasuredWaitExtractor` keeps the
+    pairwise reads instead, because each of its reads is a counted
+    serving-cache lookup: each candidate is checked against every other
+    candidate in input order, reading ``values(other)`` and then
+    ``values(candidate)`` for each pair, until one dominates it.  Either way
+    rows are compared with the row test :func:`dominates` uses, without
     calling :func:`dominates`, so that entry point sees no calls from here.
     """
-    values = as_objective_set(objectives).values
-    front = []
-    for candidate in evaluated:
-        for other in evaluated:
-            if other is not candidate and _dominates(values(other), values(candidate)):
+    objective_set = as_objective_set(objectives)
+    values = objective_set.values
+    if any(isinstance(spec.extractor, MeasuredWaitExtractor) for spec in objective_set.specs):
+        front = []
+        for candidate in evaluated:
+            for other in evaluated:
+                if other is not candidate and _dominates(values(other), values(candidate)):
+                    break
+            else:
+                front.append(candidate)
+        return front
+    items = list(evaluated)
+    rows = [values(item) for item in items]
+    kept = []
+    front_rows = []
+    for position in sorted(range(len(rows)), key=rows.__getitem__):
+        row = rows[position]
+        for member in front_rows:
+            if _dominates(member, row):
                 break
         else:
-            front.append(candidate)
-    return front
+            front_rows.append(row)
+            kept.append(position)
+    kept.sort()
+    return [items[position] for position in kept]
 
 
 def _hv_recursive(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:

@@ -14,7 +14,7 @@ from repro.engine.nsga import (
 )
 from repro.engine.strategies import EvolutionaryStrategy, RandomStrategy
 from repro.errors import ConfigurationError, SearchError
-from repro.search.objectives import paper_objective
+from repro.search.objectives import paper_objective, serving_objectives
 from repro.search.pareto import pareto_front
 
 
@@ -52,6 +52,13 @@ class TestCrowdingDistance:
 
     def test_tiny_fronts_all_infinite(self):
         assert np.isinf(crowding_distance(np.array([[1.0, 2.0], [2.0, 1.0]]))).all()
+
+    def test_no_candidates_give_one_column_per_objective(self):
+        for objectives, width in ((None, 3), (serving_objectives(target_rps=10.0), 4)):
+            values = objective_matrix([], objectives)
+            assert values.shape == (0, width)
+            assert crowding_distance(values).shape == (0,)
+            assert non_dominated_sort(values) == []
 
     def test_degenerate_objective_is_ignored(self):
         values = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])

@@ -1,21 +1,24 @@
 """Pareto assembly and the build at the cost of their reads, against the parent code.
 
-``pareto_front`` keeps the pairwise interrogation it always made: for each
-candidate, every other candidate in input order, ``values(other)`` then
-``values(candidate)``, until one dominates.  Only the per-pair overhead went:
-the dominance test is inlined and ``ObjectiveSet.values`` calls each
-extractor directly.  Under measured objectives every read is a counted
-serving-cache lookup, so the reads themselves, their order and their number
-are part of the contract.
+``pareto_front`` reads each candidate's row once and sweeps the rows in
+lexicographic order against the running front, except under a set that
+holds a ``MeasuredWaitExtractor``: there every read is a counted
+serving-cache lookup, so the front keeps the pairwise interrogation it
+always made (for each candidate, every other candidate in input order,
+``values(other)`` then ``values(candidate)``, until one dominates), and the
+reads themselves, their order and their number are part of the contract.
 
 The ``parent_*`` functions below are verbatim copies of the code this
 replaced: ``dominates``/``pareto_front``, ``ObjectiveSet.values`` (as
 ``ParentObjectiveSet``), NSGA-II's numpy row test and sort, and the
 scheme-level ``stored_feature_bytes`` loop.  Fronts are compared by
-membership (``is``) and order, reads by value and ``repr``, and the full
-sequence of extractor calls is recorded by a counting extractor whose values
-drift with every call, so a different read order would also show as a
-different front.
+membership (``is``) and order, reads by value and ``repr``.  On the pairwise
+path the full sequence of extractor calls is recorded by a measured
+extractor whose values drift with every call, so a different read order
+would also show as a different front; on the sweep, by a plain recording
+extractor that must see each position read once, in input order.  Real
+search histories are compared too, and a real measured set on a
+``ServingCacheRecorder`` must make the parent's lookups.
 
 The split table (``ConfigEvaluator``'s per-evaluator memo of
 ``_largest_remainder``) is pinned by: every hit equals a fresh split,
@@ -50,14 +53,19 @@ from repro.nn.partition import (
 )
 from repro.search.objectives import (
     DEFAULT_OBJECTIVES,
+    MeasuredWaitExtractor,
     ObjectiveSet,
     ObjectiveSpec,
     _energy_extractor,
     as_objective_set,
+    measured_serving_objectives,
     paper_objective,
+    serving_objectives,
 )
 from repro.search.pareto import dominates, pareto_front
 from repro.search.space import SearchSpace
+from repro.serving.families import SteadyPoissonFamily
+from repro.serving.result_cache import ServingCacheRecorder, ServingResultCache
 from repro.soc.presets import get_platform, jetson_agx_xavier
 
 
@@ -135,19 +143,19 @@ def parent_stored_feature_bytes(scheme):
     return int(total)
 
 
-# -- a recording, drifting extractor ---------------------------------------------------------
+# -- recording, drifting extractors ---------------------------------------------------------
 class RecordingColumn:
     """Reads column ``index`` of an item's ``row``, logging ``(index, item id)``.
 
     With ``drift`` on, every call adds ``calls * 1e-9`` to the value it
     returns, so the values a pareto_front sees depend on the exact sequence
-    of reads, not only on their set.
+    of reads, not only on their set.  A plain extractor: ``pareto_front``
+    sweeps a set of these.
     """
 
     def __init__(self, index, log, drift):
-        self.index = index
-        self.log = log
-        self.drift = drift
+        # ``vars`` rather than attributes: the measured subclass is frozen.
+        vars(self).update(index=index, log=log, drift=drift)
 
     def __call__(self, item):
         self.log.append((self.index, item.ident))
@@ -157,18 +165,31 @@ class RecordingColumn:
         return value
 
 
-def recorded_sets(directions, drift):
-    """The same specs read through the current and the parent ``values``."""
+class MeasuredRecordingColumn(RecordingColumn, MeasuredWaitExtractor):
+    """A ``RecordingColumn`` that is a measured extractor, whose reads count.
+
+    ``pareto_front`` keeps the pairwise reads for a set holding one.  It
+    replays nothing: the recording ``__call__`` comes first.
+    """
+
+
+def recorded_sets(directions, drift, columns=MeasuredRecordingColumn):
+    """The same specs read through the current and the parent ``values``.
+
+    ``columns`` is one extractor class for every spec, or one per spec.
+    """
+    if isinstance(columns, type):
+        columns = [columns] * len(directions)
     sets = []
     for cls in (ObjectiveSet, ParentObjectiveSet):
         log = []
         specs = tuple(
             ObjectiveSpec(
                 name=f"objective_{index}",
-                extractor=RecordingColumn(index, log, drift),
+                extractor=column(index, log, drift),
                 direction=direction,
             )
-            for index, direction in enumerate(directions)
+            for index, (column, direction) in enumerate(zip(columns, directions))
         )
         sets.append((cls(specs=specs), log))
     return sets
@@ -202,6 +223,7 @@ class TestFrontMatchesParent:
     @settings(max_examples=300, deadline=None)
     @given(pool=pools(), drift=st.booleans())
     def test_same_front_and_same_reads(self, pool, drift):
+        # A measured set: the pairwise reads, in the parent's order.
         items, directions = pool
         (current, current_log), (parent, parent_log) = recorded_sets(directions, drift)
         front = pareto_front(items, current)
@@ -242,6 +264,51 @@ class TestFrontMatchesParent:
         items = [SimpleNamespace(latency_ms=v, energy_mj=v, accuracy=0.5) for v in (1.0, 2.0)]
         assert pareto_module.pareto_front(items) == [items[0]]
         assert calls == []
+
+
+class TestSweep:
+    """Sets without a measured extractor: one read per position, the parent's front."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=pools())
+    def test_same_front_one_read_per_position(self, pool):
+        items, directions = pool
+        (current, current_log), (parent, _) = recorded_sets(directions, False, RecordingColumn)
+        front = pareto_front(items, current)
+        expected = parent_pareto_front(items, parent)
+        assert [id(item) for item in front] == [id(item) for item in expected]
+        assert all(a is b for a, b in zip(front, expected))
+        # Each position's row is read once, in input order, column by column.
+        assert current_log == [
+            (index, item.ident) for item in items for index in range(len(directions))
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=pools(), drift=st.booleans(), data=st.data())
+    def test_one_measured_spec_keeps_the_pairwise_reads(self, pool, drift, data):
+        items, directions = pool
+        measured = data.draw(st.integers(min_value=0, max_value=len(directions) - 1))
+        columns = [
+            MeasuredRecordingColumn if index == measured else RecordingColumn
+            for index in range(len(directions))
+        ]
+        (current, current_log), (parent, parent_log) = recorded_sets(directions, drift, columns)
+        front = pareto_front(items, current)
+        expected = parent_pareto_front(items, parent)
+        assert [id(item) for item in front] == [id(item) for item in expected]
+        assert current_log == parent_log
+
+    def test_key_callables_are_swept(self):
+        reads = []
+
+        def key(item):
+            reads.append(item)
+            return item.row[0]
+
+        items = [SimpleNamespace(row=[value]) for value in (3.0, 1.0, math.nan, 1.0, 2.0)]
+        front = pareto_front(items, [key])
+        assert [id(item) for item in front] == [id(items[1]), id(items[3])]
+        assert [id(item) for item in reads] == [id(item) for item in items]
 
 
 # -- reads ------------------------------------------------------------------------------------
@@ -539,16 +606,82 @@ class TestStoredFeatureBytes:
         assert dynamic.stored_feature_bytes() == 0 == dynamic.scheme.stored_feature_bytes()
 
 
+# -- real pools -------------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def histories(networks):
+    """A small evolutionary search history on Xavier per network."""
+    return {
+        name: list(
+            MapAndConquer(network, jetson_agx_xavier(), seed=0)
+            .search(generations=5, population_size=10, seed=1)
+            .history
+        )
+        for name, network in networks.items()
+    }
+
+
+def real_pools(history):
+    """The history with duplicated objects, and reversed with every other one again."""
+    return [history + history[:7], history[::-1] + history[::2]]
+
+
+class TestRealPools:
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    @pytest.mark.parametrize("rate", [None, 20.0, 100.0], ids=["default", "20rps", "100rps"])
+    def test_history_fronts_match_the_parent(self, histories, name, rate, monkeypatch):
+        objectives = DEFAULT_OBJECTIVES if rate is None else serving_objectives(target_rps=rate)
+        parent = ParentObjectiveSet(objectives.specs)
+        reads = []
+        original = ObjectiveSet.values
+
+        def counted(self, item):
+            reads.append(item)
+            return original(self, item)
+
+        monkeypatch.setattr(ObjectiveSet, "values", counted)
+        for pool in real_pools(histories[name]):
+            reads.clear()
+            front = pareto_front(pool, objectives)
+            assert [id(item) for item in reads] == [id(item) for item in pool]
+            expected = parent_pareto_front(pool, parent)
+            assert 0 < len(expected) < len(pool)
+            assert [id(item) for item in front] == [id(item) for item in expected]
+
+    def test_measured_set_makes_the_parent_lookups(self, histories):
+        platform = jetson_agx_xavier()
+        family = SteadyPoissonFamily(rate_rps=40.0)
+
+        def measured(recorder):
+            return measured_serving_objectives(
+                family, platform, duration_ms=400.0, members=1, cache=recorder
+            )
+
+        for pool in real_pools(histories["resnet20"]):
+            recorder = ServingCacheRecorder(ServingResultCache())
+            parent_recorder = ServingCacheRecorder(ServingResultCache())
+            front = pareto_front(pool, measured(recorder))
+            expected = parent_pareto_front(
+                pool, ParentObjectiveSet(measured(parent_recorder).specs)
+            )
+            assert 0 < len(expected) < len(pool)
+            assert [id(item) for item in front] == [id(item) for item in expected]
+            stats = recorder.cell_stats()
+            assert stats == parent_recorder.cell_stats()
+            # The pairwise reads: many lookups per position.
+            assert stats.lookups > 2 * len(pool)
+
+
 # -- the number of reads ----------------------------------------------------------------------
 #: ``ObjectiveSet.values`` calls made by the determinism anchor's search
-#: (visformer / Xavier, 8 generations of 12, seed 0) and by a 4x10 NSGA-II
-#: search (seed 1), recorded on the pairwise ``dominates`` loop this replaced.
-ANCHOR_READS = 4476
-NSGA2_READS = 2032
+#: (visformer / Xavier, 8 generations of 12, seed 0): one per candidate of the
+#: front's 69-entry pool; and by a 4x10 NSGA-II search (seed 1): 70 matrix
+#: rows for its survivor ranking plus 38 front reads.
+ANCHOR_READS = 69
+NSGA2_READS = 108
 
 
 class TestReadCounts:
-    def test_anchor_search_makes_the_parent_reads(self, monkeypatch):
+    def test_searches_read_each_front_candidate_once(self, monkeypatch):
         reads = []
         original = ObjectiveSet.values
 
