@@ -387,6 +387,8 @@ class _SearchSettings:
         Platform-independent evaluator settings applied in every cell (the
         cost model is always the analytical oracle: a learned per-layer
         predictor is calibrated to one platform and does not transfer).
+        ``None`` resolves to the default :class:`AccuracyModel`, the model
+        the cells run with, so checkpoints name it either way.
     seed:
         Master seed of every cell's search, replays and checkpoint.
     checkpoint_dir:
@@ -488,6 +490,10 @@ class _SearchSettings:
                 "cell's platform at fan-out time"
             )
         resolved: Dict[str, object] = {"seed": int(self.seed)}
+        # The model every cell scores with, so each route to the runners
+        # (None here, the facade's evaluator model) fingerprints it alike.
+        if self.accuracy_model is None:
+            resolved["accuracy_model"] = AccuracyModel()
         if not isinstance(self.cache, EvaluationCache):
             resolved["cache"] = EvaluationCache(path=self.cache)
         if not isinstance(self.serving_cache, ServingResultCache):

@@ -26,11 +26,10 @@ baseline 80.55 % with dynamic variants around 82-85 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import Iterable
 
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import DynamicNetwork
 from ..utils import check_fraction, check_non_negative
 
 __all__ = ["AccuracyModel"]
@@ -50,6 +49,10 @@ _ACCURACY_CEILING = 0.995
 class AccuracyModel:
     """Maps stage coverage to stage top-1 accuracy.
 
+    :meth:`stage_accuracies_from_coverage` is the one hook through which
+    every evaluation asks for a candidate's stage accuracies; a subclass
+    overrides it (or the per-stage :meth:`stage_accuracy_from_coverage`).
+
     Parameters
     ----------
     redundancy:
@@ -66,15 +69,15 @@ class AccuracyModel:
     redundancy: float | None = None
     exit_bonus: float | None = None
     exit_penalty: float = 0.005
-    #: Whether :meth:`stage_accuracies` maps stage coverages through
-    #: :meth:`stage_accuracies_from_coverage`.  A subclass that overrides
-    #: :meth:`stage_accuracies` is asked through it instead.
-    _from_coverage: ClassVar[bool] = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        # No evaluation asks a per-network method, so one would be ignored.
         if "stage_accuracies" in vars(cls):
-            cls._from_coverage = False
+            raise ConfigurationError(
+                f"{cls.__name__} defines stage_accuracies, which no evaluation asks; "
+                "override stage_accuracies_from_coverage(network, coverages) instead"
+            )
 
     def __post_init__(self) -> None:
         if self.redundancy is not None and self.redundancy <= 0:
@@ -108,23 +111,19 @@ class AccuracyModel:
         accuracy = base_accuracy * relative * bonus * penalty
         return float(min(_ACCURACY_CEILING, max(0.0, accuracy)))
 
-    def stage_accuracies(self, dynamic_network: DynamicNetwork) -> tuple:
-        """Top-1 accuracy of every stage's exit, in stage order.
-
-        Stage accuracies are non-decreasing in practice because later stages
-        see strictly more features (their own plus whatever earlier stages
-        forward); the model enforces monotonicity explicitly so that exit
-        statistics stay well defined even for adversarial indicator choices.
-        Every stage's coverage is computed at once.
-        """
-        return self.stage_accuracies_from_coverage(
-            dynamic_network.network, dynamic_network._coverages()
-        )
-
     def stage_accuracies_from_coverage(
         self, network: NetworkGraph, coverages: Iterable[float]
     ) -> tuple:
-        """:meth:`stage_accuracies` of ``network`` given each stage's coverage."""
+        """Top-1 accuracy of every stage's exit of ``network``, in stage order.
+
+        ``coverages`` holds each stage's coverage (see
+        :meth:`~repro.nn.multiexit.DynamicNetwork.stage_coverage`).  Stage
+        accuracies are non-decreasing in practice because later stages see
+        strictly more features (their own plus whatever earlier stages
+        forward); the model enforces monotonicity explicitly so that exit
+        statistics stay well defined even for adversarial indicator choices.
+        An override must return one accuracy per stage.
+        """
         base = network.base_accuracy
         family = network.family
         accuracies = []
@@ -134,7 +133,3 @@ class AccuracyModel:
             best_so_far = max(best_so_far, accuracy)
             accuracies.append(best_so_far)
         return tuple(accuracies)
-
-    def final_accuracy(self, dynamic_network: DynamicNetwork) -> float:
-        """Accuracy ``Acc_SM`` of the last stage (the dynamic model's accuracy)."""
-        return self.stage_accuracies(dynamic_network)[-1]

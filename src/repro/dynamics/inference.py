@@ -66,7 +66,9 @@ def simulate_dynamic_inference(
         Hardware characterisation of the same network under a concrete
         mapping/DVFS choice (provides per-stage latency and energy).
     accuracy_model:
-        Coverage-to-accuracy model; defaults to the calibrated family model.
+        Coverage-to-accuracy model, asked through
+        :meth:`~repro.dynamics.accuracy.AccuracyModel.stage_accuracies_from_coverage`;
+        defaults to the calibrated family model.
     validation_samples:
         Validation-set size used for the ``N_i`` counts.
     """
@@ -77,8 +79,11 @@ def simulate_dynamic_inference(
         )
     model = accuracy_model if accuracy_model is not None else AccuracyModel()
     stages = profile.stages
+    accuracies = model.stage_accuracies_from_coverage(
+        dynamic_network.network, dynamic_network._coverages()
+    )
     return _inference_results(
-        [model.stage_accuracies(dynamic_network)],
+        [accuracies],
         np.array([[stage.latency_ms for stage in stages]], dtype=float),
         np.array([[stage.energy_mj for stage in stages]], dtype=float),
         np.array([dynamic_network.reuse_fraction()]),

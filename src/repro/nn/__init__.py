@@ -12,7 +12,7 @@ This subpackage provides:
 * :mod:`repro.nn.partition` -- the ``P`` / ``I`` matrices and the width
   partitioning operation (Sect. III-A),
 * :mod:`repro.nn.multiexit` -- the static-to-dynamic multi-exit
-  transformation producing per-stage sub-models (Eq. 5-6).
+  transformation, viewed per candidate over its arrays (Eq. 5-6).
 """
 
 from .layers import (
@@ -24,8 +24,8 @@ from .layers import (
 )
 from .graph import NetworkGraph
 from .channels import ChannelRanking, rank_channels
-from .partition import IndicatorMatrix, PartitionMatrix, PartitionScheme
-from .multiexit import DynamicNetwork, Stage, SubLayer, build_dynamic_network
+from .partition import IndicatorMatrix, PartitionMatrix
+from .multiexit import DynamicNetwork, build_dynamic_network
 
 __all__ = [
     "Layer",
@@ -38,9 +38,6 @@ __all__ = [
     "rank_channels",
     "PartitionMatrix",
     "IndicatorMatrix",
-    "PartitionScheme",
-    "Stage",
-    "SubLayer",
     "DynamicNetwork",
     "build_dynamic_network",
 ]

@@ -1,149 +1,70 @@
-"""Static-to-dynamic transformation: stages, sub-layers and exit heads.
+"""Static-to-dynamic transformation: one candidate's multi-exit network (Eq. 5-6).
 
-Given a network, a :class:`~repro.nn.partition.PartitionScheme` and a channel
-ranking, this module materialises the dynamic multi-exit network of Eq. 5-6:
-every stage ``S_i`` is the chain of its sub-layers ``l^j_i`` augmented with an
-exit classifier at its tail, so the stage can terminate the inference when the
-runtime controller deems its prediction sufficient.
-
-The produced :class:`DynamicNetwork` is still symbolic; it records, for every
-sub-layer, the input width actually available (own channels plus reused
-features from earlier stages), its FLOPs / parameters / feature-map bytes, and
-the cross-stage bytes that must move between compute units.  These numbers
-feed the hardware model in :mod:`repro.perf` and the accuracy model in
-:mod:`repro.dynamics`.
-
-The numbers come from ``(candidates, stages, layers)`` arrays
-(:class:`~repro.nn.partition.NetworkArrays`), and so do the exit coverages
-(:func:`stage_coverage_arrays`): a search scores a whole generation of one
-shape at once, and a single network is the one-candidate case of the same
-arithmetic.
+Stage ``S_i`` is the chain of its sub-layers ``l^j_i`` with an exit
+classifier at its tail, so it can end the inference early.  A
+:class:`DynamicNetwork` is the view of one candidate: its ``(P, I)`` pair and
+the one-row :class:`~repro.nn.partition.NetworkArrays` of what every
+sub-layer and exit head receives, which the hardware model in
+:mod:`repro.perf` schedules.  The exit coverages the accuracy model in
+:mod:`repro.dynamics` reads come from the same arrays
+(:func:`stage_coverage_arrays`), for one candidate or a whole generation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils import _left_sum
 from .channels import ChannelRanking
 from .graph import NetworkGraph
-from .layers import Layer, LinearLayer
-from .partition import IndicatorMatrix, NetworkArrays, PartitionMatrix, PartitionScheme
+from .layers import Layer
+from .partition import (
+    IndicatorMatrix,
+    NetworkArrays,
+    PartitionMatrix,
+    backbone_layers,
+    network_arrays,
+)
 
-__all__ = ["SubLayer", "Stage", "DynamicNetwork", "build_dynamic_network"]
-
-
-@dataclass(frozen=True)
-class SubLayer:
-    """One sub-layer ``l^j_i``: stage ``i``'s slice of backbone layer ``j``."""
-
-    base: Layer
-    stage_index: int
-    layer_index: int
-    in_units: int
-    out_units: int
-    reused_input_bytes: int
-
-    @property
-    def name(self) -> str:
-        """Qualified name ``<layer>@stage<i>``."""
-        return f"{self.base.name}@stage{self.stage_index}"
-
-    def flops(self) -> float:
-        """FLOPs of this sub-layer for one input sample."""
-        return self.base.flops(in_units=self.in_units, out_units=self.out_units)
-
-    def params(self) -> float:
-        """Parameters held by this sub-layer."""
-        return self.base.params(in_units=self.in_units, out_units=self.out_units)
-
-    def output_bytes(self) -> int:
-        """Bytes of the feature map this sub-layer produces."""
-        return self.base.output_bytes(self.out_units)
-
-    def output_elements(self) -> int:
-        """Elements of the feature map this sub-layer produces."""
-        return self.base.output_elements(self.out_units)
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One inference stage ``S_i``: a sub-layer chain plus its exit head."""
-
-    index: int
-    sublayers: Tuple[SubLayer, ...]
-    exit_head: LinearLayer
-
-    def __post_init__(self) -> None:
-        if not self.sublayers:
-            raise ConfigurationError(f"stage {self.index} must contain at least one sub-layer")
-
-    @property
-    def num_sublayers(self) -> int:
-        """Number of backbone sub-layers (excluding the exit head)."""
-        return len(self.sublayers)
-
-    def flops(self) -> float:
-        """Total FLOPs of the stage, including its exit head."""
-        return _left_sum(sub.flops() for sub in self.sublayers) + self.exit_head.flops()
-
-    def params(self) -> float:
-        """Total parameters of the stage, including its exit head."""
-        return _left_sum(sub.params() for sub in self.sublayers) + self.exit_head.params()
-
-    def imported_bytes(self) -> int:
-        """Bytes of features imported from earlier stages across all layers."""
-        return sum(sub.reused_input_bytes for sub in self.sublayers)
+__all__ = ["DynamicNetwork", "build_dynamic_network"]
 
 
 @dataclass(frozen=True)
 class DynamicNetwork:
-    """The dynamic multi-exit network ``NN_dyn`` deployed on the MPSoC."""
+    """The dynamic multi-exit network ``NN_dyn`` of one candidate, as a view.
+
+    ``arrays`` is the candidate's one-row
+    :class:`~repro.nn.partition.NetworkArrays`, derived from the other
+    fields by :func:`build_dynamic_network`; it takes no part in ``==``.
+    """
 
     network: NetworkGraph
-    scheme: PartitionScheme
-    stages: Tuple[Stage, ...]
+    partition: PartitionMatrix
+    indicator: IndicatorMatrix
+    arrays: NetworkArrays = field(compare=False)
     ranking: Optional[ChannelRanking] = None
     reordered: bool = True
-
-    def __post_init__(self) -> None:
-        if len(self.stages) != self.scheme.num_stages:
-            raise ConfigurationError(
-                f"expected {self.scheme.num_stages} stages, got {len(self.stages)}"
-            )
 
     @property
     def num_stages(self) -> int:
         """Number of inference stages ``M``."""
-        return len(self.stages)
+        return self.partition.num_stages
 
     @property
     def num_layers(self) -> int:
         """Number of backbone layers per stage."""
-        return self.scheme.num_layers
+        return self.partition.num_layers
 
     def reuse_fraction(self) -> float:
         """Fraction of forwardable feature maps reused (Table II column)."""
-        return self.scheme.reuse_fraction()
+        return self.indicator.reuse_fraction()
 
     def stored_feature_bytes(self) -> int:
-        """Shared-memory footprint of forwarded features (Eq. 15 constraint).
-
-        :meth:`PartitionScheme.stored_feature_bytes
-        <repro.nn.partition.PartitionScheme.stored_feature_bytes>` through the
-        same helper, starting from the last stage's imported bytes, which the
-        build has already sized.
-        """
-        return self.scheme._stored_bytes(self.stages[-1].imported_bytes())
-
-    def total_flops_through(self, stage: int) -> float:
-        """FLOPs spent when the inference terminates at ``stage`` (inclusive)."""
-        self._check_stage(stage)
-        return float(_left_sum(self.stages[k].flops() for k in range(stage + 1)))
+        """Shared-memory footprint of forwarded features (Eq. 15 constraint)."""
+        return int(self.arrays.stored_bytes[0])
 
     def stage_coverage(self, stage: int) -> float:
         """Importance mass available to stage ``stage``'s exit, in ``[0, 1]``.
@@ -156,34 +77,17 @@ class DynamicNetwork:
         channels; with reordering off, mass reduces to the plain width
         fraction -- the quantity that makes the reordering ablation visible.
         """
-        self._check_stage(stage)
+        if not 0 <= stage < self.num_stages:
+            raise ConfigurationError(f"stage index {stage} out of range [0, {self.num_stages})")
         return self._coverages()[stage]
 
     def _coverages(self) -> List[float]:
-        """Every stage's :meth:`stage_coverage`, from the scheme's arrays."""
-        backbone = self.scheme.backbone
+        """Every stage's :meth:`stage_coverage`, from the one-row arrays."""
+        backbone = backbone_layers(self.network)
         curves = None
         if self.reordered and self.ranking is not None:
             curves = importance_curves(self.ranking, backbone)
-        return stage_coverage_arrays(self.scheme._arrays(), backbone, curves)[0].tolist()
-
-    def summary(self) -> str:
-        """Multi-line human-readable summary of stages and their costs."""
-        lines = [
-            f"dynamic {self.network.name}: {self.num_stages} stages, "
-            f"{self.num_layers} backbone layers, reuse={self.reuse_fraction():.1%}"
-        ]
-        for stage in self.stages:
-            lines.append(
-                f"  stage {stage.index}: {stage.flops() / 1e9:.3f} GFLOPs, "
-                f"{stage.params() / 1e6:.3f} M params, "
-                f"imports {stage.imported_bytes() / 1e3:.1f} KB"
-            )
-        return "\n".join(lines)
-
-    def _check_stage(self, stage: int) -> None:
-        if not 0 <= stage < self.num_stages:
-            raise ConfigurationError(f"stage index {stage} out of range [0, {self.num_stages})")
+        return stage_coverage_arrays(self.arrays, backbone, curves)[0].tolist()
 
 
 def build_dynamic_network(
@@ -195,7 +99,7 @@ def build_dynamic_network(
     *,
     splits: Optional[Dict[tuple, Tuple[int, ...]]] = None,
 ) -> DynamicNetwork:
-    """Materialise the dynamic multi-exit network for a ``(P, I)`` choice.
+    """The dynamic multi-exit network of a ``(P, I)`` choice, as a view.
 
     Parameters
     ----------
@@ -211,55 +115,27 @@ def build_dynamic_network(
         Whether to apply importance reordering (the paper's default).  The
         ablation benches set this to ``False``.
     splits:
-        Optional split table handed to :class:`~repro.nn.partition.PartitionScheme`,
-        so a caller building many networks splits each distinct column of
-        ``P`` once (:class:`~repro.search.evaluation.ConfigEvaluator` keeps
-        one per evaluator).  It changes no result: the network is the same
-        with or without it.
+        Optional split table (a dict from ``(width, granularity, *column)``
+        to the column's integer shares), so a caller building many networks
+        splits each distinct column of ``P`` once
+        (:class:`~repro.search.evaluation.ConfigEvaluator` keeps one per
+        evaluator).  It changes no result and is not kept: the network is
+        the same with or without it.
     """
-    scheme = PartitionScheme(
-        network=network, partition=partition, indicator=indicator, splits=splits
+    arrays = network_arrays(
+        network,
+        backbone_layers(network),
+        [partition],
+        [indicator],
+        {} if splits is None else splits,
     )
-    arrays = scheme._arrays()
-    stages = []
-    for stage_index, (own, in_units, imported, exit_units) in enumerate(
-        zip(
-            arrays.channels[0].tolist(),
-            arrays.in_units[0].tolist(),
-            arrays.imported_bytes[0].tolist(),
-            arrays.exit_units[0].tolist(),
-        )
-    ):
-        sublayers = tuple(
-            SubLayer(
-                base=layer,
-                stage_index=stage_index,
-                layer_index=layer_index,
-                in_units=layer_in,
-                out_units=out_units,
-                reused_input_bytes=layer_imported,
-            )
-            for layer_index, (layer, out_units, layer_in, layer_imported) in enumerate(
-                zip(scheme.backbone, own, in_units, imported)
-            )
-        )
-        # The exit head classifies from every feature available to its stage
-        # at the final backbone layer (own channels plus reused ones).
-        head = exit_head(network, stage_index, exit_units)
-        stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=head))
     return DynamicNetwork(
         network=network,
-        scheme=scheme,
-        stages=tuple(stages),
+        partition=partition,
+        indicator=indicator,
+        arrays=arrays,
         ranking=ranking,
         reordered=reorder and ranking is not None,
-    )
-
-
-def exit_head(network: NetworkGraph, stage_index: int, in_units: int) -> LinearLayer:
-    """The exit classifier of stage ``stage_index``, reading ``in_units`` units."""
-    return LinearLayer(
-        name=f"exit{stage_index}", width=network.num_classes, in_width=in_units, tokens=1
     )
 
 
@@ -272,8 +148,22 @@ def importance_curves(
     important channels, so a channel range ``[start, end)`` of the
     importance-sorted order holds ``curve[end] - curve[start]``.  Returns the
     curves and the offset at which each starts, ``(flat, offsets)``.
+
+    Raises
+    ------
+    ConfigurationError
+        If the ranking scores a layer with more or fewer channels than the
+        layer is wide: its curve would read into its neighbour's.
     """
-    curves = [[0.0] + ranking.cumulative_curve(layer.name).tolist() for layer in layers]
+    curves = []
+    for layer in layers:
+        curve = ranking.cumulative_curve(layer.name)
+        if curve.size != layer.width:
+            raise ConfigurationError(
+                f"the ranking scores {curve.size} channels of layer {layer.name!r}, "
+                f"which is {layer.width} wide"
+            )
+        curves.append([0.0] + curve.tolist())
     offsets = np.cumsum([0] + [len(curve) for curve in curves[:-1]])
     return np.concatenate(curves), offsets
 

@@ -14,14 +14,14 @@ This module provides validated wrappers for both matrices plus the integer
 channel-splitting arithmetic (largest-remainder rounding constrained to each
 layer's partition granularity) that converts fractions into concrete channel
 ranges, and what every sub-layer then receives, computed on
-``(candidates, stages, layers)`` arrays for one scheme or a whole generation
-(:class:`NetworkArrays`).  The actual construction of per-stage sub-models
-lives in :mod:`repro.nn.multiexit`.
+``(candidates, stages, layers)`` arrays for one candidate or a whole
+generation (:func:`network_arrays`).  The view of one candidate's dynamic
+network lives in :mod:`repro.nn.multiexit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,7 +34,6 @@ from .layers import Layer, LinearLayer
 __all__ = [
     "PartitionMatrix",
     "IndicatorMatrix",
-    "PartitionScheme",
     "backbone_layers",
     "split_units",
 ]
@@ -157,8 +156,10 @@ def _split_columns(
 
     ``sizes`` holds each layer's ``(width, partition_granularity)``,
     ``columns`` the columns of one or more ``P`` as ``(candidates, layers,
-    stages)`` floats, and ``splits`` is a split table (see
-    :class:`PartitionScheme`): a column met before is read from it, and the
+    stages)`` floats, and ``splits`` is a split table: a dict from
+    ``(width, granularity, *column)`` to the column's integer shares.  The
+    split reads nothing else, so one table may serve any number of
+    candidates and networks.  A column met before is read from it, and the
     new ones are split together (:func:`_split_rows`), each distinct one
     once, and stored.  Returns the shares, ``(candidates, layers, stages)``.
     A column that cannot be split raises as :func:`split_units` would, once
@@ -242,7 +243,7 @@ class PartitionMatrix(_ContentMatrix):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        # A read-only copy: the scheme splits P on the strength of this
+        # A read-only copy: P's columns are split on the strength of this
         # validation, so no later write, to the caller's array or to
         # ``values``, may reach P.
         values = np.array(self.values, dtype=float)
@@ -346,184 +347,6 @@ class IndicatorMatrix(_ContentMatrix):
         return cls(np.zeros((num_stages, num_layers), dtype=int))
 
 
-@dataclass(frozen=True)
-class PartitionScheme:
-    """A validated ``(P, I)`` pair bound to a concrete network backbone.
-
-    The scheme converts the fractional ``P`` matrix into integer channel
-    counts per (stage, layer), respecting each layer's partition granularity
-    (whole attention heads), and exposes the quantities needed downstream:
-    per-stage channel ranges in importance order, available input widths
-    including reused features, and the reuse fraction.
-
-    ``P`` was validated when its :class:`PartitionMatrix` was built, so its
-    columns are split straight from one list conversion.  The scheme holds
-    nothing beyond its fields but the backbone and the channel matrix: every
-    stage's sub-layer inputs come from :meth:`_arrays`, derived when asked.
-
-    ``splits`` is an optional split table, an init-only argument the scheme
-    does not keep: a dict from ``(width, granularity, *column)`` to the
-    column's integer shares.  A column met before is read from it, a new one
-    split and stored.  The split reads nothing else, so the channels are the
-    same with or without a table, and one table may serve any number of
-    schemes and networks; ``None`` splits every column.
-    """
-
-    network: NetworkGraph
-    partition: PartitionMatrix
-    indicator: IndicatorMatrix
-    splits: InitVar[Optional[Dict[tuple, Tuple[int, ...]]]] = None
-
-    def __post_init__(self, splits: Optional[Dict[tuple, Tuple[int, ...]]]) -> None:
-        backbone = backbone_layers(self.network)
-        _check_shapes(self.network, backbone, self.partition, self.indicator)
-        shares = _split_columns(
-            _layer_sizes(backbone),
-            self.partition.values.T[None],
-            {} if splits is None else splits,
-        )
-        object.__setattr__(self, "_backbone", backbone)
-        object.__setattr__(self, "_channels", np.ascontiguousarray(shares[0].T, dtype=int))
-
-    # -- basic shape -----------------------------------------------------------
-    @property
-    def backbone(self) -> Tuple[Layer, ...]:
-        """Partitionable backbone layers of the bound network."""
-        return self._backbone
-
-    @property
-    def num_stages(self) -> int:
-        """Number of stages ``M``."""
-        return self.partition.num_stages
-
-    @property
-    def num_layers(self) -> int:
-        """Number of backbone layers ``n``."""
-        return self.partition.num_layers
-
-    # -- channel arithmetic ----------------------------------------------------
-    @property
-    def channels(self) -> np.ndarray:
-        """Integer channel counts, shape ``(num_stages, num_layers)``."""
-        return self._channels.copy()
-
-    def stage_channels(self, stage: int, layer: int) -> int:
-        """Channels of ``layer`` owned by ``stage``."""
-        return int(self._channels[stage, layer])
-
-    def stage_range(self, stage: int, layer: int) -> Tuple[int, int]:
-        """Half-open channel range owned by ``stage`` in importance order.
-
-        Stage 0 owns the most important channels, stage 1 the next block, and
-        so on -- the reordering policy of Sect. V-D.
-        """
-        start = int(self._channels[:stage, layer].sum())
-        return start, start + self.stage_channels(stage, layer)
-
-    def _lists(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """The channel and indicator matrices as nested lists of ints."""
-        return self._channels.tolist(), self.indicator.values.tolist()
-
-    def _arrays(self) -> NetworkArrays:
-        """This scheme as a one-candidate :class:`NetworkArrays`."""
-        reused = self.indicator.values[None] != 0
-        return _arrays(self._backbone, self._channels[None], reused, None)
-
-    def sublayer_inputs(self, stage: int) -> Tuple[Tuple[int, int], ...]:
-        """``(available_in_units, reused_input_bytes)`` of every layer of ``stage``.
-
-        Read off :meth:`_arrays`, as the dynamic-network build reads its
-        sub-layers' inputs.
-        """
-        self._check_stage_layer(stage, 0)
-        arrays = self._arrays()
-        return tuple(
-            zip(arrays.in_units[0, stage].tolist(), arrays.imported_bytes[0, stage].tolist())
-        )
-
-    def available_in_units(self, stage: int, layer: int) -> int:
-        """Input width available to stage ``stage`` at backbone layer ``layer``.
-
-        Layer 0 consumes the raw model input, which every stage receives in
-        full.  For later layers the available input is the stage's own
-        previous-layer output plus the previous-layer outputs of every earlier
-        stage whose indicator bit is set (Eq. 8's dependency set).
-        """
-        self._check_stage_layer(stage, layer)
-        return self.sublayer_inputs(stage)[layer][0]
-
-    def reused_input_bytes(self, stage: int, layer: int) -> int:
-        """Bytes of previous-layer features imported from earlier stages.
-
-        These are the feature maps that have to cross compute units (the
-        transfer overhead ``u_{k->i}`` of Eq. 8) and to live in shared memory
-        (the ``size(F, I) < M`` constraint of Eq. 15).
-        """
-        self._check_stage_layer(stage, layer)
-        return self.sublayer_inputs(stage)[layer][1]
-
-    def stored_feature_bytes(self) -> int:
-        """Total bytes of forwarded feature maps held in shared memory.
-
-        Every (stage, layer) whose indicator bit is set must keep its output
-        available for subsequent stages for the duration of the inference
-        (Fig. 4), so the memory-constraint term sums their sizes.
-        """
-        return int(self._arrays().stored_bytes[0])
-
-    def _stored_bytes(self, imported: int) -> int:
-        """:meth:`stored_feature_bytes` from the last stage's imported bytes.
-
-        The last stage imports, at layers ``1 .. n-1``, every reused output
-        of the earlier stages at layers ``0 .. n-2``, so ``imported`` (the sum
-        of its sub-layers' reused input bytes) already holds those sizes.
-        Only the earlier stages' reused outputs of the last layer, which no
-        stage imports, are sized here: at most ``M - 1`` of them.
-        """
-        channels, reused = self._lists()
-        last = len(self._backbone) - 1
-        producer = self._backbone[last]
-        total = imported
-        for stage in range(len(channels) - 1):
-            if reused[stage][last]:
-                total += producer.output_bytes(channels[stage][last])
-        return int(total)
-
-    def reuse_fraction(self) -> float:
-        """Fraction of forwardable feature maps reused (Table II column)."""
-        return self.indicator.reuse_fraction()
-
-    # -- per-stage aggregate costs ----------------------------------------------
-    def stage_flops(self, stage: int) -> float:
-        """FLOPs executed by ``stage`` over its whole sub-layer chain."""
-        inputs = self.sublayer_inputs(stage)
-        total = 0.0
-        for layer_index, layer in enumerate(self._backbone):
-            total += layer.flops(
-                in_units=inputs[layer_index][0],
-                out_units=self.stage_channels(stage, layer_index),
-            )
-        return total
-
-    def cumulative_width_fraction(self, stage: int, layer: int) -> float:
-        """Fraction of layer width available to stage ``stage`` (incl. reuse)."""
-        self._check_stage_layer(stage, layer)
-        layer_width = self._backbone[layer].width
-        own = self.stage_channels(stage, layer)
-        reused = sum(
-            self.stage_channels(k, layer)
-            for k in range(stage)
-            if self.indicator.reused(k, layer)
-        )
-        return float((own + reused) / layer_width)
-
-    def _check_stage_layer(self, stage: int, layer: int) -> None:
-        if not 0 <= stage < self.num_stages:
-            raise PartitionError(f"stage index {stage} out of range [0, {self.num_stages})")
-        if not 0 <= layer < self.num_layers:
-            raise PartitionError(f"layer index {layer} out of range [0, {self.num_layers})")
-
-
 def _check_shapes(
     network: NetworkGraph,
     backbone: Sequence[Layer],
@@ -544,15 +367,14 @@ def _check_shapes(
 
 
 class NetworkArrays(NamedTuple):
-    """Partition schemes of one shape, as ``(candidates, stages, layers)`` arrays.
+    """Candidates of one stage count, as ``(candidates, stages, layers)`` arrays.
 
-    Row ``c`` holds what candidate ``c``'s sub-layers receive, the numbers
-    :func:`~repro.nn.multiexit.build_dynamic_network` records: every
+    Row ``c`` holds what candidate ``c``'s sub-layers receive: every
     sub-layer's own output units (``channels``), its indicator bit
     (``reused``), its available input units (``in_units``) and its reused
     input bytes (``imported_bytes``); every exit head's input units
-    (``exit_units``); and the scheme's :meth:`PartitionScheme.stored_feature_bytes`
-    (``stored_bytes``).
+    (``exit_units``); and the bytes of forwarded feature maps the candidate
+    holds in shared memory (``stored_bytes``, the ``size(F, I)`` of Eq. 15).
     """
 
     channels: np.ndarray
@@ -569,16 +391,24 @@ def network_arrays(
     partitions: Sequence[PartitionMatrix],
     indicators: Sequence[IndicatorMatrix],
     splits: Dict[tuple, Tuple[int, ...]],
-    output_bytes: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    output_bytes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> NetworkArrays:
     """The :class:`NetworkArrays` of many ``(P, I)`` pairs with one stage count.
 
-    ``backbone`` is ``network``'s, ``splits`` a split table, and
-    ``output_bytes(positions, units)`` sizes the output of each backbone
-    position at each unit count, as ``backbone[position].output_bytes(units)``
-    does.  Each pair is checked as :class:`PartitionScheme` checks it, and
-    every column is split through the table, all of the new ones in one
-    pass; the rest is :meth:`PartitionScheme._arrays`'s integer arithmetic.
+    ``backbone`` is ``network``'s and ``splits`` a split table (see
+    :func:`_split_columns`).  ``output_bytes(positions, units)`` sizes the
+    output of each backbone position at each unit count, as
+    ``backbone[position].output_bytes(units)`` does; ``None`` sizes each
+    output through its layer.  Each pair is checked against the backbone
+    (``P`` spans it, ``I`` has ``P``'s shape), and every column is split
+    through the table, all of the new ones in one pass.
+
+    Layer 0 of every stage reads the raw model input in full.  Later layers
+    read the stage's own previous-layer output plus the previous-layer
+    outputs of every earlier stage whose indicator bit is set (Eq. 8's
+    dependency set); those imported feature maps are the bytes that cross
+    compute units, and every reused output but the last stage's is held in
+    shared memory for the duration of the inference (Fig. 4).
     """
     for partition, indicator in zip(partitions, indicators):
         _check_shapes(network, backbone, partition, indicator)
@@ -587,36 +417,9 @@ def network_arrays(
     # (candidates, layers, stages) shares to (candidates, stages, layers).
     channels = np.ascontiguousarray(shares.transpose(0, 2, 1))
     reused = np.array([indicator.values for indicator in indicators]) != 0
-    return _arrays(backbone, channels, reused, output_bytes)
-
-
-def reuse_fractions(reused: np.ndarray) -> np.ndarray:
-    """:meth:`IndicatorMatrix.reuse_fraction` of every candidate's indicator bits.
-
-    ``reused`` holds the bits, ``(candidates, stages, layers)``.  A count of
-    set bits over a count of entries: both exact integers, so each quotient
-    is the one numpy's mean of the bits would give.
-    """
-    num_candidates, num_stages, num_layers = reused.shape
-    if num_stages < 2:
-        return np.zeros(num_candidates)
-    return reused[:, :-1, :].sum(axis=(1, 2)) / ((num_stages - 1) * num_layers)
-
-
-def _arrays(
-    backbone: Sequence[Layer],
-    channels: np.ndarray,
-    reused: np.ndarray,
-    output_bytes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]],
-) -> NetworkArrays:
-    """The :class:`NetworkArrays` of split ``channels`` and indicator bits ``reused``.
-
-    ``output_bytes`` is :func:`network_arrays`'s, or ``None`` to size each
-    output through its layer.
-    """
-    # What each stage forwards, and what the stages before it forwarded
-    # (Eq. 8's dependency set): stage i reads its own previous-layer output
-    # plus every earlier stage's forwarded one.
+    # What each stage forwards, and what the stages before it forwarded:
+    # stage i reads its own previous-layer output plus every earlier stage's
+    # forwarded one.
     forwarded = channels * reused
     available = channels + np.cumsum(forwarded, axis=1) - forwarded
     in_units = np.empty_like(channels)
@@ -644,3 +447,16 @@ def _arrays(
         imported_bytes=imported,
         stored_bytes=forwarded_bytes[:, :-1, :].sum(axis=(1, 2)),
     )
+
+
+def reuse_fractions(reused: np.ndarray) -> np.ndarray:
+    """:meth:`IndicatorMatrix.reuse_fraction` of every candidate's indicator bits.
+
+    ``reused`` holds the bits, ``(candidates, stages, layers)``.  A count of
+    set bits over a count of entries: both exact integers, so each quotient
+    is the one numpy's mean of the bits would give.
+    """
+    num_candidates, num_stages, num_layers = reused.shape
+    if num_stages < 2:
+        return np.zeros(num_candidates)
+    return reused[:, :-1, :].sum(axis=(1, 2)) / ((num_stages - 1) * num_layers)

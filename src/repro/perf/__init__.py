@@ -12,7 +12,8 @@ a DVFS point" and "how long it takes and how much energy it burns":
 * :mod:`repro.perf.predictor` -- the latency/energy surrogate predictor used
   inside the search loop,
 * :mod:`repro.perf.schedule` -- the concurrent execution model of Eq. 8-9
-  (inter-stage dependencies, transfer overheads, stalls),
+  (inter-stage dependencies, transfer overheads, stalls) on
+  ``(candidates, stages, layers)`` arrays,
 * :mod:`repro.perf.evaluator` -- per-stage and overall latency/energy
   characterisation (Eq. 11-14).
 """
@@ -21,7 +22,6 @@ from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload, NoisyCost
 from .gbdt import GradientBoostedTrees
 from .dataset import BenchmarkDataset, generate_benchmark_dataset
 from .predictor import SurrogateCostModel, train_surrogate
-from .schedule import ScheduleResult, StageSchedule, simulate_schedule
 from .evaluator import HardwareProfile, MappingEvaluator, StagePerformance
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "generate_benchmark_dataset",
     "SurrogateCostModel",
     "train_surrogate",
-    "StageSchedule",
-    "ScheduleResult",
-    "simulate_schedule",
     "StagePerformance",
     "HardwareProfile",
     "MappingEvaluator",

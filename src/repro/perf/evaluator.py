@@ -81,6 +81,7 @@ class HardwareProfile:
 
     def stage_latency_ms(self, stage: int) -> float:
         """Latency ``T_{S_i}`` of stage ``stage``."""
+        self._check_stage(stage)
         return self.stages[stage].latency_ms
 
     def cumulative_latency_ms(self, stage: int) -> float:
@@ -149,7 +150,8 @@ class MappingEvaluator:
         Parameters
         ----------
         dynamic_network:
-            The partitioned multi-exit network to deploy.
+            The partitioned multi-exit network to deploy, whose one-row
+            arrays are scheduled.
         unit_names:
             Compute unit assigned to each stage, in stage order.  Units must
             be distinct (Eq. 7) and exist on the platform.
@@ -161,8 +163,9 @@ class MappingEvaluator:
             table = self._table
         else:
             table = SliceTable.for_network(self.cost_model, self.platform.interconnect, network)
-        arrays = dynamic_network.scheme._arrays()
-        batch = self._profile_arrays(network, table, arrays, [unit_names], [dvfs_indices])
+        batch = self._profile_arrays(
+            network, table, dynamic_network.arrays, [unit_names], [dvfs_indices]
+        )
         return batch.profiles[0]
 
     def _profile_arrays(

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..nn.layers import BYTES_PER_ELEMENT, Layer
-from ..nn.multiexit import SubLayer
 from ..soc.compute_unit import ComputeUnit
 from ..utils import as_rng, check_non_negative
 
@@ -111,11 +110,6 @@ class LayerWorkload:
             output_bytes=float(output_bytes),
             weight_bytes=float(params) * BYTES_PER_ELEMENT,
         )
-
-    @classmethod
-    def from_sublayer(cls, sublayer: SubLayer) -> "LayerWorkload":
-        """Build the workload of a stage's sub-layer ``l^j_i``."""
-        return cls.from_layer(sublayer.base, sublayer.in_units, sublayer.out_units)
 
 
 class LayerArrays:

@@ -15,31 +15,28 @@ visible in Fig. 3) is reported separately for analysis.
 
 The raw latencies ``tau`` and transfers ``u`` come from a :class:`SliceTable`,
 which on the exact oracle costs each distinct layer slice once for as long as
-the table lives: one call of :func:`simulate_schedule`, or the whole life of
-the :class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
+the table lives: one :meth:`~repro.perf.evaluator.MappingEvaluator.profile`
+call, or the whole life of the
+:class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
 
 Candidates of one shape are scheduled together, a search's whole generation
-or the one network of :func:`simulate_schedule` alike
-(:func:`schedule_batch`): :meth:`SliceTable.latencies` prices their slices,
-and :func:`schedule_arrays` runs Eq. 8 stage by stage and layer by layer,
-vectorised over the candidates.
+or one profiled network alike (:func:`schedule_batch`):
+:meth:`SliceTable.latencies` prices their slices, and :func:`schedule_arrays`
+runs Eq. 8 stage by stage and layer by layer, vectorised over the
+candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import MappingError
 from ..nn.graph import NetworkGraph
-from ..nn.layers import Layer
-from ..nn.multiexit import DynamicNetwork, exit_head
+from ..nn.layers import Layer, LinearLayer
 from ..nn.partition import NetworkArrays, backbone_layers
 from ..soc.compute_unit import ComputeUnit
 from ..soc.interconnect import Interconnect
-from ..utils import _left_sum
 from .layer_cost import (
     AnalyticalCostModel,
     CostModel,
@@ -48,47 +45,7 @@ from .layer_cost import (
     workload_arrays,
 )
 
-__all__ = ["StageSchedule", "ScheduleResult", "simulate_schedule"]
-
-
-@dataclass(frozen=True)
-class StageSchedule:
-    """Timing breakdown of one stage under the concurrent execution model."""
-
-    stage_index: int
-    unit_name: str
-    scale: float
-    sublayer_latencies_ms: Tuple[float, ...]
-    cumulative_latencies_ms: Tuple[float, ...]
-    exit_latency_ms: float
-    transfer_latency_ms: float
-    stall_ms: float
-
-    @property
-    def total_latency_ms(self) -> float:
-        """Stage completion time ``T_{S_i}`` (Eq. 9), including the exit head."""
-        return self.cumulative_latencies_ms[-1] + self.exit_latency_ms
-
-    @property
-    def busy_latency_ms(self) -> float:
-        """Time the compute unit is actually executing (no stalls, no waits)."""
-        return float(_left_sum(self.sublayer_latencies_ms)) + self.exit_latency_ms
-
-
-@dataclass(frozen=True)
-class ScheduleResult:
-    """Schedules of all stages plus the derived makespan."""
-
-    stages: Tuple[StageSchedule, ...]
-
-    @property
-    def makespan_ms(self) -> float:
-        """Latency of the whole concurrent execution (Eq. 13)."""
-        return max(stage.total_latency_ms for stage in self.stages)
-
-    def stage(self, index: int) -> StageSchedule:
-        """Schedule of stage ``index``."""
-        return self.stages[index]
+__all__: list = []
 
 
 class SliceTable:
@@ -314,7 +271,9 @@ def schedule_batch(
     exits = (num_layers * span + arrays.exit_units) * span + network.num_classes
     keys = np.concatenate([sublayers, exits[:, :, None]], axis=2)
     keys += (unit_keys * table._slices)[:, :, None]
-    layers = (*backbone, exit_head(network, 0, backbone[-1].width))
+    # Every exit head takes the position past the backbone; its key fixes its units.
+    head = LinearLayer(name="exit0", width=network.num_classes, in_width=backbone[-1].width)
+    layers = (*backbone, head)
     ordered = np.concatenate(
         [keys[:, :, :-1].reshape(num_candidates, -1), keys[:, :, -1]], axis=1
     )
@@ -338,74 +297,6 @@ def schedule_batch(
     )
     cumulative, stalls, moved = schedule_arrays(taus, transfers, arrays.reused)
     return BatchSchedule(keys, layers, taus, exit_latencies, cumulative, stalls, moved)
-
-
-def simulate_schedule(
-    dynamic_network: DynamicNetwork,
-    units: Sequence[ComputeUnit],
-    scales: Sequence[float],
-    cost_model: CostModel,
-    interconnect: Interconnect,
-) -> ScheduleResult:
-    """Evaluate Eq. 8-9 for a dynamic network mapped onto ``units``.
-
-    Parameters
-    ----------
-    dynamic_network:
-        The partitioned multi-exit network.
-    units:
-        Compute unit hosting each stage (stage order); must be distinct per
-        the mapping constraint of Eq. 7.
-    scales:
-        DVFS scaling factor ``theta`` chosen for each stage's unit.
-    cost_model:
-        Per-layer latency oracle or surrogate.
-    interconnect:
-        Shared-memory transfer model providing the ``u_{k->i}`` terms.
-    """
-    num_stages = dynamic_network.num_stages
-    if len(units) != num_stages or len(scales) != num_stages:
-        raise MappingError(
-            f"expected {num_stages} units and scales, got {len(units)} and {len(scales)}"
-        )
-    names = [unit.name for unit in units]
-    if len(set(names)) != len(names):
-        raise MappingError(f"stages must map to distinct compute units, got {names}")
-    network = dynamic_network.network
-    table = SliceTable.for_network(cost_model, interconnect, network)
-    batch = schedule_batch(
-        table,
-        network,
-        dynamic_network.scheme._arrays(),
-        np.arange(num_stages)[None],
-        dict(enumerate(zip(units, scales))),
-    )
-    rows = zip(
-        units,
-        scales,
-        batch.taus[0].tolist(),
-        batch.cumulative[0].tolist(),
-        batch.exit_latencies[0].tolist(),
-        batch.moved[0].tolist(),
-        batch.stalls[0].tolist(),
-    )
-    return ScheduleResult(
-        stages=tuple(
-            StageSchedule(
-                stage_index=index,
-                unit_name=unit.name,
-                scale=float(scale),
-                sublayer_latencies_ms=tuple(taus),
-                cumulative_latencies_ms=tuple(cumulative),
-                exit_latency_ms=exit_latency,
-                transfer_latency_ms=moved,
-                stall_ms=stall,
-            )
-            for index, (unit, scale, taus, cumulative, exit_latency, moved, stall) in enumerate(
-                rows
-            )
-        )
-    )
 
 
 def schedule_arrays(

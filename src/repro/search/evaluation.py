@@ -28,9 +28,8 @@ oracle all of a batch's slice-table misses are priced in one vectorised
 roofline pass.  The exit statistics, the expected and worst-case latency
 and energy and the reuse fractions are computed on ``(candidates, stages)``
 arrays too, and each result is built from its rows; only the accuracy
-mapping runs candidate by candidate.  No network, sub-layer or schedule
-object is built, unless the accuracy model overrides ``stage_accuracies``
-and so reads the candidate's network.
+mapping runs candidate by candidate, through the accuracy model's one hook,
+``stage_accuracies_from_coverage``.  No network object is built.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from ..dynamics.samples import DEFAULT_VALIDATION_SAMPLES
 from ..errors import ReproError
 from ..nn.channels import ChannelRanking, rank_channels
 from ..nn.graph import NetworkGraph
-from ..nn.multiexit import build_dynamic_network, importance_curves, stage_coverage_arrays
+from ..nn.multiexit import importance_curves, stage_coverage_arrays
 from ..nn.partition import NetworkArrays, network_arrays, reuse_fractions
 from ..perf.evaluator import HardwareProfile, MappingEvaluator
 from ..perf.layer_cost import CostModel
@@ -66,7 +65,7 @@ class EvaluatedConfig:
     latencies and energies, Eq. 13/14), the simulated dynamic inference
     (exit statistics and stage accuracies) and the network's pretrained
     ``base_accuracy`` (the ``Acc_base`` of Eq. 16).  It holds no
-    :class:`~repro.nn.multiexit.DynamicNetwork`; build the candidate's with
+    :class:`~repro.nn.multiexit.DynamicNetwork`; view the candidate's with
     :func:`~repro.nn.multiexit.build_dynamic_network` from the evaluator's
     inputs (its ``network``, ``config.partition``,
     ``config.indicator``, ``ranking`` and ``reorder_channels``).
@@ -188,8 +187,8 @@ class ConfigEvaluator:
         to reproduce the paper's surrogate-in-the-loop setup.
     accuracy_model:
         Coverage-to-accuracy model; ``None`` selects the calibrated default.
-        A subclass that overrides ``stage_accuracies`` is asked through it,
-        candidate by candidate, with the candidate's dynamic network.
+        It is asked through ``stage_accuracies_from_coverage``, candidate by
+        candidate, with the candidate's stage coverages.
     ranking:
         Channel-importance ranking; ``None`` synthesises one from ``seed``.
     reorder_channels:
@@ -350,7 +349,7 @@ class ConfigEvaluator:
             [config.dvfs_indices for config in configs],
         )
         inferences = _inference_results(
-            self._stage_accuracies(configs, arrays),
+            self._stage_accuracies(arrays),
             batch.latencies,
             batch.energies,
             reuse_fractions(arrays.reused),
@@ -363,23 +362,9 @@ class ConfigEvaluator:
             for config, profile, inference in zip(configs, batch.profiles, inferences)
         ]
 
-    def _stage_accuracies(self, configs: list, arrays: NetworkArrays) -> list:
+    def _stage_accuracies(self, arrays: NetworkArrays) -> list:
         """Every candidate's stage accuracies, from the accuracy model."""
         model = self.accuracy_model
-        if not getattr(model, "_from_coverage", False):
-            return [
-                model.stage_accuracies(
-                    build_dynamic_network(
-                        self.network,
-                        partition=config.partition,
-                        indicator=config.indicator,
-                        ranking=self.ranking,
-                        reorder=self.reorder_channels,
-                        splits=self._splits,
-                    )
-                )
-                for config in configs
-            ]
         backbone = self._mapping_evaluator._table._backbone
         if self._curves is None and self.reorder_channels:
             self._curves = importance_curves(self.ranking, backbone)

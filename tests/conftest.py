@@ -109,8 +109,8 @@ def tiny_dynamic(tiny_network, tiny_ranking):
 def tiny_mapping_config(tiny_dynamic, platform):
     """A hand-built mapping configuration for the toy dynamic network."""
     return MappingConfig(
-        partition=tiny_dynamic.scheme.partition,
-        indicator=tiny_dynamic.scheme.indicator,
+        partition=tiny_dynamic.partition,
+        indicator=tiny_dynamic.indicator,
         unit_names=("gpu", "dla0", "dla1"),
         dvfs_indices=(
             platform.unit("gpu").num_dvfs_points() - 1,

@@ -27,6 +27,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import runner as runner_module
+from repro.core.framework import MapAndConquer
 from repro.core.report import campaign_summary
 from repro.engine.cache import EvaluationCache
 from repro.errors import ConfigurationError
@@ -184,6 +185,30 @@ class TestCheckpointEdgeCases:
         assert campaign_summary(resumed) == baseline_summary
         assert len(searched) == 1
         assert any("malformed" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("first", ["runner", "facade"])
+    def test_runner_and_facade_resume_each_other(
+        self, tiny_network, platform, tmp_path, monkeypatch, first
+    ):
+        # Both routes score with the default accuracy model and fingerprint
+        # it alike, so each restores the other's cell.
+        def runner():
+            return run_campaign(
+                tiny_network, [platform], seed=SEED, checkpoint_dir=tmp_path, **BUDGET
+            )
+
+        def facade():
+            framework = MapAndConquer(tiny_network, platform, seed=SEED)
+            return framework.campaign([], checkpoint_dir=tmp_path, **BUDGET)
+
+        writer, reader = (runner, facade) if first == "runner" else (facade, runner)
+        fresh = campaign_summary(writer())
+
+        def forbidden(task, cache, serving_cache):
+            raise AssertionError(f"cell {task.platform.name} was re-searched")
+
+        monkeypatch.setattr(runner_module, "_run_cell", forbidden)
+        assert campaign_summary(reader()) == fresh
 
     def test_different_seed_raises_not_mixes(self, tiny_network, tmp_path):
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)

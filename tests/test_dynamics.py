@@ -12,6 +12,11 @@ from repro.nn.multiexit import build_dynamic_network
 from repro.nn.partition import IndicatorMatrix, PartitionMatrix
 
 
+def coverages(dynamic):
+    """Every stage's exit coverage of ``dynamic``."""
+    return [dynamic.stage_coverage(stage) for stage in range(dynamic.num_stages)]
+
+
 class TestAccuracyModel:
     def test_full_coverage_close_to_base(self, accuracy_model):
         accuracy = accuracy_model.stage_accuracy_from_coverage(1.0, 0.88, "vit")
@@ -52,14 +57,33 @@ class TestAccuracyModel:
         )
 
     def test_stage_accuracies_non_decreasing(self, tiny_dynamic, accuracy_model):
-        accuracies = accuracy_model.stage_accuracies(tiny_dynamic)
+        accuracies = accuracy_model.stage_accuracies_from_coverage(
+            tiny_dynamic.network, coverages(tiny_dynamic)
+        )
         assert len(accuracies) == 3
         assert all(b >= a for a, b in zip(accuracies, accuracies[1:]))
+        # Monotone even for coverages that are not.
+        dipping = accuracy_model.stage_accuracies_from_coverage(
+            tiny_dynamic.network, [0.9, 0.5, 0.95]
+        )
+        assert dipping[1] == dipping[0] < dipping[2]
 
     def test_final_accuracy_close_to_base_with_full_reuse(self, tiny_dynamic, accuracy_model):
-        final = accuracy_model.final_accuracy(tiny_dynamic)
+        final = accuracy_model.stage_accuracies_from_coverage(
+            tiny_dynamic.network, coverages(tiny_dynamic)
+        )[-1]
         base = tiny_dynamic.network.base_accuracy
         assert final > base - 0.01
+
+    def test_a_per_network_method_is_refused(self):
+        with pytest.raises(ConfigurationError) as raised:
+
+            class PerNetwork(AccuracyModel):
+                def stage_accuracies(self, dynamic_network):
+                    return (0.5,) * dynamic_network.num_stages
+
+        assert "stage_accuracies_from_coverage" in str(raised.value)
+        assert str(raised.value).startswith("PerNetwork defines stage_accuracies")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

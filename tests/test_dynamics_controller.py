@@ -17,7 +17,8 @@ def profile(tiny_dynamic, mapping_evaluator):
 
 @pytest.fixture()
 def stage_accuracies(tiny_dynamic):
-    return AccuracyModel().stage_accuracies(tiny_dynamic)
+    coverages = [tiny_dynamic.stage_coverage(stage) for stage in range(tiny_dynamic.num_stages)]
+    return AccuracyModel().stage_accuracies_from_coverage(tiny_dynamic.network, coverages)
 
 
 class TestThresholdExitController:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.nn.channels import ChannelRanking
+from repro.nn.layers import LinearLayer
 from repro.nn.multiexit import build_dynamic_network
-from repro.nn.partition import IndicatorMatrix, PartitionMatrix
+from repro.nn.partition import IndicatorMatrix, PartitionMatrix, backbone_layers
+from repro.search.evaluation import ConfigEvaluator
+from repro.search.space import SearchSpace
 
 
 def build(network, ranking, num_stages=3, reuse=True, reorder=True):
@@ -29,50 +36,63 @@ def build(network, ranking, num_stages=3, reuse=True, reorder=True):
     )
 
 
-class TestDynamicNetworkStructure:
+def stage_flops(dynamic, stage):
+    """FLOPs of ``stage``'s sub-layer chain and exit head, from the view's arrays."""
+    arrays = dynamic.arrays
+    total = 0.0
+    for index, layer in enumerate(backbone_layers(dynamic.network)):
+        total += layer.flops(
+            in_units=int(arrays.in_units[0, stage, index]),
+            out_units=int(arrays.channels[0, stage, index]),
+        )
+    head = LinearLayer(
+        name="exit",
+        width=dynamic.network.num_classes,
+        in_width=int(arrays.exit_units[0, stage]),
+        tokens=1,
+    )
+    return total + head.flops()
+
+
+class TestDynamicNetworkView:
     def test_number_of_stages_and_sublayers(self, tiny_dynamic):
         assert tiny_dynamic.num_stages == 3
         assert tiny_dynamic.num_layers == 3
-        for stage in tiny_dynamic.stages:
-            assert stage.num_sublayers == 3
+        assert tiny_dynamic.arrays.channels.shape == (1, 3, 3)
 
-    def test_sublayer_names_qualified(self, tiny_dynamic):
-        names = [sub.name for sub in tiny_dynamic.stages[0].sublayers]
-        assert names == ["conv1@stage0", "attn@stage0", "mlp@stage0"]
+    def test_fields_are_the_candidate_and_its_arrays(self, tiny_dynamic, tiny_network):
+        assert tiny_dynamic.network is tiny_network
+        assert tiny_dynamic.partition == PartitionMatrix.uniform(3, 3)
+        assert tiny_dynamic.indicator.values[:-1].all()
+        assert not tiny_dynamic.indicator.values[-1].any()
 
-    def test_exit_heads_classify_to_num_classes(self, tiny_dynamic, tiny_network):
-        for stage in tiny_dynamic.stages:
-            assert stage.exit_head.width == tiny_network.num_classes
+    def test_equality_ignores_the_derived_arrays(self, tiny_dynamic, tiny_network, tiny_ranking):
+        again = build(tiny_network, tiny_ranking)
+        assert again == tiny_dynamic
+        assert again.arrays is not tiny_dynamic.arrays
+        assert build(tiny_network, tiny_ranking, reuse=False) != tiny_dynamic
+        clone = pickle.loads(pickle.dumps(tiny_dynamic))
+        assert clone.partition == tiny_dynamic.partition
+        assert clone.indicator == tiny_dynamic.indicator
+        for field, copied in zip(tiny_dynamic.arrays, clone.arrays):
+            assert np.array_equal(field, copied)
 
     def test_exit_head_input_grows_with_stage(self, tiny_dynamic):
-        widths = [stage.exit_head.in_width for stage in tiny_dynamic.stages]
+        widths = tiny_dynamic.arrays.exit_units[0].tolist()
         assert widths[0] <= widths[1] <= widths[2]
-
-    def test_stage_flops_include_exit_head(self, tiny_dynamic):
-        stage = tiny_dynamic.stages[0]
-        sub_total = sum(sub.flops() for sub in stage.sublayers)
-        assert stage.flops() == pytest.approx(sub_total + stage.exit_head.flops())
+        # The last stage reuses everything, so its exit reads the whole layer.
+        assert widths[2] == backbone_layers(tiny_dynamic.network)[-1].width
 
     def test_imported_bytes_zero_for_first_stage(self, tiny_dynamic):
-        assert tiny_dynamic.stages[0].imported_bytes() == 0
-        assert tiny_dynamic.stages[2].imported_bytes() > 0
-
-    def test_total_flops_through_is_cumulative(self, tiny_dynamic):
-        one = tiny_dynamic.total_flops_through(0)
-        two = tiny_dynamic.total_flops_through(1)
-        three = tiny_dynamic.total_flops_through(2)
-        assert one < two < three
-        assert three == pytest.approx(sum(stage.flops() for stage in tiny_dynamic.stages))
-
-    def test_summary_mentions_every_stage(self, tiny_dynamic):
-        text = tiny_dynamic.summary()
-        assert "stage 0" in text and "stage 2" in text
+        imported = tiny_dynamic.arrays.imported_bytes[0].sum(axis=1)
+        assert imported[0] == 0
+        assert imported[2] > 0
 
     def test_invalid_stage_index_rejected(self, tiny_dynamic):
-        with pytest.raises(ConfigurationError):
-            tiny_dynamic.total_flops_through(7)
-        with pytest.raises(ConfigurationError):
-            tiny_dynamic.stage_coverage(-1)
+        for stage in (-1, 3, 7):
+            with pytest.raises(ConfigurationError) as raised:
+                tiny_dynamic.stage_coverage(stage)
+            assert str(raised.value) == f"stage index {stage} out of range [0, 3)"
 
 
 class TestStageCoverage:
@@ -116,10 +136,16 @@ class TestReuseAccounting:
         isolated = build(tiny_network, tiny_ranking, reuse=False)
         assert isolated.reuse_fraction() == 0.0
 
-    def test_stored_feature_bytes_consistent_with_scheme(self, tiny_dynamic):
-        assert tiny_dynamic.stored_feature_bytes() == (
-            tiny_dynamic.scheme.stored_feature_bytes()
+    def test_stored_feature_bytes_sum_the_reused_outputs(self, tiny_dynamic):
+        # Stages 0 and 1 forward every layer's output; the last stage nothing.
+        channels = tiny_dynamic.arrays.channels[0]
+        expected = sum(
+            layer.output_bytes(int(channels[stage, index]))
+            for stage in range(2)
+            for index, layer in enumerate(backbone_layers(tiny_dynamic.network))
         )
+        stored = tiny_dynamic.stored_feature_bytes()
+        assert type(stored) is int and stored == expected > 0
 
 
 class TestVisformerDynamic:
@@ -135,5 +161,48 @@ class TestVisformerDynamic:
         assert dynamic.num_layers == num_layers
         # Partitioned stages are each cheaper than the full static model.
         static_flops = visformer_net.total_flops()
-        for stage in dynamic.stages:
-            assert stage.flops() < static_flops
+        for stage in range(3):
+            assert stage_flops(dynamic, stage) < static_flops
+
+
+def resized_ranking(ranking, layer_name, width):
+    """``ranking`` with ``layer_name`` scored over ``width`` channels."""
+    raw = np.random.default_rng(0).lognormal(size=width)
+    scores = {**ranking.scores, layer_name: raw / raw.sum()}
+    order = {**ranking.order, layer_name: np.argsort(-scores[layer_name], kind="stable")}
+    return ChannelRanking(ranking.network_name, scores, order)
+
+
+class TestRankingWidths:
+    """A ranking must score every layer over the layer's own width."""
+
+    @pytest.mark.parametrize("width", [16, 48], ids=["narrower", "wider"])
+    def test_another_width_raises(self, visformer_net, visformer_ranking, platform, width):
+        ranking = resized_ranking(visformer_ranking, "stem", width)
+        message = f"the ranking scores {width} channels of layer 'stem', which is 32 wide"
+        space = SearchSpace(visformer_net, platform)
+        config = space.sample(3)
+        evaluator = ConfigEvaluator(visformer_net, platform, ranking=ranking, seed=0)
+        with pytest.raises(ConfigurationError) as raised:
+            evaluator.evaluate(config)
+        assert str(raised.value) == message
+        with pytest.raises(ConfigurationError) as raised:
+            evaluator.evaluate_many(space.population(3, seed=1))
+        assert str(raised.value) == message
+        dynamic = build_dynamic_network(
+            visformer_net, config.partition, config.indicator, ranking=ranking
+        )
+        with pytest.raises(ConfigurationError) as raised:
+            dynamic.stage_coverage(0)
+        assert str(raised.value) == message
+
+    def test_without_reordering_the_scores_are_not_read(
+        self, visformer_net, visformer_ranking, platform
+    ):
+        ranking = resized_ranking(visformer_ranking, "stem", 16)
+        config = SearchSpace(visformer_net, platform).sample(3)
+        plain = ConfigEvaluator(visformer_net, platform, reorder_channels=False, seed=0)
+        resized = ConfigEvaluator(
+            visformer_net, platform, ranking=ranking, reorder_channels=False, seed=0
+        )
+        assert resized.evaluate(config).accuracy == plain.evaluate(config).accuracy

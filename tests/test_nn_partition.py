@@ -14,9 +14,10 @@ from repro.nn.models import resnet20
 from repro.nn.partition import (
     RATIO_CHOICES,
     IndicatorMatrix,
+    NetworkArrays,
     PartitionMatrix,
-    PartitionScheme,
     backbone_layers,
+    network_arrays,
     split_units,
 )
 from repro.search.space import MappingConfig
@@ -121,7 +122,7 @@ class TestPartitionMatrix:
         values[0, 0] = 7.0
         assert matrix.values[0, 0] == 0.5
         # P's own array is read-only too, also in unpickled and deep copies,
-        # so the validation the scheme relies on cannot go stale.
+        # so the validation the split relies on cannot go stale.
         clones = [pickle.loads(pickle.dumps(matrix, protocol=p)) for p in (2, 4, 5)]
         for held in [matrix, copy.deepcopy(matrix)] + clones:
             assert np.array_equal(held.values, matrix.values)
@@ -220,107 +221,90 @@ class TestBackboneLayers:
         assert len(backbone) == len(visformer_net) - 1
 
 
-class TestPartitionScheme:
+def one_candidate(network, partition, indicator):
+    """The ``NetworkArrays`` of one ``(P, I)`` pair, each field as its one row."""
+    arrays = network_arrays(network, backbone_layers(network), [partition], [indicator], {})
+    return NetworkArrays(*(field[0] for field in arrays))
+
+
+class TestNetworkArrays:
     @pytest.fixture()
-    def scheme(self, tiny_network):
+    def arrays(self, tiny_network):
         partition = PartitionMatrix.uniform(3, 3)
         indicator_values = np.ones((3, 3), dtype=int)
         indicator_values[-1, :] = 0
-        return PartitionScheme(
-            network=tiny_network,
-            partition=partition,
-            indicator=IndicatorMatrix(indicator_values),
+        return one_candidate(tiny_network, partition, IndicatorMatrix(indicator_values))
+
+    @pytest.fixture()
+    def isolated(self, tiny_network):
+        return one_candidate(
+            tiny_network, PartitionMatrix.uniform(3, 3), IndicatorMatrix.none(3, 3)
         )
 
-    def test_channels_sum_to_layer_widths(self, scheme, tiny_network):
+    def test_channels_sum_to_layer_widths(self, arrays, tiny_network):
         backbone = backbone_layers(tiny_network)
-        channels = scheme.channels
         for layer_index, layer in enumerate(backbone):
-            assert channels[:, layer_index].sum() == layer.width
+            assert arrays.channels[:, layer_index].sum() == layer.width
 
-    def test_attention_respects_head_granularity(self, scheme):
+    def test_attention_respects_head_granularity(self, arrays):
         # Layer index 1 is the 4-head attention layer (head_dim 8).
         for stage in range(3):
-            assert scheme.stage_channels(stage, 1) % 8 == 0
+            assert arrays.channels[stage, 1] % 8 == 0
 
-    def test_stage_ranges_are_contiguous_partition(self, scheme, tiny_network):
-        backbone = backbone_layers(tiny_network)
-        for layer_index, layer in enumerate(backbone):
-            covered = []
-            for stage in range(3):
-                start, end = scheme.stage_range(stage, layer_index)
-                covered.extend(range(start, end))
-            assert covered == list(range(layer.width))
-
-    def test_first_layer_input_is_model_input(self, scheme, tiny_network):
+    def test_first_layer_input_is_model_input(self, arrays, tiny_network):
         for stage in range(3):
-            assert scheme.available_in_units(stage, 0) == tiny_network[0].in_width
+            assert arrays.in_units[stage, 0] == tiny_network[0].in_width
 
-    def test_later_layer_input_includes_reused_channels(self, scheme):
+    def test_later_layer_input_includes_reused_channels(self, arrays):
         # With full reuse, stage 2's input at layer 1 sees all of layer 0.
-        total_layer0 = scheme.channels[:, 0].sum()
-        assert scheme.available_in_units(2, 1) == total_layer0
+        total_layer0 = arrays.channels[:, 0].sum()
+        assert arrays.in_units[2, 1] == total_layer0
 
-    def test_no_reuse_limits_input_to_own_channels(self, tiny_network):
-        scheme = PartitionScheme(
-            network=tiny_network,
-            partition=PartitionMatrix.uniform(3, 3),
-            indicator=IndicatorMatrix.none(3, 3),
-        )
-        assert scheme.available_in_units(2, 1) == scheme.stage_channels(2, 0)
+    def test_no_reuse_limits_input_to_own_channels(self, isolated):
+        assert isolated.in_units[2, 1] == isolated.channels[2, 0]
 
-    def test_reused_bytes_zero_for_first_stage(self, scheme):
+    def test_reused_bytes_zero_for_first_stage(self, arrays):
         for layer in range(3):
-            assert scheme.reused_input_bytes(0, layer) == 0
+            assert arrays.imported_bytes[0, layer] == 0
 
-    def test_reused_bytes_positive_with_reuse(self, scheme):
-        assert scheme.reused_input_bytes(1, 1) > 0
-        assert scheme.reused_input_bytes(2, 1) > scheme.reused_input_bytes(1, 1)
+    def test_reused_bytes_positive_with_reuse(self, arrays):
+        assert arrays.imported_bytes[1, 1] > 0
+        assert arrays.imported_bytes[2, 1] > arrays.imported_bytes[1, 1]
 
-    def test_stored_feature_bytes_zero_without_reuse(self, tiny_network):
-        scheme = PartitionScheme(
-            network=tiny_network,
-            partition=PartitionMatrix.uniform(3, 3),
-            indicator=IndicatorMatrix.none(3, 3),
-        )
-        assert scheme.stored_feature_bytes() == 0
+    def test_stored_feature_bytes_zero_without_reuse(self, isolated):
+        assert isolated.stored_bytes == 0
 
-    def test_stage_flops_sum_close_to_static_model(self, tiny_network):
+    def test_stage_flops_sum_close_to_static_model(self, isolated, tiny_network):
         # Without reuse the three stages together execute roughly the static
         # backbone (input widths shrink, so the sum is at most the original).
-        scheme = PartitionScheme(
-            network=tiny_network,
-            partition=PartitionMatrix.uniform(3, 3),
-            indicator=IndicatorMatrix.none(3, 3),
-        )
         backbone = backbone_layers(tiny_network)
         static_flops = sum(layer.flops() for layer in backbone)
-        total = sum(scheme.stage_flops(stage) for stage in range(3))
+        total = sum(
+            layer.flops(
+                in_units=int(isolated.in_units[stage, index]),
+                out_units=int(isolated.channels[stage, index]),
+            )
+            for stage in range(3)
+            for index, layer in enumerate(backbone)
+        )
         assert total <= static_flops * 1.01
 
-    def test_cumulative_width_fraction_bounds(self, scheme):
+    def test_available_width_fraction_bounds(self, arrays, tiny_network):
+        # What a stage holds of each layer (its own channels plus the reused
+        # ones) is what the next layer reads, or the exit head at the last.
+        backbone = backbone_layers(tiny_network)
         for stage in range(3):
-            for layer in range(3):
-                fraction = scheme.cumulative_width_fraction(stage, layer)
-                assert 0 < fraction <= 1.0
-        assert scheme.cumulative_width_fraction(2, 1) == pytest.approx(1.0)
+            available = arrays.in_units[stage, 1:].tolist() + [arrays.exit_units[stage]]
+            for layer, units in zip(backbone, available):
+                assert 0 < units / layer.width <= 1.0
+        assert arrays.in_units[2, 2] == backbone[1].width
 
     def test_shape_mismatch_rejected(self, tiny_network):
         with pytest.raises(PartitionError):
-            PartitionScheme(
-                network=tiny_network,
-                partition=PartitionMatrix.uniform(3, 2),
-                indicator=IndicatorMatrix.none(3, 2),
+            one_candidate(
+                tiny_network, PartitionMatrix.uniform(3, 2), IndicatorMatrix.none(3, 2)
             )
         with pytest.raises(PartitionError):
-            PartitionScheme(
-                network=tiny_network,
-                partition=PartitionMatrix.uniform(3, 3),
-                indicator=IndicatorMatrix.none(2, 3),
+            one_candidate(
+                tiny_network, PartitionMatrix.uniform(3, 3), IndicatorMatrix.none(2, 3)
             )
-
-    def test_out_of_range_indices_rejected(self, scheme):
-        with pytest.raises(PartitionError):
-            scheme.stage_flops(5)
-        with pytest.raises(PartitionError):
-            scheme.available_in_units(0, 9)

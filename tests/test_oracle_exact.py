@@ -3,7 +3,10 @@
 The ``reference_*`` functions are verbatim copies of the per-call code: a
 ``LayerWorkload`` built per sub-layer for latency and again for energy, the
 Eq. 8 recursion on numpy arrays, numpy importance coverage, and the
-one-query-at-a-time channel arithmetic of ``PartitionScheme``.  Every field of
+one-query-at-a-time channel arithmetic of a ``(P, I)`` scheme, whose columns
+``reference_split_units`` splits.  They keep their own sub-layer, stage and
+schedule records (``Reference*``), and the public view's arrays are compared
+with them as those records.  Every field of
 every object the oracle produces must equal the reference exactly (``==`` and
 ``repr``), through ``evaluate`` and through ``evaluate_many`` batches (the
 array path), on a cold slice table and on a warm one, whatever batch a
@@ -49,13 +52,13 @@ from repro.nn.layers import (
     LinearLayer,
 )
 from repro.nn.models import resnet20, vgg19, visformer
-from repro.nn.multiexit import DynamicNetwork, Stage, SubLayer, build_dynamic_network
+from repro.nn import multiexit
+from repro.nn.multiexit import build_dynamic_network
 from repro.nn import partition as partition_module
 from repro.nn.partition import (
     RATIO_CHOICES,
     IndicatorMatrix,
     PartitionMatrix,
-    PartitionScheme,
     _split_rows,
     backbone_layers,
     split_units,
@@ -69,8 +72,7 @@ from repro.perf.layer_cost import (
     workload_arrays,
 )
 from repro.perf.predictor import train_surrogate
-from repro.perf.schedule import ScheduleResult, SliceTable, StageSchedule, simulate_schedule
-from repro.search import evaluation
+from repro.perf.schedule import SliceTable, schedule_batch
 from repro.search.evaluation import ConfigEvaluator
 from repro.search.space import MappingConfig, SearchSpace
 from repro.soc.platform import jetson_agx_xavier
@@ -128,15 +130,127 @@ def reference_split_units(width, fractions, granularity=1):
     return tuple(int(share) * granularity for share in shares)
 
 
+@dataclass(frozen=True)
+class ReferenceSubLayer:
+    """One sub-layer ``l^j_i``: stage ``i``'s slice of backbone layer ``j``."""
+
+    base: Layer
+    stage_index: int
+    layer_index: int
+    in_units: int
+    out_units: int
+    reused_input_bytes: int
+
+
+@dataclass(frozen=True)
+class ReferenceStage:
+    """One inference stage ``S_i``: a sub-layer chain plus its exit head."""
+
+    index: int
+    sublayers: tuple
+    exit_head: LinearLayer
+
+    def imported_bytes(self):
+        return sum(sub.reused_input_bytes for sub in self.sublayers)
+
+
+@dataclass(frozen=True)
+class ReferenceStageSchedule:
+    """Timing breakdown of one stage under the concurrent execution model."""
+
+    stage_index: int
+    unit_name: str
+    scale: float
+    sublayer_latencies_ms: tuple
+    cumulative_latencies_ms: tuple
+    exit_latency_ms: float
+    transfer_latency_ms: float
+    stall_ms: float
+
+    @property
+    def total_latency_ms(self):
+        return self.cumulative_latencies_ms[-1] + self.exit_latency_ms
+
+    @property
+    def busy_latency_ms(self):
+        total = 0
+        for latency in self.sublayer_latencies_ms:
+            total += latency
+        return float(total) + self.exit_latency_ms
+
+
+@dataclass(frozen=True)
+class ReferenceScheduleResult:
+    """Schedules of all stages."""
+
+    stages: tuple
+
+
+class ReferenceScheme:
+    """A ``(P, I)`` pair's channels, answered one query at a time."""
+
+    def __init__(self, network, partition, indicator):
+        self.network = network
+        self.partition = partition
+        self.indicator = indicator
+        self.backbone = backbone_layers(network)
+        self.channels = np.zeros(partition.values.shape, dtype=int)
+        for layer_index, layer in enumerate(self.backbone):
+            self.channels[:, layer_index] = reference_split_units(
+                layer.width,
+                partition.values[:, layer_index],
+                granularity=layer.partition_granularity,
+            )
+
+    @property
+    def num_stages(self):
+        return self.partition.num_stages
+
+    @property
+    def num_layers(self):
+        return self.partition.num_layers
+
+    def stage_channels(self, stage, layer):
+        return int(self.channels[stage, layer])
+
+    def stage_range(self, stage, layer):
+        start = int(self.channels[:stage, layer].sum())
+        return start, start + self.stage_channels(stage, layer)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceNetwork:
+    """The per-call build of a dynamic network: its scheme and stage records."""
+
+    network: object
+    scheme: ReferenceScheme
+    stages: tuple
+    ranking: object
+    reordered: bool
+
+    @property
+    def num_stages(self):
+        return len(self.stages)
+
+    @property
+    def num_layers(self):
+        return self.scheme.num_layers
+
+
+def sublayer_workload(sub):
+    """The workload of a stage's sub-layer ``l^j_i``."""
+    return LayerWorkload.from_layer(sub.base, sub.in_units, sub.out_units)
+
+
 def reference_build(network, partition, indicator, ranking, reorder):
-    scheme = PartitionScheme(network=network, partition=partition, indicator=indicator)
+    scheme = ReferenceScheme(network, partition, indicator)
     stages = []
     last_layer_index = scheme.num_layers - 1
     for stage_index in range(scheme.num_stages):
         sublayers = []
         for layer_index, layer in enumerate(scheme.backbone):
             sublayers.append(
-                SubLayer(
+                ReferenceSubLayer(
                     base=layer,
                     stage_index=stage_index,
                     layer_index=layer_index,
@@ -159,8 +273,10 @@ def reference_build(network, partition, indicator, ranking, reorder):
             in_width=int(exit_in),
             tokens=1,
         )
-        stages.append(Stage(index=stage_index, sublayers=tuple(sublayers), exit_head=exit_head))
-    return DynamicNetwork(
+        stages.append(
+            ReferenceStage(index=stage_index, sublayers=tuple(sublayers), exit_head=exit_head)
+        )
+    return ReferenceNetwork(
         network=network,
         scheme=scheme,
         stages=tuple(stages),
@@ -214,7 +330,7 @@ def reference_schedule(dynamic_network, units, scales, cost_model, interconnect)
     taus = np.zeros((num_stages, num_layers))
     for stage in dynamic_network.stages:
         for sub in stage.sublayers:
-            workload = LayerWorkload.from_sublayer(sub)
+            workload = sublayer_workload(sub)
             taus[stage.index, sub.layer_index] = cost_model.latency_ms(
                 workload, units[stage.index], scales[stage.index]
             )
@@ -250,7 +366,7 @@ def reference_schedule(dynamic_network, units, scales, cost_model, interconnect)
             exit_workload, units[stage.index], scales[stage.index]
         )
         schedules.append(
-            StageSchedule(
+            ReferenceStageSchedule(
                 stage_index=stage.index,
                 unit_name=units[stage.index].name,
                 scale=float(scales[stage.index]),
@@ -261,7 +377,7 @@ def reference_schedule(dynamic_network, units, scales, cost_model, interconnect)
                 stall_ms=float(stalls[stage.index]),
             )
         )
-    return ScheduleResult(stages=tuple(schedules))
+    return ReferenceScheduleResult(stages=tuple(schedules))
 
 
 def reference_profile(platform, cost_model, dynamic_network, unit_names, dvfs_indices):
@@ -277,7 +393,7 @@ def reference_profile(platform, cost_model, dynamic_network, unit_names, dvfs_in
         scale = scales[stage.index]
         compute_energy = 0.0
         for sub in stage.sublayers:
-            workload = LayerWorkload.from_sublayer(sub)
+            workload = sublayer_workload(sub)
             compute_energy += cost_model.energy_mj(workload, unit, scale)
         exit_workload = LayerWorkload.from_layer(stage.exit_head)
         compute_energy += cost_model.energy_mj(exit_workload, unit, scale)
@@ -297,7 +413,7 @@ def reference_profile(platform, cost_model, dynamic_network, unit_names, dvfs_in
         )
     profile = HardwareProfile(
         stages=tuple(performances),
-        stored_feature_bytes=dynamic_network.stored_feature_bytes(),
+        stored_feature_bytes=reference_stored_feature_bytes(dynamic_network.scheme),
     )
     return schedule, profile
 
@@ -600,7 +716,7 @@ def assert_identical(actual, expected):
 
 
 def evaluated_network(evaluator, config):
-    """The dynamic network ``evaluator.evaluate(config)`` builds and lets go."""
+    """The view of the candidate ``evaluator.evaluate(config)`` scores."""
     return build_dynamic_network(
         evaluator.network,
         partition=config.partition,
@@ -608,6 +724,73 @@ def evaluated_network(evaluator, config):
         ranking=evaluator.ranking,
         reorder=evaluator.reorder_channels,
         splits=evaluator._splits,
+    )
+
+
+def view_stages(dynamic):
+    """The view's one-row arrays as the per-call build's stage records."""
+    arrays = dynamic.arrays
+    backbone = backbone_layers(dynamic.network)
+    stages = []
+    for stage_index, (own, in_units, imported, exit_units) in enumerate(
+        zip(
+            arrays.channels[0].tolist(),
+            arrays.in_units[0].tolist(),
+            arrays.imported_bytes[0].tolist(),
+            arrays.exit_units[0].tolist(),
+        )
+    ):
+        sublayers = tuple(
+            ReferenceSubLayer(layer, stage_index, layer_index, layer_in, out_units, layer_imported)
+            for layer_index, (layer, out_units, layer_in, layer_imported) in enumerate(
+                zip(backbone, own, in_units, imported)
+            )
+        )
+        head = LinearLayer(
+            name=f"exit{stage_index}",
+            width=dynamic.network.num_classes,
+            in_width=exit_units,
+            tokens=1,
+        )
+        stages.append(ReferenceStage(stage_index, sublayers, head))
+    return tuple(stages)
+
+
+def view_schedule(dynamic, units, scales, cost_model, interconnect):
+    """Eq. 8-9 of the view on a slice table of its own, as schedule records."""
+    network = dynamic.network
+    batch = schedule_batch(
+        SliceTable.for_network(cost_model, interconnect, network),
+        network,
+        dynamic.arrays,
+        np.arange(dynamic.num_stages)[None],
+        dict(enumerate(zip(units, scales))),
+    )
+    rows = zip(
+        units,
+        scales,
+        batch.taus[0].tolist(),
+        batch.cumulative[0].tolist(),
+        batch.exit_latencies[0].tolist(),
+        batch.moved[0].tolist(),
+        batch.stalls[0].tolist(),
+    )
+    return ReferenceScheduleResult(
+        stages=tuple(
+            ReferenceStageSchedule(
+                stage_index=index,
+                unit_name=unit.name,
+                scale=float(scale),
+                sublayer_latencies_ms=tuple(taus),
+                cumulative_latencies_ms=tuple(cumulative),
+                exit_latency_ms=exit_latency,
+                transfer_latency_ms=moved,
+                stall_ms=stall,
+            )
+            for index, (unit, scale, taus, cumulative, exit_latency, moved, stall) in enumerate(
+                rows
+            )
+        )
     )
 
 
@@ -680,24 +863,28 @@ def check_configs(evaluator, configs, cost_model):
             check(evaluator.evaluate_many([configs[index] for index in indices]), indices)
 
     for config, (reference, schedule, profile, inference) in zip(configs, expected):
+        # The view of the candidate evaluate() scores, and the per-call table
+        # of the public entry points.
+        dynamic = evaluated_network(evaluator, config)
         channels = reference_channels(reference.scheme)
         assert_identical(reference.scheme.channels.tolist(), channels.tolist())
-        assert reference.scheme.channels.dtype == channels.dtype
-        assert profile.stored_feature_bytes == reference_stored_feature_bytes(reference.scheme)
-        # The network evaluate() builds, and the per-call table of the public entry points.
-        dynamic = evaluated_network(evaluator, config)
-        assert_identical(dynamic.stages, reference.stages)
+        assert_identical(dynamic.arrays.channels[0].tolist(), channels.tolist())
+        assert dynamic.arrays.channels.dtype == channels.dtype
+        assert_identical(
+            dynamic.stored_feature_bytes(), reference_stored_feature_bytes(reference.scheme)
+        )
+        assert_identical(view_stages(dynamic), reference.stages)
         units = [evaluator.platform.unit(name) for name in config.unit_names]
         scales = [s.dvfs_scale for s in profile.stages]
         assert_identical(
-            simulate_schedule(dynamic, units, scales, cost_model, evaluator.platform.interconnect),
+            view_schedule(dynamic, units, scales, cost_model, evaluator.platform.interconnect),
             schedule,
         )
         direct = MappingEvaluator(evaluator.platform, cost_model=cost_model)
         assert_identical(direct.profile(dynamic, config.unit_names, config.dvfs_indices), profile)
         for stage in range(dynamic.num_stages):
             assert_identical(
-                dynamic.stage_coverage(stage), reference_stage_coverage(dynamic, stage)
+                dynamic.stage_coverage(stage), reference_stage_coverage(reference, stage)
             )
 
 
@@ -819,7 +1006,13 @@ class RecordingCostModel:
 
 def expected_calls(evaluator, config):
     """The per-slice calls ``evaluate(config)`` makes of a per-call cost model, in order."""
-    stages = evaluated_network(evaluator, config).stages
+    stages = reference_build(
+        evaluator.network,
+        config.partition,
+        config.indicator,
+        evaluator.ranking,
+        evaluator.reorder_channels,
+    ).stages
     scales = [
         evaluator.platform.unit(name).scale_for_point(index)
         for name, index in zip(config.unit_names, config.dvfs_indices)
@@ -829,7 +1022,7 @@ def expected_calls(evaluator, config):
         return (kind, workload, config.unit_names[stage.index], scales[stage.index])
 
     expected = [
-        call("latency", LayerWorkload.from_sublayer(sub), stage)
+        call("latency", sublayer_workload(sub), stage)
         for stage in stages
         for sub in stage.sublayers
     ]
@@ -838,7 +1031,7 @@ def expected_calls(evaluator, config):
     ]
     for stage in stages:
         expected += [
-            call("energy", LayerWorkload.from_sublayer(sub), stage) for sub in stage.sublayers
+            call("energy", sublayer_workload(sub), stage) for sub in stage.sublayers
         ]
         expected.append(call("energy", LayerWorkload.from_layer(stage.exit_head), stage))
     slices = sum(len(stage.sublayers) + 1 for stage in stages)
@@ -932,7 +1125,6 @@ class TestCacheIdentity:
 
         assert set(vars(evaluator.ranking)) == field_names(evaluator.ranking)
         assert set(vars(dynamic)) == field_names(dynamic)
-        assert set(vars(dynamic.scheme)) == field_names(dynamic.scheme) | {"_backbone", "_channels"}
         assert isinstance(evaluator.accuracy_model, AccuracyModel)
 
 
@@ -1387,7 +1579,10 @@ class TestStageAccuraciesBuildCurvesOnce:
             per_stage = model.stage_accuracies_from_coverage(
                 network, [dynamic.stage_coverage(stage) for stage in range(dynamic.num_stages)]
             )
-            assert_identical(model.stage_accuracies(dynamic), per_stage)
+            # Every stage's coverage at once, from one build of the curves.
+            assert_identical(
+                model.stage_accuracies_from_coverage(network, dynamic._coverages()), per_stage
+            )
             # The default model of the public inference entry point.
             profile = mapping.profile(dynamic, config.unit_names, config.dvfs_indices)
             assert_identical(
@@ -1410,16 +1605,22 @@ class SpoiledAccuracies(AccuracyModel):
         return super().stage_accuracies_from_coverage(network, coverages)
 
 
+def count_networks(monkeypatch):
+    """A list that grows by one for every ``DynamicNetwork`` built from now on."""
+    built = []
+    real = multiexit.DynamicNetwork.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiexit.DynamicNetwork, "__init__", counting)
+    return built
+
+
 class TestBatchPath:
     def test_a_batch_builds_no_network(self, visformer_net, platform, monkeypatch):
-        built = []
-        real = evaluation.build_dynamic_network
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "build_dynamic_network", counting)
+        built = count_networks(monkeypatch)
         evaluator = ConfigEvaluator(visformer_net, platform, seed=0)
         configs = SearchSpace(visformer_net, platform).population(6, seed=1)
         evaluator.evaluate_many(configs)
@@ -1428,6 +1629,9 @@ class TestBatchPath:
         evaluator.evaluate_many(configs[:1])
         evaluator.evaluate(configs[1])
         assert built == []
+        # The count sees a network that is built.
+        evaluated_network(evaluator, configs[1])
+        assert len(built) == 1
 
     def test_the_table_holds_what_evaluate_stores(self, visformer_net, platform):
         configs = SearchSpace(visformer_net, platform).population(8, seed=3)
@@ -1587,8 +1791,8 @@ class TestBatchPath:
 class HalfAccuracy(AccuracyModel):
     """Every exit at 0.5, whatever it covers."""
 
-    def stage_accuracies(self, dynamic_network):
-        return (0.5,) * dynamic_network.num_stages
+    def stage_accuracies_from_coverage(self, network, coverages):
+        return tuple(0.5 for _ in coverages)
 
 
 @dataclass(frozen=True)
@@ -1597,7 +1801,7 @@ class FixedAccuracies(AccuracyModel):
 
     accuracies: tuple = (0.5,)
 
-    def stage_accuracies(self, dynamic_network):
+    def stage_accuracies_from_coverage(self, network, coverages):
         return self.accuracies
 
 
@@ -1658,13 +1862,7 @@ class TestAccuracyModelOverrides:
         evaluator = ConfigEvaluator(visformer_net, platform, accuracy_model=model, seed=0)
         default = ConfigEvaluator(visformer_net, platform, seed=0)
         configs = SearchSpace(visformer_net, platform).population(4, seed=8)
-        built = []
-        real = evaluation.build_dynamic_network
-        monkeypatch.setattr(
-            evaluation,
-            "build_dynamic_network",
-            lambda *args, **kwargs: built.append(args) or real(*args, **kwargs),
-        )
+        built = count_networks(monkeypatch)
         for batched, config, plain in zip(
             evaluator.evaluate_many(configs), configs, default.evaluate_many(configs)
         ):

@@ -47,7 +47,6 @@ from repro.nn.multiexit import build_dynamic_network
 from repro.nn.partition import (
     IndicatorMatrix,
     PartitionMatrix,
-    PartitionScheme,
     _largest_remainder,
     backbone_layers,
 )
@@ -133,11 +132,12 @@ def parent_non_dominated_sort(values):
     return fronts
 
 
-def parent_stored_feature_bytes(scheme):
-    channels, reused = scheme._lists()
+def parent_stored_feature_bytes(dynamic):
+    channels = dynamic.arrays.channels[0].tolist()
+    reused = dynamic.indicator.values.tolist()
     total = 0
-    for stage in range(scheme.num_stages - 1):
-        for layer_index, layer in enumerate(scheme._backbone):
+    for stage in range(dynamic.num_stages - 1):
+        for layer_index, layer in enumerate(backbone_layers(dynamic.network)):
             if reused[stage][layer_index]:
                 total += layer.output_bytes(channels[stage][layer_index])
     return int(total)
@@ -451,7 +451,7 @@ class TestSplitTable:
         table = {}
         for name, network in networks.items():
             for config in configs(network, 30, seed=len(name)):
-                PartitionScheme(network, config.partition, config.indicator, splits=table)
+                build_dynamic_network(network, config.partition, config.indicator, splits=table)
         assert table
         for key, shares in table.items():
             width, granularity, *column = key
@@ -472,9 +472,10 @@ class TestSplitTable:
         indicator = IndicatorMatrix.full(3, layers)
         table = {}
         for matrix in (values, negated, values):
-            scheme = PartitionScheme(network, PartitionMatrix(matrix), indicator, splits=table)
-            fresh = PartitionScheme(network, PartitionMatrix(matrix), indicator)
-            assert scheme.channels.tolist() == fresh.channels.tolist()
+            partition = PartitionMatrix(matrix)
+            shared = build_dynamic_network(network, partition, indicator, splits=table)
+            fresh = build_dynamic_network(network, partition, indicator)
+            assert shared.arrays.channels.tolist() == fresh.arrays.channels.tolist()
 
     def test_one_table_for_several_networks_does_not_alias(self, networks, tiny_network):
         table = {}
@@ -503,16 +504,19 @@ class TestSplitTable:
                     network, config.partition, config.indicator, splits=table
                 )
                 fresh = build_dynamic_network(network, config.partition, config.indicator)
-                assert shared.stages == fresh.stages
-                assert shared.scheme.channels.tolist() == fresh.scheme.channels.tolist()
+                for field, expected in zip(shared.arrays, fresh.arrays):
+                    assert field.tolist() == expected.tolist()
 
     def test_the_table_is_not_stored(self, networks):
         network = networks["visformer"]
         config = configs(network, 1, seed=0)[0]
         table = {}
-        scheme = PartitionScheme(network, config.partition, config.indicator, splits=table)
-        assert set(vars(scheme)) == {"network", "partition", "indicator", "_backbone", "_channels"}
-        assert "splits" not in repr(scheme)
+        dynamic = build_dynamic_network(network, config.partition, config.indicator, splits=table)
+        assert table
+        assert set(vars(dynamic)) == {
+            "network", "partition", "indicator", "arrays", "ranking", "reordered"
+        }
+        assert "splits" not in repr(dynamic)
 
     def test_each_evaluator_owns_its_table(self, visformer_net, platform):
         first = evaluation_module.ConfigEvaluator(visformer_net, platform, seed=0)
@@ -588,14 +592,12 @@ class TestStoredFeatureBytes:
         counter = CountingOutputBytes(monkeypatch)
         for partition, indicator in cases:
             dynamic = build_dynamic_network(network, partition, indicator)
-            expected = parent_stored_feature_bytes(dynamic.scheme)
+            expected = parent_stored_feature_bytes(dynamic)
             counter.calls = 0
             stored = dynamic.stored_feature_bytes()
-            # Only the last layer's reused outputs are sized again.
-            assert counter.calls <= dynamic.num_stages - 1
+            # The view reads what the build sized: nothing is sized again.
+            assert counter.calls == 0
             assert type(stored) is int and stored == expected
-            scheme_stored = dynamic.scheme.stored_feature_bytes()
-            assert type(scheme_stored) is int and scheme_stored == expected
 
     def test_single_stage_stores_nothing(self, networks):
         network = networks["visformer"]
@@ -603,7 +605,7 @@ class TestStoredFeatureBytes:
         dynamic = build_dynamic_network(
             network, PartitionMatrix.uniform(1, layers), IndicatorMatrix.full(1, layers)
         )
-        assert dynamic.stored_feature_bytes() == 0 == dynamic.scheme.stored_feature_bytes()
+        assert dynamic.stored_feature_bytes() == 0 == parent_stored_feature_bytes(dynamic)
 
 
 # -- real pools -------------------------------------------------------------------------------

@@ -41,11 +41,14 @@ class TestLayerWorkload:
         assert half.flops < full.flops
         assert half.output_bytes < full.output_bytes
 
-    def test_from_sublayer(self, tiny_dynamic):
-        sub = tiny_dynamic.stages[0].sublayers[0]
-        workload = LayerWorkload.from_sublayer(sub)
-        assert workload.flops == pytest.approx(sub.flops())
-        assert workload.output_bytes == sub.output_bytes()
+    def test_from_layer_of_a_stage_slice(self, tiny_dynamic):
+        # Stage 0's slice of the first backbone layer, as the view records it.
+        layer = tiny_dynamic.network.layers[0]
+        in_units = int(tiny_dynamic.arrays.in_units[0, 0, 0])
+        out_units = int(tiny_dynamic.arrays.channels[0, 0, 0])
+        workload = LayerWorkload.from_layer(layer, in_units, out_units)
+        assert workload.flops == pytest.approx(layer.flops(in_units=in_units, out_units=out_units))
+        assert workload.output_bytes == layer.output_bytes(out_units)
 
     def test_feature_vector_shape_and_one_hot(self, conv_workload):
         features = conv_workload.features()

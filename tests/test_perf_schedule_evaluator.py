@@ -7,8 +7,6 @@ import pytest
 from repro.errors import MappingError
 from repro.nn.multiexit import build_dynamic_network
 from repro.nn.partition import IndicatorMatrix, PartitionMatrix
-from repro.perf.layer_cost import AnalyticalCostModel
-from repro.perf.schedule import simulate_schedule
 
 
 def make_dynamic(network, ranking, reuse=True):
@@ -26,94 +24,65 @@ def make_dynamic(network, ranking, reuse=True):
     )
 
 
-@pytest.fixture()
-def schedule_inputs(tiny_network, tiny_ranking, platform):
-    dynamic = make_dynamic(tiny_network, tiny_ranking)
-    units = [platform.unit("gpu"), platform.unit("dla0"), platform.unit("dla1")]
-    scales = [1.0, 1.0, 1.0]
-    return dynamic, units, scales
+def top_points(platform, unit_names):
+    """Every unit's fastest DVFS point (scale 1.0)."""
+    return tuple(platform.unit(name).num_dvfs_points() - 1 for name in unit_names)
 
 
-class TestSimulateSchedule:
-    def test_cumulative_latencies_monotone(self, schedule_inputs, platform):
-        dynamic, units, scales = schedule_inputs
-        result = simulate_schedule(
-            dynamic, units, scales, AnalyticalCostModel(), platform.interconnect
-        )
-        for stage in result.stages:
-            cumulative = stage.cumulative_latencies_ms
-            assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
+class TestConcurrentSchedule:
+    """Eq. 8-9 as a profile reports it: per-stage latency, busy, stall and transfer time."""
 
-    def test_total_latency_includes_exit(self, schedule_inputs, platform):
-        dynamic, units, scales = schedule_inputs
-        result = simulate_schedule(
-            dynamic, units, scales, AnalyticalCostModel(), platform.interconnect
-        )
-        for stage in result.stages:
-            assert stage.total_latency_ms == pytest.approx(
-                stage.cumulative_latencies_ms[-1] + stage.exit_latency_ms
-            )
-            assert stage.total_latency_ms >= stage.busy_latency_ms
+    @pytest.fixture()
+    def profile(self, tiny_dynamic, mapping_evaluator, platform):
+        names = ("gpu", "dla0", "dla1")
+        return mapping_evaluator.profile(tiny_dynamic, names, top_points(platform, names))
 
-    def test_makespan_is_max_stage_latency(self, schedule_inputs, platform):
-        dynamic, units, scales = schedule_inputs
-        result = simulate_schedule(
-            dynamic, units, scales, AnalyticalCostModel(), platform.interconnect
-        )
-        assert result.makespan_ms == pytest.approx(
-            max(stage.total_latency_ms for stage in result.stages)
-        )
+    def test_stage_latency_is_busy_plus_stall_time(self, profile):
+        # A sub-layer starts once its inputs are ready, so a stage ends after
+        # its own work, exit head included, plus every wait.
+        for stage in profile.stages:
+            assert stage.latency_ms == pytest.approx(stage.busy_ms + stage.stall_ms)
+            assert stage.latency_ms >= stage.busy_ms > 0
 
-    def test_first_stage_never_stalls(self, schedule_inputs, platform):
-        dynamic, units, scales = schedule_inputs
-        result = simulate_schedule(
-            dynamic, units, scales, AnalyticalCostModel(), platform.interconnect
-        )
-        assert result.stage(0).stall_ms == 0.0
-        assert result.stage(0).transfer_latency_ms == 0.0
+    def test_makespan_is_max_stage_latency(self, profile):
+        assert profile.latency_ms == max(stage.latency_ms for stage in profile.stages)
+        assert profile.latency_ms == profile.cumulative_latency_ms(2)
 
-    def test_later_stages_wait_for_slow_producers(self, tiny_network, tiny_ranking, platform):
+    def test_first_stage_never_stalls(self, profile):
+        assert profile.stages[0].stall_ms == 0.0
+        assert profile.stages[0].transfer_ms == 0.0
+        assert profile.stages[2].transfer_ms > 0.0
+
+    def test_later_stages_wait_for_slow_producers(
+        self, tiny_network, tiny_ranking, mapping_evaluator, platform
+    ):
         # Stage 0 on the slow DLA with reuse means stage 1 (on the fast GPU)
         # must stall waiting for stage 0's features.
         dynamic = make_dynamic(tiny_network, tiny_ranking, reuse=True)
-        units = [platform.unit("dla0"), platform.unit("gpu"), platform.unit("dla1")]
-        result = simulate_schedule(
-            dynamic, units, [1.0, 1.0, 1.0], AnalyticalCostModel(), platform.interconnect
-        )
-        assert result.stage(1).stall_ms > 0.0
+        names = ("dla0", "gpu", "dla1")
+        profile = mapping_evaluator.profile(dynamic, names, top_points(platform, names))
+        assert profile.stages[1].stall_ms > 0.0
 
-    def test_no_reuse_means_no_transfers_or_stalls(self, tiny_network, tiny_ranking, platform):
+    def test_no_reuse_means_no_transfers_or_stalls(
+        self, tiny_network, tiny_ranking, mapping_evaluator, platform
+    ):
         dynamic = make_dynamic(tiny_network, tiny_ranking, reuse=False)
-        units = [platform.unit("dla0"), platform.unit("gpu"), platform.unit("dla1")]
-        result = simulate_schedule(
-            dynamic, units, [1.0, 1.0, 1.0], AnalyticalCostModel(), platform.interconnect
-        )
-        for stage in result.stages:
-            assert stage.transfer_latency_ms == 0.0
+        names = ("dla0", "gpu", "dla1")
+        profile = mapping_evaluator.profile(dynamic, names, top_points(platform, names))
+        for stage in profile.stages:
+            assert stage.transfer_ms == 0.0
             assert stage.stall_ms == 0.0
+            assert stage.transfer_energy_mj == 0.0
 
-    def test_lower_dvfs_increases_latency(self, schedule_inputs, platform):
-        dynamic, units, _ = schedule_inputs
-        fast = simulate_schedule(
-            dynamic, units, [1.0, 1.0, 1.0], AnalyticalCostModel(), platform.interconnect
-        )
-        slow = simulate_schedule(
-            dynamic, units, [0.4, 0.4, 0.4], AnalyticalCostModel(), platform.interconnect
-        )
-        assert slow.makespan_ms > fast.makespan_ms
+    def test_lower_dvfs_increases_latency(self, tiny_dynamic, mapping_evaluator, platform):
+        names = ("gpu", "dla0", "dla1")
+        fast = mapping_evaluator.profile(tiny_dynamic, names, top_points(platform, names))
+        slow = mapping_evaluator.profile(tiny_dynamic, names, (0, 0, 0))
+        assert slow.latency_ms > fast.latency_ms
 
-    def test_duplicate_units_rejected(self, schedule_inputs, platform):
-        dynamic, _, scales = schedule_inputs
-        units = [platform.unit("gpu"), platform.unit("gpu"), platform.unit("dla0")]
+    def test_duplicate_units_rejected(self, tiny_dynamic, mapping_evaluator):
         with pytest.raises(MappingError):
-            simulate_schedule(dynamic, units, scales, AnalyticalCostModel(), platform.interconnect)
-
-    def test_wrong_length_rejected(self, schedule_inputs, platform):
-        dynamic, units, _ = schedule_inputs
-        with pytest.raises(MappingError):
-            simulate_schedule(
-                dynamic, units[:2], [1.0, 1.0], AnalyticalCostModel(), platform.interconnect
-            )
+            mapping_evaluator.profile(tiny_dynamic, ("gpu", "gpu", "dla0"), (0, 0, 0))
 
 
 class TestMappingEvaluator:
@@ -166,6 +135,20 @@ class TestMappingEvaluator:
         profile = mapping_evaluator.profile(tiny_dynamic, ("gpu", "dla0", "dla1"), (0, 0, 0))
         with pytest.raises(MappingError):
             profile.cumulative_energy_mj(5)
+
+    @pytest.mark.parametrize("stage", [-1, 3, 5])
+    def test_every_stage_accessor_checks_its_index(self, tiny_dynamic, mapping_evaluator, stage):
+        profile = mapping_evaluator.profile(tiny_dynamic, ("gpu", "dla0", "dla1"), (0, 0, 0))
+        message = f"stage index {stage} out of range [0, 3)"
+        for accessor in (
+            profile.stage_latency_ms,
+            profile.cumulative_latency_ms,
+            profile.cumulative_energy_mj,
+        ):
+            with pytest.raises(MappingError) as raised:
+                accessor(stage)
+            assert str(raised.value) == message
+        assert profile.stage_latency_ms(2) == profile.stages[2].latency_ms
 
     def test_stored_feature_bytes_forwarded(self, tiny_dynamic, mapping_evaluator):
         profile = mapping_evaluator.profile(tiny_dynamic, ("gpu", "dla0", "dla1"), (0, 0, 0))

@@ -246,7 +246,8 @@ class TestControllerDecide:
     def test_decide_matches_simulate_statistics(self, tiny_dynamic, mapping_evaluator):
         from repro.dynamics.accuracy import AccuracyModel
 
-        accuracies = AccuracyModel().stage_accuracies(tiny_dynamic)
+        coverages = [tiny_dynamic.stage_coverage(stage) for stage in range(3)]
+        accuracies = AccuracyModel().stage_accuracies_from_coverage(tiny_dynamic.network, coverages)
         profile = mapping_evaluator.profile(tiny_dynamic, ("gpu", "dla0", "dla1"), (9, 5, 5))
         controller = ThresholdExitController(threshold=0.7, confidence_noise=0.1, seed=0)
         aggregate = controller.simulate(accuracies, profile, num_samples=4000)

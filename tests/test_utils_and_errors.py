@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,21 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
         assert repro.__version__ == "1.5.0"
+
+    def test_every_module_export_resolves(self):
+        import repro
+
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        ]
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert missing == []
+        # Every subpackage and module is walked, not only the top level.
+        assert len(modules) > 50
+        assert sum(len(getattr(module, "__all__", ())) for module in modules) > 300

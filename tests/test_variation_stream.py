@@ -155,7 +155,9 @@ def reference_paper_objective(evaluated):
     latency_term = 0.0
     energy_term = 0.0
     for stage_index, count in enumerate(statistics.correct_counts):
-        latency_term += profile.stage_latency_ms(stage_index) * count
+        # HardwareProfile.stage_latency_ms as it read then, without the
+        # index check it has since gained.
+        latency_term += profile.stages[stage_index].latency_ms * count
         energy_term += profile.cumulative_energy_mj(stage_index) * count
     if latency_term == 0.0 or energy_term == 0.0:
         return float("inf")
