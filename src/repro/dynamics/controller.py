@@ -23,6 +23,7 @@ quantified (see ``examples``/tests and EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -93,8 +94,11 @@ class ThresholdExitController:
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         check_fraction(threshold, "threshold")
-        if confidence_noise < 0:
-            raise ConfigurationError(f"confidence_noise must be >= 0, got {confidence_noise}")
+        # Written so that a NaN fails it too.
+        if not 0 <= confidence_noise < math.inf:
+            raise ConfigurationError(
+                f"confidence_noise must be a finite number >= 0, got {confidence_noise}"
+            )
         self.threshold = float(threshold)
         self.confidence_noise = float(confidence_noise)
         self._rng = as_rng(seed)

@@ -36,7 +36,11 @@ __all__ = ["ChannelRanking", "rank_channels"]
 _DEFAULT_SIGMA = 1.0
 
 
-@dataclass(frozen=True)
+def _array_content(values: np.ndarray) -> tuple:
+    return values.dtype.str, values.shape, values.tobytes()
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelRanking:
     """Per-layer channel importance scores and the derived ordering.
 
@@ -50,6 +54,10 @@ class ChannelRanking:
     order:
         Mapping from layer name to channel indices sorted by decreasing
         importance -- the reordering applied before partitioning.
+
+    Both mappings hold read-only copies of the arrays given, and a ranking
+    compares and hashes by content: its network name, its layer names in
+    order, and each layer's scores and order by dtype, shape and bytes.
     """
 
     network_name: str
@@ -68,6 +76,33 @@ class ChannelRanking:
                 raise ConfigurationError(
                     f"scores for layer {layer_name!r} must sum to 1.0"
                 )
+        # Read-only copies: no later write, to the caller's arrays or to
+        # these, may change a ranking that was compared or hashed.
+        for name in ("scores", "order"):
+            arrays = {key: np.array(values) for key, values in getattr(self, name).items()}
+            object.__setattr__(self, name, arrays)
+        self.__setstate__({})
+
+    def __setstate__(self, state: dict) -> None:
+        # Also run by unpickling and deep copies, which rebuild the arrays
+        # writeable.
+        self.__dict__.update(state)
+        for values in (*self.scores.values(), *self.order.values()):
+            values.flags.writeable = False
+
+    def _content(self) -> tuple:
+        return self.network_name, tuple(
+            (name, _array_content(self.scores[name]), _array_content(self.order[name]))
+            for name in self.scores
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
 
     def layer_names(self) -> Tuple[str, ...]:
         """Names of all ranked layers."""

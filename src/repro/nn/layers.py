@@ -52,6 +52,13 @@ _ACCOUNTING = (
 )
 
 
+def _count(elements):
+    """Whole elements, truncated: an ``int`` of a number, ``int64`` of an array."""
+    if isinstance(elements, np.ndarray):
+        return elements.astype(np.int64)
+    return int(elements)
+
+
 def _check_units(layer_name: str, width: int, in_width: int, in_units: int, out_units: int) -> None:
     if not 0 < out_units <= width:
         raise ConfigurationError(
@@ -84,14 +91,15 @@ class Layer:
 
     Each public accounting method (:meth:`flops`, :meth:`params`,
     :meth:`input_elements`, :meth:`output_elements`) resolves its units once
-    and delegates to a private formula on resolved ints (``_flops`` ...),
+    and delegates to a private formula on resolved units (``_flops`` ...),
     which the built-in kinds implement.  A subclass may instead override the
     public methods (or :meth:`resolve_units`); :meth:`_slice` then prices its
-    slices through them.  Each built-in kind also writes its formulas on
-    whole arrays of units (``_formula_arrays``), which the exact oracle uses
-    for that exact class only, once per pricing pass for all of its layers
-    (:class:`~repro.perf.layer_cost.LayerArrays`): a subclass is priced pair
-    by pair through :meth:`_slice`.
+    slices through them.  The built-in kinds write each formula once, for
+    ints and int64 unit arrays alike, and opt in to array pricing
+    (``_array_formulas``): the exact oracle reads their ``_terms`` once per
+    pricing pass for all layers of that exact class
+    (:class:`~repro.perf.layer_cost.LayerArrays`).  A subclass, or a kind
+    that does not opt in, is priced pair by pair through :meth:`_slice`.
     """
 
     name: str
@@ -108,7 +116,8 @@ class Layer:
             cls.kind = cls.__name__.removesuffix("Layer").lower()
         if any(name in vars(cls) for name in _ACCOUNTING):
             cls._priced_by_formulas = False
-        cls._array_formulas = "_formula_arrays" in vars(cls)
+        # Opted in per class: a subclass does not inherit it.
+        cls._array_formulas = vars(cls).get("_array_formulas", False)
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -155,6 +164,8 @@ class Layer:
         return self.input_elements(in_units) * BYTES_PER_ELEMENT
 
     # -- formulas on resolved units ----------------------------------------------
+    # Each takes resolved ints, or, for a kind that opts in to array pricing,
+    # int64 arrays of checked units; element counts are then int64 arrays.
     def _flops(self, in_u: int, out_u: int) -> float:
         raise NotImplementedError
 
@@ -167,6 +178,19 @@ class Layer:
     def _input_elements(self, in_u: int) -> int:
         raise NotImplementedError
 
+    def _terms(self, in_u, out_u) -> tuple:
+        """``(flops, input_elements, output_elements, params)`` of resolved units.
+
+        On arrays ``self`` may be a stand-in of its class whose attributes
+        hold one element per pair, so one call prices many layers' slices.
+        """
+        return (
+            self._flops(in_u, out_u),
+            self._input_elements(in_u),
+            self._output_elements(out_u),
+            self._params(in_u, out_u),
+        )
+
     def _slice(
         self, in_units: int | None, out_units: int | None
     ) -> Tuple[float, int, int, float]:
@@ -178,30 +202,14 @@ class Layer:
         """
         in_u, out_u = self.resolve_units(in_units, out_units)
         if self._priced_by_formulas:
-            return (
-                self._flops(in_u, out_u),
-                self._input_elements(in_u) * BYTES_PER_ELEMENT,
-                self._output_elements(out_u) * BYTES_PER_ELEMENT,
-                self._params(in_u, out_u),
-            )
+            flops, inputs, outputs, params = self._terms(in_u, out_u)
+            return flops, inputs * BYTES_PER_ELEMENT, outputs * BYTES_PER_ELEMENT, params
         return (
             self.flops(in_units=in_u, out_units=out_u),
             self.input_bytes(in_u),
             self.output_bytes(out_u),
             self.params(in_units=in_u, out_units=out_u),
         )
-
-    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """``(flops, input_elements, output_elements, params)`` of checked unit arrays.
-
-        Each element is the number the scalar formulas give its units.  The
-        formulas read the layer's attributes, which may themselves be arrays
-        with one element per pair: a stand-in of the class whose every
-        attribute holds the attributes of many layers of it, so one call
-        prices the slices of all of them, each with the same float
-        operations.
-        """
-        raise NotImplementedError
 
     def resolve_units(self, in_units: int | None, out_units: int | None) -> Tuple[int, int]:
         """Fill in defaults and validate a ``(in_units, out_units)`` pair."""
@@ -240,6 +248,7 @@ class Conv2dLayer(Layer):
     in_spatial: Tuple[int, int] = (32, 32)
     out_spatial: Tuple[int, int] = (32, 32)
     groups: int = 1
+    _array_formulas = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -274,21 +283,11 @@ class Conv2dLayer(Layer):
 
     def _output_elements(self, out_u: int) -> int:
         height, width = self.out_spatial
-        return int(out_u * height * width)
+        return _count(out_u * height * width)
 
     def _input_elements(self, in_u: int) -> int:
         height, width = self.in_spatial
-        return int(in_u * height * width)
-
-    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
-        in_height, in_width = self.in_spatial
-        out_height, out_width = self.out_spatial
-        return (
-            self._flops(in_u, out_u),
-            (in_u * in_height * in_width).astype(np.int64),
-            (out_u * out_height * out_width).astype(np.int64),
-            self._params(in_u, out_u),
-        )
+        return _count(in_u * height * width)
 
 
 @dataclass(frozen=True)
@@ -301,6 +300,7 @@ class LinearLayer(Layer):
     """
 
     tokens: int = 1
+    _array_formulas = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -314,18 +314,10 @@ class LinearLayer(Layer):
         return in_u * out_u + out_u
 
     def _output_elements(self, out_u: int) -> int:
-        return int(self.tokens * out_u)
+        return _count(self.tokens * out_u)
 
     def _input_elements(self, in_u: int) -> int:
-        return int(self.tokens * in_u)
-
-    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return (
-            self._flops(in_u, out_u),
-            (self.tokens * in_u).astype(np.int64),
-            (self.tokens * out_u).astype(np.int64),
-            self._params(in_u, out_u),
-        )
+        return _count(self.tokens * in_u)
 
 
 @dataclass(frozen=True)
@@ -341,6 +333,7 @@ class AttentionLayer(Layer):
 
     tokens: int = 64
     num_heads: int = 6
+    _array_formulas = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -375,18 +368,10 @@ class AttentionLayer(Layer):
         return qkv + projection
 
     def _output_elements(self, out_u: int) -> int:
-        return int(self.tokens * out_u)
+        return _count(self.tokens * out_u)
 
     def _input_elements(self, in_u: int) -> int:
-        return int(self.tokens * in_u)
-
-    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return (
-            self._flops(in_u, out_u),
-            (self.tokens * in_u).astype(np.int64),
-            (self.tokens * out_u).astype(np.int64),
-            self._params(in_u, out_u),
-        )
+        return _count(self.tokens * in_u)
 
 
 @dataclass(frozen=True)
@@ -401,6 +386,7 @@ class FeedForwardLayer(Layer):
 
     tokens: int = 64
     expansion: float = 4.0
+    _array_formulas = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -416,30 +402,25 @@ class FeedForwardLayer(Layer):
         _, out_u = self.resolve_units(None, out_units)
         return max(1, int(round(out_u * self.expansion)))
 
+    def _hidden(self, out_u):
+        """:meth:`hidden_units` of resolved ``out_u``; on an array, rounded
+        half to even, as ``round`` rounds."""
+        if isinstance(out_u, np.ndarray):
+            return np.maximum(np.rint(out_u * self.expansion).astype(np.int64), 1)
+        return self.hidden_units(out_u)
+
     def _flops(self, in_u: int, out_u: int) -> float:
-        hidden = self.hidden_units(out_u)
+        hidden = self._hidden(out_u)
         first = 2.0 * self.tokens * in_u * hidden
         second = 2.0 * self.tokens * hidden * out_u
         return (first + second) * self.fused_overhead
 
     def _params(self, in_u: int, out_u: int) -> float:
-        hidden = self.hidden_units(out_u)
+        hidden = self._hidden(out_u)
         return in_u * hidden + hidden + hidden * out_u + out_u
 
     def _output_elements(self, out_u: int) -> int:
-        return int(self.tokens * out_u)
+        return _count(self.tokens * out_u)
 
     def _input_elements(self, in_u: int) -> int:
-        return int(self.tokens * in_u)
-
-    def _formula_arrays(self, in_u: np.ndarray, out_u: np.ndarray) -> Tuple[np.ndarray, ...]:
-        # hidden_units on an array: round half to even, as round() does.
-        hidden = np.maximum(np.rint(out_u * self.expansion).astype(np.int64), 1)
-        first = 2.0 * self.tokens * in_u * hidden
-        second = 2.0 * self.tokens * hidden * out_u
-        return (
-            (first + second) * self.fused_overhead,
-            (self.tokens * in_u).astype(np.int64),
-            (self.tokens * out_u).astype(np.int64),
-            in_u * hidden + hidden + hidden * out_u + out_u,
-        )
+        return _count(self.tokens * in_u)

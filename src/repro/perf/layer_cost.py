@@ -13,14 +13,15 @@ The exact oracle prices a batch of slices at once: :func:`workload_arrays`
 and :meth:`AnalyticalCostModel.latencies_ms` give, element for element, the
 floats :meth:`LayerWorkload.from_layer` and
 :meth:`AnalyticalCostModel.latency_ms` give for one slice, which is how
-every other cost model is asked.  Each built-in layer kind's formulas run
-once per batch, on the attributes of all of its layers
-(:class:`LayerArrays`).
+every other cost model is asked.  Each built-in layer kind's formulas, the
+same ones a single slice takes, run once per batch, on the attributes of
+all of its layers (:class:`LayerArrays`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, Tuple, Union, runtime_checkable
 
@@ -115,13 +116,14 @@ class LayerWorkload:
 class LayerArrays:
     """What :func:`workload_arrays` reads of each position of ``layers``, gathered once.
 
-    Every position's width, input width and kind, and for each built-in
-    kind (an exact class with its own ``_formula_arrays``) the attributes of
-    its layers: an attribute every one of them holds alike (by ``repr``, so
-    ``1`` and ``1.0`` differ) stays that Python value, any other becomes an
-    array over the layers (a pair of ints a pair of arrays).  A table keeps
-    one for as long as it prices the same layers.  Any other class is priced
-    pair by pair through its :meth:`~repro.nn.layers.Layer._slice`.
+    Every position's width, input width and kind, and for each class that
+    opts in to array pricing (the four built-in kinds, exact classes only)
+    the attributes of its layers: an attribute every one of them holds alike
+    (by ``repr``, so ``1`` and ``1.0`` differ) stays that Python value, any
+    other becomes an array over the layers (a pair of ints a pair of
+    arrays).  A table keeps one for as long as it prices the same layers.
+    Any other class is priced pair by pair through its
+    :meth:`~repro.nn.layers.Layer._slice`.
     """
 
     def __init__(self, layers: Sequence[Layer]) -> None:
@@ -158,12 +160,13 @@ class LayerArrays:
     def formula_terms(
         self, positions: np.ndarray, in_units: np.ndarray, out_units: np.ndarray
     ) -> Iterator[Tuple[np.ndarray, Tuple[np.ndarray, ...]]]:
-        """``(selected, terms)`` of every built-in class among the slices.
+        """``(selected, terms)`` of every array-priced class among the slices.
 
         ``selected`` indexes the slices at that class's positions, and
         ``terms`` holds their ``(flops, input_elements, output_elements,
-        params)`` from one call of the class's formulas on a stand-in of the
-        class whose attributes are those of the slices' layers.
+        params)`` from one ``_terms`` call on their unit arrays, made on a
+        stand-in of the class whose attributes are those of the slices'
+        layers.
         """
         for cls, member, shared, varying in self.classes:
             selected = np.flatnonzero(member[positions])
@@ -180,7 +183,7 @@ class LayerArrays:
                         if isinstance(values, tuple)
                         else values[rank]
                     )
-            yield selected, stand_in._formula_arrays(in_units[selected], out_units[selected])
+            yield selected, stand_in._terms(in_units[selected], out_units[selected])
 
 
 def workload_arrays(
@@ -192,8 +195,8 @@ def workload_arrays(
     """``flops`` and ``total_bytes`` of ``LayerWorkload.from_layer(layers[p], i, o)`` per slice.
 
     The slices are ``(positions[k], in_units[k], out_units[k])``, sorted by
-    position; ``layers`` may be given as their :class:`LayerArrays`.  A
-    built-in kind's units are checked as
+    position; ``layers`` may be given as their :class:`LayerArrays`.  An
+    array-priced class's units are checked as
     :meth:`~repro.nn.layers.Layer.resolve_units` checks them, all at once,
     and the slices of all of its layers take its formulas in one call on
     the unit arrays; any other class's slices are priced pair by pair,
@@ -324,8 +327,9 @@ class NoisyCostModel:
         noise_std: float = 0.05,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
-        if noise_std < 0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
+        # Written so that a NaN fails it too.
+        if not 0 <= noise_std < math.inf:
+            raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std}")
         self._base = base if base is not None else AnalyticalCostModel()
         self._noise_std = noise_std
         self._rng = as_rng(seed)

@@ -52,15 +52,17 @@ class SearchConstraints:
     feature_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.latency_target_ms is not None and self.latency_target_ms <= 0:
+        # Each check is written so that a NaN fails it too: a NaN bound
+        # would never be violated.
+        if self.latency_target_ms is not None and not self.latency_target_ms > 0:
             raise ValueError("latency_target_ms must be positive")
-        if self.energy_target_mj is not None and self.energy_target_mj <= 0:
+        if self.energy_target_mj is not None and not self.energy_target_mj > 0:
             raise ValueError("energy_target_mj must be positive")
         if self.max_reuse_fraction is not None:
             check_fraction(self.max_reuse_fraction, "max_reuse_fraction")
-        if self.max_accuracy_drop is not None and self.max_accuracy_drop < 0:
+        if self.max_accuracy_drop is not None and not self.max_accuracy_drop >= 0:
             raise ValueError("max_accuracy_drop must be >= 0")
-        if self.feature_budget_bytes is not None and self.feature_budget_bytes <= 0:
+        if self.feature_budget_bytes is not None and not self.feature_budget_bytes > 0:
             raise ValueError("feature_budget_bytes must be positive")
 
     def violations(

@@ -40,13 +40,17 @@ arrivals and task completions as the reference this replay is pinned
 against, float for float.
 
 The replay hands over an unboxed :class:`RequestColumns` store that derives
-each of its two forms on first read.  The float block
-:func:`~repro.serving.metrics.compute_metrics` reduces is seven numpy rows,
-each one elementwise IEEE operation on the loop's lists and each plan's
-per-stage tables; the tuples (one per :class:`RequestRecord` field) are
-boxed from the loop's own values, as :attr:`ServingResult.records` builds
-the records (trace export, fleet pooling).  A replay that is only reduced
-boxes nothing, and one that is only boxed derives no block.
+each of its two forms on first read, both from one derivation of each
+request's numbers as arrays: exit stage, correctness, service and energy
+gathered from the plans that served it, latency as completion minus
+arrival, queueing, and the deadline and its miss (no deadline reads as
+NaN), each one elementwise IEEE operation.  The float block
+:func:`~repro.serving.metrics.compute_metrics` reduces stacks seven of them;
+the tuples (one per :class:`RequestRecord` field, as
+:attr:`ServingResult.records` builds the records for trace export and fleet
+pooling) hold their ``.tolist()`` values beside the requests' own arrivals,
+deadlines and tenants and the loop's completions.  A replay that is only
+reduced boxes nothing, and one that is only boxed derives no block.
 
 Determinism: identical seed + scenario + policy replays the identical event
 sequence; the exported JSONL trace is byte-identical across runs.
@@ -453,56 +457,60 @@ class TrafficSimulator:
         stops = [start for start, _ in segments[1:]] + [len(ordered)]
         default = self.deadline_ms
 
-        def rows() -> np.ndarray:
-            # The float block compute_metrics reduces.  Each row is one
-            # elementwise IEEE operation on the values the boxed columns
-            # hold, so it equals the floats those columns convert to.
+        def deadlines(missing) -> list:
+            # Each request's deadline, ``missing`` where it has none.
+            return [
+                missing if request.deadline_ms is None else request.deadline_ms
+                for request in ordered
+            ]
+
+        def numbers():
+            # Each request's numbers as arrays, each one elementwise IEEE
+            # operation on the loop's values and the plans' per-stage tables:
+            # the float block's rows, then the exit stages and service times.
             stage, correct, service, energy = _exits_and_costs(segments, stops)
             # No deadline reads as NaN: none to have, none to miss.  (Written
             # as NaN, not None, which numpy converts on a slow path.)
-            fill = float("nan") if default is None else default
-            deadline = np.array(
-                [
-                    fill if request.deadline_ms is None else request.deadline_ms
-                    for request in ordered
-                ],
-                dtype=float,
-            )
+            deadline = np.array(deadlines(float("nan") if default is None else default), float)
             latency = completions - arrivals
-            return np.array(
-                (
-                    latency,
-                    latency - service,
-                    energy,
-                    stage + 1,
-                    correct,
-                    deadline == deadline,
-                    latency > deadline,
-                ),
-                dtype=float,
+            block = (
+                latency,
+                latency - service,
+                energy,
+                stage + 1,
+                correct,
+                deadline == deadline,
+                latency > deadline,
             )
+            return block, stage, service
+
+        def rows() -> np.ndarray:
+            # The float block compute_metrics reduces.
+            return np.array(numbers()[0], dtype=float)
 
         def box() -> RequestColumns:
-            # The tuples, from the loop's own lists and the plans' Python
-            # values, so every entry keeps the type the loop wrote.
-            exit_stage, hits, service_ms, energy_mj, deployment_names = [], [], [], [], []
+            # The arrays' Python values; the requests' own arrivals and
+            # deadlines keep their objects (an int stays an int).
+            block, stage, service = numbers()
+            latency, queueing, energy, stages, correct, _, missed = block
+            names = []
             for (start, plan), stop in zip(segments, stops):
-                stages = plan.exits[start:stop]
-                exit_stage += stages
-                hits += plan.correct[start:stop].tolist()
-                service_ms += [plan.service_at[stage] for stage in stages]
-                energy_mj += [plan.energy_at[stage] for stage in stages]
-                deployment_names += [plan.deployment.name] * (stop - start)
-            return _request_columns(
-                ordered,
-                default,
-                arrival_ms=arrival_ms,
-                completion_ms=completion_ms,
-                service_ms=service_ms,
-                exit_stage=exit_stage,
-                deployment=deployment_names,
-                correct=hits,
-                energy_mj=energy_mj,
+                names += [plan.deployment.name] * (stop - start)
+            return RequestColumns(
+                index=tuple(range(len(ordered))),
+                tenant=tuple([request.tenant for request in ordered]),
+                arrival_ms=tuple(arrival_ms),
+                completion_ms=tuple(completion_ms),
+                latency_ms=tuple(latency.tolist()),
+                service_ms=tuple(service.tolist()),
+                queueing_ms=tuple(queueing.tolist()),
+                exit_stage=tuple(stage.tolist()),
+                num_stages=tuple(stages.tolist()),
+                deployment=tuple(names),
+                correct=tuple(correct.tolist()),
+                energy_mj=tuple(energy.tolist()),
+                deadline_ms=tuple(deadlines(default)),
+                deadline_missed=tuple(missed.tolist()),
             )
 
         return (
@@ -520,49 +528,6 @@ class TrafficSimulator:
                     f"deployment {deployment.name!r} maps a stage to unknown "
                     f"compute unit {name!r} on platform {self.platform.name!r}"
                 )
-
-
-def _request_columns(
-    ordered: Sequence[Request],
-    default_deadline_ms: Optional[float],
-    *,
-    arrival_ms: Sequence[float],
-    completion_ms: Sequence[float],
-    service_ms: Sequence[float],
-    exit_stage: Sequence[int],
-    deployment: Sequence[str],
-    correct: Sequence[bool],
-    energy_mj: Sequence[float],
-) -> RequestColumns:
-    """The boxed request store of one replay, rows in request-index order."""
-    latency_ms = [done - arrival for done, arrival in zip(completion_ms, arrival_ms)]
-    deadline_ms = [
-        default_deadline_ms if request.deadline_ms is None else request.deadline_ms
-        for request in ordered
-    ]
-    return RequestColumns(
-        index=tuple(range(len(ordered))),
-        tenant=tuple([request.tenant for request in ordered]),
-        arrival_ms=tuple(arrival_ms),
-        completion_ms=tuple(completion_ms),
-        latency_ms=tuple(latency_ms),
-        service_ms=tuple(service_ms),
-        queueing_ms=tuple(
-            [latency - service for latency, service in zip(latency_ms, service_ms)]
-        ),
-        exit_stage=tuple(exit_stage),
-        num_stages=tuple([stage + 1 for stage in exit_stage]),
-        deployment=tuple(deployment),
-        correct=tuple(correct),
-        energy_mj=tuple(energy_mj),
-        deadline_ms=tuple(deadline_ms),
-        deadline_missed=tuple(
-            [
-                deadline is not None and latency > deadline
-                for latency, deadline in zip(latency_ms, deadline_ms)
-            ]
-        ),
-    )
 
 
 def _exits_and_costs(segments, stops):

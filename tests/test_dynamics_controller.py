@@ -82,6 +82,12 @@ class TestThresholdExitController:
         )
         assert noisy.accuracy <= clean.accuracy + 0.02
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_a_nan_or_infinite_confidence_noise_is_rejected(self, noise):
+        # A NaN noise would send every sample to the last stage.
+        with pytest.raises(ConfigurationError, match="confidence_noise"):
+            ThresholdExitController(confidence_noise=noise)
+
     def test_invalid_parameters_rejected(self, stage_accuracies, profile):
         with pytest.raises(ConfigurationError):
             ThresholdExitController(threshold=1.5)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.channels import ChannelRanking, rank_channels
+from repro.nn.multiexit import build_dynamic_network
+from repro.search.space import SearchSpace
 
 
 class TestRankChannels:
@@ -98,3 +103,56 @@ class TestChannelRankingValidation:
         order = {"a": np.array([1, 0])}
         with pytest.raises(ConfigurationError):
             ChannelRanking(network_name="x", scores=scores, order=order)
+
+
+class TestChannelRankingContent:
+    """A ranking compares and hashes by content, and its arrays cannot change."""
+
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deep"]
+    )
+    def test_a_round_trip_compares_and_hashes_equal(self, visformer_ranking, clone):
+        again = clone(visformer_ranking)
+        assert again is not visformer_ranking
+        assert again == visformer_ranking and hash(again) == hash(visformer_ranking)
+        for values in (*again.scores.values(), *again.order.values()):
+            assert not values.flags.writeable
+
+    def test_changed_scores_compare_unequal(self, visformer_ranking):
+        name = visformer_ranking.layer_names()[3]
+        scores = {**visformer_ranking.scores, name: visformer_ranking.scores[name][::-1]}
+        changed = ChannelRanking(visformer_ranking.network_name, scores, visformer_ranking.order)
+        assert changed != visformer_ranking
+        renamed = ChannelRanking("other", visformer_ranking.scores, visformer_ranking.order)
+        assert renamed != visformer_ranking
+        same = ChannelRanking(
+            visformer_ranking.network_name,
+            dict(visformer_ranking.scores),
+            dict(visformer_ranking.order),
+        )
+        assert same == visformer_ranking and hash(same) == hash(visformer_ranking)
+
+    def test_arrays_are_read_only_copies(self):
+        scores = {"a": np.array([0.25, 0.75])}
+        order = {"a": np.array([1, 0])}
+        ranking = ChannelRanking(network_name="x", scores=scores, order=order)
+        before = hash(ranking)
+        scores["a"][:] = [0.75, 0.25]
+        order["a"][:] = [0, 1]
+        assert ranking.scores["a"].tolist() == [0.25, 0.75]
+        assert ranking.order["a"].tolist() == [1, 0]
+        assert hash(ranking) == before
+        with pytest.raises(ValueError):
+            ranking.scores["a"][0] = 1.0
+
+    def test_two_views_of_a_ranking_and_its_copy_compare_equal(
+        self, visformer_net, visformer_ranking, platform
+    ):
+        config = SearchSpace(visformer_net, platform).sample(0)
+        views = [
+            build_dynamic_network(
+                visformer_net, config.partition, config.indicator, ranking=ranking
+            )
+            for ranking in (visformer_ranking, pickle.loads(pickle.dumps(visformer_ranking)))
+        ]
+        assert views[0] == views[1]

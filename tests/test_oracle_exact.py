@@ -1905,14 +1905,13 @@ class TestPricingPerLayerKind:
         gathered = LayerArrays(layers)
         # One formula call per layer kind prices every slice.
         calls = []
-        for cls in {type(layer) for layer in layers}:
-            real = vars(cls)["_formula_arrays"]
+        real = Layer._terms
 
-            def counted(self, in_u, out_u, real=real, cls=cls):
-                calls.append(cls)
-                return real(self, in_u, out_u)
+        def counted(self, in_u, out_u):
+            calls.append(type(self))
+            return real(self, in_u, out_u)
 
-            monkeypatch.setattr(cls, "_formula_arrays", counted)
+        monkeypatch.setattr(Layer, "_terms", counted)
         flops, total_bytes = workload_arrays(gathered, positions, in_units, out_units)
         monkeypatch.undo()
         assert sorted(cls.__name__ for cls in calls) == sorted(
@@ -1951,6 +1950,113 @@ class TestPricingPerLayerKind:
             )
             assert_identical(flops[index].item(), float(expected.flops))
             assert_identical(total_bytes[index].item(), expected.total_bytes)
+
+
+def every_slice(layers):
+    """Every ``(position, in_units, out_units)`` of ``layers``, as sorted slice arrays."""
+    slices = [
+        (position, in_units, out_units)
+        for position, layer in enumerate(layers)
+        for in_units in range(1, layer.in_width + 1)
+        for out_units in range(1, layer.width + 1)
+    ]
+    return tuple(np.array(column) for column in zip(*slices))
+
+
+def assert_priced_as_single_slices(layers, positions, in_units, out_units):
+    """``workload_arrays`` equals ``from_layer`` (and the parent's per-method
+    accounting, for a built-in kind) on every slice, by ``==`` and ``repr``."""
+    flops, total_bytes = workload_arrays(layers, positions, in_units, out_units)
+    for index, position in enumerate(positions.tolist()):
+        pair = (layers[position], int(in_units[index]), int(out_units[index]))
+        expected = [LayerWorkload.from_layer(*pair)]
+        if type(pair[0]) in PARENT_LAYERS:
+            expected.append(reference_from_layer(*pair))
+        for workload in expected:
+            assert_identical(flops[index].item(), workload.flops)
+            assert_identical(total_bytes[index].item(), workload.total_bytes)
+
+
+@dataclass(frozen=True)
+class ScalarFormulaLayer(Layer):
+    """A user kind that writes the four formulas on ints and does not opt in."""
+
+    def _flops(self, in_u, out_u):
+        return 3.0 * in_u * out_u
+
+    def _params(self, in_u, out_u):
+        return float(in_u + out_u)
+
+    def _output_elements(self, out_u):
+        return int(5 * out_u)
+
+    def _input_elements(self, in_u):
+        return int(7 * in_u)
+
+
+class TestOneFormulaPerKind:
+    """Each kind's formulas, written once, price ints and arrays alike."""
+
+    def test_float_attributes_truncate_counts_alike(self):
+        layers = (
+            Conv2dLayer(
+                name="c0", width=6, in_width=5, in_spatial=(7.5, 3.3), out_spatial=(2.5, 5.1)
+            ),
+            Conv2dLayer(
+                name="c1", width=4, in_width=6, in_spatial=(6, 6), out_spatial=(1.7, 2.9)
+            ),
+            LinearLayer(name="l0", width=5, in_width=4, tokens=3.5),
+            LinearLayer(name="l1", width=4, in_width=5, tokens=3),
+            AttentionLayer(name="a0", width=6, in_width=4, tokens=2.75, num_heads=3),
+            AttentionLayer(name="a1", width=6, in_width=6, tokens=5.3, num_heads=2),
+            FeedForwardLayer(name="f0", width=5, in_width=6, tokens=4.6, expansion=1.3),
+            FeedForwardLayer(name="f1", width=6, in_width=5, tokens=1.1),
+        )
+        # Each pair of a kind differs in its float attributes, so they reach
+        # the formulas as arrays, and one layer of each kind alone as values.
+        assert_priced_as_single_slices(layers, *every_slice(layers))
+        for layer in layers[::2]:
+            assert_priced_as_single_slices((layer,), *every_slice((layer,)))
+        assert LayerWorkload.from_layer(layers[2], 3, 3).output_bytes == 2.0 * int(3.5 * 3)
+
+    def test_hidden_widths_on_a_half_round_to_even(self):
+        layer = FeedForwardLayer(name="f", width=9, in_width=4, tokens=3, expansion=2.5)
+        # 1, 3, 5, 7 and 9 units land on 2.5, 7.5, 12.5, 17.5 and 22.5.
+        assert [layer.hidden_units(units) for units in (1, 3, 5, 7, 9)] == [2, 8, 12, 18, 22]
+        assert_priced_as_single_slices((layer,), *every_slice((layer,)))
+        wider = replace(layer, name="g", tokens=5)
+        assert_priced_as_single_slices((layer, wider), *every_slice((layer, wider)))
+
+    def test_a_kind_that_does_not_opt_in_is_priced_pair_by_pair(self, monkeypatch):
+        user = ScalarFormulaLayer(name="u", width=4, in_width=3)
+        layers = (
+            Conv2dLayer(name="c", width=5, in_width=3),
+            user,
+            LinearLayer(name="l", width=3, in_width=4),
+        )
+        assert [layer._array_formulas for layer in layers] == [True, False, True]
+        assert not DoubledConv2dLayer._array_formulas
+        positions, in_units, out_units = every_slice(layers)
+        calls = []
+        real = Layer._terms
+
+        def counted(self, in_u, out_u):
+            calls.append((type(self), type(in_u), type(out_u)))
+            return real(self, in_u, out_u)
+
+        monkeypatch.setattr(Layer, "_terms", counted)
+        flops, _ = workload_arrays(layers, positions, in_units, out_units)
+        monkeypatch.undo()
+        # One array call per opted-in kind, one int call per slice of the other.
+        mine = positions == 1
+        assert calls == [
+            (Conv2dLayer, np.ndarray, np.ndarray),
+            (LinearLayer, np.ndarray, np.ndarray),
+        ] + [(ScalarFormulaLayer, int, int)] * int(mine.sum())
+        assert flops[mine].tolist() == [
+            3.0 * i * o for i, o in zip(in_units[mine].tolist(), out_units[mine].tolist())
+        ]
+        assert_priced_as_single_slices(layers, positions, in_units, out_units)
 
 
 @st.composite

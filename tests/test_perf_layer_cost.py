@@ -154,3 +154,8 @@ class TestNoisyCostModel:
     def test_invalid_noise_rejected(self):
         with pytest.raises(ConfigurationError):
             NoisyCostModel(noise_std=-0.1)
+
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_a_nan_or_infinite_noise_is_rejected(self, noise_std):
+        with pytest.raises(ConfigurationError, match="noise_std"):
+            NoisyCostModel(noise_std=noise_std)

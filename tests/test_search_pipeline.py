@@ -141,6 +141,15 @@ class TestConstraints:
         with pytest.raises(ValueError):
             SearchConstraints(max_accuracy_drop=-0.1)
 
+    @pytest.mark.parametrize(
+        "bound",
+        ["latency_target_ms", "energy_target_mj", "max_accuracy_drop", "feature_budget_bytes"],
+    )
+    def test_a_nan_bound_is_rejected(self, bound):
+        # A NaN bound is never violated, so it would silently accept all.
+        with pytest.raises(ValueError, match=bound):
+            SearchConstraints(**{bound: float("nan")})
+
 
 class TestOperators:
     def test_mutate_returns_valid_config(self, tiny_space):

@@ -16,7 +16,7 @@ import heapq
 import pickle
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -53,7 +53,7 @@ from repro.serving import (
     simulate_deployment,
     simulate_fleet,
 )
-from repro.serving.simulator import RequestColumns, _request_columns
+from repro.serving.simulator import RequestColumns
 from repro.soc import mobile_big_little
 from repro.soc.platform import jetson_agx_xavier
 from repro.utils import as_rng
@@ -481,7 +481,9 @@ class TestBridge:
 # -- the event-heap reference ---------------------------------------------------------
 # An event heap of arrivals and task completions, popped in time order with
 # arrivals first at equal times, that asks the policy at every arrival.  It is
-# the simulator's earlier general-purpose loop, kept verbatim.
+# the simulator's earlier general-purpose loop, kept verbatim, and it builds
+# its store with the simulator's earlier tuple code, also kept verbatim, from
+# the loop's Python values.
 
 
 @dataclass
@@ -504,6 +506,49 @@ class _RequestState:
     critical_service_ms: float
     remaining_tasks: int
     completion_ms: float = 0.0
+
+
+def _request_columns(
+    ordered: Sequence[Request],
+    default_deadline_ms: Optional[float],
+    *,
+    arrival_ms: Sequence[float],
+    completion_ms: Sequence[float],
+    service_ms: Sequence[float],
+    exit_stage: Sequence[int],
+    deployment: Sequence[str],
+    correct: Sequence[bool],
+    energy_mj: Sequence[float],
+) -> RequestColumns:
+    """The boxed request store of one replay, rows in request-index order."""
+    latency_ms = [done - arrival for done, arrival in zip(completion_ms, arrival_ms)]
+    deadline_ms = [
+        default_deadline_ms if request.deadline_ms is None else request.deadline_ms
+        for request in ordered
+    ]
+    return RequestColumns(
+        index=tuple(range(len(ordered))),
+        tenant=tuple([request.tenant for request in ordered]),
+        arrival_ms=tuple(arrival_ms),
+        completion_ms=tuple(completion_ms),
+        latency_ms=tuple(latency_ms),
+        service_ms=tuple(service_ms),
+        queueing_ms=tuple(
+            [latency - service for latency, service in zip(latency_ms, service_ms)]
+        ),
+        exit_stage=tuple(exit_stage),
+        num_stages=tuple([stage + 1 for stage in exit_stage]),
+        deployment=tuple(deployment),
+        correct=tuple(correct),
+        energy_mj=tuple(energy_mj),
+        deadline_ms=tuple(deadline_ms),
+        deadline_missed=tuple(
+            [
+                deadline is not None and latency > deadline
+                for latency, deadline in zip(latency_ms, deadline_ms)
+            ]
+        ),
+    )
 
 
 def _replay_events(self, ordered: Sequence[Request], difficulties: Sequence[float]):
