@@ -30,7 +30,7 @@ from typing import Iterable
 
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
-from ..utils import check_fraction, check_non_negative
+from ..utils import check_fraction, check_non_negative, check_positive
 
 __all__ = ["AccuracyModel"]
 
@@ -80,8 +80,8 @@ class AccuracyModel:
             )
 
     def __post_init__(self) -> None:
-        if self.redundancy is not None and self.redundancy <= 0:
-            raise ConfigurationError(f"redundancy must be > 0, got {self.redundancy}")
+        if self.redundancy is not None:
+            check_positive(self.redundancy, "redundancy")
         if self.exit_bonus is not None:
             check_non_negative(self.exit_bonus, "exit_bonus")
         check_fraction(self.exit_penalty, "exit_penalty")

@@ -18,6 +18,7 @@ operations into the preceding kernel on the Jetson platform used by the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar, Tuple
 
@@ -120,15 +121,20 @@ class Layer:
         cls._array_formulas = vars(cls).get("_array_formulas", False)
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ConfigurationError(f"layer {self.name!r}: width must be >= 1, got {self.width}")
-        if self.in_width < 1:
+        # Every numeric check here and in the kinds' is bounded by inf, so
+        # NaN and +-inf fail it too.
+        if not 1 <= self.width < math.inf:
             raise ConfigurationError(
-                f"layer {self.name!r}: in_width must be >= 1, got {self.in_width}"
+                f"layer {self.name!r}: width must be a finite number >= 1, got {self.width}"
             )
-        if self.fused_overhead < 1.0:
+        if not 1 <= self.in_width < math.inf:
             raise ConfigurationError(
-                f"layer {self.name!r}: fused_overhead must be >= 1.0, got {self.fused_overhead}"
+                f"layer {self.name!r}: in_width must be a finite number >= 1, got {self.in_width}"
+            )
+        if not 1.0 <= self.fused_overhead < math.inf:
+            raise ConfigurationError(
+                f"layer {self.name!r}: fused_overhead must be a finite number >= 1.0, "
+                f"got {self.fused_overhead}"
             )
 
     # -- analytical accounting -------------------------------------------------
@@ -252,14 +258,17 @@ class Conv2dLayer(Layer):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.kernel_size < 1 or self.stride < 1:
+        if not (1 <= self.kernel_size < math.inf and 1 <= self.stride < math.inf):
             raise ConfigurationError(
-                f"layer {self.name!r}: kernel_size and stride must be >= 1"
+                f"layer {self.name!r}: kernel_size and stride must be finite numbers >= 1, "
+                f"got {self.kernel_size} and {self.stride}"
             )
-        if self.groups < 1:
-            raise ConfigurationError(f"layer {self.name!r}: groups must be >= 1")
+        if not 1 <= self.groups < math.inf:
+            raise ConfigurationError(
+                f"layer {self.name!r}: groups must be a finite number >= 1, got {self.groups}"
+            )
         for dims, label in ((self.in_spatial, "in_spatial"), (self.out_spatial, "out_spatial")):
-            if len(dims) != 2 or min(dims) < 1:
+            if len(dims) != 2 or not all(1 <= dim < math.inf for dim in dims):
                 raise ConfigurationError(
                     f"layer {self.name!r}: {label} must be a pair of positive ints, got {dims!r}"
                 )
@@ -304,8 +313,10 @@ class LinearLayer(Layer):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.tokens < 1:
-            raise ConfigurationError(f"layer {self.name!r}: tokens must be >= 1")
+        if not 1 <= self.tokens < math.inf:
+            raise ConfigurationError(
+                f"layer {self.name!r}: tokens must be a finite number >= 1, got {self.tokens}"
+            )
 
     def _flops(self, in_u: int, out_u: int) -> float:
         return 2.0 * self.tokens * in_u * out_u * self.fused_overhead
@@ -337,9 +348,10 @@ class AttentionLayer(Layer):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.tokens < 1 or self.num_heads < 1:
+        if not (1 <= self.tokens < math.inf and 1 <= self.num_heads < math.inf):
             raise ConfigurationError(
-                f"layer {self.name!r}: tokens and num_heads must be >= 1"
+                f"layer {self.name!r}: tokens and num_heads must be finite numbers >= 1, "
+                f"got {self.tokens} and {self.num_heads}"
             )
         if self.width % self.num_heads != 0:
             raise ConfigurationError(
@@ -390,8 +402,10 @@ class FeedForwardLayer(Layer):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.expansion <= 0:
-            raise ConfigurationError(f"layer {self.name!r}: expansion must be > 0")
+        if not 0 < self.expansion < math.inf:
+            raise ConfigurationError(
+                f"layer {self.name!r}: expansion must be a finite number > 0, got {self.expansion}"
+            )
 
     def hidden_units(self, out_units: int | None = None) -> int:
         """Hidden width used for a slice producing ``out_units`` channels.

@@ -13,7 +13,7 @@ sub-layer and exit head receives, which the hardware model in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,8 +96,6 @@ def build_dynamic_network(
     indicator: IndicatorMatrix,
     ranking: Optional[ChannelRanking] = None,
     reorder: bool = True,
-    *,
-    splits: Optional[Dict[tuple, Tuple[int, ...]]] = None,
 ) -> DynamicNetwork:
     """The dynamic multi-exit network of a ``(P, I)`` choice, as a view.
 
@@ -114,21 +112,8 @@ def build_dynamic_network(
     reorder:
         Whether to apply importance reordering (the paper's default).  The
         ablation benches set this to ``False``.
-    splits:
-        Optional split table (a dict from ``(width, granularity, *column)``
-        to the column's integer shares), so a caller building many networks
-        splits each distinct column of ``P`` once
-        (:class:`~repro.search.evaluation.ConfigEvaluator` keeps one per
-        evaluator).  It changes no result and is not kept: the network is
-        the same with or without it.
     """
-    arrays = network_arrays(
-        network,
-        backbone_layers(network),
-        [partition],
-        [indicator],
-        {} if splits is None else splits,
-    )
+    arrays = network_arrays(network, backbone_layers(network), [partition], [indicator])
     return DynamicNetwork(
         network=network,
         partition=partition,

@@ -15,15 +15,15 @@ channel-splitting arithmetic (largest-remainder rounding constrained to each
 layer's partition granularity) that converts fractions into concrete channel
 ranges, and what every sub-layer then receives, computed on
 ``(candidates, stages, layers)`` arrays for one candidate or a whole
-generation (:func:`network_arrays`).  The view of one candidate's dynamic
-network lives in :mod:`repro.nn.multiexit`.
+generation (:func:`network_arrays`).  A batch splits every column of its
+``P`` matrices in one pass and keeps no split for the next batch.  The view
+of one candidate's dynamic network lives in :mod:`repro.nn.multiexit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,64 +147,31 @@ def _split_rows(widths: np.ndarray, granularities: np.ndarray, values: np.ndarra
     return shares * granularities[:, None]
 
 
-def _split_columns(
-    sizes: Sequence[Tuple[int, int]],
-    columns: np.ndarray,
-    splits: Dict[tuple, Tuple[int, ...]],
-) -> np.ndarray:
+def _split_columns(layers: Sequence[Layer], columns: np.ndarray) -> np.ndarray:
     """The integer shares of every column of validated ``P`` matrices.
 
-    ``sizes`` holds each layer's ``(width, partition_granularity)``,
-    ``columns`` the columns of one or more ``P`` as ``(candidates, layers,
-    stages)`` floats, and ``splits`` is a split table: a dict from
-    ``(width, granularity, *column)`` to the column's integer shares.  The
-    split reads nothing else, so one table may serve any number of
-    candidates and networks.  A column met before is read from it, and the
-    new ones are split together (:func:`_split_rows`), each distinct one
-    once, and stored.  Returns the shares, ``(candidates, layers, stages)``.
-    A column that cannot be split raises as :func:`split_units` would, once
-    the new columns before it are stored.
+    ``columns`` holds the columns of one or more ``P`` over ``layers`` as
+    ``(candidates, layers, stages)`` floats.  Every column is split in one
+    :func:`_split_rows` pass, each by its layer's width and partition
+    granularity.  Returns the shares, ``(candidates, layers, stages)``.  A
+    column that cannot be split raises as :func:`split_units` would: the
+    first one in candidate, then layer order.
     """
     num_candidates, num_layers, num_stages = columns.shape
-    keys = [
-        (width, granularity, *column)
-        for candidate in columns.tolist()
-        for (width, granularity), column in zip(sizes, candidate)
-    ]
-    get = splits.get
-    shares = [get(key) for key in keys]
-    missing: dict = {}
-    failure: Optional[PartitionError] = None
-    for index in [index for index, share in enumerate(shares) if share is None]:
-        key = keys[index]
-        if key not in missing:
-            try:
-                _check_granules(key[0], key[1], num_stages)
-            except PartitionError as error:
-                failure = error
-                break
-            missing[key] = []
-        missing[key].append(index)
-    if missing:
-        new = list(missing)
-        split = _split_rows(
-            np.array([key[0] for key in new]),
-            np.array([key[1] for key in new]),
-            np.array([key[2:] for key in new], dtype=float),
-        )
-        for key, row in zip(new, split.tolist()):
-            share = splits[key] = tuple(row)
-            for index in missing[key]:
-                shares[index] = share
-    if failure is not None:
-        raise failure
-    flat = np.fromiter(chain.from_iterable(shares), dtype=np.int64, count=len(keys) * num_stages)
-    return flat.reshape(num_candidates, num_layers, num_stages)
-
-
-def _layer_sizes(layers: Sequence[Layer]) -> List[Tuple[int, int]]:
-    """Each layer's ``(width, partition_granularity)``, what a split reads of it."""
-    return [(layer.width, layer.partition_granularity) for layer in layers]
+    sizes = [(layer.width, layer.partition_granularity) for layer in layers]
+    widths, granularities = np.array(sizes).T
+    # A column splits when whole granules fit it, one per stage; every
+    # candidate of the batch has the same stage count.
+    whole = np.maximum(granularities, 1)
+    fits = (granularities >= 1) & (widths % whole == 0) & (widths // whole >= num_stages)
+    if not fits.all():
+        _check_granules(*sizes[int(fits.argmin())], num_stages)
+    shares = _split_rows(
+        np.tile(widths, num_candidates),
+        np.tile(granularities, num_candidates),
+        columns.reshape(-1, num_stages),
+    )
+    return shares.astype(np.int64, copy=False).reshape(num_candidates, num_layers, num_stages)
 
 
 class _ContentMatrix:
@@ -390,18 +357,16 @@ def network_arrays(
     backbone: Sequence[Layer],
     partitions: Sequence[PartitionMatrix],
     indicators: Sequence[IndicatorMatrix],
-    splits: Dict[tuple, Tuple[int, ...]],
     output_bytes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> NetworkArrays:
     """The :class:`NetworkArrays` of many ``(P, I)`` pairs with one stage count.
 
-    ``backbone`` is ``network``'s and ``splits`` a split table (see
-    :func:`_split_columns`).  ``output_bytes(positions, units)`` sizes the
-    output of each backbone position at each unit count, as
+    ``backbone`` is ``network``'s.  ``output_bytes(positions, units)`` sizes
+    the output of each backbone position at each unit count, as
     ``backbone[position].output_bytes(units)`` does; ``None`` sizes each
     output through its layer.  Each pair is checked against the backbone
-    (``P`` spans it, ``I`` has ``P``'s shape), and every column is split
-    through the table, all of the new ones in one pass.
+    (``P`` spans it, ``I`` has ``P``'s shape), and every column of every
+    ``P`` is split in one pass (:func:`_split_columns`).
 
     Layer 0 of every stage reads the raw model input in full.  Later layers
     read the stage's own previous-layer output plus the previous-layer
@@ -413,7 +378,7 @@ def network_arrays(
     for partition, indicator in zip(partitions, indicators):
         _check_shapes(network, backbone, partition, indicator)
     columns = np.array([partition.values for partition in partitions]).transpose(0, 2, 1)
-    shares = _split_columns(_layer_sizes(backbone), columns, splits)
+    shares = _split_columns(backbone, columns)
     # (candidates, layers, stages) shares to (candidates, stages, layers).
     channels = np.ascontiguousarray(shares.transpose(0, 2, 1))
     reused = np.array([indicator.values for indicator in indicators]) != 0

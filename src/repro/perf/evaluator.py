@@ -13,8 +13,10 @@ into a :class:`HardwareProfile`:
 Every profile is computed on ``(candidates, stages, layers)`` arrays
 (:meth:`MappingEvaluator._profile_arrays`): a search evaluator's whole
 generation at once, or the one network of :meth:`MappingEvaluator.profile`.
-Energy totals add left to right from zero (:func:`~repro.utils._left_sum`),
-whichever Python runs them.
+On the exact oracle a batch's distinct slices are priced from its own
+arrays, and no latency is kept from one batch to the next
+(:class:`~repro.perf.schedule.SliceTable`).  Energy totals add left to right
+from zero (:func:`~repro.utils._left_sum`), whichever Python runs them.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ class MappingEvaluator:
     Each :meth:`profile` call costs its slices through a
     :class:`~repro.perf.schedule.SliceTable` that lives for that call, unless
     the evaluator keeps one for the call's network (see
-    :meth:`_keep_slice_table`): then, on the exact oracle, every slice is
-    costed once for the life of the evaluator.
+    :meth:`_keep_slice_table`): then every transfer, output size and unit
+    rate is costed once for the life of the evaluator.
     """
 
     def __init__(self, platform: Platform, cost_model: Optional[CostModel] = None) -> None:
@@ -135,7 +137,7 @@ class MappingEvaluator:
         self._table: Optional[SliceTable] = None
 
     def _keep_slice_table(self, network: NetworkGraph) -> None:
-        """Cost ``network``'s slices once for the life of this evaluator."""
+        """Keep one slice table for ``network`` for the life of this evaluator."""
         self._table_network = network
         self._table = SliceTable.for_network(self.cost_model, self.platform.interconnect, network)
 
@@ -196,7 +198,7 @@ class MappingEvaluator:
             for unit_key, unit, scale, _ in mapping
         }
         batch = schedule_batch(table, network, arrays, unit_keys, units)
-        if table.memo:
+        if table.array_pricing:
             powers = np.array([[point[3] for point in mapping] for mapping in mappings])
             energies = stage_energy_arrays(batch.taus, batch.exit_latencies, powers)
         else:

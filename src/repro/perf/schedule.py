@@ -14,10 +14,8 @@ of its last layer plus its exit head (Eq. 9), and the stall time (the waiting
 visible in Fig. 3) is reported separately for analysis.
 
 The raw latencies ``tau`` and transfers ``u`` come from a :class:`SliceTable`,
-which on the exact oracle costs each distinct layer slice once for as long as
-the table lives: one :meth:`~repro.perf.evaluator.MappingEvaluator.profile`
-call, or the whole life of the
-:class:`~repro.perf.evaluator.MappingEvaluator` a search evaluator owns.
+which on the exact oracle prices each distinct layer slice of a batch once,
+in one vectorised roofline pass, and keeps no latency between batches.
 
 Candidates of one shape are scheduled together, a search's whole generation
 or one profiled network alike (:func:`schedule_batch`):
@@ -56,14 +54,15 @@ class SliceTable:
     its key packs those integers, and the small integer ``unit_key`` of the
     (unit, DVFS point) it runs on, into one int.  Transfers of a layer's
     output are keyed by ``(position, out_units)`` the same way, and each is
-    costed once.
+    costed once for the life of the table.
 
-    Only an exact :class:`AnalyticalCostModel` is memoised: each slice's
-    latency is priced once, a batch's misses in one vectorised roofline
-    pass (one formula call per layer kind, on the layers' attributes the
-    table gathers once), and its energy is the latency times the unit's power
-    (:func:`stage_energy_arrays`).  Every other cost model (noisy, learned,
-    or a subclass) is called for each slice on each use, in key order.
+    Only an exact :class:`AnalyticalCostModel` is priced on arrays
+    (``array_pricing``): each call prices the distinct slices it is given in
+    one vectorised roofline pass (one formula call per layer kind, on the
+    layers' attributes the table gathers once), and a slice's energy is its
+    latency times the unit's power (:func:`stage_energy_arrays`).  Every
+    other cost model (noisy, learned, or a subclass) is called for each
+    slice on each use, in key order.
     """
 
     def __init__(
@@ -75,11 +74,10 @@ class SliceTable:
     ) -> None:
         self.cost_model = cost_model
         self.interconnect = interconnect
-        self.memo = type(cost_model) is AnalyticalCostModel
+        self.array_pricing = type(cost_model) is AnalyticalCostModel
         self._backbone = tuple(backbone)
         self._span = int(max_units) + 1
         self._slices = (len(backbone) + 1) * self._span * self._span
-        self._latencies: Dict[int, float] = {}
         self._transfers: Dict[int, float] = {}
         # What pricing reads of the layers it was last given, and of each
         # (unit key, layer kind).
@@ -108,27 +106,18 @@ class SliceTable:
         ``layers[position]`` is the layer at each slice position (the exit
         head one past the backbone; the slice fixes its units) and
         ``units[unit_key]`` the ``(unit, scale)`` of each unit key.  On the
-        exact oracle known keys are read, and every missing one is priced in
-        one vectorised roofline pass and stored; a per-call model is asked
-        for every key, in order.
+        exact oracle each distinct key is priced once, all in one vectorised
+        roofline pass; a per-call model is asked for every key, in order.
         """
         flat = keys.ravel()
-        if not self.memo:
+        if not self.array_pricing:
             values = [
                 float(self.cost_model.latency_ms(*self._slice(key, layers, units)))
                 for key in flat.tolist()
             ]
             return np.array(values).reshape(keys.shape)
-        get = self._latencies.get
-        # A latency is finite, so NaN (numpy's None) marks a missing key.
-        values = np.array([get(key) for key in flat.tolist()], dtype=float)
-        holes = np.isnan(values)
-        if holes.any():
-            missing = np.unique(flat[holes])
-            priced = self._price(missing, layers, units)
-            self._latencies.update(zip(missing.tolist(), priced.tolist()))
-            values[holes] = priced[np.searchsorted(missing, flat[holes])]
-        return values.reshape(keys.shape)
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        return self._price(distinct, layers, units)[inverse].reshape(keys.shape)
 
     def energies(
         self,
@@ -165,7 +154,7 @@ class SliceTable:
         layers: Sequence[Layer],
         units: Dict[int, Tuple[ComputeUnit, float]],
     ) -> np.ndarray:
-        """Latencies of the sorted, distinct, unknown ``keys`` (see :meth:`latencies`)."""
+        """Latencies of the sorted, distinct ``keys`` (see :meth:`latencies`)."""
         span = self._span
         unit_keys, slice_keys = np.divmod(keys, self._slices)
         # Each distinct slice's workload once.

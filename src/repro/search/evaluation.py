@@ -20,15 +20,15 @@ loop.
 Every evaluation runs on ``(candidates, stages, layers)`` arrays, one
 candidate or a whole generation alike.  The search scores a generation
 through ``evaluate_many``, as the paper's loop ranks a generation only once
-all of it is scored: every column of ``P`` is split through the evaluator's
-split table, and the sub-layer inputs, reused bytes, slice keys, the Eq. 8
+all of it is scored: every column of the batch's ``P`` matrices is split in
+one pass, and the sub-layer inputs, reused bytes, slice keys, the Eq. 8
 recursion, stage energies and exit coverages are computed looping over
 stages and layers and vectorised over candidates; on the exact analytical
-oracle all of a batch's slice-table misses are priced in one vectorised
-roofline pass.  The exit statistics, the expected and worst-case latency
-and energy and the reuse fractions are computed on ``(candidates, stages)``
-arrays too, and each result is built from its rows; only the accuracy
-mapping runs candidate by candidate, through the accuracy model's one hook,
+oracle the batch's distinct slices are priced in one vectorised roofline
+pass.  The exit statistics, the expected and worst-case latency and energy
+and the reuse fractions are computed on ``(candidates, stages)`` arrays
+too, and each result is built from its rows; only the accuracy mapping runs
+candidate by candidate, through the accuracy model's one hook,
 ``stage_accuracies_from_coverage``.  No network object is built.
 """
 
@@ -217,10 +217,7 @@ class ConfigEvaluator:
         self.reorder_channels = bool(reorder_channels)
         self.validation_samples = int(validation_samples)
         self.seed = int(seed)
-        # The memos live only as long as this evaluator: each distinct column
-        # of P is split once, each distinct layer slice costed once, the
-        # importance curves built once.
-        self._splits: dict = {}
+        # The importance curves, built once and kept as long as this evaluator.
         self._curves = None
         self._mapping_evaluator = MappingEvaluator(platform, cost_model=cost_model)
         self._mapping_evaluator._keep_slice_table(network)
@@ -310,10 +307,10 @@ class ConfigEvaluator:
         first invalid one raises its own error.
         """
         configs = list(configs)
-        memo = self._mapping_evaluator._table.memo
+        array_pricing = self._mapping_evaluator._table.array_pricing
         batches: dict = {}
         for index, config in enumerate(configs):
-            key = config.partition.num_stages if memo else index
+            key = config.partition.num_stages if array_pricing else index
             batches.setdefault(key, []).append(index)
         results = [None] * len(configs)
         for indices in batches.values():
@@ -338,7 +335,6 @@ class ConfigEvaluator:
             table._backbone,
             [config.partition for config in configs],
             [config.indicator for config in configs],
-            self._splits,
             table.output_bytes,
         )
         batch = mapping._profile_arrays(

@@ -94,6 +94,12 @@ class TestAccuracyModel:
         with pytest.raises(ConfigurationError):
             model.stage_accuracy_from_coverage(1.2, 0.9, "vit")
 
+    @pytest.mark.parametrize("redundancy", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_redundancy_rejected(self, redundancy):
+        # A NaN exponent used to construct and map every coverage to 0.0.
+        with pytest.raises(ConfigurationError, match="redundancy must be a positive finite"):
+            AccuracyModel(redundancy=redundancy)
+
 
 class TestExitStatistics:
     def test_counts_follow_accuracy_increments(self):

@@ -205,3 +205,43 @@ class TestFeedForwardLayer:
 
     def test_kind(self):
         assert self.make().kind == "feedforward"
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Each built-in kind with one numeric field NaN or +-inf.
+NON_FINITE_LAYERS = {
+    "width-nan": lambda: LinearLayer(name="bad", width=NAN, in_width=8),
+    "width-inf": lambda: LinearLayer(name="bad", width=INF, in_width=8),
+    "in-width-nan": lambda: make_conv(name="bad", in_width=NAN),
+    "linear-tokens-inf": lambda: LinearLayer(name="bad", width=8, in_width=8, tokens=INF),
+    "linear-tokens-nan": lambda: LinearLayer(name="bad", width=8, in_width=8, tokens=NAN),
+    "feedforward-expansion-inf": lambda: FeedForwardLayer(
+        name="bad", width=8, in_width=8, expansion=INF
+    ),
+    "feedforward-expansion-nan": lambda: FeedForwardLayer(
+        name="bad", width=8, in_width=8, expansion=NAN
+    ),
+    "attention-tokens-nan": lambda: AttentionLayer(
+        name="bad", width=12, in_width=12, tokens=NAN, num_heads=3
+    ),
+    "attention-tokens-inf": lambda: AttentionLayer(
+        name="bad", width=12, in_width=12, tokens=INF, num_heads=3
+    ),
+    "conv-kernel-size-nan": lambda: make_conv(name="bad", kernel_size=NAN),
+    "conv-stride-nan": lambda: make_conv(name="bad", stride=NAN),
+    "conv-stride-inf": lambda: make_conv(name="bad", stride=INF),
+    "conv-groups-nan": lambda: make_conv(name="bad", groups=NAN),
+    "conv-in-spatial-nan": lambda: make_conv(name="bad", in_spatial=(NAN, 3)),
+    "conv-out-spatial-inf": lambda: make_conv(name="bad", out_spatial=(3, INF)),
+    "conv-fused-overhead-inf": lambda: make_conv(name="bad", fused_overhead=INF),
+    "conv-fused-overhead-nan": lambda: make_conv(name="bad", fused_overhead=NAN),
+}
+
+
+@pytest.mark.parametrize("build", list(NON_FINITE_LAYERS.values()), ids=list(NON_FINITE_LAYERS))
+def test_non_finite_numbers_are_rejected_naming_the_layer(build):
+    # Constructing one used to pass; pricing it then raised an error naming
+    # no layer.
+    with pytest.raises(ConfigurationError, match="^layer 'bad': "):
+        build()

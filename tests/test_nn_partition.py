@@ -223,7 +223,7 @@ class TestBackboneLayers:
 
 def one_candidate(network, partition, indicator):
     """The ``NetworkArrays`` of one ``(P, I)`` pair, each field as its one row."""
-    arrays = network_arrays(network, backbone_layers(network), [partition], [indicator], {})
+    arrays = network_arrays(network, backbone_layers(network), [partition], [indicator])
     return NetworkArrays(*(field[0] for field in arrays))
 
 

@@ -12,7 +12,10 @@ every object the oracle produces must equal the reference exactly (``==`` and
 array path), on a cold slice table and on a warm one, whatever batch a
 candidate comes in.  Cost models other than the exact analytical oracle must
 see the same calls, in the same order, as before, through either entry, and
-no memo may leak into cache identities or pickled results.
+no memo may leak into cache identities or pickled results.  The two memos
+the oracle dropped, a split table of ``P`` columns and a dict of slice
+latencies, live on as verbatim copies (``parent_split_columns``,
+``ParentSliceTable``): every array and latency of a batch must equal theirs.
 
 A second set of references copies the numpy-on-scalars helpers that the
 list-and-float oracle replaced: the ``np.isfinite`` scalar checks, the
@@ -32,6 +35,7 @@ import dataclasses
 import math
 import pickle
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -59,8 +63,10 @@ from repro.nn.partition import (
     RATIO_CHOICES,
     IndicatorMatrix,
     PartitionMatrix,
+    _check_granules,
     _split_rows,
     backbone_layers,
+    network_arrays,
     split_units,
 )
 from repro.perf.evaluator import HardwareProfile, MappingEvaluator, StagePerformance
@@ -723,7 +729,6 @@ def evaluated_network(evaluator, config):
         indicator=config.indicator,
         ranking=evaluator.ranking,
         reorder=evaluator.reorder_channels,
-        splits=evaluator._splits,
     )
 
 
@@ -1637,23 +1642,31 @@ class TestBatchPath:
         configs = SearchSpace(visformer_net, platform).population(8, seed=3)
         batched = ConfigEvaluator(visformer_net, platform, seed=0)
         single = ConfigEvaluator(visformer_net, platform, seed=0)
+        table = batched._mapping_evaluator._table
+        returned = []
+        price = table.latencies
+
+        def recorded(keys, layers, units):
+            values = price(keys, layers, units)
+            assert values.dtype == np.float64 and values.shape == keys.shape
+            returned.extend(zip(keys.ravel().tolist(), values.ravel().tolist()))
+            return values
+
+        table.latencies = recorded
         batched.evaluate_many(configs)
         expected = [single.evaluate(config) for config in configs]
-        table = batched._mapping_evaluator._table
-        reference = single._mapping_evaluator._table
-        for memo, reference_memo in (
-            (table._latencies, reference._latencies),
-            (table._transfers, reference._transfers),
-        ):
-            assert_identical(sorted(memo.items()), sorted(reference_memo.items()))
-            assert {type(key) for key in memo} == {int}
-            assert {type(value) for value in memo.values()} == {float}
-        # Every stored float is the direct call for its key.
+        memo, reference_memo = table._transfers, single._mapping_evaluator._table._transfers
+        assert_identical(sorted(memo.items()), sorted(reference_memo.items()))
+        assert {type(key) for key in memo} == {int}
+        assert {type(value) for value in memo.values()} == {float}
+        # Every returned latency and every stored transfer is the direct call
+        # for its key.
         model = AnalyticalCostModel()
         backbone = backbone_layers(visformer_net)
         span = table._span
         stride = batched._mapping_evaluator._dvfs_stride
-        for key, value in table._latencies.items():
+        assert len(returned) == sum(config.num_stages * (len(backbone) + 1) for config in configs)
+        for key, value in returned:
             unit_key, slice_key = divmod(key, table._slices)
             position, pair = divmod(slice_key, span * span)
             in_units, out_units = divmod(pair, span)
@@ -1673,7 +1686,7 @@ class TestBatchPath:
                 value,
                 platform.interconnect.transfer_latency_ms(backbone[position].output_bytes(units)),
             )
-        # evaluate() reads what the batch stored.
+        # evaluate() reads the transfers the batch stored.
         for config, result in zip(configs, expected):
             assert_identical(batched.evaluate(config).inference, result.inference)
 
@@ -2113,24 +2126,305 @@ class TestSplitPass:
             assert tuple(result[0].tolist()) == expected
             assert reference_split_units(width, fractions, granularity) == expected
 
-    def test_a_generation_splits_its_new_columns_once(self, networks, monkeypatch):
+    def test_a_batch_splits_all_its_columns_in_one_pass(self, networks, monkeypatch):
         network = networks["visformer"]
         platform = get_platform("jetson-agx-xavier")
-        configs = SearchSpace(network, platform).population(24, seed=3)
+        space = SearchSpace(network, platform)
+        configs = space.population(24, seed=3)
         evaluator = ConfigEvaluator(network, platform, seed=0)
         passes = []
         real = partition_module._split_rows
         monkeypatch.setattr(
             partition_module,
             "_split_rows",
-            lambda *args: passes.append(len(args[0])) or real(*args),
+            lambda *args: passes.append(args) or real(*args),
         )
         evaluator.evaluate_many(configs)
-        table = evaluator._splits
-        assert passes == [len(table)]
-        for key, shares in table.items():
-            width, granularity, *column = key
-            assert shares == reference_split_units(width, column, granularity)
-        # A second generation splits only the columns it adds, in one pass.
-        evaluator.evaluate_many(configs + SearchSpace(network, platform).population(4, seed=9))
-        assert len(passes) == 2 and sum(passes) == len(table)
+        backbone = backbone_layers(network)
+        # One pass over every column of every candidate, candidate by
+        # candidate and layer by layer, repeated columns included.
+        assert len(passes) == 1
+        widths, granularities, values = passes[0]
+        assert widths.tolist() == [layer.width for layer in backbone] * len(configs)
+        assert granularities.tolist() == [
+            layer.partition_granularity for layer in backbone
+        ] * len(configs)
+        assert values.tolist() == [
+            column for config in configs for column in config.partition.values.T.tolist()
+        ]
+        for row, width, granularity, column in zip(
+            real(*passes[0]).tolist(), widths.tolist(), granularities.tolist(), values.tolist()
+        ):
+            assert tuple(row) == reference_split_units(width, column, granularity)
+        # The next generation splits all of its columns again, in one pass.
+        generation = configs + space.population(4, seed=9)
+        evaluator.evaluate_many(generation)
+        assert len(passes) == 2
+        assert len(passes[1][2]) == len(generation) * len(backbone)
+
+
+# -- the memos the oracle dropped: verbatim copies --------------------------------------------
+def parent_split_columns(
+    sizes,
+    columns,
+    splits,
+):
+    """The integer shares of every column of validated ``P`` matrices.
+
+    ``sizes`` holds each layer's ``(width, partition_granularity)``,
+    ``columns`` the columns of one or more ``P`` as ``(candidates, layers,
+    stages)`` floats, and ``splits`` is a split table: a dict from
+    ``(width, granularity, *column)`` to the column's integer shares.  The
+    split reads nothing else, so one table may serve any number of
+    candidates and networks.  A column met before is read from it, and the
+    new ones are split together (:func:`_split_rows`), each distinct one
+    once, and stored.  Returns the shares, ``(candidates, layers, stages)``.
+    A column that cannot be split raises as :func:`split_units` would, once
+    the new columns before it are stored.
+    """
+    num_candidates, num_layers, num_stages = columns.shape
+    keys = [
+        (width, granularity, *column)
+        for candidate in columns.tolist()
+        for (width, granularity), column in zip(sizes, candidate)
+    ]
+    get = splits.get
+    shares = [get(key) for key in keys]
+    missing: dict = {}
+    failure = None
+    for index in [index for index, share in enumerate(shares) if share is None]:
+        key = keys[index]
+        if key not in missing:
+            try:
+                _check_granules(key[0], key[1], num_stages)
+            except PartitionError as error:
+                failure = error
+                break
+            missing[key] = []
+        missing[key].append(index)
+    if missing:
+        new = list(missing)
+        split = _split_rows(
+            np.array([key[0] for key in new]),
+            np.array([key[1] for key in new]),
+            np.array([key[2:] for key in new], dtype=float),
+        )
+        for key, row in zip(new, split.tolist()):
+            share = splits[key] = tuple(row)
+            for index in missing[key]:
+                shares[index] = share
+    if failure is not None:
+        raise failure
+    flat = np.fromiter(chain.from_iterable(shares), dtype=np.int64, count=len(keys) * num_stages)
+    return flat.reshape(num_candidates, num_layers, num_stages)
+
+
+def parent_layer_sizes(layers):
+    """Each layer's ``(width, partition_granularity)``, what a split reads of it."""
+    return [(layer.width, layer.partition_granularity) for layer in layers]
+
+
+def split_through(table):
+    """``partition._split_columns`` on the split table ``table``."""
+    return lambda layers, columns: parent_split_columns(parent_layer_sizes(layers), columns, table)
+
+
+class ParentSliceTable(SliceTable):
+    """A slice table that keeps every latency it prices (``latencies`` verbatim)."""
+
+    def __init__(self, cost_model, interconnect, backbone, max_units):
+        super().__init__(cost_model, interconnect, backbone, max_units)
+        self.memo = type(cost_model) is AnalyticalCostModel
+        self._latencies = {}
+
+    def latencies(self, keys, layers, units):
+        flat = keys.ravel()
+        if not self.memo:
+            values = [
+                float(self.cost_model.latency_ms(*self._slice(key, layers, units)))
+                for key in flat.tolist()
+            ]
+            return np.array(values).reshape(keys.shape)
+        get = self._latencies.get
+        # A latency is finite, so NaN (numpy's None) marks a missing key.
+        values = np.array([get(key) for key in flat.tolist()], dtype=float)
+        holes = np.isnan(values)
+        if holes.any():
+            missing = np.unique(flat[holes])
+            priced = self._price(missing, layers, units)
+            self._latencies.update(zip(missing.tolist(), priced.tolist()))
+            values[holes] = priced[np.searchsorted(missing, flat[holes])]
+        return values.reshape(keys.shape)
+
+
+@st.composite
+def drawn_generations(draw):
+    """A network's name and the options of :func:`build_generations`."""
+    return draw(st.sampled_from(sorted(NETWORKS))), dict(
+        stages=draw(st.integers(min_value=1, max_value=4)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        sizes=draw(st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=4)),
+        repeats=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        one_hots=draw(st.sampled_from([0.0, 0.25])),
+        negate=draw(st.booleans()),
+    )
+
+
+def build_generations(network, platform, stages, seed, sizes, repeats, one_hots, negate):
+    """Generations of ``network``'s ``stages``-stage configurations, ``sizes`` candidates each.
+
+    Each column of ``P`` repeats a column met before (any layer, any earlier
+    candidate, this generation's or an earlier one's) with probability
+    ``repeats``, else becomes one-hot with probability ``one_hots`` (its
+    zeros ``-0.0`` when ``negate``); a candidate repeats a whole earlier one
+    with probability ``repeats / 3``.
+    """
+    space = SearchSpace(network, platform, num_stages=stages)
+    rng = np.random.default_rng(seed)
+    met, everyone, generations = [], [], []
+    for size in sizes:
+        generation = []
+        for config in space.population(size, seed=rng):
+            if everyone and rng.random() < repeats / 3:
+                generation.append(everyone[rng.integers(len(everyone))])
+                continue
+            values = config.partition.values.copy()
+            for layer in range(values.shape[1]):
+                if met and rng.random() < repeats:
+                    values[:, layer] = met[rng.integers(len(met))]
+                elif rng.random() < one_hots:
+                    column = np.full(stages, -0.0 if negate else 0.0)
+                    column[rng.integers(stages)] = 1.0
+                    values[:, layer] = column
+            met.extend(values.T.copy())
+            config = replace(config, partition=PartitionMatrix(values))
+            everyone.append(config)
+            generation.append(config)
+        generations.append(generation)
+    return generations
+
+
+def parent_evaluator(evaluator):
+    """A twin of ``evaluator`` pricing through a slice table that keeps its latencies."""
+    twin = twin_of(evaluator)
+    twin._mapping_evaluator._table = ParentSliceTable.for_network(
+        twin._mapping_evaluator.cost_model, twin.platform.interconnect, twin.network
+    )
+    return twin
+
+
+class TestNoMemoMatchesTheMemos:
+    """Each batch split and priced from its own arrays, against the parent's memos.
+
+    The parent split every column through a split table kept by the
+    evaluator and kept every slice latency it priced; both live on here as
+    verbatim copies (``parent_split_columns``, ``ParentSliceTable``), warm
+    from one generation to the next.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=drawn_generations())
+    def test_generations_match_field_by_field(self, networks, case):
+        name, options = case
+        network = networks[name]
+        platform = jetson_agx_xavier(include_cpu=True)
+        evaluator = ConfigEvaluator(network, platform, seed=1)
+        parent = parent_evaluator(evaluator)
+        table, parent_table = evaluator._mapping_evaluator._table, parent._mapping_evaluator._table
+        backbone = backbone_layers(network)
+        splits = {}
+        for generation in build_generations(network, platform, **options):
+            partitions = [config.partition for config in generation]
+            indicators = [config.indicator for config in generation]
+            arrays = network_arrays(network, backbone, partitions, indicators, table.output_bytes)
+            results = evaluator.evaluate_many(generation)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(partition_module, "_split_columns", split_through(splits))
+                expected = network_arrays(
+                    network, backbone, partitions, indicators, parent_table.output_bytes
+                )
+                parent_results = parent.evaluate_many(generation)
+            for field, reference in zip(arrays, expected):
+                assert field.dtype == reference.dtype
+                assert_identical(field.tolist(), reference.tolist())
+            # Every latency, through one fresh table and the parent's warm one.
+            mappings = evaluator._mapping_evaluator._mapping_points(
+                [config.unit_names for config in generation],
+                [config.dvfs_indices for config in generation],
+                options["stages"],
+            )
+            unit_keys = np.array([[point[0] for point in mapping] for mapping in mappings])
+            units = {key: (unit, scale) for mapping in mappings for key, unit, scale, _ in mapping}
+            fresh = schedule_batch(
+                SliceTable.for_network(AnalyticalCostModel(), platform.interconnect, network),
+                network,
+                arrays,
+                unit_keys,
+                units,
+            )
+            warm = schedule_batch(parent_table, network, expected, unit_keys, units)
+            assert_identical(fresh.keys.tolist(), warm.keys.tolist())
+            for part in ("taus", "exit_latencies", "cumulative", "stalls", "moved"):
+                assert_identical(getattr(fresh, part).tolist(), getattr(warm, part).tolist())
+            for result, reference in zip(results, parent_results):
+                assert_identical(result.profile, reference.profile)
+                assert_identical(result.inference, reference.inference)
+        # The parent's memos were read: the split table holds every distinct
+        # column, the latency memo every distinct slice.
+        assert splits and parent_table._latencies
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_an_unsplittable_column_raises_the_parent_message(self, networks, warm):
+        class Heads(LinearLayer):
+            """A linear layer split in whole granules of ``in_width`` units."""
+
+            @property
+            def partition_granularity(self):
+                return self.in_width
+
+        layers = [
+            LinearLayer(name="wide", width=12, in_width=4),
+            LinearLayer(name="narrow", width=2, in_width=12),
+            Heads(name="ragged", width=10, in_width=4),
+            LinearLayer(name="thin", width=1, in_width=10),
+        ]
+        # Three stages: "narrow" fails first ("ragged" and "thin" fail too).
+        rng = np.random.default_rng(0)
+        raw = rng.random((5, len(layers), 3))
+        columns = raw / raw.sum(axis=2, keepdims=True)
+        splits = {}
+        if warm:
+            parent_split_columns(parent_layer_sizes(layers[:1]), columns[:, :1], splits)
+        for candidates in (columns, columns[2:], columns[:1]):
+            with pytest.raises(PartitionError) as parent_error:
+                parent_split_columns(parent_layer_sizes(layers), candidates, splits)
+            with pytest.raises(PartitionError) as error:
+                partition_module._split_columns(layers, candidates)
+            assert str(error.value) == str(parent_error.value)
+            assert str(error.value) == (
+                "cannot split 2 units (2 granules of 1) into 3 non-empty shares"
+            )
+        # Without "narrow", "ragged"'s granularity fails; without it, "thin".
+        for kept, message in (
+            ([0, 2, 3], "granularity must divide the width (10 % 4 != 0)"),
+            ([0, 3], "cannot split 1 units (1 granules of 1) into 3 non-empty shares"),
+        ):
+            chosen = [layers[index] for index in kept]
+            with pytest.raises(PartitionError) as parent_error:
+                parent_split_columns(parent_layer_sizes(chosen), columns[:, kept], splits)
+            with pytest.raises(PartitionError) as error:
+                partition_module._split_columns(chosen, columns[:, kept])
+            assert str(error.value) == str(parent_error.value) == message
+        # A network's batch: visformer's six-head attention cannot feed seven stages.
+        network = networks["visformer"]
+        backbone = backbone_layers(network)
+        partitions = [PartitionMatrix.uniform(7, len(backbone))] * 2
+        indicators = [IndicatorMatrix.full(7, len(backbone))] * 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partition_module, "_split_columns", split_through(splits))
+            with pytest.raises(PartitionError) as parent_error:
+                network_arrays(network, backbone, partitions, indicators)
+        with pytest.raises(PartitionError) as error:
+            network_arrays(network, backbone, partitions, indicators)
+        assert str(error.value) == str(parent_error.value)
+        assert str(error.value).startswith("cannot split 192 units (6 granules of 32)")

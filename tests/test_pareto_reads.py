@@ -20,10 +20,10 @@ extractor that must see each position read once, in input order.  Real
 search histories are compared too, and a real measured set on a
 ``ServingCacheRecorder`` must make the parent's lookups.
 
-The split table (``ConfigEvaluator``'s per-evaluator memo of
-``_largest_remainder``) is pinned by: every hit equals a fresh split,
-``-0.0`` included; one table shared by several networks does not alias; and a
-search gives the same results with and without it.
+The build keeps no split table: each batch splits every column of its
+``P`` matrices afresh, ``-0.0`` as ``0.0``, and a search gives the same
+results as one through the parent's split table and slice-latency memo
+(their verbatim copies live in ``test_oracle_exact.py``).
 """
 
 from __future__ import annotations
@@ -38,18 +38,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.search.evaluation as evaluation_module
 from repro.core.framework import MapAndConquer
 from repro.engine.nsga import non_dominated_sort
 from repro.nn.layers import Layer
 from repro.nn.models import resnet20, vgg19, visformer
+from repro.nn import partition as partition_module
 from repro.nn.multiexit import build_dynamic_network
 from repro.nn.partition import (
     IndicatorMatrix,
     PartitionMatrix,
     _largest_remainder,
     backbone_layers,
+    network_arrays,
 )
+from repro.perf import evaluator as evaluator_module
 from repro.search.objectives import (
     DEFAULT_OBJECTIVES,
     MeasuredWaitExtractor,
@@ -66,6 +68,7 @@ from repro.search.space import SearchSpace
 from repro.serving.families import SteadyPoissonFamily
 from repro.serving.result_cache import ServingCacheRecorder, ServingResultCache
 from repro.soc.presets import get_platform, jetson_agx_xavier
+from test_oracle_exact import ParentSliceTable, split_through
 
 
 # -- the parent code, verbatim -------------------------------------------------------------
@@ -431,7 +434,7 @@ class TestNonDominatedSortMatchesNumpyRows:
             assert non_dominated_sort(values) == parent_non_dominated_sort(values)
 
 
-# -- the build's split table ------------------------------------------------------------------
+# -- the build without a split table --------------------------------------------------------
 NETWORKS = {"visformer": visformer, "resnet20": resnet20, "vgg19": vgg19}
 
 
@@ -447,82 +450,27 @@ def configs(network, count, seed, **space_options):
 
 
 class TestSplitTable:
-    def test_every_hit_equals_a_fresh_split(self, networks):
-        table = {}
-        for name, network in networks.items():
-            for config in configs(network, 30, seed=len(name)):
-                build_dynamic_network(network, config.partition, config.indicator, splits=table)
-        assert table
-        for key, shares in table.items():
-            width, granularity, *column = key
-            assert shares == _largest_remainder(width, column, granularity)
-            # The same floats with every zero negated hit the same entry, and
-            # splitting them fresh gives the same shares.
-            negated = [-0.0 if value == 0.0 else value for value in column]
-            assert table[(width, granularity, *negated)] == shares
-            assert _largest_remainder(width, negated, granularity) == shares
-
     def test_negative_zero_columns_split_as_today(self, networks):
         network = networks["resnet20"]
-        layers = len(backbone_layers(network))
+        backbone = backbone_layers(network)
+        layers = len(backbone)
         values = np.zeros((3, layers))
         values[0] = 1.0
         negated = values.copy()
         negated[1:] = -0.0
         indicator = IndicatorMatrix.full(3, layers)
-        table = {}
-        for matrix in (values, negated, values):
-            partition = PartitionMatrix(matrix)
-            shared = build_dynamic_network(network, partition, indicator, splits=table)
-            fresh = build_dynamic_network(network, partition, indicator)
-            assert shared.arrays.channels.tolist() == fresh.arrays.channels.tolist()
-
-    def test_one_table_for_several_networks_does_not_alias(self, networks, tiny_network):
-        table = {}
-        cases = [
-            (network, config)
-            for name, network in networks.items()
-            for config in configs(network, 15, seed=7 + len(name))
-        ]
-        # Uniform splits put the same column at the same positions of
-        # networks whose layer widths differ.
-        for network in list(networks.values()) + [tiny_network]:
-            layers = len(backbone_layers(network))
-            for stages in (1, 2, 3):
-                cases.append(
-                    (
-                        network,
-                        SimpleNamespace(
-                            partition=PartitionMatrix.uniform(stages, layers),
-                            indicator=IndicatorMatrix.full(stages, layers),
-                        ),
-                    )
-                )
-        for _ in range(2):
-            for network, config in cases:
-                shared = build_dynamic_network(
-                    network, config.partition, config.indicator, splits=table
-                )
-                fresh = build_dynamic_network(network, config.partition, config.indicator)
-                for field, expected in zip(shared.arrays, fresh.arrays):
-                    assert field.tolist() == expected.tolist()
-
-    def test_the_table_is_not_stored(self, networks):
-        network = networks["visformer"]
-        config = configs(network, 1, seed=0)[0]
-        table = {}
-        dynamic = build_dynamic_network(network, config.partition, config.indicator, splits=table)
-        assert table
-        assert set(vars(dynamic)) == {
-            "network", "partition", "indicator", "arrays", "ranking", "reordered"
-        }
-        assert "splits" not in repr(dynamic)
-
-    def test_each_evaluator_owns_its_table(self, visformer_net, platform):
-        first = evaluation_module.ConfigEvaluator(visformer_net, platform, seed=0)
-        second = evaluation_module.ConfigEvaluator(visformer_net, platform, seed=0)
-        first.evaluate(configs(visformer_net, 1, seed=2)[0])
-        assert first._splits and not second._splits
+        partitions = [PartitionMatrix(matrix) for matrix in (values, negated, values)]
+        # One batch splits both forms alike, and as one-candidate builds do.
+        batch = network_arrays(network, backbone, partitions, [indicator] * 3)
+        for row, partition in enumerate(partitions):
+            alone = build_dynamic_network(network, partition, indicator)
+            assert batch.channels[row].tolist() == alone.arrays.channels[0].tolist()
+            assert batch.channels[row].tolist() == batch.channels[0].tolist()
+            fresh = [
+                list(_largest_remainder(layer.width, column, layer.partition_granularity))
+                for layer, column in zip(backbone, partition.values.T.tolist())
+            ]
+            assert batch.channels[row].T.tolist() == fresh
 
     def test_search_is_the_same_without_the_table(self, monkeypatch):
         def search():
@@ -534,30 +482,22 @@ class TestSplitTable:
                 for item in list(result.history) + list(result.pareto)
             ]
 
-        with_table = search()
+        without_table = search()
+        # The parent's memos: one split table for the search, and slice
+        # tables that keep every latency they price.
+        splits = {}
+        tables = []
 
-        class NoTable(dict):
-            """A split table that keeps nothing, so every column is split afresh."""
+        class KeptTable(ParentSliceTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
 
-            reads = 0
-
-            def get(self, key, default=None):
-                NoTable.reads += 1
-                return default
-
-            def __setitem__(self, key, value):
-                pass
-
-        original = evaluation_module.ConfigEvaluator.__init__
-
-        def without_table(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            self._splits = NoTable()
-
-        monkeypatch.setattr(evaluation_module.ConfigEvaluator, "__init__", without_table)
-        assert search() == with_table
-        # The search split its columns through the table-less evaluators.
-        assert NoTable.reads > 0
+        monkeypatch.setattr(partition_module, "_split_columns", split_through(splits))
+        monkeypatch.setattr(evaluator_module, "SliceTable", KeptTable)
+        assert search() == without_table
+        # The search split and priced through the memos.
+        assert splits and tables and all(table._latencies for table in tables)
 
 
 # -- stored feature bytes ---------------------------------------------------------------------
