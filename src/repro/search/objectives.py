@@ -158,14 +158,31 @@ class ExpectedWaitExtractor:
     ``rate_rps`` — ``inf`` when the bottleneck compute unit saturates, which
     the objective layer treats as "worst possible", so saturated mappings are
     dominated by every mapping that keeps up with the offered load.
+
+    One distillation per candidate: the extractor keeps each
+    :class:`~repro.search.evaluation.EvaluatedConfig`'s wait the way
+    :class:`MeasuredWaitExtractor` keeps its replay (weakly held, keyed by
+    identity), so a domination check or an NSGA-II matrix row re-reads it
+    for free.  The memo stays out of ``repr``, equality, the hash and
+    fingerprints, and is not pickled: a clone starts empty.
     """
 
     rate_rps: float
+    _waits: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     def __call__(self, item: EvaluatedConfig) -> float:
-        from ..serving.policies import Deployment
+        wait = self._waits.get(item)
+        if wait is None:
+            from ..serving.policies import Deployment
 
-        return Deployment.from_evaluated(item).expected_wait_ms(self.rate_rps)
+            wait = Deployment.from_evaluated(item).expected_wait_ms(self.rate_rps)
+            self._waits[item] = wait
+        return wait
+
+    def __reduce__(self):
+        return type(self), (self.rate_rps,)
 
 
 @dataclass(frozen=True)
@@ -373,8 +390,9 @@ class ObjectiveSet:
         extractor and direction directly: each extractor is called once, in
         spec order, its result taken through ``float``, NaN mapped to
         ``+inf`` and a ``"max"`` objective negated, so a row holds no NaN
-        and rows compare totally as tuples.  Nothing is memoised: every call
-        reads every extractor again.  :func:`~repro.search.pareto.pareto_front`
+        and rows compare totally as tuples.  The set memoises nothing: every
+        call reads every extractor again (the wait extractors keep their own
+        per-candidate memos).  :func:`~repro.search.pareto.pareto_front`
         reads each candidate once, except under a
         :class:`MeasuredWaitExtractor`, whose every read is one counted
         serving-cache lookup, so its front keeps the pairwise reads.

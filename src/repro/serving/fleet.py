@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
-from ..utils import _left_sum, check_fraction, check_positive
+from ..utils import _check_int, _left_sum, check_fraction, check_positive
 from .bridge import simulate_deployment
 from .metrics import write_trace_jsonl
 from .policies import Deployment
@@ -317,13 +317,17 @@ class AutoscalerPolicy:
     window_ms: float = 1000.0
 
     def __post_init__(self) -> None:
-        if int(self.min_instances) < 1:
+        # Stored as Python ints, so the bounds compared are the bounds used.
+        object.__setattr__(self, "min_instances", _check_int(self.min_instances, "min_instances"))
+        if self.max_instances is not None:
+            object.__setattr__(
+                self, "max_instances", _check_int(self.max_instances, "max_instances")
+            )
+        if self.min_instances < 1:
             raise ConfigurationError(
                 f"min_instances must be >= 1, got {self.min_instances}"
             )
-        if self.max_instances is not None and int(self.max_instances) < int(
-            self.min_instances
-        ):
+        if self.max_instances is not None and self.max_instances < self.min_instances:
             raise ConfigurationError(
                 f"max_instances ({self.max_instances}) must be >= min_instances "
                 f"({self.min_instances})"
@@ -512,7 +516,7 @@ class FleetSimulator:
             raise ConfigurationError(f"fleet instances must have distinct names, got {names}")
         self.instances = tuple(instances)
         self.router = get_router(router) if isinstance(router, str) else router
-        if autoscaler is not None and int(autoscaler.min_instances) > len(self.instances):
+        if autoscaler is not None and autoscaler.min_instances > len(self.instances):
             raise ConfigurationError(
                 f"min_instances ({autoscaler.min_instances}) exceeds the fleet size "
                 f"({len(self.instances)})"
@@ -595,9 +599,7 @@ class FleetSimulator:
         self.router.reset()
         states = [_InstanceState() for _ in self.instances]
         initial = (
-            len(self.instances)
-            if self.autoscaler is None
-            else int(self.autoscaler.min_instances)
+            len(self.instances) if self.autoscaler is None else self.autoscaler.min_instances
         )
         for state in states[:initial]:
             state.powered = True  # warm at t=0: no boot latency, no boot count
@@ -657,7 +659,7 @@ class FleetSimulator:
         limit = (
             len(self.instances)
             if policy.max_instances is None
-            else min(int(policy.max_instances), len(self.instances))
+            else min(policy.max_instances, len(self.instances))
         )
         if rate_rps > policy.target_utilisation * capacity and len(powered) < limit:
             for index, state in enumerate(states):
@@ -669,7 +671,7 @@ class FleetSimulator:
                         instance=self.instances[index].name,
                         active=len(powered) + 1,
                     )
-        if len(powered) > int(policy.min_instances):
+        if len(powered) > policy.min_instances:
             candidate = powered[-1]
             remaining = capacity - self.instances[
                 candidate

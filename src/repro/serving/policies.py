@@ -27,6 +27,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from ..utils import (
+    _check_int,
     _left_sum,
     check_fraction,
     check_non_negative,
@@ -303,6 +304,17 @@ def build_policy(
     )
 
 
+def _watermarks(high_watermark, low_watermark) -> Tuple[int, int]:
+    """The checked ``(high, low)`` in-flight watermarks of a load-driven policy."""
+    high = _check_int(high_watermark, "high_watermark")
+    low = _check_int(low_watermark, "low_watermark")
+    if low < 0 or high <= low:
+        raise ConfigurationError(
+            f"need high_watermark > low_watermark >= 0, got {high} / {low}"
+        )
+    return high, low
+
+
 class ServingPolicy:
     """Base class: maps live queue state to the deployment serving a request."""
 
@@ -318,7 +330,13 @@ class ServingPolicy:
 
 
 class StaticPolicy(ServingPolicy):
-    """Always serve with one fixed deployment (the paper's implicit model)."""
+    """Always serve with one fixed deployment (the paper's implicit model).
+
+    :class:`~repro.serving.simulator.TrafficSimulator` asks this class's own
+    :meth:`select` once per run and tracks no load for it; a subclass that
+    overrides :meth:`select`, or a wrapper set on the class or an instance,
+    is asked at every arrival like any other policy.
+    """
 
     def __init__(self, deployment: Deployment, name: Optional[str] = None) -> None:
         self.deployment = deployment
@@ -346,15 +364,9 @@ class AdaptiveSwitchPolicy(ServingPolicy):
         low_watermark: int = 2,
         name: Optional[str] = None,
     ) -> None:
-        if low_watermark < 0 or high_watermark <= low_watermark:
-            raise ConfigurationError(
-                f"need high_watermark > low_watermark >= 0, got "
-                f"{high_watermark} / {low_watermark}"
-            )
+        self.high_watermark, self.low_watermark = _watermarks(high_watermark, low_watermark)
         self.calm = calm
         self.surge = surge
-        self.high_watermark = int(high_watermark)
-        self.low_watermark = int(low_watermark)
         self.name = name if name is not None else "adaptive-switch"
         self.switches = 0
         self._surging = False
@@ -399,11 +411,7 @@ class DvfsGovernorPolicy(ServingPolicy):
         low_watermark: int = 1,
         name: Optional[str] = None,
     ) -> None:
-        if low_watermark < 0 or high_watermark <= low_watermark:
-            raise ConfigurationError(
-                f"need high_watermark > low_watermark >= 0, got "
-                f"{high_watermark} / {low_watermark}"
-            )
+        self.high_watermark, self.low_watermark = _watermarks(high_watermark, low_watermark)
         if not levels:
             raise ConfigurationError("the governor needs at least one DVFS level")
         ordered = tuple(sorted(check_fraction(f, "level", allow_zero=False) for f in levels))
@@ -411,8 +419,6 @@ class DvfsGovernorPolicy(ServingPolicy):
             rescale_deployment(deployment, platform, fraction) for fraction in ordered
         )
         self.levels = ordered
-        self.high_watermark = int(high_watermark)
-        self.low_watermark = int(low_watermark)
         self.name = name if name is not None else f"dvfs-governor({deployment.name})"
         self._rung = 0
 

@@ -31,13 +31,17 @@ order.  So each task follows the per-unit Lindley recursion
 ``done = max(arrival, free) + service`` on Python floats, with ``free`` the
 completion of the unit's previous task.  Arrivals precede completions at
 equal times, so at arrival ``k`` the in-flight count is ``k`` minus the
-admitted requests that completed strictly before it, read off a min-heap of
-completion times.  The peak in flight comes from that loop, and the mean
-in flight from the sorted arrival and task-completion times.  The ideal
-exits are decided once per distinct accuracy tuple over all requests, and
-each distinct deployment is planned once.  ``tests/`` keeps an event heap of
-arrivals and task completions as the reference this replay is pinned
-against, float for float.
+admitted requests that completed strictly before it.  A policy that reads
+the load gets that count from a min-heap of completion times.  A
+:class:`~repro.serving.policies.StaticPolicy` (its own ``select``, not an
+override or a wrapper) reads no load: its replay plans the one deployment
+before the loop and runs the Lindley recursion alone.  Under every policy
+the peak in flight is read off the sorted completions after the loop, since
+no request completes before its own arrival, and the mean in flight from the
+sorted arrival and task-completion times.  The ideal exits are decided once
+per distinct accuracy tuple over all requests, and each distinct deployment
+is planned once.  ``tests/`` keeps an event heap of arrivals and task completions as
+the reference this replay is pinned against, float for float.
 
 The replay hands over an unboxed :class:`RequestColumns` store that derives
 each of its two forms on first read, both from one derivation of each
@@ -69,10 +73,14 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..soc.platform import Platform
 from ..utils import as_rng, check_positive
-from .policies import Deployment, ServingPolicy
+from .policies import Deployment, ServingPolicy, StaticPolicy
 from .workload import Request
 
 __all__ = ["RequestRecord", "RequestColumns", "ServingResult", "TrafficSimulator"]
+
+#: ``StaticPolicy.select`` as defined at import: a policy whose bound select
+#: is this function serves one deployment whatever the load.
+_STATIC_SELECT = StaticPolicy.select
 
 
 @dataclass(frozen=True)
@@ -326,6 +334,8 @@ class TrafficSimulator:
         is exact because a policy reads only the in-flight count and the
         time at each arrival, and each request's tasks join their units'
         FIFO queues in (request, stage) order whichever deployment it gets.
+        A :class:`~repro.serving.policies.StaticPolicy` reads no load, so
+        its replay skips the in-flight tracking.
 
         Parameters
         ----------
@@ -362,12 +372,21 @@ class TrafficSimulator:
     def _replay(self, ordered: Sequence[Request], difficulties: np.ndarray):
         """The per-unit Lindley recursion, under any policy.
 
+        The in-flight tracking (completion heap, ``select`` per request,
+        deployment switches) runs only for a policy that reads the load; a
+        :class:`~repro.serving.policies.StaticPolicy` is planned once.  The
+        peak in flight is read off the sorted completions for every policy.
+
         Returns ``(columns, busy_ms, in-flight area, peak in flight,
         makespan)``; the makespan is the last completion time.
         """
         # Looked up per run, so a select wrapped on the policy's class after
         # construction still sees every call.
         select = self.policy.select
+        # A policy reads the load unless its select is StaticPolicy's own as
+        # defined at import; an override or a wrapper (on the class or the
+        # instance) keeps the tracking path and sees every call.
+        tracks_load = getattr(select, "__func__", None) is not _STATIC_SELECT
         unit_names = self.platform.unit_names
         slot_of = {name: slot for slot, name in enumerate(unit_names)}
         # The ideal exits (and their correctness) depend on the accuracies
@@ -407,26 +426,29 @@ class TrafficSimulator:
         completion_ms = []
         done_ms = []
         admitted: list = []  # min-heap of the admitted requests' completion times
-        completed = peak = 0
+        completed = 0
         segments = []  # (first request, plan) at every change of deployment
         last = None
+        if not tracks_load:
+            # The deployment the first request gets serves every request.
+            plan = plan_of(select(0, arrival_ms[0]))
+            exits, tasks_at = plan.exits, plan.tasks_at
+            segments.append((0, plan))
         for index, arrival in enumerate(arrival_ms):
-            # Arrivals precede completions at equal times, so a request that
-            # completes exactly now is still in flight.
-            while admitted and admitted[0] < arrival:
-                heappop(admitted)
-                completed += 1
-            in_flight = index - completed
-            if in_flight >= peak:
-                peak = in_flight + 1
-            deployment = select(in_flight, arrival)
-            if deployment is not last:
-                last = deployment
-                plan = plans.get(id(deployment))
-                if plan is None:
-                    plan = plans[id(deployment)] = plan_of(deployment)
-                exits, tasks_at = plan.exits, plan.tasks_at
-                segments.append((index, plan))
+            if tracks_load:
+                # Arrivals precede completions at equal times, so a request
+                # that completes exactly now is still in flight.
+                while admitted and admitted[0] < arrival:
+                    heappop(admitted)
+                    completed += 1
+                deployment = select(index - completed, arrival)
+                if deployment is not last:
+                    last = deployment
+                    plan = plans.get(id(deployment))
+                    if plan is None:
+                        plan = plans[id(deployment)] = plan_of(deployment)
+                    exits, tasks_at = plan.exits, plan.tasks_at
+                    segments.append((index, plan))
             completion = 0.0
             for slot, service in tasks_at[exits[index]]:
                 free = free_ms[slot]
@@ -439,7 +461,8 @@ class TrafficSimulator:
                 if done > completion:
                     completion = done
             completion_ms.append(completion)
-            heappush(admitted, completion)
+            if tracks_load:
+                heappush(admitted, completion)
 
         # An event loop adds in_flight * (now - last) at every arrival and
         # task completion, exactly 0.0 at a repeated time: summing over the
@@ -448,11 +471,17 @@ class TrafficSimulator:
         # would not.
         arrivals = np.array(arrival_ms, dtype=float)
         completions = np.array(completion_ms, dtype=float)
+        finished = np.sort(completions)
         times = np.unique(np.concatenate((arrivals, np.array(done_ms, dtype=float))))
         in_flight = np.searchsorted(arrivals, times, "right") - np.searchsorted(
-            np.sort(completions), times, "right"
+            finished, times, "right"
         )
         area = np.cumsum(in_flight[:-1] * np.diff(times))
+        # Arrival k sees k minus the completions strictly before it.  No
+        # request completes before its own arrival, so none of those is a
+        # later request's, whatever deployment each request got.
+        depth = np.arange(len(ordered)) - np.searchsorted(finished, arrivals, "left")
+        peak = int(depth.max()) + 1
 
         stops = [start for start, _ in segments[1:]] + [len(ordered)]
         default = self.deadline_ms
@@ -534,12 +563,19 @@ def _exits_and_costs(segments, stops):
     """Every request's exit stage, correctness, service and energy arrays.
 
     Each is read off the plan that served the request, whatever the number
-    of switches.  Exits and correctness are gathered from each distinct
-    decision (plans of equal accuracies share one) laid end to end, and
-    costs from each distinct plan's per-stage table laid end to end, so the
-    gather grows with the requests, the decisions and the plans' stages,
-    never with plans times requests.
+    of switches.  A replay that never switched reads its one plan's exits
+    and per-stage tables directly.  Otherwise exits and correctness are
+    gathered from each distinct decision (plans of equal accuracies share
+    one) laid end to end, and costs from each distinct plan's per-stage
+    table laid end to end, so the gather grows with the requests, the
+    decisions and the plans' stages, never with plans times requests.
     """
+    if len(segments) == 1:
+        plan = segments[0][1]
+        stage = plan.exit_array
+        service = np.array(plan.service_at, dtype=float)
+        energy = np.array(plan.energy_at, dtype=float)
+        return stage, plan.correct, service[stage], energy[stage]
     lengths = [stop - start for (start, _), stop in zip(segments, stops)]
     plans = {id(plan): plan for _, plan in segments}
     decided = {id(plan.exit_array): plan for plan in plans.values()}

@@ -9,6 +9,7 @@ and routes it through :func:`as_rng` so composition stays reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,6 +88,15 @@ def check_non_negative(value: float, name: str) -> float:
     return float(value)
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as a Python int, if :func:`operator.index` takes it (a Python
+    or numpy int); a float, even a whole one, raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an int, got {value!r}") from None
+
+
 def check_fraction(value: float, name: str, *, allow_zero: bool = True) -> float:
     """Validate that ``value`` lies in ``[0, 1]`` (or ``(0, 1]``)."""
     lower_ok = value >= 0 if allow_zero else value > 0
@@ -110,10 +120,12 @@ def check_stage_accuracies(values: Iterable[float]) -> list[float]:
 
 
 def check_probability_vector(values: Sequence[float], name: str, *, atol: float = 1e-6) -> np.ndarray:
-    """Validate that ``values`` are non-negative and sum to one."""
+    """Validate that ``values`` are finite, non-negative and sum to one."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigurationError(f"{name} must be a non-empty 1-D sequence")
+    if not np.isfinite(arr).all():
+        raise ConfigurationError(f"{name} must be finite, got {values!r}")
     if np.any(arr < -atol):
         raise ConfigurationError(f"{name} must be non-negative, got {values!r}")
     total = float(arr.sum())

@@ -335,6 +335,26 @@ class TestAutoscaler:
         with pytest.raises(ConfigurationError):
             AutoscalerPolicy(target_utilisation=0.4, scale_down_utilisation=0.5)
 
+    @pytest.mark.parametrize(
+        "bounds, name",
+        [
+            ({"min_instances": 1.5}, "min_instances"),
+            ({"min_instances": 1, "max_instances": 2.5}, "max_instances"),
+            ({"min_instances": float("nan")}, "min_instances"),
+            ({"min_instances": float("inf")}, "min_instances"),
+            ({"min_instances": 1, "max_instances": float("nan")}, "max_instances"),
+            ({"min_instances": 1, "max_instances": float("inf")}, "max_instances"),
+        ],
+    )
+    def test_instance_bounds_must_be_ints(self, bounds, name):
+        with pytest.raises(ConfigurationError, match=name):
+            AutoscalerPolicy(**bounds)
+
+    def test_numpy_int_bounds_are_kept_as_python_ints(self):
+        policy = AutoscalerPolicy(min_instances=np.int64(2), max_instances=np.int32(3))
+        assert policy == AutoscalerPolicy(min_instances=2, max_instances=3)
+        assert type(policy.min_instances) is int and type(policy.max_instances) is int
+
     def test_min_instances_cannot_exceed_fleet(self, duo):
         with pytest.raises(ConfigurationError):
             FleetSimulator(duo, autoscaler=AutoscalerPolicy(min_instances=3))

@@ -152,6 +152,41 @@ class TestAdaptiveSwitchPolicy:
             AdaptiveSwitchPolicy(frugal, fast, high_watermark=1, low_watermark=-1)
 
 
+def _load_driven(kind, deployment, platform, **watermarks):
+    if kind == "switcher":
+        return AdaptiveSwitchPolicy(deployment, deployment, **watermarks)
+    return DvfsGovernorPolicy(deployment, platform, **watermarks)
+
+
+@pytest.mark.parametrize("kind", ["switcher", "dvfs-governor"])
+class TestWholeNumberWatermarks:
+    """Watermarks are in-flight counts: only ints pass, and the dead band is
+    checked on the values the policy keeps."""
+
+    def test_fractions_that_would_truncate_to_no_dead_band(self, kind, fast, platform):
+        # 2.5 > 2.1, but truncated they would be 2 and 2: a switch on every
+        # request at depth 2.
+        with pytest.raises(ConfigurationError, match="high_watermark"):
+            _load_driven(kind, fast, platform, high_watermark=2.5, low_watermark=2.1)
+
+    @pytest.mark.parametrize("name", ["high_watermark", "low_watermark"])
+    def test_nan(self, kind, fast, platform, name):
+        watermarks = {"high_watermark": 6, "low_watermark": 2, name: float("nan")}
+        with pytest.raises(ConfigurationError, match=name):
+            _load_driven(kind, fast, platform, **watermarks)
+
+    def test_infinite_high_watermark(self, kind, fast, platform):
+        with pytest.raises(ConfigurationError, match="high_watermark"):
+            _load_driven(kind, fast, platform, high_watermark=float("inf"), low_watermark=2)
+
+    def test_numpy_ints_are_kept_as_python_ints(self, kind, fast, platform):
+        policy = _load_driven(
+            kind, fast, platform, high_watermark=np.int64(5), low_watermark=np.int32(1)
+        )
+        assert (policy.high_watermark, policy.low_watermark) == (5, 1)
+        assert type(policy.high_watermark) is int and type(policy.low_watermark) is int
+
+
 class TestDvfsGovernorPolicy:
     def test_walks_one_rung_at_a_time(self, fast, platform):
         policy = DvfsGovernorPolicy(

@@ -905,6 +905,71 @@ class TestStaticReplayMatchesEventHeap:
         _assert_matches_heap(board, policy, requests, **scenario)
 
 
+class _ObservedStatic(StaticPolicy):
+    """A ``StaticPolicy`` subclass whose own ``select`` logs every call."""
+
+    def __init__(self, deployment, seen):
+        super().__init__(deployment)
+        self.seen = seen
+
+    def select(self, queue_depth, now_ms):
+        self.seen.append((queue_depth, now_ms))
+        return super().select(queue_depth, now_ms)
+
+
+def _subclass_override(deployment, seen, monkeypatch):
+    return _ObservedStatic(deployment, seen)
+
+
+def _patched_on_class(deployment, seen, monkeypatch):
+    select = StaticPolicy.select
+
+    def observed(self, queue_depth, now_ms):
+        seen.append((queue_depth, now_ms))
+        return select(self, queue_depth, now_ms)
+
+    monkeypatch.setattr(StaticPolicy, "select", observed)
+    return StaticPolicy(deployment)
+
+
+def _set_on_instance(deployment, seen, monkeypatch):
+    policy = StaticPolicy(deployment)
+    select = policy.select
+
+    def observed(queue_depth, now_ms):
+        seen.append((queue_depth, now_ms))
+        return select(queue_depth, now_ms)
+
+    policy.select = observed
+    return policy
+
+
+class TestReplayPathSelection:
+    """Only ``StaticPolicy``'s own ``select`` skips the in-flight tracking: an
+    override or a wrapper, on the class or on one instance, is asked at every
+    arrival with the event heap's in-flight count."""
+
+    @pytest.mark.parametrize(
+        "observe", [_subclass_override, _patched_on_class, _set_on_instance]
+    )
+    @pytest.mark.parametrize("stream", ["poisson", "ties"])
+    def test_wrapped_select_sees_every_request(
+        self, platform, shared_unit, monkeypatch, observe, stream
+    ):
+        if stream == "poisson":
+            requests = PoissonArrivals(70.0).generate(2000.0, seed=7)
+        else:
+            requests = _grid_stream(300, 5.0, seed=3)
+        seen = []
+        policy = observe(shared_unit, seen, monkeypatch)
+        result = _assert_matches_heap(platform, policy, requests, seed=1, deadline_ms=40.0)
+        # The replay's calls, then the event heap's: the same arguments.
+        count = len(requests)
+        assert len(seen) == 2 * count
+        assert seen[:count] == seen[count:]
+        assert result.peak_in_flight == max(depth for depth, _ in seen[:count]) + 1
+
+
 class TestValidation:
     @pytest.mark.parametrize("duration_ms", [float("nan"), float("inf"), 0.0, -5.0])
     @pytest.mark.parametrize(

@@ -51,6 +51,19 @@ class TestValidationHelpers:
         with pytest.raises(errors.ConfigurationError):
             check_probability_vector([-0.5, 1.5], "p")
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [float("nan"), 1.0],
+            [0.5, float("nan"), 0.5],
+            [float("inf"), 1.0],
+            [float("-inf"), 1.0],
+        ],
+    )
+    def test_check_probability_vector_rejects_non_finite(self, values):
+        with pytest.raises(errors.ConfigurationError, match="finite"):
+            check_probability_vector(values, "p")
+
 
 class TestRngAndIterables:
     def test_as_rng_accepts_seed_generator_and_none(self):
